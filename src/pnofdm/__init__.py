@@ -52,6 +52,7 @@ from .spectral import (
     geometry_residual,
     hermitian_split,
     permutation_matrix,
+    shift_form_table,
 )
 from .sproc import duality_gap, primal_oracle, qmatnew_nullspace, regularity_matrix
 
@@ -96,6 +97,7 @@ __all__ = [
     "qmatnew_nullspace",
     "regularity_matrix",
     "run_link",
+    "shift_form_table",
     "solve_dual",
     "spectral_vector",
     "uls",

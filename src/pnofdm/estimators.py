@@ -243,7 +243,7 @@ def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     )
 
 
-def gls(sys: LsSystem, model: DimRedModel, *, tol: float = 1e-9) -> EstimatorOutput:
+def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     """Geometry-constrained least squares via the convex dual program.
 
     Requires a geometry-preserving model (the constraints are imposed in the
@@ -258,7 +258,7 @@ def gls(sys: LsSystem, model: DimRedModel, *, tol: float = 1e-9) -> EstimatorOut
         raise ValueError("gls requires a geometry-preserving model")
     inst = SdpInstance.from_ls(sys.M, sys.b)
     try:
-        sol = solve_dual(inst, tol)
+        sol = solve_dual(inst)
     except SolverError as exc:
         raise EstimationError(f"dual solve failed: {exc}") from exc
     if sol.status != "optimal":

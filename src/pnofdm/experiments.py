@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dimred import pc_ppt, validate_ppt
-from .estimators import error_decomposition, estimate_frame
+from .estimators import ESTIMATOR_IDS, error_decomposition, estimate_frame
 from .link import BerRecord, LinkConfig, make_frame_pair, make_model, run_link
 from .phasenoise import phase_trajectory, spectral_vector, wiener_realization
 from .spectral import geometry_residual
@@ -110,10 +110,9 @@ class ExperimentConfig:
             out.append(f"unknown scenario {self.scenario!r}; see list-scenarios")
         if self.trials < 1:
             out.append("trials must be positive")
-        known = {"uls", "nls", "gls", "cpe", "cis", "genie"}
-        bad = [e for e in self.estimators if e not in known]
+        bad = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if bad:
-            out.append(f"unknown estimators {bad}; valid ids are {sorted(known)}")
+            out.append(f"unknown estimators {bad}; valid ids are {sorted(ESTIMATOR_IDS)}")
         out.extend(self.link_config().violations())
         return out
 

@@ -13,16 +13,32 @@ Hermitian split parts of the cyclic shifts; only ``l = 1..floor(n/2)`` are
 needed (the remaining shift forms are conjugates), and for even ``n`` the
 ``l = n/2`` shift is Hermitian so it contributes a real part only.
 
+The unitary DFT diagonalizes every shift, ``F^H P_l F = diag(exp(2j*pi*l*m/n))``,
+so ``F^H PR_l F`` and ``F^H PI_l F`` are the cosine and sine rows of
+:func:`~pnofdm.spectral.shift_form_table`.  In the time basis the LMI is
+
+    G(y) = [[ A + Diag(mu) , c          ]
+            [ c^H          , -tau - lam ]]  >= 0,   A = F^H M F,  c = F^H b,
+
+with ``mu = table^T (lam, alpha, beta)`` and ``lam = sum(mu)/n``: every
+constraint is a real diagonal, and ``G(y) = G0 + Diag(V y)`` where ``V`` is
+the transposed table plus the corner column of ``tau`` and ``lam``.
+
 Any dual-feasible point certifies ``tau <= J(g)`` for every feasible ``g``
 (weak duality); the dual optimum matches the primal one on this constraint
 family, and the primal minimizer is recovered from the stationarity system
-``(M + lam*I + sum ...) g = b``.
+``(M + lam*I + sum ...) g = b``.  Weak duality also bounds the dual, so it
+has no ascent ray: the solver scales the data to ``||M||_2 <= 1`` and
+``max|b_i| <= 1``, and then ``tau <= 1 + 2*sqrt(n)``.
 
 The solver is a log-det barrier interior-point method: Newton centering steps
-on ``-t*tau - logdet(LMI)`` along an increasing barrier schedule.  The LMI is
-tiny (``n + 1`` on a side with ``n + 1`` scalar variables), so dense Newton
-steps are exact and cheap, and every iterate is strictly feasible, which
-makes the returned certificate unconditional.
+on ``-t*tau - logdet G(y)`` along an increasing barrier schedule.  With
+``S = G^-1`` the gradient of ``logdet G`` is ``V^T diag(S)`` and its negated
+Hessian is the Hadamard form ``V^T |S|^2 V``, as for the MaxCut relaxation
+(Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 1996), so a Newton
+step costs one ``(n+1) x (n+1)`` Cholesky factorization and its inverse.
+Every iterate is strictly feasible, which makes the returned certificate
+unconditional.
 """
 
 from __future__ import annotations
@@ -31,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import hermitian_split, permutation_matrix
+from .spectral import dft_matrix, shift_form_table
 
 __all__ = [
     "SdpInstance",
@@ -42,6 +58,12 @@ __all__ = [
     "solve_dual",
 ]
 
+TOL = 1e-9  # barrier suboptimality target, absolute plus relative in tau
+MAX_NEWTON = 200  # Newton steps over all centering stages of one solve
+BARRIER_GROWTH = 20.0  # factor on the barrier parameter between stages
+DECREMENT_TOL = 2e-11  # squared Newton decrement of a centered point
+KKT_RCOND = 1e-10  # relative singular-value cutoff of the recovery solve
+
 
 class SolverError(RuntimeError):
     """Raised when the dual solve cannot produce a certified solution."""
@@ -49,12 +71,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SdpInstance:
-    """Dual problem data: cost matrices plus the Hermitian constraint parts."""
+    """Dual problem data: the cost pair ``(M, b)`` of the constrained fit."""
 
     M: np.ndarray
     b: np.ndarray
-    r_mats: tuple  # real parts, shifts l = 1..floor(n/2)
-    i_mats: tuple  # imaginary parts, shifts l = 1..floor((n-1)/2)
     n: int
 
     @classmethod
@@ -66,21 +86,15 @@ class SdpInstance:
             raise ValueError("M must be n x n with n = len(b)")
         if np.max(np.abs(M - M.conj().T)) > 1e-10 * (1 + np.max(np.abs(M))):
             raise ValueError("M must be Hermitian")
-        r_mats, i_mats = [], []
-        for l in range(1, n // 2 + 1):
-            PR, PI = hermitian_split(permutation_matrix(n, l))
-            r_mats.append(PR)
-            if l <= (n - 1) // 2:  # the l = n/2 form is already real for even n
-                i_mats.append(PI)
-        return cls(M, b, tuple(r_mats), tuple(i_mats), n)
+        return cls(M, b, n)
 
     @property
     def n_alpha(self) -> int:
-        return len(self.r_mats)
+        return self.n // 2
 
     @property
     def n_beta(self) -> int:
-        return len(self.i_mats)
+        return (self.n - 1) // 2
 
 
 def assemble_lmi(inst: SdpInstance, tau: float, lam: float, alpha, beta) -> np.ndarray:
@@ -93,13 +107,10 @@ def assemble_lmi(inst: SdpInstance, tau: float, lam: float, alpha, beta) -> np.n
             f"got {alpha.size} and {beta.size}"
         )
     n = inst.n
-    A = inst.M + lam * np.eye(n)
-    for a, PR in zip(alpha, inst.r_mats):
-        A = A + a * PR
-    for bb, PI in zip(beta, inst.i_mats):
-        A = A + bb * PI
+    F = dft_matrix(n)
+    mu = shift_form_table(n).T @ np.concatenate(([lam], alpha, beta))
     G = np.empty((n + 1, n + 1), dtype=complex)
-    G[:n, :n] = A
+    G[:n, :n] = inst.M + (F * mu) @ F.conj().T
     G[:n, n] = inst.b
     G[n, :n] = inst.b.conj()
     G[n, n] = -tau - lam
@@ -122,7 +133,7 @@ class SdpSolution:
     beta: np.ndarray
     min_eig: float
     iterations: int
-    status: str  # "optimal" | "max_iter" | "infeasible"
+    status: str  # "optimal" | "max_iter"
     gap_bound: float
     tau_path: np.ndarray = field(default_factory=lambda: np.empty(0))
 
@@ -131,56 +142,37 @@ def _symmetrize(G):
     return (G + G.conj().T) / 2
 
 
-class _BarrierState:
-    """Shared Newton-iteration budget across centering stages."""
+def _center(y, t, G0, V, budget):
+    """Newton-center ``-t*y[0] - logdet(G0 + Diag(V y))`` starting from ``y``.
 
-    def __init__(self, budget: int):
-        self.remaining = budget
-        self.used = 0
-
-    def spend(self) -> bool:
-        if self.remaining <= 0:
-            return False
-        self.remaining -= 1
-        self.used += 1
-        return True
-
-
-def _center(y, t, G0, basis, objective_index, state, decrement_tol=2e-11):
-    """Newton-center ``-t*y[k] - logdet(G0 + sum y_i G_i)`` in place.
-
-    Returns the centered ``y`` (or the best iterate when the budget runs
-    out); every iterate keeps the LMI strictly positive definite.
+    Returns ``(y, steps, ok)``: the centered point (or the last iterate),
+    the Newton steps taken, and ``False`` when the stage needed more than
+    ``budget`` steps.  Every iterate keeps the LMI strictly positive definite.
     """
-    nv = len(basis)
+    diag = np.diag_indices(G0.shape[0])
 
     def lmi_at(yv):
         G = G0.copy()
-        for yi, Gi in zip(yv, basis):
-            G += yi * Gi
-        return _symmetrize(G)
+        G[diag] += V @ yv
+        return G
 
+    steps = 0
     for _ in range(60):
-        if not state.spend():
-            return y, False
-        G = lmi_at(y)
-        L = np.linalg.cholesky(G)
-        Linv = np.linalg.inv(L)
-        Ks = [Linv @ Gi @ Linv.conj().T for Gi in basis]
-        grad = np.array([float(np.trace(K).real) for K in Ks])
-        H = np.empty((nv, nv))
-        for i in range(nv):
-            for j in range(i, nv):
-                H[i, j] = H[j, i] = float(np.sum(Ks[i] * np.conj(Ks[j])).real)
+        if steps == budget:
+            return y, steps, False
+        steps += 1
+        Linv = np.linalg.inv(np.linalg.cholesky(lmi_at(y)))
+        S = Linv.conj().T @ Linv
+        grad = V.T @ S.diagonal().real
+        H = V.T @ np.abs(S) ** 2 @ V
         rhs = grad.copy()
-        rhs[objective_index] += t
+        rhs[0] += t
         try:
             step = np.linalg.solve(H, rhs)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(H, rhs, rcond=None)[0]
-        decrement2 = float(step @ rhs)
-        if decrement2 <= decrement_tol:
-            return y, True
+        if float(step @ rhs) <= DECREMENT_TOL:
+            return y, steps, True
         alpha_ls = 1.0
         for _ in range(60):
             try:
@@ -189,115 +181,45 @@ def _center(y, t, G0, basis, objective_index, state, decrement_tol=2e-11):
             except np.linalg.LinAlgError:
                 alpha_ls *= 0.5
         else:
-            return y, True  # cannot move; treat as centered
+            return y, steps, True  # cannot move; treat as centered
         y = y + alpha_ls * step
-    return y, True
+    return y, steps, True
 
 
-def _has_ascent_ray(inst: SdpInstance, state) -> bool:
-    """Certified test for an unbounded dual: does the constraint span contain
-    a positive-definite combination?
-
-    The dual recession cone holds a direction with growing ``tau`` exactly
-    when some ``sum_i d_i W_i`` of the constraint matrices is positive
-    definite.  For the genuine shift-form family every ``W`` is traceless, so
-    no combination can be definite and the test is skipped; for modified
-    instances the question is decided by maximizing ``s`` subject to
-    ``sum d_i W_i - s*I >= 0`` and ``s <= 1`` with the same barrier code.
-    """
-    mats = list(inst.r_mats) + list(inst.i_mats)
-    if not mats:
-        return False
-    norms = [max(1.0, float(np.max(np.abs(W)))) for W in mats]
-    if all(abs(np.trace(W).real) < 1e-9 * s for W, s in zip(mats, norms)):
-        return False
-    n = inst.n
-    m = n + 1  # block-diagonal: n x n combination block plus the s <= 1 slack
-    basis = []
-    G_s = np.zeros((m, m), dtype=complex)
-    G_s[:n, :n] = -np.eye(n)
-    G_s[n, n] = -1.0
-    basis.append(G_s)
-    for W, s in zip(mats, norms):
-        Gi = np.zeros((m, m), dtype=complex)
-        Gi[:n, :n] = W / s
-        basis.append(Gi)
-    G0 = np.zeros((m, m), dtype=complex)
-    G0[n, n] = 1.0
-    y = np.zeros(len(basis))
-    y[0] = -1.0  # d = 0, s = -1 is strictly feasible
-    t = 1.0
-    for _ in range(12):
-        y, _ = _center(y, t, G0, basis, 0, state)
-        if m / t <= 1e-8 + 1e-6 * abs(y[0]):
-            break
-        t *= 20.0
-    return y[0] > 1e-6
-
-
-def solve_dual(
-    inst: SdpInstance,
-    tol: float = 1e-9,
-    *,
-    max_newton: int = 200,
-    mu: float = 20.0,
-) -> SdpSolution:
+def solve_dual(inst: SdpInstance) -> SdpSolution:
     """Maximize ``tau`` over the dual LMI with a log-det barrier method.
 
     Stops when the barrier suboptimality bound drops below
-    ``tol * (1 + |tau|)`` (absolute plus relative) and the objective has
+    ``TOL * (1 + |tau|)`` (absolute plus relative) and the objective has
     stabilized across stages.  Every iterate keeps the LMI strictly positive
     definite, so the returned point is feasible and certifies weak duality
-    on its own.  An unbounded dual (possible only for modified constraint
-    families whose zero set is empty) is detected by a certified recession
-    ray test and reported as ``infeasible``.  Deterministic given the inputs.
+    on its own.  Deterministic given the inputs.
     """
     n = inst.n
     if n > 64:
         raise SolverError("dense solver is sized for n <= 64")
     m = n + 1
 
-    state = _BarrierState(max_newton)
-    if _has_ascent_ray(inst, state):
-        return SdpSolution(
-            tau=np.inf, lam=np.nan, alpha=np.full(inst.n_alpha, np.nan),
-            beta=np.full(inst.n_beta, np.nan), min_eig=np.nan,
-            iterations=state.used, status="infeasible", gap_bound=np.inf,
-        )
-
     scale = max(1.0, float(np.linalg.norm(inst.M, 2)), float(np.max(np.abs(inst.b))) if inst.b.size else 0.0)
     Ms = inst.M / scale
     bs = inst.b / scale
 
-    # Variable layout: y = [tau, lam, alpha..., beta...]
-    basis = []
-    G_tau = np.zeros((m, m), dtype=complex)
-    G_tau[n, n] = -1.0
-    basis.append(G_tau)
-    G_lam = np.zeros((m, m), dtype=complex)
-    G_lam[:n, :n] = np.eye(n)
-    G_lam[n, n] = -1.0
-    basis.append(G_lam)
-    for PR in inst.r_mats:
-        Gi = np.zeros((m, m), dtype=complex)
-        Gi[:n, :n] = PR
-        basis.append(Gi)
-    for PI in inst.i_mats:
-        Gi = np.zeros((m, m), dtype=complex)
-        Gi[:n, :n] = PI
-        basis.append(Gi)
-
+    # Time-basis LMI G0 + Diag(V y), variable layout y = [tau, lam, alpha..., beta...].
+    F = dft_matrix(n)
     G0 = np.zeros((m, m), dtype=complex)
-    G0[:n, :n] = Ms
-    G0[:n, n] = bs
-    G0[n, :n] = bs.conj()
+    G0[:n, :n] = _symmetrize(F.conj().T @ Ms @ F)
+    G0[:n, n] = F.conj().T @ bs
+    G0[n, :n] = G0[:n, n].conj()
+    V = np.zeros((m, m))
+    V[:n, 1:] = shift_form_table(n).T
+    V[n, :2] = -1.0
 
     # Strictly feasible start: lift lam until the top block is PD, then push
     # tau below the Schur complement.
     lam0 = max(0.0, -float(np.linalg.eigvalsh(_symmetrize(Ms))[0])) + 1.0
     A0 = _symmetrize(Ms + lam0 * np.eye(n))
     schur = float(np.real(bs.conj() @ np.linalg.solve(A0, bs)))
-    y = np.zeros(len(basis))
+    y = np.zeros(m)
     y[0] = -lam0 - schur - 1.0
     y[1] = lam0
 
@@ -305,21 +227,20 @@ def solve_dual(
     tau_path = []
     status = "optimal"
     tau_prev = None
+    steps = 0
     while True:
-        y, ok = _center(y, t, G0, basis, 0, state)
+        y, used, ok = _center(y, t, G0, V, MAX_NEWTON - steps)
+        steps += used
         if not ok:
             status = "max_iter"
             break
         tau_path.append(y[0] * scale)
-        if y[0] > 1e12:
-            status = "infeasible"  # growth backstop; the ray test should catch this
-            break
         gap_bound = m / t
-        stabilized = tau_prev is not None and abs(y[0] - tau_prev) <= np.sqrt(tol) * (1.0 + abs(y[0]))
-        if gap_bound <= tol * (1.0 + abs(y[0])) and stabilized:
+        stabilized = tau_prev is not None and abs(y[0] - tau_prev) <= np.sqrt(TOL) * (1.0 + abs(y[0]))
+        if gap_bound <= TOL * (1.0 + abs(y[0])) and stabilized:
             break
         tau_prev = y[0]
-        t *= mu
+        t *= BARRIER_GROWTH
 
     tau = float(y[0] * scale)
     lam = float(y[1] * scale)
@@ -336,7 +257,7 @@ def solve_dual(
         alpha=np.asarray(alpha, dtype=float),
         beta=np.asarray(beta, dtype=float),
         min_eig=min_eig,
-        iterations=state.used,
+        iterations=steps,
         status=status,
         gap_bound=gap_bound,
         tau_path=np.asarray(tau_path),
@@ -350,20 +271,20 @@ class KktInfo:
     singular_values: np.ndarray
 
 
-def kkt_recover(inst: SdpInstance, sol: SdpSolution, *, rcond: float = 1e-10, return_info: bool = False):
+def kkt_recover(inst: SdpInstance, sol: SdpSolution, *, return_info: bool = False):
     """Recover the primal estimate from the dual stationarity system.
 
     Solves ``(M + lam*I + sum alpha*PR + beta*PI) g = b`` by pseudo-inverse;
-    singular values below ``rcond`` times the largest are treated as zero,
-    in which case the minimum-norm solution is returned and flagged through
-    the accompanying :class:`KktInfo`.
+    singular values below ``KKT_RCOND`` times the largest are treated as
+    zero, in which case the minimum-norm solution is returned and flagged
+    through the accompanying :class:`KktInfo`.
     """
     if sol.status != "optimal":
         raise SolverError(f"dual solution status is {sol.status!r}, not optimal")
     n = inst.n
     A = assemble_lmi(inst, sol.tau, sol.lam, sol.alpha, sol.beta)[:n, :n]
     U, s, Vh = np.linalg.svd(_symmetrize(A))
-    keep = s > rcond * s[0]
+    keep = s > KKT_RCOND * s[0]
     rank = int(np.count_nonzero(keep))
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]

@@ -12,6 +12,11 @@ Conventions fixed for the whole package:
   ``v^H P_l v`` equals 1 for ``l = 0`` and 0 otherwise.  This holds exactly
   when the unitary inverse DFT of ``v`` has constant modulus ``1/sqrt(n)``,
   i.e. when ``v`` is the spectrum of a pure phase signal.
+* The real constraint forms of the geometry (unit norm plus the Hermitian
+  split parts of the shifts) are all diagonal in the Fourier columns; their
+  eigenvalues are :func:`shift_form_table`, which the dual solver and the
+  duality checks read.  :func:`permutation_matrix` and
+  :func:`hermitian_split` build the same forms densely, as a reference.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -34,6 +39,7 @@ __all__ = [
     "geometry_residual",
     "hermitian_split",
     "permutation_matrix",
+    "shift_form_table",
 ]
 
 # Residual threshold below which a vector is treated as lying on the geometry.
@@ -103,6 +109,29 @@ def hermitian_split(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("P must be a square matrix")
     Ph = P.conj().T
     return (P + Ph) / 2, 1j * (Ph - P) / 2
+
+
+def shift_form_table(n: int) -> np.ndarray:
+    """Eigenvalues of the geometry's real constraint forms on the Fourier columns.
+
+    Returns the ``n x n`` real table whose column ``m`` belongs to the
+    ``m``-th Fourier column.  Row 0 is the norm form (all ones), the next
+    ``n//2`` rows are ``cos(2*pi*l*m/n)`` for ``l = 1..n//2`` (the forms
+    ``hermitian_split(P_l)[0]``) and the last ``(n-1)//2`` rows are
+    ``sin(2*pi*l*m/n)`` for ``l = 1..(n-1)//2`` (the forms
+    ``hermitian_split(P_l)[1]``).  Each form equals ``F @ diag(row) @ F^H``.
+    For even ``n`` the ``l = n/2`` shift is Hermitian and has a cosine row
+    only.  The rows are orthogonal, so they span the real diagonals.
+    """
+    if n < 1 or int(n) != n:
+        raise ValueError("n must be a positive integer")
+    n = int(n)
+    m = np.arange(n)
+
+    def phases(count):
+        return 2 * np.pi * (np.outer(np.arange(1, count + 1), m) % n) / n
+
+    return np.vstack([np.ones((1, n)), np.cos(phases(n // 2)), np.sin(phases((n - 1) // 2))])
 
 
 @dataclass(frozen=True)

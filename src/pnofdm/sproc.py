@@ -7,7 +7,10 @@ forms involved (unit norm plus the split shift forms):
    with a zero last coordinate) plus one extra point ``(0, sqrt(n))`` yields
    an ``n x (n+1)`` matrix of full rank ``n`` whose columns sum to zero with
    unit weights.  This rules out a separating hyperplane through the origin
-   with all evaluation points on one side.
+   with all evaluation points on one side.  The DFT columns diagonalize
+   every form, so the first ``n`` columns are those of
+   :func:`~pnofdm.spectral.shift_form_table`, the table the dual solver
+   uses.
 2. *Zero duality gap*: the brute-force minimum of the cost over the
    constant-modulus set coincides with the dual SDP optimum.  The brute
    force (grid search plus exact coordinate descent on the torus of time
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sdp import SdpInstance, solve_dual
-from .spectral import dft_matrix, geometry_residual, hermitian_split, permutation_matrix
+from .spectral import dft_matrix, geometry_residual, shift_form_table
 
 __all__ = [
     "GapResult",
@@ -81,28 +84,18 @@ class QuadraticFormSet:
 
     @classmethod
     def from_dual_instance(cls, inst: SdpInstance, tau: float) -> "QuadraticFormSet":
-        """The application's form family: cost-minus-tau, norm, then shifts."""
+        """The application's form family: cost-minus-tau, norm, then shifts.
+
+        Each constraint form is ``F @ diag(row) @ F^H`` for one row of
+        :func:`~pnofdm.spectral.shift_form_table` (norm, cosines, sines).
+        """
         n = inst.n
+        F = dft_matrix(n)
         zero = np.zeros(n, dtype=complex)
-        A = [inst.M, np.eye(n, dtype=complex)]
-        d = [inst.b, zero]
-        c = [-float(tau), -1.0]
-        for W in list(inst.r_mats) + list(inst.i_mats):
-            A.append(W)
-            d.append(zero)
-            c.append(0.0)
+        A = [inst.M] + [(F * row) @ F.conj().T for row in shift_form_table(n)]
+        d = [inst.b] + [zero] * n
+        c = [-float(tau), -1.0] + [0.0] * (n - 1)
         return cls(tuple(A), tuple(d), tuple(c))
-
-
-def _constraint_mats(n: int) -> list[np.ndarray]:
-    """Hermitian split parts of the shifts, in (all real, then all imag) order."""
-    r_mats, i_mats = [], []
-    for l in range(1, n // 2 + 1):
-        PR, PI = hermitian_split(permutation_matrix(n, l))
-        r_mats.append(PR)
-        if l <= (n - 1) // 2:
-            i_mats.append(PI)
-    return r_mats + i_mats
 
 
 def regularity_matrix(n: int) -> np.ndarray:
@@ -117,14 +110,9 @@ def regularity_matrix(n: int) -> np.ndarray:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("the construction requires odd n >= 3")
-    F = dft_matrix(n)
-    mats = _constraint_mats(n)
-    Q = np.empty((n, n + 1))
-    for i in range(n):
-        f = F[:, i]
-        col = [np.real(f.conj() @ f)] + [np.real(f.conj() @ W @ f) for W in mats]
-        Q[:, i] = col
-    Q[:, n] = [-float(n)] + [0.0] * len(mats)
+    Q = np.zeros((n, n + 1))
+    Q[:, :n] = shift_form_table(n)
+    Q[0, n] = -float(n)
     return Q
 
 
@@ -147,11 +135,7 @@ def qmatnew_nullspace(n: int, tol: float = 1e-12) -> NullspaceReport:
     """
     if n < 3 or n % 2 == 0 or n > 11:
         raise ValueError("supported for odd n in [3, 11]")
-    i = np.arange(n)
-    half = (n - 1) // 2
-    rows = [np.cos(2 * np.pi * i * l / n) for l in range(1, half + 1)]
-    rows += [np.sin(2 * np.pi * i * l / n) for l in range(1, half + 1)]
-    Q = np.vstack(rows)
+    Q = shift_form_table(n)[1:]  # odd n: the cosine rows, then the sine rows
     v = np.ones(n) / n
     residual = float(np.linalg.norm(Q @ v))
     u, s, vh = np.linalg.svd(Q)
@@ -282,7 +266,7 @@ class GapResult:
     solution: object
 
 
-def duality_gap(M, b, *, tol: float = 1e-9, grid_points: int | None = None) -> GapResult:
+def duality_gap(M, b, *, grid_points: int | None = None) -> GapResult:
     """Measured gap between the brute-force primal and the dual SDP optimum.
 
     Both sides drop the constant cost term.  Expected: ``gap >= -1e-6``
@@ -291,7 +275,7 @@ def duality_gap(M, b, *, tol: float = 1e-9, grid_points: int | None = None) -> G
     """
     oracle = primal_oracle(M, b, grid_points=grid_points)
     inst = SdpInstance.from_ls(M, b)
-    sol = solve_dual(inst, tol)
+    sol = solve_dual(inst)
     gap = oracle.p_star - sol.tau
     return GapResult(oracle.p_star, sol.tau, gap, gap / (1 + abs(oracle.p_star)), oracle, sol)
 

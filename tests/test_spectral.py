@@ -12,6 +12,7 @@ from pnofdm.spectral import (
     geometry_residual,
     hermitian_split,
     permutation_matrix,
+    shift_form_table,
 )
 from pnofdm.phasenoise import spectral_vector
 
@@ -101,6 +102,28 @@ class TestHermitianSplit:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             hermitian_split(np.zeros((2, 3)))
+
+
+class TestShiftFormTable:
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_rows_diagonalize_the_dense_split_shifts(self, n):
+        # Reference forms in table order: norm, real parts l = 1..n//2, then
+        # imaginary parts l = 1..(n-1)//2 (for even n the l = n/2 shift is
+        # Hermitian, so it has a real part only).
+        splits = [hermitian_split(permutation_matrix(n, l)) for l in range(1, n // 2 + 1)]
+        forms = [np.eye(n)] + [PR for PR, _ in splits] + [PI for _, PI in splits[: (n - 1) // 2]]
+        F = dft_matrix(n)
+        table = shift_form_table(n)
+        assert table.shape == (n, n) and len(forms) == n
+        for row, W in zip(table, forms):
+            D = F.conj().T @ W @ F
+            assert np.max(np.abs(D - np.diag(row))) < 1e-13
+
+    def test_rows_orthogonal(self):
+        table = shift_form_table(8)
+        gram = table @ table.T
+        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-12
+        assert np.linalg.matrix_rank(table) == 8
 
 
 class TestGeometryResidual:

@@ -1,7 +1,5 @@
 """Tests for the duality verification machinery."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -133,18 +131,6 @@ class TestDualityGap:
             g = duality_gap(M, b)
             assert g.gap > -1e-6
             assert abs(g.relative) < 1e-3
-
-    def test_corrupted_constraints_break_the_gap(self):
-        # Negative control: perturbing one constraint matrix lets the dual
-        # certify over a different zero set, so the measured gap leaves the
-        # tolerance band (here it goes negative).
-        M, b = random_gram_instance(3, 6, 42)
-        inst = SdpInstance.from_ls(M, b)
-        bad = dataclasses.replace(inst, r_mats=(inst.r_mats[0] + 0.1 * np.eye(3),))
-        sol = solve_dual(bad)
-        p_star = primal_oracle(M, b).p_star
-        rel = (p_star - sol.tau) / (1 + abs(p_star))
-        assert abs(rel) > 1e-3
 
 
 class TestS2ImpliesS1:
