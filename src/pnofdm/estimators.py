@@ -250,23 +250,24 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     reduced domain and must survive the lift).  The dual is solved to a
     certified optimum, the estimate recovered from the stationarity system,
     and one exact constant-modulus projection removes the residual
-    infeasibility left by the finite solver tolerance.  On solver failure an
-    :class:`EstimationError` carrying the iteration trace is raised; ``nls``
-    is the natural fallback.
+    infeasibility left by the finite solver tolerance.  On solver failure,
+    including a numpy ``LinAlgError`` in the solve or the recovery, an
+    :class:`EstimationError` is raised, carrying the iteration trace when the
+    solve ran out of steps; ``nls`` is the natural fallback.
     """
     if model.kind != "ppt":
         raise ValueError("gls requires a geometry-preserving model")
     inst = SdpInstance.from_ls(sys.M, sys.b)
     try:
         sol = solve_dual(inst)
-    except SolverError as exc:
+        if sol.status != "optimal":
+            raise EstimationError(
+                f"dual solve ended with status {sol.status!r} after "
+                f"{sol.iterations} Newton steps (tau path {sol.tau_path})"
+            )
+        gamma_raw, info = kkt_recover(inst, sol, return_info=True)
+    except (SolverError, np.linalg.LinAlgError) as exc:
         raise EstimationError(f"dual solve failed: {exc}") from exc
-    if sol.status != "optimal":
-        raise EstimationError(
-            f"dual solve ended with status {sol.status!r} after "
-            f"{sol.iterations} Newton steps (tau path {sol.tau_path})"
-        )
-    gamma_raw, info = kkt_recover(inst, sol, return_info=True)
     flags = () if info.full_rank else (f"kkt_rank_deficient:{info.rank}",)
     gamma, n_zero = project_constant_modulus(gamma_raw)
     if n_zero:

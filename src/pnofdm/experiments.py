@@ -13,7 +13,7 @@ scenario's defaults.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .dimred import pc_ppt, validate_ppt
 from .estimators import ESTIMATOR_IDS, error_decomposition, estimate_frame
-from .link import BerRecord, LinkConfig, make_frame_pair, make_model, run_link
+from .link import BerRecord, LinkConfig, make_frame_pair, make_model, run_link, simulate
 from .phasenoise import phase_trajectory, spectral_vector, wiener_realization
 from .spectral import geometry_residual
 from .sproc import duality_gap, qmatnew_nullspace, random_gram_instance, regularity_matrix
@@ -261,13 +261,6 @@ def write_csv(path: Path, meta: dict, columns, rows) -> Path:
     return path
 
 
-def write_realization_csv(path: Path, theta, meta: dict | None = None) -> Path:
-    """Serialize one phase trajectory as (index, theta) rows."""
-    theta = np.asarray(theta, dtype=float)
-    rows = [(i, theta[i]) for i in range(theta.size)]
-    return write_csv(path, meta or {}, ("index", "theta"), rows)
-
-
 def _meta(cfg: ExperimentConfig) -> dict:
     meta = {
         "generator": f"pnofdm {__version__}",
@@ -307,19 +300,13 @@ def _run_ber(cfg: ExperimentConfig, out_dir: Path, *, t_kind=None, filename="ber
 def _mse_trials(cfg: ExperimentConfig, rho: float):
     """Per-trial squared reduced-spectrum errors for each estimator."""
     link = cfg.link_config(rho=rho)
-    model = make_model(link)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    Th = make_model(link).T.conj().T
     out = {est: np.empty(cfg.trials) for est in cfg.estimators}
-    for i, child in enumerate(children):
-        f0, f1 = make_frame_pair(link, child)
-        delta_true = spectral_vector(f0.theta).values
-        gamma_true = model.T.conj().T @ delta_true
-        for est in cfg.estimators:
-            res = estimate_frame(est, f0, f1, model)
+    for i, (frame, results) in enumerate(simulate(link, cfg.estimators, cfg.trials, cfg.seed)):
+        gamma_true = Th @ spectral_vector(frame.theta).values
+        for est, (res, _) in results.items():
             gamma_hat = (
-                res.gamma_hat.values
-                if res.gamma_hat is not None
-                else model.T.conj().T @ res.delta_hat.values
+                res.gamma_hat.values if res.gamma_hat is not None else Th @ res.delta_hat.values
             )
             out[est][i] = float(np.sum(np.abs(gamma_hat - gamma_true) ** 2))
     return out
@@ -350,18 +337,19 @@ def _fd_histogram(samples: np.ndarray):
     return edges, counts, density
 
 
+def _omega_samples(cfg: ExperimentConfig, t_kind: str) -> np.ndarray:
+    """Per-sample ``uls`` phase errors of every trial, concatenated."""
+    trials = simulate(cfg.link_config(t_kind=t_kind), ("uls",), cfg.trials, cfg.seed)
+    return np.concatenate([
+        error_decomposition(results["uls"][0].delta_hat, frame.theta).omega
+        for frame, results in trials
+    ])
+
+
 def _run_omega(cfg: ExperimentConfig, out_dir: Path):
     rows = []
     for t_kind in ("ppt", "lft"):
-        link = cfg.link_config(t_kind=t_kind)
-        model = make_model(link)
-        children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-        samples = []
-        for child in children:
-            f0, f1 = make_frame_pair(link, child)
-            res = estimate_frame("uls", f0, f1, model)
-            samples.append(error_decomposition(res.delta_hat, f0.theta).omega)
-        edges, counts, density = _fd_histogram(np.concatenate(samples))
+        edges, counts, density = _fd_histogram(_omega_samples(cfg, t_kind))
         rows.extend(
             (t_kind, edges[i], edges[i + 1], int(counts[i]), density[i])
             for i in range(counts.size)
@@ -375,15 +363,11 @@ def _run_omega(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
-    link = cfg.link_config()
-    model = make_model(link)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     samples = {est: np.empty(cfg.trials) for est in cfg.estimators}
-    for i, child in enumerate(children):
-        f0, f1 = make_frame_pair(link, child)
-        delta_true = spectral_vector(f0.theta).values
-        for est in cfg.estimators:
-            res = estimate_frame(est, f0, f1, model)
+    trials = simulate(cfg.link_config(), cfg.estimators, cfg.trials, cfg.seed)
+    for i, (frame, results) in enumerate(trials):
+        delta_true = spectral_vector(frame.theta).values
+        for est, (res, _) in results.items():
             samples[est][i] = float(np.sum(np.abs(res.delta_hat.values - delta_true) ** 2))
     rows = []
     for est, vals in samples.items():

@@ -20,9 +20,14 @@ Model and conventions:
   when the preamble is phase-noise free) is available for sensitivity
   studies; it is not part of the estimator designs evaluated here.
 
-Monte-Carlo trials are independent given per-trial seeds derived from the
-master seed by ``np.random.SeedSequence(master).spawn(n)``; aggregation uses
-sums and counts only, so it is order-independent.
+Every Monte-Carlo study runs through one engine, :func:`simulate`: trial
+``i`` draws its frame pair from child ``i`` of
+``np.random.SeedSequence(master).spawn(n)`` and runs every requested
+estimator on it, so estimators compared in one run see common random frames.
+An estimator that fails on a frame falls back to the common-phase-only fit
+and is flagged; no frame is dropped.  :func:`run_link` and the scenario
+runners are reductions over its trials, using sums and counts only, so they
+are order-independent.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ __all__ = [
     "pilot_sequence",
     "rayleigh_channel",
     "run_link",
+    "simulate",
     "transmit_receive",
 ]
 
@@ -65,8 +71,6 @@ class LinkConfig:
     n_c: int = 128
     f_sub: float = 15e3
     pilot_fraction: float = 0.08
-    constellation: str = "16qam"
-    code: str = "conv_133_171_k7"
     snr_db: float = 30.0
     taps: int = 4
     coherence_bw: float = 800e3
@@ -76,7 +80,6 @@ class LinkConfig:
     t_kind: str = "ppt"
     pn_mode: str = "continuous"  # "continuous" | "independent" across symbols
     channel_knowledge: str = "genie"  # "genie" | "preamble-ls"
-    pn_variance_factor: float = WIENER_VARIANCE_FACTOR
 
     def violations(self) -> list[str]:
         out = []
@@ -84,10 +87,6 @@ class LinkConfig:
             out.append("n_c must be at least 8")
         if not 0 < self.pilot_fraction <= 0.5:
             out.append("pilot_fraction must lie in (0, 0.5]")
-        if self.constellation != "16qam":
-            out.append(f"unsupported constellation {self.constellation!r}")
-        if self.code != "conv_133_171_k7":
-            out.append(f"unsupported code {self.code!r}")
         if self.taps < 1:
             out.append("taps must be >= 1")
         if self.tap_decay is not None and self.tap_decay <= 0:
@@ -311,7 +310,7 @@ def make_frame_pair(cfg: LinkConfig, seed) -> tuple[OfdmFrame, OfdmFrame]:
     pilot_values = pilot_sequence(pilot_idx.size)
     data_idx = np.setdiff1d(np.arange(cfg.n_c), pilot_idx)
     h, H = rayleigh_channel(cfg, rng)
-    step_var = cfg.pn_variance_factor * cfg.rho / cfg.n_c
+    step_var = WIENER_VARIANCE_FACTOR * cfg.rho / cfg.n_c
     n_sym = 3 if cfg.channel_knowledge == "preamble-ls" else 2
     if cfg.pn_mode == "continuous":
         theta_full = _wiener_path(rng, n_sym * cfg.n_c, step_var, rng.uniform(-np.pi, np.pi))
@@ -361,7 +360,6 @@ class BerRecord:
     ci95_high: float
     flagged_frames: int
     frame_errors: np.ndarray = field(repr=False, default=None)
-    frame_bits: int = 0
 
 
 def _wilson_ci(frame_ber: np.ndarray) -> tuple[float, float]:
@@ -377,38 +375,54 @@ def decode_frame(frame: OfdmFrame, delta_hat) -> np.ndarray:
     return viterbi_decode_soft(llrs)
 
 
-def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
-    """Coded BER of one estimator over ``n_frames`` Monte-Carlo trials.
+def simulate(cfg: LinkConfig, estimators, trials: int, seed):
+    """Run every estimator on ``trials`` common random frame pairs.
 
-    ``estimator`` is an id from :data:`pnofdm.estimators.ESTIMATOR_IDS` or a
-    callable ``(frame, next_frame, model) -> EstimatorOutput``.  A frame on
-    which the estimator fails is decoded with common-phase-only fallback and
-    counted as flagged, never dropped.  Deterministic given ``seed``.
+    Trial ``i`` draws its frame pair from child ``i`` of
+    ``np.random.SeedSequence(seed).spawn(trials)``.  ``estimators`` holds ids
+    from :data:`pnofdm.estimators.ESTIMATOR_IDS` or callables
+    ``(frame, next_frame, model) -> EstimatorOutput``.  Yields
+    ``(frame, {estimator: (output, flagged)})`` per trial, where ``frame`` is
+    the first symbol of the pair.  An estimator that raises
+    :class:`EstimationError` on a frame gets the common-phase-only fit
+    instead, flagged.  The config is validated and the model built once,
+    when iteration starts.
     """
     cfg.validate()
-    if n_frames < 1:
-        raise ValueError("n_frames must be positive")
-    name = estimator if isinstance(estimator, str) else getattr(estimator, "__name__", "custom")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     model = make_model(cfg)
-    children = np.random.SeedSequence(seed).spawn(n_frames)
-    errors = np.zeros(n_frames, dtype=int)
-    flagged = 0
-    bits_per_frame = None
-    for i, child in enumerate(children):
+    for child in np.random.SeedSequence(seed).spawn(trials):
         f0, f1 = make_frame_pair(cfg, child)
-        try:
-            if isinstance(estimator, str):
-                out = estimate_frame(estimator, f0, f1, model)
-            else:
-                out = estimator(f0, f1, model)
-            delta_hat = out.delta_hat.values
-        except EstimationError:
-            out = cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values)
-            delta_hat = out.delta_hat.values
-            flagged += 1
-        decoded = decode_frame(f0, delta_hat)
-        errors[i] = int(np.count_nonzero(decoded != f0.info_bits))
-        bits_per_frame = f0.info_bits.size
+        results = {}
+        for est in estimators:
+            try:
+                if isinstance(est, str):
+                    results[est] = (estimate_frame(est, f0, f1, model), False)
+                else:
+                    results[est] = (est(f0, f1, model), False)
+            except EstimationError:
+                results[est] = (cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values), True)
+        yield f0, results
+
+
+def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
+    """Coded BER of one estimator over ``n_frames`` trials of :func:`simulate`.
+
+    ``estimator`` is an id or a callable as :func:`simulate` takes.  A frame
+    on which the estimator fails is decoded with the common-phase-only
+    fallback and counted as flagged, never dropped.  Deterministic given
+    ``seed``.
+    """
+    name = estimator if isinstance(estimator, str) else getattr(estimator, "__name__", "custom")
+    errors, flagged = [], 0
+    for frame, results in simulate(cfg, (estimator,), n_frames, seed):
+        out, bad = results[estimator]
+        flagged += bad
+        decoded = decode_frame(frame, out.delta_hat.values)
+        errors.append(int(np.count_nonzero(decoded != frame.info_bits)))
+    errors = np.array(errors)
+    bits_per_frame = frame.info_bits.size
     total_bits = bits_per_frame * n_frames
     frame_ber = errors / bits_per_frame
     lo, hi = _wilson_ci(frame_ber)
@@ -423,5 +437,4 @@ def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
         ci95_high=hi,
         flagged_frames=flagged,
         frame_errors=errors,
-        frame_bits=bits_per_frame,
     )

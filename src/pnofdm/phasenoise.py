@@ -33,8 +33,7 @@ __all__ = [
 
 # Increment variance is WIENER_VARIANCE_FACTOR * rho / n per sample, the
 # Lorentzian-linewidth convention for a free-running oscillator whose 3-dB
-# bandwidth is rho subcarrier spacings.  Other conventions (e.g. 2*pi) can be
-# selected per call.
+# bandwidth is rho subcarrier spacings.
 WIENER_VARIANCE_FACTOR = 4.0 * np.pi
 
 
@@ -65,20 +64,15 @@ class PhaseNoiseRealization:
 
 
 def wiener_realization(
-    n: int,
-    rho: float,
-    seed,
-    *,
-    zero_initial_phase: bool = False,
-    variance_factor: float = WIENER_VARIANCE_FACTOR,
+    n: int, rho: float, seed, *, zero_initial_phase: bool = False
 ) -> PhaseNoiseRealization:
     """Draw a Wiener (random-walk) phase trajectory of length ``n``.
 
     ``theta[0]`` is uniform on ``[-pi, pi)`` unless ``zero_initial_phase``
     is set (an unknown initial phase is physically present; the flag exists
     for unit tests).  Increments are i.i.d. zero-mean Gaussian with variance
-    ``variance_factor * rho / n``.  Deterministic given ``seed``: the initial
-    phase is drawn first, then the ``n - 1`` increments.
+    ``WIENER_VARIANCE_FACTOR * rho / n``.  Deterministic given ``seed``: the
+    initial phase is drawn first, then the ``n - 1`` increments.
     """
     if n < 1 or int(n) != n:
         raise ValueError("n must be a positive integer")
@@ -86,7 +80,7 @@ def wiener_realization(
         raise ValueError("rho must be nonnegative")
     rng = np.random.default_rng(seed)
     theta0 = 0.0 if zero_initial_phase else rng.uniform(-np.pi, np.pi)
-    theta = _wiener_path(rng, int(n), variance_factor * rho / n, theta0)
+    theta = _wiener_path(rng, int(n), WIENER_VARIANCE_FACTOR * rho / n, theta0)
     return PhaseNoiseRealization(theta, float(rho), seed)
 
 

@@ -147,7 +147,8 @@ def _center(y, t, G0, V, budget):
 
     Returns ``(y, steps, ok)``: the centered point (or the last iterate),
     the Newton steps taken, and ``False`` when the stage needed more than
-    ``budget`` steps.  Every iterate keeps the LMI strictly positive definite.
+    ``budget`` steps.  Every iterate keeps the LMI strictly positive definite;
+    the Cholesky factor that accepts a line-search trial is the next step's.
     """
     diag = np.diag_indices(G0.shape[0])
 
@@ -156,12 +157,13 @@ def _center(y, t, G0, V, budget):
         G[diag] += V @ yv
         return G
 
+    L = np.linalg.cholesky(lmi_at(y))
     steps = 0
     for _ in range(60):
         if steps == budget:
             return y, steps, False
         steps += 1
-        Linv = np.linalg.inv(np.linalg.cholesky(lmi_at(y)))
+        Linv = np.linalg.inv(L)
         S = Linv.conj().T @ Linv
         grad = V.T @ S.diagonal().real
         H = V.T @ np.abs(S) ** 2 @ V
@@ -175,14 +177,15 @@ def _center(y, t, G0, V, budget):
             return y, steps, True
         alpha_ls = 1.0
         for _ in range(60):
+            y_trial = y + alpha_ls * step
             try:
-                np.linalg.cholesky(lmi_at(y + alpha_ls * step))
+                L = np.linalg.cholesky(lmi_at(y_trial))
                 break
             except np.linalg.LinAlgError:
                 alpha_ls *= 0.5
         else:
             return y, steps, True  # cannot move; treat as centered
-        y = y + alpha_ls * step
+        y = y_trial
     return y, steps, True
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from pnofdm.dimred import default_lft, pc_ppt, validate_ppt
-from pnofdm.estimators import error_decomposition, estimate_frame
-from pnofdm.link import LinkConfig, decode_frame, make_frame_pair, make_model
+from pnofdm.estimators import error_decomposition
+from pnofdm.link import LinkConfig, decode_frame, simulate
 from pnofdm.phasenoise import spectral_vector, wiener_realization
 from pnofdm.spectral import geometry_residual
 from pnofdm.sproc import (
@@ -49,19 +49,17 @@ def mc30():
     The unconstrained-vs-common-phase BER comparison is heavy-tailed (rare
     estimator blowups carry most of the difference), so the paired test
     needs a few thousand frames to resolve it decisively; 2500 keeps the
-    whole criterion within its runtime budget.
+    whole criterion within its runtime budget.  No estimator may fall back
+    on any frame: a flagged output fails the fixture.
     """
-    cfg = LinkConfig(snr_db=30.0)
-    model = make_model(cfg)
     names = ("cpe", "uls", "nls", "gls", "genie")
     frames = 2500
     errors = {n: np.zeros(frames, dtype=int) for n in names}
     costs = {n: np.zeros(frames) for n in ("uls", "nls", "gls")}
     residuals = {n: np.zeros(frames) for n in ("nls", "gls")}
-    for i, child in enumerate(np.random.SeedSequence(190230).spawn(frames)):
-        f0, f1 = make_frame_pair(cfg, child)
-        for name in names:
-            out = estimate_frame(name, f0, f1, model)
+    for i, (f0, results) in enumerate(simulate(LinkConfig(snr_db=30.0), names, frames, 190230)):
+        for name, (out, flagged) in results.items():
+            assert not flagged, f"{name} failed on frame {i} and fell back to cpe"
             decoded = decode_frame(f0, out.delta_hat.values)
             errors[name][i] = int(np.count_nonzero(decoded != f0.info_bits))
             if name in costs:
@@ -214,16 +212,12 @@ def test_criterion_10_mse_trend_and_cis_worst():
 
 
 def test_criterion_11_omega_concentration():
+    from pnofdm.experiments import ExperimentConfig, _omega_samples
+
+    cfg = ExperimentConfig(scenario="phase-error-pdf", trials=300, seed=111_000)
     results = []
     for t_kind in ("ppt", "lft"):
-        cfg = LinkConfig(snr_db=30.0, t_kind=t_kind)
-        model = make_model(cfg)
-        samples = []
-        for child in np.random.SeedSequence(111_000).spawn(300):
-            f0, f1 = make_frame_pair(cfg, child)
-            out = estimate_frame("uls", f0, f1, model)
-            samples.append(error_decomposition(out.delta_hat.values, f0.theta).omega)
-        omega = np.concatenate(samples)
+        omega = _omega_samples(cfg, t_kind)
         counts, edges = np.histogram(omega, bins=41, range=(-1.0, 1.0))
         peak = np.argmax(counts)
         mode_center = (edges[peak] + edges[peak + 1]) / 2

@@ -160,6 +160,20 @@ class TestGls:
         with pytest.raises(ValueError):
             gls(sys, default_lft(16, 4))
 
+    def test_linalg_error_becomes_estimation_error(self, monkeypatch):
+        # A numpy LinAlgError inside the dual solve reaches run_link as an
+        # EstimationError, so the frame is decoded with the fallback, flagged.
+        from pnofdm import estimators
+        from pnofdm.link import run_link
+
+        def failing_solve(inst):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(estimators, "solve_dual", failing_solve)
+        with pytest.raises(EstimationError, match="not positive definite"):
+            gls(synthetic_system(3, 6, 0), pc_ppt(3, 3))
+        assert run_link(LinkConfig(), "gls", 2, 1).flagged_frames == 2
+
     def test_cost_ordering_single_frame(self, desk_frame):
         _, model, f0, f1 = desk_frame
         c_u = estimate_frame("uls", f0, f1, model).diagnostics.cost

@@ -3,7 +3,6 @@
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from pnofdm.experiments import (
@@ -13,7 +12,6 @@ from pnofdm.experiments import (
     parse_config,
     run_scenario,
     verify,
-    write_realization_csv,
 )
 
 
@@ -121,13 +119,6 @@ class TestScenarios:
             "estimate-error-pdf-10db",
             "trajectory-traces",
         }
-
-    def test_realization_csv_helper(self, tmp_path):
-        path = write_realization_csv(tmp_path / "r.csv", np.array([0.1, 0.2]), {"seed": 1})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# seed = 1"
-        assert lines[1] == "index,theta"
-        assert lines[2] == "0,0.1"
 
 
 class TestVerify:

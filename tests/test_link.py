@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pnofdm.estimators import estimate_frame
+from pnofdm.estimators import EstimationError, estimate_frame
 from pnofdm.link import (
     LinkConfig,
     apply_phase_noise,
@@ -16,6 +16,7 @@ from pnofdm.link import (
     pilot_sequence,
     rayleigh_channel,
     run_link,
+    simulate,
     transmit_receive,
     _tap_profile,
 )
@@ -196,6 +197,47 @@ class TestChannelEstimate:
     def test_rejects_empty_subcarriers(self):
         with pytest.raises(ValueError):
             channel_estimate_ls(np.ones(4), np.array([1.0, 0.0, 1.0, 1.0]))
+
+
+class TestSimulate:
+    def test_trial_frames_follow_spawned_seeds(self):
+        cfg = LinkConfig(snr_db=20.0)
+        children = np.random.SeedSequence(5).spawn(3)
+        trials = list(simulate(cfg, ("cpe",), 3, 5))
+        assert len(trials) == 3
+        for child, (frame, results) in zip(children, trials):
+            expected, _ = make_frame_pair(cfg, child)
+            for name in ("info_bits", "theta", "H", "r"):
+                assert np.array_equal(getattr(frame, name), getattr(expected, name))
+            assert list(results) == ["cpe"]
+
+    def test_common_frames_reproduce_run_link(self):
+        # One multi-estimator run sees the same frames as separate run_link
+        # calls with the same seed (common random numbers).
+        cfg = LinkConfig(snr_db=12.0)
+        names = ("cpe", "cis", "uls", "nls", "gls")
+        errors = {name: [] for name in names}
+        for frame, results in simulate(cfg, names, 5, 77):
+            for name, (out, _) in results.items():
+                decoded = decode_frame(frame, out.delta_hat.values)
+                errors[name].append(int(np.count_nonzero(decoded != frame.info_bits)))
+        assert sum(errors["cpe"]) > 0
+        for name in names:
+            assert np.array_equal(run_link(cfg, name, 5, 77).frame_errors, errors[name])
+
+    def test_failure_falls_back_for_that_estimator_only(self):
+        def broken(frame, next_frame, model):
+            raise EstimationError("intentional")
+
+        for frame, results in simulate(LinkConfig(), ("uls", broken), 2, 3):
+            out, flagged = results["uls"]
+            assert not flagged and out.diagnostics.method == "uls"
+            out, flagged = results[broken]
+            assert flagged and out.diagnostics.method == "cpe"
+
+    def test_rejects_empty_run(self):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            run_link(LinkConfig(), "uls", 0, 1)
 
 
 class TestRunLink:
