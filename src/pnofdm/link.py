@@ -15,10 +15,7 @@ Model and conventions:
   is distributionally identical and makes genie compensation reproduce the
   zero-phase-noise link sample for sample.
 * No cyclic prefix is modeled; the model is already post-FFT.
-* Channel knowledge is genie by default.  A simple per-subcarrier LS
-  estimate from a fully known preamble symbol (``H ~ r/s``, accurate only
-  when the preamble is phase-noise free) is available for sensitivity
-  studies; it is not part of the estimator designs evaluated here.
+* Channel knowledge is genie: frames carry the true channel response.
 
 Every Monte-Carlo study runs through one engine, :func:`simulate`: trial
 ``i`` draws its frame pair from child ``i`` of
@@ -48,7 +45,6 @@ __all__ = [
     "LinkConfig",
     "OfdmFrame",
     "apply_phase_noise",
-    "channel_estimate_ls",
     "compensate",
     "make_frame_pair",
     "make_model",
@@ -78,8 +74,6 @@ class LinkConfig:
     rho: float = 0.02
     n_est: int = 8
     t_kind: str = "ppt"
-    pn_mode: str = "continuous"  # "continuous" | "independent" across symbols
-    channel_knowledge: str = "genie"  # "genie" | "preamble-ls"
 
     def violations(self) -> list[str]:
         out = []
@@ -99,10 +93,6 @@ class LinkConfig:
             out.append(f"t_kind must be 'ppt' or 'lft', got {self.t_kind!r}")
         if self.t_kind == "ppt" and self.n_c % max(self.n_est, 1) != 0:
             out.append(f"n_est = {self.n_est} must divide n_c = {self.n_c} for a ppt model")
-        if self.pn_mode not in ("continuous", "independent"):
-            out.append(f"pn_mode must be 'continuous' or 'independent', got {self.pn_mode!r}")
-        if self.channel_knowledge not in ("genie", "preamble-ls"):
-            out.append(f"unknown channel_knowledge {self.channel_knowledge!r}")
         k = int(round(self.pilot_fraction * self.n_c))
         if k < self.n_est:
             out.append(f"pilot count {k} is below the estimator dimension {self.n_est}")
@@ -118,10 +108,21 @@ class LinkConfig:
 
 
 def make_model(cfg: LinkConfig) -> DimRedModel:
-    """Reduction model selected by the config (``ppt`` or default-split ``lft``)."""
-    if cfg.t_kind == "ppt":
-        return pc_ppt(cfg.n_c, cfg.n_est)
-    return default_lft(cfg.n_c, cfg.n_est)
+    """Reduction model selected by the config (``ppt`` or default-split ``lft``).
+
+    Built once per ``(t_kind, n_c, n_est)`` and shared: its arrays are
+    read-only.
+    """
+    return _model(cfg.t_kind, cfg.n_c, cfg.n_est)
+
+
+@lru_cache(maxsize=16)
+def _model(t_kind: str, n_c: int, n_est: int) -> DimRedModel:
+    model = pc_ppt(n_c, n_est) if t_kind == "ppt" else default_lft(n_c, n_est)
+    for arr in (model.T, model.Ttilde):
+        if arr is not None:
+            arr.flags.writeable = False
+    return model
 
 
 def pilot_indices(n_c: int, pilot_fraction: float) -> np.ndarray:
@@ -264,7 +265,7 @@ class OfdmFrame:
         return self.H[self.pilot_idx] * self.pilot_values
 
 
-def _build_symbol(cfg, pilot_idx, pilot_values, data_idx, h, H, theta, rng, H_known=None):
+def _build_symbol(cfg, pilot_idx, pilot_values, data_idx, h, H, theta, rng):
     n_info = 2 * data_idx.size - 6
     info_bits = rng.integers(0, 2, n_info)
     coded = conv_encode(info_bits)
@@ -280,7 +281,7 @@ def _build_symbol(cfg, pilot_idx, pilot_values, data_idx, h, H, theta, rng, H_kn
         pilot_values=pilot_values,
         data_idx=data_idx,
         h=h,
-        H=H if H_known is None else H_known,
+        H=H,
         theta=theta,
         r=r,
         noise=noise,
@@ -292,17 +293,10 @@ def _build_symbol(cfg, pilot_idx, pilot_values, data_idx, h, H, theta, rng, H_kn
 def make_frame_pair(cfg: LinkConfig, seed) -> tuple[OfdmFrame, OfdmFrame]:
     """Simulate two consecutive symbols sharing one channel realization.
 
-    The phase trajectory is continuous across the pair by default
-    (``cfg.pn_mode``); noise and data are independent per symbol.  The
-    per-sample step variance is referenced to one symbol length regardless
-    of mode.  Draw order (fixed for reproducibility): channel taps, initial
-    phase, phase increments, then per symbol bits and noise.
-
-    With ``channel_knowledge = "preamble-ls"`` a fully known preamble symbol
-    precedes the pair (same channel, its own phase noise and noise) and the
-    frames carry the per-subcarrier LS channel estimate instead of the true
-    response.  The estimate silently absorbs the preamble's rotation and
-    leakage; this sensitivity study is not part of the estimator designs.
+    The phase trajectory is continuous across the pair; noise and data are
+    independent per symbol.  The per-sample step variance is referenced to
+    one symbol length.  Draw order (fixed for reproducibility): channel taps,
+    initial phase, phase increments, then per symbol bits and noise.
     """
     cfg.validate()
     rng = np.random.default_rng(seed)
@@ -311,39 +305,11 @@ def make_frame_pair(cfg: LinkConfig, seed) -> tuple[OfdmFrame, OfdmFrame]:
     data_idx = np.setdiff1d(np.arange(cfg.n_c), pilot_idx)
     h, H = rayleigh_channel(cfg, rng)
     step_var = WIENER_VARIANCE_FACTOR * cfg.rho / cfg.n_c
-    n_sym = 3 if cfg.channel_knowledge == "preamble-ls" else 2
-    if cfg.pn_mode == "continuous":
-        theta_full = _wiener_path(rng, n_sym * cfg.n_c, step_var, rng.uniform(-np.pi, np.pi))
-        thetas = tuple(theta_full[i * cfg.n_c:(i + 1) * cfg.n_c] for i in range(n_sym))
-    else:
-        thetas = tuple(
-            _wiener_path(rng, cfg.n_c, step_var, rng.uniform(-np.pi, np.pi))
-            for _ in range(n_sym)
-        )
-    H_known = None
-    if cfg.channel_knowledge == "preamble-ls":
-        s_pre = pilot_sequence(cfg.n_c)
-        r_pre, _, _ = _transmit(s_pre, H, thetas[0], cfg.snr_db, rng)
-        H_known = channel_estimate_ls(r_pre, s_pre)
-        thetas = thetas[1:]
+    theta = _wiener_path(rng, 2 * cfg.n_c, step_var, rng.uniform(-np.pi, np.pi))
     return tuple(
-        _build_symbol(cfg, pilot_idx, pilot_values, data_idx, h, H, th, rng, H_known)
-        for th in thetas
+        _build_symbol(cfg, pilot_idx, pilot_values, data_idx, h, H, th, rng)
+        for th in (theta[:cfg.n_c], theta[cfg.n_c:])
     )
-
-
-def channel_estimate_ls(r_preamble, s_preamble) -> np.ndarray:
-    """Per-subcarrier LS channel estimate from a fully known preamble symbol.
-
-    Assumes the preamble is phase-noise free; with phase noise present the
-    estimate absorbs the rotation and leakage (useful only for sensitivity
-    studies).
-    """
-    r = np.asarray(r_preamble, dtype=complex)
-    s = np.asarray(s_preamble, dtype=complex)
-    if np.min(np.abs(s)) == 0:
-        raise ValueError("preamble must occupy every subcarrier")
-    return r / s
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,47 @@
 """Tests for the convolutional encoder and soft Viterbi decoder."""
 
-import numpy as np
+import itertools
 
-from pnofdm.coding import conv_encode, viterbi_decode_soft
+import numpy as np
+import pytest
+
+from pnofdm.coding import _OUT1, _OUT2, _PRED0, _PRED1, _UBIT, conv_encode, viterbi_decode_soft
+
+# Information bits per frame on the default link: 118 data subcarriers carry
+# 472 coded bits, i.e. 236 trellis steps of which 6 are the flush tail.
+LINK_INFO_BITS = 230
 
 
 def to_llrs(coded, magnitude=10.0):
     return magnitude * (1.0 - 2.0 * np.asarray(coded, dtype=float))
+
+
+def reference_decode(llrs):
+    """Reference oracle: a plain per-step add-compare-select over all 64 states."""
+    llrs = np.asarray(llrs, dtype=float).ravel()
+    n_steps = llrs.size // 2
+    pm = np.full(64, -np.inf)
+    pm[0] = 0.0
+    choices = np.empty((n_steps, 64), dtype=bool)
+    for t in range(n_steps):
+        l1, l2 = llrs[2 * t], llrs[2 * t + 1]
+        bscore = -(_OUT1 * l1 + _OUT2 * l2)  # (64, 2)
+        cand0 = pm[_PRED0] + bscore[_PRED0, _UBIT]
+        cand1 = pm[_PRED1] + bscore[_PRED1, _UBIT]
+        take1 = cand1 > cand0
+        choices[t] = take1
+        pm = np.where(take1, cand1, cand0)
+    state = 0
+    decoded = np.empty(n_steps, dtype=int)
+    for t in range(n_steps - 1, -1, -1):
+        decoded[t] = state >> 5
+        state = _PRED1[state] if choices[t, state] else _PRED0[state]
+    return decoded[: n_steps - 6]
+
+
+def correlation(info_bits, llrs):
+    """Path score ``-sum(c * llr)`` of the codeword of ``info_bits``."""
+    return -float(np.dot(conv_encode(info_bits), llrs))
 
 
 class TestEncoder:
@@ -59,3 +94,67 @@ class TestViterbi:
         llrs = to_llrs(conv_encode(bits), magnitude=1.0)
         noisy = llrs + 0.45 * rng.standard_normal(llrs.size)
         assert np.array_equal(viterbi_decode_soft(noisy), bits)
+
+    def test_output_dtype_and_shape(self):
+        out = viterbi_decode_soft(np.ones((2, 40)))  # any shape is read flat
+        assert out.dtype == np.dtype(int)
+        assert out.shape == (34,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_llrs(self, bad):
+        llrs = np.ones(40)
+        llrs[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            viterbi_decode_soft(llrs)
+
+    def test_rejects_odd_and_short_input(self):
+        with pytest.raises(ValueError, match="even"):
+            viterbi_decode_soft(np.ones(13))
+        with pytest.raises(ValueError, match="flush tail"):
+            viterbi_decode_soft(np.ones(10))
+
+
+class TestViterbiMatchesReference:
+    """The butterfly decoder returns exactly the per-step loop's bits."""
+
+    def test_tie_heavy_inputs(self):
+        # Integer LLRs make equal path metrics common, so every tie-break is
+        # exercised; a zero LLR ties its two branches outright.
+        rng = np.random.default_rng(41)
+        ties = 0
+        for _ in range(320):
+            n_steps = int(rng.integers(6, 121))
+            llrs = np.round(rng.normal(0.0, rng.choice([0.7, 1.5, 4.0]), 2 * n_steps))
+            ties += int(np.count_nonzero(llrs == 0))
+            expected = reference_decode(llrs)
+            decoded = viterbi_decode_soft(llrs)
+            assert decoded.dtype == expected.dtype
+            assert decoded.shape == expected.shape
+            assert np.array_equal(decoded, expected)
+        assert ties > 1000
+
+    def test_noisy_link_length_codewords(self):
+        rng = np.random.default_rng(42)
+        for sigma in (0.5, 1.0, 1.5):
+            for _ in range(8):
+                bits = rng.integers(0, 2, LINK_INFO_BITS)
+                llrs = to_llrs(conv_encode(bits), 1.0) + sigma * rng.standard_normal(2 * (LINK_INFO_BITS + 6))
+                decoded = viterbi_decode_soft(llrs)
+                assert decoded.shape == (LINK_INFO_BITS,)
+                assert np.array_equal(decoded, reference_decode(llrs))
+
+
+class TestViterbiIsMaximumLikelihood:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_exhaustive_short_blocks(self, k):
+        rng = np.random.default_rng(100 + k)
+        words = [np.array(w) for w in itertools.product((0, 1), repeat=k)]
+        for trial in range(4):
+            # Half the trials use integer LLRs, where the maximum is often tied.
+            llrs = rng.normal(0.0, 2.0, 2 * (k + 6))
+            if trial % 2:
+                llrs = np.round(llrs)
+            best = max(correlation(w, llrs) for w in words)
+            decoded = viterbi_decode_soft(llrs)
+            assert decoded.shape == (k,)
+            assert correlation(decoded, llrs) == pytest.approx(best, rel=1e-12, abs=1e-12)

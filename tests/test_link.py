@@ -7,7 +7,6 @@ from pnofdm.estimators import EstimationError, estimate_frame
 from pnofdm.link import (
     LinkConfig,
     apply_phase_noise,
-    channel_estimate_ls,
     compensate,
     decode_frame,
     make_frame_pair,
@@ -165,11 +164,6 @@ class TestFramePair:
         sigma = np.sqrt(4 * np.pi * cfg.rho / cfg.n_c)
         assert abs(step) < 8 * sigma
 
-    def test_independent_mode(self):
-        cfg = LinkConfig(pn_mode="independent")
-        f0, f1 = make_frame_pair(cfg, 12)
-        assert abs(f1.theta[0] - f0.theta[-1]) > 0  # freshly drawn initial phase
-
     def test_genie_compensation_matches_clean_link(self):
         # Noise is drawn in the pre-rotation frame, so true-delta
         # compensation reproduces the zero-phase-noise link exactly.
@@ -185,18 +179,6 @@ class TestFramePair:
         cfg = LinkConfig()
         f0, _ = make_frame_pair(cfg, 14)
         assert np.mean(np.abs(f0.s) ** 2) == pytest.approx(1.0, rel=0.15)
-
-
-class TestChannelEstimate:
-    def test_exact_without_phase_noise(self):
-        rng = np.random.default_rng(15)
-        H = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        s = pilot_sequence(16)
-        assert np.allclose(channel_estimate_ls(H * s, s), H)
-
-    def test_rejects_empty_subcarriers(self):
-        with pytest.raises(ValueError):
-            channel_estimate_ls(np.ones(4), np.array([1.0, 0.0, 1.0, 1.0]))
 
 
 class TestSimulate:
@@ -234,6 +216,23 @@ class TestSimulate:
             assert not flagged and out.diagnostics.method == "uls"
             out, flagged = results[broken]
             assert flagged and out.diagnostics.method == "cpe"
+
+    def test_model_built_once_and_read_only(self):
+        models = []
+
+        def record(frame, next_frame, model):
+            models.append(model)
+            return estimate_frame("uls", frame, next_frame, model)
+
+        for _ in range(2):
+            list(simulate(LinkConfig(), (record,), 1, 8))
+        assert models[0] is models[1]
+        assert models[0] is make_model(LinkConfig(snr_db=10.0))
+        assert make_model(LinkConfig(t_kind="lft")) is not models[0]
+        with pytest.raises(ValueError, match="read-only"):
+            models[0].T[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            models[0].Ttilde[0, 0] = 0.0
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError, match="trials must be positive"):
@@ -281,15 +280,3 @@ class TestRunLink:
             recs = [run_link(LinkConfig(snr_db=s), est, 100, 1234) for s in (15.0, 22.0, 30.0)]
             for lo, hi in zip(recs[:-1], recs[1:]):
                 assert hi.ber <= lo.ber + (lo.ci95_high - lo.ber)
-
-    def test_preamble_ls_channel_knowledge(self):
-        # Sensitivity mode: estimated channel from a phase-noise-corrupted
-        # preamble still supports decoding at slow phase noise, but is not
-        # the true response.
-        cfg = LinkConfig(rho=0.002, channel_knowledge="preamble-ls")
-        f0, _ = make_frame_pair(cfg, 17)
-        cfg_genie = LinkConfig(rho=0.002)
-        g0, _ = make_frame_pair(cfg_genie, 17)
-        assert not np.allclose(f0.H, g0.H)
-        rec = run_link(cfg, "nls", 30, 4321)
-        assert rec.ber < 5e-2
