@@ -37,7 +37,6 @@ from .estimators import (
 )
 from .link import LinkConfig, OfdmFrame, compensate, make_frame_pair, run_link
 from .phasenoise import (
-    PhaseNoiseRealization,
     SpectralVector,
     cpe,
     spectral_vector,
@@ -64,7 +63,6 @@ __all__ = [
     "LinkConfig",
     "LsSystem",
     "OfdmFrame",
-    "PhaseNoiseRealization",
     "SdpInstance",
     "SdpSolution",
     "SpectralVector",

@@ -388,7 +388,7 @@ class ErrorDecomposition:
 def error_decomposition(delta_hat, theta) -> ErrorDecomposition:
     """Amplitude/phase error split of an estimate against the true trajectory."""
     values = _values(delta_hat)
-    th = theta.theta if hasattr(theta, "theta") else np.asarray(theta, dtype=float)
+    th = np.asarray(theta, dtype=float)
     n = values.size
     if th.size != n:
         raise ValueError("theta must match the estimate length")
@@ -402,24 +402,24 @@ def error_decomposition(delta_hat, theta) -> ErrorDecomposition:
     return ErrorDecomposition(kappa, omega, eps, total, total * n, direct)
 
 
-def c_matrix(model: DimRedModel, pilot_idx, theta, H, s, noise, *, check_tol: float = 1e-8) -> np.ndarray:
+def c_matrix(model: DimRedModel, pilot_idx, theta, H, s, r, *, check_tol: float = 1e-8) -> np.ndarray:
     """Exact linear map ``C`` with ``delta_uls = F C F^H delta`` (diagnostic).
 
     Reconstructs, from the full simulation state (true trajectory, channel,
-    symbols, and the additive noise of the received vector), the matrix that
-    the unconstrained estimator effectively applies to the true spectral
-    vector.  ``C`` is the identity only with every subcarrier piloted, a
-    full-dimension model, and no noise; otherwise its rank equals the model
-    dimension and it induces the amplitude/phase errors quantified by
-    :func:`error_decomposition`.
+    symbols, and the received vector ``r``, whose additive noise is ``r``
+    minus the rotated ``H s``), the matrix that the unconstrained estimator
+    effectively applies to the true spectral vector.  ``C`` is the identity
+    only with every subcarrier piloted, a full-dimension model, and no
+    noise; otherwise its rank equals the model dimension and it induces the
+    amplitude/phase errors quantified by :func:`error_decomposition`.
 
     The construction is verified against the actual estimator output on the
     same data; a mismatch beyond ``check_tol`` (relative) raises.
     """
-    th = theta.theta if hasattr(theta, "theta") else np.asarray(theta, dtype=float)
+    th = np.asarray(theta, dtype=float)
     H = np.asarray(H, dtype=complex).ravel()
     s = np.asarray(s, dtype=complex).ravel()
-    noise = np.asarray(noise, dtype=complex).ravel()
+    r = np.asarray(r, dtype=complex).ravel()
     pilot_idx = np.asarray(pilot_idx, dtype=int).ravel()
     n_c = H.size
     F = dft_matrix(n_c)
@@ -430,7 +430,7 @@ def c_matrix(model: DimRedModel, pilot_idx, theta, H, s, noise, *, check_tol: fl
         raise EstimationError("zero time-domain symbol product: E_w is singular")
     E_theta = np.exp(1j * th)
     E_w = ft_w
-    E_n = Fh @ noise
+    E_n = Fh @ r - E_theta * E_w  # the additive term of r, in time
     E_snr = 1.0 + E_n / (E_theta * E_w)  # diagonal entries; diagonals commute
     K_sel = np.zeros((pilot_idx.size, n_c))
     K_sel[np.arange(pilot_idx.size), pilot_idx] = 1.0
@@ -446,7 +446,6 @@ def c_matrix(model: DimRedModel, pilot_idx, theta, H, s, noise, *, check_tol: fl
     # Consistency: the map applied to the true delta must reproduce the
     # unconstrained estimate computed from the received vector.
     delta = spectral_vector(th).values
-    r = F @ (E_theta * (Fh @ w)) + noise
     sys = build_ls_system(r, H, pilot_idx, s[pilot_idx], model)
     gamma, _, _ = _uls_gamma(sys)
     delta_uls = model.T @ gamma

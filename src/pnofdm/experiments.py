@@ -51,6 +51,10 @@ def _parse_str_list(text: str):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+def _parse_optional_float(text: str):
+    return None if text == "None" else float(text)
+
+
 _KEY_PARSERS = {
     "scenario": str,
     "n_c": int,
@@ -60,7 +64,7 @@ _KEY_PARSERS = {
     "f_sub": float,
     "taps": int,
     "coherence_bw": float,
-    "tap_decay": float,
+    "tap_decay": _parse_optional_float,
     "rho": float,
     "rho_list": _parse_float_list,
     "snr_db": float,

@@ -17,6 +17,13 @@ Model and conventions:
 * No cyclic prefix is modeled; the model is already post-FFT.
 * Channel knowledge is genie: frames carry the true channel response.
 
+A frame (:class:`OfdmFrame`) carries what a receiver reads (``r``, the
+channel ``H``, ``sigma2`` and the pilot layout) plus the truth that
+reductions score against (``info_bits``, ``s`` and ``theta``), nothing more.
+The pilot layout (``pilot_idx``, ``pilot_values``, ``data_idx``) is fixed
+by ``(n_c, pilot_fraction)``; it is built once per config and shared by
+every frame as read-only arrays.
+
 Every Monte-Carlo study runs through one engine, :func:`simulate`: trial
 ``i`` draws its frame pair from child ``i`` of
 ``np.random.SeedSequence(master).spawn(n)`` and runs every requested
@@ -139,6 +146,17 @@ def pilot_sequence(k: int) -> np.ndarray:
     return np.exp(1j * (np.pi / 4 + rng.integers(0, 4, k) * np.pi / 2))
 
 
+@lru_cache(maxsize=16)
+def _layout(n_c: int, pilot_fraction: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(pilot_idx, pilot_values, data_idx)`` shared by all frames."""
+    pilot_idx = pilot_indices(n_c, pilot_fraction)
+    data_idx = np.setdiff1d(np.arange(n_c), pilot_idx)
+    layout = (pilot_idx, pilot_sequence(pilot_idx.size), data_idx)
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
 @lru_cache(maxsize=32)
 def _tap_profile(taps: int, coherence_ratio: float) -> tuple:
     """Exponential tap powers whose frequency correlation is 0.5 at the
@@ -200,9 +218,8 @@ def rayleigh_channel(cfg: LinkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_phase_noise(x, theta) -> np.ndarray:
     """Apply the unitary rotation ``V = F diag(exp(1j*theta)) F^H`` via FFTs."""
-    th = theta.theta if hasattr(theta, "theta") else np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=complex)
-    return np.fft.fft(np.exp(1j * th) * np.fft.ifft(x))
+    return np.fft.fft(np.exp(1j * np.asarray(theta, dtype=float)) * np.fft.ifft(x))
 
 
 def compensate(r, delta_hat) -> np.ndarray:
@@ -223,71 +240,50 @@ def compensate(r, delta_hat) -> np.ndarray:
 
 def transmit_receive(s, H, theta, snr_db, seed) -> np.ndarray:
     """One pass through the channel: ``r = V H s + n`` at the given SNR."""
-    r, _, _ = _transmit(np.asarray(s, complex), np.asarray(H, complex), theta, snr_db,
-                        np.random.default_rng(seed))
+    r, _ = _transmit(np.asarray(s, complex), np.asarray(H, complex), theta, snr_db,
+                     np.random.default_rng(seed))
     return r
 
 
 def _transmit(s, H, theta, snr_db, rng):
-    """Returns (r, noise, sigma2); noise is the additive term of r itself."""
+    """Returns (r, sigma2)."""
     w = H * s
     sigma2 = float(np.mean(np.abs(w) ** 2)) / 10 ** (snr_db / 10)
     n0 = np.sqrt(sigma2 / 2) * (rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
-    rotated = apply_phase_noise(w + n0, theta)
-    noise = rotated - apply_phase_noise(w, theta)
-    return rotated, noise, sigma2
+    return apply_phase_noise(w + n0, theta), sigma2
 
 
 @dataclass(frozen=True)
 class OfdmFrame:
-    """Everything known about one simulated OFDM symbol."""
+    """One simulated OFDM symbol: what the receiver sees plus the truth.
+
+    ``pilot_idx``, ``pilot_values`` and ``data_idx`` are the config's shared,
+    read-only pilot layout.
+    """
 
     info_bits: np.ndarray
-    coded_bits: np.ndarray
     s: np.ndarray
     pilot_idx: np.ndarray
     pilot_values: np.ndarray
     data_idx: np.ndarray
-    h: np.ndarray
     H: np.ndarray
     theta: np.ndarray
     r: np.ndarray
-    noise: np.ndarray
     sigma2: float
-    snr_db: float
 
     @property
     def w(self) -> np.ndarray:
         return self.H * self.s
 
-    @property
-    def w_p(self) -> np.ndarray:
-        return self.H[self.pilot_idx] * self.pilot_values
 
-
-def _build_symbol(cfg, pilot_idx, pilot_values, data_idx, h, H, theta, rng):
-    n_info = 2 * data_idx.size - 6
-    info_bits = rng.integers(0, 2, n_info)
-    coded = conv_encode(info_bits)
+def _build_symbol(cfg, layout, H, theta, rng):
+    pilot_idx, pilot_values, data_idx = layout
+    info_bits = rng.integers(0, 2, 2 * data_idx.size - 6)
     s = np.empty(cfg.n_c, dtype=complex)
     s[pilot_idx] = pilot_values
-    s[data_idx] = qam16_map(coded)
-    r, noise, sigma2 = _transmit(s, H, theta, cfg.snr_db, rng)
-    return OfdmFrame(
-        info_bits=info_bits,
-        coded_bits=coded,
-        s=s,
-        pilot_idx=pilot_idx,
-        pilot_values=pilot_values,
-        data_idx=data_idx,
-        h=h,
-        H=H,
-        theta=theta,
-        r=r,
-        noise=noise,
-        sigma2=sigma2,
-        snr_db=cfg.snr_db,
-    )
+    s[data_idx] = qam16_map(conv_encode(info_bits))
+    r, sigma2 = _transmit(s, H, theta, cfg.snr_db, rng)
+    return OfdmFrame(info_bits, s, pilot_idx, pilot_values, data_idx, H, theta, r, sigma2)
 
 
 def make_frame_pair(cfg: LinkConfig, seed) -> tuple[OfdmFrame, OfdmFrame]:
@@ -300,15 +296,12 @@ def make_frame_pair(cfg: LinkConfig, seed) -> tuple[OfdmFrame, OfdmFrame]:
     """
     cfg.validate()
     rng = np.random.default_rng(seed)
-    pilot_idx = pilot_indices(cfg.n_c, cfg.pilot_fraction)
-    pilot_values = pilot_sequence(pilot_idx.size)
-    data_idx = np.setdiff1d(np.arange(cfg.n_c), pilot_idx)
-    h, H = rayleigh_channel(cfg, rng)
+    layout = _layout(cfg.n_c, cfg.pilot_fraction)
+    _, H = rayleigh_channel(cfg, rng)
     step_var = WIENER_VARIANCE_FACTOR * cfg.rho / cfg.n_c
     theta = _wiener_path(rng, 2 * cfg.n_c, step_var, rng.uniform(-np.pi, np.pi))
     return tuple(
-        _build_symbol(cfg, pilot_idx, pilot_values, data_idx, h, H, th, rng)
-        for th in (theta[:cfg.n_c], theta[cfg.n_c:])
+        _build_symbol(cfg, layout, H, th, rng) for th in (theta[:cfg.n_c], theta[cfg.n_c:])
     )
 
 

@@ -10,6 +10,9 @@ which is computed here as ``np.fft.fft(exp(-1j*theta)) / n``.  The vector
 ``delta`` always has unit norm and, more strongly, lies on the spectral
 geometry (see :mod:`pnofdm.spectral`).  Its zeroth component is the common
 phase error (CPE), the rotation shared by all subcarriers.
+
+Trajectories are plain arrays of radians: :func:`wiener_realization` returns
+one, and every function that takes a trajectory takes an array.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .spectral import GEOMETRY_TOL, geometry_residual
 
 __all__ = [
     "WIENER_VARIANCE_FACTOR",
-    "PhaseNoiseRealization",
     "SpectralVector",
     "cpe",
     "phase_trajectory",
@@ -37,51 +39,21 @@ __all__ = [
 WIENER_VARIANCE_FACTOR = 4.0 * np.pi
 
 
-@dataclass(frozen=True)
-class PhaseNoiseRealization:
-    """One phase trajectory ``theta`` (radians) with its normalized bandwidth."""
+def wiener_realization(n: int, rho: float, seed) -> np.ndarray:
+    """Draw a Wiener (random-walk) phase trajectory ``theta`` of length ``n``.
 
-    theta: np.ndarray
-    rho: float
-    seed: int | None = None
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.ndim != 1 or theta.size == 0:
-            raise ValueError("theta must be a non-empty 1-D real vector")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", theta)
-
-    @property
-    def n(self) -> int:
-        return self.theta.size
-
-    @property
-    def increments(self) -> np.ndarray:
-        """The realized Gaussian steps ``theta[k+1] - theta[k]``."""
-        return np.diff(self.theta)
-
-
-def wiener_realization(
-    n: int, rho: float, seed, *, zero_initial_phase: bool = False
-) -> PhaseNoiseRealization:
-    """Draw a Wiener (random-walk) phase trajectory of length ``n``.
-
-    ``theta[0]`` is uniform on ``[-pi, pi)`` unless ``zero_initial_phase``
-    is set (an unknown initial phase is physically present; the flag exists
-    for unit tests).  Increments are i.i.d. zero-mean Gaussian with variance
-    ``WIENER_VARIANCE_FACTOR * rho / n``.  Deterministic given ``seed``: the
-    initial phase is drawn first, then the ``n - 1`` increments.
+    ``theta[0]`` is uniform on ``[-pi, pi)`` (an unknown initial phase is
+    physically present).  Increments are i.i.d. zero-mean Gaussian with
+    variance ``WIENER_VARIANCE_FACTOR * rho / n``.  Deterministic given
+    ``seed``: the initial phase is drawn first, then the ``n - 1`` increments.
     """
     if n < 1 or int(n) != n:
         raise ValueError("n must be a positive integer")
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     rng = np.random.default_rng(seed)
-    theta0 = 0.0 if zero_initial_phase else rng.uniform(-np.pi, np.pi)
-    theta = _wiener_path(rng, int(n), WIENER_VARIANCE_FACTOR * rho / n, theta0)
-    return PhaseNoiseRealization(theta, float(rho), seed)
+    theta0 = rng.uniform(-np.pi, np.pi)
+    return _wiener_path(rng, int(n), WIENER_VARIANCE_FACTOR * rho / n, theta0)
 
 
 def _wiener_path(rng, n, step_variance, theta0):
@@ -116,11 +88,11 @@ def _values(v) -> np.ndarray:
 def spectral_vector(theta) -> SpectralVector:
     """Map a phase trajectory to its spectral vector.
 
-    Accepts a :class:`PhaseNoiseRealization` or a bare array of radians.
-    The result has unit norm and vanishing geometry residuals for every
-    ``theta`` (constant-modulus time samples).
+    ``theta`` is an array of radians.  The result has unit norm and
+    vanishing geometry residuals for every ``theta`` (constant-modulus time
+    samples).
     """
-    th = theta.theta if isinstance(theta, PhaseNoiseRealization) else np.asarray(theta, float)
+    th = np.asarray(theta, float)
     if th.ndim != 1 or th.size == 0:
         raise ValueError("theta must be a non-empty 1-D vector")
     values = np.fft.fft(np.exp(-1j * th)) / th.size

@@ -72,16 +72,6 @@ class QuadraticFormSet:
     def n(self) -> int:
         return self.A[0].shape[0]
 
-    def evaluate(self, l: int, x) -> float | complex:
-        x = np.asarray(x, dtype=complex).ravel()
-        top, last = x[:-1], x[-1]
-        val = (
-            top.conj() @ self.A[l] @ top
-            + 2 * np.real(top.conj() @ self.d[l] * last)
-            + self.c[l] * abs(last) ** 2
-        )
-        return complex(val) if abs(val.imag) > 1e-9 * (1 + abs(val)) else float(val.real)
-
     @classmethod
     def from_dual_instance(cls, inst: SdpInstance, tau: float) -> "QuadraticFormSet":
         """The application's form family: cost-minus-tau, norm, then shifts.

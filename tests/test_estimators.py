@@ -229,18 +229,14 @@ def _single_carrier_frame(theta, n_c):
     H = np.ones(n_c, dtype=complex)
     return OfdmFrame(
         info_bits=np.empty(0, dtype=int),
-        coded_bits=np.empty(0, dtype=int),
         s=s,
         pilot_idx=np.array([0]),
         pilot_values=s[:1],
         data_idx=np.arange(1, n_c),
-        h=np.ones(1, dtype=complex),
         H=H,
         theta=np.asarray(theta, dtype=float),
         r=apply_phase_noise(H * s, theta),
-        noise=np.zeros(n_c, dtype=complex),
         sigma2=1e-12,
-        snr_db=300.0,
     )
 
 
@@ -307,12 +303,12 @@ class TestCMatrix:
         _, H = rayleigh_channel(LinkConfig(n_c=n_c), rng)
         s = pilot_sequence(n_c)
         theta = rng.uniform(-np.pi, np.pi, n_c)
-        C = c_matrix(model, np.arange(n_c), theta, H, s, np.zeros(n_c, dtype=complex))
+        C = c_matrix(model, np.arange(n_c), theta, H, s, apply_phase_noise(H * s, theta))
         assert np.max(np.abs(C - np.eye(n_c))) < 1e-10
 
     def test_rank_equals_model_dimension(self, desk_frame):
         _, model, f0, _ = desk_frame
-        C = c_matrix(model, f0.pilot_idx, f0.theta, f0.H, f0.s, f0.noise)
+        C = c_matrix(model, f0.pilot_idx, f0.theta, f0.H, f0.s, f0.r)
         assert np.linalg.matrix_rank(C, tol=1e-8) == model.n
 
     def test_consistency_check_is_internal(self, desk_frame):
@@ -320,7 +316,7 @@ class TestCMatrix:
         # returning means the check passed at 1e-8.
         cfg, _, f0, _ = desk_frame
         model = default_lft(cfg.n_c, cfg.n_est)
-        C = c_matrix(model, f0.pilot_idx, f0.theta, f0.H, f0.s, f0.noise)
+        C = c_matrix(model, f0.pilot_idx, f0.theta, f0.H, f0.s, f0.r)
         assert C.shape == (cfg.n_c, cfg.n_c)
 
     def test_zero_time_domain_symbol_product_rejected(self):
@@ -332,5 +328,4 @@ class TestCMatrix:
         s = np.fft.fft(time)  # time-domain product H*s has an exact zero
         model = pc_ppt(n_c, n_c)
         with pytest.raises(EstimationError, match="singular"):
-            c_matrix(model, np.arange(n_c), np.zeros(n_c), np.ones(n_c), s,
-                     np.zeros(n_c, dtype=complex))
+            c_matrix(model, np.arange(n_c), np.zeros(n_c), np.ones(n_c), s, s)

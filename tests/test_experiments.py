@@ -51,6 +51,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown scenario"):
             parse_config("scenario = nope\n")
 
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_config_echo_replays(self, name):
+        # The CSV metadata echo parses back to the config that wrote it,
+        # including the default ``tap_decay = None``.
+        cfg = SCENARIOS[name].defaults
+        assert parse_config("\n".join(cfg.echo_lines())) == cfg
+
+    def test_explicit_tap_decay(self):
+        cfg = parse_config("scenario = ber-vs-snr\ntap_decay = 2.5\n")
+        assert cfg.tap_decay == 2.5
+        assert parse_config("\n".join(cfg.echo_lines())) == cfg
+
 
 class TestScenarios:
     def test_realization_writes_metadata_and_columns(self, tmp_path):

@@ -14,12 +14,12 @@ from pnofdm.phasenoise import (
 
 class TestWienerRealization:
     def test_zero_rho_constant(self):
-        th = wiener_realization(64, 0.0, 1).theta
+        th = wiener_realization(64, 0.0, 1)
         assert np.allclose(th, th[0])
 
     def test_deterministic(self):
-        a = wiener_realization(128, 0.05, 99).theta
-        b = wiener_realization(128, 0.05, 99).theta
+        a = wiener_realization(128, 0.05, 99)
+        b = wiener_realization(128, 0.05, 99)
         assert np.array_equal(a, b)
 
     def test_programmed_diffusion(self):
@@ -27,15 +27,11 @@ class TestWienerRealization:
         # configured band: 4*pi*rho * (n-1)/n.
         rho, n = 0.02, 512
         drifts = np.array(
-            [wiener_realization(n, rho, 10_000 + s).theta for s in range(10_000)]
+            [wiener_realization(n, rho, 10_000 + s) for s in range(10_000)]
         )
         var = np.var(drifts[:, -1] - drifts[:, 0])
         target = 4 * np.pi * rho * (n - 1) / n
         assert abs(var - target) / target < 0.05
-
-    def test_zero_initial_phase_flag(self):
-        th = wiener_realization(16, 0.1, 3, zero_initial_phase=True).theta
-        assert th[0] == 0.0
 
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError):
@@ -84,7 +80,7 @@ class TestCpe:
 
     def test_slow_noise_small_angle(self):
         # In the slow limit the common phase approaches the mean of -theta.
-        theta = wiener_realization(256, 1e-6, 7).theta
+        theta = wiener_realization(256, 1e-6, 7)
         c = cpe(spectral_vector(theta))
         err = np.angle(c * np.exp(1j * np.mean(theta)))
         assert abs(err) < 1e-2
