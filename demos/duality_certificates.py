@@ -1,9 +1,9 @@
-"""Walkthrough: the constrained fit really is solved by its convex dual.
+"""Walkthrough: how closely the constrained fit is solved by its convex dual.
 
 The geometry-constrained least-squares problem is non-convex (quadratic
-equalities), yet its dual semidefinite program attains the same optimum on
-this constraint family.  This script verifies that numerically, from three
-independent directions:
+equalities).  Its dual semidefinite program gives a certified lower bound
+(weak duality); that the bound is attained is not proven, but measured.
+This script measures it from three independent directions:
 
 1. a brute-force oracle (torus grid + exact coordinate descent) for the
    primal minimum,

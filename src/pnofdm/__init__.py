@@ -8,7 +8,7 @@ estimate and the coded error rate.
 
 Layout:
 
-* :mod:`pnofdm.spectral`: DFT/circulant primitives and the geometry residual.
+* :mod:`pnofdm.spectral`: the unitary DFT, the shift-form table and the geometry residual.
 * :mod:`pnofdm.phasenoise`: Wiener trajectories and spectral vectors.
 * :mod:`pnofdm.dimred`: low-frequency and geometry-preserving reduction models.
 * :mod:`pnofdm.estimators`: the five pilot-based estimators and diagnostics.
@@ -38,19 +38,14 @@ from .estimators import (
 from .link import LinkConfig, OfdmFrame, compensate, make_frame_pair, run_link
 from .phasenoise import (
     SpectralVector,
-    cpe,
     spectral_vector,
     wiener_realization,
 )
 from .sdp import SdpInstance, SdpSolution, assemble_lmi, kkt_recover, solve_dual
 from .spectral import (
     GeometryResidual,
-    build_V,
-    circulant_from_column,
     dft_matrix,
     geometry_residual,
-    hermitian_split,
-    permutation_matrix,
     shift_form_table,
 )
 from .sproc import duality_gap, primal_oracle, qmatnew_nullspace, regularity_matrix
@@ -68,14 +63,11 @@ __all__ = [
     "SpectralVector",
     "__version__",
     "assemble_lmi",
-    "build_V",
     "build_ls_system",
     "c_matrix",
     "cis",
     "compensate",
-    "cpe",
     "cpe_only",
-    "circulant_from_column",
     "default_lft",
     "dft_matrix",
     "duality_gap",
@@ -83,14 +75,12 @@ __all__ = [
     "estimate_frame",
     "geometry_residual",
     "gls",
-    "hermitian_split",
     "kkt_recover",
     "lft",
     "lift",
     "make_frame_pair",
     "nls",
     "pc_ppt",
-    "permutation_matrix",
     "primal_oracle",
     "qmatnew_nullspace",
     "regularity_matrix",

@@ -31,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="run the numerical verification suites")
     verify_p.add_argument("--quick", action="store_true", help="smaller sample sizes")
     verify_p.add_argument("--out", help="also write verify_summary.csv to this directory")
-    verify_p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     sub.add_parser("list-scenarios", help="print built-in scenario ids")
     return parser
@@ -46,7 +45,7 @@ def main(argv=None) -> int:
             print("\nminimal config: a file containing 'scenario = <id>'")
             return 0
         if args.command == "verify":
-            report = verify(quick=args.quick, corrupt_ppt=args.inject_fault)
+            report = verify(quick=args.quick)
             for line in report.lines():
                 print(line)
             if args.out:

@@ -157,12 +157,12 @@ class EstimatorOutput:
     diagnostics: EstimatorDiagnostics
 
 
-def project_constant_modulus(gamma, *, zero_phase: float = 0.0):
+def project_constant_modulus(gamma):
     """Project a spectrum onto the constant-modulus set, exactly.
 
     Normalizes the inverse-transform samples to modulus ``1/n`` (keeping
     their phases) and transforms back.  A zero sample has no phase; it is
-    replaced by ``exp(1j*zero_phase)/n`` and reported.  Idempotent on
+    replaced by ``1/n`` (phase zero) and reported.  Idempotent on
     vectors already on the geometry.
 
     Returns ``(projected, n_zero_samples)``.
@@ -172,7 +172,7 @@ def project_constant_modulus(gamma, *, zero_phase: float = 0.0):
     mag = np.abs(u)
     zero = mag == 0.0
     n_zero = int(np.count_nonzero(zero))
-    unit = np.where(zero, np.exp(1j * zero_phase), u / np.where(zero, 1.0, mag))
+    unit = np.where(zero, 1.0, u / np.where(zero, 1.0, mag))
     return np.fft.fft(unit) / g.size, n_zero
 
 

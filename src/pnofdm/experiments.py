@@ -13,6 +13,7 @@ scenario's defaults.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -170,80 +171,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-@dataclass(frozen=True)
-class Scenario:
-    kind: str
-    description: str
-    defaults: ExperimentConfig
-
-
-SCENARIOS = {
-    "ber-vs-snr": Scenario(
-        "ber_vs_snr",
-        "Coded BER vs SNR for cpe/uls/nls/gls with the geometry-preserving model",
-        ExperimentConfig(
-            scenario="ber-vs-snr",
-            snr_list=(10.0, 15.0, 20.0, 25.0, 30.0),
-            estimators=("cpe", "uls", "nls", "gls", "cis", "genie"),
-            trials=500,
-        ),
-    ),
-    "ber-model-compare": Scenario(
-        "ber_tcompare",
-        "Coded BER vs SNR for uls/nls under the geometry-preserving vs low-frequency model",
-        ExperimentConfig(
-            scenario="ber-model-compare",
-            snr_list=(10.0, 20.0, 30.0),
-            estimators=("uls", "nls"),
-            trials=400,
-        ),
-    ),
-    "mse-vs-bandwidth": Scenario(
-        "mse_vs_rho",
-        "Reduced-spectrum MSE vs phase-noise bandwidth at 30 dB",
-        ExperimentConfig(
-            scenario="mse-vs-bandwidth",
-            rho_list=(0.005, 0.02, 0.1, 0.2),
-            estimators=("uls", "nls", "gls", "cis"),
-            trials=300,
-        ),
-    ),
-    "phase-error-pdf": Scenario(
-        "omega_pdf",
-        "Empirical density of the per-sample phase estimation error at 30 dB",
-        ExperimentConfig(scenario="phase-error-pdf", estimators=("uls",), trials=300),
-    ),
-    "estimate-error-pdf": Scenario(
-        "error_pdf",
-        "Empirical density of the squared estimate error at 30 dB",
-        ExperimentConfig(
-            scenario="estimate-error-pdf",
-            estimators=("cpe", "uls", "nls", "gls", "cis"),
-            trials=400,
-        ),
-    ),
-    "estimate-error-pdf-10db": Scenario(
-        "error_pdf",
-        "Empirical density of the squared estimate error at 10 dB",
-        ExperimentConfig(
-            scenario="estimate-error-pdf-10db",
-            snr_db=10.0,
-            estimators=("cpe", "uls", "nls", "gls", "cis"),
-            trials=400,
-        ),
-    ),
-    "trajectory-traces": Scenario(
-        "realization",
-        "True vs estimated phase trajectory for one frame (both model kinds)",
-        ExperimentConfig(
-            scenario="trajectory-traces",
-            estimators=("uls", "cis"),
-            trials=1,
-        ),
-    ),
-}
-
-
 def _format(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -298,7 +225,14 @@ def _run_ber(cfg: ExperimentConfig, out_dir: Path, *, t_kind=None, filename="ber
             if est == "gls" and link.t_kind != "ppt":
                 continue  # the constrained estimator requires the geometry-preserving model
             records.append(run_link(link, est, cfg.trials, cfg.seed))
-    return write_csv(Path(out_dir) / filename, _meta(cfg), _BER_COLUMNS, _ber_rows(records))
+    return [write_csv(out_dir / filename, _meta(cfg), _BER_COLUMNS, _ber_rows(records))]
+
+
+def _run_ber_compare(cfg: ExperimentConfig, out_dir: Path):
+    return (
+        _run_ber(cfg, out_dir, t_kind="ppt", filename="ber_vs_snr_ppt.csv")
+        + _run_ber(cfg, out_dir, t_kind="lft", filename="ber_vs_snr_lft.csv")
+    )
 
 
 def _mse_trials(cfg: ExperimentConfig, rho: float):
@@ -325,12 +259,12 @@ def _run_mse(cfg: ExperimentConfig, out_dir: Path):
             se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
             mean = float(np.mean(vals))
             rows.append((rho, est, vals.size, mean, mean - 1.96 * se, mean + 1.96 * se))
-    return write_csv(
-        Path(out_dir) / "mse_vs_rho.csv",
+    return [write_csv(
+        out_dir / "mse_vs_rho.csv",
         _meta(cfg),
         ("rho", "estimator", "trials", "mse", "ci95_low", "ci95_high"),
         rows,
-    )
+    )]
 
 
 def _fd_histogram(samples: np.ndarray):
@@ -358,12 +292,12 @@ def _run_omega(cfg: ExperimentConfig, out_dir: Path):
             (t_kind, edges[i], edges[i + 1], int(counts[i]), density[i])
             for i in range(counts.size)
         )
-    return write_csv(
-        Path(out_dir) / "omega_pdf.csv",
+    return [write_csv(
+        out_dir / "omega_pdf.csv",
         _meta(cfg),
         ("t_kind", "bin_left", "bin_right", "count", "density"),
         rows,
-    )
+    )]
 
 
 def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
@@ -380,12 +314,12 @@ def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
             (est, edges[i], edges[i + 1], int(counts[i]), density[i])
             for i in range(counts.size)
         )
-    return write_csv(
-        Path(out_dir) / "error_pdf.csv",
+    return [write_csv(
+        out_dir / "error_pdf.csv",
         _meta(cfg),
         ("estimator", "bin_left", "bin_right", "count", "density"),
         rows,
-    )
+    )]
 
 
 def _run_realization(cfg: ExperimentConfig, out_dir: Path):
@@ -403,7 +337,81 @@ def _run_realization(cfg: ExperimentConfig, out_dir: Path):
             columns.append(f"theta_hat_{est}_{t_kind}")
             traces.append(phase_trajectory(res.delta_hat.values))
     rows = list(zip(*traces))
-    return write_csv(Path(out_dir) / "realization.csv", _meta(cfg), columns, rows)
+    return [write_csv(out_dir / "realization.csv", _meta(cfg), columns, rows)]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    run: Callable[[ExperimentConfig, Path], list[Path]]
+    description: str
+    defaults: ExperimentConfig
+
+
+SCENARIOS = {
+    "ber-vs-snr": Scenario(
+        _run_ber,
+        "Coded BER vs SNR for cpe/uls/nls/gls with the geometry-preserving model",
+        ExperimentConfig(
+            scenario="ber-vs-snr",
+            snr_list=(10.0, 15.0, 20.0, 25.0, 30.0),
+            estimators=("cpe", "uls", "nls", "gls", "cis", "genie"),
+            trials=500,
+        ),
+    ),
+    "ber-model-compare": Scenario(
+        _run_ber_compare,
+        "Coded BER vs SNR for uls/nls under the geometry-preserving vs low-frequency model",
+        ExperimentConfig(
+            scenario="ber-model-compare",
+            snr_list=(10.0, 20.0, 30.0),
+            estimators=("uls", "nls"),
+            trials=400,
+        ),
+    ),
+    "mse-vs-bandwidth": Scenario(
+        _run_mse,
+        "Reduced-spectrum MSE vs phase-noise bandwidth at 30 dB",
+        ExperimentConfig(
+            scenario="mse-vs-bandwidth",
+            rho_list=(0.005, 0.02, 0.1, 0.2),
+            estimators=("uls", "nls", "gls", "cis"),
+            trials=300,
+        ),
+    ),
+    "phase-error-pdf": Scenario(
+        _run_omega,
+        "Empirical density of the per-sample phase estimation error at 30 dB",
+        ExperimentConfig(scenario="phase-error-pdf", estimators=("uls",), trials=300),
+    ),
+    "estimate-error-pdf": Scenario(
+        _run_errpdf,
+        "Empirical density of the squared estimate error at 30 dB",
+        ExperimentConfig(
+            scenario="estimate-error-pdf",
+            estimators=("cpe", "uls", "nls", "gls", "cis"),
+            trials=400,
+        ),
+    ),
+    "estimate-error-pdf-10db": Scenario(
+        _run_errpdf,
+        "Empirical density of the squared estimate error at 10 dB",
+        ExperimentConfig(
+            scenario="estimate-error-pdf-10db",
+            snr_db=10.0,
+            estimators=("cpe", "uls", "nls", "gls", "cis"),
+            trials=400,
+        ),
+    ),
+    "trajectory-traces": Scenario(
+        _run_realization,
+        "True vs estimated phase trajectory for one frame (both model kinds)",
+        ExperimentConfig(
+            scenario="trajectory-traces",
+            estimators=("uls", "cis"),
+            trials=1,
+        ),
+    ),
+}
 
 
 def run_scenario(cfg: ExperimentConfig, out_dir) -> list[Path]:
@@ -411,24 +419,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir) -> list[Path]:
     problems = cfg.violations()
     if problems:
         raise ConfigError("; ".join(problems))
-    out_dir = Path(out_dir)
-    kind = SCENARIOS[cfg.scenario].kind
-    if kind == "ber_vs_snr":
-        return [_run_ber(cfg, out_dir)]
-    if kind == "ber_tcompare":
-        return [
-            _run_ber(cfg, out_dir, t_kind="ppt", filename="ber_vs_snr_ppt.csv"),
-            _run_ber(cfg, out_dir, t_kind="lft", filename="ber_vs_snr_lft.csv"),
-        ]
-    if kind == "mse_vs_rho":
-        return [_run_mse(cfg, out_dir)]
-    if kind == "omega_pdf":
-        return [_run_omega(cfg, out_dir)]
-    if kind == "error_pdf":
-        return [_run_errpdf(cfg, out_dir)]
-    if kind == "realization":
-        return [_run_realization(cfg, out_dir)]
-    raise ConfigError(f"scenario kind {kind!r} has no runner")
+    return SCENARIOS[cfg.scenario].run(cfg, Path(out_dir))
 
 
 @dataclass(frozen=True)
@@ -453,12 +444,10 @@ class VerifyReport:
         )
 
 
-def verify(*, quick: bool = False, corrupt_ppt: bool = False) -> VerifyReport:
+def verify(*, quick: bool = False) -> VerifyReport:
     """Run the numerical verification suites.
 
-    ``quick`` shrinks the duality-gap experiment.  ``corrupt_ppt`` injects a
-    deliberate fault into the model-validation suite (negative control for
-    the exit-status contract).
+    ``quick`` shrinks the duality-gap experiment.
     """
     rows = []
 
@@ -473,10 +462,7 @@ def verify(*, quick: bool = False, corrupt_ppt: bool = False) -> VerifyReport:
     worst_ppt = 0.0
     for n_c, n in ((16, 4), (64, 8), (128, 8)):
         model = pc_ppt(n_c, n)
-        Tt = model.Ttilde.copy()
-        if corrupt_ppt:
-            Tt[0, 0] += 0.05
-        rep = validate_ppt(Tt)
+        rep = validate_ppt(model.Ttilde)
         worst_ppt = max(worst_ppt, rep.unitarity, rep.off_diagonal, rep.trace_sum)
         lift_worst = 0.0
         rng = np.random.default_rng(77)

@@ -60,7 +60,6 @@ __all__ = [
     "rayleigh_channel",
     "run_link",
     "simulate",
-    "transmit_receive",
 ]
 
 # Seed of the fixed pseudo-random QPSK pilot sequence (same for every frame).
@@ -229,7 +228,7 @@ def compensate(r, delta_hat) -> np.ndarray:
     with first row ``delta_hat^H``; the adjoint is the circular convolution
     of ``delta_hat`` with ``r``.
     """
-    d = delta_hat.values if hasattr(delta_hat, "values") else np.asarray(delta_hat, dtype=complex)
+    d = np.asarray(delta_hat, dtype=complex)
     if np.linalg.norm(d) == 0:
         raise ValueError("delta_hat must be nonzero")
     r = np.asarray(r, dtype=complex).ravel()
@@ -238,15 +237,8 @@ def compensate(r, delta_hat) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(d) * np.fft.fft(r))
 
 
-def transmit_receive(s, H, theta, snr_db, seed) -> np.ndarray:
-    """One pass through the channel: ``r = V H s + n`` at the given SNR."""
-    r, _ = _transmit(np.asarray(s, complex), np.asarray(H, complex), theta, snr_db,
-                     np.random.default_rng(seed))
-    return r
-
-
 def _transmit(s, H, theta, snr_db, rng):
-    """Returns (r, sigma2)."""
+    """One pass through the channel, ``r = V (H s + n0)``; returns ``(r, sigma2)``."""
     w = H * s
     sigma2 = float(np.mean(np.abs(w) ** 2)) / 10 ** (snr_db / 10)
     n0 = np.sqrt(sigma2 / 2) * (rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
@@ -270,10 +262,6 @@ class OfdmFrame:
     theta: np.ndarray
     r: np.ndarray
     sigma2: float
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.H * self.s
 
 
 def _build_symbol(cfg, layout, H, theta, rng):

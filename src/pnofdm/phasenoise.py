@@ -17,7 +17,7 @@ one, and every function that takes a trajectory takes an array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .spectral import GEOMETRY_TOL, geometry_residual
 __all__ = [
     "WIENER_VARIANCE_FACTOR",
     "SpectralVector",
-    "cpe",
     "phase_trajectory",
     "spectral_vector",
     "time_samples",
@@ -67,18 +66,14 @@ class SpectralVector:
     """A complex spectrum with cached geometry-residual metadata."""
 
     values: np.ndarray
-    domain_dim: int
     geometry_ok: bool
-    residual_max: float = field(default=np.nan)
+    residual_max: float
 
     @classmethod
     def from_values(cls, values, tol: float = GEOMETRY_TOL) -> "SpectralVector":
         values = np.asarray(values, dtype=complex)
         res = geometry_residual(values)
-        return cls(values, values.size, bool(res.max_abs < tol), res.max_abs)
-
-    def __len__(self) -> int:
-        return self.domain_dim
+        return cls(values, bool(res.max_abs < tol), res.max_abs)
 
 
 def _values(v) -> np.ndarray:
@@ -97,14 +92,6 @@ def spectral_vector(theta) -> SpectralVector:
         raise ValueError("theta must be a non-empty 1-D vector")
     values = np.fft.fft(np.exp(-1j * th)) / th.size
     return SpectralVector.from_values(values)
-
-
-def cpe(delta) -> complex:
-    """Common phase error: the zeroth component of the spectral vector."""
-    values = _values(delta)
-    if values.size == 0:
-        raise ValueError("empty spectral vector")
-    return complex(values[0])
 
 
 def time_samples(delta) -> np.ndarray:

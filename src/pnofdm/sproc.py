@@ -1,6 +1,6 @@
 """Numerical verification of the quadratic-equality duality machinery.
 
-The constrained estimator rests on three checkable facts about the quadratic
+The constrained estimator rests on two checkable facts about the quadratic
 forms involved (unit norm plus the split shift forms):
 
 1. *Regularity*: evaluating the constraint forms at the DFT columns (padded
@@ -15,12 +15,10 @@ forms involved (unit norm plus the split shift forms):
    constant-modulus set coincides with the dual SDP optimum.  The brute
    force (grid search plus exact coordinate descent on the torus of time
    phases) is independent of the solver and feasible for small dimensions.
-3. *Multiplier soundness*: whenever multipliers make the combined form
-   positive semidefinite, the cost form is nonnegative on the common zero
-   set of the constraints.  Checked by direct sampling of the zero set,
-   which the constant-modulus parametrization yields in closed form.
 
-These checks cover the claims that admit finite verification; the
+Weak duality needs no sampling: every dual solution carries the minimum
+eigenvalue of its LMI matrix, and ``min_eig >= 0`` certifies that the cost
+minus ``tau`` is nonnegative on the whole constraint set.  The
 infimum/conic-hull steps of the derivation are observable only through the
 measured zero gap.
 """
@@ -38,54 +36,12 @@ __all__ = [
     "GapResult",
     "NullspaceReport",
     "OracleResult",
-    "QuadraticFormSet",
-    "S2Report",
     "duality_gap",
     "primal_oracle",
     "qmatnew_nullspace",
     "random_gram_instance",
     "regularity_matrix",
-    "s2_implies_s1_check",
 ]
-
-
-@dataclass(frozen=True)
-class QuadraticFormSet:
-    """Forms ``q_l(x) = x^H [[A_l, d_l], [d_l^H, c_l]] x`` on ``C^(n+1)``."""
-
-    A: tuple  # Hermitian n x n matrices
-    d: tuple  # n vectors
-    c: tuple  # real scalars
-
-    def __post_init__(self):
-        if not len(self.A) == len(self.d) == len(self.c):
-            raise ValueError("A, d, c must have equal length")
-        for Al in self.A:
-            if np.max(np.abs(Al - Al.conj().T)) > 1e-10 * (1 + np.max(np.abs(Al))):
-                raise ValueError("every A_l must be Hermitian")
-
-    @property
-    def count(self) -> int:
-        return len(self.A)
-
-    @property
-    def n(self) -> int:
-        return self.A[0].shape[0]
-
-    @classmethod
-    def from_dual_instance(cls, inst: SdpInstance, tau: float) -> "QuadraticFormSet":
-        """The application's form family: cost-minus-tau, norm, then shifts.
-
-        Each constraint form is ``F @ diag(row) @ F^H`` for one row of
-        :func:`~pnofdm.spectral.shift_form_table` (norm, cosines, sines).
-        """
-        n = inst.n
-        F = dft_matrix(n)
-        zero = np.zeros(n, dtype=complex)
-        A = [inst.M] + [(F * row) @ F.conj().T for row in shift_form_table(n)]
-        d = [inst.b] + [zero] * n
-        c = [-float(tau), -1.0] + [0.0] * (n - 1)
-        return cls(tuple(A), tuple(d), tuple(c))
 
 
 def regularity_matrix(n: int) -> np.ndarray:
@@ -277,54 +233,3 @@ def random_gram_instance(n: int, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
     w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     M = A.conj().T @ A
     return (M + M.conj().T) / 2, A.conj().T @ w
-
-
-@dataclass(frozen=True)
-class S2Report:
-    hypothesis_psd: bool
-    min_eig: float
-    samples: int
-    violations: int
-    worst_q0: float
-
-
-def s2_implies_s1_check(qset: QuadraticFormSet, rho, samples: int = 100_000,
-                        seed=0, tol: float = 1e-9) -> S2Report:
-    """Check that PSD multipliers force ``q_0 >= 0`` on the constraint zero set.
-
-    ``rho`` are the multipliers of forms ``1..L-1``.  The combined matrix is
-    tested for positive semidefiniteness (the hypothesis); points with
-    ``q_l = 0`` for all ``l >= 1`` are then sampled in closed form as
-    ``x = [fft(exp(1j*phi))/sqrt(n*n'), z]`` with ``|z| = 1`` and ``q_0``
-    evaluated on each.  When the hypothesis fails the sampled violations are
-    reported but assert nothing.
-    """
-    rho = np.asarray(rho, dtype=float).ravel()
-    if rho.size != qset.count - 1:
-        raise ValueError(f"need {qset.count - 1} multipliers, got {rho.size}")
-    n = qset.n
-    A_t = qset.A[0] + sum(r * Al for r, Al in zip(rho, qset.A[1:]))
-    d_t = qset.d[0] + sum(r * dl for r, dl in zip(rho, qset.d[1:]))
-    c_t = qset.c[0] + float(np.dot(rho, qset.c[1:]))
-    combined = np.empty((n + 1, n + 1), dtype=complex)
-    combined[:n, :n] = A_t
-    combined[:n, n] = d_t
-    combined[n, :n] = d_t.conj()
-    combined[n, n] = c_t
-    combined = (combined + combined.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(combined)[0])
-    scale = 1.0 + float(np.max(np.abs(combined)))
-    hypothesis_psd = min_eig >= -tol * scale
-
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0, 2 * np.pi, size=(samples, n))
-    zs = np.exp(1j * rng.uniform(0, 2 * np.pi, samples))
-    tops = np.fft.fft(np.exp(1j * phases) / np.sqrt(n), axis=1) / np.sqrt(n)
-    q0 = (
-        np.einsum("bi,ij,bj->b", tops.conj(), qset.A[0], tops).real
-        + 2 * np.real((tops.conj() @ qset.d[0]) * zs)
-        + qset.c[0]
-    )
-    scale0 = 1.0 + float(np.max(np.abs(qset.A[0]))) + abs(qset.c[0])
-    violations = int(np.count_nonzero(q0 < -tol * scale0))
-    return S2Report(hypothesis_psd, min_eig, samples, violations, float(q0.min()))

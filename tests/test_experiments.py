@@ -1,14 +1,18 @@
 """Tests for config parsing, scenarios, the verify suite, and the CLI."""
 
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
+import pnofdm.cli as cli
+import pnofdm.experiments as experiments
 from pnofdm.experiments import (
     ConfigError,
     ExperimentConfig,
     SCENARIOS,
+    VerifyReport,
     parse_config,
     run_scenario,
     verify,
@@ -139,8 +143,14 @@ class TestVerify:
         assert report.passed
         assert all(ok for _, ok, _ in report.rows)
 
-    def test_fault_injection_fails(self):
-        report = verify(quick=True, corrupt_ppt=True)
+    def test_fault_injection_fails(self, monkeypatch):
+        real = experiments.validate_ppt
+
+        def corrupted(Ttilde):
+            return dataclasses.replace(real(Ttilde), unitarity=0.05, passed=False)
+
+        monkeypatch.setattr(experiments, "validate_ppt", corrupted)
+        report = verify(quick=True)
         assert not report.passed
         failed = [suite for suite, ok, _ in report.rows if not ok]
         assert failed == ["ppt-validation"]
@@ -181,7 +191,8 @@ class TestCli:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "verification passed" in proc.stdout
 
-    def test_verify_fault_injection_exit_3(self):
-        proc = run_cli("verify", "--quick", "--inject-fault")
-        assert proc.returncode == 3
-        assert "FAIL" in proc.stdout
+    def test_verify_fault_injection_exit_3(self, monkeypatch, capsys):
+        failing = VerifyReport((("ppt-validation", False, "injected fault"),), False)
+        monkeypatch.setattr(cli, "verify", lambda quick: failing)
+        assert cli.main(["verify", "--quick"]) == 3
+        assert "FAIL" in capsys.readouterr().out

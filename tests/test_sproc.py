@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from pnofdm.sdp import SdpInstance, solve_dual
 from pnofdm.spectral import geometry_residual
 from pnofdm.sproc import (
-    QuadraticFormSet,
     duality_gap,
     primal_oracle,
     qmatnew_nullspace,
     random_gram_instance,
     regularity_matrix,
-    s2_implies_s1_check,
 )
 
 
@@ -131,33 +128,3 @@ class TestDualityGap:
             g = duality_gap(M, b)
             assert g.gap > -1e-6
             assert abs(g.relative) < 1e-3
-
-
-class TestS2ImpliesS1:
-    def test_solved_dual_multipliers_certify_nonnegativity(self):
-        M, b = random_gram_instance(3, 6, 42)
-        inst = SdpInstance.from_ls(M, b)
-        sol = solve_dual(inst)
-        qset = QuadraticFormSet.from_dual_instance(inst, sol.tau)
-        rho = np.concatenate([[sol.lam], sol.alpha, sol.beta])
-        rep = s2_implies_s1_check(qset, rho, samples=100_000, seed=1)
-        assert rep.hypothesis_psd
-        assert rep.violations == 0
-
-    def test_vacuous_hypothesis_reports_violations(self):
-        # rho = 0 with an indefinite cost matrix: the PSD hypothesis fails
-        # and sampled violations are reported (nothing asserted beyond that).
-        n = 3
-        inst = SdpInstance.from_ls(-np.eye(n, dtype=complex), np.zeros(n, dtype=complex))
-        qset = QuadraticFormSet.from_dual_instance(inst, 0.0)
-        rep = s2_implies_s1_check(qset, np.zeros(n), samples=10_000, seed=2)
-        assert not rep.hypothesis_psd
-        assert rep.violations > 0
-
-    def test_psd_diagonal_toy(self):
-        n = 3
-        inst = SdpInstance.from_ls(2 * np.eye(n, dtype=complex), np.zeros(n, dtype=complex))
-        qset = QuadraticFormSet.from_dual_instance(inst, 0.0)
-        rep = s2_implies_s1_check(qset, np.zeros(n), samples=10_000, seed=3)
-        assert rep.hypothesis_psd
-        assert rep.violations == 0
