@@ -13,7 +13,7 @@ Layout:
 * :mod:`pnofdm.dimred`: low-frequency and geometry-preserving reduction models.
 * :mod:`pnofdm.estimators`: the five pilot-based estimators and diagnostics.
 * :mod:`pnofdm.sdp`: the dual semidefinite program behind the constrained fit.
-* :mod:`pnofdm.sproc`: brute-force oracles and duality verification.
+* :mod:`pnofdm.sproc`: certified primal oracle and duality verification.
 * :mod:`pnofdm.coding`, :mod:`pnofdm.qam`, :mod:`pnofdm.link`: the coded link.
 * :mod:`pnofdm.experiments`, :mod:`pnofdm.cli`: scenario harness and CLI.
 """

@@ -25,7 +25,7 @@ from .estimators import ESTIMATOR_IDS, error_decomposition, estimate_frame
 from .link import BerRecord, LinkConfig, make_frame_pair, make_model, run_link, simulate
 from .phasenoise import phase_trajectory, spectral_vector, wiener_realization
 from .spectral import geometry_residual
-from .sproc import duality_gap, qmatnew_nullspace, random_gram_instance, regularity_matrix
+from .sproc import GAP_KINDS, duality_gap, qmatnew_nullspace, random_gram_instance, regularity_matrix
 
 __all__ = [
     "ConfigError",
@@ -487,18 +487,16 @@ def verify(*, quick: bool = False) -> VerifyReport:
     n5 = 2 if quick else 10
     worst_rel = 0.0
     weak_ok = True
-    for i in range(n3):
-        M, b = random_gram_instance(3, 6, 100 + i)
-        g = duality_gap(M, b)
-        worst_rel = max(worst_rel, abs(g.relative))
-        weak_ok &= g.gap > -1e-6
-    for i in range(n5):
-        M, b = random_gram_instance(5, 10, 200 + i)
-        g = duality_gap(M, b)
-        worst_rel = max(worst_rel, abs(g.relative))
-        weak_ok &= g.gap > -1e-6
+    kinds = dict.fromkeys(GAP_KINDS, 0)
+    for n, k, count, base in ((3, 6, n3, 100), (5, 10, n5, 200)):
+        for i in range(count):
+            g = duality_gap(*random_gram_instance(n, k, base + i))
+            worst_rel = max(worst_rel, abs(g.relative))
+            weak_ok &= g.gap > -1e-6
+            kinds[g.kind] += 1
     rows.append(
-        ("duality-gap", worst_rel < 1e-3 and weak_ok, f"worst relative gap {worst_rel:.2e}")
+        ("duality-gap", worst_rel < 1e-3 and weak_ok,
+         f"worst relative gap {worst_rel:.2e}; " + ", ".join(f"{v} {k}" for k, v in kinds.items()))
     )
 
     rng = np.random.default_rng(4242)

@@ -26,9 +26,11 @@ the transposed table plus the corner column of ``tau`` and ``lam``.
 
 Any dual-feasible point certifies ``tau <= J(g)`` for every feasible ``g``
 (weak duality), and ``min_eig >= 0`` checks that certificate on every solve.
-Equality of the two optima is not proven here; it is measured against a
-brute-force oracle (:mod:`pnofdm.sproc`), below 1e-3 relative on the random
-Gram instances that ``verify`` draws.  The primal point is recovered from the
+Equality of the two optima is not proven here, and it does not always hold:
+the certified branch-and-bound oracle of :mod:`pnofdm.sproc` brackets the
+primal minimum to 1e-9 relative and finds the dual tight on most small random
+Gram instances, but proves a gap on some (3.6e-4 relative on the worst
+instance of the acceptance suite).  The primal point is recovered from the
 stationarity system ``(M + lam*I + sum ...) g = b``.  Weak duality also bounds the dual, so it
 has no ascent ray: the solver scales the data to ``||M||_2 <= 1`` and
 ``max|b_i| <= 1``, and then ``tau <= 1 + 2*sqrt(n)``.

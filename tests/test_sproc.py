@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pnofdm.spectral import geometry_residual
+from pnofdm import sproc
+from pnofdm.spectral import GeometryResidual, dft_matrix, geometry_residual
 from pnofdm.sproc import (
     duality_gap,
     primal_oracle,
@@ -61,14 +62,55 @@ class TestQmatnewNullspace:
         assert np.linalg.norm(Q @ (np.ones(5) / 5)) > 1e-3
 
 
+def _costs(M, b, phases):
+    """Cost at each row of time phases, evaluated in the spectral basis."""
+    n = b.size
+    g = np.fft.fft(np.exp(1j * phases) / np.sqrt(n), axis=1) / np.sqrt(n)
+    return np.einsum("bi,ij,bj->b", g.conj(), M, g).real - 2 * np.real(g @ b.conj())
+
+
+def _reference_oracle(M, b, grid_points=64, max_sweeps=500, refine_tol=1e-10):
+    """Upper bound from a torus grid scan plus exact coordinate descent.
+
+    The brute force that branch-and-bound replaced: the best point of a
+    ``grid_points``-per-axis grid of time phases, refined one phase at a time
+    in the spectral basis (with the others fixed the cost is a sinusoid in
+    each phase) until stationary.
+    """
+    n = b.size
+    colv = np.fft.fft(np.eye(n), axis=0).T / n  # gamma = sum_i exp(1j*phi_i) colv[i]
+    axis = 2 * np.pi * np.arange(grid_points) / grid_points
+    grid = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    g = np.exp(1j * grid) @ colv
+    J = np.einsum("bi,ij,bj->b", g.conj(), M, g).real - 2 * np.real(g @ b.conj())
+    phases = grid[np.argmin(J)].copy()
+    for _ in range(max_sweeps):
+        for i in range(n):
+            g_other = np.exp(1j * phases) @ colv - np.exp(1j * phases[i]) * colv[i]
+            z = (M @ g_other - b).conj() @ colv[i]
+            phases[i] = np.pi - np.angle(z)
+        gamma = np.exp(1j * phases) @ colv
+        grad = [
+            -2 * np.imag(np.exp(1j * phases[i])
+                         * ((M @ (gamma - np.exp(1j * phases[i]) * colv[i]) - b).conj() @ colv[i]))
+            for i in range(n)
+        ]
+        val = float(np.real(gamma.conj() @ M @ gamma) - 2 * np.real(b.conj() @ gamma))
+        if np.max(np.abs(grad)) <= refine_tol * (1 + abs(val)):
+            break
+    return val
+
+
 class TestPrimalOracle:
     def test_identity_no_linear_term(self):
         res = primal_oracle(np.eye(3, dtype=complex), np.zeros(3, dtype=complex))
         assert res.p_star == pytest.approx(1.0, abs=1e-10)
+        assert res.lower == pytest.approx(1.0, abs=1e-10)
 
     def test_tau_shift_offsets_value(self):
         res = primal_oracle(np.eye(3, dtype=complex), np.zeros(3, dtype=complex), tau_shift=2.5)
         assert res.p_star == pytest.approx(3.5, abs=1e-10)
+        assert res.lower == pytest.approx(3.5, abs=1e-10)
 
     def test_zero_cost_instance(self):
         rng = np.random.default_rng(0)
@@ -80,21 +122,96 @@ class TestPrimalOracle:
         b = A.conj().T @ (A @ g0)
         res = primal_oracle(M, b, tau_shift=float(np.real((A @ g0).conj() @ (A @ g0))))
         assert res.p_star == pytest.approx(0.0, abs=1e-8)
+        assert res.lower <= res.p_star
+        assert res.lower == pytest.approx(0.0, abs=1e-8)
         assert np.linalg.norm(res.gamma - g0) < 1e-5
 
-    def test_dominates_random_feasible_samples(self):
-        M, b = random_gram_instance(3, 6, 3)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bracket_closes(self, n):
+        M, b = random_gram_instance(n, 2 * n, 80 + n)
         res = primal_oracle(M, b)
-        rng = np.random.default_rng(4)
-        phases = rng.uniform(0, 2 * np.pi, (10_000, 3))
-        g = np.fft.fft(np.exp(1j * phases) / np.sqrt(3), axis=1) / np.sqrt(3)
-        J = np.einsum("bi,ij,bj->b", g.conj(), M, g).real - 2 * np.real(g @ b.conj())
-        assert res.p_star <= J.min() + 1e-9
+        assert res.lower <= res.p_star
+        assert res.p_star - res.lower <= 2e-9 * (1 + abs(res.p_star))
+
+    def test_dominates_random_feasible_samples(self):
+        for n, k in ((3, 6), (5, 10)):
+            M, b = random_gram_instance(n, k, 3)
+            res = primal_oracle(M, b)
+            J = _costs(M, b, np.random.default_rng(4).uniform(0, 2 * np.pi, (10_000, n)))
+            assert res.lower <= res.p_star <= J.min() + 1e-9
+
+    def test_hessian_bound_holds_and_is_attained(self):
+        n = 5
+        M, b = random_gram_instance(n, 10, 12)
+        F = dft_matrix(n)
+        A, c = F.conj().T @ M @ F, F.conj().T @ b
+        L = sproc._hessian_bound(A, c)
+        step = 1e-4
+        E = step * np.eye(n)
+
+        def hessian(phi):
+            cost = lambda d: _costs(M, b, (phi + d)[None])[0]  # noqa: E731
+            return np.array([[(cost(E[i] + E[j]) - cost(E[i] - E[j]) - cost(E[j] - E[i])
+                               + cost(-E[i] - E[j])) / (4 * step * step) for j in range(n)]
+                             for i in range(n)])
+
+        rng = np.random.default_rng(14)
+        for phi in rng.uniform(0, 2 * np.pi, (20, n)):
+            assert np.all(np.abs(hessian(phi)) <= L + 1e-6)
+        for i in range(n):
+            # Every term of the i-th diagonal entry at its extreme value.
+            phi = np.angle(c[i]) + np.pi - np.angle(A[i])
+            phi[i] = np.angle(c[i])
+            assert hessian(phi)[i, i] == pytest.approx(L[i, i], rel=1e-5)
+
+    @pytest.mark.parametrize("h", [np.pi / 4, 0.05])
+    def test_box_bound_below_costs_in_box(self, h):
+        n = 5
+        M, b = random_gram_instance(n, 10, 12)
+        F = dft_matrix(n)
+        A, c = F.conj().T @ M @ F, F.conj().T @ b
+        rng = np.random.default_rng(13)
+        centres = rng.uniform(0, 2 * np.pi, (20, n))
+        _, bound = sproc._box_bounds(A, c, np.exp(1j * centres) / np.sqrt(n), h)
+        for psi, lb in zip(centres, bound):
+            # Corners and random interior points of the box.
+            pts = psi + h * np.vstack([rng.choice([-1.0, 1.0], (2000, n)), rng.uniform(-1, 1, (2000, n))])
+            assert _costs(M, b, pts).min() >= lb - 1e-12
+
+    def test_not_above_grid_reference(self):
+        for seed in (3, 5, 71_002):
+            M, b = random_gram_instance(3, 6, seed)
+            assert primal_oracle(M, b).p_star <= _reference_oracle(M, b) + 1e-9
 
     def test_argmin_feasible(self):
         M, b = random_gram_instance(3, 6, 5)
         res = primal_oracle(M, b)
         assert geometry_residual(res.gamma).max_abs < 1e-12
+
+    def test_infeasible_argmin_raises(self, monkeypatch):
+        broken = GeometryResidual(np.ones(3), 1.0)
+        monkeypatch.setattr(sproc, "geometry_residual", lambda gamma: broken)
+        M, b = random_gram_instance(3, 6, 5)
+        with pytest.raises(RuntimeError):
+            primal_oracle(M, b)
+
+    def test_exhausted_budget_leaves_valid_lower(self, monkeypatch):
+        M, b = random_gram_instance(5, 10, 72_000)
+        full = primal_oracle(M, b)
+        monkeypatch.setattr(sproc, "BOX_BUDGET", 50_000)
+        res = primal_oracle(M, b)
+        assert res.lower <= full.lower
+        assert res.p_star - res.lower > 1e-3
+        g = duality_gap(M, b)
+        assert g.kind == "unresolved"
+        assert g.lower <= g.p_star
+
+    def test_deterministic(self):
+        M, b = random_gram_instance(5, 10, 9)
+        first, second = primal_oracle(M, b), primal_oracle(M, b)
+        assert (first.p_star, first.lower, first.sweeps) == (second.p_star, second.lower, second.sweeps)
+        assert np.array_equal(first.phases, second.phases)
+        assert np.array_equal(first.gamma, second.gamma)
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
@@ -111,6 +228,7 @@ class TestDualityGap:
         b = A.conj().T @ (A @ g0)
         g = duality_gap((M + M.conj().T) / 2, b)
         assert abs(g.gap) < 1e-6
+        assert g.kind == "tight"
 
     def test_random_instances_small_gap(self):
         for seed in range(3):
@@ -118,6 +236,7 @@ class TestDualityGap:
             g = duality_gap(M, b)
             assert g.gap > -1e-6
             assert abs(g.relative) < 1e-3
+            assert g.kind == "tight"
 
     def test_even_dimension_empirical(self):
         # The regularity construction assumes odd dimension; the even case
@@ -128,3 +247,20 @@ class TestDualityGap:
             g = duality_gap(M, b)
             assert g.gap > -1e-6
             assert abs(g.relative) < 1e-3
+
+    @pytest.mark.parametrize(
+        "seed, lower, d_star, relative",
+        [(72_000, -7.6762248, -7.6793137, 3.56e-4), ([11, 2, 2], None, None, 9.99e-3)],
+        ids=["acceptance-worst", "benchmark-seed-11"],
+    )
+    def test_proven_gap(self, seed, lower, d_star, relative):
+        # The certified lower bound of the primal lies above the dual optimum:
+        # the relaxation is not tight on these instances.
+        g = duality_gap(*random_gram_instance(5, 10, seed))
+        assert g.kind == "proven_gap"
+        assert g.solution.status == "optimal"
+        assert g.lower - g.d_star > 1e-6 * (1 + abs(g.p_star))
+        assert g.relative == pytest.approx(relative, rel=5e-3)
+        if lower is not None:
+            assert g.lower == pytest.approx(lower, abs=1e-7)
+            assert g.d_star == pytest.approx(d_star, abs=1e-7)
