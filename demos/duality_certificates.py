@@ -16,7 +16,6 @@ This script measures it from three independent directions:
 import numpy as np
 
 from pnofdm import kkt_recover, qmatnew_nullspace, regularity_matrix, solve_dual
-from pnofdm.sdp import SdpInstance
 from pnofdm.sproc import GAP_KINDS, duality_gap, primal_oracle, random_gram_instance
 
 print("=== 1. Duality gap on random instances ===")
@@ -32,11 +31,10 @@ print(", ".join(f"{v} {k}" for k, v in kinds.items()))
 
 print("\n=== 2. Certificate and recovery on one instance ===")
 M, b = random_gram_instance(5, 10, 7)
-inst = SdpInstance.from_ls(M, b)
-sol = solve_dual(inst)
+sol = solve_dual(M, b)
 print(f"status={sol.status}, Newton steps={sol.iterations}, "
       f"LMI min eigenvalue={sol.min_eig:.2e} (certified feasible)")
-gamma = kkt_recover(inst, sol)
+gamma, _ = kkt_recover(M, b, sol)
 print(f"recovered estimate norm={np.linalg.norm(gamma):.9f} (feasible is 1)")
 oracle = primal_oracle(M, b)
 print(f"distance to oracle argmin: {np.linalg.norm(gamma - oracle.gamma):.2e}")

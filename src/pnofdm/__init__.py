@@ -41,7 +41,7 @@ from .phasenoise import (
     spectral_vector,
     wiener_realization,
 )
-from .sdp import SdpInstance, SdpSolution, assemble_lmi, kkt_recover, solve_dual
+from .sdp import SdpSolution, assemble_lmi, kkt_recover, solve_dual
 from .spectral import (
     GeometryResidual,
     dft_matrix,
@@ -58,7 +58,6 @@ __all__ = [
     "LinkConfig",
     "LsSystem",
     "OfdmFrame",
-    "SdpInstance",
     "SdpSolution",
     "SpectralVector",
     "__version__",

@@ -44,7 +44,7 @@ import numpy as np
 
 from .dimred import DimRedModel, lift
 from .phasenoise import SpectralVector, _values, spectral_vector
-from .sdp import SdpInstance, SolverError, kkt_recover, solve_dual
+from .sdp import SolverError, kkt_recover, solve_dual
 from .spectral import dft_matrix, geometry_residual
 
 __all__ = [
@@ -257,15 +257,14 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     """
     if model.kind != "ppt":
         raise ValueError("gls requires a geometry-preserving model")
-    inst = SdpInstance.from_ls(sys.M, sys.b)
     try:
-        sol = solve_dual(inst)
+        sol = solve_dual(sys.M, sys.b)
         if sol.status != "optimal":
             raise EstimationError(
                 f"dual solve ended with status {sol.status!r} after "
                 f"{sol.iterations} Newton steps (tau path {sol.tau_path})"
             )
-        gamma_raw, info = kkt_recover(inst, sol, return_info=True)
+        gamma_raw, info = kkt_recover(sys.M, sys.b, sol)
     except (SolverError, np.linalg.LinAlgError) as exc:
         raise EstimationError(f"dual solve failed: {exc}") from exc
     flags = () if info.full_rank else (f"kkt_rank_deficient:{info.rank}",)

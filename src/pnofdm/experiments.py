@@ -483,19 +483,22 @@ def verify(*, quick: bool = False) -> VerifyReport:
         detail.append(f"n={n}: rank {rank}, |Q1| {colsum:.1e}")
     rows.append(("regularity", bool(reg_ok), "; ".join(detail)))
 
+    # The relaxation is not tight on every instance, so a proven gap is
+    # reported, not failed; the row fails on a dual solve that is not
+    # optimal, a broken weak duality, or an instance the oracle leaves open.
     n3 = 5 if quick else 20
     n5 = 2 if quick else 10
     worst_rel = 0.0
-    weak_ok = True
+    sound = True
     kinds = dict.fromkeys(GAP_KINDS, 0)
     for n, k, count, base in ((3, 6, n3, 100), (5, 10, n5, 200)):
         for i in range(count):
             g = duality_gap(*random_gram_instance(n, k, base + i))
             worst_rel = max(worst_rel, abs(g.relative))
-            weak_ok &= g.gap > -1e-6
+            sound &= g.solution.status == "optimal" and g.gap > -1e-6
             kinds[g.kind] += 1
     rows.append(
-        ("duality-gap", worst_rel < 1e-3 and weak_ok,
+        ("duality-gap", bool(sound) and kinds["unresolved"] == 0,
          f"worst relative gap {worst_rel:.2e}; " + ", ".join(f"{v} {k}" for k, v in kinds.items()))
     )
 

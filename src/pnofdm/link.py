@@ -309,7 +309,14 @@ class BerRecord:
     frame_errors: np.ndarray = field(repr=False, default=None)
 
 
-def _wilson_ci(frame_ber: np.ndarray) -> tuple[float, float]:
+def _frame_ber_normal_ci(frame_ber: np.ndarray) -> tuple[float, float]:
+    """95% normal-approximation interval of the mean of the per-frame BERs.
+
+    The mean plus or minus 1.96 standard errors of the per-frame BER,
+    clipped to ``[0, 1]``.  It is not a binomial (Wilson) interval: with zero
+    errors in every frame the standard error is zero and the interval
+    collapses to ``[0, 0]``.
+    """
     mean = float(np.mean(frame_ber))
     se = float(np.std(frame_ber, ddof=1) / np.sqrt(frame_ber.size)) if frame_ber.size > 1 else 0.0
     return max(0.0, mean - 1.96 * se), min(1.0, mean + 1.96 * se)
@@ -372,7 +379,7 @@ def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
     bits_per_frame = frame.info_bits.size
     total_bits = bits_per_frame * n_frames
     frame_ber = errors / bits_per_frame
-    lo, hi = _wilson_ci(frame_ber)
+    lo, hi = _frame_ber_normal_ci(frame_ber)
     return BerRecord(
         estimator=name,
         snr_db=cfg.snr_db,

@@ -9,8 +9,7 @@ forms involved (unit norm plus the split shift forms):
    unit weights.  This rules out a separating hyperplane through the origin
    with all evaluation points on one side.  The DFT columns diagonalize
    every form, so the first ``n`` columns are those of
-   :func:`~pnofdm.spectral.shift_form_table`, the table the dual solver
-   uses.
+   :func:`~pnofdm.spectral.shift_form_table`.
 2. *Zero duality gap*, measured per instance: a branch-and-bound oracle
    brackets the minimum of the cost over the constant-modulus set from
    both sides to 1e-9 relative (n <= 5), independently of the solver, and
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sdp import SdpInstance, solve_dual
+from .sdp import solve_dual
 from .spectral import dft_matrix, geometry_residual, shift_form_table
 
 __all__ = [
@@ -294,7 +293,7 @@ def duality_gap(M, b) -> GapResult:
     ``gap >= 0`` up to numerics.
     """
     oracle = primal_oracle(M, b)
-    sol = solve_dual(SdpInstance.from_ls(M, b))
+    sol = solve_dual(M, b)
     gap = oracle.p_star - sol.tau
     scale = 1 + abs(oracle.p_star)
     if gap <= GAP_TOL * scale:

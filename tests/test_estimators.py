@@ -166,7 +166,7 @@ class TestGls:
         from pnofdm import estimators
         from pnofdm.link import run_link
 
-        def failing_solve(inst):
+        def failing_solve(M, b):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(estimators, "solve_dual", failing_solve)

@@ -155,6 +155,24 @@ class TestVerify:
         failed = [suite for suite, ok, _ in report.rows if not ok]
         assert failed == ["ppt-validation"]
 
+    @pytest.mark.parametrize("fault", ["unresolved", "negative_gap", "not_optimal"])
+    def test_unsound_duality_instance_fails_only_its_row(self, monkeypatch, fault):
+        real = experiments.duality_gap
+
+        def faulty(M, b):
+            g = real(M, b)
+            if fault == "unresolved":
+                return dataclasses.replace(g, kind="unresolved")
+            if fault == "negative_gap":
+                return dataclasses.replace(g, gap=-1e-3, relative=-1e-3)
+            return dataclasses.replace(g, solution=dataclasses.replace(g.solution, status="max_iter"))
+
+        monkeypatch.setattr(experiments, "duality_gap", faulty)
+        report = verify(quick=True)
+        assert not report.passed
+        failed = [suite for suite, ok, _ in report.rows if not ok]
+        assert failed == ["duality-gap"]
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -188,6 +206,12 @@ class TestCli:
 
     def test_verify_quick_exit_0(self):
         proc = run_cli("verify", "--quick")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "verification passed" in proc.stdout
+
+    def test_verify_full_exit_0(self):
+        # The full run draws a proven-gap instance; that is reported, not failed.
+        proc = run_cli("verify")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "verification passed" in proc.stdout
 
