@@ -10,12 +10,18 @@ This script measures it from three independent directions:
    so each instance is either tight or has a proven gap,
 2. the interior-point dual solve with its feasibility certificate,
 3. the regularity construction behind the zero-gap argument, checked at
-   machine precision.
+   machine precision,
+
+and then shows how often `gls` needs the dual at all on the coded link: a
+Newton solve on the time phases is certified globally optimal by its
+closed-form Lagrange multipliers on most frames, and only the rest go
+through the interior-point solve, which reports the measured gap.
 """
 
 import numpy as np
 
-from pnofdm import kkt_recover, qmatnew_nullspace, regularity_matrix, solve_dual
+from pnofdm import build_ls_system, gls, kkt_recover, qmatnew_nullspace, regularity_matrix, solve_dual
+from pnofdm.link import LinkConfig, make_frame_pair, make_model
 from pnofdm.sproc import GAP_KINDS, duality_gap, primal_oracle, random_gram_instance
 
 print("=== 1. Duality gap on random instances ===")
@@ -54,3 +60,18 @@ for n in (3, 5, 9):
     null = qmatnew_nullspace(n)
     print(f"n={n}: rank(Q)={rank} (target {n}), |Q·1|={colsum:.1e}, "
           f"null space = ones/n with residual {null.null_residual:.1e}")
+
+print("\n=== 5. Local certificate on link frames ===")
+for snr_db in (10.0, 30.0):
+    cfg = LinkConfig(snr_db=snr_db)
+    model = make_model(cfg)
+    certified, gap, rel_gap = 0, 0.0, 0.0
+    for child in np.random.SeedSequence([2024, int(snr_db)]).spawn(20):
+        frame, _ = make_frame_pair(cfg, child)
+        sys = build_ls_system(frame.r, frame.H, frame.pilot_idx, frame.pilot_values, model)
+        diag = gls(sys, model).diagnostics
+        certified += diag.certified
+        gap = max(gap, diag.gap)
+        rel_gap = max(rel_gap, diag.gap / (1 + abs(diag.solver.tau)))
+    print(f"{snr_db:g} dB: {certified} of 20 frames certified locally, {20 - certified} "
+          f"through the dual SDP; worst gap {gap:.2e} (relative {rel_gap:.1e})")

@@ -12,7 +12,7 @@ Layout:
 * :mod:`pnofdm.phasenoise`: Wiener trajectories and spectral vectors.
 * :mod:`pnofdm.dimred`: low-frequency and geometry-preserving reduction models.
 * :mod:`pnofdm.estimators`: the five pilot-based estimators and diagnostics.
-* :mod:`pnofdm.sdp`: the dual semidefinite program behind the constrained fit.
+* :mod:`pnofdm.sdp`: the local certificate and the dual semidefinite program behind the constrained fit.
 * :mod:`pnofdm.sproc`: certified primal oracle and duality verification.
 * :mod:`pnofdm.coding`, :mod:`pnofdm.qam`, :mod:`pnofdm.link`: the coded link.
 * :mod:`pnofdm.experiments`, :mod:`pnofdm.cli`: scenario harness and CLI.
@@ -41,7 +41,7 @@ from .phasenoise import (
     spectral_vector,
     wiener_realization,
 )
-from .sdp import SdpSolution, assemble_lmi, kkt_recover, solve_dual
+from .sdp import SdpSolution, assemble_lmi, certify_local, kkt_recover, solve_dual
 from .spectral import (
     GeometryResidual,
     dft_matrix,
@@ -64,6 +64,7 @@ __all__ = [
     "assemble_lmi",
     "build_ls_system",
     "c_matrix",
+    "certify_local",
     "cis",
     "compensate",
     "cpe_only",

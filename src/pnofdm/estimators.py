@@ -20,9 +20,12 @@ Five estimators are provided:
     normalizing time-domain sample magnitudes: in the reduced domain when the
     model preserves the geometry, otherwise in the full domain.
 ``gls``
-    The geometry-constrained minimizer, obtained from the convex dual
-    program (:mod:`pnofdm.sdp`), recovered through the stationarity system
-    and finished with one exact constant-modulus projection.
+    The geometry-constrained minimizer.  A Newton solve on the time phases
+    runs first, and its point is returned when the closed-form Lagrangian
+    certificate proves it globally optimal.  Other frames go through the
+    convex dual program (:mod:`pnofdm.sdp`), are recovered through the
+    stationarity system and finished with one exact constant-modulus
+    projection; they report the measured gap to the dual bound.
 ``cpe_only``
     Scalar common-phase fit on the pilots; corrects the average rotation and
     leaves all inter-carrier leakage.
@@ -44,7 +47,7 @@ import numpy as np
 
 from .dimred import DimRedModel, lift
 from .phasenoise import SpectralVector, _values, spectral_vector
-from .sdp import SolverError, kkt_recover, solve_dual
+from .sdp import SolverError, certify_local, kkt_recover, solve_dual
 from .spectral import dft_matrix, geometry_residual
 
 __all__ = [
@@ -146,6 +149,8 @@ class EstimatorDiagnostics:
     flags: tuple = ()
     condition: float | None = None
     solver: object | None = None
+    certified: bool | None = None  # gls: the estimate is the proven global optimum
+    gap: float | None = None  # gls: cost above the dual bound tau (0 when certified)
 
 
 @dataclass(frozen=True)
@@ -244,43 +249,65 @@ def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
 
 
 def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
-    """Geometry-constrained least squares via the convex dual program.
+    """Geometry-constrained least squares, certified locally or via the convex dual.
 
     Requires a geometry-preserving model (the constraints are imposed in the
-    reduced domain and must survive the lift).  The dual is solved to a
+    reduced domain and must survive the lift).  A Newton solve on the time
+    phases runs first; when the closed-form Lagrangian certificate proves its
+    point globally optimal (:func:`pnofdm.sdp.certify_local`) that point is
+    the estimate, with ``certified=True`` and ``gap = 0``.  Otherwise, or when
+    the local solve raises a numpy ``LinAlgError``, the dual is solved to a
     certified optimum, the estimate recovered from the stationarity system,
     and one exact constant-modulus projection removes the residual
-    infeasibility left by the finite solver tolerance.  On solver failure,
-    including a numpy ``LinAlgError`` in the solve or the recovery, an
-    :class:`EstimationError` is raised, carrying the iteration trace when the
-    solve ran out of steps; ``nls`` is the natural fallback.
+    infeasibility left by the finite solver tolerance; such frames carry
+    ``certified=False``, the measured ``gap = cost - tau`` and the recovery's
+    condition number.  On dual-solve failure, including a numpy
+    ``LinAlgError`` in the solve or the recovery, an :class:`EstimationError`
+    is raised, carrying the iteration trace when the solve ran out of steps;
+    ``nls`` is the natural fallback.
     """
     if model.kind != "ppt":
         raise ValueError("gls requires a geometry-preserving model")
     try:
-        sol = solve_dual(sys.M, sys.b)
-        if sol.status != "optimal":
-            raise EstimationError(
-                f"dual solve ended with status {sol.status!r} after "
-                f"{sol.iterations} Newton steps (tau path {sol.tau_path})"
-            )
-        gamma_raw, info = kkt_recover(sys.M, sys.b, sol)
-    except (SolverError, np.linalg.LinAlgError) as exc:
-        raise EstimationError(f"dual solve failed: {exc}") from exc
-    flags = () if info.full_rank else (f"kkt_rank_deficient:{info.rank}",)
-    gamma, n_zero = project_constant_modulus(gamma_raw)
-    if n_zero:
-        flags = flags + (f"zero_time_samples:{n_zero}",)
+        local = certify_local(sys.M, sys.b)
+    except np.linalg.LinAlgError:
+        local = None
+    certified = local is not None
+    flags = ()
+    condition = None
+    if certified:
+        gamma, sol = local
+    else:
+        try:
+            sol = solve_dual(sys.M, sys.b)
+            if sol.status != "optimal":
+                raise EstimationError(
+                    f"dual solve ended with status {sol.status!r} after "
+                    f"{sol.iterations} Newton steps (tau path {sol.tau_path})"
+                )
+            gamma_raw, info = kkt_recover(sys.M, sys.b, sol)
+        except (SolverError, np.linalg.LinAlgError) as exc:
+            raise EstimationError(f"dual solve failed: {exc}") from exc
+        condition = info.condition
+        if not info.full_rank:
+            flags = (f"kkt_rank_deficient:{info.rank}",)
+        gamma, n_zero = project_constant_modulus(gamma_raw)
+        if n_zero:
+            flags = flags + (f"zero_time_samples:{n_zero}",)
     delta = lift(model, gamma)
+    cost = sys.cost_gamma(gamma, model)
     return EstimatorOutput(
         SpectralVector.from_values(gamma),
         delta,
         EstimatorDiagnostics(
-            cost=sys.cost_gamma(gamma, model),
+            cost=cost,
             geometry_residual=delta.residual_max,
             method="gls",
             flags=flags,
+            condition=condition,
             solver=sol,
+            certified=certified,
+            gap=0.0 if certified else cost - sys.const_term - sol.tau,
         ),
     )
 

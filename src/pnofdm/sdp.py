@@ -1,4 +1,4 @@
-"""Dense dual semidefinite program for geometry-constrained least squares.
+"""Local certificate and dense dual semidefinite program for geometry-constrained least squares.
 
 The constrained problem minimizes ``J(g) = g^H M g - 2 Re(b^H g)`` over the
 spectral geometry: ``g = F x`` with the unitary DFT ``F`` and a time vector
@@ -28,6 +28,15 @@ stationarity system ``(M + F Diag(mu) F^H) g = b``.  Weak duality also bounds
 the dual, so it has no ascent ray: the solver scales the data to
 ``||M||_2 <= 1`` and ``max|b_i| <= 1``, and then ``tau <= 1 + 2*sqrt(n)``.
 
+Most instances the coded link produces need no dual solve at all.
+:func:`certify_local` runs damped Newton on the time phases ``phi`` of
+``x = exp(1j*phi)/sqrt(n)``.  At its stationary point the multipliers
+``mu_i = Re((c - A x)_i / x_i)`` are closed-form, and ``A + Diag(mu) >= 0``
+proves ``x`` globally optimal: with ``tau`` the cost at ``x`` the LMI above
+holds with a zero Schur complement (Boumal, "Nonconvex phase
+synchronization", SIAM J. Optim. 2016).  The barrier solver runs only where
+that certificate fails.
+
 The solver is a log-det barrier interior-point method: Newton centering steps
 on ``-t*w.d - logdet(G0 + Diag(d))`` along an increasing barrier schedule.
 With ``S = G^-1`` the gradient of ``logdet G`` is ``diag(S)`` and its negated
@@ -50,6 +59,7 @@ __all__ = [
     "SdpSolution",
     "SolverError",
     "assemble_lmi",
+    "certify_local",
     "kkt_recover",
     "solve_dual",
 ]
@@ -59,6 +69,17 @@ MAX_NEWTON = 200  # Newton steps over all centering stages of one solve
 BARRIER_GROWTH = 20.0  # factor on the barrier parameter between stages
 DECREMENT_TOL = 2e-11  # squared Newton decrement of a centered point
 KKT_RCOND = 1e-10  # relative singular-value cutoff of the recovery solve
+MIN_EIG_TOL = 1e-8  # LMI min_eig >= -this * (1 + ||M||_2) reports a solution optimal
+
+# Local solve and closed-form certificate; tolerances are relative to 1 + ||M||_2.
+LOCAL_MAX_NEWTON = 50  # Newton steps on the time phases
+LOCAL_MAX_BACKTRACK = 40  # Armijo halvings of one step
+LOCAL_STEP_CAP = 0.5  # largest phase change of one step, radians
+LOCAL_GRAD_TOL = 1e-11  # phase-gradient norm (max) of a stationary point
+LOCAL_EIG_FLOOR = 1e-8  # smallest eigenvalue of the modified phase Hessian
+LOCAL_COST_SLACK = 1e-14  # relative cost rounding the Armijo test forgives
+ARMIJO = 1e-4  # sufficient-decrease fraction of the Armijo test
+CERT_EIG_TOL = 1e-9  # A + Diag(mu) >= -this certifies the global optimum
 
 
 class SolverError(RuntimeError):
@@ -99,7 +120,9 @@ class SdpSolution:
     ``mu`` holds the time-basis multipliers; ``min_eig`` is the smallest
     eigenvalue of the LMI re-assembled at ``(tau, mu)``.  ``tau_path``
     records the objective at the end of each centering stage (nondecreasing
-    along the schedule).
+    along the schedule).  A solution from :func:`certify_local` has
+    ``iterations = 0``, an empty ``tau_path`` and ``tau`` equal to the
+    certified point's cost.
     """
 
     tau: float
@@ -108,6 +131,71 @@ class SdpSolution:
     iterations: int
     status: str  # "optimal" | "max_iter"
     tau_path: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+
+def certify_local(M, b):
+    """Solve the constrained fit locally and certify the point as its global optimum.
+
+    Damped Newton on the time phases ``phi`` of ``x = exp(1j*phi)/sqrt(n)``,
+    started from the phases of the unconstrained solution ``ifft(M^-1 b)``.
+    The phase Hessian is eigenvalue-modified where it is not positive
+    definite, steps are capped at ``LOCAL_STEP_CAP`` radians per phase, and an
+    Armijo backtracking search accepts them.  At the stationary point the
+    multipliers ``mu_i = Re((c - A x)_i / x_i)`` are closed-form, and
+    ``A + Diag(mu) >= 0`` proves ``x`` globally optimal (Boumal, SIAM J.
+    Optim. 2016).  With ``tau`` the cost at ``x`` the LMI's Schur corner is
+    zero, so the returned :class:`SdpSolution` certifies weak duality at
+    equality.
+
+    Returns ``(gamma, SdpSolution)`` with ``gamma = F x``, or ``None`` when
+    the Newton solve does not converge or the certificate fails.  A numpy
+    ``LinAlgError`` propagates.
+    """
+    M, b = _cost_pair(M, b)
+    n = b.size
+    scale = 1.0 + float(np.linalg.norm(M, 2))
+    F = dft_matrix(n)
+    A = _symmetrize(F.conj().T @ M @ F)
+    c = F.conj().T @ b
+
+    def cost(x):
+        return float(np.real(x.conj() @ (A @ x)) - 2.0 * np.real(c.conj() @ x))
+
+    phi = np.angle(np.fft.ifft(np.linalg.solve(M, b)))
+    x = np.exp(1j * phi) / np.sqrt(n)
+    J = cost(x)
+    for _ in range(LOCAL_MAX_NEWTON):
+        resid = np.conj(x) * (A @ x - c)
+        grad = 2.0 * resid.imag
+        if np.max(np.abs(grad)) <= LOCAL_GRAD_TOL * scale:
+            break
+        H = 2.0 * np.real(np.conj(x)[:, None] * A * x[None, :])
+        H[np.diag_indices(n)] = 2.0 * A.diagonal().real / n - 2.0 * resid.real
+        lam, V = np.linalg.eigh(H)
+        lam = np.maximum(np.abs(lam), LOCAL_EIG_FLOOR * scale)
+        step = -V @ ((V.T @ grad) / lam)
+        step *= min(1.0, LOCAL_STEP_CAP / np.max(np.abs(step)))
+        slope = float(grad @ step)
+        alpha = 1.0
+        for _ in range(LOCAL_MAX_BACKTRACK):
+            x_trial = np.exp(1j * (phi + alpha * step)) / np.sqrt(n)
+            J_trial = cost(x_trial)
+            if J_trial <= J + ARMIJO * alpha * slope + LOCAL_COST_SLACK * (1.0 + abs(J)):
+                break
+            alpha *= 0.5
+        else:
+            return None
+        phi, x, J = phi + alpha * step, x_trial, J_trial
+    else:
+        return None
+
+    mu = np.real((c - A @ x) / x)
+    if float(np.linalg.eigvalsh(A + np.diag(mu))[0]) < -CERT_EIG_TOL * scale:
+        return None
+    min_eig = float(np.linalg.eigvalsh(_symmetrize(assemble_lmi(M, b, J, mu)))[0])
+    if min_eig < -MIN_EIG_TOL * scale:
+        return None
+    return F @ x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")
 
 
 def _symmetrize(G):
@@ -215,7 +303,7 @@ def solve_dual(M, b) -> SdpSolution:
     tau = float(w @ d) * scale
     mu = d[:n] * scale
     min_eig = float(np.linalg.eigvalsh(_symmetrize(assemble_lmi(M, b, tau, mu)))[0])
-    if status == "optimal" and min_eig < -1e-8 * (1.0 + np.linalg.norm(M, 2)):
+    if status == "optimal" and min_eig < -MIN_EIG_TOL * (1.0 + np.linalg.norm(M, 2)):
         status = "max_iter"  # certificate failed; do not report optimal
     return SdpSolution(
         tau=tau,
@@ -231,6 +319,7 @@ def solve_dual(M, b) -> SdpSolution:
 class KktInfo:
     rank: int
     full_rank: bool
+    condition: float  # largest over smallest singular value of the top block
 
 
 def kkt_recover(M, b, sol: SdpSolution):
@@ -239,7 +328,8 @@ def kkt_recover(M, b, sol: SdpSolution):
     Solves ``(M + F Diag(mu) F^H) g = b`` by pseudo-inverse; singular values
     below ``KKT_RCOND`` times the largest are treated as zero, in which case
     the minimum-norm solution is returned.  Returns ``(g, KktInfo)``, whose
-    ``rank`` and ``full_rank`` flag that case.
+    ``rank`` and ``full_rank`` flag that case; ``condition`` is the top
+    block's condition number, which can be large on full-rank recoveries.
     """
     if sol.status != "optimal":
         raise SolverError(f"dual solution status is {sol.status!r}, not optimal")
@@ -251,4 +341,5 @@ def kkt_recover(M, b, sol: SdpSolution):
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
     gamma = Vh.conj().T @ (inv_s * (U.conj().T @ G[:n, n]))
-    return gamma, KktInfo(rank, rank == n)
+    condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+    return gamma, KktInfo(rank, rank == n, condition)

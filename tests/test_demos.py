@@ -18,6 +18,7 @@ def test_duality_certificates_demo_runs(monkeypatch, capsys):
     out = run_demo("duality_certificates.py", monkeypatch, capsys)
     assert "status=optimal" in out
     assert "=== 4. Regularity construction ===" in out
+    assert "frames certified locally" in out
 
 
 @pytest.mark.parametrize(

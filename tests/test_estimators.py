@@ -20,7 +20,8 @@ from pnofdm.estimators import (
 )
 from pnofdm.link import LinkConfig, OfdmFrame, apply_phase_noise, make_frame_pair, make_model, pilot_sequence, rayleigh_channel
 from pnofdm.phasenoise import spectral_vector
-from pnofdm.sproc import primal_oracle
+from pnofdm.sdp import certify_local
+from pnofdm.sproc import primal_oracle, random_gram_instance
 from pnofdm.estimators import LsSystem
 
 
@@ -155,6 +156,15 @@ class TestGls:
             p_star = primal_oracle(sys.M, sys.b).p_star
             assert abs(cost_q - p_star) / (1 + abs(p_star)) < 1e-3
 
+    def test_proven_gap_instance_takes_dual_path(self):
+        # The same draw as random_gram_instance(5, 10, 72000), whose relaxation
+        # has a proven gap: no point can be certified, and the gap is measured.
+        sys = synthetic_system(5, 10, 72000)
+        M, b = random_gram_instance(5, 10, 72000)
+        assert np.array_equal(sys.M, M) and np.array_equal(sys.b, b)
+        diag = gls(sys, pc_ppt(5, 5)).diagnostics
+        assert diag.certified is False and diag.gap > 0
+
     def test_requires_geometry_preserving_model(self):
         sys = synthetic_system(4, 8, 0)
         with pytest.raises(ValueError):
@@ -163,16 +173,48 @@ class TestGls:
     def test_linalg_error_becomes_estimation_error(self, monkeypatch):
         # A numpy LinAlgError inside the dual solve reaches run_link as an
         # EstimationError, so the frame is decoded with the fallback, flagged.
+        # The local certificate is switched off so that every frame reaches
+        # the dual solve.
         from pnofdm import estimators
         from pnofdm.link import run_link
 
         def failing_solve(M, b):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
+        monkeypatch.setattr(estimators, "certify_local", lambda M, b: None)
         monkeypatch.setattr(estimators, "solve_dual", failing_solve)
         with pytest.raises(EstimationError, match="not positive definite"):
             gls(synthetic_system(3, 6, 0), pc_ppt(3, 3))
         assert run_link(LinkConfig(), "gls", 2, 1).flagged_frames == 2
+
+    def test_linalg_error_in_local_solve_takes_dual_path(self):
+        # A singular M makes the local solve's start M^-1 b raise; the frame
+        # goes to the dual solve instead of failing.
+        rows = np.diag(np.sqrt([2.0, 1.0, 0.0])).astype(complex)
+        w = np.array([1 / np.sqrt(2), 0.5, 0.0], dtype=complex)
+        sys = LsSystem(rows.conj().T @ rows, rows.conj().T @ w, float(np.real(w.conj() @ w)), rows, w)
+        with pytest.raises(np.linalg.LinAlgError):
+            certify_local(sys.M, sys.b)
+        out = gls(sys, pc_ppt(3, 3))
+        diag = out.diagnostics
+        assert diag.certified is False and diag.solver.iterations > 0
+        assert diag.gap >= -1e-6 and diag.geometry_residual < 1e-10
+
+    def test_certified_and_gap_on_every_output(self, desk_frame):
+        # Seed 42's first symbol is certified and seed 41's is not.
+        cfg, model, _, _ = desk_frame
+        seen = set()
+        for seed in (41, 42):
+            frame, _ = make_frame_pair(cfg, seed)
+            sys = build_ls_system(frame.r, frame.H, frame.pilot_idx, frame.pilot_values, model)
+            diag = gls(sys, model).diagnostics
+            seen.add(diag.certified)
+            if diag.certified:
+                assert diag.gap == 0.0 and diag.solver.iterations == 0 and diag.condition is None
+            else:
+                assert diag.solver.iterations > 0 and diag.condition >= 1.0
+                assert diag.gap == diag.cost - sys.const_term - diag.solver.tau
+        assert seen == {True, False}
 
     def test_cost_ordering_single_frame(self, desk_frame):
         _, model, f0, f1 = desk_frame

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pnofdm.estimators import build_ls_system, gls
+from pnofdm.estimators import build_ls_system, gls, project_constant_modulus
 from pnofdm.link import LinkConfig, make_frame_pair, make_model
 from pnofdm.sdp import SolverError, assemble_lmi, kkt_recover, solve_dual
 from pnofdm.spectral import dft_matrix
@@ -167,8 +167,17 @@ class TestLinkInstances:
             sol = out.diagnostics.solver
             assert sol.status == "optimal"
             G = assemble_lmi(sys.M, sys.b, sol.tau, sol.mu)
-            assert np.linalg.eigvalsh(G).min() >= -1e-8 * (1 + np.linalg.norm(sys.M, 2))
+            bound = -1e-8 * (1 + np.linalg.norm(sys.M, 2))
+            assert np.linalg.eigvalsh(G).min() >= bound
             assert out.diagnostics.cost - sys.const_term >= sol.tau - 1e-6
+            if out.diagnostics.certified:
+                assert sol.iterations == 0 and out.diagnostics.gap == 0
+                assert sol.min_eig >= bound
+                dual = solve_dual(sys.M, sys.b)
+                ref, _ = project_constant_modulus(kkt_recover(sys.M, sys.b, dual)[0])
+                assert np.max(np.abs(out.gamma_hat.values - ref)) < 1e-6
+                # The certified cost is the dual optimum.
+                assert abs(sol.tau - dual.tau) <= 1e-7 * (1 + abs(dual.tau))
 
 
 class TestClosedFormCertificate:
