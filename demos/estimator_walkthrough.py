@@ -26,7 +26,7 @@ for name in ("cpe", "uls", "nls", "gls", "cis", "genie"):
     out = estimate_frame(name, frame, lookahead, model)
     err = np.sum(np.abs(out.delta_hat.values - delta_true) ** 2)
     dec = error_decomposition(out.delta_hat.values, frame.theta)
-    bits = decode_frame(frame, out.delta_hat.values)
+    bits = decode_frame([frame], [out.delta_hat.values])[0]
     nerr = int(np.count_nonzero(bits != frame.info_bits))
     cost = "-" if out.diagnostics.cost is None else f"{out.diagnostics.cost:.5f}"
     print(f"{name:10s} {err:12.6f} {cost:>11s} {out.diagnostics.geometry_residual:10.2e} "

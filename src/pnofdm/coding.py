@@ -9,17 +9,22 @@ decision depth is the whole block).
 LLR convention: ``llr = log P(bit = 0) / P(bit = 1)``, so positive values
 favor bit 0.
 
-Decoder structure.  A trellis edge emits one of only four coded pairs, so the
+Decoder structure.  One call decodes a block of ``B`` codewords of equal
+length, with the batch on the innermost axis of every array, so each ufunc
+call below does the work of all ``B`` rows at once; a single codeword is the
+``B = 1`` case.  A trellis edge emits one of only four coded pairs, so the
 scores ``-(c1*l1 + c2*l2)`` of all four pairs at every step are computed in
-one pass and gathered once into per-step branch metrics indexed
-``[predecessor k, input bit u, j]``.  The destination states ``j`` and
-``j + 32`` share the predecessors ``2j`` and ``2j + 1`` (a butterfly), so the
-path metrics reshaped to ``(32, 2)`` and transposed line up with those branch
-metrics by broadcasting, and each add-compare-select step is three ufunc
-calls into preallocated buffers.  The comparison is strict: ties go to the
-lower-numbered predecessor ``2j``, which selects the all-zero path on
-all-zero input.  The traceback packs each step's 64 decisions into one
-Python int and follows the chosen predecessors from the zero state.
+one pass, shape ``(T, 4, B)``, and gathered into per-step branch metrics
+indexed ``[predecessor k, input bit u, j, row]``, ``_GATHER_STEPS`` steps at
+a time so the scratch stays small for large blocks.  The destination states
+``j`` and ``j + 32`` share the predecessors ``2j`` and ``2j + 1`` (a
+butterfly), so the ``(64, B)`` path metrics reshaped to ``(32, 2, B)`` and
+transposed line up with those branch metrics by broadcasting, and each
+add-compare-select step is three ufunc calls into preallocated buffers.  The
+comparison is strict: ties go to the lower-numbered predecessor ``2j``,
+which selects the all-zero path on all-zero input, row by row.  The
+traceback packs each row's 64 decisions per step into one ``uint64`` word
+and, once per row, follows the chosen predecessors from the zero state.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ GENERATORS_OCTAL = (0o133, 0o171)
 _MEM = CONSTRAINT_LENGTH - 1
 _NSTATES = 1 << _MEM
 _HALF = _NSTATES // 2  # butterflies per trellis step
+# Trellis steps whose branch metrics are gathered at once: 32 KB per row.
+_GATHER_STEPS = 32
 
 # Tap vectors, most recent bit first (delay 0 .. 6).
 _TAPS1 = np.array([(GENERATORS_OCTAL[0] >> (CONSTRAINT_LENGTH - 1 - i)) & 1 for i in range(CONSTRAINT_LENGTH)])
@@ -96,46 +103,57 @@ def conv_encode(bits) -> np.ndarray:
 
 
 def viterbi_decode_soft(llrs) -> np.ndarray:
-    """ML decode soft LLRs of a zero-terminated codeword.
+    """ML decode soft LLRs of zero-terminated codewords.
 
-    ``llrs`` must contain one finite value per coded bit (even length).  The
-    path score accumulates ``-sum(c * llr)`` over coded bits ``c``, maximized
-    over the terminated trellis; ties are broken deterministically toward the
-    lower-numbered predecessor, which selects the all-zero path on all-zero
-    input.  Returns the information bits with the six tail bits removed.
+    ``llrs`` holds one finite value per coded bit: shape ``(2T,)`` for one
+    codeword, or ``(B, 2T)`` for ``B`` codewords of equal length, one per
+    row.  The path score accumulates ``-sum(c * llr)`` over coded bits ``c``,
+    maximized over the terminated trellis; ties are broken deterministically
+    toward the lower-numbered predecessor, which selects the all-zero path on
+    all-zero input.  Returns the information bits with the six tail bits
+    removed: shape ``(T - 6,)`` or ``(B, T - 6)``.
     """
-    llrs = np.asarray(llrs, dtype=float).ravel()
-    if llrs.size % 2 != 0:
+    llrs = np.asarray(llrs, dtype=float)
+    if llrs.ndim not in (1, 2):
+        raise ValueError("llrs must be one codeword (2T,) or a block (B, 2T)")
+    block = np.atleast_2d(llrs)
+    n_rows, n_llrs = block.shape
+    if n_llrs % 2 != 0:
         raise ValueError("llr length must be even")
-    n_steps = llrs.size // 2
+    n_steps = n_llrs // 2
     if n_steps < _MEM:
         raise ValueError("codeword shorter than the flush tail")
-    if not np.isfinite(llrs).all():
+    if not np.isfinite(block).all():
         raise ValueError("llrs must be finite")
 
-    l1 = llrs[0::2, None]
-    l2 = llrs[1::2, None]
-    gamma = -(_PAIR_C1 * l1 + _PAIR_C2 * l2)  # (T, 4)
-    metrics = gamma[:, _EDGE_PAIR]  # (T, k, u, 32)
+    l1 = block[:, 0::2].T[:, None, :]
+    l2 = block[:, 1::2].T[:, None, :]
+    gamma = -(_PAIR_C1[:, None] * l1 + _PAIR_C2[:, None] * l2)  # (T, 4, B)
 
-    pm = np.full(_NSTATES, -np.inf)
+    pm = np.full((_NSTATES, n_rows), -np.inf)
     pm[0] = 0.0
-    pm_by_pred = pm.reshape(_HALF, 2).T[:, None, :]  # [k, 1, j] = pm[2j + k]
-    pm_next = pm.reshape(2, _HALF)  # [u, j] = pm[u*32 + j]
-    cand = np.empty((2, 2, _HALF))
+    pm_by_pred = pm.reshape(_HALF, 2, n_rows).transpose(1, 0, 2)[:, None]  # [k, 1, j, b] = pm[2j + k, b]
+    pm_next = pm.reshape(2, _HALF, n_rows)  # [u, j, b] = pm[u*32 + j, b]
+    cand = np.empty((2, 2, _HALF, n_rows))
     cand0, cand1 = cand
-    choices = np.empty((n_steps, 2, _HALF), dtype=bool)
-    for metric, choice in zip(metrics, choices):
-        np.add(pm_by_pred, metric, out=cand)
-        np.greater(cand1, cand0, out=choice)
-        np.maximum(cand0, cand1, out=pm_next)
+    choices = np.empty((n_steps, 2, _HALF, n_rows), dtype=bool)
+    for t0 in range(0, n_steps, _GATHER_STEPS):
+        metrics = gamma[t0 : t0 + _GATHER_STEPS, _EDGE_PAIR]  # (steps, k, u, 32, B)
+        for metric, choice in zip(metrics, choices[t0 : t0 + _GATHER_STEPS]):
+            np.add(pm_by_pred, metric, out=cand)
+            np.greater(cand1, cand0, out=choice)
+            np.maximum(cand0, cand1, out=pm_next)
 
-    # Bit s of took1[t] is set when state s took predecessor 2(s mod 32) + 1.
-    took1 = np.packbits(choices.reshape(n_steps, _NSTATES), axis=1, bitorder="little")
-    took1 = took1.view("<u8").ravel().tolist()
-    state = 0  # terminated codeword ends in the zero state
-    decoded = [0] * n_steps
-    for t in range(n_steps - 1, -1, -1):
-        decoded[t] = state >> (_MEM - 1)
-        state = ((state & (_HALF - 1)) << 1) | ((took1[t] >> state) & 1)
-    return np.array(decoded[: n_steps - _MEM], dtype=int)
+    # Bit s of took1[b, t] is set when state s of row b took predecessor
+    # 2(s mod 32) + 1 at step t.
+    took1 = np.packbits(choices.reshape(n_steps, _NSTATES, n_rows), axis=1, bitorder="little")
+    took1 = np.ascontiguousarray(took1.transpose(2, 0, 1)).view("<u8")[..., 0]
+    decoded = np.empty((n_rows, n_steps - _MEM), dtype=int)
+    bits = [0] * n_steps
+    for row, words in zip(decoded, took1.tolist()):
+        state = 0  # terminated codeword ends in the zero state
+        for t in range(n_steps - 1, -1, -1):
+            bits[t] = state >> (_MEM - 1)
+            state = ((state & (_HALF - 1)) << 1) | ((words[t] >> state) & 1)
+        row[:] = bits[: n_steps - _MEM]
+    return decoded if llrs.ndim == 2 else decoded[0]

@@ -1,12 +1,14 @@
-"""Gray-mapped 16-QAM with max-log per-bit LLR demapping.
+"""16-QAM mapper with max-log per-bit LLR demapping.
 
 Bit-to-level table (per axis, two bits, first bit is the MSB):
 
-    00 -> +1,  01 -> +3,  11 -> -3,  10 -> -1      (in units of 1/sqrt(10))
+    00 -> +1,  01 -> +3,  10 -> -3,  11 -> -1      (in units of 1/sqrt(10))
 
 The first two bits of a 4-bit group select the in-phase level and the last
 two the quadrature level, so ``0000`` maps to ``(1 + 1j)/sqrt(10)``.  Average
-symbol energy is 1.  Adjacent levels differ in exactly one bit (Gray).
+symbol energy is 1.  This table is not Gray: the neighbouring levels ``-1``
+(``11``) and ``+1`` (``00``) differ in both bits.  Making it Gray changes
+every BER figure and is tracked as item 6 of the ROADMAP.
 
 LLRs follow the ``log P(0)/P(1)`` convention of :mod:`pnofdm.coding` and use
 the max-log approximation, which is exact per real axis for this separable
@@ -17,21 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["qam16_levels", "qam16_llr", "qam16_map"]
+__all__ = ["qam16_llr", "qam16_map"]
 
 _LEVELS = np.array([1.0, 3.0, -3.0, -1.0]) / np.sqrt(10.0)
-# Level index sets per bit value: bit 0 (axis MSB) and bit 1 (axis LSB).
-_SET0 = {0: np.array([0, 1]), 1: np.array([2, 3])}
-_SET1 = {0: np.array([0, 2]), 1: np.array([1, 3])}
-
-
-def qam16_levels() -> np.ndarray:
-    """The per-axis level table indexed by the 2-bit value (MSB first)."""
-    return _LEVELS.copy()
 
 
 def qam16_map(bits) -> np.ndarray:
-    """Map bits (length divisible by 4) to unit-energy Gray 16-QAM symbols."""
+    """Map bits (length divisible by 4) to unit-energy 16-QAM symbols."""
     bits = np.asarray(bits, dtype=int).ravel()
     if bits.size % 4 != 0:
         raise ValueError("bit count must be divisible by 4")
@@ -66,21 +60,10 @@ def qam16_llr(y, gain, noise_var) -> np.ndarray:
     g2 = np.abs(gain) ** 2
     z = np.conj(gain) * y
     # |y - gain*s|^2 splits per axis: g2*a^2 - 2*Re(z)*a + (const), same for Im.
-    metric_i = g2[:, None] * _LEVELS**2 - 2 * z.real[:, None] * _LEVELS
-    metric_q = g2[:, None] * _LEVELS**2 - 2 * z.imag[:, None] * _LEVELS
-
-    def bit_llr(metric, sets):
-        m1 = metric[:, sets[1]].min(axis=1)
-        m0 = metric[:, sets[0]].min(axis=1)
-        return (m1 - m0) / noise_var
-
-    llrs = np.stack(
-        [
-            bit_llr(metric_i, _SET0),
-            bit_llr(metric_i, _SET1),
-            bit_llr(metric_q, _SET0),
-            bit_llr(metric_q, _SET1),
-        ],
-        axis=1,
-    )
-    return llrs.ravel()
+    # metric[n, axis, level], axis 0 in-phase and 1 quadrature.
+    z_axes = z.view(float).reshape(-1, 2)  # [Re z, Im z] per sample
+    metric = g2[:, None, None] * _LEVELS**2 - 2 * z_axes[:, :, None] * _LEVELS
+    m00, m01, m10, m11 = np.moveaxis(metric, 2, 0)  # by the level's two bits
+    msb = np.minimum(m10, m11) - np.minimum(m00, m01)
+    lsb = np.minimum(m01, m11) - np.minimum(m00, m10)
+    return (np.stack([msb, lsb], axis=2) / noise_var).ravel()

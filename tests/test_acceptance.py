@@ -58,10 +58,12 @@ def mc30():
     costs = {n: np.zeros(frames) for n in ("uls", "nls", "gls")}
     residuals = {n: np.zeros(frames) for n in ("nls", "gls")}
     for i, (f0, results) in enumerate(simulate(LinkConfig(snr_db=30.0), names, frames, 190230)):
-        for name, (out, flagged) in results.items():
+        # One decoder block per frame: the frame under each estimator's estimate.
+        estimates = [out.delta_hat.values for out, _ in results.values()]
+        decoded = decode_frame([f0] * len(estimates), estimates)
+        for (name, (out, flagged)), bits in zip(results.items(), decoded):
             assert not flagged, f"{name} failed on frame {i} and fell back to cpe"
-            decoded = decode_frame(f0, out.delta_hat.values)
-            errors[name][i] = int(np.count_nonzero(decoded != f0.info_bits))
+            errors[name][i] = int(np.count_nonzero(bits != f0.info_bits))
             if name in costs:
                 costs[name][i] = out.diagnostics.cost
             if name in residuals:

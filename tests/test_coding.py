@@ -96,9 +96,17 @@ class TestViterbi:
         assert np.array_equal(viterbi_decode_soft(noisy), bits)
 
     def test_output_dtype_and_shape(self):
-        out = viterbi_decode_soft(np.ones((2, 40)))  # any shape is read flat
+        # 1-D input is one codeword; 2-D input is one codeword per row.
+        out = viterbi_decode_soft(np.ones(40))
         assert out.dtype == np.dtype(int)
-        assert out.shape == (34,)
+        assert out.shape == (14,)
+        out = viterbi_decode_soft(np.ones((2, 40)))
+        assert out.dtype == np.dtype(int)
+        assert out.shape == (2, 14)
+
+    def test_rejects_higher_rank_input(self):
+        with pytest.raises(ValueError, match="block"):
+            viterbi_decode_soft(np.ones((2, 2, 40)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_llrs(self, bad):
@@ -112,6 +120,45 @@ class TestViterbi:
             viterbi_decode_soft(np.ones(13))
         with pytest.raises(ValueError, match="flush tail"):
             viterbi_decode_soft(np.ones(10))
+
+
+class TestBlockDecode:
+    """A 2-D call decodes each row exactly as a 1-D call on that row."""
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 17])
+    def test_rows_match_single_decodes(self, n_rows):
+        rng = np.random.default_rng(300 + n_rows)
+        bits = rng.integers(0, 2, (n_rows, LINK_INFO_BITS))
+        coded = np.array([conv_encode(row) for row in bits])
+        # Integer LLRs at mixed noise levels exercise the tie-break per row.
+        sigma = rng.choice([0.7, 1.5, 4.0], size=(n_rows, 1))
+        llrs = np.round(to_llrs(coded, 1.0) + sigma * rng.standard_normal(coded.shape))
+        decoded = viterbi_decode_soft(llrs)
+        assert decoded.shape == (n_rows, LINK_INFO_BITS)
+        for row, got in zip(llrs, decoded):
+            assert np.array_equal(got, viterbi_decode_soft(row))
+
+    def test_all_zero_rows_among_noisy_rows(self):
+        rng = np.random.default_rng(310)
+        llrs = rng.normal(0.0, 2.0, (5, 2 * (LINK_INFO_BITS + 6)))
+        llrs[[0, 2, 4]] = 0.0
+        decoded = viterbi_decode_soft(llrs)
+        assert not decoded[[0, 2, 4]].any()
+        for row in (1, 3):
+            assert np.array_equal(decoded[row], reference_decode(llrs[row]))
+
+    @pytest.mark.parametrize("row", [0, 2, 3])
+    def test_rejects_non_finite_value_in_any_row(self, row):
+        llrs = np.ones((4, 40))
+        llrs[row, 11] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            viterbi_decode_soft(llrs)
+
+    def test_block_checks_length_and_tail(self):
+        with pytest.raises(ValueError, match="even"):
+            viterbi_decode_soft(np.ones((3, 13)))
+        with pytest.raises(ValueError, match="flush tail"):
+            viterbi_decode_soft(np.ones((3, 10)))
 
 
 class TestViterbiMatchesReference:

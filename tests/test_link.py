@@ -176,8 +176,9 @@ class TestFramePair:
         noise = f0.r - apply_phase_noise(w, f0.theta)
         clean = w + compensate(noise, spectral_vector(f0.theta).values)
         assert np.max(np.abs(y - clean)) < 1e-12
-        d1 = decode_frame(f0, spectral_vector(f0.theta).values)
-        assert np.array_equal(d1, f0.info_bits)
+        d1 = decode_frame([f0], [spectral_vector(f0.theta).values])
+        assert d1.shape == (1, f0.info_bits.size)
+        assert np.array_equal(d1[0], f0.info_bits)
 
     def test_unit_symbol_energy(self):
         cfg = LinkConfig()
@@ -221,9 +222,11 @@ class TestSimulate:
         names = ("cpe", "cis", "uls", "nls", "gls")
         errors = {name: [] for name in names}
         for frame, results in simulate(cfg, names, 5, 77):
-            for name, (out, _) in results.items():
-                decoded = decode_frame(frame, out.delta_hat.values)
-                errors[name].append(int(np.count_nonzero(decoded != frame.info_bits)))
+            # One block: the same frame under each estimator's estimate.
+            estimates = [out.delta_hat.values for out, _ in results.values()]
+            decoded = decode_frame([frame] * len(estimates), estimates)
+            for name, bits in zip(results, decoded):
+                errors[name].append(int(np.count_nonzero(bits != frame.info_bits)))
         assert sum(errors["cpe"]) > 0
         for name in names:
             assert np.array_equal(run_link(cfg, name, 5, 77).frame_errors, errors[name])
@@ -255,6 +258,24 @@ class TestSimulate:
         with pytest.raises(ValueError, match="read-only"):
             models[0].Ttilde[0, 0] = 0.0
 
+    def test_block_boundaries_match_frame_by_frame_decode(self):
+        # Two full blocks would hide a lost or reordered final partial block.
+        cfg = LinkConfig(snr_db=12.0)
+        n_frames = link.DECODE_BLOCK + 3
+        expected = []
+        for frame, results in simulate(cfg, ("uls",), n_frames, 31):
+            out, _ = results["uls"]
+            decoded = decode_frame([frame], [out.delta_hat.values])[0]
+            expected.append(int(np.count_nonzero(decoded != frame.info_bits)))
+        assert sum(expected) > 0
+        rec = run_link(cfg, "uls", n_frames, 31)
+        assert np.array_equal(rec.frame_errors, expected)
+
+    def test_decode_frame_rejects_unpaired_estimates(self):
+        f0, _ = make_frame_pair(LinkConfig(), 17)
+        with pytest.raises(ValueError):
+            decode_frame([f0, f0], [spectral_vector(f0.theta).values])
+
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError, match="trials must be positive"):
             run_link(LinkConfig(), "uls", 0, 1)
@@ -276,16 +297,17 @@ class TestTraceSeams:
                  "qam16_llr", "viterbi_decode_soft", "estimate_frame")
         for name in names:
             monkeypatch.setattr(link, name, counting(name, getattr(link, name)))
-        run_link(LinkConfig(), "uls", 2, 5)
+        n_frames = link.DECODE_BLOCK + 2  # one full block and one partial block
+        run_link(LinkConfig(), "uls", n_frames, 5)
         assert calls == {
-            "make_frame_pair": 2,
-            "conv_encode": 4,  # both symbols of each pair
-            "qam16_map": 4,
-            "decode_frame": 2,
-            "compensate": 2,
-            "qam16_llr": 2,
-            "viterbi_decode_soft": 2,
-            "estimate_frame": 2,
+            "make_frame_pair": n_frames,
+            "conv_encode": 2 * n_frames,  # both symbols of each pair
+            "qam16_map": 2 * n_frames,
+            "decode_frame": 2,  # once per block
+            "compensate": n_frames,
+            "qam16_llr": n_frames,
+            "viterbi_decode_soft": 2,  # once per block
+            "estimate_frame": n_frames,
         }
 
 

@@ -3,7 +3,22 @@
 import numpy as np
 import pytest
 
-from pnofdm.qam import qam16_levels, qam16_llr, qam16_map
+from pnofdm.qam import qam16_llr, qam16_map
+
+
+WORDS = np.array([[b >> 3 & 1, b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(16)])
+
+
+def neighbour_bit_flips():
+    """``(a, b, bits that differ)`` for every pair of ``qam16_map`` symbols
+    one level apart on one axis, in units of ``1/sqrt(10)``."""
+    s = qam16_map(WORDS.ravel()) * np.sqrt(10)
+    return [
+        (s[i], s[j], int(np.count_nonzero(WORDS[i] != WORDS[j])))
+        for i in range(16)
+        for j in range(i + 1, 16)
+        if np.isclose(abs(s[i] - s[j]), 2.0)
+    ]
 
 
 class TestMapper:
@@ -11,18 +26,19 @@ class TestMapper:
         assert qam16_map([0, 0, 0, 0])[0] == pytest.approx((1 + 1j) / np.sqrt(10))
 
     def test_unit_average_energy(self):
-        # all 16 symbols once
-        bits = np.array([[b >> 3 & 1, b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(16)])
-        s = qam16_map(bits.ravel())
+        s = qam16_map(WORDS.ravel())  # all 16 symbols once
         assert np.mean(np.abs(s) ** 2) == pytest.approx(1.0)
 
     def test_gray_adjacency(self):
-        # adjacent levels differ in exactly one bit
-        order = np.argsort(qam16_levels())
-        codes = [(0, 0), (0, 1), (1, 1), (1, 0)]
-        for a, b in zip(order[:-1], order[1:]):
-            diff = sum(x != y for x, y in zip(codes[a], codes[b]))
-            assert diff == 1
+        # Neighbouring symbols differ in one bit, except across zero on an
+        # axis, where -1 (11) and +1 (00) differ in both (ROADMAP item 6).
+        for a, b, flips in neighbour_bit_flips():
+            across_zero = a.real * b.real < 0 or a.imag * b.imag < 0
+            assert flips == (2 if across_zero else 1), (a, b)
+
+    @pytest.mark.xfail(strict=True, reason="the mapper is not Gray across zero; ROADMAP item 6")
+    def test_mapper_is_gray(self):
+        assert all(flips == 1 for _, _, flips in neighbour_bit_flips())
 
     def test_length_check(self):
         with pytest.raises(ValueError):
@@ -59,3 +75,18 @@ class TestDemapper:
     def test_rejects_bad_noise_var(self):
         with pytest.raises(ValueError):
             qam16_llr(np.array([1 + 1j]), 1.0, 0.0)
+
+    def test_matches_brute_force_max_log(self):
+        # Max-log over all 16 points: llr_i = (min over s with bit i = 1 of
+        # |y - g s|^2 - min over s with bit i = 0) / noise_var.
+        points = qam16_map(WORDS.ravel())
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        gain = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        dist = np.abs(y[:, None] - gain[:, None] * points) ** 2  # (50, 16)
+        expected = np.stack(
+            [(dist[:, WORDS[:, i] == 1].min(axis=1) - dist[:, WORDS[:, i] == 0].min(axis=1)) / 0.3
+             for i in range(4)],
+            axis=1,
+        ).ravel()
+        assert np.allclose(qam16_llr(y, gain, 0.3), expected, rtol=1e-9, atol=1e-9)
