@@ -15,7 +15,7 @@ from pnofdm.link import LinkConfig, decode_frame, make_frame_pair, make_model
 cfg = LinkConfig(snr_db=30.0, rho=0.02)
 model = make_model(cfg)
 frame, lookahead = make_frame_pair(cfg, seed=2024)
-delta_true = spectral_vector(frame.theta).values
+delta_true = spectral_vector(frame.theta)
 
 print(f"frame: {cfg.n_c} subcarriers, pilots at {frame.pilot_idx.tolist()}")
 print(f"info bits {frame.info_bits.size}, noise variance {frame.sigma2:.2e}\n")
@@ -24,9 +24,9 @@ print(f"{'estimator':10s} {'|d_hat-d|^2':>12s} {'pilot cost':>11s} "
       f"{'geo resid':>10s} {'max|1-kappa|':>13s} {'med|omega|':>11s} {'bit err':>8s}")
 for name in ("cpe", "uls", "nls", "gls", "cis", "genie"):
     out = estimate_frame(name, frame, lookahead, model)
-    err = np.sum(np.abs(out.delta_hat.values - delta_true) ** 2)
-    dec = error_decomposition(out.delta_hat.values, frame.theta)
-    bits = decode_frame([frame], [out.delta_hat.values])[0]
+    err = np.sum(np.abs(out.delta_hat - delta_true) ** 2)
+    dec = error_decomposition(out.delta_hat, frame.theta)
+    bits = decode_frame([frame], [out.delta_hat])[0]
     nerr = int(np.count_nonzero(bits != frame.info_bits))
     cost = "-" if out.diagnostics.cost is None else f"{out.diagnostics.cost:.5f}"
     print(f"{name:10s} {err:12.6f} {cost:>11s} {out.diagnostics.geometry_residual:10.2e} "

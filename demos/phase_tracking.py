@@ -21,9 +21,9 @@ traces = {"true": np.unwrap(frame.theta)}
 for t_kind, name in (("lft", "uls"), ("ppt", "uls"), ("ppt", "gls")):
     model = make_model(LinkConfig(snr_db=30.0, rho=0.02, t_kind=t_kind))
     out = estimate_frame(name, frame, lookahead, model)
-    traces[f"{name}/{t_kind}"] = np.unwrap(phase_trajectory(out.delta_hat.values))
+    traces[f"{name}/{t_kind}"] = np.unwrap(phase_trajectory(out.delta_hat))
 out = estimate_frame("cis", frame, lookahead, None)
-traces["cis"] = np.unwrap(phase_trajectory(out.delta_hat.values))
+traces["cis"] = np.unwrap(phase_trajectory(out.delta_hat))
 
 # Align everything to the true trace modulo 2*pi for display.
 ref = traces["true"]

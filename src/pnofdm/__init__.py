@@ -9,7 +9,7 @@ estimate and the coded error rate.
 Layout:
 
 * :mod:`pnofdm.spectral`: the unitary DFT, the shift-form table and the geometry residual.
-* :mod:`pnofdm.phasenoise`: Wiener trajectories and spectral vectors.
+* :mod:`pnofdm.phasenoise`: Wiener trajectories and spectral vectors, both plain arrays.
 * :mod:`pnofdm.dimred`: low-frequency and geometry-preserving reduction models.
 * :mod:`pnofdm.estimators`: the five pilot-based estimators and diagnostics.
 * :mod:`pnofdm.sdp`: the local certificate and the dual semidefinite program behind the constrained fit.
@@ -36,11 +36,7 @@ from .estimators import (
     uls,
 )
 from .link import LinkConfig, OfdmFrame, compensate, make_frame_pair, run_link
-from .phasenoise import (
-    SpectralVector,
-    spectral_vector,
-    wiener_realization,
-)
+from .phasenoise import spectral_vector, wiener_realization
 from .sdp import SdpSolution, assemble_lmi, certify_local, kkt_recover, solve_dual
 from .spectral import (
     GeometryResidual,
@@ -59,7 +55,6 @@ __all__ = [
     "LsSystem",
     "OfdmFrame",
     "SdpSolution",
-    "SpectralVector",
     "__version__",
     "assemble_lmi",
     "build_ls_system",

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasenoise import SpectralVector, _values
 from .spectral import dft_matrix
 
 __all__ = [
@@ -139,14 +138,15 @@ def validate_ppt(Ttilde, tol: float = PPT_TOL) -> PptValidation:
     return PptValidation(unitarity, off_diagonal, trace_sum, tol, passed)
 
 
-def lift(model: DimRedModel, gamma) -> SpectralVector:
-    """Lift a reduced spectrum: ``delta = T @ gamma``.
+def lift(model: DimRedModel, gamma) -> np.ndarray:
+    """Lift a reduced spectrum: ``delta = T @ gamma``, as a plain array.
 
     For a valid geometry-preserving model and a ``gamma`` on the reduced
     geometry, the output lies on the full geometry; for an LFT it generally
-    does not.
+    does not.  Raises ``ValueError`` when ``gamma`` does not have the
+    model's reduced length.
     """
-    g = _values(gamma)
+    g = np.asarray(gamma, dtype=complex)
     if g.size != model.n:
         raise ValueError(f"gamma has length {g.size}, model expects {model.n}")
-    return SpectralVector.from_values(model.T @ g)
+    return model.T @ g

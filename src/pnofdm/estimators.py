@@ -33,6 +33,9 @@ Five estimators are provided:
     Linear interpolation between the common-phase angles of two consecutive
     symbols, anchored at the symbol midpoints.
 
+Every estimator returns an :class:`EstimatorOutput` of plain arrays, built
+by one constructor that evaluates the geometry residual once, on ``delta``.
+
 ``error_decomposition`` splits any estimate into per-sample amplitude factors
 ``kappa``, phase errors ``omega``, and the closed-form total error they
 induce; ``c_matrix`` reconstructs the exact linear map relating the
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dimred import DimRedModel, lift
-from .phasenoise import SpectralVector, _values, spectral_vector
+from .phasenoise import spectral_vector
 from .sdp import SolverError, certify_local, kkt_recover, solve_dual
 from .spectral import dft_matrix, geometry_residual
 
@@ -100,13 +103,9 @@ class LsSystem:
     def n(self) -> int:
         return self.b.size
 
-    def cost_gamma(self, gamma, model: DimRedModel) -> float:
-        """Full cost ``J`` at a reduced estimate (lifted through the model)."""
-        return self.cost_delta(model.T @ _values(gamma))
-
     def cost_delta(self, delta) -> float:
         """Full cost ``||K R delta - w_p||^2`` at a full-length estimate."""
-        resid = self.pilot_rows @ _values(delta) - self.w_p
+        resid = self.pilot_rows @ delta - self.w_p
         return float(np.real(resid.conj() @ resid))
 
 
@@ -155,11 +154,23 @@ class EstimatorDiagnostics:
 
 @dataclass(frozen=True)
 class EstimatorOutput:
-    """Reduced and full-length estimates plus solver metadata."""
+    """Reduced and full-length estimates plus solver metadata.
 
-    gamma_hat: SpectralVector | None
-    delta_hat: SpectralVector
+    ``delta_hat`` is the full-length complex spectrum and ``gamma_hat`` the
+    reduced one (``None`` for ``cpe``, ``cis`` and ``genie``, which have no
+    reduced form); both are plain arrays.  ``diagnostics.geometry_residual``
+    is ``geometry_residual(delta_hat).max_abs``.
+    """
+
+    gamma_hat: np.ndarray | None
+    delta_hat: np.ndarray
     diagnostics: EstimatorDiagnostics
+
+
+def _output(method, gamma, delta, cost=None, **diagnostics) -> EstimatorOutput:
+    """Build an estimator's output; the geometry residual is computed here, once."""
+    residual = geometry_residual(delta).max_abs
+    return EstimatorOutput(gamma, delta, EstimatorDiagnostics(cost, residual, method, **diagnostics))
 
 
 def project_constant_modulus(gamma):
@@ -172,7 +183,7 @@ def project_constant_modulus(gamma):
 
     Returns ``(projected, n_zero_samples)``.
     """
-    g = _values(gamma)
+    g = np.asarray(gamma, dtype=complex)
     u = np.fft.ifft(g)
     mag = np.abs(u)
     zero = mag == 0.0
@@ -203,17 +214,7 @@ def uls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     """Unconstrained least-squares estimate ``g = M^{-1} b``, ``delta = T g``."""
     gamma, cond, flags = _uls_gamma(sys)
     delta = lift(model, gamma)
-    return EstimatorOutput(
-        SpectralVector.from_values(gamma),
-        delta,
-        EstimatorDiagnostics(
-            cost=sys.cost_gamma(gamma, model),
-            geometry_residual=delta.residual_max,
-            method="uls",
-            flags=flags,
-            condition=cond,
-        ),
-    )
+    return _output("uls", gamma, delta, sys.cost_delta(delta), flags=flags, condition=cond)
 
 
 def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
@@ -229,23 +230,11 @@ def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
         gamma, n_zero = project_constant_modulus(gamma_ls)
         delta = lift(model, gamma)
     else:
-        delta_ls = model.T @ gamma_ls
-        values, n_zero = project_constant_modulus(delta_ls)
-        delta = SpectralVector.from_values(values)
-        gamma = model.T.conj().T @ values  # reduced coefficients of the projection
+        delta, n_zero = project_constant_modulus(model.T @ gamma_ls)
+        gamma = model.T.conj().T @ delta  # reduced coefficients of the projection
     if n_zero:
         flags = flags + (f"zero_time_samples:{n_zero}",)
-    return EstimatorOutput(
-        SpectralVector.from_values(gamma),
-        delta,
-        EstimatorDiagnostics(
-            cost=sys.cost_delta(delta.values),
-            geometry_residual=delta.residual_max,
-            method="nls",
-            flags=flags,
-            condition=cond,
-        ),
-    )
+    return _output("nls", gamma, delta, sys.cost_delta(delta), flags=flags, condition=cond)
 
 
 def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
@@ -295,20 +284,10 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
         if n_zero:
             flags = flags + (f"zero_time_samples:{n_zero}",)
     delta = lift(model, gamma)
-    cost = sys.cost_gamma(gamma, model)
-    return EstimatorOutput(
-        SpectralVector.from_values(gamma),
-        delta,
-        EstimatorDiagnostics(
-            cost=cost,
-            geometry_residual=delta.residual_max,
-            method="gls",
-            flags=flags,
-            condition=condition,
-            solver=sol,
-            certified=certified,
-            gap=0.0 if certified else cost - sys.const_term - sol.tau,
-        ),
+    cost = sys.cost_delta(delta)
+    return _output(
+        "gls", gamma, delta, cost, flags=flags, condition=condition, solver=sol,
+        certified=certified, gap=0.0 if certified else cost - sys.const_term - sol.tau,
     )
 
 
@@ -336,21 +315,12 @@ def cpe_only(r, H, pilot_idx, pilot_values) -> EstimatorOutput:
     if c == 0:
         raise EstimationError("pilot fit returned zero")
     n_c = np.asarray(r).size
-    values = np.zeros(n_c, dtype=complex)
-    values[0] = np.conj(c) / abs(c)
-    delta = SpectralVector.from_values(values)
-    return EstimatorOutput(
-        None,
-        delta,
-        EstimatorDiagnostics(
-            cost=None,
-            geometry_residual=delta.residual_max,
-            method="cpe",
-        ),
-    )
+    delta = np.zeros(n_c, dtype=complex)
+    delta[0] = np.conj(c) / abs(c)
+    return _output("cpe", None, delta)
 
 
-def cis(frame_t, frame_t1) -> tuple[np.ndarray, EstimatorOutput]:
+def cis(frame_t, frame_t1) -> EstimatorOutput:
     """Common-phase interpolation across two consecutive symbols.
 
     The pilot scalars of the current and next symbol give mean-phase anchors
@@ -360,8 +330,9 @@ def cis(frame_t, frame_t1) -> tuple[np.ndarray, EstimatorOutput]:
     nearest branch; a wrap beyond ``pi`` is flagged.  Requires the phase
     trajectory to be continuous across the two symbols.
 
-    Returns ``(theta_hat, output)`` with ``output.delta_hat`` the spectral
-    vector of the interpolated trajectory.
+    ``delta_hat`` is the spectral vector of the interpolated trajectory;
+    :func:`pnofdm.phasenoise.phase_trajectory` reads the line back, wrapped
+    to ``(-pi, pi]``.
     """
     c0 = pilot_scalar(frame_t.r, frame_t.H, frame_t.pilot_idx, frame_t.pilot_values)
     c1 = pilot_scalar(frame_t1.r, frame_t1.H, frame_t1.pilot_idx, frame_t1.pilot_values)
@@ -372,18 +343,7 @@ def cis(frame_t, frame_t1) -> tuple[np.ndarray, EstimatorOutput]:
     n_c = np.asarray(frame_t.r).size
     mid = (n_c - 1) / 2.0
     theta_hat = a0 + (diff / n_c) * (np.arange(n_c) - mid)
-    delta = spectral_vector(theta_hat)
-    out = EstimatorOutput(
-        None,
-        delta,
-        EstimatorDiagnostics(
-            cost=None,
-            geometry_residual=delta.residual_max,
-            method="cis",
-            flags=flags,
-        ),
-    )
-    return theta_hat, out
+    return _output("cis", None, spectral_vector(theta_hat), flags=flags)
 
 
 @dataclass(frozen=True)
@@ -413,7 +373,7 @@ class ErrorDecomposition:
 
 def error_decomposition(delta_hat, theta) -> ErrorDecomposition:
     """Amplitude/phase error split of an estimate against the true trajectory."""
-    values = _values(delta_hat)
+    values = np.asarray(delta_hat, dtype=complex)
     th = np.asarray(theta, dtype=float)
     n = values.size
     if th.size != n:
@@ -471,7 +431,7 @@ def c_matrix(model: DimRedModel, pilot_idx, theta, H, s, r, *, check_tol: float 
 
     # Consistency: the map applied to the true delta must reproduce the
     # unconstrained estimate computed from the received vector.
-    delta = spectral_vector(th).values
+    delta = spectral_vector(th)
     sys = build_ls_system(r, H, pilot_idx, s[pilot_idx], model)
     gamma, _, _ = _uls_gamma(sys)
     delta_uls = model.T @ gamma
@@ -500,12 +460,7 @@ def estimate_frame(name: str, frame, next_frame, model: DimRedModel) -> Estimato
     if name == "cis":
         if next_frame is None:
             raise EstimationError("cis requires the next symbol")
-        return cis(frame, next_frame)[1]
+        return cis(frame, next_frame)
     if name == "genie":
-        delta = spectral_vector(frame.theta)
-        return EstimatorOutput(
-            None,
-            delta,
-            EstimatorDiagnostics(None, delta.residual_max, "genie"),
-        )
+        return _output("genie", None, spectral_vector(frame.theta))
     raise ValueError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_IDS}")

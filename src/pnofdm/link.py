@@ -390,7 +390,7 @@ def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
         frames = [frame for frame, _ in block]
         outputs = [results[estimator] for _, results in block]
         flagged += sum(bad for _, bad in outputs)
-        decoded = decode_frame(frames, [out.delta_hat.values for out, _ in outputs])
+        decoded = decode_frame(frames, [out.delta_hat for out, _ in outputs])
         for frame, bits in zip(frames, decoded):
             errors.append(int(np.count_nonzero(bits != frame.info_bits)))
     errors = np.array(errors)

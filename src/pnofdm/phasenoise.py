@@ -12,23 +12,20 @@ geometry (see :mod:`pnofdm.spectral`).  Its zeroth component is the common
 phase error (CPE), the rotation shared by all subcarriers.
 
 Trajectories are plain arrays of radians: :func:`wiener_realization` returns
-one, and every function that takes a trajectory takes an array.
+one, and every function that takes a trajectory takes an array.  Spectra are
+plain arrays too: :func:`spectral_vector` returns the complex ``delta``, and
+its geometry residual is :func:`pnofdm.spectral.geometry_residual`, computed
+only where it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .spectral import GEOMETRY_TOL, geometry_residual
 
 __all__ = [
     "WIENER_VARIANCE_FACTOR",
-    "SpectralVector",
     "phase_trajectory",
     "spectral_vector",
-    "time_samples",
     "wiener_realization",
 ]
 
@@ -61,27 +58,8 @@ def _wiener_path(rng, n, step_variance, theta0):
     return theta0 + np.concatenate(([0.0], np.cumsum(steps)))
 
 
-@dataclass(frozen=True)
-class SpectralVector:
-    """A complex spectrum with cached geometry-residual metadata."""
-
-    values: np.ndarray
-    geometry_ok: bool
-    residual_max: float
-
-    @classmethod
-    def from_values(cls, values, tol: float = GEOMETRY_TOL) -> "SpectralVector":
-        values = np.asarray(values, dtype=complex)
-        res = geometry_residual(values)
-        return cls(values, bool(res.max_abs < tol), res.max_abs)
-
-
-def _values(v) -> np.ndarray:
-    return v.values if isinstance(v, SpectralVector) else np.asarray(v, dtype=complex)
-
-
-def spectral_vector(theta) -> SpectralVector:
-    """Map a phase trajectory to its spectral vector.
+def spectral_vector(theta) -> np.ndarray:
+    """Map a phase trajectory to its spectral vector ``fft(exp(-1j*theta))/n``.
 
     ``theta`` is an array of radians.  The result has unit norm and
     vanishing geometry residuals for every ``theta`` (constant-modulus time
@@ -90,19 +68,14 @@ def spectral_vector(theta) -> SpectralVector:
     th = np.asarray(theta, float)
     if th.ndim != 1 or th.size == 0:
         raise ValueError("theta must be a non-empty 1-D vector")
-    values = np.fft.fft(np.exp(-1j * th)) / th.size
-    return SpectralVector.from_values(values)
-
-
-def time_samples(delta) -> np.ndarray:
-    """Inverse transform of a spectral vector.
-
-    For ``delta = spectral_vector(theta)`` this recovers
-    ``exp(-1j*theta[m]) / n`` exactly.
-    """
-    return np.fft.ifft(_values(delta))
+    return np.fft.fft(np.exp(-1j * th)) / th.size
 
 
 def phase_trajectory(delta) -> np.ndarray:
-    """Phase trajectory read off a spectral vector: ``-angle(time_samples)``."""
-    return -np.angle(time_samples(delta))
+    """Phase trajectory read off a spectral vector: ``-angle(ifft(delta))``.
+
+    For ``delta = spectral_vector(theta)`` the inverse transform is
+    ``exp(-1j*theta) / n``, so this recovers ``theta`` wrapped to
+    ``(-pi, pi]``.
+    """
+    return -np.angle(np.fft.ifft(delta))

@@ -59,7 +59,7 @@ def mc30():
     residuals = {n: np.zeros(frames) for n in ("nls", "gls")}
     for i, (f0, results) in enumerate(simulate(LinkConfig(snr_db=30.0), names, frames, 190230)):
         # One decoder block per frame: the frame under each estimator's estimate.
-        estimates = [out.delta_hat.values for out, _ in results.values()]
+        estimates = [out.delta_hat for out, _ in results.values()]
         decoded = decode_frame([f0] * len(estimates), estimates)
         for (name, (out, flagged)), bits in zip(results.items(), decoded):
             assert not flagged, f"{name} failed on frame {i} and fell back to cpe"
@@ -77,7 +77,7 @@ def test_criterion_1_geometry_construction():
     for n_c in (16, 64):
         for trial in range(100):
             theta = wiener_realization(n_c, 0.05, 51_000 + trial)
-            worst = max(worst, spectral_vector(theta).residual_max)
+            worst = max(worst, geometry_residual(spectral_vector(theta)).max_abs)
     report(1, worst < 1e-12, f"max geometry residual over 200 trajectories: {worst:.2e}")
 
 
@@ -90,7 +90,7 @@ def test_criterion_2_ppt_validity_and_preservation():
         worst_cond = max(worst_cond, rep.unitarity, rep.off_diagonal, rep.trace_sum)
         rng = np.random.default_rng(52_000 + n_c)
         for _ in range(100):
-            gamma = spectral_vector(rng.uniform(-np.pi, np.pi, n)).values
+            gamma = spectral_vector(rng.uniform(-np.pi, np.pi, n))
             worst_lift = max(worst_lift, geometry_residual(model.T @ gamma).max_abs)
     passed = worst_cond < 1e-12 and worst_lift < 1e-10
     report(2, passed, f"worst core condition {worst_cond:.2e}, worst lifted residual {worst_lift:.2e}")
@@ -101,8 +101,8 @@ def test_criterion_3_exact_recovery_regime():
     for n_c, seed in ((16, 0), (16, 1), (32, 2), (32, 3)):
         sys, model, theta = noise_free_system(n_c, 53_000 + seed)
         out = uls(sys, model)
-        delta = spectral_vector(theta).values
-        worst = max(worst, np.linalg.norm(out.delta_hat.values - delta) / np.linalg.norm(delta))
+        delta = spectral_vector(theta)
+        worst = max(worst, np.linalg.norm(out.delta_hat - delta) / np.linalg.norm(delta))
     report(3, worst < 1e-8, f"worst relative recovery error (noise-free, all pilots): {worst:.2e}")
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from pnofdm.dimred import default_lft, pc_ppt
 from pnofdm.estimators import (
+    ESTIMATOR_IDS,
     EstimationError,
     build_ls_system,
     c_matrix,
@@ -19,7 +20,8 @@ from pnofdm.estimators import (
     uls,
 )
 from pnofdm.link import LinkConfig, OfdmFrame, apply_phase_noise, make_frame_pair, make_model, pilot_sequence, rayleigh_channel
-from pnofdm.phasenoise import spectral_vector
+from pnofdm.phasenoise import phase_trajectory, spectral_vector
+from pnofdm.spectral import GEOMETRY_TOL, geometry_residual
 from pnofdm.sdp import certify_local
 from pnofdm.sproc import primal_oracle, random_gram_instance
 from pnofdm.estimators import LsSystem
@@ -55,6 +57,23 @@ def desk_frame():
     return cfg, model, f0, f1
 
 
+class TestOutputContract:
+    @pytest.mark.parametrize("name", ESTIMATOR_IDS)
+    def test_plain_arrays_and_delta_residual(self, desk_frame, name):
+        cfg, model, f0, f1 = desk_frame
+        out = estimate_frame(name, f0, f1, model)
+        assert type(out.delta_hat) is np.ndarray
+        assert out.delta_hat.dtype == complex and out.delta_hat.shape == (cfg.n_c,)
+        if name in ("cpe", "cis", "genie"):
+            assert out.gamma_hat is None
+        else:
+            assert type(out.gamma_hat) is np.ndarray
+            assert out.gamma_hat.shape == (cfg.n_est,)
+        # The benchmark's geometry check reads this field.
+        assert out.diagnostics.geometry_residual == geometry_residual(out.delta_hat).max_abs
+        assert out.diagnostics.method == name
+
+
 class TestBuildLsSystem:
     def test_hermitian_psd(self, desk_frame):
         _, model, f0, _ = desk_frame
@@ -64,7 +83,7 @@ class TestBuildLsSystem:
 
     def test_zero_cost_at_truth_full_pilots(self):
         sys, model, theta = noise_free_system(16, 0)
-        delta = spectral_vector(theta).values
+        delta = spectral_vector(theta)
         assert sys.cost_delta(delta) < 1e-20
 
     def test_underdetermined_rejected(self, desk_frame):
@@ -78,14 +97,14 @@ class TestUls:
         for n_c, seed in ((16, 0), (32, 1)):
             sys, model, theta = noise_free_system(n_c, seed)
             out = uls(sys, model)
-            delta = spectral_vector(theta).values
-            rel = np.linalg.norm(out.delta_hat.values - delta) / np.linalg.norm(delta)
+            delta = spectral_vector(theta)
+            rel = np.linalg.norm(out.delta_hat - delta) / np.linalg.norm(delta)
             assert rel < 1e-8
 
     def test_zero_phase_noise_gives_unit_vector(self):
         sys, model, _ = noise_free_system(16, 2, theta=np.zeros(16))
         out = uls(sys, model)
-        assert np.linalg.norm(out.delta_hat.values - np.eye(16)[:, 0]) < 1e-8
+        assert np.linalg.norm(out.delta_hat - np.eye(16)[:, 0]) < 1e-8
 
     def test_geometry_residual_significant_at_desk_scale(self):
         # The unconstrained estimate leaves the geometry set; this is the
@@ -112,12 +131,12 @@ class TestNls:
         sys, model, _ = noise_free_system(16, 3, theta=np.zeros(16))
         out_u = uls(sys, model)
         out_n = nls(sys, model)
-        assert np.linalg.norm(out_n.gamma_hat.values - out_u.gamma_hat.values) < 1e-10
+        assert np.linalg.norm(out_n.gamma_hat - out_u.gamma_hat) < 1e-10
 
     def test_reduced_domain_moduli_constant(self, desk_frame):
         _, model, f0, f1 = desk_frame
         out = estimate_frame("nls", f0, f1, model)
-        x = np.fft.ifft(out.gamma_hat.values) * np.sqrt(model.n)
+        x = np.fft.ifft(out.gamma_hat) * np.sqrt(model.n)
         assert np.max(np.abs(np.abs(x) - 1 / np.sqrt(model.n))) < 1e-13
 
     def test_lft_branch_full_domain_projection(self, desk_frame):
@@ -138,9 +157,9 @@ class TestGls:
         sys, model, theta = noise_free_system(16, 4)
         out_u = uls(sys, model)
         out_g = gls(sys, model)
-        delta = spectral_vector(theta).values
-        assert np.linalg.norm(out_g.delta_hat.values - delta) < 1e-6
-        assert np.linalg.norm(out_g.gamma_hat.values - out_u.gamma_hat.values) < 1e-6
+        delta = spectral_vector(theta)
+        assert np.linalg.norm(out_g.delta_hat - delta) < 1e-6
+        assert np.linalg.norm(out_g.gamma_hat - out_u.gamma_hat) < 1e-6
 
     def test_feasibility_always(self, desk_frame):
         _, model, f0, f1 = desk_frame
@@ -235,8 +254,8 @@ class TestCpeOnly:
         r = apply_phase_noise(H * s, np.full(n_c, phi))
         out = cpe_only(r, H, np.arange(4), s[:4])
         # estimate equals the true spectral vector exp(-1j*phi) * e_0
-        assert abs(out.delta_hat.values[0] - np.exp(-1j * phi)) < 1e-12
-        assert np.max(np.abs(out.delta_hat.values[1:])) == 0
+        assert abs(out.delta_hat[0] - np.exp(-1j * phi)) < 1e-12
+        assert np.max(np.abs(out.delta_hat[1:])) == 0
         # the raw pilot scalar carries the opposite (mean-phase) rotation
         assert abs(pilot_scalar(r, H, np.arange(4), s[:4]) - np.exp(1j * phi)) < 1e-12
 
@@ -246,16 +265,16 @@ class TestCpeOnly:
         _, H = rayleigh_channel(LinkConfig(n_c=n_c), rng)
         s = pilot_sequence(n_c)
         out = cpe_only(H * s, H, np.arange(4), s[:4])
-        assert np.linalg.norm(out.delta_hat.values - np.eye(16)[:, 0]) < 1e-12
+        assert np.linalg.norm(out.delta_hat - np.eye(16)[:, 0]) < 1e-12
 
     def test_tracks_true_cpe_at_30db(self):
         cfg = LinkConfig()
         errs = []
         for child in np.random.SeedSequence(7).spawn(50):
             f0, f1 = make_frame_pair(cfg, child)
-            delta = spectral_vector(f0.theta).values
+            delta = spectral_vector(f0.theta)
             out = cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values)
-            errs.append(abs(np.angle(out.delta_hat.values[0] / delta[0])))
+            errs.append(abs(np.angle(out.delta_hat[0] / delta[0])))
         assert np.median(errs) < 0.05
 
     def test_zero_pilot_power_rejected(self):
@@ -287,25 +306,27 @@ class TestCis:
         n_c = 32
         t = np.arange(2 * n_c)
         theta = 0.3 + 0.004 * t
-        th_hat, out = cis(
+        out = cis(
             _single_carrier_frame(theta[:n_c], n_c), _single_carrier_frame(theta[n_c:], n_c)
         )
+        th_hat = phase_trajectory(out.delta_hat)
         assert np.max(np.abs(th_hat - theta[:n_c])) < 1e-3
-        assert out.delta_hat.geometry_ok
+        assert geometry_residual(out.delta_hat).max_abs < GEOMETRY_TOL
 
     def test_constant_phase(self):
         n_c = 32
-        th_hat, _ = cis(
+        out = cis(
             _single_carrier_frame(np.full(n_c, 0.8), n_c),
             _single_carrier_frame(np.full(n_c, 0.8), n_c),
         )
+        th_hat = phase_trajectory(out.delta_hat)
         assert np.max(np.abs(th_hat - 0.8)) < 1e-12
 
     def test_wrap_flagged(self):
         n_c = 32
         f0 = _single_carrier_frame(np.full(n_c, 3.0), n_c)
         f1 = _single_carrier_frame(np.full(n_c, -3.0), n_c)
-        _, out = cis(f0, f1)
+        out = cis(f0, f1)
         assert "unwrapped" in out.diagnostics.flags
 
 

@@ -125,6 +125,26 @@ class TestScenarios:
         (b,) = run_scenario(cfg, tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "scenario", ["ber-vs-snr", "mse-vs-bandwidth", "estimate-error-pdf", "trajectory-traces"]
+    )
+    def test_gls_left_out_under_lft(self, tmp_path, capsys, scenario):
+        # gls needs the geometry-preserving model: under lft every runner
+        # skips it instead of failing the whole run.
+        extra = "estimators = uls,gls,cis\n" if scenario == "trajectory-traces" else ""
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(f"scenario = {scenario}\nt_kind = lft\ntrials = 2\n{extra}")
+        assert "gls" in parse_config(cfg_file.read_text()).estimators
+        assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        (path,) = (tmp_path / "out").iterdir()
+        assert capsys.readouterr().out == f"{path}\n"
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        fields = [set(line.split(",")) for line in lines]
+        assert not any("gls" in f or "theta_hat_gls_lft" in f for f in fields)
+        assert len(lines) > 1
+        if scenario == "trajectory-traces":
+            assert "theta_hat_gls_ppt" in fields[0]  # the ppt model still runs it
+
     def test_all_scenarios_registered(self):
         assert set(SCENARIOS) == {
             "ber-vs-snr",

@@ -175,7 +175,7 @@ class TestLinkInstances:
                 assert sol.min_eig >= bound
                 dual = solve_dual(sys.M, sys.b)
                 ref, _ = project_constant_modulus(kkt_recover(sys.M, sys.b, dual)[0])
-                assert np.max(np.abs(out.gamma_hat.values - ref)) < 1e-6
+                assert np.max(np.abs(out.gamma_hat - ref)) < 1e-6
                 # The certified cost is the dual optimum.
                 assert abs(sol.tau - dual.tau) <= 1e-7 * (1 + abs(dual.tau))
 

@@ -66,7 +66,7 @@ class TestGeometryResidual:
 
     def test_spectral_vector_on_geometry(self):
         rng = np.random.default_rng(3)
-        v = spectral_vector(rng.uniform(-np.pi, np.pi, 16)).values
+        v = spectral_vector(rng.uniform(-np.pi, np.pi, 16))
         assert geometry_residual(v).max_abs < 1e-12
 
     def test_scaled_unit_vector(self):
