@@ -37,7 +37,7 @@ from .estimators import (
 )
 from .link import LinkConfig, OfdmFrame, compensate, make_frame_pair, run_link
 from .phasenoise import spectral_vector, wiener_realization
-from .sdp import SdpSolution, assemble_lmi, certify_local, kkt_recover, solve_dual
+from .sdp import SdpSolution, certify_local, kkt_recover, solve_dual
 from .spectral import (
     GeometryResidual,
     dft_matrix,
@@ -56,7 +56,6 @@ __all__ = [
     "OfdmFrame",
     "SdpSolution",
     "__version__",
-    "assemble_lmi",
     "build_ls_system",
     "c_matrix",
     "certify_local",

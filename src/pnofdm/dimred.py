@@ -50,9 +50,7 @@ class DimRedModel:
     kind: str  # "lft" | "ppt"
     T: np.ndarray  # n_c x n, orthonormal columns
     Ttilde: np.ndarray | None  # time-domain core (ppt only)
-    n_c: int
     n: int
-    ppt_valid: bool
 
 
 def lft(n_c: int, m: int, k: int) -> DimRedModel:
@@ -70,7 +68,7 @@ def lft(n_c: int, m: int, k: int) -> DimRedModel:
     T[:m, :m] = np.eye(m)
     if k:
         T[n_c - k:, m:] = np.eye(k)
-    return DimRedModel("lft", T, None, n_c, n, False)
+    return DimRedModel("lft", T, None, n)
 
 
 def default_lft(n_c: int, n: int) -> DimRedModel:
@@ -99,8 +97,7 @@ def pc_ppt(n_c: int, n: int) -> DimRedModel:
     F = dft_matrix(n_c)
     Ft = dft_matrix(n)
     T = F @ Ttilde @ Ft.conj().T
-    report = validate_ppt(Ttilde)
-    return DimRedModel("ppt", T, Ttilde, n_c, n, report.passed)
+    return DimRedModel("ppt", T, Ttilde, n)
 
 
 @dataclass(frozen=True)

@@ -253,7 +253,8 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     condition number.  On dual-solve failure, including a numpy
     ``LinAlgError`` in the solve or the recovery, an :class:`EstimationError`
     is raised, carrying the iteration trace when the solve ran out of steps;
-    ``nls`` is the natural fallback.
+    :func:`pnofdm.link.simulate` then uses the common-phase-only fit
+    (``cpe``) for that frame and flags it.
     """
     if model.kind != "ppt":
         raise ValueError("gls requires a geometry-preserving model")

@@ -7,7 +7,10 @@ reproducible byte for byte from its own metadata.
 
 Config format: flat ``key = value`` lines, ``#`` comments, unknown keys are
 errors.  The only required key is ``scenario``; every other key overrides the
-scenario's defaults.
+scenario's defaults.  A key the scenario does not read may only repeat its
+default, the value the CSV metadata echoes: ``phase-error-pdf`` (``uls`` under
+both models) rejects any other ``estimators`` or ``t_kind``, and
+``ber-model-compare`` (both models) any other ``t_kind``.
 
 ``gls`` needs the geometry-preserving model, so every scenario leaves it out
 of the runs under ``t_kind = lft`` (:func:`_runnable`): no ``gls`` row or
@@ -169,7 +172,9 @@ def parse_config(text: str) -> ExperimentConfig:
     base = SCENARIOS.get(scenario)
     cfg = (base.defaults if base else ExperimentConfig(scenario=scenario))
     cfg = replace(cfg, scenario=scenario, **values)
-    problems = cfg.violations()
+    ignored = [k for k in (base.unread if base else ()) if getattr(cfg, k) != getattr(base.defaults, k)]
+    problems = [f"scenario {scenario!r} does not read key {k!r}" for k in ignored]
+    problems += cfg.violations()
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg
@@ -350,6 +355,7 @@ class Scenario:
     run: Callable[[ExperimentConfig, Path], list[Path]]
     description: str
     defaults: ExperimentConfig
+    unread: tuple = ()  # keys the runner ignores; a config may only repeat their default
 
 
 SCENARIOS = {
@@ -372,6 +378,7 @@ SCENARIOS = {
             estimators=("uls", "nls"),
             trials=400,
         ),
+        unread=("t_kind",),  # runs both models
     ),
     "mse-vs-bandwidth": Scenario(
         _run_mse,
@@ -387,6 +394,7 @@ SCENARIOS = {
         _run_omega,
         "Empirical density of the per-sample phase estimation error at 30 dB",
         ExperimentConfig(scenario="phase-error-pdf", estimators=("uls",), trials=300),
+        unread=("estimators", "t_kind"),  # runs uls under both models
     ),
     "estimate-error-pdf": Scenario(
         _run_errpdf,

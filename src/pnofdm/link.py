@@ -348,8 +348,8 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed):
 
     Trial ``i`` draws its frame pair from child ``i`` of
     ``np.random.SeedSequence(seed).spawn(trials)``.  ``estimators`` holds ids
-    from :data:`pnofdm.estimators.ESTIMATOR_IDS` or callables
-    ``(frame, next_frame, model) -> EstimatorOutput``.  Yields
+    from :data:`pnofdm.estimators.ESTIMATOR_IDS`; any other entry raises
+    ``ValueError`` on the first trial.  Yields
     ``(frame, {estimator: (output, flagged)})`` per trial, where ``frame`` is
     the first symbol of the pair.  An estimator that raises
     :class:`EstimationError` on a frame gets the common-phase-only fit
@@ -365,10 +365,7 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed):
         results = {}
         for est in estimators:
             try:
-                if isinstance(est, str):
-                    results[est] = (estimate_frame(est, f0, f1, model), False)
-                else:
-                    results[est] = (est(f0, f1, model), False)
+                results[est] = (estimate_frame(est, f0, f1, model), False)
             except EstimationError:
                 results[est] = (cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values), True)
         yield f0, results
@@ -377,13 +374,12 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed):
 def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
     """Coded BER of one estimator over ``n_frames`` trials of :func:`simulate`.
 
-    ``estimator`` is an id or a callable as :func:`simulate` takes.  A frame
+    ``estimator`` is an id as :func:`simulate` takes.  A frame
     on which the estimator fails is decoded with the common-phase-only
     fallback and counted as flagged, never dropped.  Frames are decoded in
     blocks of up to ``DECODE_BLOCK``; ``frame_errors`` keeps trial order.
     Deterministic given ``seed``.
     """
-    name = estimator if isinstance(estimator, str) else getattr(estimator, "__name__", "custom")
     errors, flagged = [], 0
     trials = simulate(cfg, (estimator,), n_frames, seed)
     while block := list(islice(trials, DECODE_BLOCK)):
@@ -399,7 +395,7 @@ def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
     frame_ber = errors / bits_per_frame
     lo, hi = _frame_ber_normal_ci(frame_ber)
     return BerRecord(
-        estimator=name,
+        estimator=estimator,
         snr_db=cfg.snr_db,
         frames=n_frames,
         bits=total_bits,

@@ -15,7 +15,8 @@ Its variable is the LMI's own diagonal ``d = (mu, -tau - sum(mu)/n)``:
 ``G = G0 + Diag(d)`` with ``G0 = [[A, c], [c^H, 0]]``, and the objective is
 ``tau = w.d`` with ``w = -(1/n, ..., 1/n, 1)``.  In the frequency basis the
 top block is ``M + F Diag(mu) F^H``, the circulant the paper expands in the
-cyclic shift forms.
+cyclic shift forms.  ``_time_pair`` validates ``(M, b)`` and returns
+``(A, c)``; ``_lmi`` builds the LMI, in the time basis only.
 
 Any dual-feasible point certifies ``tau <= J(g)`` for every feasible ``g``
 (weak duality), and ``min_eig >= 0`` checks that certificate on every solve.
@@ -24,7 +25,9 @@ the certified branch-and-bound oracle of :mod:`pnofdm.sproc` brackets the
 primal minimum to 1e-9 relative and finds the dual tight on most small random
 Gram instances, but proves a gap on some (3.6e-4 relative on the worst
 instance of the acceptance suite).  The primal point is recovered from the
-stationarity system ``(M + F Diag(mu) F^H) g = b``.  Weak duality also bounds
+stationarity system ``(M + F Diag(mu) F^H) g = b``, kept in the frequency
+basis: it is ill-conditioned where the local certificate fails, and the time
+basis moves those estimates (by up to 5.5e-7 on link frames).  Weak duality also bounds
 the dual, so it has no ascent ray: the solver scales the data to
 ``||M||_2 <= 1`` and ``max|b_i| <= 1``, and then ``tau <= 1 + 2*sqrt(n)``.
 
@@ -58,7 +61,6 @@ from .spectral import dft_matrix
 __all__ = [
     "SdpSolution",
     "SolverError",
-    "assemble_lmi",
     "certify_local",
     "kkt_recover",
     "solve_dual",
@@ -86,6 +88,10 @@ class SolverError(RuntimeError):
     """Raised when the dual solve cannot produce a certified solution."""
 
 
+def _symmetrize(G):
+    return (G + G.conj().T) / 2
+
+
 def _cost_pair(M, b):
     """``(M, b)`` as complex arrays; ``M`` must be ``n x n`` Hermitian with ``n = len(b)``."""
     M = np.asarray(M, dtype=complex)
@@ -97,19 +103,24 @@ def _cost_pair(M, b):
     return M, b
 
 
-def assemble_lmi(M, b, tau: float, mu) -> np.ndarray:
-    """Assemble the ``(n+1) x (n+1)`` Hermitian LMI of ``(M, b)`` at ``(tau, mu)``."""
+def _time_pair(M, b, scale: float = 1.0):
+    """Check ``(M, b)`` (:func:`_cost_pair`); return ``F^H (M/scale) F``, ``F^H (b/scale)``, ``F``.
+
+    ``F`` is the unitary DFT; the scaled pair is transformed, not the transformed pair scaled."""
     M, b = _cost_pair(M, b)
-    n = b.size
-    mu = np.asarray(mu, dtype=float).ravel()
-    if mu.size != n:
-        raise ValueError(f"expected {n} multipliers, got {mu.size}")
-    F = dft_matrix(n)
+    F = dft_matrix(b.size)
+    return _symmetrize(F.conj().T @ (M / scale) @ F), F.conj().T @ (b / scale), F
+
+
+def _lmi(A, c, tau: float, mu) -> np.ndarray:
+    """The ``(n+1) x (n+1)`` time-basis LMI ``[[A + Diag(mu), c], [c^H, -tau - sum(mu)/n]]``."""
+    n = c.size
     G = np.empty((n + 1, n + 1), dtype=complex)
-    G[:n, :n] = M + (F * mu) @ F.conj().T
-    G[:n, n] = b
-    G[n, :n] = b.conj()
-    G[n, n] = -tau - mu.sum() / n
+    G[:n, :n] = A
+    G[np.diag_indices(n)] += mu
+    G[:n, n] = c
+    G[n, :n] = c.conj()
+    G[n, n] = -tau - np.sum(mu) / n
     return G
 
 
@@ -118,7 +129,7 @@ class SdpSolution:
     """Certified dual solution.
 
     ``mu`` holds the time-basis multipliers; ``min_eig`` is the smallest
-    eigenvalue of the LMI re-assembled at ``(tau, mu)``.  ``tau_path``
+    eigenvalue of the unscaled LMI at ``(tau, mu)``.  ``tau_path``
     records the objective at the end of each centering stage (nondecreasing
     along the schedule).  A solution from :func:`certify_local` has
     ``iterations = 0``, an empty ``tau_path`` and ``tau`` equal to the
@@ -151,12 +162,10 @@ def certify_local(M, b):
     the Newton solve does not converge or the certificate fails.  A numpy
     ``LinAlgError`` propagates.
     """
-    M, b = _cost_pair(M, b)
+    M, b = _cost_pair(M, b)  # the start point reads the frequency-basis pair
+    A, c, F = _time_pair(M, b)
     n = b.size
     scale = 1.0 + float(np.linalg.norm(M, 2))
-    F = dft_matrix(n)
-    A = _symmetrize(F.conj().T @ M @ F)
-    c = F.conj().T @ b
 
     def cost(x):
         return float(np.real(x.conj() @ (A @ x)) - 2.0 * np.real(c.conj() @ x))
@@ -190,16 +199,13 @@ def certify_local(M, b):
         return None
 
     mu = np.real((c - A @ x) / x)
-    if float(np.linalg.eigvalsh(A + np.diag(mu))[0]) < -CERT_EIG_TOL * scale:
+    G = _lmi(A, c, J, mu)
+    if float(np.linalg.eigvalsh(G[:n, :n])[0]) < -CERT_EIG_TOL * scale:
         return None
-    min_eig = float(np.linalg.eigvalsh(_symmetrize(assemble_lmi(M, b, J, mu)))[0])
+    min_eig = float(np.linalg.eigvalsh(G)[0])
     if min_eig < -MIN_EIG_TOL * scale:
         return None
     return F @ x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")
-
-
-def _symmetrize(G):
-    return (G + G.conj().T) / 2
 
 
 def _center(d, t, G0, w, budget):
@@ -210,14 +216,7 @@ def _center(d, t, G0, w, budget):
     ``budget`` steps.  Every iterate keeps the LMI strictly positive definite;
     the Cholesky factor that accepts a line-search trial is the next step's.
     """
-    diag = np.diag_indices(G0.shape[0])
-
-    def lmi_at(dv):
-        G = G0.copy()
-        G[diag] += dv
-        return G
-
-    L = np.linalg.cholesky(lmi_at(d))
+    L = np.linalg.cholesky(G0 + np.diag(d))
     steps = 0
     for _ in range(60):
         if steps == budget:
@@ -237,7 +236,7 @@ def _center(d, t, G0, w, budget):
         for _ in range(60):
             d_trial = d + alpha_ls * step
             try:
-                L = np.linalg.cholesky(lmi_at(d_trial))
+                L = np.linalg.cholesky(G0 + np.diag(d_trial))
                 break
             except np.linalg.LinAlgError:
                 alpha_ls *= 0.5
@@ -256,26 +255,22 @@ def solve_dual(M, b) -> SdpSolution:
     definite, so the returned point is feasible and certifies weak duality
     on its own.  Deterministic given the inputs.
     """
-    M, b = _cost_pair(M, b)
-    n = b.size
+    n = np.size(b)
     if n > 64:
         raise SolverError("dense solver is sized for n <= 64")
     m = n + 1
 
-    scale = max(1.0, float(np.linalg.norm(M, 2)), float(np.max(np.abs(b))) if n else 0.0)
+    norm_M = float(np.linalg.norm(M, 2))
+    scale = max(1.0, norm_M, float(np.max(np.abs(b))) if n else 0.0)
 
     # Scaled time-basis LMI G0 + Diag(d) and the objective tau = w.d.
-    F = dft_matrix(n)
-    G0 = np.zeros((m, m), dtype=complex)
-    G0[:n, :n] = _symmetrize(F.conj().T @ (M / scale) @ F)
-    G0[:n, n] = F.conj().T @ (b / scale)
-    G0[n, :n] = G0[:n, n].conj()
+    A, c, _ = _time_pair(M, b, scale)
+    G0 = _lmi(A, c, 0.0, np.zeros(n))
     w = np.full(m, -1.0 / n)
     w[n] = -1.0
 
     # Strictly feasible start: lift mu until the top block is PD, then push
     # tau below the Schur complement.
-    A, c = G0[:n, :n], G0[:n, n]
     mu0 = max(0.0, -float(np.linalg.eigvalsh(A)[0])) + 1.0
     schur = float(np.real(c.conj() @ np.linalg.solve(A + mu0 * np.eye(n), c)))
     d = np.full(m, mu0)
@@ -302,8 +297,8 @@ def solve_dual(M, b) -> SdpSolution:
 
     tau = float(w @ d) * scale
     mu = d[:n] * scale
-    min_eig = float(np.linalg.eigvalsh(_symmetrize(assemble_lmi(M, b, tau, mu)))[0])
-    if status == "optimal" and min_eig < -MIN_EIG_TOL * (1.0 + np.linalg.norm(M, 2)):
+    min_eig = scale * float(np.linalg.eigvalsh(G0 + np.diag(d))[0])  # the unscaled LMI at (tau, mu)
+    if status == "optimal" and min_eig < -MIN_EIG_TOL * (1.0 + norm_M):
         status = "max_iter"  # certificate failed; do not report optimal
     return SdpSolution(
         tau=tau,
@@ -333,13 +328,16 @@ def kkt_recover(M, b, sol: SdpSolution):
     """
     if sol.status != "optimal":
         raise SolverError(f"dual solution status is {sol.status!r}, not optimal")
-    G = assemble_lmi(M, b, sol.tau, sol.mu)
-    n = G.shape[0] - 1
-    U, s, Vh = np.linalg.svd(_symmetrize(G[:n, :n]))
+    M, b = _cost_pair(M, b)
+    n = b.size
+    F = dft_matrix(n)
+    # Frequency basis on purpose: the system is ill-conditioned on uncertified
+    # frames, and solving it in the time basis would move their estimates.
+    U, s, Vh = np.linalg.svd(_symmetrize(M + (F * sol.mu) @ F.conj().T))
     keep = s > KKT_RCOND * s[0]
     rank = int(np.count_nonzero(keep))
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
-    gamma = Vh.conj().T @ (inv_s * (U.conj().T @ G[:n, n]))
+    gamma = Vh.conj().T @ (inv_s * (U.conj().T @ b))
     condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     return gamma, KktInfo(rank, rank == n, condition)

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sdp import solve_dual
-from .spectral import dft_matrix, geometry_residual, shift_form_table
+from .sdp import _time_pair, solve_dual
+from .spectral import geometry_residual, shift_form_table
 
 __all__ = [
     "GapResult",
@@ -204,18 +204,13 @@ def primal_oracle(M, b, *, tau_shift: float = 0.0) -> OracleResult:
     exact coordinate descent from the best box centre.  Boxes whose bound
     lies within ``CLOSE_TOL`` (relative) of the upper bound are pruned and the
     rest split in ``2^n`` halves; after ``BOX_BUDGET`` boxes the search stops
-    and the unpruned boxes' bounds still give a valid ``lower``.
+    and the unpruned boxes' bounds still give a valid ``lower``.  ``M`` must
+    be ``n x n`` Hermitian with ``n = len(b)``, as for the dual solve.
     """
-    M = np.asarray(M, dtype=complex)
-    b = np.asarray(b, dtype=complex).ravel()
-    n = b.size
-    if M.shape != (n, n):
-        raise ValueError("M must match b")
+    A, c, F = _time_pair(M, b)
+    n = c.size
     if n > MAX_N:
         raise ValueError(f"exhaustive oracle is sized for n <= {MAX_N}")
-    F = dft_matrix(n)
-    A = F.conj().T @ M @ F
-    c = F.conj().T @ b
     offsets = np.stack(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij"), axis=-1).reshape(-1, n)
 
     # Boxes are carried as the time samples of their centres, so a child's

@@ -43,7 +43,7 @@ class TestPcPpt:
     def test_full_dimension_is_identity(self):
         model = pc_ppt(8, 8)
         assert np.max(np.abs(model.T - np.eye(8))) < 1e-12
-        assert model.ppt_valid
+        assert validate_ppt(model.Ttilde).passed
 
     def test_core_blocks(self):
         # Orthonormal columns force block scaling sqrt(n/n_c).
@@ -65,7 +65,7 @@ class TestPcPpt:
     def test_odd_repetition_factor(self):
         # Only divisibility is required; odd n_c/n works too.
         model = pc_ppt(12, 4)
-        assert model.ppt_valid
+        assert validate_ppt(model.Ttilde).passed
 
     def test_divisibility_required(self):
         with pytest.raises(ValueError):

@@ -57,10 +57,30 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_config_echo_replays(self, name):
-        # The CSV metadata echo parses back to the config that wrote it,
-        # including the default ``tap_decay = None``.
+        # The ``cfg.*`` lines of the CSV metadata parse back to the config that
+        # wrote them, including the default ``tap_decay = None`` and the keys
+        # a scenario does not read.
         cfg = SCENARIOS[name].defaults
-        assert parse_config("\n".join(cfg.echo_lines())) == cfg
+        meta = experiments._meta(cfg)
+        lines = [f"{key[4:]} = {value}" for key, value in meta.items() if key.startswith("cfg.")]
+        assert parse_config("\n".join(lines)) == cfg
+
+    @pytest.mark.parametrize(
+        "scenario, line",
+        [
+            ("phase-error-pdf", "estimators = uls,nls"),
+            ("phase-error-pdf", "t_kind = lft"),
+            ("ber-model-compare", "t_kind = lft"),
+        ],
+    )
+    def test_unread_key_rejected(self, tmp_path, capsys, scenario, line):
+        # The runner ignores the key, so any value but the echoed default is an error.
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(f"scenario = {scenario}\ntrials = 2\n{line}\n")
+        assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        key = line.split(" = ")[0]
+        assert f"does not read key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_explicit_tap_decay(self):
         cfg = parse_config("scenario = ber-vs-snr\ntap_decay = 2.5\n")

@@ -232,25 +232,29 @@ class TestSimulate:
         for name in names:
             assert np.array_equal(run_link(cfg, name, 5, 77).frame_errors, errors[name])
 
-    def test_failure_falls_back_for_that_estimator_only(self):
-        def broken(frame, next_frame, model):
-            raise EstimationError("intentional")
+    def test_failure_falls_back_for_that_estimator_only(self, monkeypatch):
+        def nls_broken(name, frame, next_frame, model):
+            if name == "nls":
+                raise EstimationError("intentional")
+            return estimate_frame(name, frame, next_frame, model)
 
-        for frame, results in simulate(LinkConfig(), ("uls", broken), 2, 3):
+        monkeypatch.setattr(link, "estimate_frame", nls_broken)
+        for frame, results in simulate(LinkConfig(), ("uls", "nls"), 2, 3):
             out, flagged = results["uls"]
             assert not flagged and out.diagnostics.method == "uls"
-            out, flagged = results[broken]
+            out, flagged = results["nls"]
             assert flagged and out.diagnostics.method == "cpe"
 
-    def test_model_built_once_and_read_only(self):
+    def test_model_built_once_and_read_only(self, monkeypatch):
         models = []
 
-        def record(frame, next_frame, model):
+        def record(name, frame, next_frame, model):
             models.append(model)
-            return estimate_frame("uls", frame, next_frame, model)
+            return estimate_frame(name, frame, next_frame, model)
 
+        monkeypatch.setattr(link, "estimate_frame", record)
         for _ in range(2):
-            list(simulate(LinkConfig(), (record,), 1, 8))
+            list(simulate(LinkConfig(), ("uls",), 1, 8))
         assert models[0] is models[1]
         assert models[0] is make_model(LinkConfig(snr_db=10.0))
         assert make_model(LinkConfig(t_kind="lft")) is not models[0]
@@ -276,6 +280,15 @@ class TestSimulate:
         f0, _ = make_frame_pair(LinkConfig(), 17)
         with pytest.raises(ValueError):
             decode_frame([f0, f0], [spectral_vector(f0.theta)])
+
+    def test_rejects_callable_estimator(self):
+        def custom(frame, next_frame, model):
+            return estimate_frame("uls", frame, next_frame, model)
+
+        with pytest.raises(ValueError, match="unknown estimator"):
+            list(simulate(LinkConfig(), (custom,), 1, 0))
+        with pytest.raises(ValueError, match="unknown estimator"):
+            run_link(LinkConfig(), custom, 1, 0)
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError, match="trials must be positive"):
@@ -370,14 +383,13 @@ class TestRunLink:
         with pytest.raises(ValueError):
             run_link(LinkConfig(n_est=100), "uls", 2, 0)
 
-    def test_custom_estimator_failure_falls_back_flagged(self):
-        from pnofdm.estimators import EstimationError
-
-        def broken(frame, next_frame, model):
+    def test_failing_estimator_falls_back_flagged(self, monkeypatch):
+        def broken(name, frame, next_frame, model):
             raise EstimationError("intentional")
 
-        rec = run_link(LinkConfig(), broken, 5, 7)
-        assert rec.flagged_frames == 5
+        monkeypatch.setattr(link, "estimate_frame", broken)
+        rec = run_link(LinkConfig(), "uls", 5, 7)
+        assert rec.estimator == "uls" and rec.flagged_frames == 5
         assert rec.frames == 5  # frames are decoded with the fallback, not dropped
 
     def test_ber_monotone_in_snr(self):

@@ -1,4 +1,4 @@
-"""Tests for the dual SDP assembly, solver, and recovery."""
+"""Tests for the LMI assembly, the local certificate, the dual solver, and recovery."""
 
 import dataclasses
 
@@ -7,44 +7,71 @@ import pytest
 
 from pnofdm.estimators import build_ls_system, gls, project_constant_modulus
 from pnofdm.link import LinkConfig, make_frame_pair, make_model
-from pnofdm.sdp import SolverError, assemble_lmi, kkt_recover, solve_dual
+from pnofdm.sdp import SolverError, _lmi, _time_pair, certify_local, kkt_recover, solve_dual
 from pnofdm.spectral import dft_matrix
-from pnofdm.sproc import primal_oracle, random_gram_instance
+from pnofdm.sproc import duality_gap, primal_oracle, random_gram_instance
 
 
 def eye_pair(n):
     return np.eye(n, dtype=complex), np.zeros(n, dtype=complex)
 
 
+def reference_lmi(M, b, tau, mu):
+    """The paper's frequency-basis LMI ``[[M + F Diag(mu) F^H, b], [b^H, -tau - sum(mu)/n]]``.
+
+    Written independently of :mod:`pnofdm.sdp`, which builds the LMI in the
+    time basis, so that the certificates it reports can be checked.
+    """
+    n = len(b)
+    F = dft_matrix(n)
+    G = np.empty((n + 1, n + 1), dtype=complex)
+    G[:n, :n] = M + (F * mu) @ F.conj().T
+    G[:n, n] = b
+    G[n, :n] = np.conj(b)
+    G[n, n] = -tau - np.sum(mu) / n
+    return (G + G.conj().T) / 2
+
+
+def assert_min_eig_matches_reference(M, b, sol):
+    ref = np.linalg.eigvalsh(reference_lmi(M, b, sol.tau, sol.mu)).min()
+    assert abs(sol.min_eig - ref) <= 1e-12 * (1 + np.linalg.norm(M, 2))
+    return ref
+
+
 class TestAssemble:
+    """The time-basis builder against the paper's frequency-basis form."""
+
     def test_zero_variables(self):
         M, b = random_gram_instance(3, 5, 0)
-        G = assemble_lmi(M, b, 0.0, np.zeros(3))
-        assert np.allclose(G[:3, :3], M)
-        assert np.allclose(G[:3, 3], b)
+        A, c, F = _time_pair(M, b)
+        G = _lmi(A, c, 0.0, np.zeros(3))
+        assert np.allclose(G[:3, :3], F.conj().T @ M @ F)
+        assert np.allclose(G[:3, 3], F.conj().T @ b)
         assert G[3, 3] == 0
 
     def test_block_diagonal_eigenvalues(self):
-        G = assemble_lmi(*eye_pair(3), 0.5, np.full(3, -0.5))
-        eigs = np.sort(np.linalg.eigvalsh(G))
+        A, c, _ = _time_pair(*eye_pair(3))
+        eigs = np.sort(np.linalg.eigvalsh(_lmi(A, c, 0.5, np.full(3, -0.5))))
         assert np.allclose(eigs, [0.0, 0.5, 0.5, 0.5], atol=1e-13)
 
     def test_hermitian_on_random_inputs(self):
         rng = np.random.default_rng(1)
-        M, b = random_gram_instance(5, 8, 1)
-        G = assemble_lmi(M, b, rng.standard_normal(), rng.standard_normal(5))
+        A, c, _ = _time_pair(*random_gram_instance(5, 8, 1))
+        G = _lmi(A, c, rng.standard_normal(), rng.standard_normal(5))
         assert np.max(np.abs(G - G.conj().T)) < 1e-13
 
     def test_multipliers_are_the_time_basis_diagonal(self):
-        # Conjugated by blkdiag(F, 1) the LMI is [[A + Diag(mu), c], [c^H, -tau - sum(mu)/n]].
+        # Conjugated by blkdiag(F, 1) the paper's LMI is the builder's
+        # [[A + Diag(mu), c], [c^H, -tau - sum(mu)/n]], for scaled data too.
         rng = np.random.default_rng(2)
         M, b = random_gram_instance(5, 8, 2)
         tau, mu = rng.standard_normal(), rng.standard_normal(5)
         T = np.eye(6, dtype=complex)
         T[:5, :5] = dft_matrix(5)
-        Gt = T.conj().T @ assemble_lmi(M, b, tau, mu) @ T
-        Gt0 = T.conj().T @ assemble_lmi(M, b, 0.0, np.zeros(5)) @ T
-        assert np.allclose(Gt - Gt0, np.diag(np.append(mu, -tau - mu.sum() / 5)), atol=1e-13)
+        Gt = T.conj().T @ reference_lmi(M, b, tau, mu) @ T
+        assert np.allclose(_lmi(*_time_pair(M, b)[:2], tau, mu), Gt, atol=1e-13)
+        A, c, _ = _time_pair(M, b, 4.0)
+        assert np.allclose(4.0 * _lmi(A, c, tau / 4.0, mu / 4.0), Gt, atol=1e-13)
 
     def test_multiplier_counts(self):
         # One multiplier per time sample, for odd and even n alike.
@@ -52,21 +79,50 @@ class TestAssemble:
             assert solve_dual(*eye_pair(n)).mu.shape == (n,)
 
     def test_wrong_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_lmi(*eye_pair(5), 0.0, np.zeros(4))
+        with pytest.raises(ValueError, match="n x n"):
+            _time_pair(np.eye(5), np.zeros(4))
+
+    def test_column_b_accepted(self):
+        # A column ``b`` reads as its entries, at every entry point.
+        M, b = random_gram_instance(3, 6, 2)
+        col = b[:, None]
+        sol = solve_dual(M, b)
+        sol_col = solve_dual(M, col)
+        assert (sol_col.tau, sol_col.min_eig) == (sol.tau, sol.min_eig)
+        assert np.array_equal(sol_col.mu, sol.mu)
+        assert np.array_equal(kkt_recover(M, col, sol)[0], kkt_recover(M, b, sol)[0])
+        local, local_col = certify_local(M, b), certify_local(M, col)
+        assert (local is None) == (local_col is None)
+        if local is not None:
+            assert np.array_equal(local[0], local_col[0])
+        assert primal_oracle(M, col).p_star == primal_oracle(M, b).p_star
 
     def test_non_hermitian_rejected(self):
         M = np.triu(np.ones((3, 3), dtype=complex))
         with pytest.raises(ValueError):
             solve_dual(M, np.zeros(3))
-        with pytest.raises(ValueError):
-            assemble_lmi(M, np.zeros(3), 0.0, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        certify_local,
+        solve_dual,
+        lambda M, b: kkt_recover(M, b, solve_dual(*eye_pair(3))),
+        primal_oracle,
+        duality_gap,
+    ],
+    ids=["certify_local", "solve_dual", "kkt_recover", "primal_oracle", "duality_gap"],
+)
+def test_every_entry_point_rejects_non_hermitian(solve):
+    with pytest.raises(ValueError, match="Hermitian"):
+        solve(np.triu(np.ones((3, 3), dtype=complex)), np.zeros(3))
 
 
 class TestSolveDual:
     def test_identity_instance_feasibility_anchor(self):
         # With all variables zero the LMI is PSD (feasible anchor point).
-        G = assemble_lmi(*eye_pair(3), 0.0, np.zeros(3))
+        G = reference_lmi(*eye_pair(3), 0.0, np.zeros(3))
         assert np.linalg.eigvalsh(G).min() >= -1e-13
 
     def test_identity_instance_optimum(self):
@@ -95,11 +151,13 @@ class TestSolveDual:
                 assert abs(p_star - sol.tau) / (1 + abs(p_star)) < 1e-3
 
     def test_certificate(self):
+        # Both solvers report the smallest eigenvalue of the paper's LMI at
+        # their (tau, mu); random_gram_instance(8, 12, 5) certifies locally.
         M, b = random_gram_instance(8, 12, 5)
-        sol = solve_dual(M, b)
-        G = assemble_lmi(M, b, sol.tau, sol.mu)
-        assert sol.min_eig == pytest.approx(np.linalg.eigvalsh(G).min(), abs=1e-12)
-        assert np.linalg.eigvalsh(G).min() >= -1e-8 * (1 + np.linalg.norm(M, 2))
+        _, local = certify_local(M, b)
+        for sol in (solve_dual(M, b), local):
+            ref = assert_min_eig_matches_reference(M, b, sol)
+            assert ref >= -1e-8 * (1 + np.linalg.norm(M, 2))
 
     def test_tau_path_monotone(self):
         M, b = random_gram_instance(5, 9, 6)
@@ -122,7 +180,7 @@ class TestKktRecover:
         M, b = random_gram_instance(5, 10, 8)
         sol = solve_dual(M, b)
         gamma, info = kkt_recover(M, b, sol)
-        A = assemble_lmi(M, b, sol.tau, sol.mu)[:5, :5]
+        A = reference_lmi(M, b, sol.tau, sol.mu)[:5, :5]
         direct = np.linalg.solve(A, b)
         assert info.full_rank
         assert np.linalg.norm(gamma - direct) < 1e-10 * (1 + np.linalg.norm(direct))
@@ -166,9 +224,8 @@ class TestLinkInstances:
             out = gls(sys, model)
             sol = out.diagnostics.solver
             assert sol.status == "optimal"
-            G = assemble_lmi(sys.M, sys.b, sol.tau, sol.mu)
             bound = -1e-8 * (1 + np.linalg.norm(sys.M, 2))
-            assert np.linalg.eigvalsh(G).min() >= bound
+            assert assert_min_eig_matches_reference(sys.M, sys.b, sol) >= bound
             assert out.diagnostics.cost - sys.const_term >= sol.tau - 1e-6
             if out.diagnostics.certified:
                 assert sol.iterations == 0 and out.diagnostics.gap == 0
@@ -195,7 +252,7 @@ class TestClosedFormCertificate:
         A, c = F.conj().T @ M @ F, F.conj().T @ b
         x = np.exp(1j * oracle.phases) / np.sqrt(n)
         mu = np.real((c - A @ x) / x)
-        return np.linalg.eigvalsh(assemble_lmi(M, b, oracle.p_star, mu)).min()
+        return np.linalg.eigvalsh(reference_lmi(M, b, oracle.p_star, mu)).min()
 
     @pytest.mark.parametrize("n, k, seed", [(3, 6, 71000), (5, 10, 72001)])
     def test_psd_on_tight_instances(self, n, k, seed):
