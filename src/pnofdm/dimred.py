@@ -107,7 +107,6 @@ class PptValidation:
     unitarity: float  # max |Ttilde^H Ttilde - I|
     off_diagonal: float  # max over l>=1, i != j of |t_i^H D_l t_j|
     trace_sum: float  # max over l>=1 of |sum_i t_i^H D_l t_i|
-    tol: float
     passed: bool
 
 
@@ -132,7 +131,7 @@ def validate_ppt(Ttilde, tol: float = PPT_TOL) -> PptValidation:
     traces = np.trace(forms[1:], axis1=1, axis2=2)
     trace_sum = float(np.max(np.abs(traces))) if traces.size else 0.0
     passed = max(unitarity, off_diagonal, trace_sum) < tol
-    return PptValidation(unitarity, off_diagonal, trace_sum, tol, passed)
+    return PptValidation(unitarity, off_diagonal, trace_sum, passed)
 
 
 def lift(model: DimRedModel, gamma) -> np.ndarray:

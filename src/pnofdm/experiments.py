@@ -7,10 +7,16 @@ reproducible byte for byte from its own metadata.
 
 Config format: flat ``key = value`` lines, ``#`` comments, unknown keys are
 errors.  The only required key is ``scenario``; every other key overrides the
-scenario's defaults.  A key the scenario does not read may only repeat its
-default, the value the CSV metadata echoes: ``phase-error-pdf`` (``uls`` under
-both models) rejects any other ``estimators`` or ``t_kind``, and
-``ber-model-compare`` (both models) any other ``t_kind``.
+scenario's defaults.  ``snr_db`` and ``rho`` take one or more comma-separated
+values; only the key a scenario sweeps (:attr:`Scenario.sweep`: ``snr_db`` for
+the BER scenarios, ``rho`` for ``mse-vs-bandwidth``) may hold more than one,
+and every value is checked as a link config.  A key the scenario does not
+read may only repeat its default, the value the CSV metadata echoes:
+``phase-error-pdf`` (``uls`` under both models) rejects any other
+``estimators`` or ``t_kind``, ``ber-model-compare`` (both models) any other
+``t_kind``, and ``trajectory-traces`` (one frame, both models) any other
+``trials`` or ``t_kind``.  A set ``tap_decay`` fixes the channel profile, so
+no scenario then reads ``f_sub`` or ``coherence_bw``.
 
 ``gls`` needs the geometry-preserving model, so every scenario leaves it out
 of the runs under ``t_kind = lft`` (:func:`_runnable`): no ``gls`` row or
@@ -29,7 +35,7 @@ import numpy as np
 from . import __version__
 from .dimred import pc_ppt, validate_ppt
 from .estimators import ESTIMATOR_IDS, error_decomposition, estimate_frame
-from .link import BerRecord, LinkConfig, make_frame_pair, make_model, run_link, simulate
+from .link import LinkConfig, make_frame_pair, make_model, run_link, simulate
 from .phasenoise import phase_trajectory, spectral_vector, wiener_realization
 from .spectral import geometry_residual
 from .sproc import GAP_KINDS, duality_gap, qmatnew_nullspace, random_gram_instance, regularity_matrix
@@ -52,7 +58,7 @@ class ConfigError(ValueError):
 
 
 def _parse_float_list(text: str):
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return tuple(float(v) for v in text.split(","))
 
 
 def _parse_str_list(text: str):
@@ -73,10 +79,8 @@ _KEY_PARSERS = {
     "taps": int,
     "coherence_bw": float,
     "tap_decay": _parse_optional_float,
-    "rho": float,
-    "rho_list": _parse_float_list,
-    "snr_db": float,
-    "snr_list": _parse_float_list,
+    "rho": _parse_float_list,
+    "snr_db": _parse_float_list,
     "estimators": _parse_str_list,
     "trials": int,
     "seed": int,
@@ -86,46 +90,52 @@ _KEY_PARSERS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
-    n_c: int = 128
-    n: int = 8
-    t_kind: str = "ppt"
-    pilot_fraction: float = 0.08
-    f_sub: float = 15e3
-    taps: int = 4
-    coherence_bw: float = 800e3
-    tap_decay: float | None = None
-    rho: float = 0.02
-    rho_list: tuple = ()
-    snr_db: float = 30.0
-    snr_list: tuple = ()
+    n_c: int = LinkConfig.n_c
+    n: int = LinkConfig.n_est
+    t_kind: str = LinkConfig.t_kind
+    pilot_fraction: float = LinkConfig.pilot_fraction
+    f_sub: float = LinkConfig.f_sub
+    taps: int = LinkConfig.taps
+    coherence_bw: float = LinkConfig.coherence_bw
+    tap_decay: float | None = LinkConfig.tap_decay
+    rho: tuple = (LinkConfig.rho,)
+    snr_db: tuple = (LinkConfig.snr_db,)
     estimators: tuple = ("cpe", "uls", "nls", "gls")
     trials: int = 500
     seed: int = 20240801
 
     def link_config(self, *, snr_db=None, rho=None, t_kind=None) -> LinkConfig:
+        """The link at one value of each list key; a key not passed must hold one value."""
+        (snr_db,) = self.snr_db if snr_db is None else (snr_db,)
+        (rho,) = self.rho if rho is None else (rho,)
         return LinkConfig(
             n_c=self.n_c,
             f_sub=self.f_sub,
             pilot_fraction=self.pilot_fraction,
-            snr_db=self.snr_db if snr_db is None else snr_db,
+            snr_db=snr_db,
             taps=self.taps,
             coherence_bw=self.coherence_bw,
             tap_decay=self.tap_decay,
-            rho=self.rho if rho is None else rho,
+            rho=rho,
             n_est=self.n,
             t_kind=self.t_kind if t_kind is None else t_kind,
         )
 
     def violations(self) -> list[str]:
         out = []
-        if self.scenario not in SCENARIOS:
+        scenario = SCENARIOS.get(self.scenario)
+        if scenario is None:
             out.append(f"unknown scenario {self.scenario!r}; see list-scenarios")
         if self.trials < 1:
             out.append("trials must be positive")
         bad = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if bad:
             out.append(f"unknown estimators {bad}; valid ids are {sorted(ESTIMATOR_IDS)}")
-        out.extend(self.link_config().violations())
+        for key in ("snr_db", "rho"):
+            if len(getattr(self, key)) > 1 and scenario is not None and key != scenario.sweep:
+                out.append(f"scenario {self.scenario!r} takes one value of key {key!r}")
+        links = [self.link_config(snr_db=s, rho=r) for s in self.snr_db for r in self.rho]
+        out.extend(dict.fromkeys(v for link in links for v in link.violations()))
         return out
 
     def echo_lines(self) -> list[str]:
@@ -172,8 +182,12 @@ def parse_config(text: str) -> ExperimentConfig:
     base = SCENARIOS.get(scenario)
     cfg = (base.defaults if base else ExperimentConfig(scenario=scenario))
     cfg = replace(cfg, scenario=scenario, **values)
-    ignored = [k for k in (base.unread if base else ()) if getattr(cfg, k) != getattr(base.defaults, k)]
-    problems = [f"scenario {scenario!r} does not read key {k!r}" for k in ignored]
+    if base:
+        unread = base.unread
+        if cfg.tap_decay is not None:
+            unread += ("f_sub", "coherence_bw")  # the channel profile is fixed
+        ignored = [k for k in unread if getattr(cfg, k) != getattr(base.defaults, k)]
+        problems = [f"scenario {scenario!r} does not read key {k!r}" for k in ignored]
     problems += cfg.violations()
     if problems:
         raise ConfigError("; ".join(problems))
@@ -215,29 +229,20 @@ def _meta(cfg: ExperimentConfig) -> dict:
     return meta
 
 
-def _ber_rows(records: list[BerRecord]):
-    return [
-        (r.snr_db, r.estimator, r.frames, r.bit_errors, r.ber, r.ci95_low, r.ci95_high)
-        for r in records
-    ]
-
-
-_BER_COLUMNS = ("snr_db", "estimator", "frames", "bit_errors", "ber", "ci95_low", "ci95_high")
-
-
 def _runnable(estimators, t_kind: str) -> tuple:
     """``estimators`` that can run under ``t_kind``: ``gls`` requires ``ppt``."""
     return tuple(est for est in estimators if est != "gls" or t_kind == "ppt")
 
 
 def _run_ber(cfg: ExperimentConfig, out_dir: Path, *, t_kind=None, filename="ber_vs_snr.csv"):
-    records = []
-    snrs = cfg.snr_list or (cfg.snr_db,)
-    for snr in snrs:
+    rows = []
+    for snr in cfg.snr_db:
         link = cfg.link_config(snr_db=snr, t_kind=t_kind)
         for est in _runnable(cfg.estimators, link.t_kind):
-            records.append(run_link(link, est, cfg.trials, cfg.seed))
-    return [write_csv(out_dir / filename, _meta(cfg), _BER_COLUMNS, _ber_rows(records))]
+            r = run_link(link, est, cfg.trials, cfg.seed)
+            rows.append((r.snr_db, r.estimator, r.frames, r.bit_errors, r.ber, r.ci95_low, r.ci95_high))
+    columns = ("snr_db", "estimator", "frames", "bit_errors", "ber", "ci95_low", "ci95_high")
+    return [write_csv(out_dir / filename, _meta(cfg), columns, rows)]
 
 
 def _run_ber_compare(cfg: ExperimentConfig, out_dir: Path):
@@ -263,8 +268,7 @@ def _mse_trials(cfg: ExperimentConfig, rho: float):
 
 def _run_mse(cfg: ExperimentConfig, out_dir: Path):
     rows = []
-    rhos = cfg.rho_list or (cfg.rho,)
-    for rho in rhos:
+    for rho in cfg.rho:
         per_est = _mse_trials(cfg, rho)
         for est, vals in per_est.items():
             se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
@@ -278,12 +282,11 @@ def _run_mse(cfg: ExperimentConfig, out_dir: Path):
     )]
 
 
-def _fd_histogram(samples: np.ndarray):
-    """Freedman-Diaconis histogram; returns (edges, counts, densities)."""
+def _fd_histogram(label, samples: np.ndarray) -> list:
+    """Freedman-Diaconis histogram rows ``(label, bin_left, bin_right, count, density)``."""
     counts, edges = np.histogram(samples, bins="fd")
-    widths = np.diff(edges)
-    density = counts / (counts.sum() * widths)
-    return edges, counts, density
+    density = counts / (counts.sum() * np.diff(edges))
+    return [(label, edges[i], edges[i + 1], int(counts[i]), density[i]) for i in range(counts.size)]
 
 
 def _omega_samples(cfg: ExperimentConfig, t_kind: str) -> np.ndarray:
@@ -296,13 +299,7 @@ def _omega_samples(cfg: ExperimentConfig, t_kind: str) -> np.ndarray:
 
 
 def _run_omega(cfg: ExperimentConfig, out_dir: Path):
-    rows = []
-    for t_kind in ("ppt", "lft"):
-        edges, counts, density = _fd_histogram(_omega_samples(cfg, t_kind))
-        rows.extend(
-            (t_kind, edges[i], edges[i + 1], int(counts[i]), density[i])
-            for i in range(counts.size)
-        )
+    rows = [row for t in ("ppt", "lft") for row in _fd_histogram(t, _omega_samples(cfg, t))]
     return [write_csv(
         out_dir / "omega_pdf.csv",
         _meta(cfg),
@@ -319,13 +316,7 @@ def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
         delta_true = spectral_vector(frame.theta)
         for est, (res, _) in results.items():
             samples[est][i] = float(np.sum(np.abs(res.delta_hat - delta_true) ** 2))
-    rows = []
-    for est, vals in samples.items():
-        edges, counts, density = _fd_histogram(vals)
-        rows.extend(
-            (est, edges[i], edges[i + 1], int(counts[i]), density[i])
-            for i in range(counts.size)
-        )
+    rows = [row for est, vals in samples.items() for row in _fd_histogram(est, vals)]
     return [write_csv(
         out_dir / "error_pdf.csv",
         _meta(cfg),
@@ -355,6 +346,7 @@ class Scenario:
     run: Callable[[ExperimentConfig, Path], list[Path]]
     description: str
     defaults: ExperimentConfig
+    sweep: str | None = None  # the one list key the runner iterates over
     unread: tuple = ()  # keys the runner ignores; a config may only repeat their default
 
 
@@ -364,20 +356,22 @@ SCENARIOS = {
         "Coded BER vs SNR for cpe/uls/nls/gls with the geometry-preserving model",
         ExperimentConfig(
             scenario="ber-vs-snr",
-            snr_list=(10.0, 15.0, 20.0, 25.0, 30.0),
+            snr_db=(10.0, 15.0, 20.0, 25.0, 30.0),
             estimators=("cpe", "uls", "nls", "gls", "cis", "genie"),
             trials=500,
         ),
+        sweep="snr_db",
     ),
     "ber-model-compare": Scenario(
         _run_ber_compare,
         "Coded BER vs SNR for uls/nls under the geometry-preserving vs low-frequency model",
         ExperimentConfig(
             scenario="ber-model-compare",
-            snr_list=(10.0, 20.0, 30.0),
+            snr_db=(10.0, 20.0, 30.0),
             estimators=("uls", "nls"),
             trials=400,
         ),
+        sweep="snr_db",
         unread=("t_kind",),  # runs both models
     ),
     "mse-vs-bandwidth": Scenario(
@@ -385,10 +379,11 @@ SCENARIOS = {
         "Reduced-spectrum MSE vs phase-noise bandwidth at 30 dB",
         ExperimentConfig(
             scenario="mse-vs-bandwidth",
-            rho_list=(0.005, 0.02, 0.1, 0.2),
+            rho=(0.005, 0.02, 0.1, 0.2),
             estimators=("uls", "nls", "gls", "cis"),
             trials=300,
         ),
+        sweep="rho",
     ),
     "phase-error-pdf": Scenario(
         _run_omega,
@@ -410,7 +405,7 @@ SCENARIOS = {
         "Empirical density of the squared estimate error at 10 dB",
         ExperimentConfig(
             scenario="estimate-error-pdf-10db",
-            snr_db=10.0,
+            snr_db=(10.0,),
             estimators=("cpe", "uls", "nls", "gls", "cis"),
             trials=400,
         ),
@@ -423,6 +418,7 @@ SCENARIOS = {
             estimators=("uls", "cis"),
             trials=1,
         ),
+        unread=("trials", "t_kind"),  # one frame under both models
     ),
 }
 

@@ -94,12 +94,18 @@ class LinkConfig:
             out.append("n_c must be at least 8")
         if not 0 < self.pilot_fraction <= 0.5:
             out.append("pilot_fraction must lie in (0, 0.5]")
+        if not np.isfinite(self.snr_db):
+            out.append("snr_db must be finite")
+        if not self.f_sub > 0:
+            out.append("f_sub must be positive")
         if self.taps < 1:
             out.append("taps must be >= 1")
+        if not self.coherence_bw > 0:
+            out.append("coherence_bw must be positive")
         if self.tap_decay is not None and self.tap_decay <= 0:
             out.append("tap_decay must be positive")
-        if self.rho < 0:
-            out.append("rho must be nonnegative")
+        if not 0 <= self.rho < np.inf:
+            out.append("rho must be finite and nonnegative")
         if self.n_est < 1:
             out.append("n_est must be >= 1")
         if self.t_kind not in ("ppt", "lft"):
@@ -307,7 +313,6 @@ class BerRecord:
     estimator: str
     snr_db: float
     frames: int
-    bits: int
     bit_errors: int
     ber: float
     ci95_low: float
@@ -398,7 +403,6 @@ def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
         estimator=estimator,
         snr_db=cfg.snr_db,
         frames=n_frames,
-        bits=total_bits,
         bit_errors=int(errors.sum()),
         ber=float(errors.sum() / total_bits),
         ci95_low=lo,

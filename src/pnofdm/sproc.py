@@ -86,7 +86,6 @@ def regularity_matrix(n: int) -> np.ndarray:
 class NullspaceReport:
     matrix: np.ndarray
     rank: int
-    expected_rank: int
     null_residual: float
     null_vector: np.ndarray
     ok: bool
@@ -111,7 +110,7 @@ def qmatnew_nullspace(n: int, tol: float = 1e-12) -> NullspaceReport:
     ones_dir = np.ones(n) / np.sqrt(n)
     aligned = float(np.linalg.norm(null_vec - ones_dir)) < 1e-10
     ok = rank == n - 1 and residual < tol and aligned and np.all(null_vec > 0)
-    return NullspaceReport(Q, rank, n - 1, residual, null_vec, ok)
+    return NullspaceReport(Q, rank, residual, null_vec, ok)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Tests for config parsing, scenarios, the verify suite, and the CLI."""
 
 import dataclasses
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,12 +28,12 @@ class TestParseConfig:
     def test_minimal(self):
         cfg = parse_config("scenario = ber-vs-snr\n")
         assert cfg.scenario == "ber-vs-snr"
-        assert cfg.snr_list == (10.0, 15.0, 20.0, 25.0, 30.0)  # scenario defaults apply
+        assert cfg.snr_db == (10.0, 15.0, 20.0, 25.0, 30.0)  # scenario defaults apply
 
     def test_overrides_and_comments(self):
-        cfg = parse_config("# comment\nscenario = ber-vs-snr\ntrials = 7\nsnr_list = 10,30\n")
+        cfg = parse_config("# comment\nscenario = ber-vs-snr\ntrials = 7\nsnr_db = 10,30\n")
         assert cfg.trials == 7
-        assert cfg.snr_list == (10.0, 30.0)
+        assert cfg.snr_db == (10.0, 30.0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -58,8 +60,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_config_echo_replays(self, name):
         # The ``cfg.*`` lines of the CSV metadata parse back to the config that
-        # wrote them, including the default ``tap_decay = None`` and the keys
-        # a scenario does not read.
+        # wrote them, including the list keys ``snr_db`` and ``rho`` and the
+        # keys a scenario does not read, echoed at their defaults.
         cfg = SCENARIOS[name].defaults
         meta = experiments._meta(cfg)
         lines = [f"{key[4:]} = {value}" for key, value in meta.items() if key.startswith("cfg.")]
@@ -82,6 +84,58 @@ class TestParseConfig:
         assert f"does not read key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "scenario, lines, message",
+        [
+            ("trajectory-traces", "trials = 9", "does not read key 'trials'"),
+            ("trajectory-traces", "t_kind = lft", "does not read key 't_kind'"),
+            ("estimate-error-pdf", "snr_db = 10,30", "takes one value of key 'snr_db'"),
+            ("estimate-error-pdf", "rho = 0.1,0.2", "takes one value of key 'rho'"),
+            ("phase-error-pdf", "snr_db = 10,30", "takes one value of key 'snr_db'"),
+            ("estimate-error-pdf", "tap_decay = 2\ncoherence_bw = 400000",
+             "does not read key 'coherence_bw'"),
+            ("estimate-error-pdf", "tap_decay = 2\nf_sub = 30000", "does not read key 'f_sub'"),
+            ("mse-vs-bandwidth", "rho = 0.02,-0.1", "rho must be finite and nonnegative"),
+        ],
+    )
+    def test_no_key_silently_ignored(self, tmp_path, capsys, scenario, lines, message):
+        # Each config sets a key the runner would not read, or a list value the
+        # link would not accept; both are config errors (exit 1), not a run.
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(f"scenario = {scenario}\nn_c = 64\nn = 4\n{lines}\n")
+        assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("snr_db = nan", "snr_db must be finite"),
+            ("rho = nan", "rho must be finite and nonnegative"),
+            ("f_sub = 0", "f_sub must be positive"),
+            ("coherence_bw = -1", "coherence_bw must be positive"),
+        ],
+    )
+    def test_bad_link_value_rejected(self, tmp_path, capsys, line, message):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(f"scenario = estimate-error-pdf\ntrials = 2\n{line}\n")
+        assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ConfigError, match="cannot parse value for 'snr_db'"):
+            parse_config("scenario = ber-vs-snr\nsnr_db =\n")
+
+    def test_readme_config_blocks_parse(self):
+        # Every fenced block of the README that names a scenario is a config
+        # a reader may copy; it must parse against the current key set.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M)
+        configs = [b for b in blocks if re.search(r"^scenario\s*=", b, re.M)]
+        assert configs
+        for block in configs:
+            parse_config(block)
+
     def test_explicit_tap_decay(self):
         cfg = parse_config("scenario = ber-vs-snr\ntap_decay = 2.5\n")
         assert cfg.tap_decay == 2.5
@@ -101,16 +155,24 @@ class TestScenarios:
 
     def test_ber_scenario_columns(self, tmp_path):
         cfg = parse_config(
-            "scenario = ber-vs-snr\ntrials = 4\nsnr_list = 30\nestimators = cpe,nls\nn_c = 64\nn = 4\n"
+            "scenario = ber-vs-snr\ntrials = 4\nsnr_db = 30\nestimators = cpe,nls\nn_c = 64\nn = 4\n"
         )
         (path,) = run_scenario(cfg, tmp_path)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "snr_db,estimator,frames,bit_errors,ber,ci95_low,ci95_high"
         assert len(lines) == 1 + 2  # one row per estimator
 
+    def test_ber_sweeps_every_snr(self, tmp_path):
+        cfg = parse_config(
+            "scenario = ber-vs-snr\ntrials = 2\nsnr_db = 10,30\nestimators = cpe\nn_c = 64\nn = 4\n"
+        )
+        (path,) = run_scenario(cfg, tmp_path)
+        rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+        assert [row.split(",")[:2] for row in rows] == [["10.0", "cpe"], ["30.0", "cpe"]]
+
     def test_mse_scenario(self, tmp_path):
         cfg = parse_config(
-            "scenario = mse-vs-bandwidth\ntrials = 3\nrho_list = 0.02,0.1\nestimators = cpe,nls\nn_c = 64\nn = 4\n"
+            "scenario = mse-vs-bandwidth\ntrials = 3\nrho = 0.02,0.1\nestimators = cpe,nls\nn_c = 64\nn = 4\n"
         )
         (path,) = run_scenario(cfg, tmp_path)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
@@ -132,7 +194,7 @@ class TestScenarios:
 
     def test_tcompare_writes_two_files(self, tmp_path):
         cfg = parse_config(
-            "scenario = ber-model-compare\ntrials = 3\nsnr_list = 30\nestimators = nls\nn_c = 64\nn = 4\n"
+            "scenario = ber-model-compare\ntrials = 3\nsnr_db = 30\nestimators = nls\nn_c = 64\nn = 4\n"
         )
         paths = run_scenario(cfg, tmp_path)
         assert sorted(p.name for p in paths) == ["ber_vs_snr_lft.csv", "ber_vs_snr_ppt.csv"]
@@ -150,10 +212,14 @@ class TestScenarios:
     )
     def test_gls_left_out_under_lft(self, tmp_path, capsys, scenario):
         # gls needs the geometry-preserving model: under lft every runner
-        # skips it instead of failing the whole run.
-        extra = "estimators = uls,gls,cis\n" if scenario == "trajectory-traces" else ""
+        # skips it instead of failing the whole run.  trajectory-traces runs
+        # one frame under both models whatever the config says.
+        if scenario == "trajectory-traces":
+            extra = "estimators = uls,gls,cis\n"
+        else:
+            extra = "t_kind = lft\ntrials = 2\n"
         cfg_file = tmp_path / "cfg.txt"
-        cfg_file.write_text(f"scenario = {scenario}\nt_kind = lft\ntrials = 2\n{extra}")
+        cfg_file.write_text(f"scenario = {scenario}\n{extra}")
         assert "gls" in parse_config(cfg_file.read_text()).estimators
         assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
         (path,) = (tmp_path / "out").iterdir()
