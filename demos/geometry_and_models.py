@@ -13,8 +13,8 @@ selection does not.
 import numpy as np
 
 from pnofdm import (
-    default_lft,
     geometry_residual,
+    lft,
     pc_ppt,
     spectral_vector,
     validate_ppt,
@@ -43,7 +43,7 @@ print(f"off-diagonal     {rep.off_diagonal:.2e}")
 print(f"trace sums       {rep.trace_sum:.2e}")
 
 print("\n=== 4. Lifting a reduced spectrum: geometry preserved vs broken ===")
-lft_model = default_lft(128, 8)
+lft_model = lft(128, 8)
 for _ in range(3):
     gamma = spectral_vector(rng.uniform(-np.pi, np.pi, 8))
     r_ppt = geometry_residual(model.T @ gamma).max_abs

@@ -20,7 +20,7 @@ Layout:
 
 __version__ = "0.1.0"
 
-from .dimred import DimRedModel, default_lft, lft, lift, pc_ppt, validate_ppt
+from .dimred import DimRedModel, lft, lift, pc_ppt, validate_ppt
 from .estimators import (
     EstimationError,
     EstimatorOutput,
@@ -62,7 +62,6 @@ __all__ = [
     "cis",
     "compensate",
     "cpe_only",
-    "default_lft",
     "dft_matrix",
     "duality_gap",
     "error_decomposition",

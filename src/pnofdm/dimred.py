@@ -4,8 +4,8 @@
 Two families are provided:
 
 * ``lft``: the conventional low-frequency selection matrix that keeps the top
-  ``m`` and bottom ``k`` subcarriers and zeroes the rest.  It does *not*
-  preserve the spectral geometry.
+  ``m = (n + 2) // 2`` and bottom ``k = n - m`` subcarriers and zeroes the
+  rest.  It does *not* preserve the spectral geometry.
 * ``pc_ppt``: the piecewise-constant geometry-preserving transformation
   ``T = F @ Ttilde @ Ftilde^H`` whose time-domain core ``Ttilde`` repeats each
   of the ``n`` time samples ``n_c/n`` times, scaled by ``sqrt(n/n_c)`` so its
@@ -13,7 +13,7 @@ Two families are provided:
   geometry, ``T @ gamma`` lies on the ``n_c``-dimensional one.
 
 ``validate_ppt`` checks the three geometry-preservation conditions on a
-candidate core ``Ttilde``, for every shift ``l = 1..n_c-1``:
+candidate core ``Ttilde``, for every shift ``l = 1..n_c-1``, to ``PPT_TOL``:
 
     (a) ``Ttilde^H Ttilde = I``
     (b) ``t_i^H D_l t_j = 0`` for ``i != j``
@@ -33,7 +33,6 @@ from .spectral import dft_matrix
 __all__ = [
     "DimRedModel",
     "PptValidation",
-    "default_lft",
     "lft",
     "lift",
     "pc_ppt",
@@ -53,28 +52,23 @@ class DimRedModel:
     n: int
 
 
-def lft(n_c: int, m: int, k: int) -> DimRedModel:
-    """Low-frequency selection model keeping ``m`` top and ``k`` bottom bins.
+def lft(n_c: int, n: int) -> DimRedModel:
+    """Low-frequency selection model keeping ``m = (n + 2) // 2`` top and ``k = n - m`` bottom bins.
 
     Rows ``0..m-1`` of ``T`` map to ``gamma[0..m-1]`` and rows
-    ``n_c-k..n_c-1`` to ``gamma[m..m+k-1]``; all other rows are zero.
+    ``n_c-k..n_c-1`` to ``gamma[m..n-1]``; all other rows are zero.
     """
-    if m < 1 or k < 0:
-        raise ValueError("need m >= 1 and k >= 0")
-    if m + k > n_c:
-        raise ValueError(f"m + k = {m + k} exceeds n_c = {n_c}")
-    n = m + k
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > n_c:
+        raise ValueError(f"n = {n} exceeds n_c = {n_c}")
+    m = (n + 2) // 2
+    k = n - m
     T = np.zeros((n_c, n), dtype=complex)
     T[:m, :m] = np.eye(m)
     if k:
         T[n_c - k:, m:] = np.eye(k)
     return DimRedModel("lft", T, None, n)
-
-
-def default_lft(n_c: int, n: int) -> DimRedModel:
-    """LFT with the default split ``m = ceil((n+1)/2)``, ``k = n - m``."""
-    m = (n + 2) // 2
-    return lft(n_c, m, n - m)
 
 
 def pc_ppt(n_c: int, n: int) -> DimRedModel:
@@ -110,8 +104,10 @@ class PptValidation:
     passed: bool
 
 
-def validate_ppt(Ttilde, tol: float = PPT_TOL) -> PptValidation:
+def validate_ppt(Ttilde) -> PptValidation:
     """Check the three core conditions for all shifts ``l = 1..n_c-1``.
+
+    ``passed`` is true when every worst violation is below ``PPT_TOL``.
 
     The inner products against the diagonal ``D_l`` are evaluated for all
     ``l`` at once via FFTs of the columnwise products, which is exact up to
@@ -130,7 +126,7 @@ def validate_ppt(Ttilde, tol: float = PPT_TOL) -> PptValidation:
     off_diagonal = float(off.max()) if off.size else 0.0
     traces = np.trace(forms[1:], axis1=1, axis2=2)
     trace_sum = float(np.max(np.abs(traces))) if traces.size else 0.0
-    passed = max(unitarity, off_diagonal, trace_sum) < tol
+    passed = max(unitarity, off_diagonal, trace_sum) < PPT_TOL
     return PptValidation(unitarity, off_diagonal, trace_sum, passed)
 
 

@@ -73,6 +73,7 @@ __all__ = [
 ]
 
 ULS_COND_LIMIT = 1e12
+C_MATRIX_TOL = 1e-8  # relative mismatch at which c_matrix's self-check raises
 
 
 class EstimationError(RuntimeError):
@@ -389,7 +390,7 @@ def error_decomposition(delta_hat, theta) -> ErrorDecomposition:
     return ErrorDecomposition(kappa, omega, eps, total, total * n, direct)
 
 
-def c_matrix(model: DimRedModel, pilot_idx, theta, H, s, r, *, check_tol: float = 1e-8) -> np.ndarray:
+def c_matrix(model: DimRedModel, pilot_idx, theta, H, s, r) -> np.ndarray:
     """Exact linear map ``C`` with ``delta_uls = F C F^H delta`` (diagnostic).
 
     Reconstructs, from the full simulation state (true trajectory, channel,
@@ -401,7 +402,7 @@ def c_matrix(model: DimRedModel, pilot_idx, theta, H, s, r, *, check_tol: float 
     amplitude/phase errors quantified by :func:`error_decomposition`.
 
     The construction is verified against the actual estimator output on the
-    same data; a mismatch beyond ``check_tol`` (relative) raises.
+    same data; a mismatch beyond ``C_MATRIX_TOL`` (relative) raises.
     """
     th = np.asarray(theta, dtype=float)
     H = np.asarray(H, dtype=complex).ravel()
@@ -438,7 +439,7 @@ def c_matrix(model: DimRedModel, pilot_idx, theta, H, s, r, *, check_tol: float 
     delta_uls = model.T @ gamma
     delta_via_C = F @ (C @ (Fh @ delta))
     err = np.linalg.norm(delta_via_C - delta_uls) / max(np.linalg.norm(delta_uls), 1e-300)
-    if err > check_tol:
+    if err > C_MATRIX_TOL:
         raise EstimationError(f"C-matrix consistency check failed: relative error {err:.3e}")
     return C
 

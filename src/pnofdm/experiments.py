@@ -15,8 +15,10 @@ read may only repeat its default, the value the CSV metadata echoes:
 ``phase-error-pdf`` (``uls`` under both models) rejects any other
 ``estimators`` or ``t_kind``, ``ber-model-compare`` (both models) any other
 ``t_kind``, and ``trajectory-traces`` (one frame, both models) any other
-``trials`` or ``t_kind``.  A set ``tap_decay`` fixes the channel profile, so
-no scenario then reads ``f_sub`` or ``coherence_bw``.
+``trials`` or ``t_kind``.  One tap (``taps = 1``) has a flat channel
+profile, so no scenario then reads ``f_sub`` or ``coherence_bw``.  A
+coherence bandwidth the taps cannot reach and a negative ``seed`` are config
+errors too, caught before anything runs.
 
 ``gls`` needs the geometry-preserving model, so every scenario leaves it out
 of the runs under ``t_kind = lft`` (:func:`_runnable`): no ``gls`` row or
@@ -65,10 +67,6 @@ def _parse_str_list(text: str):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-def _parse_optional_float(text: str):
-    return None if text == "None" else float(text)
-
-
 _KEY_PARSERS = {
     "scenario": str,
     "n_c": int,
@@ -78,7 +76,6 @@ _KEY_PARSERS = {
     "f_sub": float,
     "taps": int,
     "coherence_bw": float,
-    "tap_decay": _parse_optional_float,
     "rho": _parse_float_list,
     "snr_db": _parse_float_list,
     "estimators": _parse_str_list,
@@ -97,7 +94,6 @@ class ExperimentConfig:
     f_sub: float = LinkConfig.f_sub
     taps: int = LinkConfig.taps
     coherence_bw: float = LinkConfig.coherence_bw
-    tap_decay: float | None = LinkConfig.tap_decay
     rho: tuple = (LinkConfig.rho,)
     snr_db: tuple = (LinkConfig.snr_db,)
     estimators: tuple = ("cpe", "uls", "nls", "gls")
@@ -115,7 +111,6 @@ class ExperimentConfig:
             snr_db=snr_db,
             taps=self.taps,
             coherence_bw=self.coherence_bw,
-            tap_decay=self.tap_decay,
             rho=rho,
             n_est=self.n,
             t_kind=self.t_kind if t_kind is None else t_kind,
@@ -128,6 +123,8 @@ class ExperimentConfig:
             out.append(f"unknown scenario {self.scenario!r}; see list-scenarios")
         if self.trials < 1:
             out.append("trials must be positive")
+        if self.seed < 0:
+            out.append("seed must be non-negative")
         bad = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if bad:
             out.append(f"unknown estimators {bad}; valid ids are {sorted(ESTIMATOR_IDS)}")
@@ -184,8 +181,8 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = replace(cfg, scenario=scenario, **values)
     if base:
         unread = base.unread
-        if cfg.tap_decay is not None:
-            unread += ("f_sub", "coherence_bw")  # the channel profile is fixed
+        if cfg.taps == 1:
+            unread += ("f_sub", "coherence_bw")  # one tap: the channel profile is flat
         ignored = [k for k in unread if getattr(cfg, k) != getattr(base.defaults, k)]
         problems = [f"scenario {scenario!r} does not read key {k!r}" for k in ignored]
     problems += cfg.violations()

@@ -47,7 +47,7 @@ from itertools import islice
 import numpy as np
 
 from .coding import conv_encode, viterbi_decode_soft
-from .dimred import DimRedModel, default_lft, pc_ppt
+from .dimred import DimRedModel, lft, pc_ppt
 from .estimators import EstimationError, cpe_only, estimate_frame
 from .phasenoise import WIENER_VARIANCE_FACTOR, _wiener_path
 from .qam import qam16_llr, qam16_map
@@ -83,7 +83,6 @@ class LinkConfig:
     snr_db: float = 30.0
     taps: int = 4
     coherence_bw: float = 800e3
-    tap_decay: float | None = None  # decay constant in samples; None solves it
     rho: float = 0.02
     n_est: int = 8
     t_kind: str = "ppt"
@@ -92,18 +91,21 @@ class LinkConfig:
         out = []
         if self.n_c < 8:
             out.append("n_c must be at least 8")
-        if not 0 < self.pilot_fraction <= 0.5:
-            out.append("pilot_fraction must lie in (0, 0.5]")
-        if not np.isfinite(self.snr_db):
-            out.append("snr_db must be finite")
         if not self.f_sub > 0:
             out.append("f_sub must be positive")
         if self.taps < 1:
             out.append("taps must be >= 1")
-        if not self.coherence_bw > 0:
-            out.append("coherence_bw must be positive")
-        if self.tap_decay is not None and self.tap_decay <= 0:
-            out.append("tap_decay must be positive")
+        if not 0 < self.coherence_bw < np.inf:
+            out.append("coherence_bw must be positive and finite")
+        if not out:  # the channel's inputs are valid: its tap profile must solve
+            try:
+                _tap_profile(self.taps, self.coherence_bw / (self.n_c * self.f_sub))
+            except ValueError as exc:
+                out.append(str(exc))
+        if not 0 < self.pilot_fraction <= 0.5:
+            out.append("pilot_fraction must lie in (0, 0.5]")
+        if not np.isfinite(self.snr_db):
+            out.append("snr_db must be finite")
         if not 0 <= self.rho < np.inf:
             out.append("rho must be finite and nonnegative")
         if self.n_est < 1:
@@ -127,7 +129,7 @@ class LinkConfig:
 
 
 def make_model(cfg: LinkConfig) -> DimRedModel:
-    """Reduction model selected by the config (``ppt`` or default-split ``lft``).
+    """Reduction model selected by the config (``ppt`` or ``lft``).
 
     Built once per ``(t_kind, n_c, n_est)`` and shared: its arrays are
     read-only.
@@ -137,7 +139,7 @@ def make_model(cfg: LinkConfig) -> DimRedModel:
 
 @lru_cache(maxsize=16)
 def _model(t_kind: str, n_c: int, n_est: int) -> DimRedModel:
-    model = pc_ppt(n_c, n_est) if t_kind == "ppt" else default_lft(n_c, n_est)
+    model = pc_ppt(n_c, n_est) if t_kind == "ppt" else lft(n_c, n_est)
     for arr in (model.T, model.Ttilde):
         if arr is not None:
             arr.flags.writeable = False
@@ -179,7 +181,8 @@ def _tap_profile(taps: int, coherence_ratio: float) -> tuple:
     ``coherence_ratio`` is ``|sum_l p_l exp(-2j*pi*coherence_ratio*l)|``.
     The decay constant solving ``corr = 0.5`` is found by bisection; the
     target is unreachable when even equal-power taps stay above 0.5, in
-    which case a ValueError states the achievable range.
+    which case a ValueError states the achievable range;
+    :meth:`LinkConfig.violations` reports it as a config violation.
     """
     if taps == 1:
         return (1.0,)
@@ -212,17 +215,13 @@ def _tap_profile(taps: int, coherence_ratio: float) -> tuple:
 def rayleigh_channel(cfg: LinkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     """Draw taps ``h`` (exponential profile, unit total power) and their DFT ``H``.
 
-    The decay constant is solved from the coherence bandwidth unless
-    ``cfg.tap_decay`` (in samples) overrides it.
+    The decay constant is solved from the coherence bandwidth
+    (:func:`_tap_profile`).
     ``H_k = sum_n h[n] exp(-2j*pi*k*n/n_c)`` (plain unnormalized DFT), so
     ``sum_k |H_k|^2 = n_c * sum_n |h[n]|^2``.
     """
     rng = np.random.default_rng(rng)
-    if cfg.tap_decay is not None:
-        p = np.exp(-np.arange(cfg.taps) / cfg.tap_decay)
-        p = p / p.sum()
-    else:
-        p = np.asarray(_tap_profile(cfg.taps, cfg.coherence_bw / (cfg.n_c * cfg.f_sub)))
+    p = np.asarray(_tap_profile(cfg.taps, cfg.coherence_bw / (cfg.n_c * cfg.f_sub)))
     h = np.sqrt(p / 2) * (rng.standard_normal(cfg.taps) + 1j * rng.standard_normal(cfg.taps))
     H = np.fft.fft(h, cfg.n_c)
     return h, H

@@ -212,15 +212,15 @@ def _center(d, t, G0, w, budget):
     """Newton-center ``-t*w.d - logdet(G0 + Diag(d))`` starting from ``d``.
 
     Returns ``(d, steps, ok)``: the centered point (or the last iterate),
-    the Newton steps taken, and ``False`` when the stage needed more than
-    ``budget`` steps.  Every iterate keeps the LMI strictly positive definite;
-    the Cholesky factor that accepts a line-search trial is the next step's.
+    the Newton steps taken, and ``ok``.  ``ok`` is ``False`` when the stage
+    needed more than ``budget`` steps, when the Newton system is singular,
+    or when the line search finds no strictly feasible point along the step.
+    Every iterate keeps the LMI strictly positive definite; the Cholesky
+    factor that accepts a line-search trial is the next step's.
     """
     L = np.linalg.cholesky(G0 + np.diag(d))
     steps = 0
-    for _ in range(60):
-        if steps == budget:
-            return d, steps, False
+    while steps < budget:
         steps += 1
         Linv = np.linalg.inv(L)
         S = Linv.conj().T @ Linv
@@ -229,7 +229,7 @@ def _center(d, t, G0, w, budget):
         try:
             step = np.linalg.solve(H, rhs)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, rhs, rcond=None)[0]
+            return d, steps, False
         if float(step @ rhs) <= DECREMENT_TOL:
             return d, steps, True
         alpha_ls = 1.0
@@ -241,9 +241,9 @@ def _center(d, t, G0, w, budget):
             except np.linalg.LinAlgError:
                 alpha_ls *= 0.5
         else:
-            return d, steps, True  # cannot move; treat as centered
+            return d, steps, False
         d = d_trial
-    return d, steps, True
+    return d, steps, False
 
 
 def solve_dual(M, b) -> SdpSolution:

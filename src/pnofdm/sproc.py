@@ -61,6 +61,7 @@ CLOSE_TOL = 1e-9  # relative bracket width at which a box is pruned
 DESCENT_TOL = 1e-10  # relative stationarity that ends the coordinate descent
 MAX_SWEEPS = 500  # coordinate-descent sweeps of one descent
 GAP_TOL = 1e-6  # relative gap that separates tight from gapped instances
+NULLSPACE_TOL = 1e-12  # residual of (1/n) * ones under the cosine/sine system
 GAP_KINDS = ("tight", "proven_gap", "unresolved")
 
 
@@ -91,12 +92,13 @@ class NullspaceReport:
     ok: bool
 
 
-def qmatnew_nullspace(n: int, tol: float = 1e-12) -> NullspaceReport:
+def qmatnew_nullspace(n: int) -> NullspaceReport:
     """Null space of the cosine/sine system behind the zero-set argument.
 
     Builds the ``(n-1) x n`` matrix with rows ``cos(2*pi*i*l/n)`` and
     ``sin(2*pi*i*l/n)`` for ``l = 1..(n-1)/2`` and verifies it has rank
-    ``n - 1`` with nonnegative null space spanned by ``(1/n) * ones``.
+    ``n - 1`` with nonnegative null space spanned by ``(1/n) * ones``, whose
+    residual must stay below ``NULLSPACE_TOL``.
     """
     if n < 3 or n % 2 == 0 or n > 11:
         raise ValueError("supported for odd n in [3, 11]")
@@ -109,7 +111,7 @@ def qmatnew_nullspace(n: int, tol: float = 1e-12) -> NullspaceReport:
     null_vec = null_vec * np.sign(null_vec[np.argmax(np.abs(null_vec))])
     ones_dir = np.ones(n) / np.sqrt(n)
     aligned = float(np.linalg.norm(null_vec - ones_dir)) < 1e-10
-    ok = rank == n - 1 and residual < tol and aligned and np.all(null_vec > 0)
+    ok = rank == n - 1 and residual < NULLSPACE_TOL and aligned and np.all(null_vec > 0)
     return NullspaceReport(Q, rank, residual, null_vec, ok)
 
 
@@ -117,9 +119,9 @@ def qmatnew_nullspace(n: int, tol: float = 1e-12) -> NullspaceReport:
 class OracleResult:
     """Certified bracket ``lower <= p* <= p_star`` of the constrained minimum.
 
-    ``p_star`` is the cost plus ``tau_shift`` at ``phases`` (``gamma`` is
-    exactly feasible), so it is an upper bound; ``lower`` is the
-    branch-and-bound lower bound, shifted alike.  The two agree to
+    ``p_star`` is the cost at ``phases`` (``gamma`` is exactly feasible), so
+    it is an upper bound; ``lower`` is the branch-and-bound lower bound.  The
+    cost has no constant term.  The two agree to
     ``CLOSE_TOL`` relative unless the box budget ran out.
     ``grid_points`` is the per-axis size of the seed grid and ``sweeps`` the
     number of coordinate-descent sweeps.
@@ -188,8 +190,8 @@ def _descend(A, c, x):
     return phases, float(_box_values(A, c, np.exp(1j * phases)[None] / root)[0][0]), sweeps
 
 
-def primal_oracle(M, b, *, tau_shift: float = 0.0) -> OracleResult:
-    """Certified global minimum of ``g^H M g - 2 Re(b^H g) + tau_shift`` over the geometry.
+def primal_oracle(M, b) -> OracleResult:
+    """Certified global minimum of ``g^H M g - 2 Re(b^H g)`` over the geometry.
 
     The feasible set is parametrized exactly by time phases: ``g = F x`` with
     ``x = exp(1j*phi)/sqrt(n)``, and in the time basis ``A = F^H M F``,
@@ -256,8 +258,7 @@ def primal_oracle(M, b, *, tau_shift: float = 0.0) -> OracleResult:
     gamma = F @ (np.exp(1j * phases) / np.sqrt(n))
     if not geometry_residual(gamma).max_abs < 1e-12:
         raise RuntimeError("oracle minimizer left the constant-modulus set")
-    return OracleResult(upper + tau_shift, float(min(lower, upper)) + tau_shift, phases, gamma,
-                        SEED_GRID, sweeps)
+    return OracleResult(upper, float(min(lower, upper)), phases, gamma, SEED_GRID, sweeps)
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,6 @@ class GapResult:
     gap: float
     relative: float
     kind: str
-    oracle: OracleResult
     solution: object
 
 
@@ -296,7 +296,7 @@ def duality_gap(M, b) -> GapResult:
         kind = "proven_gap"
     else:
         kind = "unresolved"
-    return GapResult(oracle.p_star, oracle.lower, sol.tau, gap, gap / scale, kind, oracle, sol)
+    return GapResult(oracle.p_star, oracle.lower, sol.tau, gap, gap / scale, kind, sol)
 
 
 def random_gram_instance(n: int, k: int, seed) -> tuple[np.ndarray, np.ndarray]:

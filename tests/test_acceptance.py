@@ -10,7 +10,7 @@ given the frozen seeds.
 import numpy as np
 import pytest
 
-from pnofdm.dimred import default_lft, pc_ppt, validate_ppt
+from pnofdm.dimred import pc_ppt, validate_ppt
 from pnofdm.estimators import error_decomposition
 from pnofdm.link import LinkConfig, decode_frame, simulate
 from pnofdm.phasenoise import spectral_vector, wiener_realization

@@ -1,7 +1,11 @@
-"""The public surface: every ``__all__`` entry resolves and star-imports work."""
+"""The public surface: every ``__all__`` entry resolves and star-imports work,
+and every public default is one some caller changes."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ import pnofdm
 
 # Every submodule but the command-line entry point, which exports nothing.
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pnofdm.__path__) if m.name != "cli")
+# Code outside the tests: the package, the demos and the benchmark.
+CALLER_DIRS = ("src", "demos", "perfbench")
 
 
 def test_package_all_resolves():
@@ -36,3 +42,33 @@ def test_module_star_import(mod):
     namespace = {}
     exec(f"from pnofdm.{mod} import *", namespace)
     assert set(importlib.import_module(f"pnofdm.{mod}").__all__) <= set(namespace)
+
+
+def _keyword_calls() -> set:
+    """``(callee, keyword)`` for every ``callee(..., keyword=...)`` outside the tests."""
+    root = Path(__file__).resolve().parents[1]
+    calls = set()
+    for path in (p for d in CALLER_DIRS for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    return calls
+
+
+def test_every_default_is_set_by_a_caller():
+    # A parameter with a default that no caller outside the tests passes by
+    # name has one value in use, so it should be a constant.
+    calls = _keyword_calls()
+    unset = []
+    for mod in MODULES:
+        module = importlib.import_module(f"pnofdm.{mod}")
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn):
+                continue
+            for param in inspect.signature(fn).parameters.values():
+                if param.default is not param.empty and (name, param.name) not in calls:
+                    unset.append(f"{mod}.{name}({param.name}=)")
+    assert unset == []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pnofdm.dimred import default_lft, lft, lift, pc_ppt, validate_ppt
+from pnofdm.dimred import lft, lift, pc_ppt, validate_ppt
 from pnofdm.phasenoise import spectral_vector
 from pnofdm.spectral import geometry_residual
 
@@ -14,29 +14,29 @@ def feasible_gamma(n, seed):
 
 class TestLft:
     def test_single_column(self):
-        model = lft(4, 1, 0)
+        model = lft(4, 1)
         assert np.array_equal(model.T, np.eye(4, dtype=complex)[:, :1])
 
     def test_block_structure(self):
-        model = lft(8, 3, 2)
+        model = lft(8, 5)  # 3 top bins, 2 bottom
         T = model.T
         assert np.allclose(T[:3, :3], np.eye(3))
         assert np.allclose(T[6:, 3:], np.eye(2))
         assert np.max(np.abs(T[3:6])) == 0
 
     def test_orthonormal_columns(self):
-        T = lft(16, 5, 4).T
+        T = lft(16, 9).T
         assert np.max(np.abs(T.conj().T @ T - np.eye(9))) == 0
 
     def test_default_split(self):
-        model = default_lft(128, 8)
+        model = lft(128, 8)
         # ceil((n+1)/2) top bins, the rest at the bottom
         assert np.allclose(model.T[:5, :5], np.eye(5))
         assert np.allclose(model.T[125:, 5:], np.eye(3))
 
     def test_dimension_overflow(self):
         with pytest.raises(ValueError):
-            lft(4, 3, 2)
+            lft(4, 5)
 
 
 class TestPcPpt:
@@ -100,11 +100,11 @@ class TestLift:
         assert geometry_residual(out).max_abs < 1e-10
 
     def test_lft_unit_vector_coincidence(self):
-        out = lift(default_lft(8, 4), np.eye(4)[:, 0])
+        out = lift(lft(8, 4), np.eye(4)[:, 0])
         assert np.allclose(out, np.eye(8)[:, 0])
 
     def test_lft_breaks_geometry(self):
-        model = default_lft(8, 4)
+        model = lft(8, 4)
         violations = [
             geometry_residual(model.T @ feasible_gamma(4, 100 + s)).max_abs for s in range(10)
         ]
@@ -113,7 +113,7 @@ class TestLift:
     def test_norm_preserved(self):
         rng = np.random.default_rng(11)
         g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        for model in (pc_ppt(64, 8), default_lft(64, 8)):
+        for model in (pc_ppt(64, 8), lft(64, 8)):
             assert abs(np.linalg.norm(model.T @ g) - np.linalg.norm(g)) < 1e-12
 
     def test_dimension_mismatch(self):

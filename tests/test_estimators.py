@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pnofdm.dimred import default_lft, pc_ppt
+from pnofdm.dimred import lft, pc_ppt
 from pnofdm.estimators import (
     ESTIMATOR_IDS,
     EstimationError,
@@ -141,7 +141,7 @@ class TestNls:
 
     def test_lft_branch_full_domain_projection(self, desk_frame):
         cfg, _, f0, f1 = desk_frame
-        model = default_lft(cfg.n_c, cfg.n_est)
+        model = lft(cfg.n_c, cfg.n_est)
         out = estimate_frame("nls", f0, f1, model)
         assert out.diagnostics.geometry_residual < 1e-10
 
@@ -187,7 +187,7 @@ class TestGls:
     def test_requires_geometry_preserving_model(self):
         sys = synthetic_system(4, 8, 0)
         with pytest.raises(ValueError):
-            gls(sys, default_lft(16, 4))
+            gls(sys, lft(16, 4))
 
     def test_linalg_error_becomes_estimation_error(self, monkeypatch):
         # A numpy LinAlgError inside the dual solve reaches run_link as an
@@ -378,7 +378,7 @@ class TestCMatrix:
         # c_matrix raises if its reconstruction disagrees with the estimator;
         # returning means the check passed at 1e-8.
         cfg, _, f0, _ = desk_frame
-        model = default_lft(cfg.n_c, cfg.n_est)
+        model = lft(cfg.n_c, cfg.n_est)
         C = c_matrix(model, f0.pilot_idx, f0.theta, f0.H, f0.s, f0.r)
         assert C.shape == (cfg.n_c, cfg.n_c)
 

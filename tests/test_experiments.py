@@ -92,9 +92,9 @@ class TestParseConfig:
             ("estimate-error-pdf", "snr_db = 10,30", "takes one value of key 'snr_db'"),
             ("estimate-error-pdf", "rho = 0.1,0.2", "takes one value of key 'rho'"),
             ("phase-error-pdf", "snr_db = 10,30", "takes one value of key 'snr_db'"),
-            ("estimate-error-pdf", "tap_decay = 2\ncoherence_bw = 400000",
+            ("estimate-error-pdf", "taps = 1\ncoherence_bw = 400000",
              "does not read key 'coherence_bw'"),
-            ("estimate-error-pdf", "tap_decay = 2\nf_sub = 30000", "does not read key 'f_sub'"),
+            ("estimate-error-pdf", "taps = 1\nf_sub = 30000", "does not read key 'f_sub'"),
             ("mse-vs-bandwidth", "rho = 0.02,-0.1", "rho must be finite and nonnegative"),
         ],
     )
@@ -114,6 +114,10 @@ class TestParseConfig:
             ("rho = nan", "rho must be finite and nonnegative"),
             ("f_sub = 0", "f_sub must be positive"),
             ("coherence_bw = -1", "coherence_bw must be positive"),
+            ("coherence_bw = inf", "coherence_bw must be positive and finite"),
+            ("coherence_bw = 1000", "coherence target unreachable"),
+            ("n_c = 512", "increase taps"),
+            ("seed = -1", "seed must be non-negative"),
         ],
     )
     def test_bad_link_value_rejected(self, tmp_path, capsys, line, message):
@@ -121,6 +125,7 @@ class TestParseConfig:
         cfg_file.write_text(f"scenario = estimate-error-pdf\ntrials = 2\n{line}\n")
         assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse value for 'snr_db'"):
@@ -135,11 +140,6 @@ class TestParseConfig:
         assert configs
         for block in configs:
             parse_config(block)
-
-    def test_explicit_tap_decay(self):
-        cfg = parse_config("scenario = ber-vs-snr\ntap_decay = 2.5\n")
-        assert cfg.tap_decay == 2.5
-        assert parse_config("\n".join(cfg.echo_lines())) == cfg
 
 
 class TestScenarios:

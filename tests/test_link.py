@@ -73,15 +73,14 @@ class TestChannel:
         with pytest.raises(ValueError):
             _tap_profile(4, 800e3 / 7.68e6)
 
-    def test_explicit_decay_override(self):
-        # An explicit decay constant bypasses the coherence solve; this is
-        # the route to full-scale (512-subcarrier) configurations whose
-        # coherence target is out of the solvable range.
-        cfg = LinkConfig(n_c=512, tap_decay=2.65)
-        h, H = rayleigh_channel(cfg, 0)
-        assert h.size == 4 and H.size == 512
-        with pytest.raises(ValueError):
-            LinkConfig(tap_decay=-1.0).validate()
+    def test_full_scale_needs_more_taps(self):
+        # At 512 subcarriers four taps cannot reach the default coherence
+        # bandwidth; the config says so before any frame is drawn, and six
+        # taps reach it.
+        with pytest.raises(ValueError, match="increase taps"):
+            LinkConfig(n_c=512).validate()
+        h, H = rayleigh_channel(LinkConfig(n_c=512, taps=6).validate(), 0)
+        assert h.size == 6 and H.size == 512
 
 
 class TestTransmit:

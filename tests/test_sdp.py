@@ -170,6 +170,23 @@ class TestSolveDual:
         c = solve_dual(M, b)
         assert a.tau == c.tau and np.array_equal(a.mu, c.mu)
 
+    def test_stuck_line_search_is_not_optimal(self, monkeypatch):
+        # Every factorization after the start point fails, so the first line
+        # search finds no feasible trial; the solve must not report optimal.
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def first_only(G):
+            calls.append(1)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(G)
+
+        monkeypatch.setattr(np.linalg, "cholesky", first_only)
+        sol = solve_dual(*random_gram_instance(3, 6, 1))
+        assert len(calls) > 1
+        assert sol.status == "max_iter"
+
     def test_size_limit(self):
         with pytest.raises(SolverError):
             solve_dual(*eye_pair(65))

@@ -107,11 +107,6 @@ class TestPrimalOracle:
         assert res.p_star == pytest.approx(1.0, abs=1e-10)
         assert res.lower == pytest.approx(1.0, abs=1e-10)
 
-    def test_tau_shift_offsets_value(self):
-        res = primal_oracle(np.eye(3, dtype=complex), np.zeros(3, dtype=complex), tau_shift=2.5)
-        assert res.p_star == pytest.approx(3.5, abs=1e-10)
-        assert res.lower == pytest.approx(3.5, abs=1e-10)
-
     def test_zero_cost_instance(self):
         rng = np.random.default_rng(0)
         n = 3
@@ -120,10 +115,11 @@ class TestPrimalOracle:
         M = A.conj().T @ A
         M = (M + M.conj().T) / 2
         b = A.conj().T @ (A @ g0)
-        res = primal_oracle(M, b, tau_shift=float(np.real((A @ g0).conj() @ (A @ g0))))
-        assert res.p_star == pytest.approx(0.0, abs=1e-8)
+        res = primal_oracle(M, b)
+        shift = float(np.real((A @ g0).conj() @ (A @ g0)))  # the constant term ||A g0||^2
+        assert res.p_star + shift == pytest.approx(0.0, abs=1e-8)
         assert res.lower <= res.p_star
-        assert res.lower == pytest.approx(0.0, abs=1e-8)
+        assert res.lower + shift == pytest.approx(0.0, abs=1e-8)
         assert np.linalg.norm(res.gamma - g0) < 1e-5
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
