@@ -85,21 +85,32 @@ _EDGE_PAIR = (2 * _OUT1 + _OUT2)[
 
 
 def conv_encode(bits) -> np.ndarray:
-    """Encode a bit sequence at rate 1/2 with zero-tail termination.
+    """Encode bit sequences at rate 1/2 with zero-tail termination.
 
-    Returns ``2 * (len(bits) + 6)`` coded bits, the two generator outputs
-    interleaved per input bit.  An empty input yields the 12 flush bits.
+    ``bits`` is one sequence, shape ``(n,)``, or ``B`` sequences of equal
+    length, shape ``(B, n)``, one per row; each row is encoded from the
+    all-zero state, so no row's register carries into the next.  Returns
+    ``2 * (n + 6)`` coded bits per row, the two generator outputs interleaved
+    per input bit: shape ``(2(n + 6),)`` or ``(B, 2(n + 6))``.  An empty
+    sequence yields the 12 flush bits.
     """
-    bits = np.asarray(bits, dtype=int).ravel()
-    if bits.size and not np.all((bits == 0) | (bits == 1)):
+    bits = np.asarray(bits, dtype=int)
+    if bits.ndim not in (1, 2):
+        raise ValueError("bits must be one sequence (n,) or a block (B, n)")
+    if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must be 0/1")
-    u = np.concatenate([bits, np.zeros(_MEM, dtype=int)])
-    c1 = np.convolve(u, _TAPS1)[: u.size] % 2
-    c2 = np.convolve(u, _TAPS2)[: u.size] % 2
-    out = np.empty(2 * u.size, dtype=int)
-    out[0::2] = c1
-    out[1::2] = c2
-    return out
+    block = np.atleast_2d(bits)
+    n_rows, n = block.shape
+    # Rows in sequence, each followed by its six flush zeros: a row's tail
+    # returns the encoder to the zero state it starts the next row from.
+    u = np.zeros((n_rows, n + _MEM), dtype=int)
+    u[:, :n] = block
+    u = u.ravel()
+    coded = np.empty((u.size, 2), dtype=int)
+    coded[:, 0] = np.convolve(u, _TAPS1)[: u.size] % 2
+    coded[:, 1] = np.convolve(u, _TAPS2)[: u.size] % 2
+    coded = coded.reshape(n_rows, -1)
+    return coded if bits.ndim == 2 else coded[0]
 
 
 def viterbi_decode_soft(llrs) -> np.ndarray:

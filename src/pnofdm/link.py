@@ -5,9 +5,12 @@ the data subcarriers, fixed QPSK pilots on an evenly spaced grid -> Rayleigh
 multipath channel -> phase-noise rotation plus AWGN -> compensation with an
 estimated spectral vector -> per-subcarrier max-log LLRs -> soft Viterbi.
 The 16-QAM table (per axis ``00 -> +1, 01 -> +3, 10 -> -3, 11 -> -1``) is
-not Gray; see :mod:`pnofdm.qam`.  :func:`decode_frame` compensates and
-demaps frame by frame and decodes a whole block of frames in one Viterbi
-call; :func:`run_link` decodes its frames in blocks of ``DECODE_BLOCK``.
+not Gray; see :mod:`pnofdm.qam`.  Arrays carry a leading batch axis:
+:func:`make_frame_pair` encodes, maps and sends both symbols of a pair in
+one pass over ``(2, n_c)`` arrays, and :func:`decode_frame` compensates,
+demaps and decodes a whole block of frames in one stacked pass, one call
+per layer; :func:`run_link` decodes its frames in blocks of
+``DECODE_BLOCK``.
 
 Model and conventions:
 
@@ -228,33 +231,34 @@ def rayleigh_channel(cfg: LinkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_phase_noise(x, theta) -> np.ndarray:
-    """Apply the unitary rotation ``V = F diag(exp(1j*theta)) F^H`` via FFTs."""
+    """Apply the unitary rotation ``V = F diag(exp(1j*theta)) F^H`` via FFTs.
+
+    ``x`` and ``theta`` are ``(..., n)``: leading axes are a batch, each row
+    rotated by its own phases, exactly as a 1-D call on that row.
+    """
     x = np.asarray(x, dtype=complex)
     return np.fft.fft(np.exp(1j * np.asarray(theta, dtype=float)) * np.fft.ifft(x))
 
 
 def compensate(r, delta_hat) -> np.ndarray:
-    """De-rotate a received vector with an estimated spectral vector.
+    """De-rotate received vectors with estimated spectral vectors.
 
     Computes ``y = V_hat^H r`` where ``V_hat`` is the row-circulant matrix
     with first row ``delta_hat^H``; the adjoint is the circular convolution
-    of ``delta_hat`` with ``r``.
+    of ``delta_hat`` with ``r``.  ``r`` and ``delta_hat`` have one shape:
+    ``(n,)`` for one vector, or ``(B, n)`` for ``B`` vectors, each row
+    de-rotated by its own estimate exactly as a 1-D call on that row.  Every
+    row of ``delta_hat`` must be finite and nonzero.
     """
     d = np.asarray(delta_hat, dtype=complex)
-    if np.linalg.norm(d) == 0:
+    r = np.asarray(r, dtype=complex)
+    if r.shape != d.shape or r.ndim not in (1, 2):
+        raise ValueError("r and delta_hat must share one shape, (n,) or (B, n)")
+    if not np.isfinite(d).all():
+        raise ValueError("delta_hat must be finite")
+    if not np.any(d != 0, axis=-1).all():
         raise ValueError("delta_hat must be nonzero")
-    r = np.asarray(r, dtype=complex).ravel()
-    if r.size != d.size:
-        raise ValueError("length mismatch")
     return np.fft.ifft(np.fft.fft(d) * np.fft.fft(r))
-
-
-def _transmit(s, H, theta, snr_db, rng):
-    """One pass through the channel, ``r = V (H s + n0)``; returns ``(r, sigma2)``."""
-    w = H * s
-    sigma2 = float(np.mean(np.abs(w) ** 2)) / 10 ** (snr_db / 10)
-    n0 = np.sqrt(sigma2 / 2) * (rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
-    return apply_phase_noise(w + n0, theta), sigma2
 
 
 @dataclass(frozen=True)
@@ -276,32 +280,39 @@ class OfdmFrame:
     sigma2: float
 
 
-def _build_symbol(cfg, layout, H, theta, rng):
-    pilot_idx, pilot_values, data_idx = layout
-    info_bits = rng.integers(0, 2, 2 * data_idx.size - 6)
-    s = np.empty(cfg.n_c, dtype=complex)
-    s[pilot_idx] = pilot_values
-    s[data_idx] = qam16_map(conv_encode(info_bits))
-    r, sigma2 = _transmit(s, H, theta, cfg.snr_db, rng)
-    return OfdmFrame(info_bits, s, pilot_idx, pilot_values, data_idx, H, theta, r, sigma2)
-
-
 def make_frame_pair(cfg: LinkConfig, seed) -> tuple[OfdmFrame, OfdmFrame]:
     """Simulate two consecutive symbols sharing one channel realization.
 
     The phase trajectory is continuous across the pair; noise and data are
     independent per symbol.  The per-sample step variance is referenced to
     one symbol length.  Draw order (fixed for reproducibility): channel taps,
-    initial phase, phase increments, then per symbol bits and noise.
+    initial phase, the ``2*n_c - 1`` phase increments, then for symbol 0 and
+    then symbol 1 the bits, the real noise and the imaginary noise.  The two
+    symbols are then encoded, mapped and sent as ``(2, n_c)`` arrays, one
+    row per symbol, ``r = V (H s + n0)``.
     """
     cfg.validate()
     rng = np.random.default_rng(seed)
-    layout = _layout(cfg.n_c, cfg.pilot_fraction)
+    pilot_idx, pilot_values, data_idx = _layout(cfg.n_c, cfg.pilot_fraction)
     _, H = rayleigh_channel(cfg, rng)
     step_var = WIENER_VARIANCE_FACTOR * cfg.rho / cfg.n_c
-    theta = _wiener_path(rng, 2 * cfg.n_c, step_var, rng.uniform(-np.pi, np.pi))
+    theta = _wiener_path(rng, 2 * cfg.n_c, step_var, rng.uniform(-np.pi, np.pi)).reshape(2, cfg.n_c)
+    info_bits = np.empty((2, 2 * data_idx.size - 6), dtype=int)
+    noise = np.empty((2, 2, cfg.n_c))  # [symbol, real or imaginary part, subcarrier]
+    for k in range(2):
+        info_bits[k] = rng.integers(0, 2, info_bits.shape[1])
+        noise[k] = rng.standard_normal((2, cfg.n_c))  # the real part's draws, then the imaginary part's
+    s = np.empty((2, cfg.n_c), dtype=complex)
+    s[:, pilot_idx] = pilot_values
+    # Each row's 4 * n_data coded bits fill whole symbols, so the rows map as one sequence.
+    s[:, data_idx] = qam16_map(conv_encode(info_bits)).reshape(2, -1)
+    w = H * s
+    sigma2 = np.mean(np.abs(w) ** 2, axis=-1) / 10 ** (cfg.snr_db / 10)
+    n0 = np.sqrt(sigma2 / 2)[:, None] * (noise[:, 0] + 1j * noise[:, 1])
+    r = apply_phase_noise(w + n0, theta)
     return tuple(
-        _build_symbol(cfg, layout, H, th, rng) for th in (theta[:cfg.n_c], theta[cfg.n_c:])
+        OfdmFrame(info_bits[i], s[i], pilot_idx, pilot_values, data_idx, H, theta[i], r[i], float(sigma2[i]))
+        for i in range(2)
     )
 
 
@@ -336,15 +347,24 @@ def _frame_ber_normal_ci(frame_ber: np.ndarray) -> tuple[float, float]:
 def decode_frame(frames, delta_hats) -> np.ndarray:
     """Compensate, demap and decode a block of frames, one estimate each.
 
-    Each frame is compensated and demapped on its own; the block's codewords
-    then go to one :func:`viterbi_decode_soft` call.  Returns the decoded
-    information bits, shape ``(len(frames), n_info)``.
+    The ``B`` frames must share one pilot layout and each estimate must have
+    the length of its frame's ``r``; otherwise ``ValueError`` is raised
+    before anything is decoded.  The block goes through one
+    :func:`compensate` call on the stacked ``(B, n_c)`` received vectors and
+    estimates, one :func:`qam16_llr` call on the ``(B, n_data)`` data
+    subcarriers with each frame's ``sigma2``, and one
+    :func:`viterbi_decode_soft` call.  Returns the decoded information bits,
+    shape ``(B, n_info)``.
     """
-    llrs = [
-        qam16_llr(compensate(frame.r, d)[frame.data_idx], frame.H[frame.data_idx], frame.sigma2)
-        for frame, d in zip(frames, delta_hats, strict=True)
-    ]
-    return viterbi_decode_soft(np.stack(llrs))
+    if not frames or len(frames) != len(delta_hats):
+        raise ValueError("decode_frame takes one estimate per frame, and at least one frame")
+    data_idx = frames[0].data_idx
+    if any(frame.data_idx is not data_idx and not np.array_equal(frame.data_idx, data_idx) for frame in frames):
+        raise ValueError("frames must share one pilot layout")
+    y = compensate(np.stack([frame.r for frame in frames]), np.stack(delta_hats))[:, data_idx]
+    gain = np.stack([frame.H for frame in frames])[:, data_idx]
+    llrs = qam16_llr(y, gain, [frame.sigma2 for frame in frames])
+    return viterbi_decode_soft(llrs)
 
 
 def simulate(cfg: LinkConfig, estimators, trials: int, seed):
@@ -391,8 +411,8 @@ def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
         outputs = [results[estimator] for _, results in block]
         flagged += sum(bad for _, bad in outputs)
         decoded = decode_frame(frames, [out.delta_hat for out, _ in outputs])
-        for frame, bits in zip(frames, decoded):
-            errors.append(int(np.count_nonzero(bits != frame.info_bits)))
+        sent = np.stack([frame.info_bits for frame in frames])
+        errors.extend(np.count_nonzero(decoded != sent, axis=1).tolist())
     errors = np.array(errors)
     bits_per_frame = frames[0].info_bits.size
     total_bits = bits_per_frame * n_frames

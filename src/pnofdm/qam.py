@@ -41,29 +41,37 @@ def qam16_llr(y, gain, noise_var) -> np.ndarray:
     Parameters
     ----------
     y : array_like
-        Received complex samples.
+        Received complex samples: one row, shape ``(n,)``, or ``B`` rows of
+        equal length, shape ``(B, n)``.
     gain : array_like
         Complex channel gain per sample (broadcastable against ``y``).
-    noise_var : float
-        Variance of the complex noise per sample.
+    noise_var : float or array_like
+        Variance of the complex noise per sample: one value for all rows, or
+        one per row, shape ``(B,)``.  Each must be positive and finite.
 
     Returns
     -------
     ndarray
-        ``4 * len(y)`` LLRs in transmit bit order.  Values scale linearly
-        with ``1/noise_var``.
+        ``4 * n`` LLRs per row in transmit bit order: shape ``(4n,)`` or
+        ``(B, 4n)``.  Each row is computed as a 1-D call on that row would
+        compute it, and its values scale linearly with ``1/noise_var``.
     """
-    y = np.asarray(y, dtype=complex).ravel()
-    gain = np.broadcast_to(np.asarray(gain, dtype=complex).ravel(), y.shape)
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
+    y = np.asarray(y, dtype=complex)
+    if y.ndim not in (1, 2):
+        raise ValueError("y must be one row (n,) or a block (B, n)")
+    rows = np.atleast_2d(y)
+    gain = np.broadcast_to(np.asarray(gain, dtype=complex), rows.shape)
+    noise_var = np.broadcast_to(np.asarray(noise_var, dtype=float), rows.shape[:1])
+    if not np.all((noise_var > 0) & np.isfinite(noise_var)):
+        raise ValueError("noise_var must be positive and finite")
     g2 = np.abs(gain) ** 2
-    z = np.conj(gain) * y
+    z = np.conj(gain) * rows
     # |y - gain*s|^2 splits per axis: g2*a^2 - 2*Re(z)*a + (const), same for Im.
-    # metric[n, axis, level], axis 0 in-phase and 1 quadrature.
-    z_axes = z.view(float).reshape(-1, 2)  # [Re z, Im z] per sample
-    metric = g2[:, None, None] * _LEVELS**2 - 2 * z_axes[:, :, None] * _LEVELS
-    m00, m01, m10, m11 = np.moveaxis(metric, 2, 0)  # by the level's two bits
+    # metric[b, n, axis, level], axis 0 in-phase and 1 quadrature.
+    z_axes = np.stack([z.real, z.imag], axis=-1)
+    metric = g2[..., None, None] * _LEVELS**2 - 2 * z_axes[..., None] * _LEVELS
+    m00, m01, m10, m11 = np.moveaxis(metric, -1, 0)  # by the level's two bits
     msb = np.minimum(m10, m11) - np.minimum(m00, m01)
     lsb = np.minimum(m01, m11) - np.minimum(m00, m10)
-    return (np.stack([msb, lsb], axis=2) / noise_var).ravel()
+    llrs = (np.stack([msb, lsb], axis=-1) / noise_var[:, None, None, None]).reshape(len(rows), -1)
+    return llrs if y.ndim == 2 else llrs[0]

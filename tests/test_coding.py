@@ -39,6 +39,16 @@ def reference_decode(llrs):
     return decoded[: n_steps - 6]
 
 
+def reference_encode(info_bits):
+    """Reference encoder: one sequence, one convolution per generator."""
+    taps = [[(g >> (6 - i)) & 1 for i in range(7)] for g in (0o133, 0o171)]
+    u = np.concatenate([np.asarray(info_bits, dtype=int), np.zeros(6, dtype=int)])
+    out = np.empty(2 * u.size, dtype=int)
+    out[0::2] = np.convolve(u, taps[0])[: u.size] % 2
+    out[1::2] = np.convolve(u, taps[1])[: u.size] % 2
+    return out
+
+
 def correlation(info_bits, llrs):
     """Path score ``-sum(c * llr)`` of the codeword of ``info_bits``."""
     return -float(np.dot(conv_encode(info_bits), llrs))
@@ -62,6 +72,24 @@ class TestEncoder:
     def test_rate_and_termination(self):
         bits = np.random.default_rng(0).integers(0, 2, 37)
         assert conv_encode(bits).size == 2 * (37 + 6)
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 5])
+    @pytest.mark.parametrize("n_bits", [0, 1, LINK_INFO_BITS])
+    def test_block_rows_match_single_encodes(self, n_rows, n_bits):
+        rng = np.random.default_rng(100 * n_rows + n_bits)
+        bits = rng.integers(0, 2, (n_rows, n_bits))
+        bits[0] = 1  # a full register at the end of a row must not leak into the next
+        coded = conv_encode(bits)
+        assert coded.shape == (n_rows, 2 * (n_bits + 6))
+        for row, got in zip(bits, coded):
+            assert np.array_equal(got, reference_encode(row))
+            assert np.array_equal(got, conv_encode(row))
+
+    def test_rejects_non_binary_and_higher_rank_input(self):
+        with pytest.raises(ValueError, match="0/1"):
+            conv_encode([[0, 1], [2, 0]])
+        with pytest.raises(ValueError, match="block"):
+            conv_encode(np.zeros((2, 2, 3), dtype=int))
 
 
 class TestViterbi:

@@ -18,11 +18,41 @@ from pnofdm.link import (
     rayleigh_channel,
     run_link,
     simulate,
+    _layout,
     _tap_profile,
-    _transmit,
 )
-from pnofdm.phasenoise import spectral_vector
+from pnofdm.coding import conv_encode
+from pnofdm.phasenoise import WIENER_VARIANCE_FACTOR, _wiener_path, spectral_vector
+from pnofdm.qam import qam16_map
 from pnofdm.spectral import dft_matrix
+
+
+def _transmit(s, H, theta, snr_db, rng):
+    """Reference: one symbol through the channel, ``r = V (H s + n0)``."""
+    w = H * s
+    sigma2 = float(np.mean(np.abs(w) ** 2)) / 10 ** (snr_db / 10)
+    n0 = np.sqrt(sigma2 / 2) * (rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
+    return apply_phase_noise(w + n0, theta), sigma2
+
+
+def _build_symbol(cfg, H, theta, rng):
+    """Reference: draw, encode, map and send one symbol on its own."""
+    pilot_idx, pilot_values, data_idx = _layout(cfg.n_c, cfg.pilot_fraction)
+    info_bits = rng.integers(0, 2, 2 * data_idx.size - 6)
+    s = np.empty(cfg.n_c, dtype=complex)
+    s[pilot_idx] = pilot_values
+    s[data_idx] = qam16_map(conv_encode(info_bits))
+    r, sigma2 = _transmit(s, H, theta, cfg.snr_db, rng)
+    return {"info_bits": info_bits, "s": s, "H": H, "theta": theta, "r": r, "sigma2": sigma2}
+
+
+def reference_pair(cfg, seed):
+    """The frame pair built one symbol at a time, in the documented draw order."""
+    rng = np.random.default_rng(seed)
+    _, H = rayleigh_channel(cfg, rng)
+    step_var = WIENER_VARIANCE_FACTOR * cfg.rho / cfg.n_c
+    theta = _wiener_path(rng, 2 * cfg.n_c, step_var, rng.uniform(-np.pi, np.pi))
+    return [_build_symbol(cfg, H, th, rng) for th in (theta[: cfg.n_c], theta[cfg.n_c :])]
 
 
 class TestPilots:
@@ -85,29 +115,28 @@ class TestChannel:
 
 class TestTransmit:
     def test_no_phase_noise_high_snr(self):
-        rng = np.random.default_rng(4)
-        H = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        s = pilot_sequence(16)
-        r, _ = _transmit(s, H, np.zeros(16), 300.0, np.random.default_rng(5))
-        assert np.max(np.abs(r - H * s)) < 1e-10
+        # Without phase noise the pair shares one constant phase, and
+        # de-rotating by it leaves the noiseless channel output.
+        f0, f1 = make_frame_pair(LinkConfig(rho=0.0, snr_db=300.0), 4)
+        theta = np.concatenate([f0.theta, f1.theta])
+        assert np.all(theta == theta[0])
+        for frame in (f0, f1):
+            y = compensate(frame.r, spectral_vector(frame.theta))
+            assert np.max(np.abs(y - frame.H * frame.s)) < 1e-10
 
     def test_constant_phase_rotates(self):
-        rng = np.random.default_rng(5)
-        H = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        s = pilot_sequence(16)
-        phi = 1.3
-        r, _ = _transmit(s, H, np.full(16, phi), 300.0, np.random.default_rng(6))
-        assert np.max(np.abs(r - np.exp(1j * phi) * H * s)) < 1e-10
+        for frame in make_frame_pair(LinkConfig(rho=0.0, snr_db=300.0), 5):
+            assert np.max(np.abs(frame.r - np.exp(1j * frame.theta[0]) * frame.H * frame.s)) < 1e-10
 
     def test_programmed_snr(self):
-        rng = np.random.default_rng(6)
-        H = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        s = pilot_sequence(64)
-        theta = np.zeros(64)
+        cfg = LinkConfig(snr_db=30.0)
         ratio = []
-        for seed in range(1000):
-            r, _ = _transmit(s, H, theta, 30.0, np.random.default_rng(seed))
-            ratio.append(np.sum(np.abs(r - H * s) ** 2) / np.sum(np.abs(H * s) ** 2))
+        for seed in range(500):
+            for frame in make_frame_pair(cfg, seed):
+                w = frame.H * frame.s
+                assert frame.sigma2 == pytest.approx(np.mean(np.abs(w) ** 2) * 1e-3, rel=1e-12)
+                noise = frame.r - apply_phase_noise(w, frame.theta)
+                ratio.append(np.sum(np.abs(noise) ** 2) / np.sum(np.abs(w) ** 2))
         assert np.mean(ratio) == pytest.approx(1e-3, rel=0.05)
 
     def test_rotation_matches_dense_matrix(self):
@@ -117,6 +146,15 @@ class TestTransmit:
         F = dft_matrix(32)
         V = F @ np.diag(np.exp(1j * theta)) @ F.conj().T
         assert np.max(np.abs(apply_phase_noise(x, theta) - V @ x)) < 1e-12
+
+    def test_batch_rows_match_single_rotations(self):
+        rng = np.random.default_rng(8)
+        theta = rng.uniform(-np.pi, np.pi, (3, 32))
+        x = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
+        rotated = apply_phase_noise(x, theta)
+        assert rotated.shape == (3, 32)
+        for row, xi, ti in zip(rotated, x, theta):
+            assert np.array_equal(row, apply_phase_noise(xi, ti))
 
 
 class TestCompensate:
@@ -157,8 +195,57 @@ class TestCompensate:
         with pytest.raises(ValueError):
             compensate(np.ones(4), np.zeros(4))
 
+    def test_zero_row_in_block_rejected(self):
+        d = np.ones((3, 4), dtype=complex)
+        d[1] = 0.0
+        with pytest.raises(ValueError, match="nonzero"):
+            compensate(np.ones((3, 4)), d)
+
+    def test_non_finite_estimate_rejected(self):
+        d = np.eye(4)[0].astype(complex)
+        d[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            compensate(np.ones(4), d)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            compensate(np.ones(8), np.eye(4)[0])
+        with pytest.raises(ValueError, match="shape"):
+            compensate(np.ones((2, 4)), np.eye(4)[0])
+
+    def test_block_rows_match_single_compensations(self):
+        cfg = LinkConfig(snr_db=10.0)
+        model = make_model(cfg)
+        pairs = [make_frame_pair(cfg, seed) for seed in range(6)]
+        r = np.stack([f0.r for f0, _ in pairs])
+        d = np.stack([estimate_frame("uls", f0, f1, model).delta_hat for f0, f1 in pairs])
+        d[2] *= 1e3  # rows of very different scale
+        y = compensate(r, d)
+        assert y.shape == r.shape
+        for row, ri, di in zip(y, r, d):
+            assert np.array_equal(row, compensate(ri, di))
+
 
 class TestFramePair:
+    @pytest.mark.parametrize(
+        "cfg, seeds",
+        [
+            (LinkConfig(snr_db=10.0), range(20)),
+            (LinkConfig(snr_db=30.0), range(100, 120)),
+            (LinkConfig(n_c=64, taps=1, n_est=4), range(5)),
+        ],
+    )
+    def test_pair_matches_per_symbol_reference(self, cfg, seeds):
+        # Both symbols are built as (2, n_c) arrays in one pass; each must
+        # equal the symbol built on its own from the same draws.
+        for seed in seeds:
+            pair = make_frame_pair(cfg, seed)
+            for frame, want in zip(pair, reference_pair(cfg, seed), strict=True):
+                for name in ("info_bits", "s", "theta", "r", "H"):
+                    assert np.array_equal(getattr(frame, name), want[name]), (seed, name)
+                assert frame.sigma2 == want["sigma2"]
+                assert type(frame.sigma2) is float
+
     def test_phase_continuity(self):
         cfg = LinkConfig()
         f0, f1 = make_frame_pair(cfg, 12)
@@ -280,6 +367,37 @@ class TestSimulate:
         with pytest.raises(ValueError):
             decode_frame([f0, f0], [spectral_vector(f0.theta)])
 
+    def test_decode_frame_rows_match_single_frame_decodes(self):
+        cfg = LinkConfig(snr_db=10.0)
+        model = make_model(cfg)
+        frames, estimates = [], []
+        for seed in range(6):
+            f0, f1 = make_frame_pair(cfg, seed)
+            frames.append(f0)
+            estimates.append(estimate_frame("uls", f0, f1, model).delta_hat)
+        decoded = decode_frame(frames, estimates)
+        assert decoded.shape == (6, frames[0].info_bits.size)
+        for bits, frame, d in zip(decoded, frames, estimates):
+            assert np.array_equal(bits, decode_frame([frame], [d])[0])
+        assert any(np.any(bits != frame.info_bits) for bits, frame in zip(decoded, frames))
+
+    def test_decode_frame_rejects_mixed_blocks_before_decoding(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("decode_frame reached a layer before rejecting its block")
+
+        for name in ("compensate", "qam16_llr", "viterbi_decode_soft"):
+            monkeypatch.setattr(link, name, refuse)
+        f128, _ = make_frame_pair(LinkConfig(), 18)
+        f64, _ = make_frame_pair(LinkConfig(n_c=64, taps=1, n_est=4), 18)
+        d128, d64 = spectral_vector(f128.theta), spectral_vector(f64.theta)
+        with pytest.raises(ValueError, match="pilot layout"):
+            decode_frame([f128, f64], [d128, d64])
+        with pytest.raises(ValueError):
+            decode_frame([f128, f128], [d128, d64])
+        monkeypatch.setattr(link, "compensate", compensate)
+        with pytest.raises(ValueError, match="shape"):
+            decode_frame([f128, f128], [d64, d64])
+
     def test_rejects_callable_estimator(self):
         def custom(frame, next_frame, model):
             return estimate_frame("uls", frame, next_frame, model)
@@ -314,11 +432,11 @@ class TestTraceSeams:
         run_link(LinkConfig(), "uls", n_frames, 5)
         assert calls == {
             "make_frame_pair": n_frames,
-            "conv_encode": 2 * n_frames,  # both symbols of each pair
-            "qam16_map": 2 * n_frames,
+            "conv_encode": n_frames,  # once per pair, both symbols stacked
+            "qam16_map": n_frames,
             "decode_frame": 2,  # once per block
-            "compensate": n_frames,
-            "qam16_llr": n_frames,
+            "compensate": 2,
+            "qam16_llr": 2,
             "viterbi_decode_soft": 2,  # once per block
             "estimate_frame": n_frames,
         }

@@ -76,6 +76,34 @@ class TestDemapper:
         with pytest.raises(ValueError):
             qam16_llr(np.array([1 + 1j]), 1.0, 0.0)
 
+    def test_rejects_nan_noise_var(self):
+        with pytest.raises(ValueError, match="finite"):
+            qam16_llr(np.array([1 + 1j]), 1.0, np.nan)
+
+    def test_rejects_infinite_noise_var(self):
+        with pytest.raises(ValueError, match="finite"):
+            qam16_llr(np.array([1 + 1j]), 1.0, np.inf)
+
+    def test_rejects_one_bad_row_in_block(self):
+        y = np.ones((3, 4), dtype=complex)
+        with pytest.raises(ValueError, match="positive"):
+            qam16_llr(y, 1.0, [0.1, -0.1, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            qam16_llr(y, 1.0, [0.1, 0.1, np.nan])
+
+    def test_block_rows_match_single_rows(self):
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal((5, 30)) + 1j * rng.standard_normal((5, 30))
+        gain = rng.standard_normal((5, 30)) + 1j * rng.standard_normal((5, 30))
+        noise_var = np.array([1e-3, 1.0, 0.3, 1e-3, 0.05])  # rows differ by 10^3
+        llrs = qam16_llr(y, gain, noise_var)
+        assert llrs.shape == (5, 4 * 30)
+        for row, yi, gi, nv in zip(llrs, y, gain, noise_var):
+            assert np.array_equal(row, qam16_llr(yi, gi, float(nv)))
+        shared = qam16_llr(y, gain, 0.3)
+        for row, yi, gi in zip(shared, y, gain):
+            assert np.array_equal(row, qam16_llr(yi, gi, 0.3))
+
     def test_matches_brute_force_max_log(self):
         # Max-log over all 16 points: llr_i = (min over s with bit i = 1 of
         # |y - g s|^2 - min over s with bit i = 0) / noise_var.
