@@ -85,7 +85,7 @@ _EDGE_PAIR = (2 * _OUT1 + _OUT2)[
 
 
 def conv_encode(bits) -> np.ndarray:
-    """Encode bit sequences at rate 1/2 with zero-tail termination.
+    """Encode 0/1 bit sequences at rate 1/2 with zero-tail termination.
 
     ``bits`` is one sequence, shape ``(n,)``, or ``B`` sequences of equal
     length, shape ``(B, n)``, one per row; each row is encoded from the
@@ -94,7 +94,7 @@ def conv_encode(bits) -> np.ndarray:
     per input bit: shape ``(2(n + 6),)`` or ``(B, 2(n + 6))``.  An empty
     sequence yields the 12 flush bits.
     """
-    bits = np.asarray(bits, dtype=int)
+    bits = np.asarray(bits)
     if bits.ndim not in (1, 2):
         raise ValueError("bits must be one sequence (n,) or a block (B, n)")
     if not np.all((bits == 0) | (bits == 1)):

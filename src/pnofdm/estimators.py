@@ -45,6 +45,7 @@ unconstrained estimate to the true ``delta`` for diagnostic use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,12 +134,20 @@ def build_ls_system(r, H, pilot_idx, pilot_values, model: DimRedModel) -> LsSyst
         )
     w_p = H[pilot_idx] * pilot_values
     # Pilot rows of K R, where R is column-circulant with first column r.
-    rows = r[(pilot_idx[:, None] - np.arange(n_c)[None, :]) % n_c]
+    rows = r[_circulant_gather(n_c, tuple(pilot_idx.tolist()))]
     A = rows @ model.T
     M = A.conj().T @ A
     M = (M + M.conj().T) / 2
     b = A.conj().T @ w_p
     return LsSystem(M, b, float(np.real(w_p.conj() @ w_p)), rows, w_p)
+
+
+@lru_cache(maxsize=16)
+def _circulant_gather(n_c: int, pilot_idx: tuple) -> np.ndarray:
+    """Read-only index ``(p - m) mod n_c`` of the pilot rows, built once per layout."""
+    index = (np.array(pilot_idx)[:, None] - np.arange(n_c)[None, :]) % n_c
+    index.flags.writeable = False
+    return index
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,13 @@ _LEVELS = np.array([1.0, 3.0, -3.0, -1.0]) / np.sqrt(10.0)
 
 
 def qam16_map(bits) -> np.ndarray:
-    """Map bits (length divisible by 4) to unit-energy 16-QAM symbols."""
-    bits = np.asarray(bits, dtype=int).ravel()
+    """Map 0/1 bits (length divisible by 4) to unit-energy 16-QAM symbols."""
+    bits = np.asarray(bits).ravel()
     if bits.size % 4 != 0:
         raise ValueError("bit count must be divisible by 4")
-    b = bits.reshape(-1, 4)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bits must be 0/1")
+    b = bits.astype(int, copy=False).reshape(-1, 4)
     i_idx = 2 * b[:, 0] + b[:, 1]
     q_idx = 2 * b[:, 2] + b[:, 3]
     return _LEVELS[i_idx] + 1j * _LEVELS[q_idx]

@@ -15,8 +15,9 @@ Its variable is the LMI's own diagonal ``d = (mu, -tau - sum(mu)/n)``:
 ``G = G0 + Diag(d)`` with ``G0 = [[A, c], [c^H, 0]]``, and the objective is
 ``tau = w.d`` with ``w = -(1/n, ..., 1/n, 1)``.  In the frequency basis the
 top block is ``M + F Diag(mu) F^H``, the circulant the paper expands in the
-cyclic shift forms.  ``_time_pair`` validates ``(M, b)`` and returns
-``(A, c)``; ``_lmi`` builds the LMI, in the time basis only.
+cyclic shift forms.  ``_cost_pair`` validates ``(M, b)``, ``_time_pair``
+returns the checked pair's ``(A, c)``, and ``_lmi`` builds the LMI, in the
+time basis only.
 
 Any dual-feasible point certifies ``tau <= J(g)`` for every feasible ``g``
 (weak duality), and ``min_eig >= 0`` checks that certificate on every solve.
@@ -46,8 +47,11 @@ With ``S = G^-1`` the gradient of ``logdet G`` is ``diag(S)`` and its negated
 Hessian is ``|S|^2`` (elementwise), as for the MaxCut relaxation (Helmberg,
 Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 1996), so a Newton step solves
 ``|S|^2 step = diag(S) + t*w`` at the cost of one ``(n+1) x (n+1)`` Cholesky
-factorization and its inverse.  Every iterate is strictly feasible, which
-makes the returned certificate unconditional.
+factorization and its inverse.  One Newton loop runs all the stages: a
+stage ends at a step whose decrement shows ``d`` centered, without moving
+``d``, so the next stage's first step reuses its ``S`` and ``|S|^2`` with
+the new ``t``.  Every iterate is strictly feasible, which makes the returned
+certificate unconditional.
 """
 
 from __future__ import annotations
@@ -104,10 +108,9 @@ def _cost_pair(M, b):
 
 
 def _time_pair(M, b, scale: float = 1.0):
-    """Check ``(M, b)`` (:func:`_cost_pair`); return ``F^H (M/scale) F``, ``F^H (b/scale)``, ``F``.
+    """``F^H (M/scale) F``, ``F^H (b/scale)`` and ``F`` of a pair checked by :func:`_cost_pair`.
 
     ``F`` is the unitary DFT; the scaled pair is transformed, not the transformed pair scaled."""
-    M, b = _cost_pair(M, b)
     F = dft_matrix(b.size)
     return _symmetrize(F.conj().T @ (M / scale) @ F), F.conj().T @ (b / scale), F
 
@@ -166,39 +169,44 @@ def certify_local(M, b):
     A, c, F = _time_pair(M, b)
     n = b.size
     scale = 1.0 + float(np.linalg.norm(M, 2))
+    grad_tol, eig_floor = LOCAL_GRAD_TOL * scale, LOCAL_EIG_FLOOR * scale
+    c_conj, a_diag = c.conj(), 2.0 * A.diagonal().real / n
+    diag, root_n = np.diag_indices(n), np.sqrt(n)
 
-    def cost(x):
-        return float(np.real(x.conj() @ (A @ x)) - 2.0 * np.real(c.conj() @ x))
+    def cost(x):  # the cost at x, and A @ x for the gradient there
+        Ax = A @ x
+        return float(np.real(x.conj() @ Ax) - 2.0 * np.real(c_conj @ x)), Ax
 
     phi = np.angle(np.fft.ifft(np.linalg.solve(M, b)))
-    x = np.exp(1j * phi) / np.sqrt(n)
-    J = cost(x)
+    x = np.exp(1j * phi) / root_n
+    J, Ax = cost(x)
     for _ in range(LOCAL_MAX_NEWTON):
-        resid = np.conj(x) * (A @ x - c)
+        x_conj = np.conj(x)
+        resid = x_conj * (Ax - c)
         grad = 2.0 * resid.imag
-        if np.max(np.abs(grad)) <= LOCAL_GRAD_TOL * scale:
+        if np.max(np.abs(grad)) <= grad_tol:
             break
-        H = 2.0 * np.real(np.conj(x)[:, None] * A * x[None, :])
-        H[np.diag_indices(n)] = 2.0 * A.diagonal().real / n - 2.0 * resid.real
+        H = 2.0 * np.real(x_conj[:, None] * A * x[None, :])
+        H[diag] = a_diag - 2.0 * resid.real
         lam, V = np.linalg.eigh(H)
-        lam = np.maximum(np.abs(lam), LOCAL_EIG_FLOOR * scale)
+        lam = np.maximum(np.abs(lam), eig_floor)
         step = -V @ ((V.T @ grad) / lam)
         step *= min(1.0, LOCAL_STEP_CAP / np.max(np.abs(step)))
         slope = float(grad @ step)
         alpha = 1.0
         for _ in range(LOCAL_MAX_BACKTRACK):
-            x_trial = np.exp(1j * (phi + alpha * step)) / np.sqrt(n)
-            J_trial = cost(x_trial)
+            x_trial = np.exp(1j * (phi + alpha * step)) / root_n
+            J_trial, Ax_trial = cost(x_trial)
             if J_trial <= J + ARMIJO * alpha * slope + LOCAL_COST_SLACK * (1.0 + abs(J)):
                 break
             alpha *= 0.5
         else:
             return None
-        phi, x, J = phi + alpha * step, x_trial, J_trial
+        phi, x, J, Ax = phi + alpha * step, x_trial, J_trial, Ax_trial
     else:
         return None
 
-    mu = np.real((c - A @ x) / x)
+    mu = np.real((c - Ax) / x)
     G = _lmi(A, c, J, mu)
     if float(np.linalg.eigvalsh(G[:n, :n])[0]) < -CERT_EIG_TOL * scale:
         return None
@@ -208,47 +216,13 @@ def certify_local(M, b):
     return F @ x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")
 
 
-def _center(d, t, G0, w, budget):
-    """Newton-center ``-t*w.d - logdet(G0 + Diag(d))`` starting from ``d``.
-
-    Returns ``(d, steps, ok)``: the centered point (or the last iterate),
-    the Newton steps taken, and ``ok``.  ``ok`` is ``False`` when the stage
-    needed more than ``budget`` steps, when the Newton system is singular,
-    or when the line search finds no strictly feasible point along the step.
-    Every iterate keeps the LMI strictly positive definite; the Cholesky
-    factor that accepts a line-search trial is the next step's.
-    """
-    L = np.linalg.cholesky(G0 + np.diag(d))
-    steps = 0
-    while steps < budget:
-        steps += 1
-        Linv = np.linalg.inv(L)
-        S = Linv.conj().T @ Linv
-        H = np.abs(S) ** 2
-        rhs = S.diagonal().real + t * w
-        try:
-            step = np.linalg.solve(H, rhs)
-        except np.linalg.LinAlgError:
-            return d, steps, False
-        if float(step @ rhs) <= DECREMENT_TOL:
-            return d, steps, True
-        alpha_ls = 1.0
-        for _ in range(60):
-            d_trial = d + alpha_ls * step
-            try:
-                L = np.linalg.cholesky(G0 + np.diag(d_trial))
-                break
-            except np.linalg.LinAlgError:
-                alpha_ls *= 0.5
-        else:
-            return d, steps, False
-        d = d_trial
-    return d, steps, False
-
-
 def solve_dual(M, b) -> SdpSolution:
     """Maximize ``tau`` over the dual LMI of ``(M, b)`` with a log-det barrier method.
 
+    One Newton loop runs all the barrier stages.  A step whose squared
+    decrement is at most ``DECREMENT_TOL`` ends its stage without moving
+    ``d``, and the next stage's first step reuses its ``S`` and ``|S|^2``;
+    it counts as a step, and ``MAX_NEWTON`` bounds the steps of all stages.
     Stops when the barrier suboptimality bound drops below
     ``TOL * (1 + |tau|)`` (absolute plus relative) and the objective has
     stabilized across stages.  Every iterate keeps the LMI strictly positive
@@ -264,7 +238,7 @@ def solve_dual(M, b) -> SdpSolution:
     scale = max(1.0, norm_M, float(np.max(np.abs(b))) if n else 0.0)
 
     # Scaled time-basis LMI G0 + Diag(d) and the objective tau = w.d.
-    A, c, _ = _time_pair(M, b, scale)
+    A, c, _ = _time_pair(*_cost_pair(M, b), scale)
     G0 = _lmi(A, c, 0.0, np.zeros(n))
     w = np.full(m, -1.0 / n)
     w[n] = -1.0
@@ -276,28 +250,53 @@ def solve_dual(M, b) -> SdpSolution:
     d = np.full(m, mu0)
     d[n] = schur + 1.0
 
+    # The LMI at d; line-search trials rewrite only its diagonal.
+    G, g0, diag = G0 + np.diag(d), G0.diagonal(), np.diag_indices(m)
+    L = np.linalg.cholesky(G)  # the factor at a new d, until its inverse is taken
     t = 1.0
     tau_path = []
-    status = "optimal"
+    status = "max_iter"
     tau_prev = None
     steps = 0
-    while True:
-        d, used, ok = _center(d, t, G0, w, MAX_NEWTON - steps)
-        steps += used
-        if not ok:
-            status = "max_iter"
+    while steps < MAX_NEWTON:
+        steps += 1
+        if L is not None:
+            Linv = np.linalg.inv(L)
+            S = Linv.conj().T @ Linv
+            H = np.abs(S) ** 2
+            S_diag, L = S.diagonal().real, None
+        rhs = S_diag + t * w
+        try:
+            step = np.linalg.solve(H, rhs)
+        except np.linalg.LinAlgError:
             break
-        tau_s = float(w @ d)
-        tau_path.append(tau_s * scale)
-        stabilized = tau_prev is not None and abs(tau_s - tau_prev) <= np.sqrt(TOL) * (1.0 + abs(tau_s))
-        if m / t <= TOL * (1.0 + abs(tau_s)) and stabilized:
+        if float(step @ rhs) <= DECREMENT_TOL:  # centered: the stage ends here
+            tau_s = float(w @ d)
+            tau_path.append(tau_s * scale)
+            stabilized = tau_prev is not None and abs(tau_s - tau_prev) <= np.sqrt(TOL) * (1.0 + abs(tau_s))
+            if m / t <= TOL * (1.0 + abs(tau_s)) and stabilized:
+                status = "optimal"
+                break
+            tau_prev = tau_s
+            t *= BARRIER_GROWTH
+            continue
+        alpha_ls = 1.0
+        for _ in range(60):
+            d_trial = d + alpha_ls * step
+            G[diag] = g0 + d_trial
+            try:
+                L = np.linalg.cholesky(G)
+                break
+            except np.linalg.LinAlgError:
+                alpha_ls *= 0.5
+        else:
             break
-        tau_prev = tau_s
-        t *= BARRIER_GROWTH
+        d = d_trial
 
+    G[diag] = g0 + d
     tau = float(w @ d) * scale
     mu = d[:n] * scale
-    min_eig = scale * float(np.linalg.eigvalsh(G0 + np.diag(d))[0])  # the unscaled LMI at (tau, mu)
+    min_eig = scale * float(np.linalg.eigvalsh(G)[0])  # the unscaled LMI at (tau, mu)
     if status == "optimal" and min_eig < -MIN_EIG_TOL * (1.0 + norm_M):
         status = "max_iter"  # certificate failed; do not report optimal
     return SdpSolution(

@@ -24,6 +24,7 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +50,7 @@ def _as_complex_vector(v) -> np.ndarray:
 
 
 def dft_matrix(n: int) -> np.ndarray:
-    """Unitary ``n x n`` DFT matrix.
+    """Unitary ``n x n`` DFT matrix, built once per ``n`` and shared read-only.
 
     Parameters
     ----------
@@ -59,14 +60,20 @@ def dft_matrix(n: int) -> np.ndarray:
     Returns
     -------
     ndarray
-        Complex matrix with ``F[k, m] = exp(-2j*pi*k*m/n)/sqrt(n)``;
+        Read-only complex matrix with ``F[k, m] = exp(-2j*pi*k*m/n)/sqrt(n)``;
         its Gram matrix is the identity to machine precision.
     """
     if n < 1 or int(n) != n:
         raise ValueError("n must be a positive integer")
-    n = int(n)
+    return _dft(int(n))
+
+
+@lru_cache(maxsize=16)
+def _dft(n: int) -> np.ndarray:
     k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    F = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    F.flags.writeable = False
+    return F
 
 
 def shift_form_table(n: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sdp import _time_pair, solve_dual
+from .sdp import _cost_pair, _time_pair, solve_dual
 from .spectral import geometry_residual, shift_form_table
 
 __all__ = [
@@ -208,7 +208,7 @@ def primal_oracle(M, b) -> OracleResult:
     and the unpruned boxes' bounds still give a valid ``lower``.  ``M`` must
     be ``n x n`` Hermitian with ``n = len(b)``, as for the dual solve.
     """
-    A, c, F = _time_pair(M, b)
+    A, c, F = _time_pair(*_cost_pair(M, b))
     n = c.size
     if n > MAX_N:
         raise ValueError(f"exhaustive oracle is sized for n <= {MAX_N}")

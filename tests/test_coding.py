@@ -91,6 +91,11 @@ class TestEncoder:
         with pytest.raises(ValueError, match="block"):
             conv_encode(np.zeros((2, 2, 3), dtype=int))
 
+    def test_rejects_fractional_bits(self):
+        # Cast to int first, 0.7 would encode as 0.
+        with pytest.raises(ValueError, match="0/1"):
+            conv_encode([0.7, 1])
+
 
 class TestViterbi:
     def test_noiseless_inversion(self):

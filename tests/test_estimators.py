@@ -24,7 +24,7 @@ from pnofdm.phasenoise import phase_trajectory, spectral_vector
 from pnofdm.spectral import GEOMETRY_TOL, geometry_residual
 from pnofdm.sdp import certify_local
 from pnofdm.sproc import primal_oracle, random_gram_instance
-from pnofdm.estimators import LsSystem
+from pnofdm.estimators import LsSystem, _circulant_gather
 
 
 def noise_free_system(n_c, seed, model=None, theta=None):
@@ -85,6 +85,17 @@ class TestBuildLsSystem:
         sys, model, theta = noise_free_system(16, 0)
         delta = spectral_vector(theta)
         assert sys.cost_delta(delta) < 1e-20
+
+    def test_gather_index_shared_per_layout(self, desk_frame):
+        # Frames of one layout share one read-only index; another layout of
+        # the same length gets its own, so its pilot rows are its own.
+        cfg, model, f0, f1 = desk_frame
+        index = _circulant_gather(cfg.n_c, tuple(f0.pilot_idx.tolist()))
+        assert _circulant_gather(cfg.n_c, tuple(f1.pilot_idx.tolist())) is index
+        assert not index.flags.writeable
+        for p in (f0.pilot_idx, f0.pilot_idx + 1):
+            sys = build_ls_system(f0.r, f0.H, p, f0.pilot_values, model)
+            assert np.array_equal(sys.pilot_rows, f0.r[(p[:, None] - np.arange(cfg.n_c)) % cfg.n_c])
 
     def test_underdetermined_rejected(self, desk_frame):
         _, model, f0, _ = desk_frame

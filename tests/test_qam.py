@@ -44,6 +44,13 @@ class TestMapper:
         with pytest.raises(ValueError):
             qam16_map([0, 1, 0])
 
+    @pytest.mark.parametrize("bits", [[0, 2, 0, 0], [0, -1, 0, 0], [0.7, 1, 0, 0]],
+                             ids=["two", "minus_one", "fraction"])
+    def test_rejects_non_bits(self, bits):
+        # Unchecked, 2 would index the -3 level and -1 would wrap to -1.
+        with pytest.raises(ValueError, match="0/1"):
+            qam16_map(bits)
+
 
 class TestDemapper:
     def test_round_trip_no_noise(self):

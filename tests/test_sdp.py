@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pnofdm import sdp
 from pnofdm.estimators import build_ls_system, gls, project_constant_modulus
 from pnofdm.link import LinkConfig, make_frame_pair, make_model
-from pnofdm.sdp import SolverError, _lmi, _time_pair, certify_local, kkt_recover, solve_dual
+from pnofdm.sdp import SdpSolution, SolverError, _cost_pair, _lmi, _time_pair, certify_local, kkt_recover, solve_dual
 from pnofdm.spectral import dft_matrix
 from pnofdm.sproc import duality_gap, primal_oracle, random_gram_instance
 
@@ -80,7 +81,7 @@ class TestAssemble:
 
     def test_wrong_lengths_rejected(self):
         with pytest.raises(ValueError, match="n x n"):
-            _time_pair(np.eye(5), np.zeros(4))
+            _cost_pair(np.eye(5), np.zeros(4))
 
     def test_column_b_accepted(self):
         # A column ``b`` reads as its entries, at every entry point.
@@ -277,3 +278,184 @@ class TestClosedFormCertificate:
 
     def test_fails_on_proven_gap_instance(self):
         assert self.certificate_min_eig(5, 10, 72000) < -0.1
+
+
+def reference_certify_local(M, b):
+    """Loop reference for :func:`certify_local`, recomputing ``A @ x`` and every loop invariant per step."""
+    M, b = _cost_pair(M, b)
+    A, c, F = _time_pair(M, b)
+    n = b.size
+    scale = 1.0 + float(np.linalg.norm(M, 2))
+
+    def cost(x):
+        return float(np.real(x.conj() @ (A @ x)) - 2.0 * np.real(c.conj() @ x))
+
+    phi = np.angle(np.fft.ifft(np.linalg.solve(M, b)))
+    x = np.exp(1j * phi) / np.sqrt(n)
+    J = cost(x)
+    for _ in range(sdp.LOCAL_MAX_NEWTON):
+        resid = np.conj(x) * (A @ x - c)
+        grad = 2.0 * resid.imag
+        if np.max(np.abs(grad)) <= sdp.LOCAL_GRAD_TOL * scale:
+            break
+        H = 2.0 * np.real(np.conj(x)[:, None] * A * x[None, :])
+        H[np.diag_indices(n)] = 2.0 * A.diagonal().real / n - 2.0 * resid.real
+        lam, V = np.linalg.eigh(H)
+        lam = np.maximum(np.abs(lam), sdp.LOCAL_EIG_FLOOR * scale)
+        step = -V @ ((V.T @ grad) / lam)
+        step *= min(1.0, sdp.LOCAL_STEP_CAP / np.max(np.abs(step)))
+        slope = float(grad @ step)
+        alpha = 1.0
+        for _ in range(sdp.LOCAL_MAX_BACKTRACK):
+            x_trial = np.exp(1j * (phi + alpha * step)) / np.sqrt(n)
+            J_trial = cost(x_trial)
+            if J_trial <= J + sdp.ARMIJO * alpha * slope + sdp.LOCAL_COST_SLACK * (1.0 + abs(J)):
+                break
+            alpha *= 0.5
+        else:
+            return None
+        phi, x, J = phi + alpha * step, x_trial, J_trial
+    else:
+        return None
+    mu = np.real((c - A @ x) / x)
+    G = _lmi(A, c, J, mu)
+    if float(np.linalg.eigvalsh(G[:n, :n])[0]) < -sdp.CERT_EIG_TOL * scale:
+        return None
+    min_eig = float(np.linalg.eigvalsh(G)[0])
+    if min_eig < -sdp.MIN_EIG_TOL * scale:
+        return None
+    return F @ x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")
+
+
+def reference_center(d, t, G0, w, budget):
+    """One centering stage from its own Cholesky factor, allocating each trial's LMI.
+
+    Returns ``(d, steps, ok)``; ``ok`` is false when the stage needed more
+    than ``budget`` steps, the Newton system is singular, or the line search
+    finds no strictly feasible trial.
+    """
+    L = np.linalg.cholesky(G0 + np.diag(d))
+    steps = 0
+    while steps < budget:
+        steps += 1
+        Linv = np.linalg.inv(L)
+        S = Linv.conj().T @ Linv
+        H = np.abs(S) ** 2
+        rhs = S.diagonal().real + t * w
+        try:
+            step = np.linalg.solve(H, rhs)
+        except np.linalg.LinAlgError:
+            return d, steps, False
+        if float(step @ rhs) <= sdp.DECREMENT_TOL:
+            return d, steps, True
+        alpha = 1.0
+        for _ in range(60):
+            d_trial = d + alpha * step
+            try:
+                L = np.linalg.cholesky(G0 + np.diag(d_trial))
+                break
+            except np.linalg.LinAlgError:
+                alpha *= 0.5
+        else:
+            return d, steps, False
+        d = d_trial
+    return d, steps, False
+
+
+def reference_solve_dual(M, b):
+    """Stage-by-stage reference for :func:`solve_dual`, one :func:`reference_center` call per stage.
+
+    Returns ``(SdpSolution, stage_ends)``, ``stage_ends`` the step count at
+    the end of each completed stage.
+    """
+    n = np.size(b)
+    m = n + 1
+    norm_M = float(np.linalg.norm(M, 2))
+    scale = max(1.0, norm_M, float(np.max(np.abs(b))))
+    A, c, _ = _time_pair(*_cost_pair(M, b), scale)
+    G0 = _lmi(A, c, 0.0, np.zeros(n))
+    w = np.full(m, -1.0 / n)
+    w[n] = -1.0
+    mu0 = max(0.0, -float(np.linalg.eigvalsh(A)[0])) + 1.0
+    schur = float(np.real(c.conj() @ np.linalg.solve(A + mu0 * np.eye(n), c)))
+    d = np.full(m, mu0)
+    d[n] = schur + 1.0
+    t, tau_path, stage_ends, status, tau_prev, steps = 1.0, [], [], "optimal", None, 0
+    while True:
+        d, used, ok = reference_center(d, t, G0, w, sdp.MAX_NEWTON - steps)
+        steps += used
+        if not ok:
+            status = "max_iter"
+            break
+        stage_ends.append(steps)
+        tau_s = float(w @ d)
+        tau_path.append(tau_s * scale)
+        stabilized = tau_prev is not None and abs(tau_s - tau_prev) <= np.sqrt(sdp.TOL) * (1.0 + abs(tau_s))
+        if m / t <= sdp.TOL * (1.0 + abs(tau_s)) and stabilized:
+            break
+        tau_prev = tau_s
+        t *= sdp.BARRIER_GROWTH
+    min_eig = scale * float(np.linalg.eigvalsh(G0 + np.diag(d))[0])
+    if status == "optimal" and min_eig < -sdp.MIN_EIG_TOL * (1.0 + norm_M):
+        status = "max_iter"
+    sol = SdpSolution(float(w @ d) * scale, d[:n] * scale, min_eig, steps, status, np.asarray(tau_path))
+    return sol, stage_ends
+
+
+def assert_same_solution(got, ref):
+    assert (got.tau, got.min_eig, got.iterations, got.status) == (ref.tau, ref.min_eig, ref.iterations, ref.status)
+    assert np.array_equal(got.mu, ref.mu)
+    assert np.array_equal(got.tau_path, ref.tau_path)
+
+
+@pytest.fixture(scope="module")
+def link_pairs():
+    """``(M, b)`` of 40 link frames at each of 10, 20 and 30 dB."""
+    pairs = []
+    for snr_db in (10.0, 20.0, 30.0):
+        cfg = LinkConfig(snr_db=snr_db)
+        model = make_model(cfg)
+        for child in np.random.SeedSequence([4242, int(snr_db)]).spawn(40):
+            f0, _ = make_frame_pair(cfg, child)
+            sys = build_ls_system(f0.r, f0.H, f0.pilot_idx, f0.pilot_values, model)
+            pairs.append((sys.M, sys.b))
+    return pairs
+
+
+GRAM_PAIRS = [random_gram_instance(n, k, 300 + seed) for n, k in ((3, 6), (5, 10), (8, 12)) for seed in range(10)]
+
+
+class TestMatchesReference:
+    """The solvers match their loop references bit for bit."""
+
+    @staticmethod
+    def check(M, b):
+        got, ref = certify_local(M, b), reference_certify_local(M, b)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert np.array_equal(got[0], ref[0])
+            assert_same_solution(got[1], ref[1])
+        assert_same_solution(solve_dual(M, b), reference_solve_dual(M, b)[0])
+        return got is None
+
+    def test_link_frames(self, link_pairs):
+        uncertified = sum(self.check(M, b) for M, b in link_pairs)
+        assert 0 < uncertified < len(link_pairs)  # both paths of gls are exercised
+
+    def test_gram_instances(self):
+        for M, b in GRAM_PAIRS:
+            self.check(M, b)
+
+    @pytest.mark.parametrize("budget", ["one_step", "mid_stage", "stage_end"])
+    def test_step_budget_exhaustion(self, budget, link_pairs, monkeypatch):
+        cases = [(M, b, reference_solve_dual(M, b)[1]) for M, b in GRAM_PAIRS[::7] + link_pairs[::30]]
+        for M, b, stage_ends in cases:
+            lengths = np.diff([0] + stage_ends)
+            j = next(i for i in range(len(stage_ends) - 1) if lengths[i] >= 2)  # a long, non-final stage
+            k = {"one_step": 1, "mid_stage": stage_ends[j] - 1, "stage_end": stage_ends[j]}[budget]
+            monkeypatch.setattr(sdp, "MAX_NEWTON", k)
+            got, ref = solve_dual(M, b), reference_solve_dual(M, b)[0]
+            assert_same_solution(got, ref)
+            assert (got.iterations, got.status) == (k, "max_iter")
+            if budget == "stage_end":
+                assert got.tau_path.size == j + 1

@@ -36,6 +36,15 @@ class TestDftMatrix:
         with pytest.raises(ValueError):
             dft_matrix(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 128])
+    def test_one_shared_read_only_matrix_per_size(self, n):
+        F = dft_matrix(n)
+        assert dft_matrix(n) is F
+        k = np.arange(n)
+        assert np.array_equal(F, np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n))
+        with pytest.raises(ValueError, match="read-only"):
+            F[0, 0] = 0.0
+
 
 class TestShiftFormTable:
     @pytest.mark.parametrize("n", [3, 4, 5, 8])
