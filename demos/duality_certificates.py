@@ -66,8 +66,7 @@ for snr_db in (10.0, 30.0):
     cfg = LinkConfig(snr_db=snr_db)
     model = make_model(cfg)
     certified, gap, rel_gap = 0, 0.0, 0.0
-    for child in np.random.SeedSequence([2024, int(snr_db)]).spawn(20):
-        frame, _ = make_frame_pair(cfg, child)
+    for frame, _ in make_frame_pair(cfg, np.random.SeedSequence([2024, int(snr_db)]).spawn(20)):
         sys = build_ls_system(frame.r, frame.H, frame.pilot_idx, frame.pilot_values, model)
         diag = gls(sys, model).diagnostics
         certified += diag.certified

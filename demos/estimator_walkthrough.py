@@ -14,7 +14,7 @@ from pnofdm.link import LinkConfig, decode_frame, make_frame_pair, make_model
 
 cfg = LinkConfig(snr_db=30.0, rho=0.02)
 model = make_model(cfg)
-frame, lookahead = make_frame_pair(cfg, seed=2024)
+frame, lookahead = make_frame_pair(cfg, [2024])[0]
 delta_true = spectral_vector(frame.theta)
 
 print(f"frame: {cfg.n_c} subcarriers, pilots at {frame.pilot_idx.tolist()}")

@@ -15,7 +15,7 @@ from pnofdm.link import LinkConfig, make_frame_pair, make_model
 from pnofdm.phasenoise import phase_trajectory
 
 cfg = LinkConfig(snr_db=30.0, rho=0.02)
-frame, lookahead = make_frame_pair(cfg, seed=88)
+frame, lookahead = make_frame_pair(cfg, [88])[0]
 
 traces = {"true": np.unwrap(frame.theta)}
 for t_kind, name in (("lft", "uls"), ("ppt", "uls"), ("ppt", "gls")):

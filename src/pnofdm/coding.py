@@ -149,7 +149,8 @@ def viterbi_decode_soft(llrs) -> np.ndarray:
     cand0, cand1 = cand
     choices = np.empty((n_steps, 2, _HALF, n_rows), dtype=bool)
     for t0 in range(0, n_steps, _GATHER_STEPS):
-        metrics = gamma[t0 : t0 + _GATHER_STEPS, _EDGE_PAIR]  # (steps, k, u, 32, B)
+        # np.take copies whole rows of B values, where a fancy index copies element by element.
+        metrics = np.take(gamma[t0 : t0 + _GATHER_STEPS], _EDGE_PAIR, axis=1)  # (steps, k, u, 32, B)
         for metric, choice in zip(metrics, choices[t0 : t0 + _GATHER_STEPS]):
             np.add(pm_by_pred, metric, out=cand)
             np.greater(cand1, cand0, out=choice)

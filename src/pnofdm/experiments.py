@@ -325,7 +325,7 @@ def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
 def _run_realization(cfg: ExperimentConfig, out_dir: Path):
     link = cfg.link_config()
     child = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    f0, f1 = make_frame_pair(link, child)
+    f0, f1 = make_frame_pair(link, [child])[0]
     columns = ["index", "theta"]
     traces = [np.arange(link.n_c), f0.theta]
     for t_kind in ("lft", "ppt"):

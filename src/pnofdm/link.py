@@ -6,11 +6,12 @@ multipath channel -> phase-noise rotation plus AWGN -> compensation with an
 estimated spectral vector -> per-subcarrier max-log LLRs -> soft Viterbi.
 The 16-QAM table (per axis ``00 -> +1, 01 -> +3, 10 -> -3, 11 -> -1``) is
 not Gray; see :mod:`pnofdm.qam`.  Arrays carry a leading batch axis:
-:func:`make_frame_pair` encodes, maps and sends both symbols of a pair in
-one pass over ``(2, n_c)`` arrays, and :func:`decode_frame` compensates,
-demaps and decodes a whole block of frames in one stacked pass, one call
-per layer; :func:`run_link` decodes its frames in blocks of
-``DECODE_BLOCK``.
+:func:`make_frame_pair` draws each pair from its own seed, then encodes,
+maps and sends a whole block of pairs in one pass over ``(B, 2, n_c)``
+arrays, and :func:`decode_frame` compensates, demaps and decodes a whole
+block of frames in one stacked pass, one call per layer.  :func:`simulate`
+builds its frames, and :func:`run_link` decodes them, in blocks of
+``DECODE_BLOCK`` trials.
 
 Model and conventions:
 
@@ -33,8 +34,9 @@ every frame as read-only arrays.
 
 Every Monte-Carlo study runs through one engine, :func:`simulate`: trial
 ``i`` draws its frame pair from child ``i`` of
-``np.random.SeedSequence(master).spawn(n)`` and runs every requested
-estimator on it, so estimators compared in one run see common random frames.
+``np.random.SeedSequence(master).spawn(n)``, whatever block it is built in,
+and runs every requested estimator on it, so estimators compared in one run
+see common random frames.
 An estimator that fails on a frame falls back to the common-phase-only fit
 and is flagged; no frame is dropped.  :func:`run_link` and the scenario
 runners are reductions over its trials, using sums and counts only, so they
@@ -72,7 +74,8 @@ __all__ = [
 
 # Seed of the fixed pseudo-random QPSK pilot sequence (same for every frame).
 PILOT_SEQUENCE_SEED = 20140821
-# Frames that run_link buffers and decodes in one Viterbi call.
+# Trials whose frames simulate builds in one pass, and that run_link
+# decodes in one Viterbi call.
 DECODE_BLOCK = 32
 
 
@@ -280,40 +283,55 @@ class OfdmFrame:
     sigma2: float
 
 
-def make_frame_pair(cfg: LinkConfig, seed) -> tuple[OfdmFrame, OfdmFrame]:
-    """Simulate two consecutive symbols sharing one channel realization.
+def make_frame_pair(cfg: LinkConfig, seeds) -> list[tuple[OfdmFrame, OfdmFrame]]:
+    """Simulate one pair of consecutive symbols per seed, sharing one channel.
 
-    The phase trajectory is continuous across the pair; noise and data are
-    independent per symbol.  The per-sample step variance is referenced to
-    one symbol length.  Draw order (fixed for reproducibility): channel taps,
-    initial phase, the ``2*n_c - 1`` phase increments, then for symbol 0 and
-    then symbol 1 the bits, the real noise and the imaginary noise.  The two
-    symbols are then encoded, mapped and sent as ``(2, n_c)`` arrays, one
-    row per symbol, ``r = V (H s + n0)``.
+    Within a pair the phase trajectory is continuous across the two symbols
+    and they share one channel realization; noise and data are independent
+    per symbol.  The per-sample step variance is referenced to one symbol
+    length.  Each seed drives its own generator, with draws in a fixed
+    order for reproducibility: channel taps, initial phase, the
+    ``2*n_c - 1`` phase increments, then for symbol 0 and then symbol 1 the
+    bits, the real noise and the imaginary noise.  The ``B`` pairs are then
+    encoded, mapped and sent as ``(B, 2, n_c)`` arrays, one row per symbol,
+    ``r = V (H s + n0)``, each row exactly as if built on its own; every
+    frame's arrays are views of its row.  Returns one ``(frame0, frame1)``
+    per seed, in order; one pair is ``make_frame_pair(cfg, [seed])[0]``.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("make_frame_pair takes at least one seed")
     cfg.validate()
-    rng = np.random.default_rng(seed)
-    pilot_idx, pilot_values, data_idx = _layout(cfg.n_c, cfg.pilot_fraction)
-    _, H = rayleigh_channel(cfg, rng)
-    step_var = WIENER_VARIANCE_FACTOR * cfg.rho / cfg.n_c
-    theta = _wiener_path(rng, 2 * cfg.n_c, step_var, rng.uniform(-np.pi, np.pi)).reshape(2, cfg.n_c)
-    info_bits = np.empty((2, 2 * data_idx.size - 6), dtype=int)
-    noise = np.empty((2, 2, cfg.n_c))  # [symbol, real or imaginary part, subcarrier]
-    for k in range(2):
-        info_bits[k] = rng.integers(0, 2, info_bits.shape[1])
-        noise[k] = rng.standard_normal((2, cfg.n_c))  # the real part's draws, then the imaginary part's
-    s = np.empty((2, cfg.n_c), dtype=complex)
-    s[:, pilot_idx] = pilot_values
+    n_c, n_pairs = cfg.n_c, len(seeds)
+    pilot_idx, pilot_values, data_idx = _layout(n_c, cfg.pilot_fraction)
+    n_info = 2 * data_idx.size - 6
+    step_var = WIENER_VARIANCE_FACTOR * cfg.rho / n_c
+    H = np.empty((n_pairs, n_c), dtype=complex)
+    theta = np.empty((n_pairs, 2, n_c))
+    info_bits = np.empty((n_pairs, 2, n_info), dtype=int)
+    noise = np.empty((n_pairs, 2, 2, n_c))  # [pair, symbol, real or imaginary part, subcarrier]
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        _, H[i] = rayleigh_channel(cfg, rng)
+        theta[i] = _wiener_path(rng, 2 * n_c, step_var, rng.uniform(-np.pi, np.pi)).reshape(2, n_c)
+        for k in range(2):
+            info_bits[i, k] = rng.integers(0, 2, n_info)
+            noise[i, k] = rng.standard_normal((2, n_c))  # the real part's draws, then the imaginary part's
+    s = np.empty((n_pairs, 2, n_c), dtype=complex)
+    s[..., pilot_idx] = pilot_values
     # Each row's 4 * n_data coded bits fill whole symbols, so the rows map as one sequence.
-    s[:, data_idx] = qam16_map(conv_encode(info_bits)).reshape(2, -1)
-    w = H * s
+    s[..., data_idx] = qam16_map(conv_encode(info_bits.reshape(2 * n_pairs, n_info))).reshape(n_pairs, 2, -1)
+    w = H[:, None] * s
     sigma2 = np.mean(np.abs(w) ** 2, axis=-1) / 10 ** (cfg.snr_db / 10)
-    n0 = np.sqrt(sigma2 / 2)[:, None] * (noise[:, 0] + 1j * noise[:, 1])
+    n0 = np.sqrt(sigma2 / 2)[..., None] * (noise[:, :, 0] + 1j * noise[:, :, 1])
     r = apply_phase_noise(w + n0, theta)
-    return tuple(
-        OfdmFrame(info_bits[i], s[i], pilot_idx, pilot_values, data_idx, H, theta[i], r[i], float(sigma2[i]))
-        for i in range(2)
-    )
+    return [
+        tuple(
+            OfdmFrame(bits[k], s_i[k], pilot_idx, pilot_values, data_idx, H_i, theta_i[k], r_i[k], float(sigma2_i[k]))
+            for k in range(2)
+        )
+        for bits, s_i, H_i, theta_i, r_i, sigma2_i in zip(info_bits, s, H, theta, r, sigma2)
+    ]
 
 
 @dataclass(frozen=True)
@@ -371,8 +389,12 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed):
     """Run every estimator on ``trials`` common random frame pairs.
 
     Trial ``i`` draws its frame pair from child ``i`` of
-    ``np.random.SeedSequence(seed).spawn(trials)``.  ``estimators`` holds ids
-    from :data:`pnofdm.estimators.ESTIMATOR_IDS`; any other entry raises
+    ``np.random.SeedSequence(seed).spawn(trials)``, with the draws in the
+    order :func:`make_frame_pair` documents.  The pairs are built one block
+    of up to ``DECODE_BLOCK`` children at a time, in one
+    :func:`make_frame_pair` call, and the trials are still yielded one at a
+    time.  ``estimators`` holds ids from
+    :data:`pnofdm.estimators.ESTIMATOR_IDS`; any other entry raises
     ``ValueError`` on the first trial.  Yields
     ``(frame, {estimator: (output, flagged)})`` per trial, where ``frame`` is
     the first symbol of the pair.  An estimator that raises
@@ -384,15 +406,16 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed):
     if trials < 1:
         raise ValueError("trials must be positive")
     model = make_model(cfg)
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        f0, f1 = make_frame_pair(cfg, child)
-        results = {}
-        for est in estimators:
-            try:
-                results[est] = (estimate_frame(est, f0, f1, model), False)
-            except EstimationError:
-                results[est] = (cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values), True)
-        yield f0, results
+    children = np.random.SeedSequence(seed).spawn(trials)
+    for start in range(0, trials, DECODE_BLOCK):
+        for f0, f1 in make_frame_pair(cfg, children[start : start + DECODE_BLOCK]):
+            results = {}
+            for est in estimators:
+                try:
+                    results[est] = (estimate_frame(est, f0, f1, model), False)
+                except EstimationError:
+                    results[est] = (cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values), True)
+            yield f0, results
 
 
 def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:

@@ -53,7 +53,7 @@ def synthetic_system(n, k, seed):
 def desk_frame():
     cfg = LinkConfig()
     model = make_model(cfg)
-    f0, f1 = make_frame_pair(cfg, 42)
+    f0, f1 = make_frame_pair(cfg, [42])[0]
     return cfg, model, f0, f1
 
 
@@ -123,8 +123,7 @@ class TestUls:
         cfg = LinkConfig()
         model = make_model(cfg)
         residuals = []
-        for child in np.random.SeedSequence(2024).spawn(20):
-            f0, f1 = make_frame_pair(cfg, child)
+        for f0, f1 in make_frame_pair(cfg, np.random.SeedSequence(2024).spawn(20)):
             residuals.append(estimate_frame("uls", f0, f1, model).diagnostics.geometry_residual)
         assert np.median(residuals) > 1e-3
 
@@ -234,8 +233,7 @@ class TestGls:
         # Seed 42's first symbol is certified and seed 41's is not.
         cfg, model, _, _ = desk_frame
         seen = set()
-        for seed in (41, 42):
-            frame, _ = make_frame_pair(cfg, seed)
+        for frame, _ in make_frame_pair(cfg, (41, 42)):
             sys = build_ls_system(frame.r, frame.H, frame.pilot_idx, frame.pilot_values, model)
             diag = gls(sys, model).diagnostics
             seen.add(diag.certified)
@@ -281,8 +279,7 @@ class TestCpeOnly:
     def test_tracks_true_cpe_at_30db(self):
         cfg = LinkConfig()
         errs = []
-        for child in np.random.SeedSequence(7).spawn(50):
-            f0, f1 = make_frame_pair(cfg, child)
+        for f0, f1 in make_frame_pair(cfg, np.random.SeedSequence(7).spawn(50)):
             delta = spectral_vector(f0.theta)
             out = cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values)
             errs.append(abs(np.angle(out.delta_hat[0] / delta[0])))

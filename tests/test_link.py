@@ -117,7 +117,7 @@ class TestTransmit:
     def test_no_phase_noise_high_snr(self):
         # Without phase noise the pair shares one constant phase, and
         # de-rotating by it leaves the noiseless channel output.
-        f0, f1 = make_frame_pair(LinkConfig(rho=0.0, snr_db=300.0), 4)
+        f0, f1 = make_frame_pair(LinkConfig(rho=0.0, snr_db=300.0), [4])[0]
         theta = np.concatenate([f0.theta, f1.theta])
         assert np.all(theta == theta[0])
         for frame in (f0, f1):
@@ -125,14 +125,14 @@ class TestTransmit:
             assert np.max(np.abs(y - frame.H * frame.s)) < 1e-10
 
     def test_constant_phase_rotates(self):
-        for frame in make_frame_pair(LinkConfig(rho=0.0, snr_db=300.0), 5):
+        for frame in make_frame_pair(LinkConfig(rho=0.0, snr_db=300.0), [5])[0]:
             assert np.max(np.abs(frame.r - np.exp(1j * frame.theta[0]) * frame.H * frame.s)) < 1e-10
 
     def test_programmed_snr(self):
         cfg = LinkConfig(snr_db=30.0)
         ratio = []
-        for seed in range(500):
-            for frame in make_frame_pair(cfg, seed):
+        for pair in make_frame_pair(cfg, range(500)):
+            for frame in pair:
                 w = frame.H * frame.s
                 assert frame.sigma2 == pytest.approx(np.mean(np.abs(w) ** 2) * 1e-3, rel=1e-12)
                 noise = frame.r - apply_phase_noise(w, frame.theta)
@@ -182,8 +182,7 @@ class TestCompensate:
         cfg = LinkConfig()
         model = make_model(cfg)
         gains = []
-        for child in np.random.SeedSequence(11).spawn(40):
-            f0, f1 = make_frame_pair(cfg, child)
+        for f0, f1 in make_frame_pair(cfg, np.random.SeedSequence(11).spawn(40)):
             out = estimate_frame("nls", f0, f1, model)
             w = f0.H * f0.s
             before = np.sum(np.abs(f0.r - w) ** 2)
@@ -216,7 +215,7 @@ class TestCompensate:
     def test_block_rows_match_single_compensations(self):
         cfg = LinkConfig(snr_db=10.0)
         model = make_model(cfg)
-        pairs = [make_frame_pair(cfg, seed) for seed in range(6)]
+        pairs = make_frame_pair(cfg, range(6))
         r = np.stack([f0.r for f0, _ in pairs])
         d = np.stack([estimate_frame("uls", f0, f1, model).delta_hat for f0, f1 in pairs])
         d[2] *= 1e3  # rows of very different scale
@@ -230,25 +229,36 @@ class TestFramePair:
     @pytest.mark.parametrize(
         "cfg, seeds",
         [
-            (LinkConfig(snr_db=10.0), range(20)),
-            (LinkConfig(snr_db=30.0), range(100, 120)),
-            (LinkConfig(n_c=64, taps=1, n_est=4), range(5)),
+            (LinkConfig(snr_db=10.0), np.random.SeedSequence(10).spawn(32)),
+            (LinkConfig(snr_db=30.0), range(100, 132)),
+            (LinkConfig(n_c=64, taps=1, n_est=4), range(32)),
+            (LinkConfig(rho=0.0), range(200, 232)),
+            (LinkConfig(taps=8, snr_db=-3.0), range(300, 332)),
         ],
     )
     def test_pair_matches_per_symbol_reference(self, cfg, seeds):
-        # Both symbols are built as (2, n_c) arrays in one pass; each must
-        # equal the symbol built on its own from the same draws.
-        for seed in seeds:
-            pair = make_frame_pair(cfg, seed)
-            for frame, want in zip(pair, reference_pair(cfg, seed), strict=True):
-                for name in ("info_bits", "s", "theta", "r", "H"):
-                    assert np.array_equal(getattr(frame, name), want[name]), (seed, name)
-                assert frame.sigma2 == want["sigma2"]
-                assert type(frame.sigma2) is float
+        # A block's pairs are built as (B, 2, n_c) arrays in one pass; each
+        # symbol must equal the symbol built on its own from its seed's
+        # draws, whatever the block size and the pair's place in the block.
+        want = [reference_pair(cfg, seed) for seed in seeds]
+        for block in (1, 4, 6, 32):
+            pairs = []
+            for start in range(0, len(seeds), block):
+                pairs += make_frame_pair(cfg, seeds[start : start + block])
+            for i, (pair, ref) in enumerate(zip(pairs, want, strict=True)):
+                for frame, sym in zip(pair, ref, strict=True):
+                    for name in ("info_bits", "s", "theta", "r", "H"):
+                        assert np.array_equal(getattr(frame, name), sym[name]), (block, i, name)
+                    assert frame.sigma2 == sym["sigma2"]
+                    assert type(frame.sigma2) is float
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            make_frame_pair(LinkConfig(), [])
 
     def test_phase_continuity(self):
         cfg = LinkConfig()
-        f0, f1 = make_frame_pair(cfg, 12)
+        f0, f1 = make_frame_pair(cfg, [12])[0]
         step = f1.theta[0] - f0.theta[-1]
         sigma = np.sqrt(4 * np.pi * cfg.rho / cfg.n_c)
         assert abs(step) < 8 * sigma
@@ -257,7 +267,7 @@ class TestFramePair:
         # Noise is drawn in the pre-rotation frame, so true-delta
         # compensation reproduces the zero-phase-noise link exactly.
         cfg = LinkConfig()
-        f0, _ = make_frame_pair(cfg, 13)
+        f0, _ = make_frame_pair(cfg, [13])[0]
         y = compensate(f0.r, spectral_vector(f0.theta))
         w = f0.H * f0.s
         noise = f0.r - apply_phase_noise(w, f0.theta)
@@ -269,13 +279,13 @@ class TestFramePair:
 
     def test_unit_symbol_energy(self):
         cfg = LinkConfig()
-        f0, _ = make_frame_pair(cfg, 14)
+        f0, _ = make_frame_pair(cfg, [14])[0]
         assert np.mean(np.abs(f0.s) ** 2) == pytest.approx(1.0, rel=0.15)
 
     def test_pairs_share_read_only_layout(self):
         cfg = LinkConfig()
-        a0, a1 = make_frame_pair(cfg, 15)
-        b0, _ = make_frame_pair(LinkConfig(snr_db=10.0), 16)
+        a0, a1 = make_frame_pair(cfg, [15])[0]
+        b0, _ = make_frame_pair(LinkConfig(snr_db=10.0), [16])[0]
         pilot_idx = pilot_indices(cfg.n_c, cfg.pilot_fraction)
         expected = {
             "pilot_idx": pilot_idx,
@@ -292,12 +302,15 @@ class TestFramePair:
 
 class TestSimulate:
     def test_trial_frames_follow_spawned_seeds(self):
+        # Frames are built a block at a time; a run crossing a block
+        # boundary must still give trial i the pair of child i.
         cfg = LinkConfig(snr_db=20.0)
-        children = np.random.SeedSequence(5).spawn(3)
-        trials = list(simulate(cfg, ("cpe",), 3, 5))
-        assert len(trials) == 3
+        n_trials = link.DECODE_BLOCK + 2
+        children = np.random.SeedSequence(5).spawn(n_trials)
+        trials = list(simulate(cfg, ("cpe",), n_trials, 5))
+        assert len(trials) == n_trials
         for child, (frame, results) in zip(children, trials):
-            expected, _ = make_frame_pair(cfg, child)
+            expected, _ = make_frame_pair(cfg, [child])[0]
             for name in ("info_bits", "theta", "H", "r"):
                 assert np.array_equal(getattr(frame, name), getattr(expected, name))
             assert list(results) == ["cpe"]
@@ -363,7 +376,7 @@ class TestSimulate:
         assert np.array_equal(rec.frame_errors, expected)
 
     def test_decode_frame_rejects_unpaired_estimates(self):
-        f0, _ = make_frame_pair(LinkConfig(), 17)
+        f0, _ = make_frame_pair(LinkConfig(), [17])[0]
         with pytest.raises(ValueError):
             decode_frame([f0, f0], [spectral_vector(f0.theta)])
 
@@ -371,8 +384,7 @@ class TestSimulate:
         cfg = LinkConfig(snr_db=10.0)
         model = make_model(cfg)
         frames, estimates = [], []
-        for seed in range(6):
-            f0, f1 = make_frame_pair(cfg, seed)
+        for f0, f1 in make_frame_pair(cfg, range(6)):
             frames.append(f0)
             estimates.append(estimate_frame("uls", f0, f1, model).delta_hat)
         decoded = decode_frame(frames, estimates)
@@ -387,8 +399,8 @@ class TestSimulate:
 
         for name in ("compensate", "qam16_llr", "viterbi_decode_soft"):
             monkeypatch.setattr(link, name, refuse)
-        f128, _ = make_frame_pair(LinkConfig(), 18)
-        f64, _ = make_frame_pair(LinkConfig(n_c=64, taps=1, n_est=4), 18)
+        f128, _ = make_frame_pair(LinkConfig(), [18])[0]
+        f64, _ = make_frame_pair(LinkConfig(n_c=64, taps=1, n_est=4), [18])[0]
         d128, d64 = spectral_vector(f128.theta), spectral_vector(f64.theta)
         with pytest.raises(ValueError, match="pilot layout"):
             decode_frame([f128, f64], [d128, d64])
@@ -431,9 +443,9 @@ class TestTraceSeams:
         n_frames = link.DECODE_BLOCK + 2  # one full block and one partial block
         run_link(LinkConfig(), "uls", n_frames, 5)
         assert calls == {
-            "make_frame_pair": n_frames,
-            "conv_encode": n_frames,  # once per pair, both symbols stacked
-            "qam16_map": n_frames,
+            "make_frame_pair": 2,  # once per block, every symbol of the block stacked
+            "conv_encode": 2,
+            "qam16_map": 2,
             "decode_frame": 2,  # once per block
             "compensate": 2,
             "qam16_llr": 2,

@@ -236,8 +236,7 @@ class TestLinkInstances:
         cfg = LinkConfig(snr_db=snr_db)
         model = make_model(cfg)
         assert (model.n, model.kind) == (8, "ppt")
-        for child in np.random.SeedSequence([2024, int(snr_db)]).spawn(4):
-            f0, _ = make_frame_pair(cfg, child)
+        for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([2024, int(snr_db)]).spawn(4)):
             sys = build_ls_system(f0.r, f0.H, f0.pilot_idx, f0.pilot_values, model)
             out = gls(sys, model)
             sol = out.diagnostics.solver
@@ -415,8 +414,7 @@ def link_pairs():
     for snr_db in (10.0, 20.0, 30.0):
         cfg = LinkConfig(snr_db=snr_db)
         model = make_model(cfg)
-        for child in np.random.SeedSequence([4242, int(snr_db)]).spawn(40):
-            f0, _ = make_frame_pair(cfg, child)
+        for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([4242, int(snr_db)]).spawn(40)):
             sys = build_ls_system(f0.r, f0.H, f0.pilot_idx, f0.pilot_values, model)
             pairs.append((sys.M, sys.b))
     return pairs
