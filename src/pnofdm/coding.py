@@ -23,8 +23,10 @@ transposed line up with those branch metrics by broadcasting, and each
 add-compare-select step is three ufunc calls into preallocated buffers.  The
 comparison is strict: ties go to the lower-numbered predecessor ``2j``,
 which selects the all-zero path on all-zero input, row by row.  The
-traceback packs each row's 64 decisions per step into one ``uint64`` word
-and, once per row, follows the chosen predecessors from the zero state.
+traceback reads the decisions where the add-compare-select wrote them and,
+once per row, follows the chosen predecessors back from the zero state: the
+decision taken at step ``t`` is the oldest register bit of the predecessor,
+which is information bit ``t - 6``.
 """
 
 from __future__ import annotations
@@ -156,16 +158,19 @@ def viterbi_decode_soft(llrs) -> np.ndarray:
             np.greater(cand1, cand0, out=choice)
             np.maximum(cand0, cand1, out=pm_next)
 
-    # Bit s of took1[b, t] is set when state s of row b took predecessor
-    # 2(s mod 32) + 1 at step t.
-    took1 = np.packbits(choices.reshape(n_steps, _NSTATES, n_rows), axis=1, bitorder="little")
-    took1 = np.ascontiguousarray(took1.transpose(2, 0, 1)).view("<u8")[..., 0]
+    # choices is (T, 64, B) in C order: row b's decision at step t in state s
+    # is byte t*64*B + s*B + b.  The predecessor of state s is
+    # ((s << 1) & 63) | d, so d at step t is information bit t - 6, and steps
+    # 0..5 (the zero start) need no traceback.
+    flat = choices.tobytes()
+    stride = _NSTATES * n_rows
     decoded = np.empty((n_rows, n_steps - _MEM), dtype=int)
-    bits = [0] * n_steps
-    for row, words in zip(decoded, took1.tolist()):
+    for b, row in enumerate(decoded):
         state = 0  # terminated codeword ends in the zero state
-        for t in range(n_steps - 1, -1, -1):
-            bits[t] = state >> (_MEM - 1)
-            state = ((state & (_HALF - 1)) << 1) | ((words[t] >> state) & 1)
-        row[:] = bits[: n_steps - _MEM]
+        bits = []
+        for pos in range(b + (n_steps - 1) * stride, b + (_MEM - 1) * stride, -stride):
+            d = flat[pos + state * n_rows]
+            bits.append(d)
+            state = ((state << 1) & (_NSTATES - 1)) | d
+        row[::-1] = bits
     return decoded if llrs.ndim == 2 else decoded[0]

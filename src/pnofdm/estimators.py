@@ -34,7 +34,8 @@ Five estimators are provided:
     symbols, anchored at the symbol midpoints.
 
 Every estimator returns an :class:`EstimatorOutput` of plain arrays, built
-by one constructor that evaluates the geometry residual once, on ``delta``.
+by one constructor; its geometry residual is evaluated on ``delta``, at most
+once, when first read.
 
 ``error_decomposition`` splits any estimate into per-sample amplitude factors
 ``kappa``, phase errors ``omega``, and the closed-form total error they
@@ -45,7 +46,7 @@ unconstrained estimate to the true ``delta`` for diagnostic use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -153,13 +154,21 @@ def _circulant_gather(n_c: int, pilot_idx: tuple) -> np.ndarray:
 @dataclass(frozen=True)
 class EstimatorDiagnostics:
     cost: float | None
-    geometry_residual: float
     method: str
+    delta_hat: np.ndarray = field(repr=False, compare=False)  # read by geometry_residual
     flags: tuple = ()
     condition: float | None = None
     solver: object | None = None
     certified: bool | None = None  # gls: the estimate is the proven global optimum
     gap: float | None = None  # gls: cost above the dual bound tau (0 when certified)
+
+    @cached_property
+    def geometry_residual(self) -> float:
+        """``geometry_residual(delta_hat).max_abs``, computed on first read and kept.
+
+        The link never reads it, so only a reader pays for its transform pair.
+        """
+        return geometry_residual(self.delta_hat).max_abs
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,7 @@ class EstimatorOutput:
     ``delta_hat`` is the full-length complex spectrum and ``gamma_hat`` the
     reduced one (``None`` for ``cpe``, ``cis`` and ``genie``, which have no
     reduced form); both are plain arrays.  ``diagnostics.geometry_residual``
-    is ``geometry_residual(delta_hat).max_abs``.
+    is ``geometry_residual(delta_hat).max_abs``, computed when first read.
     """
 
     gamma_hat: np.ndarray | None
@@ -178,9 +187,8 @@ class EstimatorOutput:
 
 
 def _output(method, gamma, delta, cost=None, **diagnostics) -> EstimatorOutput:
-    """Build an estimator's output; the geometry residual is computed here, once."""
-    residual = geometry_residual(delta).max_abs
-    return EstimatorOutput(gamma, delta, EstimatorDiagnostics(cost, residual, method, **diagnostics))
+    """Build an estimator's output; its geometry residual waits for a reader."""
+    return EstimatorOutput(gamma, delta, EstimatorDiagnostics(cost, method, delta, **diagnostics))
 
 
 def project_constant_modulus(gamma):

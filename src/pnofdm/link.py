@@ -108,7 +108,8 @@ class LinkConfig:
                 _tap_profile(self.taps, self.coherence_bw / (self.n_c * self.f_sub))
             except ValueError as exc:
                 out.append(str(exc))
-        if not 0 < self.pilot_fraction <= 0.5:
+        pilots_valid = 0 < self.pilot_fraction <= 0.5
+        if not pilots_valid:
             out.append("pilot_fraction must lie in (0, 0.5]")
         if not np.isfinite(self.snr_db):
             out.append("snr_db must be finite")
@@ -120,11 +121,12 @@ class LinkConfig:
             out.append(f"t_kind must be 'ppt' or 'lft', got {self.t_kind!r}")
         if self.t_kind == "ppt" and self.n_c % max(self.n_est, 1) != 0:
             out.append(f"n_est = {self.n_est} must divide n_c = {self.n_c} for a ppt model")
-        k = int(round(self.pilot_fraction * self.n_c))
-        if k < self.n_est:
-            out.append(f"pilot count {k} is below the estimator dimension {self.n_est}")
-        if self.n_c >= 8 and 2 * (self.n_c - k) - 6 < 8:
-            out.append("too few data subcarriers for a codeword")
+        if pilots_valid:  # a NaN or inf fraction has no pilot count
+            k = int(round(self.pilot_fraction * self.n_c))
+            if k < self.n_est:
+                out.append(f"pilot count {k} is below the estimator dimension {self.n_est}")
+            if self.n_c >= 8 and 2 * (self.n_c - k) - 6 < 8:
+                out.append("too few data subcarriers for a codeword")
         return out
 
     def validate(self) -> "LinkConfig":

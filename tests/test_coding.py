@@ -213,6 +213,22 @@ class TestViterbiMatchesReference:
             assert np.array_equal(decoded, expected)
         assert ties > 1000
 
+    # Block sizes of link-gls and link-fast calls, link.DECODE_BLOCK and one
+    # more; 236 steps is a default link frame, 6 steps the bare flush tail.
+    @pytest.mark.parametrize("n_steps", [6, 7, 65, 236])
+    @pytest.mark.parametrize("n_rows", [4, 6, 32, 33])
+    def test_block_rows_tie_heavy(self, n_rows, n_steps):
+        # The traceback reads row b's decision at step t from its own offset
+        # in the decision buffer; every row and step is checked on its own.
+        rng = np.random.default_rng(1000 * n_rows + n_steps)
+        sigma = rng.choice([0.7, 1.5, 4.0], size=(n_rows, 1))
+        llrs = np.round(sigma * rng.standard_normal((n_rows, 2 * n_steps)))
+        llrs[n_rows // 2] = 0.0
+        decoded = viterbi_decode_soft(llrs)
+        assert decoded.shape == (n_rows, n_steps - 6)
+        for row, got in zip(llrs, decoded):
+            assert np.array_equal(got, reference_decode(row))
+
     def test_noisy_link_length_codewords(self):
         rng = np.random.default_rng(42)
         for sigma in (0.5, 1.0, 1.5):

@@ -112,6 +112,8 @@ class TestParseConfig:
         [
             ("snr_db = nan", "snr_db must be finite"),
             ("rho = nan", "rho must be finite and nonnegative"),
+            ("pilot_fraction = nan", "pilot_fraction must lie in (0, 0.5]"),
+            ("pilot_fraction = inf", "pilot_fraction must lie in (0, 0.5]"),
             ("f_sub = 0", "f_sub must be positive"),
             ("coherence_bw = -1", "coherence_bw must be positive"),
             ("coherence_bw = inf", "coherence_bw must be positive and finite"),
