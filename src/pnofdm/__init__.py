@@ -26,7 +26,6 @@ from .estimators import (
     EstimatorOutput,
     LsSystem,
     build_ls_system,
-    c_matrix,
     cis,
     cpe_only,
     error_decomposition,
@@ -57,7 +56,6 @@ __all__ = [
     "SdpSolution",
     "__version__",
     "build_ls_system",
-    "c_matrix",
     "certify_local",
     "cis",
     "compensate",

@@ -39,8 +39,7 @@ once, when first read.
 
 ``error_decomposition`` splits any estimate into per-sample amplitude factors
 ``kappa``, phase errors ``omega``, and the closed-form total error they
-induce; ``c_matrix`` reconstructs the exact linear map relating the
-unconstrained estimate to the true ``delta`` for diagnostic use.
+induce.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import numpy as np
 from .dimred import DimRedModel, lift
 from .phasenoise import spectral_vector
 from .sdp import SolverError, certify_local, kkt_recover, solve_dual
-from .spectral import dft_matrix, geometry_residual
+from .spectral import geometry_residual
 
 __all__ = [
     "ESTIMATOR_IDS",
@@ -62,7 +61,6 @@ __all__ = [
     "ErrorDecomposition",
     "LsSystem",
     "build_ls_system",
-    "c_matrix",
     "cis",
     "cpe_only",
     "error_decomposition",
@@ -75,7 +73,6 @@ __all__ = [
 ]
 
 ULS_COND_LIMIT = 1e12
-C_MATRIX_TOL = 1e-8  # relative mismatch at which c_matrix's self-check raises
 
 
 class EstimationError(RuntimeError):
@@ -405,60 +402,6 @@ def error_decomposition(delta_hat, theta) -> ErrorDecomposition:
     total = float(np.sum(eps**2 - 2 * eps * one_minus_cos + 2 * one_minus_cos) / n**2)
     direct = float(np.sum(np.abs(x - np.exp(-1j * th) / n) ** 2))
     return ErrorDecomposition(kappa, omega, eps, total, total * n, direct)
-
-
-def c_matrix(model: DimRedModel, pilot_idx, theta, H, s, r) -> np.ndarray:
-    """Exact linear map ``C`` with ``delta_uls = F C F^H delta`` (diagnostic).
-
-    Reconstructs, from the full simulation state (true trajectory, channel,
-    symbols, and the received vector ``r``, whose additive noise is ``r``
-    minus the rotated ``H s``), the matrix that the unconstrained estimator
-    effectively applies to the true spectral vector.  ``C`` is the identity
-    only with every subcarrier piloted, a full-dimension model, and no
-    noise; otherwise its rank equals the model dimension and it induces the
-    amplitude/phase errors quantified by :func:`error_decomposition`.
-
-    The construction is verified against the actual estimator output on the
-    same data; a mismatch beyond ``C_MATRIX_TOL`` (relative) raises.
-    """
-    th = np.asarray(theta, dtype=float)
-    H = np.asarray(H, dtype=complex).ravel()
-    s = np.asarray(s, dtype=complex).ravel()
-    r = np.asarray(r, dtype=complex).ravel()
-    pilot_idx = np.asarray(pilot_idx, dtype=int).ravel()
-    n_c = H.size
-    F = dft_matrix(n_c)
-    Fh = F.conj().T
-    w = H * s
-    ft_w = Fh @ w
-    if np.min(np.abs(ft_w)) <= 1e-12 * np.max(np.abs(ft_w)):
-        raise EstimationError("zero time-domain symbol product: E_w is singular")
-    E_theta = np.exp(1j * th)
-    E_w = ft_w
-    E_n = Fh @ r - E_theta * E_w  # the additive term of r, in time
-    E_snr = 1.0 + E_n / (E_theta * E_w)  # diagonal entries; diagonals commute
-    K_sel = np.zeros((pilot_idx.size, n_c))
-    K_sel[np.arange(pilot_idx.size), pilot_idx] = 1.0
-    KF = K_sel @ F
-    P_r = (KF * E_theta[None, :]).conj().T @ (KF * E_theta[None, :])
-    w_p = w[pilot_idx]
-    E_p = Fh @ (K_sel.T @ w_p)
-    Ttilde = Fh @ model.T @ dft_matrix(model.n)  # time-domain core, any model kind
-    B = (E_snr * E_w)[:, None] * Ttilde
-    inner = B.conj().T @ P_r @ B
-    C = Ttilde @ np.linalg.solve(inner, B.conj().T * E_p[None, :])
-
-    # Consistency: the map applied to the true delta must reproduce the
-    # unconstrained estimate computed from the received vector.
-    delta = spectral_vector(th)
-    sys = build_ls_system(r, H, pilot_idx, s[pilot_idx], model)
-    gamma, _, _ = _uls_gamma(sys)
-    delta_uls = model.T @ gamma
-    delta_via_C = F @ (C @ (Fh @ delta))
-    err = np.linalg.norm(delta_via_C - delta_uls) / max(np.linalg.norm(delta_uls), 1e-300)
-    if err > C_MATRIX_TOL:
-        raise EstimationError(f"C-matrix consistency check failed: relative error {err:.3e}")
-    return C
 
 
 ESTIMATOR_IDS = ("uls", "nls", "gls", "cpe", "cis", "genie")

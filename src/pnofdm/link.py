@@ -97,8 +97,8 @@ class LinkConfig:
         out = []
         if self.n_c < 8:
             out.append("n_c must be at least 8")
-        if not self.f_sub > 0:
-            out.append("f_sub must be positive")
+        if not 0 < self.f_sub < np.inf:
+            out.append("f_sub must be positive and finite")
         if self.taps < 1:
             out.append("taps must be >= 1")
         if not 0 < self.coherence_bw < np.inf:

@@ -1,28 +1,28 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line with the measured quantity.
 
-The Monte-Carlo criteria share one seeded 500-frame study at 30 dB
-(``mc30``); statistical separations use paired one-sided tests on per-frame
-quantities with common random numbers, so every outcome is deterministic
-given the frozen seeds.
+Criteria 1, 2, 5, 7 and 8 run the checks of ``pnofdm verify`` on their own
+frozen seeds.  The Monte-Carlo criteria share one seeded 2500-frame study at
+30 dB (``mc30``); statistical separations use paired one-sided tests on
+per-frame quantities with common random numbers, so every outcome is
+deterministic given the frozen seeds.
 """
 
 import numpy as np
 import pytest
 
-from pnofdm.dimred import pc_ppt, validate_ppt
-from pnofdm.estimators import error_decomposition
+from pnofdm.estimators import error_decomposition, uls
 from pnofdm.link import LinkConfig, decode_frame, simulate
-from pnofdm.phasenoise import spectral_vector, wiener_realization
-from pnofdm.spectral import geometry_residual
-from pnofdm.sproc import (
-    duality_gap,
-    qmatnew_nullspace,
-    random_gram_instance,
-    regularity_matrix,
+from pnofdm.phasenoise import spectral_vector
+from pnofdm.experiments import (
+    _check_duality,
+    _check_error_identity,
+    _check_geometry,
+    _check_ppt,
+    _check_regularity,
+    parse_config,
+    run_scenario,
 )
-from pnofdm.experiments import parse_config, run_scenario
-from pnofdm.estimators import uls
 from test_estimators import noise_free_system
 
 
@@ -73,27 +73,11 @@ def mc30():
 
 
 def test_criterion_1_geometry_construction():
-    worst = 0.0
-    for n_c in (16, 64):
-        for trial in range(100):
-            theta = wiener_realization(n_c, 0.05, 51_000 + trial)
-            worst = max(worst, geometry_residual(spectral_vector(theta)).max_abs)
-    report(1, worst < 1e-12, f"max geometry residual over 200 trajectories: {worst:.2e}")
+    report(1, *_check_geometry(51_000, 100))
 
 
 def test_criterion_2_ppt_validity_and_preservation():
-    worst_cond = 0.0
-    worst_lift = 0.0
-    for n_c, n in ((16, 4), (64, 8), (128, 8)):
-        model = pc_ppt(n_c, n)
-        rep = validate_ppt(model.Ttilde)
-        worst_cond = max(worst_cond, rep.unitarity, rep.off_diagonal, rep.trace_sum)
-        rng = np.random.default_rng(52_000 + n_c)
-        for _ in range(100):
-            gamma = spectral_vector(rng.uniform(-np.pi, np.pi, n))
-            worst_lift = max(worst_lift, geometry_residual(model.T @ gamma).max_abs)
-    passed = worst_cond < 1e-12 and worst_lift < 1e-10
-    report(2, passed, f"worst core condition {worst_cond:.2e}, worst lifted residual {worst_lift:.2e}")
+    report(2, *_check_ppt(52_000, 100))
 
 
 def test_criterion_3_exact_recovery_regime():
@@ -118,15 +102,7 @@ def test_criterion_4_constant_phase_error_anchor():
 
 
 def test_criterion_5_total_error_identity():
-    rng = np.random.default_rng(55_000)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(8, 129))
-        theta = rng.uniform(-np.pi, np.pi, n)
-        delta_hat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        dec = error_decomposition(delta_hat, theta)
-        worst = max(worst, abs(dec.total - dec.direct_total))
-    report(5, worst < 1e-12, f"worst closed-form vs direct-sum defect over 1000 pairs: {worst:.2e}")
+    report(5, *_check_error_identity(55_000, 1000))
 
 
 def test_criterion_6_constrained_feasibility_and_cost_order(mc30):
@@ -145,29 +121,14 @@ def test_criterion_6_constrained_feasibility_and_cost_order(mc30):
 
 
 def test_criterion_7_strong_duality():
-    worst_rel = 0.0
-    worst_weak = np.inf
-    for n, k, count, base in ((3, 6, 20, 71_000), (5, 10, 10, 72_000)):
-        for i in range(count):
-            M, b = random_gram_instance(n, k, base + i)
-            g = duality_gap(M, b)
-            worst_rel = max(worst_rel, abs(g.relative))
-            worst_weak = min(worst_weak, g.gap)
-    passed = worst_rel < 1e-3 and worst_weak > -1e-6
-    report(7, passed, f"worst relative gap {worst_rel:.2e}; most negative gap {worst_weak:.2e}")
+    # The shared check passes proven gaps of any size; on these frozen
+    # instances the criterion also bounds the worst relative gap.
+    passed, detail, worst_rel = _check_duality(((3, 6, 20, 71_000), (5, 10, 10, 72_000)))
+    report(7, passed and worst_rel < 1e-3, detail)
 
 
 def test_criterion_8_regularity_condition():
-    ok = True
-    details = []
-    for n in (3, 5, 7, 9):
-        Q = regularity_matrix(n)
-        rank = int(np.linalg.matrix_rank(Q, tol=1e-10))
-        colsum = float(np.max(np.abs(Q @ np.ones(n + 1))))
-        null = qmatnew_nullspace(n)
-        ok &= rank == n and colsum < 1e-13 and null.ok and null.null_residual < 1e-12
-        details.append(f"n={n}: rank {rank}, |Q1|={colsum:.1e}")
-    report(8, ok, "; ".join(details))
+    report(8, *_check_regularity((3, 5, 7, 9)))
 
 
 def test_criterion_9_ber_ordering_at_30db(mc30):

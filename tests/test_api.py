@@ -1,7 +1,9 @@
 """The public surface: every ``__all__`` entry resolves and star-imports work,
-and every public default is one some caller changes."""
+every public function has a caller outside the tests, and every public
+default is one some caller changes."""
 
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -44,31 +46,52 @@ def test_module_star_import(mod):
     assert set(importlib.import_module(f"pnofdm.{mod}").__all__) <= set(namespace)
 
 
-def _keyword_calls() -> set:
-    """``(callee, keyword)`` for every ``callee(..., keyword=...)`` outside the tests."""
+@functools.cache
+def _caller_uses() -> tuple:
+    """From one walk of the code outside the tests: ``(callee, keyword)`` for every
+    ``callee(..., keyword=...)``, and every name read as a name or an attribute
+    (``def`` and import lines read none)."""
     root = Path(__file__).resolve().parents[1]
-    calls = set()
+    calls, names = set(), set()
     for path in (p for d in CALLER_DIRS for p in (root / d).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 calls.update((name, kw.arg) for kw in node.keywords if kw.arg)
-    return calls
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return calls, names
+
+
+def _public_functions() -> list:
+    """``(module, name, function)`` for every function in a module's ``__all__``."""
+    modules = {mod: importlib.import_module(f"pnofdm.{mod}") for mod in MODULES}
+    return [
+        (mod, name, getattr(module, name))
+        for mod, module in modules.items()
+        for name in module.__all__
+        if inspect.isfunction(getattr(module, name))
+    ]
 
 
 def test_every_default_is_set_by_a_caller():
     # A parameter with a default that no caller outside the tests passes by
     # name has one value in use, so it should be a constant.
-    calls = _keyword_calls()
-    unset = []
-    for mod in MODULES:
-        module = importlib.import_module(f"pnofdm.{mod}")
-        for name in module.__all__:
-            fn = getattr(module, name)
-            if not inspect.isfunction(fn):
-                continue
-            for param in inspect.signature(fn).parameters.values():
-                if param.default is not param.empty and (name, param.name) not in calls:
-                    unset.append(f"{mod}.{name}({param.name}=)")
+    calls, _ = _caller_uses()
+    unset = [
+        f"{mod}.{name}({param.name}=)"
+        for mod, name, fn in _public_functions()
+        for param in inspect.signature(fn).parameters.values()
+        if param.default is not param.empty and (name, param.name) not in calls
+    ]
     assert unset == []
+
+
+def test_every_public_function_has_a_caller():
+    # A public function that only the tests call belongs in the tests.
+    _, names = _caller_uses()
+    uncalled = [f"{mod}.{name}" for mod, name, _ in _public_functions() if name not in names]
+    assert uncalled == []

@@ -115,6 +115,7 @@ class TestParseConfig:
             ("pilot_fraction = nan", "pilot_fraction must lie in (0, 0.5]"),
             ("pilot_fraction = inf", "pilot_fraction must lie in (0, 0.5]"),
             ("f_sub = 0", "f_sub must be positive"),
+            ("f_sub = inf", "f_sub must be positive and finite"),
             ("coherence_bw = -1", "coherence_bw must be positive"),
             ("coherence_bw = inf", "coherence_bw must be positive and finite"),
             ("coherence_bw = 1000", "coherence target unreachable"),
