@@ -93,6 +93,8 @@ class LsSystem:
         n = self.b.size
         if self.M.shape != (n, n):
             raise ValueError("M must be square and match b")
+        if not (np.isfinite(self.M).all() and np.isfinite(self.b).all()):
+            raise ValueError("M and b must be finite")
         scale = 1.0 + float(np.max(np.abs(self.M)))
         if np.max(np.abs(self.M - self.M.conj().T)) > 1e-12 * scale:
             raise ValueError("M must be Hermitian")

@@ -52,6 +52,16 @@ stage ends at a step whose decrement shows ``d`` centered, without moving
 ``d``, so the next stage's first step reuses its ``S`` and ``|S|^2`` with
 the new ``t``.  Every iterate is strictly feasible, which makes the returned
 certificate unconditional.
+
+Both Newton loops call LAPACK through numpy's gufuncs directly: the local
+solve's phase-Hessian ``eigh`` and the certificate's ``eigvalsh``, and the
+barrier's Cholesky factorizations, inverse, Newton solve and final
+``eigvalsh``.  On these 9 x 9 matrices ``numpy.linalg``'s per-call argument
+handling cost more than LAPACK did, and about a third of a barrier step.
+Each solve enters one floating-point error state (:func:`_lapack`) around
+its loop, so a LAPACK failure still raises ``np.linalg.LinAlgError``.  The
+set-up calls, ``norm(M, 2)`` and :func:`kkt_recover`'s SVD stay on
+``numpy.linalg``.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .spectral import dft_matrix
 
@@ -92,6 +103,53 @@ class SolverError(RuntimeError):
     """Raised when the dual solve cannot produce a certified solution."""
 
 
+def _raise_lapack_error(err, flag):
+    raise np.linalg.LinAlgError("LAPACK routine failed (singular, not positive definite or not converged) or gave NaN")
+
+
+def _lapack():
+    """The floating-point error state under which the LAPACK helpers raise as ``numpy.linalg`` does.
+
+    :func:`_cholesky`, :func:`_inv`, :func:`_solve`, :func:`_eigh` and
+    :func:`_eigvalsh` call numpy's private LAPACK gufuncs
+    (``numpy.linalg._umath_linalg``, tested on numpy 2.4) with fixed
+    signatures.  They skip ``numpy.linalg``'s per-call argument handling,
+    which on these 9 x 9 matrices costs more than the routine itself, and
+    run the routine ``numpy.linalg`` runs, so their results are bit for bit
+    the same.  A gufunc reports a failed factorization or a non-convergence
+    as an invalid floating-point operation; this state, with the settings
+    ``numpy.linalg`` uses, turns it into ``np.linalg.LinAlgError``.  A solver
+    enters it once around its Newton loop, not once per call, so inside the
+    loop any NaN result raises ``LinAlgError`` too.
+    """
+    return np.errstate(call=_raise_lapack_error, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _cholesky(G):
+    """Lower Cholesky factor of a complex Hermitian ``G``, as ``np.linalg.cholesky``."""
+    return _umath_linalg.cholesky_lo(G, signature="D->D")
+
+
+def _inv(L):
+    """Inverse of a complex square ``L``, as ``np.linalg.inv``."""
+    return _umath_linalg.inv(L, signature="D->D")
+
+
+def _solve(H, rhs):
+    """Solution of the real system ``H x = rhs`` for a vector ``rhs``, as ``np.linalg.solve``."""
+    return _umath_linalg.solve1(H, rhs, signature="dd->d")
+
+
+def _eigh(H):
+    """Eigenvalues and eigenvectors of a real symmetric ``H``, as ``np.linalg.eigh``."""
+    return _umath_linalg.eigh_lo(H, signature="d->dd")
+
+
+def _eigvalsh(G):
+    """Eigenvalues of a complex Hermitian ``G``, ascending, as ``np.linalg.eigvalsh``."""
+    return _umath_linalg.eigvalsh_lo(G, signature="D->d")
+
+
 def _symmetrize(G):
     return (G + G.conj().T) / 2
 
@@ -102,6 +160,8 @@ def _cost_pair(M, b):
     b = np.asarray(b, dtype=complex).ravel()
     if M.shape != (b.size, b.size):
         raise ValueError("M must be n x n with n = len(b)")
+    if not (np.isfinite(M).all() and np.isfinite(b).all()):
+        raise ValueError("M and b must be finite")
     if np.max(np.abs(M - M.conj().T)) > 1e-10 * (1 + np.max(np.abs(M))):
         raise ValueError("M must be Hermitian")
     return M, b
@@ -180,37 +240,37 @@ def certify_local(M, b):
     phi = np.angle(np.fft.ifft(np.linalg.solve(M, b)))
     x = np.exp(1j * phi) / root_n
     J, Ax = cost(x)
-    for _ in range(LOCAL_MAX_NEWTON):
-        x_conj = np.conj(x)
-        resid = x_conj * (Ax - c)
-        grad = 2.0 * resid.imag
-        if np.max(np.abs(grad)) <= grad_tol:
-            break
-        H = 2.0 * np.real(x_conj[:, None] * A * x[None, :])
-        H[diag] = a_diag - 2.0 * resid.real
-        lam, V = np.linalg.eigh(H)
-        lam = np.maximum(np.abs(lam), eig_floor)
-        step = -V @ ((V.T @ grad) / lam)
-        step *= min(1.0, LOCAL_STEP_CAP / np.max(np.abs(step)))
-        slope = float(grad @ step)
-        alpha = 1.0
-        for _ in range(LOCAL_MAX_BACKTRACK):
-            x_trial = np.exp(1j * (phi + alpha * step)) / root_n
-            J_trial, Ax_trial = cost(x_trial)
-            if J_trial <= J + ARMIJO * alpha * slope + LOCAL_COST_SLACK * (1.0 + abs(J)):
+    with _lapack():
+        for _ in range(LOCAL_MAX_NEWTON):
+            x_conj = np.conj(x)
+            resid = x_conj * (Ax - c)
+            grad = 2.0 * resid.imag
+            if np.max(np.abs(grad)) <= grad_tol:
                 break
-            alpha *= 0.5
+            H = 2.0 * np.real(x_conj[:, None] * A * x[None, :])
+            H[diag] = a_diag - 2.0 * resid.real
+            lam, V = _eigh(H)
+            lam = np.maximum(np.abs(lam), eig_floor)
+            step = -V @ ((V.T @ grad) / lam)
+            step *= min(1.0, LOCAL_STEP_CAP / np.max(np.abs(step)))
+            slope = float(grad @ step)
+            alpha = 1.0
+            for _ in range(LOCAL_MAX_BACKTRACK):
+                x_trial = np.exp(1j * (phi + alpha * step)) / root_n
+                J_trial, Ax_trial = cost(x_trial)
+                if J_trial <= J + ARMIJO * alpha * slope + LOCAL_COST_SLACK * (1.0 + abs(J)):
+                    break
+                alpha *= 0.5
+            else:
+                return None
+            phi, x, J, Ax = phi + alpha * step, x_trial, J_trial, Ax_trial
         else:
             return None
-        phi, x, J, Ax = phi + alpha * step, x_trial, J_trial, Ax_trial
-    else:
-        return None
-
-    mu = np.real((c - Ax) / x)
-    G = _lmi(A, c, J, mu)
-    if float(np.linalg.eigvalsh(G[:n, :n])[0]) < -CERT_EIG_TOL * scale:
-        return None
-    min_eig = float(np.linalg.eigvalsh(G)[0])
+        mu = np.real((c - Ax) / x)
+        G = _lmi(A, c, J, mu)
+        if float(_eigvalsh(G[:n, :n])[0]) < -CERT_EIG_TOL * scale:
+            return None
+        min_eig = float(_eigvalsh(G)[0])
     if min_eig < -MIN_EIG_TOL * scale:
         return None
     return F @ x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")
@@ -234,11 +294,12 @@ def solve_dual(M, b) -> SdpSolution:
         raise SolverError("dense solver is sized for n <= 64")
     m = n + 1
 
+    M, b = _cost_pair(M, b)
     norm_M = float(np.linalg.norm(M, 2))
     scale = max(1.0, norm_M, float(np.max(np.abs(b))) if n else 0.0)
 
     # Scaled time-basis LMI G0 + Diag(d) and the objective tau = w.d.
-    A, c, _ = _time_pair(*_cost_pair(M, b), scale)
+    A, c, _ = _time_pair(M, b, scale)
     G0 = _lmi(A, c, 0.0, np.zeros(n))
     w = np.full(m, -1.0 / n)
     w[n] = -1.0
@@ -252,51 +313,52 @@ def solve_dual(M, b) -> SdpSolution:
 
     # The LMI at d; line-search trials rewrite only its diagonal.
     G, g0, diag = G0 + np.diag(d), G0.diagonal(), np.diag_indices(m)
-    L = np.linalg.cholesky(G)  # the factor at a new d, until its inverse is taken
     t = 1.0
     tau_path = []
     status = "max_iter"
     tau_prev = None
     steps = 0
-    while steps < MAX_NEWTON:
-        steps += 1
-        if L is not None:
-            Linv = np.linalg.inv(L)
-            S = Linv.conj().T @ Linv
-            H = np.abs(S) ** 2
-            S_diag, L = S.diagonal().real, None
-        rhs = S_diag + t * w
-        try:
-            step = np.linalg.solve(H, rhs)
-        except np.linalg.LinAlgError:
-            break
-        if float(step @ rhs) <= DECREMENT_TOL:  # centered: the stage ends here
-            tau_s = float(w @ d)
-            tau_path.append(tau_s * scale)
-            stabilized = tau_prev is not None and abs(tau_s - tau_prev) <= np.sqrt(TOL) * (1.0 + abs(tau_s))
-            if m / t <= TOL * (1.0 + abs(tau_s)) and stabilized:
-                status = "optimal"
-                break
-            tau_prev = tau_s
-            t *= BARRIER_GROWTH
-            continue
-        alpha_ls = 1.0
-        for _ in range(60):
-            d_trial = d + alpha_ls * step
-            G[diag] = g0 + d_trial
+    with _lapack():
+        L = _cholesky(G)  # the factor at a new d, until its inverse is taken
+        while steps < MAX_NEWTON:
+            steps += 1
+            if L is not None:
+                Linv = _inv(L)
+                S = Linv.conj().T @ Linv
+                H = np.abs(S) ** 2
+                S_diag, L = S.diagonal().real, None
+            rhs = S_diag + t * w
             try:
-                L = np.linalg.cholesky(G)
-                break
+                step = _solve(H, rhs)
             except np.linalg.LinAlgError:
-                alpha_ls *= 0.5
-        else:
-            break
-        d = d_trial
+                break
+            if float(step @ rhs) <= DECREMENT_TOL:  # centered: the stage ends here
+                tau_s = float(w @ d)
+                tau_path.append(tau_s * scale)
+                stabilized = tau_prev is not None and abs(tau_s - tau_prev) <= np.sqrt(TOL) * (1.0 + abs(tau_s))
+                if m / t <= TOL * (1.0 + abs(tau_s)) and stabilized:
+                    status = "optimal"
+                    break
+                tau_prev = tau_s
+                t *= BARRIER_GROWTH
+                continue
+            alpha_ls = 1.0
+            for _ in range(60):
+                d_trial = d + alpha_ls * step
+                G[diag] = g0 + d_trial
+                try:
+                    L = _cholesky(G)
+                    break
+                except np.linalg.LinAlgError:
+                    alpha_ls *= 0.5
+            else:
+                break
+            d = d_trial
+        G[diag] = g0 + d
+        min_eig = scale * float(_eigvalsh(G)[0])  # the unscaled LMI at (tau, mu)
 
-    G[diag] = g0 + d
     tau = float(w @ d) * scale
     mu = d[:n] * scale
-    min_eig = scale * float(np.linalg.eigvalsh(G)[0])  # the unscaled LMI at (tau, mu)
     if status == "optimal" and min_eig < -MIN_EIG_TOL * (1.0 + norm_M):
         status = "max_iter"  # certificate failed; do not report optimal
     return SdpSolution(

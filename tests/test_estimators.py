@@ -1,6 +1,6 @@
 """Tests for the pilot-based estimators and diagnostics."""
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +155,16 @@ class TestBuildLsSystem:
         _, model, f0, _ = desk_frame
         with pytest.raises(EstimationError):
             build_ls_system(f0.r, f0.H, f0.pilot_idx[:4], f0.pilot_values[:4], model)
+
+    @pytest.mark.parametrize("entry", ["M", "b"])
+    def test_non_finite_rejected(self, desk_frame, entry):
+        # A NaN passes the Hermitian test, so finiteness is checked first.
+        _, model, f0, _ = desk_frame
+        sys = build_ls_system(f0.r, f0.H, f0.pilot_idx, f0.pilot_values, model)
+        bad = getattr(sys, entry).copy()
+        bad.flat[0] = np.nan if entry == "M" else np.inf
+        with pytest.raises(ValueError, match="finite"):
+            replace(sys, **{entry: bad})
 
 
 class TestUls:

@@ -104,20 +104,34 @@ class TestAssemble:
             solve_dual(M, np.zeros(3))
 
 
+ENTRY_POINTS = {
+    "certify_local": certify_local,
+    "solve_dual": solve_dual,
+    "kkt_recover": lambda M, b: kkt_recover(M, b, solve_dual(*eye_pair(3))),
+    "primal_oracle": primal_oracle,
+    "duality_gap": duality_gap,
+}
+
+
+BAD_PAIRS = [  # (id suffix, M, b, error): a non-Hermitian M, and NaN or inf in a Hermitian pair
+    ("", np.triu(np.ones((3, 3), dtype=complex)), np.zeros(3), "Hermitian"),
+    ("-nan_M", np.diag([1.0, np.nan, 1.0]).astype(complex), np.zeros(3), "finite"),
+    ("-inf_b", np.eye(3, dtype=complex), np.array([0.0, 0.0, np.inf]), "finite"),
+]
+
+
 @pytest.mark.parametrize(
-    "solve",
+    "solve, M, b, error",
     [
-        certify_local,
-        solve_dual,
-        lambda M, b: kkt_recover(M, b, solve_dual(*eye_pair(3))),
-        primal_oracle,
-        duality_gap,
+        pytest.param(solve, M, b, error, id=name + suffix)
+        for suffix, M, b, error in BAD_PAIRS
+        for name, solve in ENTRY_POINTS.items()
     ],
-    ids=["certify_local", "solve_dual", "kkt_recover", "primal_oracle", "duality_gap"],
 )
-def test_every_entry_point_rejects_non_hermitian(solve):
-    with pytest.raises(ValueError, match="Hermitian"):
-        solve(np.triu(np.ones((3, 3), dtype=complex)), np.zeros(3))
+def test_every_entry_point_rejects_non_hermitian(solve, M, b, error):
+    # Non-finite data is rejected before any LAPACK call; NaN would pass the Hermitian test.
+    with pytest.raises(ValueError, match=error):
+        solve(M, b)
 
 
 class TestSolveDual:
@@ -174,7 +188,7 @@ class TestSolveDual:
     def test_stuck_line_search_is_not_optimal(self, monkeypatch):
         # Every factorization after the start point fails, so the first line
         # search finds no feasible trial; the solve must not report optimal.
-        cholesky = np.linalg.cholesky
+        cholesky = sdp._cholesky
         calls = []
 
         def first_only(G):
@@ -183,7 +197,7 @@ class TestSolveDual:
                 raise np.linalg.LinAlgError("not positive definite")
             return cholesky(G)
 
-        monkeypatch.setattr(np.linalg, "cholesky", first_only)
+        monkeypatch.setattr(sdp, "_cholesky", first_only)
         sol = solve_dual(*random_gram_instance(3, 6, 1))
         assert len(calls) > 1
         assert sol.status == "max_iter"
@@ -457,3 +471,80 @@ class TestMatchesReference:
             assert (got.iterations, got.status) == (k, "max_iter")
             if budget == "stage_end":
                 assert got.tau_path.size == j + 1
+
+
+LAPACK_HELPERS = {
+    "_cholesky": np.linalg.cholesky,
+    "_inv": np.linalg.inv,
+    "_solve": np.linalg.solve,
+    "_eigh": np.linalg.eigh,
+    "_eigvalsh": np.linalg.eigvalsh,
+}
+
+
+@pytest.fixture(scope="module")
+def helper_inputs():
+    """The arguments of every LAPACK helper call made by ``gls``'s solvers on 24 link frames at 10 and 30 dB."""
+    seen = {name: [] for name in LAPACK_HELPERS}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in LAPACK_HELPERS:
+
+            def record(*args, _helper=getattr(sdp, name), _calls=seen[name]):
+                _calls.append([a.copy() for a in args])  # the line search rewrites G in place
+                return _helper(*args)
+
+            mp.setattr(sdp, name, record)
+        for snr_db in (10.0, 30.0):
+            cfg = LinkConfig(snr_db=snr_db)
+            model = make_model(cfg)
+            for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([4343, int(snr_db)]).spawn(12)):
+                sys = build_ls_system(f0.r, f0.H, f0.pilot_idx, f0.pilot_values, model)
+                if certify_local(sys.M, sys.b) is None:
+                    solve_dual(sys.M, sys.b)
+    return seen
+
+
+def lapack_outcome(f, args):
+    """``f(*args)`` as a tuple of arrays, or ``None`` when it raises ``LinAlgError``."""
+    try:
+        out = f(*args)
+    except np.linalg.LinAlgError:
+        return None
+    return tuple(out) if isinstance(out, tuple) else (out,)
+
+
+class TestLapackHelpers:
+    """The direct LAPACK calls give what ``numpy.linalg`` gives, and fail where it fails."""
+
+    @pytest.mark.parametrize("name", list(LAPACK_HELPERS))
+    def test_bitwise_equal_on_link_matrices(self, name, helper_inputs):
+        calls = helper_inputs[name]
+        failed = 0
+        with sdp._lapack():
+            for args in calls:
+                got, ref = lapack_outcome(getattr(sdp, name), args), lapack_outcome(LAPACK_HELPERS[name], args)
+                assert (got is None) == (ref is None)
+                if got is None:
+                    failed += 1
+                    continue
+                assert all(g.dtype == r.dtype and np.array_equal(g, r) for g, r in zip(got, ref))
+        assert len(calls) > 20 and failed < len(calls)
+        if name == "_cholesky":
+            assert failed > 0  # rejected line-search trials are compared too
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("_cholesky", (-np.eye(3, dtype=complex),)),
+            ("_inv", (np.zeros((3, 3), dtype=complex),)),
+            ("_solve", (np.ones((3, 3)), np.ones(3))),
+        ],
+        ids=["non_pd_cholesky", "singular_inv", "singular_solve"],
+    )
+    def test_raise_where_numpy_linalg_raises(self, name, args):
+        before = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError):
+            LAPACK_HELPERS[name](*args)
+        with pytest.raises(np.linalg.LinAlgError), sdp._lapack():
+            getattr(sdp, name)(*args)
+        assert np.geterr() == before
