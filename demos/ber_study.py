@@ -1,7 +1,9 @@
 """Walkthrough: coded bit-error-rate of the estimators across SNR.
 
-Runs a reduced copy of the BER-vs-SNR study (fewer trials than the shipped
-scenario so it finishes in about a minute) and prints the resulting table.
+Runs a reduced copy of the BER-vs-SNR study (150 trials per point instead
+of the shipped scenario's 500, one pass over common frames per SNR) and
+prints the resulting table.  It ran in 1.75-2.0 s on a 2-CPU Xeon with
+Python 3.11 and numpy 2.4.
 The full-size study is available through the scenario harness:
 
     pnofdm run --config <file with 'scenario = ber-vs-snr'> --out results/
@@ -11,7 +13,7 @@ fit and the genie reference, with the geometry-constrained fit closest to
 ideal at high SNR.
 """
 
-from pnofdm.link import LinkConfig, run_link
+from pnofdm.link import LinkConfig, ber_records
 
 TRIALS = 150
 SNRS = (10.0, 20.0, 30.0)
@@ -21,12 +23,8 @@ print(f"{TRIALS} frames per point, 128 subcarriers, 8 estimated components, rho=
 header = f"{'snr_db':>7s} " + " ".join(f"{e:>10s}" for e in ESTIMATORS)
 print(header)
 for snr in SNRS:
-    cfg = LinkConfig(snr_db=snr)
-    row = [f"{snr:7.1f}"]
-    for est in ESTIMATORS:
-        rec = run_link(cfg, est, TRIALS, seed=515_000)
-        row.append(f"{rec.ber:10.2e}")
-    print(" ".join(row))
+    records = ber_records(LinkConfig(snr_db=snr), ESTIMATORS, TRIALS, seed=515_000)
+    print(" ".join([f"{snr:7.1f}"] + [f"{rec.ber:10.2e}" for rec in records.values()]))
 
 print("""
 Notes:

@@ -22,7 +22,9 @@ errors too, caught before anything runs.
 
 ``gls`` needs the geometry-preserving model, so every scenario leaves it out
 of the runs under ``t_kind = lft`` (:func:`_runnable`): no ``gls`` row or
-column is written for that model.
+column is written for that model.  ``estimators`` must hold at least one
+id, each once, and one that runs under each model the scenario runs.  Each
+operating point is one :func:`pnofdm.link.simulate` pass over all of them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from . import __version__
 from .dimred import pc_ppt, validate_ppt
 from .estimators import ESTIMATOR_IDS, error_decomposition, estimate_frame
-from .link import LinkConfig, make_frame_pair, make_model, run_link, simulate
+from .link import LinkConfig, ber_records, make_frame_pair, make_model, simulate
 from .phasenoise import phase_trajectory, spectral_vector, wiener_realization
 from .spectral import geometry_residual
 from .sproc import GAP_KINDS, duality_gap, qmatnew_nullspace, random_gram_instance, regularity_matrix
@@ -128,6 +130,12 @@ class ExperimentConfig:
         bad = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if bad:
             out.append(f"unknown estimators {bad}; valid ids are {sorted(ESTIMATOR_IDS)}")
+        if len(set(self.estimators)) < len(self.estimators) or not self.estimators:
+            out.append(f"estimators must be at least one distinct id, got {list(self.estimators)}")
+        elif scenario is not None:  # a scenario that does not read t_kind runs both models
+            for t_kind in ("ppt", "lft") if "t_kind" in scenario.unread else (self.t_kind,):
+                if not _runnable(self.estimators, t_kind):
+                    out.append(f"estimators {list(self.estimators)} run nothing under t_kind = {t_kind!r}")
         for key in ("snr_db", "rho"):
             if len(getattr(self, key)) > 1 and scenario is not None and key != scenario.sweep:
                 out.append(f"scenario {self.scenario!r} takes one value of key {key!r}")
@@ -235,8 +243,7 @@ def _run_ber(cfg: ExperimentConfig, out_dir: Path, *, t_kind=None, filename="ber
     rows = []
     for snr in cfg.snr_db:
         link = cfg.link_config(snr_db=snr, t_kind=t_kind)
-        for est in _runnable(cfg.estimators, link.t_kind):
-            r = run_link(link, est, cfg.trials, cfg.seed)
+        for r in ber_records(link, _runnable(cfg.estimators, link.t_kind), cfg.trials, cfg.seed).values():
             rows.append((r.snr_db, r.estimator, r.frames, r.bit_errors, r.ber, r.ci95_low, r.ci95_high))
     columns = ("snr_db", "estimator", "frames", "bit_errors", "ber", "ci95_low", "ci95_high")
     return [write_csv(out_dir / filename, _meta(cfg), columns, rows)]
@@ -249,18 +256,25 @@ def _run_ber_compare(cfg: ExperimentConfig, out_dir: Path):
     )
 
 
+def _scores(cfg: ExperimentConfig, link: LinkConfig, estimators, score) -> dict:
+    """``score(output, frame)`` on every trial of one :func:`simulate` pass, one array per estimator."""
+    scores = {est: [] for est in estimators}
+    for frames, results in simulate(link, estimators, cfg.trials, cfg.seed):
+        for est, outputs in results.items():
+            scores[est] += [score(res, frame) for (res, _), frame in zip(outputs, frames)]
+    return {est: np.array(vals) for est, vals in scores.items()}
+
+
 def _mse_trials(cfg: ExperimentConfig, rho: float):
     """Per-trial squared reduced-spectrum errors for each estimator."""
     link = cfg.link_config(rho=rho)
     Th = make_model(link).T.conj().T
-    estimators = _runnable(cfg.estimators, link.t_kind)
-    out = {est: np.empty(cfg.trials) for est in estimators}
-    for i, (frame, results) in enumerate(simulate(link, estimators, cfg.trials, cfg.seed)):
-        gamma_true = Th @ spectral_vector(frame.theta)
-        for est, (res, _) in results.items():
-            gamma_hat = res.gamma_hat if res.gamma_hat is not None else Th @ res.delta_hat
-            out[est][i] = float(np.sum(np.abs(gamma_hat - gamma_true) ** 2))
-    return out
+
+    def squared_error(res, frame):
+        gamma_hat = res.gamma_hat if res.gamma_hat is not None else Th @ res.delta_hat
+        return float(np.sum(np.abs(gamma_hat - Th @ spectral_vector(frame.theta)) ** 2))
+
+    return _scores(cfg, link, _runnable(cfg.estimators, link.t_kind), squared_error)
 
 
 def _run_mse(cfg: ExperimentConfig, out_dir: Path):
@@ -271,12 +285,8 @@ def _run_mse(cfg: ExperimentConfig, out_dir: Path):
             se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
             mean = float(np.mean(vals))
             rows.append((rho, est, vals.size, mean, mean - 1.96 * se, mean + 1.96 * se))
-    return [write_csv(
-        out_dir / "mse_vs_rho.csv",
-        _meta(cfg),
-        ("rho", "estimator", "trials", "mse", "ci95_low", "ci95_high"),
-        rows,
-    )]
+    columns = ("rho", "estimator", "trials", "mse", "ci95_low", "ci95_high")
+    return [write_csv(out_dir / "mse_vs_rho.csv", _meta(cfg), columns, rows)]
 
 
 def _fd_histogram(label, samples: np.ndarray) -> list:
@@ -288,38 +298,23 @@ def _fd_histogram(label, samples: np.ndarray) -> list:
 
 def _omega_samples(cfg: ExperimentConfig, t_kind: str) -> np.ndarray:
     """Per-sample ``uls`` phase errors of every trial, concatenated."""
-    trials = simulate(cfg.link_config(t_kind=t_kind), ("uls",), cfg.trials, cfg.seed)
-    return np.concatenate([
-        error_decomposition(results["uls"][0].delta_hat, frame.theta).omega
-        for frame, results in trials
-    ])
+    omega = _scores(cfg, cfg.link_config(t_kind=t_kind), ("uls",),
+                    lambda res, frame: error_decomposition(res.delta_hat, frame.theta).omega)
+    return omega["uls"].ravel()
 
 
 def _run_omega(cfg: ExperimentConfig, out_dir: Path):
     rows = [row for t in ("ppt", "lft") for row in _fd_histogram(t, _omega_samples(cfg, t))]
-    return [write_csv(
-        out_dir / "omega_pdf.csv",
-        _meta(cfg),
-        ("t_kind", "bin_left", "bin_right", "count", "density"),
-        rows,
-    )]
+    columns = ("t_kind", "bin_left", "bin_right", "count", "density")
+    return [write_csv(out_dir / "omega_pdf.csv", _meta(cfg), columns, rows)]
 
 
 def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
-    estimators = _runnable(cfg.estimators, cfg.t_kind)
-    samples = {est: np.empty(cfg.trials) for est in estimators}
-    trials = simulate(cfg.link_config(), estimators, cfg.trials, cfg.seed)
-    for i, (frame, results) in enumerate(trials):
-        delta_true = spectral_vector(frame.theta)
-        for est, (res, _) in results.items():
-            samples[est][i] = float(np.sum(np.abs(res.delta_hat - delta_true) ** 2))
+    samples = _scores(cfg, cfg.link_config(), _runnable(cfg.estimators, cfg.t_kind),
+                      lambda res, frame: float(np.sum(np.abs(res.delta_hat - spectral_vector(frame.theta)) ** 2)))
     rows = [row for est, vals in samples.items() for row in _fd_histogram(est, vals)]
-    return [write_csv(
-        out_dir / "error_pdf.csv",
-        _meta(cfg),
-        ("estimator", "bin_left", "bin_right", "count", "density"),
-        rows,
-    )]
+    columns = ("estimator", "bin_left", "bin_right", "count", "density")
+    return [write_csv(out_dir / "error_pdf.csv", _meta(cfg), columns, rows)]
 
 
 def _run_realization(cfg: ExperimentConfig, out_dir: Path):

@@ -9,9 +9,7 @@ not Gray; see :mod:`pnofdm.qam`.  Arrays carry a leading batch axis:
 :func:`make_frame_pair` draws each pair from its own seed, then encodes,
 maps and sends a whole block of pairs in one pass over ``(B, 2, n_c)``
 arrays, and :func:`decode_frame` compensates, demaps and decodes a whole
-block of frames in one stacked pass, one call per layer.  :func:`simulate`
-builds its frames, and :func:`run_link` decodes them, in blocks of
-``DECODE_BLOCK`` trials.
+block of frames in one stacked pass, one call per layer.
 
 Model and conventions:
 
@@ -36,24 +34,26 @@ Every Monte-Carlo study runs through one engine, :func:`simulate`: trial
 ``i`` draws its frame pair from child ``i`` of
 ``np.random.SeedSequence(master).spawn(n)``, whatever block it is built in,
 and runs every requested estimator on it, so estimators compared in one run
-see common random frames.
-An estimator that fails on a frame falls back to the common-phase-only fit
-and is flagged; no frame is dropped.  :func:`run_link` and the scenario
-runners are reductions over its trials, using sums and counts only, so they
-are order-independent.
+see common random frames, built once.  It yields blocks of up to
+``DECODE_BLOCK`` trials.  An estimator that fails on a frame falls back to
+the common-phase-only fit and is flagged; no frame is dropped.
+:func:`ber_records` (decoding each block once per estimator, with
+:func:`run_link` its one-estimator case) and the scenario runners are
+reductions over the blocks, using sums and counts only, so they are
+order-independent.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
 from .coding import conv_encode, viterbi_decode_soft
 from .dimred import DimRedModel, lft, pc_ppt
-from .estimators import EstimationError, cpe_only, estimate_frame
+from .estimators import ESTIMATOR_IDS, EstimationError, cpe_only, estimate_frame
 from .phasenoise import WIENER_VARIANCE_FACTOR, _wiener_path
 from .qam import qam16_llr, qam16_map
 
@@ -62,6 +62,7 @@ __all__ = [
     "LinkConfig",
     "OfdmFrame",
     "apply_phase_noise",
+    "ber_records",
     "compensate",
     "make_frame_pair",
     "make_model",
@@ -74,8 +75,8 @@ __all__ = [
 
 # Seed of the fixed pseudo-random QPSK pilot sequence (same for every frame).
 PILOT_SEQUENCE_SEED = 20140821
-# Trials whose frames simulate builds in one pass, and that run_link
-# decodes in one Viterbi call.
+# Trials whose frames simulate builds and yields in one block, and that
+# ber_records decodes in one Viterbi call per estimator.
 DECODE_BLOCK = 32
 
 
@@ -351,17 +352,23 @@ class BerRecord:
     frame_errors: np.ndarray = field(repr=False, default=None)
 
 
-def _frame_ber_normal_ci(frame_ber: np.ndarray) -> tuple[float, float]:
-    """95% normal-approximation interval of the mean of the per-frame BERs.
+def _ber_record(cfg: LinkConfig, estimator: str, frame_errors, bits_per_frame: int, flagged: int) -> BerRecord:
+    """One estimator's record of its per-frame bit errors, in trial order.
 
-    The mean plus or minus 1.96 standard errors of the per-frame BER,
-    clipped to ``[0, 1]``.  It is not a binomial (Wilson) interval: with zero
-    errors in every frame the standard error is zero and the interval
-    collapses to ``[0, 0]``.
+    The interval is the 95% normal approximation of the mean of the per-frame
+    BERs: the mean plus or minus 1.96 standard errors, clipped to ``[0, 1]``.
+    It is not a binomial (Wilson) interval: with zero errors in every frame
+    the standard error is zero and the interval collapses to ``[0, 0]``.
     """
+    frame_ber = frame_errors / bits_per_frame
     mean = float(np.mean(frame_ber))
     se = float(np.std(frame_ber, ddof=1) / np.sqrt(frame_ber.size)) if frame_ber.size > 1 else 0.0
-    return max(0.0, mean - 1.96 * se), min(1.0, mean + 1.96 * se)
+    return BerRecord(
+        estimator=estimator, snr_db=cfg.snr_db, frames=frame_errors.size, bit_errors=int(frame_errors.sum()),
+        ber=float(frame_errors.sum() / (bits_per_frame * frame_errors.size)),
+        ci95_low=max(0.0, mean - 1.96 * se), ci95_high=min(1.0, mean + 1.96 * se),
+        flagged_frames=flagged, frame_errors=frame_errors,
+    )
 
 
 def decode_frame(frames, delta_hats) -> np.ndarray:
@@ -388,69 +395,67 @@ def decode_frame(frames, delta_hats) -> np.ndarray:
 
 
 def simulate(cfg: LinkConfig, estimators, trials: int, seed):
-    """Run every estimator on ``trials`` common random frame pairs.
+    """Run every estimator on ``trials`` common random frame pairs, yielded a block at a time.
 
     Trial ``i`` draws its frame pair from child ``i`` of
     ``np.random.SeedSequence(seed).spawn(trials)``, with the draws in the
-    order :func:`make_frame_pair` documents.  The pairs are built one block
-    of up to ``DECODE_BLOCK`` children at a time, in one
-    :func:`make_frame_pair` call, and the trials are still yielded one at a
-    time.  ``estimators`` holds ids from
-    :data:`pnofdm.estimators.ESTIMATOR_IDS`; any other entry raises
-    ``ValueError`` on the first trial.  Yields
-    ``(frame, {estimator: (output, flagged)})`` per trial, where ``frame`` is
-    the first symbol of the pair.  An estimator that raises
-    :class:`EstimationError` on a frame gets the common-phase-only fit
-    instead, flagged.  The config is validated and the model built once,
-    when iteration starts.
+    order :func:`make_frame_pair` documents.  Each block of up to
+    ``DECODE_BLOCK`` trials is built in one :func:`make_frame_pair` call,
+    estimated frame by frame (every estimator on a frame before the next) and
+    yielded once as ``(frames, results)``: the first symbol of each pair, in
+    trial order, and ``results[est]`` with one ``(output, flagged)`` per frame.
+    An estimator that raises :class:`EstimationError` on a frame gets the
+    common-phase-only fit instead, flagged.  ``estimators`` holds distinct ids
+    from :data:`pnofdm.estimators.ESTIMATOR_IDS`, at least one; any other list
+    raises ``ValueError``.  The ids and the config are checked and the model
+    built once, when iteration starts and before any frame is built.
     """
+    estimators = tuple(estimators)
+    unknown = [est for est in estimators if est not in ESTIMATOR_IDS]
+    if unknown:
+        raise ValueError(f"unknown estimator {unknown[0]!r}; expected one of {ESTIMATOR_IDS}")
+    if not estimators or len(set(estimators)) < len(estimators):
+        raise ValueError(f"estimators must be at least one distinct id, got {estimators!r}")
     cfg.validate()
     if trials < 1:
         raise ValueError("trials must be positive")
     model = make_model(cfg)
     children = np.random.SeedSequence(seed).spawn(trials)
     for start in range(0, trials, DECODE_BLOCK):
+        frames, results = [], {est: [] for est in estimators}
         for f0, f1 in make_frame_pair(cfg, children[start : start + DECODE_BLOCK]):
-            results = {}
+            frames.append(f0)
             for est in estimators:
                 try:
-                    results[est] = (estimate_frame(est, f0, f1, model), False)
+                    out = (estimate_frame(est, f0, f1, model), False)
                 except EstimationError:
-                    results[est] = (cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values), True)
-            yield f0, results
+                    out = (cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values), True)
+                results[est].append(out)
+        yield frames, results
+
+
+def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed) -> dict[str, BerRecord]:
+    """Coded BER of each estimator over the same ``n_frames`` trials of :func:`simulate`.
+
+    One pass: each block's frames are built once, and each estimator's block
+    is decoded in one :func:`decode_frame` call.  A frame on which an
+    estimator fails is decoded with the common-phase-only fallback and
+    counted in its ``flagged_frames``, never dropped.  Returns one record per
+    id, in the order given; ``frame_errors`` keeps trial order.
+    """
+    errors, flagged = defaultdict(list), Counter()
+    for frames, results in simulate(cfg, estimators, n_frames, seed):
+        sent = np.stack([frame.info_bits for frame in frames])
+        for est, outputs in results.items():
+            decoded = decode_frame(frames, [out.delta_hat for out, _ in outputs])
+            errors[est].append(np.count_nonzero(decoded != sent, axis=1))
+            flagged[est] += sum(bad for _, bad in outputs)
+    return {
+        est: _ber_record(cfg, est, np.concatenate(blocks), sent.shape[1], flagged[est])
+        for est, blocks in errors.items()
+    }
 
 
 def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
-    """Coded BER of one estimator over ``n_frames`` trials of :func:`simulate`.
-
-    ``estimator`` is an id as :func:`simulate` takes.  A frame
-    on which the estimator fails is decoded with the common-phase-only
-    fallback and counted as flagged, never dropped.  Frames are decoded in
-    blocks of up to ``DECODE_BLOCK``; ``frame_errors`` keeps trial order.
-    Deterministic given ``seed``.
-    """
-    errors, flagged = [], 0
-    trials = simulate(cfg, (estimator,), n_frames, seed)
-    while block := list(islice(trials, DECODE_BLOCK)):
-        frames = [frame for frame, _ in block]
-        outputs = [results[estimator] for _, results in block]
-        flagged += sum(bad for _, bad in outputs)
-        decoded = decode_frame(frames, [out.delta_hat for out, _ in outputs])
-        sent = np.stack([frame.info_bits for frame in frames])
-        errors.extend(np.count_nonzero(decoded != sent, axis=1).tolist())
-    errors = np.array(errors)
-    bits_per_frame = frames[0].info_bits.size
-    total_bits = bits_per_frame * n_frames
-    frame_ber = errors / bits_per_frame
-    lo, hi = _frame_ber_normal_ci(frame_ber)
-    return BerRecord(
-        estimator=estimator,
-        snr_db=cfg.snr_db,
-        frames=n_frames,
-        bit_errors=int(errors.sum()),
-        ber=float(errors.sum() / total_bits),
-        ci95_low=lo,
-        ci95_high=hi,
-        flagged_frames=flagged,
-        frame_errors=errors,
-    )
+    """Coded BER of one estimator: the record :func:`ber_records` gives its id alone."""
+    return ber_records(cfg, (estimator,), n_frames, seed)[estimator]

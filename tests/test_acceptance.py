@@ -57,18 +57,21 @@ def mc30():
     errors = {n: np.zeros(frames, dtype=int) for n in names}
     costs = {n: np.zeros(frames) for n in ("uls", "nls", "gls")}
     residuals = {n: np.zeros(frames) for n in ("nls", "gls")}
-    for i, (f0, results) in enumerate(simulate(LinkConfig(snr_db=30.0), names, frames, 190230)):
-        # One decoder block per frame: the frame under each estimator's estimate.
-        estimates = [out.delta_hat for out, _ in results.values()]
-        decoded = decode_frame([f0] * len(estimates), estimates)
-        for (name, (out, flagged)), bits in zip(results.items(), decoded):
-            assert not flagged, f"{name} failed on frame {i} and fell back to cpe"
-            errors[name][i] = int(np.count_nonzero(bits != f0.info_bits))
+    start = 0
+    for block, results in simulate(LinkConfig(snr_db=30.0), names, frames, 190230):
+        trials = slice(start, start + len(block))
+        start = trials.stop
+        sent = np.stack([f.info_bits for f in block])
+        for name, outputs in results.items():
+            # One decoder call per estimator and block.
+            assert not any(flagged for _, flagged in outputs), f"{name} fell back to cpe in trials {trials}"
+            decoded = decode_frame(block, [out.delta_hat for out, _ in outputs])
+            errors[name][trials] = np.count_nonzero(decoded != sent, axis=1)
             if name in costs:
-                costs[name][i] = out.diagnostics.cost
+                costs[name][trials] = [out.diagnostics.cost for out, _ in outputs]
             if name in residuals:
-                residuals[name][i] = out.diagnostics.geometry_residual
-    bits = frames * f0.info_bits.size
+                residuals[name][trials] = [out.diagnostics.geometry_residual for out, _ in outputs]
+    bits = frames * sent.shape[1]
     return {"errors": errors, "costs": costs, "residuals": residuals, "bits": bits, "frames": frames}
 
 

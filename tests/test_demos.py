@@ -24,6 +24,7 @@ def test_duality_certificates_demo_runs(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "name, marker",
     [
+        ("ber_study.py", "frames per point"),
         ("estimator_walkthrough.py", "estimator"),
         ("phase_tracking.py", "rms tracking error"),
         ("geometry_and_models.py", "=== 4. Lifting a reduced spectrum"),

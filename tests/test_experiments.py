@@ -10,6 +10,7 @@ import pytest
 
 import pnofdm.cli as cli
 import pnofdm.experiments as experiments
+import pnofdm.link as link
 from pnofdm.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +20,7 @@ from pnofdm.experiments import (
     run_scenario,
     verify,
 )
+from pnofdm.link import make_frame_pair
 
 
 TINY = "scenario = trajectory-traces\nn_c = 64\nn = 4\nseed = 5\n"
@@ -96,11 +98,16 @@ class TestParseConfig:
              "does not read key 'coherence_bw'"),
             ("estimate-error-pdf", "taps = 1\nf_sub = 30000", "does not read key 'f_sub'"),
             ("mse-vs-bandwidth", "rho = 0.02,-0.1", "rho must be finite and nonnegative"),
+            ("ber-vs-snr", "estimators =", "estimators must be at least one distinct id"),
+            ("ber-vs-snr", "estimators = uls, uls", "estimators must be at least one distinct id"),
+            ("ber-vs-snr", "estimators = gls\nt_kind = lft", "run nothing under t_kind = 'lft'"),
+            ("ber-model-compare", "estimators = gls", "run nothing under t_kind = 'lft'"),
         ],
     )
     def test_no_key_silently_ignored(self, tmp_path, capsys, scenario, lines, message):
-        # Each config sets a key the runner would not read, or a list value the
-        # link would not accept; both are config errors (exit 1), not a run.
+        # Each config sets a key the runner would not read, a list value the
+        # link would not accept, or an estimator list that would write no row
+        # or a repeated one; all are config errors (exit 1), not a run.
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text(f"scenario = {scenario}\nn_c = 64\nn = 4\n{lines}\n")
         assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
@@ -172,6 +179,24 @@ class TestScenarios:
         (path,) = run_scenario(cfg, tmp_path)
         rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
         assert [row.split(",")[:2] for row in rows] == [["10.0", "cpe"], ["30.0", "cpe"]]
+
+    def test_ber_builds_each_snr_frames_once(self, tmp_path, monkeypatch):
+        # Every estimator at one SNR reads the same frames: one block of
+        # three trials is built once per SNR, not once per estimator.
+        built = []
+
+        def counting(cfg, seeds):
+            built.append(cfg.snr_db)
+            return make_frame_pair(cfg, seeds)
+
+        monkeypatch.setattr(link, "make_frame_pair", counting)
+        cfg = parse_config(
+            "scenario = ber-vs-snr\ntrials = 3\nsnr_db = 10,30\nestimators = cpe,uls,nls\nn_c = 64\nn = 4\n"
+        )
+        (path,) = run_scenario(cfg, tmp_path)
+        assert built == [10.0, 30.0]
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        assert len(lines) == 1 + 6  # one row per (SNR, estimator)
 
     def test_mse_scenario(self, tmp_path):
         cfg = parse_config(

@@ -1,5 +1,7 @@
 """Tests for the channel, transmission, compensation, and the BER loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pnofdm.estimators import EstimationError, estimate_frame
 from pnofdm.link import (
     LinkConfig,
     apply_phase_noise,
+    ber_records,
     compensate,
     decode_frame,
     make_frame_pair,
@@ -302,34 +305,43 @@ class TestFramePair:
 
 class TestSimulate:
     def test_trial_frames_follow_spawned_seeds(self):
-        # Frames are built a block at a time; a run crossing a block
-        # boundary must still give trial i the pair of child i.
+        # Frames are built and yielded a block at a time; a run crossing a
+        # block boundary must still give trial i the pair of child i.
         cfg = LinkConfig(snr_db=20.0)
         n_trials = link.DECODE_BLOCK + 2
         children = np.random.SeedSequence(5).spawn(n_trials)
-        trials = list(simulate(cfg, ("cpe",), n_trials, 5))
-        assert len(trials) == n_trials
-        for child, (frame, results) in zip(children, trials):
+        blocks = list(simulate(cfg, ("cpe",), n_trials, 5))
+        assert [len(frames) for frames, _ in blocks] == [link.DECODE_BLOCK, 2]
+        for frames, results in blocks:
+            assert list(results) == ["cpe"] and len(results["cpe"]) == len(frames)
+        frames = [frame for block, _ in blocks for frame in block]
+        for child, frame in zip(children, frames, strict=True):
             expected, _ = make_frame_pair(cfg, [child])[0]
             for name in ("info_bits", "theta", "H", "r"):
                 assert np.array_equal(getattr(frame, name), getattr(expected, name))
-            assert list(results) == ["cpe"]
 
-    def test_common_frames_reproduce_run_link(self):
-        # One multi-estimator run sees the same frames as separate run_link
-        # calls with the same seed (common random numbers).
+    def test_common_frames_reproduce_run_link(self, monkeypatch):
+        # One pass over every estimator sees the same frames as separate
+        # run_link calls with the same seed (common random numbers), across a
+        # block boundary and with one estimator falling back on some frames.
+        def nls_fails_on_odd_first_bit(name, frame, next_frame, model):
+            if name == "nls" and frame.info_bits[0]:
+                raise EstimationError("intentional")
+            return estimate_frame(name, frame, next_frame, model)
+
+        monkeypatch.setattr(link, "estimate_frame", nls_fails_on_odd_first_bit)
         cfg = LinkConfig(snr_db=12.0)
         names = ("cpe", "cis", "uls", "nls", "gls")
-        errors = {name: [] for name in names}
-        for frame, results in simulate(cfg, names, 5, 77):
-            # One block: the same frame under each estimator's estimate.
-            estimates = [out.delta_hat for out, _ in results.values()]
-            decoded = decode_frame([frame] * len(estimates), estimates)
-            for name, bits in zip(results, decoded):
-                errors[name].append(int(np.count_nonzero(bits != frame.info_bits)))
-        assert sum(errors["cpe"]) > 0
-        for name in names:
-            assert np.array_equal(run_link(cfg, name, 5, 77).frame_errors, errors[name])
+        n_frames = link.DECODE_BLOCK + 3
+        records = ber_records(cfg, names, n_frames, 77)
+        assert list(records) == list(names)
+        assert records["cpe"].bit_errors > 0
+        assert 0 < records["nls"].flagged_frames < n_frames
+        for name, rec in records.items():
+            alone = run_link(cfg, name, n_frames, 77)
+            for field in dataclasses.fields(rec):
+                a, b = getattr(rec, field.name), getattr(alone, field.name)
+                assert np.array_equal(a, b) and type(a) is type(b), (name, field.name)
 
     def test_failure_falls_back_for_that_estimator_only(self, monkeypatch):
         def nls_broken(name, frame, next_frame, model):
@@ -338,11 +350,12 @@ class TestSimulate:
             return estimate_frame(name, frame, next_frame, model)
 
         monkeypatch.setattr(link, "estimate_frame", nls_broken)
-        for frame, results in simulate(LinkConfig(), ("uls", "nls"), 2, 3):
-            out, flagged = results["uls"]
-            assert not flagged and out.diagnostics.method == "uls"
-            out, flagged = results["nls"]
-            assert flagged and out.diagnostics.method == "cpe"
+        for frames, results in simulate(LinkConfig(), ("uls", "nls"), 2, 3):
+            assert len(frames) == len(results["uls"]) == len(results["nls"]) == 2
+            for out, flagged in results["uls"]:
+                assert not flagged and out.diagnostics.method == "uls"
+            for out, flagged in results["nls"]:
+                assert flagged and out.diagnostics.method == "cpe"
 
     def test_model_built_once_and_read_only(self, monkeypatch):
         models = []
@@ -367,11 +380,11 @@ class TestSimulate:
         cfg = LinkConfig(snr_db=12.0)
         n_frames = link.DECODE_BLOCK + 3
         expected = []
-        for frame, results in simulate(cfg, ("uls",), n_frames, 31):
-            out, _ = results["uls"]
-            decoded = decode_frame([frame], [out.delta_hat])[0]
-            expected.append(int(np.count_nonzero(decoded != frame.info_bits)))
-        assert sum(expected) > 0
+        for frames, results in simulate(cfg, ("uls",), n_frames, 31):
+            for frame, (out, _) in zip(frames, results["uls"], strict=True):
+                decoded = decode_frame([frame], [out.delta_hat])[0]
+                expected.append(int(np.count_nonzero(decoded != frame.info_bits)))
+        assert len(expected) == n_frames and sum(expected) > 0
         rec = run_link(cfg, "uls", n_frames, 31)
         assert np.array_equal(rec.frame_errors, expected)
 
@@ -418,6 +431,25 @@ class TestSimulate:
             list(simulate(LinkConfig(), (custom,), 1, 0))
         with pytest.raises(ValueError, match="unknown estimator"):
             run_link(LinkConfig(), custom, 1, 0)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (("uls", "nope"), "unknown estimator 'nope'"),
+            (("uls", "cpe", "uls"), "distinct"),
+            ((), "at least one"),
+        ],
+    )
+    def test_rejects_bad_ids_before_building_frames(self, monkeypatch, ids, message):
+        # A repeated id would count twice in a reduction keyed by id.
+        def refuse(*args):
+            raise AssertionError("a frame was built before the ids were checked")
+
+        monkeypatch.setattr(link, "make_frame_pair", refuse)
+        with pytest.raises(ValueError, match=message):
+            next(simulate(LinkConfig(), ids, 40, 0))
+        with pytest.raises(ValueError, match=message):
+            ber_records(LinkConfig(), ids, 40, 0)
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError, match="trials must be positive"):
