@@ -37,19 +37,13 @@ from .estimators import (
 from .link import LinkConfig, OfdmFrame, compensate, make_frame_pair, run_link
 from .phasenoise import spectral_vector, wiener_realization
 from .sdp import SdpSolution, certify_local, kkt_recover, solve_dual
-from .spectral import (
-    GeometryResidual,
-    dft_matrix,
-    geometry_residual,
-    shift_form_table,
-)
+from .spectral import dft_matrix, geometry_residual, shift_form_table
 from .sproc import duality_gap, primal_oracle, qmatnew_nullspace, regularity_matrix
 
 __all__ = [
     "DimRedModel",
     "EstimationError",
     "EstimatorOutput",
-    "GeometryResidual",
     "LinkConfig",
     "LsSystem",
     "OfdmFrame",

@@ -13,7 +13,7 @@ Five estimators are provided:
 ``uls``
     Unconstrained minimizer ``g = M^{-1} b`` (with a trace-scaled ridge when
     ``M`` is numerically singular).  Its inverse-transform samples suffer
-    amplitude errors (``kappa != 1``) from noise, limited pilots, and the
+    amplitude errors (``eps != 0``) from noise, limited pilots, and the
     reduction model.
 ``nls``
     The unconstrained estimate projected onto the constant-modulus set by
@@ -37,8 +37,8 @@ Every estimator returns an :class:`EstimatorOutput` of plain arrays, built
 by one constructor; its geometry residual is evaluated on ``delta``, at most
 once, when first read.
 
-``error_decomposition`` splits any estimate into per-sample amplitude factors
-``kappa``, phase errors ``omega``, and the closed-form total error they
+``error_decomposition`` splits any estimate into per-sample amplitude errors
+``eps``, phase errors ``omega``, and the closed-form total error they
 induce.
 """
 
@@ -153,21 +153,19 @@ def _circulant_gather(n_c: int, pilot_idx: tuple) -> np.ndarray:
 @dataclass(frozen=True)
 class EstimatorDiagnostics:
     cost: float | None
-    method: str
     delta_hat: np.ndarray = field(repr=False, compare=False)  # read by geometry_residual
     flags: tuple = ()
-    condition: float | None = None
     solver: object | None = None
     certified: bool | None = None  # gls: the estimate is the proven global optimum
     gap: float | None = None  # gls: cost above the dual bound tau (0 when certified)
 
     @cached_property
     def geometry_residual(self) -> float:
-        """``geometry_residual(delta_hat).max_abs``, computed on first read and kept.
+        """``geometry_residual(delta_hat)``, computed on first read and kept.
 
         The link never reads it, so only a reader pays for its transform pair.
         """
-        return geometry_residual(self.delta_hat).max_abs
+        return geometry_residual(self.delta_hat)
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,7 @@ class EstimatorOutput:
     ``delta_hat`` is the full-length complex spectrum and ``gamma_hat`` the
     reduced one (``None`` for ``cpe``, ``cis`` and ``genie``, which have no
     reduced form); both are plain arrays.  ``diagnostics.geometry_residual``
-    is ``geometry_residual(delta_hat).max_abs``, computed when first read.
+    is ``geometry_residual(delta_hat)``, computed when first read.
     """
 
     gamma_hat: np.ndarray | None
@@ -185,9 +183,9 @@ class EstimatorOutput:
     diagnostics: EstimatorDiagnostics
 
 
-def _output(method, gamma, delta, cost=None, **diagnostics) -> EstimatorOutput:
+def _output(gamma, delta, cost=None, **diagnostics) -> EstimatorOutput:
     """Build an estimator's output; its geometry residual waits for a reader."""
-    return EstimatorOutput(gamma, delta, EstimatorDiagnostics(cost, method, delta, **diagnostics))
+    return EstimatorOutput(gamma, delta, EstimatorDiagnostics(cost, delta, **diagnostics))
 
 
 def project_constant_modulus(gamma):
@@ -223,15 +221,14 @@ def _uls_gamma(sys: LsSystem):
             raise EstimationError(
                 f"normal matrix is singular beyond regularization (cond {cond:.3e})"
             )
-    gamma = np.linalg.solve(M, sys.b)
-    return gamma, cond, flags
+    return np.linalg.solve(M, sys.b), flags
 
 
 def uls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     """Unconstrained least-squares estimate ``g = M^{-1} b``, ``delta = T g``."""
-    gamma, cond, flags = _uls_gamma(sys)
+    gamma, flags = _uls_gamma(sys)
     delta = lift(model, gamma)
-    return _output("uls", gamma, delta, sys.cost_delta(delta), flags=flags, condition=cond)
+    return _output(gamma, delta, sys.cost_delta(delta), flags=flags)
 
 
 def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
@@ -242,7 +239,7 @@ def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     lifted first and projected in the full domain (costing two full-length
     transforms but guaranteeing the output geometry either way).
     """
-    gamma_ls, cond, flags = _uls_gamma(sys)
+    gamma_ls, flags = _uls_gamma(sys)
     if model.kind == "ppt":
         gamma, n_zero = project_constant_modulus(gamma_ls)
         delta = lift(model, gamma)
@@ -251,7 +248,7 @@ def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
         gamma = model.T.conj().T @ delta  # reduced coefficients of the projection
     if n_zero:
         flags = flags + (f"zero_time_samples:{n_zero}",)
-    return _output("nls", gamma, delta, sys.cost_delta(delta), flags=flags, condition=cond)
+    return _output(gamma, delta, sys.cost_delta(delta), flags=flags)
 
 
 def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
@@ -266,12 +263,11 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     certified optimum, the estimate recovered from the stationarity system,
     and one exact constant-modulus projection removes the residual
     infeasibility left by the finite solver tolerance; such frames carry
-    ``certified=False``, the measured ``gap = cost - tau`` and the recovery's
-    condition number.  On dual-solve failure, including a numpy
-    ``LinAlgError`` in the solve or the recovery, an :class:`EstimationError`
-    is raised, carrying the iteration trace when the solve ran out of steps;
-    :func:`pnofdm.link.simulate` then uses the common-phase-only fit
-    (``cpe``) for that frame and flags it.
+    ``certified=False`` and the measured ``gap = cost - tau``.  On dual-solve
+    failure, including a numpy ``LinAlgError`` in the solve or the recovery,
+    an :class:`EstimationError` is raised, carrying the iteration trace when
+    the solve ran out of steps; :func:`pnofdm.link.simulate` then uses the
+    common-phase-only fit (``cpe``) for that frame and flags it.
     """
     if model.kind != "ppt":
         raise ValueError("gls requires a geometry-preserving model")
@@ -281,7 +277,6 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
         local = None
     certified = local is not None
     flags = ()
-    condition = None
     if certified:
         gamma, sol = local
     else:
@@ -295,7 +290,6 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
             gamma_raw, info = kkt_recover(sys.M, sys.b, sol)
         except (SolverError, np.linalg.LinAlgError) as exc:
             raise EstimationError(f"dual solve failed: {exc}") from exc
-        condition = info.condition
         if not info.full_rank:
             flags = (f"kkt_rank_deficient:{info.rank}",)
         gamma, n_zero = project_constant_modulus(gamma_raw)
@@ -304,7 +298,7 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     delta = lift(model, gamma)
     cost = sys.cost_delta(delta)
     return _output(
-        "gls", gamma, delta, cost, flags=flags, condition=condition, solver=sol,
+        gamma, delta, cost, flags=flags, solver=sol,
         certified=certified, gap=0.0 if certified else cost - sys.const_term - sol.tau,
     )
 
@@ -313,14 +307,18 @@ def pilot_scalar(r, H, pilot_idx, pilot_values) -> complex:
     """Least-squares scalar ``c`` fitting ``r[p] ~ c * w_p[p]`` on the pilots.
 
     For slow phase noise ``c`` approximates ``conj(delta_0)``, i.e.
-    ``angle(c)`` estimates the mean phase over the symbol.
+    ``angle(c)`` estimates the mean phase over the symbol.  ``pilot_idx`` and
+    ``pilot_values`` must have one length, as for :func:`build_ls_system`.
     """
     r = np.asarray(r, dtype=complex).ravel()
     H = np.asarray(H, dtype=complex).ravel()
     pilot_idx = np.asarray(pilot_idx, dtype=int).ravel()
+    pilot_values = np.asarray(pilot_values, dtype=complex).ravel()
+    if pilot_idx.size != pilot_values.size:
+        raise ValueError("pilot index/value length mismatch")
     if pilot_idx.size == 0:
         raise EstimationError("at least one pilot is required")
-    w_p = H[pilot_idx] * np.asarray(pilot_values, dtype=complex).ravel()
+    w_p = H[pilot_idx] * pilot_values
     denom = float(np.real(w_p.conj() @ w_p))
     if denom == 0.0:
         raise EstimationError("all pilot powers are zero")
@@ -335,7 +333,7 @@ def cpe_only(r, H, pilot_idx, pilot_values) -> EstimatorOutput:
     n_c = np.asarray(r).size
     delta = np.zeros(n_c, dtype=complex)
     delta[0] = np.conj(c) / abs(c)
-    return _output("cpe", None, delta)
+    return _output(None, delta)
 
 
 def cis(frame_t, frame_t1) -> EstimatorOutput:
@@ -361,27 +359,27 @@ def cis(frame_t, frame_t1) -> EstimatorOutput:
     n_c = np.asarray(frame_t.r).size
     mid = (n_c - 1) / 2.0
     theta_hat = a0 + (diff / n_c) * (np.arange(n_c) - mid)
-    return _output("cis", None, spectral_vector(theta_hat), flags=flags)
+    return _output(None, spectral_vector(theta_hat), flags=flags)
 
 
 @dataclass(frozen=True)
 class ErrorDecomposition:
     """Per-sample amplitude/phase split of an estimate's total error.
 
-    With ``x = ifft(delta_hat)`` and true trajectory ``theta``:
-    ``kappa[i] = n * |x[i]|``, ``omega[i]`` is the phase error defined by
-    ``x[i] = kappa[i]/n * exp(-1j*(theta[i] - omega[i]))`` (wrapped to
-    ``(-pi, pi]``), and ``eps = 1 - kappa``.  ``total`` is the closed form
+    With ``x = ifft(delta_hat)`` and true trajectory ``theta``, each sample
+    is ``x[i] = kappa[i]/n * exp(-1j*(theta[i] - omega[i]))`` with amplitude
+    factor ``kappa[i] = n * |x[i]|``; ``eps = 1 - kappa`` is the amplitude
+    error and ``omega`` the phase error, wrapped to ``(-pi, pi]``.
+    ``total`` is the closed form
 
         (1/n^2) * sum_i [ eps^2 - 2*eps*(1 - cos w) + 2*(1 - cos w) ]
 
     which equals the direct sum ``sum |x[i] - exp(-1j*theta[i])/n|^2``
     identically; ``relative`` normalizes by the energy ``1/n`` of the exact
-    samples, so ``kappa = 1`` and constant ``omega = w0`` give
+    samples, so ``eps = 0`` and constant ``omega = w0`` give
     ``relative = 2*(1 - cos w0)``.
     """
 
-    kappa: np.ndarray
     omega: np.ndarray
     eps: np.ndarray
     total: float
@@ -390,20 +388,24 @@ class ErrorDecomposition:
 
 
 def error_decomposition(delta_hat, theta) -> ErrorDecomposition:
-    """Amplitude/phase error split of an estimate against the true trajectory."""
+    """Amplitude/phase error split of an estimate against the true trajectory.
+
+    ``delta_hat`` and ``theta`` must be 1-D vectors of one length.
+    """
     values = np.asarray(delta_hat, dtype=complex)
     th = np.asarray(theta, dtype=float)
+    if values.ndim != 1 or th.ndim != 1:
+        raise ValueError("delta_hat and theta must be 1-D vectors")
     n = values.size
     if th.size != n:
         raise ValueError("theta must match the estimate length")
     x = np.fft.ifft(values)
-    kappa = n * np.abs(x)
     omega = np.angle(np.exp(1j * (th + np.angle(x))))
-    eps = 1.0 - kappa
+    eps = 1.0 - n * np.abs(x)
     one_minus_cos = 1.0 - np.cos(omega)
     total = float(np.sum(eps**2 - 2 * eps * one_minus_cos + 2 * one_minus_cos) / n**2)
     direct = float(np.sum(np.abs(x - np.exp(-1j * th) / n) ** 2))
-    return ErrorDecomposition(kappa, omega, eps, total, total * n, direct)
+    return ErrorDecomposition(omega, eps, total, total * n, direct)
 
 
 ESTIMATOR_IDS = ("uls", "nls", "gls", "cpe", "cis", "genie")
@@ -426,5 +428,5 @@ def estimate_frame(name: str, frame, next_frame, model: DimRedModel) -> Estimato
             raise EstimationError("cis requires the next symbol")
         return cis(frame, next_frame)
     if name == "genie":
-        return _output("genie", None, spectral_vector(frame.theta))
+        return _output(None, spectral_vector(frame.theta))
     raise ValueError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_IDS}")

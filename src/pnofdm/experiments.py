@@ -453,7 +453,7 @@ class VerifyReport:
 def _check_geometry(seed: int, count: int) -> tuple:
     """Constant-modulus geometry of ``delta`` on ``count`` Wiener trajectories per length."""
     worst = max(
-        geometry_residual(spectral_vector(wiener_realization(n_c, 0.05, seed + trial))).max_abs
+        geometry_residual(spectral_vector(wiener_realization(n_c, 0.05, seed + trial)))
         for n_c in (16, 64)
         for trial in range(count)
     )
@@ -473,7 +473,7 @@ def _check_ppt(seed: int, count: int) -> tuple:
         rng = np.random.default_rng(seed + n_c)
         for _ in range(count):
             gamma = spectral_vector(rng.uniform(-np.pi, np.pi, n))
-            worst_lift = max(worst_lift, geometry_residual(model.T @ gamma).max_abs)
+            worst_lift = max(worst_lift, geometry_residual(model.T @ gamma))
     passed = bool(passed) and worst_lift < 1e-10
     return passed, f"worst core condition {worst_cond:.2e}, worst lifted residual {worst_lift:.2e}"
 

@@ -25,7 +25,7 @@ Model and conventions:
 
 A frame (:class:`OfdmFrame`) carries what a receiver reads (``r``, the
 channel ``H``, ``sigma2`` and the pilot layout) plus the truth that
-reductions score against (``info_bits``, ``s`` and ``theta``), nothing more.
+reductions score against (``info_bits`` and ``theta``), nothing more.
 The pilot layout (``pilot_idx``, ``pilot_values``, ``data_idx``) is fixed
 by ``(n_c, pilot_fraction)``; it is built once per config and shared by
 every frame as read-only arrays.
@@ -221,8 +221,8 @@ def _tap_profile(taps: int, coherence_ratio: float) -> tuple:
     return tuple(p / p.sum())
 
 
-def rayleigh_channel(cfg: LinkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Draw taps ``h`` (exponential profile, unit total power) and their DFT ``H``.
+def rayleigh_channel(cfg: LinkConfig, rng) -> np.ndarray:
+    """Draw taps ``h`` (exponential profile, unit total power); return their DFT ``H``.
 
     The decay constant is solved from the coherence bandwidth
     (:func:`_tap_profile`).
@@ -232,8 +232,7 @@ def rayleigh_channel(cfg: LinkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(rng)
     p = np.asarray(_tap_profile(cfg.taps, cfg.coherence_bw / (cfg.n_c * cfg.f_sub)))
     h = np.sqrt(p / 2) * (rng.standard_normal(cfg.taps) + 1j * rng.standard_normal(cfg.taps))
-    H = np.fft.fft(h, cfg.n_c)
-    return h, H
+    return np.fft.fft(h, cfg.n_c)
 
 
 def apply_phase_noise(x, theta) -> np.ndarray:
@@ -276,7 +275,6 @@ class OfdmFrame:
     """
 
     info_bits: np.ndarray
-    s: np.ndarray
     pilot_idx: np.ndarray
     pilot_values: np.ndarray
     data_idx: np.ndarray
@@ -315,7 +313,7 @@ def make_frame_pair(cfg: LinkConfig, seeds) -> list[tuple[OfdmFrame, OfdmFrame]]
     noise = np.empty((n_pairs, 2, 2, n_c))  # [pair, symbol, real or imaginary part, subcarrier]
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        _, H[i] = rayleigh_channel(cfg, rng)
+        H[i] = rayleigh_channel(cfg, rng)
         theta[i] = _wiener_path(rng, 2 * n_c, step_var, rng.uniform(-np.pi, np.pi)).reshape(2, n_c)
         for k in range(2):
             info_bits[i, k] = rng.integers(0, 2, n_info)
@@ -330,10 +328,10 @@ def make_frame_pair(cfg: LinkConfig, seeds) -> list[tuple[OfdmFrame, OfdmFrame]]
     r = apply_phase_noise(w + n0, theta)
     return [
         tuple(
-            OfdmFrame(bits[k], s_i[k], pilot_idx, pilot_values, data_idx, H_i, theta_i[k], r_i[k], float(sigma2_i[k]))
+            OfdmFrame(bits[k], pilot_idx, pilot_values, data_idx, H_i, theta_i[k], r_i[k], float(sigma2_i[k]))
             for k in range(2)
         )
-        for bits, s_i, H_i, theta_i, r_i, sigma2_i in zip(info_bits, s, H, theta, r, sigma2)
+        for bits, H_i, theta_i, r_i, sigma2_i in zip(info_bits, H, theta, r, sigma2)
     ]
 
 

@@ -40,13 +40,14 @@ def wiener_realization(n: int, rho: float, seed) -> np.ndarray:
 
     ``theta[0]`` is uniform on ``[-pi, pi)`` (an unknown initial phase is
     physically present).  Increments are i.i.d. zero-mean Gaussian with
-    variance ``WIENER_VARIANCE_FACTOR * rho / n``.  Deterministic given
-    ``seed``: the initial phase is drawn first, then the ``n - 1`` increments.
+    variance ``WIENER_VARIANCE_FACTOR * rho / n``; ``rho`` must be finite
+    and nonnegative.  Deterministic given ``seed``: the initial phase is
+    drawn first, then the ``n - 1`` increments.
     """
     if n < 1 or int(n) != n:
         raise ValueError("n must be a positive integer")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not 0 <= rho < np.inf:
+        raise ValueError("rho must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     theta0 = rng.uniform(-np.pi, np.pi)
     return _wiener_path(rng, int(n), WIENER_VARIANCE_FACTOR * rho / n, theta0)

@@ -375,7 +375,6 @@ def solve_dual(M, b) -> SdpSolution:
 class KktInfo:
     rank: int
     full_rank: bool
-    condition: float  # largest over smallest singular value of the top block
 
 
 def kkt_recover(M, b, sol: SdpSolution):
@@ -384,8 +383,7 @@ def kkt_recover(M, b, sol: SdpSolution):
     Solves ``(M + F Diag(mu) F^H) g = b`` by pseudo-inverse; singular values
     below ``KKT_RCOND`` times the largest are treated as zero, in which case
     the minimum-norm solution is returned.  Returns ``(g, KktInfo)``, whose
-    ``rank`` and ``full_rank`` flag that case; ``condition`` is the top
-    block's condition number, which can be large on full-rank recoveries.
+    ``rank`` and ``full_rank`` flag that case.
     """
     if sol.status != "optimal":
         raise SolverError(f"dual solution status is {sol.status!r}, not optimal")
@@ -400,5 +398,4 @@ def kkt_recover(M, b, sol: SdpSolution):
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
     gamma = Vh.conj().T @ (inv_s * (U.conj().T @ b))
-    condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-    return gamma, KktInfo(rank, rank == n, condition)
+    return gamma, KktInfo(rank, rank == n)

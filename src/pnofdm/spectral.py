@@ -23,14 +23,12 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "GEOMETRY_TOL",
-    "GeometryResidual",
     "dft_matrix",
     "geometry_residual",
     "shift_form_table",
@@ -99,29 +97,17 @@ def shift_form_table(n: int) -> np.ndarray:
     return np.vstack([np.ones((1, n)), np.cos(phases(n // 2)), np.sin(phases((n - 1) // 2))])
 
 
-@dataclass(frozen=True)
-class GeometryResidual:
-    """Residuals ``r_l = v^H P_l v - delta_{l0}`` of the spectral geometry.
+def geometry_residual(v) -> float:
+    """Largest geometry residual ``max_l |v^H P_l v - delta_{l0}|`` of a vector.
 
-    ``residuals[0]`` is the unit-norm defect; the remaining entries come in
-    conjugate pairs (``r_{n-l} = conj(r_l)``) because ``P_l^H = P_{n-l}``.
-    """
-
-    residuals: np.ndarray
-    max_abs: float
-
-
-def geometry_residual(v) -> GeometryResidual:
-    """Evaluate all ``n`` geometry residuals of a vector at once.
-
-    Uses the FFT diagonalization of the cyclic shifts:
-    ``v^H P_l v = sum_m |x_m|^2 exp(2j*pi*m*l/n)`` with ``x`` the unitary
-    inverse DFT of ``v``.  This matches the dense definition to roundoff.
+    All ``n`` residuals are evaluated at once through the FFT diagonalization
+    of the cyclic shifts: ``v^H P_l v = sum_m |x_m|^2 exp(2j*pi*m*l/n)`` with
+    ``x`` the unitary inverse DFT of ``v``.  This matches the dense
+    definition to roundoff.  The ``l = 0`` residual is the unit-norm defect.
     """
     v = _as_complex_vector(v)
     n = v.size
     power = np.abs(np.fft.ifft(v)) ** 2
-    forms = n * n * np.fft.ifft(power)
-    residuals = forms.copy()
+    residuals = n * n * np.fft.ifft(power)
     residuals[0] -= 1.0
-    return GeometryResidual(residuals, float(np.max(np.abs(residuals))))
+    return float(np.max(np.abs(residuals)))

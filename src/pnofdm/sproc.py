@@ -85,10 +85,7 @@ def regularity_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NullspaceReport:
-    matrix: np.ndarray
-    rank: int
     null_residual: float
-    null_vector: np.ndarray
     ok: bool
 
 
@@ -98,7 +95,7 @@ def qmatnew_nullspace(n: int) -> NullspaceReport:
     Builds the ``(n-1) x n`` matrix with rows ``cos(2*pi*i*l/n)`` and
     ``sin(2*pi*i*l/n)`` for ``l = 1..(n-1)/2`` and verifies it has rank
     ``n - 1`` with nonnegative null space spanned by ``(1/n) * ones``, whose
-    residual must stay below ``NULLSPACE_TOL``.
+    residual must stay below ``NULLSPACE_TOL``; ``ok`` holds all three.
     """
     if n < 3 or n % 2 == 0 or n > 11:
         raise ValueError("supported for odd n in [3, 11]")
@@ -112,15 +109,15 @@ def qmatnew_nullspace(n: int) -> NullspaceReport:
     ones_dir = np.ones(n) / np.sqrt(n)
     aligned = float(np.linalg.norm(null_vec - ones_dir)) < 1e-10
     ok = rank == n - 1 and residual < NULLSPACE_TOL and aligned and np.all(null_vec > 0)
-    return NullspaceReport(Q, rank, residual, null_vec, ok)
+    return NullspaceReport(residual, ok)
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Certified bracket ``lower <= p* <= p_star`` of the constrained minimum.
 
-    ``p_star`` is the cost at ``phases`` (``gamma`` is exactly feasible), so
-    it is an upper bound; ``lower`` is the branch-and-bound lower bound.  The
+    ``p_star`` is the cost at ``gamma``, which is exactly feasible, so it is
+    an upper bound; ``lower`` is the branch-and-bound lower bound.  The
     cost has no constant term.  The two agree to
     ``CLOSE_TOL`` relative unless the box budget ran out.
     ``grid_points`` is the per-axis size of the seed grid and ``sweeps`` the
@@ -129,7 +126,6 @@ class OracleResult:
 
     p_star: float
     lower: float
-    phases: np.ndarray
     gamma: np.ndarray
     grid_points: int
     sweeps: int
@@ -256,9 +252,9 @@ def primal_oracle(M, b) -> OracleResult:
         )
 
     gamma = F @ (np.exp(1j * phases) / np.sqrt(n))
-    if not geometry_residual(gamma).max_abs < 1e-12:
+    if not geometry_residual(gamma) < 1e-12:
         raise RuntimeError("oracle minimizer left the constant-modulus set")
-    return OracleResult(upper, float(min(lower, upper)), phases, gamma, SEED_GRID, sweeps)
+    return OracleResult(upper, float(min(lower, upper)), gamma, SEED_GRID, sweeps)
 
 
 @dataclass(frozen=True)

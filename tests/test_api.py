@@ -1,8 +1,9 @@
 """The public surface: every ``__all__`` entry resolves and star-imports work,
-every public function has a caller outside the tests, and every public
-default is one some caller changes."""
+every public function has a caller outside the tests, every public default
+is one some caller changes, and every result field is one some caller reads."""
 
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -49,10 +50,10 @@ def test_module_star_import(mod):
 @functools.cache
 def _caller_uses() -> tuple:
     """From one walk of the code outside the tests: ``(callee, keyword)`` for every
-    ``callee(..., keyword=...)``, and every name read as a name or an attribute
-    (``def`` and import lines read none)."""
+    ``callee(..., keyword=...)``, every name read as a name or an attribute
+    (``def`` and import lines read none), and every attribute loaded."""
     root = Path(__file__).resolve().parents[1]
-    calls, names = set(), set()
+    calls, names, attrs = set(), set(), set()
     for path in (p for d in CALLER_DIRS for p in (root / d).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
@@ -63,7 +64,9 @@ def _caller_uses() -> tuple:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-    return calls, names
+                if isinstance(node.ctx, ast.Load):
+                    attrs.add(node.attr)
+    return calls, names, attrs
 
 
 def _public_functions() -> list:
@@ -80,7 +83,7 @@ def _public_functions() -> list:
 def test_every_default_is_set_by_a_caller():
     # A parameter with a default that no caller outside the tests passes by
     # name has one value in use, so it should be a constant.
-    calls, _ = _caller_uses()
+    calls, _, _ = _caller_uses()
     unset = [
         f"{mod}.{name}({param.name}=)"
         for mod, name, fn in _public_functions()
@@ -92,6 +95,22 @@ def test_every_default_is_set_by_a_caller():
 
 def test_every_public_function_has_a_caller():
     # A public function that only the tests call belongs in the tests.
-    _, names = _caller_uses()
+    _, names, _ = _caller_uses()
     uncalled = [f"{mod}.{name}" for mod, name, _ in _public_functions() if name not in names]
     assert uncalled == []
+
+
+def test_every_result_field_is_read_by_a_caller():
+    # A dataclass field that no caller outside the tests reads as an attribute
+    # is carried only for the tests.  Bare names do not count: a local
+    # variable of the same name reads no field.
+    _, _, attrs = _caller_uses()
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for mod in MODULES
+        for cls in vars(importlib.import_module(f"pnofdm.{mod}")).values()
+        if dataclasses.is_dataclass(cls) and isinstance(cls, type) and cls.__module__ == f"pnofdm.{mod}"
+        for f in dataclasses.fields(cls)
+        if f.name not in attrs
+    ]
+    assert unread == []

@@ -23,6 +23,7 @@ from pnofdm.estimators import (
     uls,
 )
 from pnofdm.link import LinkConfig, OfdmFrame, apply_phase_noise, make_frame_pair, make_model, pilot_sequence, rayleigh_channel, run_link
+from test_link import sent_symbol
 from pnofdm.phasenoise import phase_trajectory, spectral_vector
 from pnofdm.spectral import GEOMETRY_TOL, dft_matrix, geometry_residual
 from pnofdm.sdp import certify_local
@@ -35,7 +36,7 @@ def noise_free_system(n_c, seed, model=None, theta=None):
     rng = np.random.default_rng(seed)
     model = model or pc_ppt(n_c, n_c)
     cfg = LinkConfig(n_c=n_c)
-    _, H = rayleigh_channel(cfg, rng)
+    H = rayleigh_channel(cfg, rng)
     s = pilot_sequence(n_c)
     theta = rng.uniform(-np.pi, np.pi, n_c) if theta is None else theta
     r = apply_phase_noise(H * s, theta)
@@ -87,10 +88,9 @@ class TestOutputContract:
             assert type(out.gamma_hat) is np.ndarray
             assert out.gamma_hat.shape == (cfg.n_est,)
         # The benchmark's geometry check reads this field; a second read is free.
-        assert out.diagnostics.geometry_residual == geometry_residual(out.delta_hat).max_abs
-        assert out.diagnostics.geometry_residual == geometry_residual(out.delta_hat).max_abs
+        assert out.diagnostics.geometry_residual == geometry_residual(out.delta_hat)
+        assert out.diagnostics.geometry_residual == geometry_residual(out.delta_hat)
         assert len(calls) == 1
-        assert out.diagnostics.method == name
 
 
 class TestResidualOnRead:
@@ -302,9 +302,9 @@ class TestGls:
             diag = gls(sys, model).diagnostics
             seen.add(diag.certified)
             if diag.certified:
-                assert diag.gap == 0.0 and diag.solver.iterations == 0 and diag.condition is None
+                assert diag.gap == 0.0 and diag.solver.iterations == 0
             else:
-                assert diag.solver.iterations > 0 and diag.condition >= 1.0
+                assert diag.solver.iterations > 0
                 assert diag.gap == diag.cost - sys.const_term - diag.solver.tau
         assert seen == {True, False}
 
@@ -322,7 +322,7 @@ class TestCpeOnly:
         n_c = 16
         phi = 0.9
         rng = np.random.default_rng(5)
-        _, H = rayleigh_channel(LinkConfig(n_c=n_c), rng)
+        H = rayleigh_channel(LinkConfig(n_c=n_c), rng)
         s = pilot_sequence(n_c)
         r = apply_phase_noise(H * s, np.full(n_c, phi))
         out = cpe_only(r, H, np.arange(4), s[:4])
@@ -335,7 +335,7 @@ class TestCpeOnly:
     def test_zero_phase(self):
         n_c = 16
         rng = np.random.default_rng(6)
-        _, H = rayleigh_channel(LinkConfig(n_c=n_c), rng)
+        H = rayleigh_channel(LinkConfig(n_c=n_c), rng)
         s = pilot_sequence(n_c)
         out = cpe_only(H * s, H, np.arange(4), s[:4])
         assert np.linalg.norm(out.delta_hat - np.eye(16)[:, 0]) < 1e-12
@@ -353,6 +353,12 @@ class TestCpeOnly:
         with pytest.raises(EstimationError):
             cpe_only(np.ones(8), np.zeros(8), np.arange(2), np.ones(2))
 
+    @pytest.mark.parametrize("n_values", [1, 2, 4])
+    def test_pilot_length_mismatch_rejected(self, n_values):
+        # One value must not broadcast over three pilots.
+        with pytest.raises(ValueError, match="pilot index/value length mismatch"):
+            pilot_scalar(np.arange(16), np.ones(16), np.array([0, 5, 10]), np.ones(n_values))
+
 
 def _single_carrier_frame(theta, n_c):
     """Frame whose single active (pilot) subcarrier makes the pilot scalar an
@@ -362,7 +368,6 @@ def _single_carrier_frame(theta, n_c):
     H = np.ones(n_c, dtype=complex)
     return OfdmFrame(
         info_bits=np.empty(0, dtype=int),
-        s=s,
         pilot_idx=np.array([0]),
         pilot_values=s[:1],
         data_idx=np.arange(1, n_c),
@@ -383,7 +388,7 @@ class TestCis:
         )
         th_hat = phase_trajectory(out.delta_hat)
         assert np.max(np.abs(th_hat - theta[:n_c])) < 1e-3
-        assert geometry_residual(out.delta_hat).max_abs < GEOMETRY_TOL
+        assert geometry_residual(out.delta_hat) < GEOMETRY_TOL
 
     def test_constant_phase(self):
         n_c = 32
@@ -407,18 +412,27 @@ class TestErrorDecomposition:
         rng = np.random.default_rng(8)
         theta = rng.uniform(-np.pi, np.pi, 32)
         dec = error_decomposition(spectral_vector(theta), theta)
-        assert np.max(np.abs(dec.kappa - 1)) < 1e-12
+        assert np.max(np.abs(dec.eps)) < 1e-12
         assert np.max(np.abs(dec.omega)) < 1e-12
         assert dec.total < 1e-25
 
     def test_constant_phase_error_anchor(self):
-        # kappa = 1 and omega = 0.2 everywhere: relative error 2*(1-cos 0.2).
+        # eps = 0 and omega = 0.2 everywhere: relative error 2*(1-cos 0.2).
         rng = np.random.default_rng(9)
         n = 64
         theta = rng.uniform(-np.pi, np.pi, n)
         x = (1.0 / n) * np.exp(-1j * (theta - 0.2))
         dec = error_decomposition(np.fft.fft(x), theta)
         assert abs(dec.relative - 2 * (1 - np.cos(0.2))) < 1e-10
+
+    def test_rejects_non_vector_inputs(self):
+        # A column theta would broadcast against the samples.
+        theta = np.random.default_rng(11).uniform(-np.pi, np.pi, 4)
+        delta = spectral_vector(theta)
+        with pytest.raises(ValueError, match="1-D"):
+            error_decomposition(delta, theta[:, None])
+        with pytest.raises(ValueError, match="1-D"):
+            error_decomposition(delta[:, None], theta)
 
     def test_identity_on_random_estimates(self):
         rng = np.random.default_rng(10)
@@ -473,7 +487,7 @@ class TestCMatrix:
         n_c = 16
         rng = np.random.default_rng(11)
         model = pc_ppt(n_c, n_c)
-        _, H = rayleigh_channel(LinkConfig(n_c=n_c), rng)
+        H = rayleigh_channel(LinkConfig(n_c=n_c), rng)
         s = pilot_sequence(n_c)
         theta = rng.uniform(-np.pi, np.pi, n_c)
         C = c_matrix(model, np.arange(n_c), theta, H, s, apply_phase_noise(H * s, theta))
@@ -481,7 +495,7 @@ class TestCMatrix:
 
     def test_rank_equals_model_dimension(self, desk_frame):
         _, model, f0, _ = desk_frame
-        C = c_matrix(model, f0.pilot_idx, f0.theta, f0.H, f0.s, f0.r)
+        C = c_matrix(model, f0.pilot_idx, f0.theta, f0.H, sent_symbol(f0), f0.r)
         assert np.linalg.matrix_rank(C, tol=1e-8) == model.n
 
     def test_consistency_check_is_internal(self, desk_frame):
@@ -489,7 +503,7 @@ class TestCMatrix:
         # returning means the check passed at 1e-8.
         cfg, _, f0, _ = desk_frame
         model = lft(cfg.n_c, cfg.n_est)
-        C = c_matrix(model, f0.pilot_idx, f0.theta, f0.H, f0.s, f0.r)
+        C = c_matrix(model, f0.pilot_idx, f0.theta, f0.H, sent_symbol(f0), f0.r)
         assert C.shape == (cfg.n_c, cfg.n_c)
 
     def test_zero_time_domain_symbol_product_rejected(self):

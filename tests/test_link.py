@@ -7,7 +7,7 @@ import pytest
 
 import pnofdm.estimators as estimators
 import pnofdm.link as link
-from pnofdm.estimators import EstimationError, estimate_frame
+from pnofdm.estimators import EstimationError, cpe_only, estimate_frame
 from pnofdm.link import (
     LinkConfig,
     apply_phase_noise,
@@ -28,6 +28,14 @@ from pnofdm.coding import conv_encode
 from pnofdm.phasenoise import WIENER_VARIANCE_FACTOR, _wiener_path, spectral_vector
 from pnofdm.qam import qam16_map
 from pnofdm.spectral import dft_matrix
+
+
+def sent_symbol(frame):
+    """The symbol ``s`` a frame was sent with: its pilots plus its coded, mapped bits."""
+    s = np.empty(frame.r.size, dtype=complex)
+    s[frame.pilot_idx] = frame.pilot_values
+    s[frame.data_idx] = qam16_map(conv_encode(frame.info_bits))
+    return s
 
 
 def _transmit(s, H, theta, snr_db, rng):
@@ -52,7 +60,7 @@ def _build_symbol(cfg, H, theta, rng):
 def reference_pair(cfg, seed):
     """The frame pair built one symbol at a time, in the documented draw order."""
     rng = np.random.default_rng(seed)
-    _, H = rayleigh_channel(cfg, rng)
+    H = rayleigh_channel(cfg, rng)
     step_var = WIENER_VARIANCE_FACTOR * cfg.rho / cfg.n_c
     theta = _wiener_path(rng, 2 * cfg.n_c, step_var, rng.uniform(-np.pi, np.pi))
     return [_build_symbol(cfg, H, th, rng) for th in (theta[: cfg.n_c], theta[cfg.n_c :])]
@@ -74,18 +82,14 @@ class TestPilots:
 class TestChannel:
     def test_single_tap_flat(self):
         cfg = LinkConfig(taps=1)
-        _, H = rayleigh_channel(cfg, 0)
+        H = rayleigh_channel(cfg, 0)
         assert np.max(np.abs(np.abs(H) - np.abs(H[0]))) < 1e-12
 
-    def test_parseval(self):
-        cfg = LinkConfig()
-        h, H = rayleigh_channel(cfg, 1)
-        assert np.sum(np.abs(H) ** 2) == pytest.approx(cfg.n_c * np.sum(np.abs(h) ** 2))
-
     def test_unit_average_power(self):
+        # mean_k |H_k|^2 is the total tap power (Parseval), 1 on average.
         cfg = LinkConfig()
         rng = np.random.default_rng(2)
-        powers = [np.sum(np.abs(rayleigh_channel(cfg, rng)[0]) ** 2) for _ in range(4000)]
+        powers = [np.mean(np.abs(rayleigh_channel(cfg, rng)) ** 2) for _ in range(4000)]
         assert np.mean(powers) == pytest.approx(1.0, rel=0.05)
 
     def test_coherence_bandwidth_correlation(self):
@@ -96,7 +100,7 @@ class TestChannel:
         dk = round(cfg.coherence_bw / cfg.f_sub)
         acc, norm = 0.0, 0.0
         for _ in range(3000):
-            _, H = rayleigh_channel(cfg, rng)
+            H = rayleigh_channel(cfg, rng)
             acc += np.mean(H * np.conj(np.roll(H, -dk)))
             norm += np.mean(np.abs(H) ** 2)
         assert abs(acc / norm) == pytest.approx(0.5, rel=0.10)
@@ -112,8 +116,7 @@ class TestChannel:
         # taps reach it.
         with pytest.raises(ValueError, match="increase taps"):
             LinkConfig(n_c=512).validate()
-        h, H = rayleigh_channel(LinkConfig(n_c=512, taps=6).validate(), 0)
-        assert h.size == 6 and H.size == 512
+        assert rayleigh_channel(LinkConfig(n_c=512, taps=6).validate(), 0).size == 512
 
 
 class TestTransmit:
@@ -125,18 +128,18 @@ class TestTransmit:
         assert np.all(theta == theta[0])
         for frame in (f0, f1):
             y = compensate(frame.r, spectral_vector(frame.theta))
-            assert np.max(np.abs(y - frame.H * frame.s)) < 1e-10
+            assert np.max(np.abs(y - frame.H * sent_symbol(frame))) < 1e-10
 
     def test_constant_phase_rotates(self):
         for frame in make_frame_pair(LinkConfig(rho=0.0, snr_db=300.0), [5])[0]:
-            assert np.max(np.abs(frame.r - np.exp(1j * frame.theta[0]) * frame.H * frame.s)) < 1e-10
+            assert np.max(np.abs(frame.r - np.exp(1j * frame.theta[0]) * frame.H * sent_symbol(frame))) < 1e-10
 
     def test_programmed_snr(self):
         cfg = LinkConfig(snr_db=30.0)
         ratio = []
         for pair in make_frame_pair(cfg, range(500)):
             for frame in pair:
-                w = frame.H * frame.s
+                w = frame.H * sent_symbol(frame)
                 assert frame.sigma2 == pytest.approx(np.mean(np.abs(w) ** 2) * 1e-3, rel=1e-12)
                 noise = frame.r - apply_phase_noise(w, frame.theta)
                 ratio.append(np.sum(np.abs(noise) ** 2) / np.sum(np.abs(w) ** 2))
@@ -187,7 +190,7 @@ class TestCompensate:
         gains = []
         for f0, f1 in make_frame_pair(cfg, np.random.SeedSequence(11).spawn(40)):
             out = estimate_frame("nls", f0, f1, model)
-            w = f0.H * f0.s
+            w = f0.H * sent_symbol(f0)
             before = np.sum(np.abs(f0.r - w) ** 2)
             after = np.sum(np.abs(compensate(f0.r, out.delta_hat) - w) ** 2)
             gains.append(10 * np.log10(before / after))
@@ -250,8 +253,9 @@ class TestFramePair:
                 pairs += make_frame_pair(cfg, seeds[start : start + block])
             for i, (pair, ref) in enumerate(zip(pairs, want, strict=True)):
                 for frame, sym in zip(pair, ref, strict=True):
-                    for name in ("info_bits", "s", "theta", "r", "H"):
+                    for name in ("info_bits", "theta", "r", "H"):
                         assert np.array_equal(getattr(frame, name), sym[name]), (block, i, name)
+                    assert np.array_equal(sent_symbol(frame), sym["s"]), (block, i, "s")
                     assert frame.sigma2 == sym["sigma2"]
                     assert type(frame.sigma2) is float
 
@@ -272,7 +276,7 @@ class TestFramePair:
         cfg = LinkConfig()
         f0, _ = make_frame_pair(cfg, [13])[0]
         y = compensate(f0.r, spectral_vector(f0.theta))
-        w = f0.H * f0.s
+        w = f0.H * sent_symbol(f0)
         noise = f0.r - apply_phase_noise(w, f0.theta)
         clean = w + compensate(noise, spectral_vector(f0.theta))
         assert np.max(np.abs(y - clean)) < 1e-12
@@ -283,7 +287,7 @@ class TestFramePair:
     def test_unit_symbol_energy(self):
         cfg = LinkConfig()
         f0, _ = make_frame_pair(cfg, [14])[0]
-        assert np.mean(np.abs(f0.s) ** 2) == pytest.approx(1.0, rel=0.15)
+        assert np.mean(np.abs(sent_symbol(f0)) ** 2) == pytest.approx(1.0, rel=0.15)
 
     def test_pairs_share_read_only_layout(self):
         cfg = LinkConfig()
@@ -350,12 +354,15 @@ class TestSimulate:
             return estimate_frame(name, frame, next_frame, model)
 
         monkeypatch.setattr(link, "estimate_frame", nls_broken)
-        for frames, results in simulate(LinkConfig(), ("uls", "nls"), 2, 3):
+        cfg = LinkConfig()
+        for frames, results in simulate(cfg, ("uls", "nls"), 2, 3):
             assert len(frames) == len(results["uls"]) == len(results["nls"]) == 2
-            for out, flagged in results["uls"]:
-                assert not flagged and out.diagnostics.method == "uls"
-            for out, flagged in results["nls"]:
-                assert flagged and out.diagnostics.method == "cpe"
+            for f, (out, flagged) in zip(frames, results["uls"]):
+                own = estimate_frame("uls", f, None, make_model(cfg))
+                assert not flagged and np.array_equal(out.delta_hat, own.delta_hat)
+            for f, (out, flagged) in zip(frames, results["nls"]):
+                fallback = cpe_only(f.r, f.H, f.pilot_idx, f.pilot_values)
+                assert flagged and np.array_equal(out.delta_hat, fallback.delta_hat)
 
     def test_model_built_once_and_read_only(self, monkeypatch):
         models = []

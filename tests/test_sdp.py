@@ -281,7 +281,7 @@ class TestClosedFormCertificate:
         oracle = primal_oracle(M, b)
         F = dft_matrix(n)
         A, c = F.conj().T @ M @ F, F.conj().T @ b
-        x = np.exp(1j * oracle.phases) / np.sqrt(n)
+        x = F.conj().T @ oracle.gamma
         mu = np.real((c - A @ x) / x)
         return np.linalg.eigvalsh(reference_lmi(M, b, oracle.p_star, mu)).min()
 

@@ -70,30 +70,25 @@ class TestShiftFormTable:
 
 class TestGeometryResidual:
     def test_unit_vector(self):
-        res = geometry_residual(np.eye(5)[:, 0])
-        assert res.max_abs < 1e-15
+        assert geometry_residual(np.eye(5)[:, 0]) < 1e-15
 
     def test_spectral_vector_on_geometry(self):
         rng = np.random.default_rng(3)
         v = spectral_vector(rng.uniform(-np.pi, np.pi, 16))
-        assert geometry_residual(v).max_abs < 1e-12
+        assert geometry_residual(v) < 1e-12
 
     def test_scaled_unit_vector(self):
-        res = geometry_residual(2 * np.eye(4)[:, 0])
-        assert abs(res.residuals[0] - 3.0) < 1e-14
-        assert np.max(np.abs(res.residuals[1:])) < 1e-14
+        # The shifts vanish on e_0; only the unit-norm defect 4 - 1 remains.
+        assert abs(geometry_residual(2 * np.eye(4)[:, 0]) - 3.0) < 1e-14
+
+    def test_unit_norm_vector_off_geometry(self):
+        # (e_0 + e_1)/sqrt(2) has unit norm but v^H P_1 v = 1/2.
+        v = (np.eye(4)[:, 0] + np.eye(4)[:, 1]) / np.sqrt(2)
+        assert abs(geometry_residual(v) - 0.5) < 1e-14
 
     def test_matches_dense_definition(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        res = geometry_residual(v).residuals
         dense = np.array([v.conj() @ _shift(16, l) @ v for l in range(16)])
         dense[0] -= 1.0
-        assert np.max(np.abs(res - dense)) < 1e-12
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        r = geometry_residual(v).residuals
-        for l in range(1, 9):
-            assert abs(r[9 - l] - np.conj(r[l])) < 1e-12
+        assert abs(geometry_residual(v) - np.max(np.abs(dense))) < 1e-12
