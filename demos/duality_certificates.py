@@ -20,9 +20,17 @@ through the interior-point solve, which reports the measured gap.
 
 import numpy as np
 
-from pnofdm import build_ls_system, gls, kkt_recover, qmatnew_nullspace, regularity_matrix, solve_dual
+from pnofdm.estimators import build_ls_system, gls
 from pnofdm.link import LinkConfig, make_frame_pair, make_model
-from pnofdm.sproc import GAP_KINDS, duality_gap, primal_oracle, random_gram_instance
+from pnofdm.sdp import kkt_recover, solve_dual
+from pnofdm.sproc import (
+    GAP_KINDS,
+    duality_gap,
+    primal_oracle,
+    qmatnew_nullspace,
+    random_gram_instance,
+    regularity_matrix,
+)
 
 print("=== 1. Duality gap on random instances ===")
 kinds = dict.fromkeys(GAP_KINDS, 0)

@@ -9,8 +9,9 @@ amplitude/phase error split of the inverse-transform samples.
 
 import numpy as np
 
-from pnofdm import error_decomposition, estimate_frame, spectral_vector
+from pnofdm.estimators import error_decomposition, estimate_frame
 from pnofdm.link import LinkConfig, decode_frame, make_frame_pair, make_model
+from pnofdm.phasenoise import spectral_vector
 
 cfg = LinkConfig(snr_db=30.0, rho=0.02)
 model = make_model(cfg)

@@ -12,14 +12,9 @@ selection does not.
 
 import numpy as np
 
-from pnofdm import (
-    geometry_residual,
-    lft,
-    pc_ppt,
-    spectral_vector,
-    validate_ppt,
-    wiener_realization,
-)
+from pnofdm.dimred import lft, pc_ppt, validate_ppt
+from pnofdm.phasenoise import spectral_vector, wiener_realization
+from pnofdm.spectral import geometry_residual
 
 rng = np.random.default_rng(1)
 

@@ -10,7 +10,7 @@ dimensionality reduction at work.
 
 import numpy as np
 
-from pnofdm import estimate_frame
+from pnofdm.estimators import estimate_frame
 from pnofdm.link import LinkConfig, make_frame_pair, make_model
 from pnofdm.phasenoise import phase_trajectory
 

@@ -11,8 +11,8 @@ favor bit 0.
 
 Decoder structure.  One call decodes a block of ``B`` codewords of equal
 length, with the batch on the innermost axis of every array, so each ufunc
-call below does the work of all ``B`` rows at once; a single codeword is the
-``B = 1`` case.  A trellis edge emits one of only four coded pairs, so the
+call below does the work of all ``B`` rows at once.  A trellis edge emits
+one of only four coded pairs, so the
 scores ``-(c1*l1 + c2*l2)`` of all four pairs at every step are computed in
 one pass, shape ``(T, 4, B)``, and gathered into per-step branch metrics
 indexed ``[predecessor k, input bit u, j, row]``, ``_GATHER_STEPS`` steps at
@@ -87,60 +87,55 @@ _EDGE_PAIR = (2 * _OUT1 + _OUT2)[
 
 
 def conv_encode(bits) -> np.ndarray:
-    """Encode 0/1 bit sequences at rate 1/2 with zero-tail termination.
+    """Encode a block of 0/1 bit sequences at rate 1/2 with zero-tail termination.
 
-    ``bits`` is one sequence, shape ``(n,)``, or ``B`` sequences of equal
-    length, shape ``(B, n)``, one per row; each row is encoded from the
-    all-zero state, so no row's register carries into the next.  Returns
-    ``2 * (n + 6)`` coded bits per row, the two generator outputs interleaved
-    per input bit: shape ``(2(n + 6),)`` or ``(B, 2(n + 6))``.  An empty
-    sequence yields the 12 flush bits.
+    ``bits`` holds ``B`` sequences of equal length, shape ``(B, n)``, one per
+    row; each row is encoded from the all-zero state, so no row's register
+    carries into the next.  Returns ``2 * (n + 6)`` coded bits per row, the
+    two generator outputs interleaved per input bit: shape ``(B, 2(n + 6))``.
+    An empty row yields the 12 flush bits.
     """
     bits = np.asarray(bits)
-    if bits.ndim not in (1, 2):
-        raise ValueError("bits must be one sequence (n,) or a block (B, n)")
+    if bits.ndim != 2:
+        raise ValueError("bits must be a block (B, n)")
     if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must be 0/1")
-    block = np.atleast_2d(bits)
-    n_rows, n = block.shape
+    n_rows, n = bits.shape
     # Rows in sequence, each followed by its six flush zeros: a row's tail
     # returns the encoder to the zero state it starts the next row from.
     u = np.zeros((n_rows, n + _MEM), dtype=int)
-    u[:, :n] = block
+    u[:, :n] = bits
     u = u.ravel()
     coded = np.empty((u.size, 2), dtype=int)
     coded[:, 0] = np.convolve(u, _TAPS1)[: u.size] % 2
     coded[:, 1] = np.convolve(u, _TAPS2)[: u.size] % 2
-    coded = coded.reshape(n_rows, -1)
-    return coded if bits.ndim == 2 else coded[0]
+    return coded.reshape(n_rows, -1)
 
 
 def viterbi_decode_soft(llrs) -> np.ndarray:
-    """ML decode soft LLRs of zero-terminated codewords.
+    """ML decode soft LLRs of a block of zero-terminated codewords.
 
-    ``llrs`` holds one finite value per coded bit: shape ``(2T,)`` for one
-    codeword, or ``(B, 2T)`` for ``B`` codewords of equal length, one per
-    row.  The path score accumulates ``-sum(c * llr)`` over coded bits ``c``,
-    maximized over the terminated trellis; ties are broken deterministically
-    toward the lower-numbered predecessor, which selects the all-zero path on
-    all-zero input.  Returns the information bits with the six tail bits
-    removed: shape ``(T - 6,)`` or ``(B, T - 6)``.
+    ``llrs`` holds one finite value per coded bit of ``B`` codewords of equal
+    length, shape ``(B, 2T)``, one per row.  The path score accumulates
+    ``-sum(c * llr)`` over coded bits ``c``, maximized over the terminated
+    trellis; ties are broken deterministically toward the lower-numbered
+    predecessor, which selects the all-zero path on all-zero input.  Returns
+    the information bits with the six tail bits removed: shape ``(B, T - 6)``.
     """
     llrs = np.asarray(llrs, dtype=float)
-    if llrs.ndim not in (1, 2):
-        raise ValueError("llrs must be one codeword (2T,) or a block (B, 2T)")
-    block = np.atleast_2d(llrs)
-    n_rows, n_llrs = block.shape
+    if llrs.ndim != 2:
+        raise ValueError("llrs must be a block (B, 2T)")
+    n_rows, n_llrs = llrs.shape
     if n_llrs % 2 != 0:
         raise ValueError("llr length must be even")
     n_steps = n_llrs // 2
     if n_steps < _MEM:
         raise ValueError("codeword shorter than the flush tail")
-    if not np.isfinite(block).all():
+    if not np.isfinite(llrs).all():
         raise ValueError("llrs must be finite")
 
-    l1 = block[:, 0::2].T[:, None, :]
-    l2 = block[:, 1::2].T[:, None, :]
+    l1 = llrs[:, 0::2].T[:, None, :]
+    l2 = llrs[:, 1::2].T[:, None, :]
     gamma = -(_PAIR_C1[:, None] * l1 + _PAIR_C2[:, None] * l2)  # (T, 4, B)
 
     pm = np.full((_NSTATES, n_rows), -np.inf)
@@ -173,4 +168,4 @@ def viterbi_decode_soft(llrs) -> np.ndarray:
             bits.append(d)
             state = ((state << 1) & (_NSTATES - 1)) | d
         row[::-1] = bits
-    return decoded if llrs.ndim == 2 else decoded[0]
+    return decoded

@@ -375,16 +375,13 @@ class ErrorDecomposition:
         (1/n^2) * sum_i [ eps^2 - 2*eps*(1 - cos w) + 2*(1 - cos w) ]
 
     which equals the direct sum ``sum |x[i] - exp(-1j*theta[i])/n|^2``
-    identically; ``relative`` normalizes by the energy ``1/n`` of the exact
-    samples, so ``eps = 0`` and constant ``omega = w0`` give
-    ``relative = 2*(1 - cos w0)``.
+    identically.  Normalized by the energy ``1/n`` of the exact samples,
+    ``eps = 0`` and constant ``omega = w0`` give ``n * total = 2*(1 - cos w0)``.
     """
 
     omega: np.ndarray
     eps: np.ndarray
     total: float
-    relative: float
-    direct_total: float = field(repr=False, default=np.nan)
 
 
 def error_decomposition(delta_hat, theta) -> ErrorDecomposition:
@@ -404,8 +401,7 @@ def error_decomposition(delta_hat, theta) -> ErrorDecomposition:
     eps = 1.0 - n * np.abs(x)
     one_minus_cos = 1.0 - np.cos(omega)
     total = float(np.sum(eps**2 - 2 * eps * one_minus_cos + 2 * one_minus_cos) / n**2)
-    direct = float(np.sum(np.abs(x - np.exp(-1j * th) / n) ** 2))
-    return ErrorDecomposition(omega, eps, total, total * n, direct)
+    return ErrorDecomposition(omega, eps, total)
 
 
 ESTIMATOR_IDS = ("uls", "nls", "gls", "cpe", "cis", "genie")

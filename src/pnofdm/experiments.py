@@ -24,7 +24,8 @@ errors too, caught before anything runs.
 of the runs under ``t_kind = lft`` (:func:`_runnable`): no ``gls`` row or
 column is written for that model.  ``estimators`` must hold at least one
 id, each once, and one that runs under each model the scenario runs.  Each
-operating point is one :func:`pnofdm.link.simulate` pass over all of them.
+operating point, and each model of ``trajectory-traces``, is one
+:func:`pnofdm.link.simulate` pass over all of them.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import numpy as np
 
 from . import __version__
 from .dimred import pc_ppt, validate_ppt
-from .estimators import ESTIMATOR_IDS, error_decomposition, estimate_frame
-from .link import LinkConfig, ber_records, make_frame_pair, make_model, simulate
+from .estimators import ESTIMATOR_IDS, error_decomposition
+from .link import LinkConfig, ber_records, make_model, simulate
 from .phasenoise import phase_trajectory, spectral_vector, wiener_realization
 from .spectral import geometry_residual
 from .sproc import GAP_KINDS, duality_gap, qmatnew_nullspace, random_gram_instance, regularity_matrix
@@ -318,18 +319,16 @@ def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _run_realization(cfg: ExperimentConfig, out_dir: Path):
-    link = cfg.link_config()
-    child = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    f0, f1 = make_frame_pair(link, [child])[0]
-    columns = ["index", "theta"]
-    traces = [np.arange(link.n_c), f0.theta]
+    """Trial 0's true trajectory and each estimator's under each model, from
+    one :func:`simulate` pass per model (the model does not enter the frame)."""
+    traces = {}
     for t_kind in ("lft", "ppt"):
-        model = make_model(cfg.link_config(t_kind=t_kind))
-        for est in _runnable(cfg.estimators, t_kind):
-            res = estimate_frame(est, f0, f1, model)
-            columns.append(f"theta_hat_{est}_{t_kind}")
-            traces.append(phase_trajectory(res.delta_hat))
-    rows = list(zip(*traces))
+        link = cfg.link_config(t_kind=t_kind)
+        ((frames, results),) = simulate(link, _runnable(cfg.estimators, t_kind), 1, cfg.seed)
+        for est, ((res, _),) in results.items():
+            traces[f"theta_hat_{est}_{t_kind}"] = phase_trajectory(res.delta_hat)
+    columns = ["index", "theta", *traces]
+    rows = list(zip(np.arange(cfg.n_c), frames[0].theta, *traces.values()))
     return [write_csv(out_dir / "realization.csv", _meta(cfg), columns, rows)]
 
 
@@ -521,8 +520,9 @@ def _check_error_identity(seed: int, count: int) -> tuple:
     for _ in range(count):
         n = int(rng.integers(8, 129))
         theta = rng.uniform(-np.pi, np.pi, n)
-        dec = error_decomposition(rng.standard_normal(n) + 1j * rng.standard_normal(n), theta)
-        worst = max(worst, abs(dec.total - dec.direct_total))
+        delta_hat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        direct = float(np.sum(np.abs(np.fft.ifft(delta_hat) - np.exp(-1j * theta) / n) ** 2))
+        worst = max(worst, abs(error_decomposition(delta_hat, theta).total - direct))
     return worst < 1e-12, f"worst closed-form vs direct-sum defect over {count} pairs: {worst:.2e}"
 
 

@@ -246,19 +246,18 @@ def apply_phase_noise(x, theta) -> np.ndarray:
 
 
 def compensate(r, delta_hat) -> np.ndarray:
-    """De-rotate received vectors with estimated spectral vectors.
+    """De-rotate a block of received vectors with estimated spectral vectors.
 
     Computes ``y = V_hat^H r`` where ``V_hat`` is the row-circulant matrix
     with first row ``delta_hat^H``; the adjoint is the circular convolution
-    of ``delta_hat`` with ``r``.  ``r`` and ``delta_hat`` have one shape:
-    ``(n,)`` for one vector, or ``(B, n)`` for ``B`` vectors, each row
-    de-rotated by its own estimate exactly as a 1-D call on that row.  Every
-    row of ``delta_hat`` must be finite and nonzero.
+    of ``delta_hat`` with ``r``.  ``r`` and ``delta_hat`` are blocks of one
+    shape, ``(B, n)``: each row of ``r`` is de-rotated by the same row of
+    ``delta_hat``, which must be finite and nonzero.
     """
     d = np.asarray(delta_hat, dtype=complex)
     r = np.asarray(r, dtype=complex)
-    if r.shape != d.shape or r.ndim not in (1, 2):
-        raise ValueError("r and delta_hat must share one shape, (n,) or (B, n)")
+    if r.shape != d.shape or r.ndim != 2:
+        raise ValueError("r and delta_hat must share one block shape (B, n)")
     if not np.isfinite(d).all():
         raise ValueError("delta_hat must be finite")
     if not np.any(d != 0, axis=-1).all():

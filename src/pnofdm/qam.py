@@ -38,36 +38,36 @@ def qam16_map(bits) -> np.ndarray:
 
 
 def qam16_llr(y, gain, noise_var) -> np.ndarray:
-    """Max-log LLRs for received samples ``y = gain * s + noise``.
+    """Max-log LLRs for a block of received samples ``y = gain * s + noise``.
 
     Parameters
     ----------
     y : array_like
-        Received complex samples: one row, shape ``(n,)``, or ``B`` rows of
-        equal length, shape ``(B, n)``.
+        Received complex samples: ``B`` rows of equal length, shape ``(B, n)``.
     gain : array_like
-        Complex channel gain per sample (broadcastable against ``y``).
-    noise_var : float or array_like
-        Variance of the complex noise per sample: one value for all rows, or
-        one per row, shape ``(B,)``.  Each must be positive and finite.
+        Complex channel gain per sample, shape ``(B, n)`` like ``y``.
+    noise_var : array_like
+        Variance of the complex noise per sample, one per row, shape ``(B,)``.
+        Each must be positive and finite.
 
     Returns
     -------
     ndarray
-        ``4 * n`` LLRs per row in transmit bit order: shape ``(4n,)`` or
-        ``(B, 4n)``.  Each row is computed as a 1-D call on that row would
-        compute it, and its values scale linearly with ``1/noise_var``.
+        ``4 * n`` LLRs per row in transmit bit order, shape ``(B, 4n)``.  Each
+        row depends on that row's inputs only, and its values scale linearly
+        with ``1/noise_var``.
     """
     y = np.asarray(y, dtype=complex)
-    if y.ndim not in (1, 2):
-        raise ValueError("y must be one row (n,) or a block (B, n)")
-    rows = np.atleast_2d(y)
-    gain = np.broadcast_to(np.asarray(gain, dtype=complex), rows.shape)
-    noise_var = np.broadcast_to(np.asarray(noise_var, dtype=float), rows.shape[:1])
+    gain = np.asarray(gain, dtype=complex)
+    noise_var = np.asarray(noise_var, dtype=float)
+    if y.ndim != 2 or gain.shape != y.shape:
+        raise ValueError("y and gain must share one block shape (B, n)")
+    if noise_var.shape != y.shape[:1]:
+        raise ValueError("noise_var must hold one value per row, shape (B,)")
     if not np.all((noise_var > 0) & np.isfinite(noise_var)):
         raise ValueError("noise_var must be positive and finite")
     g2 = np.abs(gain) ** 2
-    z = np.conj(gain) * rows
+    z = np.conj(gain) * y
     # |y - gain*s|^2 splits per axis: g2*a^2 - 2*Re(z)*a + (const), same for Im.
     # metric[b, n, axis, level], axis 0 in-phase and 1 quadrature.
     z_axes = np.stack([z.real, z.imag], axis=-1)
@@ -75,5 +75,4 @@ def qam16_llr(y, gain, noise_var) -> np.ndarray:
     m00, m01, m10, m11 = np.moveaxis(metric, -1, 0)  # by the level's two bits
     msb = np.minimum(m10, m11) - np.minimum(m00, m01)
     lsb = np.minimum(m01, m11) - np.minimum(m00, m10)
-    llrs = (np.stack([msb, lsb], axis=-1) / noise_var[:, None, None, None]).reshape(len(rows), -1)
-    return llrs if y.ndim == 2 else llrs[0]
+    return (np.stack([msb, lsb], axis=-1) / noise_var[:, None, None, None]).reshape(len(y), -1)

@@ -98,10 +98,10 @@ def test_criterion_4_constant_phase_error_anchor():
     rng = np.random.default_rng(54_000)
     theta = rng.uniform(-np.pi, np.pi, n)
     x = (1.0 / n) * np.exp(-1j * (theta - 0.2))
-    dec = error_decomposition(np.fft.fft(x), theta)
+    relative = error_decomposition(np.fft.fft(x), theta).total * n  # normalized by the energy 1/n
     target = 2 * (1 - np.cos(0.2))
-    err = abs(dec.relative - target)
-    report(4, err < 1e-10, f"relative error at kappa=1, omega=0.2: {dec.relative:.12f} vs {target:.12f}")
+    err = abs(relative - target)
+    report(4, err < 1e-10, f"relative error at kappa=1, omega=0.2: {relative:.12f} vs {target:.12f}")
 
 
 def test_criterion_5_total_error_identity():

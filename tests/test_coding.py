@@ -49,29 +49,39 @@ def reference_encode(info_bits):
     return out
 
 
+def encode_one(bits):
+    """One sequence through the encoder, as a one-row block."""
+    return conv_encode([bits])[0]
+
+
+def decode_one(llrs):
+    """One codeword through the decoder, as a one-row block."""
+    return viterbi_decode_soft([llrs])[0]
+
+
 def correlation(info_bits, llrs):
     """Path score ``-sum(c * llr)`` of the codeword of ``info_bits``."""
-    return -float(np.dot(conv_encode(info_bits), llrs))
+    return -float(np.dot(encode_one(info_bits), llrs))
 
 
 class TestEncoder:
     def test_empty_input_flush_only(self):
-        out = conv_encode([])
+        out = encode_one([])
         assert out.size == 12
         assert not out.any()
 
     def test_all_zero_codeword(self):
-        assert not conv_encode(np.zeros(10, dtype=int)).any()
+        assert not encode_one(np.zeros(10, dtype=int)).any()
 
     def test_impulse_response_matches_generators(self):
-        out = conv_encode([1, 0, 0, 0, 0, 0, 0])
+        out = encode_one([1, 0, 0, 0, 0, 0, 0])
         # interleaved streams reproduce the octal 133/171 tap patterns
         assert np.array_equal(out[0:14:2], [1, 0, 1, 1, 0, 1, 1])
         assert np.array_equal(out[1:14:2], [1, 1, 1, 1, 0, 0, 1])
 
     def test_rate_and_termination(self):
         bits = np.random.default_rng(0).integers(0, 2, 37)
-        assert conv_encode(bits).size == 2 * (37 + 6)
+        assert encode_one(bits).size == 2 * (37 + 6)
 
     @pytest.mark.parametrize("n_rows", [1, 2, 5])
     @pytest.mark.parametrize("n_bits", [0, 1, LINK_INFO_BITS])
@@ -83,18 +93,20 @@ class TestEncoder:
         assert coded.shape == (n_rows, 2 * (n_bits + 6))
         for row, got in zip(bits, coded):
             assert np.array_equal(got, reference_encode(row))
-            assert np.array_equal(got, conv_encode(row))
+            assert np.array_equal(got, encode_one(row))
 
     def test_rejects_non_binary_and_higher_rank_input(self):
         with pytest.raises(ValueError, match="0/1"):
             conv_encode([[0, 1], [2, 0]])
         with pytest.raises(ValueError, match="block"):
             conv_encode(np.zeros((2, 2, 3), dtype=int))
+        with pytest.raises(ValueError, match="block"):
+            conv_encode(np.zeros(3, dtype=int))  # one sequence is a one-row block
 
     def test_rejects_fractional_bits(self):
         # Cast to int first, 0.7 would encode as 0.
         with pytest.raises(ValueError, match="0/1"):
-            conv_encode([0.7, 1])
+            conv_encode([[0.7, 1]])
 
 
 class TestViterbi:
@@ -102,21 +114,21 @@ class TestViterbi:
         rng = np.random.default_rng(1)
         for trial in range(5):
             bits = rng.integers(0, 2, 80 + trial)
-            decoded = viterbi_decode_soft(to_llrs(conv_encode(bits)))
+            decoded = decode_one(to_llrs(encode_one(bits)))
             assert np.array_equal(decoded, bits)
 
     def test_single_flip_corrected(self):
         # Free distance 10 of this code absorbs one hard flip easily.
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, 100)
-        llrs = to_llrs(conv_encode(bits))
+        llrs = to_llrs(encode_one(bits))
         for pos in (0, 37, 150):
             corrupted = llrs.copy()
             corrupted[pos] = -corrupted[pos]
-            assert np.array_equal(viterbi_decode_soft(corrupted), bits)
+            assert np.array_equal(decode_one(corrupted), bits)
 
     def test_all_zero_llrs_tie_break(self):
-        decoded = viterbi_decode_soft(np.zeros(80))
+        decoded = decode_one(np.zeros(80))
         assert not decoded.any()
 
     def test_soft_beats_hard_scaling(self):
@@ -124,52 +136,52 @@ class TestViterbi:
         # weakly trusted corrections still decodes.
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, 60)
-        llrs = to_llrs(conv_encode(bits), magnitude=1.0)
+        llrs = to_llrs(encode_one(bits), magnitude=1.0)
         noisy = llrs + 0.45 * rng.standard_normal(llrs.size)
-        assert np.array_equal(viterbi_decode_soft(noisy), bits)
+        assert np.array_equal(decode_one(noisy), bits)
 
     def test_output_dtype_and_shape(self):
-        # 1-D input is one codeword; 2-D input is one codeword per row.
-        out = viterbi_decode_soft(np.ones(40))
-        assert out.dtype == np.dtype(int)
-        assert out.shape == (14,)
-        out = viterbi_decode_soft(np.ones((2, 40)))
-        assert out.dtype == np.dtype(int)
-        assert out.shape == (2, 14)
+        # One codeword per row.
+        for n_rows in (1, 2):
+            out = viterbi_decode_soft(np.ones((n_rows, 40)))
+            assert out.dtype == np.dtype(int)
+            assert out.shape == (n_rows, 14)
 
     def test_rejects_higher_rank_input(self):
         with pytest.raises(ValueError, match="block"):
             viterbi_decode_soft(np.ones((2, 2, 40)))
+        with pytest.raises(ValueError, match="block"):
+            viterbi_decode_soft(np.ones(40))  # one codeword is a one-row block
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_llrs(self, bad):
-        llrs = np.ones(40)
-        llrs[17] = bad
+        llrs = np.ones((1, 40))
+        llrs[0, 17] = bad
         with pytest.raises(ValueError, match="finite"):
             viterbi_decode_soft(llrs)
 
     def test_rejects_odd_and_short_input(self):
         with pytest.raises(ValueError, match="even"):
-            viterbi_decode_soft(np.ones(13))
+            viterbi_decode_soft(np.ones((1, 13)))
         with pytest.raises(ValueError, match="flush tail"):
-            viterbi_decode_soft(np.ones(10))
+            viterbi_decode_soft(np.ones((1, 10)))
 
 
 class TestBlockDecode:
-    """A 2-D call decodes each row exactly as a 1-D call on that row."""
+    """A block call decodes each row exactly as a one-row block of that row."""
 
     @pytest.mark.parametrize("n_rows", [1, 3, 17])
     def test_rows_match_single_decodes(self, n_rows):
         rng = np.random.default_rng(300 + n_rows)
         bits = rng.integers(0, 2, (n_rows, LINK_INFO_BITS))
-        coded = np.array([conv_encode(row) for row in bits])
+        coded = conv_encode(bits)
         # Integer LLRs at mixed noise levels exercise the tie-break per row.
         sigma = rng.choice([0.7, 1.5, 4.0], size=(n_rows, 1))
         llrs = np.round(to_llrs(coded, 1.0) + sigma * rng.standard_normal(coded.shape))
         decoded = viterbi_decode_soft(llrs)
         assert decoded.shape == (n_rows, LINK_INFO_BITS)
         for row, got in zip(llrs, decoded):
-            assert np.array_equal(got, viterbi_decode_soft(row))
+            assert np.array_equal(got, decode_one(row))
 
     def test_all_zero_rows_among_noisy_rows(self):
         rng = np.random.default_rng(310)
@@ -207,7 +219,7 @@ class TestViterbiMatchesReference:
             llrs = np.round(rng.normal(0.0, rng.choice([0.7, 1.5, 4.0]), 2 * n_steps))
             ties += int(np.count_nonzero(llrs == 0))
             expected = reference_decode(llrs)
-            decoded = viterbi_decode_soft(llrs)
+            decoded = decode_one(llrs)
             assert decoded.dtype == expected.dtype
             assert decoded.shape == expected.shape
             assert np.array_equal(decoded, expected)
@@ -234,8 +246,8 @@ class TestViterbiMatchesReference:
         for sigma in (0.5, 1.0, 1.5):
             for _ in range(8):
                 bits = rng.integers(0, 2, LINK_INFO_BITS)
-                llrs = to_llrs(conv_encode(bits), 1.0) + sigma * rng.standard_normal(2 * (LINK_INFO_BITS + 6))
-                decoded = viterbi_decode_soft(llrs)
+                llrs = to_llrs(encode_one(bits), 1.0) + sigma * rng.standard_normal(2 * (LINK_INFO_BITS + 6))
+                decoded = decode_one(llrs)
                 assert decoded.shape == (LINK_INFO_BITS,)
                 assert np.array_equal(decoded, reference_decode(llrs))
 
@@ -251,6 +263,6 @@ class TestViterbiIsMaximumLikelihood:
             if trial % 2:
                 llrs = np.round(llrs)
             best = max(correlation(w, llrs) for w in words)
-            decoded = viterbi_decode_soft(llrs)
+            decoded = decode_one(llrs)
             assert decoded.shape == (k,)
             assert correlation(decoded, llrs) == pytest.approx(best, rel=1e-12, abs=1e-12)

@@ -6,11 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pnofdm.cli as cli
+import pnofdm.estimators as estimators
 import pnofdm.experiments as experiments
 import pnofdm.link as link
+from pnofdm.estimators import EstimationError, cpe_only
 from pnofdm.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -21,6 +24,7 @@ from pnofdm.experiments import (
     verify,
 )
 from pnofdm.link import make_frame_pair
+from pnofdm.phasenoise import phase_trajectory
 
 
 TINY = "scenario = trajectory-traces\nn_c = 64\nn = 4\nseed = 5\n"
@@ -162,6 +166,22 @@ class TestScenarios:
         assert "# seed_rule" in text
         header = [l for l in text.splitlines() if not l.startswith("#")][0]
         assert header.startswith("index,theta,theta_hat_")
+
+    def test_realization_falls_back_to_cpe_on_a_failing_estimator(self, tmp_path, monkeypatch):
+        # trajectory-traces runs through simulate like every other scenario:
+        # an estimator that fails on the frame gets the common-phase-only fit.
+        def fail(sys, model):
+            raise EstimationError("injected failure")
+
+        monkeypatch.setattr(estimators, "uls", fail)
+        cfg = parse_config(TINY)
+        (path,) = run_scenario(cfg, tmp_path)
+        header, *rows = [l.split(",") for l in path.read_text().splitlines() if not l.startswith("#")]
+        f0, _ = make_frame_pair(cfg.link_config(), np.random.SeedSequence(cfg.seed).spawn(1))[0]
+        cpe = phase_trajectory(cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values).delta_hat)
+        for t_kind in ("lft", "ppt"):
+            column = header.index(f"theta_hat_uls_{t_kind}")
+            assert np.array_equal([float(row[column]) for row in rows], cpe)
 
     def test_ber_scenario_columns(self, tmp_path):
         cfg = parse_config(

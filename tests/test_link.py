@@ -34,8 +34,13 @@ def sent_symbol(frame):
     """The symbol ``s`` a frame was sent with: its pilots plus its coded, mapped bits."""
     s = np.empty(frame.r.size, dtype=complex)
     s[frame.pilot_idx] = frame.pilot_values
-    s[frame.data_idx] = qam16_map(conv_encode(frame.info_bits))
+    s[frame.data_idx] = qam16_map(conv_encode([frame.info_bits]))
     return s
+
+
+def compensate_one(r, delta_hat):
+    """One received vector through the compensator, as a one-row block."""
+    return compensate([r], [delta_hat])[0]
 
 
 def _transmit(s, H, theta, snr_db, rng):
@@ -52,7 +57,7 @@ def _build_symbol(cfg, H, theta, rng):
     info_bits = rng.integers(0, 2, 2 * data_idx.size - 6)
     s = np.empty(cfg.n_c, dtype=complex)
     s[pilot_idx] = pilot_values
-    s[data_idx] = qam16_map(conv_encode(info_bits))
+    s[data_idx] = qam16_map(conv_encode([info_bits]))
     r, sigma2 = _transmit(s, H, theta, cfg.snr_db, rng)
     return {"info_bits": info_bits, "s": s, "H": H, "theta": theta, "r": r, "sigma2": sigma2}
 
@@ -127,7 +132,7 @@ class TestTransmit:
         theta = np.concatenate([f0.theta, f1.theta])
         assert np.all(theta == theta[0])
         for frame in (f0, f1):
-            y = compensate(frame.r, spectral_vector(frame.theta))
+            y = compensate_one(frame.r, spectral_vector(frame.theta))
             assert np.max(np.abs(y - frame.H * sent_symbol(frame))) < 1e-10
 
     def test_constant_phase_rotates(self):
@@ -170,19 +175,19 @@ class TestCompensate:
         H = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         s = pilot_sequence(32)
         r = apply_phase_noise(H * s, theta)
-        y = compensate(r, spectral_vector(theta))
+        y = compensate_one(r, spectral_vector(theta))
         assert np.max(np.abs(y - H * s)) < 1e-12
 
     def test_unit_vector_is_noop(self):
         rng = np.random.default_rng(9)
         r = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.allclose(compensate(r, np.eye(16)[:, 0]), r, atol=1e-14)
+        assert np.allclose(compensate_one(r, np.eye(16)[:, 0]), r, atol=1e-14)
 
     def test_energy_preserved_for_feasible_delta(self):
         rng = np.random.default_rng(10)
         delta = spectral_vector(rng.uniform(-np.pi, np.pi, 64))
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert np.linalg.norm(compensate(x, delta)) == pytest.approx(np.linalg.norm(x))
+        assert np.linalg.norm(compensate_one(x, delta)) == pytest.approx(np.linalg.norm(x))
 
     def test_nls_reduces_residual_interference(self):
         cfg = LinkConfig()
@@ -192,13 +197,13 @@ class TestCompensate:
             out = estimate_frame("nls", f0, f1, model)
             w = f0.H * sent_symbol(f0)
             before = np.sum(np.abs(f0.r - w) ** 2)
-            after = np.sum(np.abs(compensate(f0.r, out.delta_hat) - w) ** 2)
+            after = np.sum(np.abs(compensate_one(f0.r, out.delta_hat) - w) ** 2)
             gains.append(10 * np.log10(before / after))
         assert np.median(gains) >= 10.0
 
     def test_zero_estimate_rejected(self):
         with pytest.raises(ValueError):
-            compensate(np.ones(4), np.zeros(4))
+            compensate(np.ones((1, 4)), np.zeros((1, 4)))
 
     def test_zero_row_in_block_rejected(self):
         d = np.ones((3, 4), dtype=complex)
@@ -207,16 +212,18 @@ class TestCompensate:
             compensate(np.ones((3, 4)), d)
 
     def test_non_finite_estimate_rejected(self):
-        d = np.eye(4)[0].astype(complex)
-        d[2] = np.nan
+        d = np.eye(4)[:1].astype(complex)
+        d[0, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            compensate(np.ones(4), d)
+            compensate(np.ones((1, 4)), d)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            compensate(np.ones(8), np.eye(4)[0])
+            compensate(np.ones((1, 8)), np.eye(4)[:1])
         with pytest.raises(ValueError, match="shape"):
             compensate(np.ones((2, 4)), np.eye(4)[0])
+        with pytest.raises(ValueError, match="block"):
+            compensate(np.ones(4), np.eye(4)[0])  # one vector is a one-row block
 
     def test_block_rows_match_single_compensations(self):
         cfg = LinkConfig(snr_db=10.0)
@@ -228,7 +235,7 @@ class TestCompensate:
         y = compensate(r, d)
         assert y.shape == r.shape
         for row, ri, di in zip(y, r, d):
-            assert np.array_equal(row, compensate(ri, di))
+            assert np.array_equal(row, compensate_one(ri, di))
 
 
 class TestFramePair:
@@ -275,10 +282,10 @@ class TestFramePair:
         # compensation reproduces the zero-phase-noise link exactly.
         cfg = LinkConfig()
         f0, _ = make_frame_pair(cfg, [13])[0]
-        y = compensate(f0.r, spectral_vector(f0.theta))
+        y = compensate_one(f0.r, spectral_vector(f0.theta))
         w = f0.H * sent_symbol(f0)
         noise = f0.r - apply_phase_noise(w, f0.theta)
-        clean = w + compensate(noise, spectral_vector(f0.theta))
+        clean = w + compensate_one(noise, spectral_vector(f0.theta))
         assert np.max(np.abs(y - clean)) < 1e-12
         d1 = decode_frame([f0], [spectral_vector(f0.theta)])
         assert d1.shape == (1, f0.info_bits.size)

@@ -21,6 +21,13 @@ def neighbour_bit_flips():
     ]
 
 
+def llr_one(y, gain, noise_var):
+    """One row of samples through the demapper, as a one-row block; ``gain``
+    may be one value for every sample."""
+    y = np.asarray(y, dtype=complex)[None]
+    return qam16_llr(y, np.broadcast_to(gain, y.shape), [noise_var])[0]
+
+
 class TestMapper:
     def test_anchor_symbol(self):
         assert qam16_map([0, 0, 0, 0])[0] == pytest.approx((1 + 1j) / np.sqrt(10))
@@ -57,46 +64,59 @@ class TestDemapper:
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 4 * 200)
         s = qam16_map(bits)
-        decided = (qam16_llr(s, 1.0, 0.1) < 0).astype(int)
+        decided = (llr_one(s, 1.0, 0.1) < 0).astype(int)
         assert np.array_equal(decided, bits)
 
     def test_round_trip_with_gain(self):
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, 4 * 100)
         gain = 0.3 * np.exp(1j * 0.9)
-        decided = (qam16_llr(gain * qam16_map(bits), gain, 0.01) < 0).astype(int)
+        decided = (llr_one(gain * qam16_map(bits), gain, 0.01) < 0).astype(int)
         assert np.array_equal(decided, bits)
 
     def test_llr_scales_with_inverse_noise_var(self):
         rng = np.random.default_rng(2)
         y = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        a = qam16_llr(y, 1.0, 0.5)
-        b = qam16_llr(y, 1.0, 0.05)
+        a = llr_one(y, 1.0, 0.5)
+        b = llr_one(y, 1.0, 0.05)
         assert np.allclose(b, 10 * a)
 
     def test_sign_convention_positive_for_zero(self):
         # transmit all-zero bits, llrs must favor bit 0 (positive)
         s = qam16_map([0, 0, 0, 0])
-        assert np.all(qam16_llr(s, 1.0, 0.1) > 0)
+        assert np.all(llr_one(s, 1.0, 0.1) > 0)
 
     def test_rejects_bad_noise_var(self):
         with pytest.raises(ValueError):
-            qam16_llr(np.array([1 + 1j]), 1.0, 0.0)
+            llr_one(np.array([1 + 1j]), 1.0, 0.0)
 
     def test_rejects_nan_noise_var(self):
         with pytest.raises(ValueError, match="finite"):
-            qam16_llr(np.array([1 + 1j]), 1.0, np.nan)
+            llr_one(np.array([1 + 1j]), 1.0, np.nan)
 
     def test_rejects_infinite_noise_var(self):
         with pytest.raises(ValueError, match="finite"):
-            qam16_llr(np.array([1 + 1j]), 1.0, np.inf)
+            llr_one(np.array([1 + 1j]), 1.0, np.inf)
 
     def test_rejects_one_bad_row_in_block(self):
         y = np.ones((3, 4), dtype=complex)
         with pytest.raises(ValueError, match="positive"):
-            qam16_llr(y, 1.0, [0.1, -0.1, 0.1])
+            qam16_llr(y, y, [0.1, -0.1, 0.1])
         with pytest.raises(ValueError, match="finite"):
-            qam16_llr(y, 1.0, [0.1, 0.1, np.nan])
+            qam16_llr(y, y, [0.1, 0.1, np.nan])
+
+    def test_rejects_non_block_shapes(self):
+        y = np.ones((3, 4), dtype=complex)
+        with pytest.raises(ValueError, match="block"):
+            qam16_llr(y[0], y[0], [0.1])  # one row is a one-row block
+        with pytest.raises(ValueError, match="block"):
+            qam16_llr(y[None], y[None], [0.1])
+        with pytest.raises(ValueError, match="block"):
+            qam16_llr(y, 1.0, [0.1, 0.1, 0.1])  # one gain per sample
+        with pytest.raises(ValueError, match="one value per row"):
+            qam16_llr(y, y, 0.1)
+        with pytest.raises(ValueError, match="one value per row"):
+            qam16_llr(y, y, [0.1, 0.1])
 
     def test_block_rows_match_single_rows(self):
         rng = np.random.default_rng(4)
@@ -106,10 +126,7 @@ class TestDemapper:
         llrs = qam16_llr(y, gain, noise_var)
         assert llrs.shape == (5, 4 * 30)
         for row, yi, gi, nv in zip(llrs, y, gain, noise_var):
-            assert np.array_equal(row, qam16_llr(yi, gi, float(nv)))
-        shared = qam16_llr(y, gain, 0.3)
-        for row, yi, gi in zip(shared, y, gain):
-            assert np.array_equal(row, qam16_llr(yi, gi, 0.3))
+            assert np.array_equal(row, llr_one(yi, gi, float(nv)))
 
     def test_matches_brute_force_max_log(self):
         # Max-log over all 16 points: llr_i = (min over s with bit i = 1 of
@@ -124,4 +141,4 @@ class TestDemapper:
              for i in range(4)],
             axis=1,
         ).ravel()
-        assert np.allclose(qam16_llr(y, gain, 0.3), expected, rtol=1e-9, atol=1e-9)
+        assert np.allclose(llr_one(y, gain, 0.3), expected, rtol=1e-9, atol=1e-9)
