@@ -20,16 +20,28 @@ a time so the scratch stays small for large blocks.  The destination states
 ``j`` and ``j + 32`` share the predecessors ``2j`` and ``2j + 1`` (a
 butterfly), so the ``(64, B)`` path metrics reshaped to ``(32, 2, B)`` and
 transposed line up with those branch metrics by broadcasting, and each
-add-compare-select step is three ufunc calls into preallocated buffers.  The
-comparison is strict: ties go to the lower-numbered predecessor ``2j``,
-which selects the all-zero path on all-zero input, row by row.  The
-traceback reads the decisions where the add-compare-select wrote them and,
-once per row, follows the chosen predecessors back from the zero state: the
-decision taken at step ``t`` is the oldest register bit of the predecessor,
-which is information bit ``t - 6``.
+add-compare-select step is two ufunc calls: the path metrics are added into
+the step's gathered branch metrics in place, turning them into the two
+candidates of every state, and their maximum is written to the path
+metrics.  The candidates stay in the gathered buffer, so each gather's
+decisions are taken afterwards in one comparison.  The comparison is
+strict: ties go to the lower-numbered predecessor ``2j``, which selects the
+all-zero path on all-zero input, row by row.  The traceback reads the
+decisions where they were written and, once per row, follows the chosen
+predecessors back from the zero state: the decision taken at step ``t`` is
+the oldest register bit of the predecessor, which is information bit
+``t - 6``.
+
+The encoder is the shift register written out over the block: each row is
+padded with six zeros in front (the all-zero start state) and six behind
+(the flush tail), and each generator's output is the XOR of the padded
+block's columns shifted by that generator's tap delays, ``(B, n + 6)`` at a
+time.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -44,9 +56,8 @@ _HALF = _NSTATES // 2  # butterflies per trellis step
 # Trellis steps whose branch metrics are gathered at once: 32 KB per row.
 _GATHER_STEPS = 32
 
-# Tap vectors, most recent bit first (delay 0 .. 6).
-_TAPS1 = np.array([(GENERATORS_OCTAL[0] >> (CONSTRAINT_LENGTH - 1 - i)) & 1 for i in range(CONSTRAINT_LENGTH)])
-_TAPS2 = np.array([(GENERATORS_OCTAL[1] >> (CONSTRAINT_LENGTH - 1 - i)) & 1 for i in range(CONSTRAINT_LENGTH)])
+# Per generator, the delays (0 = the newest bit .. 6) of its nonzero taps.
+_TAP_DELAYS = tuple(tuple(d for d in range(CONSTRAINT_LENGTH) if g >> (_MEM - d) & 1) for g in GENERATORS_OCTAL)
 
 
 def _parity(x):
@@ -101,14 +112,14 @@ def conv_encode(bits) -> np.ndarray:
     if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must be 0/1")
     n_rows, n = bits.shape
-    # Rows in sequence, each followed by its six flush zeros: a row's tail
-    # returns the encoder to the zero state it starts the next row from.
-    u = np.zeros((n_rows, n + _MEM), dtype=int)
-    u[:, :n] = bits
-    u = u.ravel()
-    coded = np.empty((u.size, 2), dtype=int)
-    coded[:, 0] = np.convolve(u, _TAPS1)[: u.size] % 2
-    coded[:, 1] = np.convolve(u, _TAPS2)[: u.size] % 2
+    n_out = n + _MEM
+    # Register contents over time: six zeros of start state, the bits, six flush zeros.
+    u = np.zeros((n_rows, n_out + _MEM), dtype=np.uint8)
+    u[:, _MEM:n_out] = bits
+    coded = np.empty((n_rows, n_out, 2), dtype=int)
+    for j, delays in enumerate(_TAP_DELAYS):
+        # Input bit t sits in column t + 6, so the bit d steps older is column t + 6 - d.
+        coded[:, :, j] = functools.reduce(np.bitwise_xor, [u[:, _MEM - d : n_out + _MEM - d] for d in delays])
     return coded.reshape(n_rows, -1)
 
 
@@ -142,16 +153,19 @@ def viterbi_decode_soft(llrs) -> np.ndarray:
     pm[0] = 0.0
     pm_by_pred = pm.reshape(_HALF, 2, n_rows).transpose(1, 0, 2)[:, None]  # [k, 1, j, b] = pm[2j + k, b]
     pm_next = pm.reshape(2, _HALF, n_rows)  # [u, j, b] = pm[u*32 + j, b]
-    cand = np.empty((2, 2, _HALF, n_rows))
-    cand0, cand1 = cand
     choices = np.empty((n_steps, 2, _HALF, n_rows), dtype=bool)
+    # One gather buffer [step, k, u, j, b] for the whole call: a fresh one per gather read slower at B = 4.
+    gathered = np.empty((min(_GATHER_STEPS, n_steps), 2, 2, _HALF, n_rows))
     for t0 in range(0, n_steps, _GATHER_STEPS):
+        chunk = gamma[t0 : t0 + _GATHER_STEPS]
         # np.take copies whole rows of B values, where a fancy index copies element by element.
-        metrics = np.take(gamma[t0 : t0 + _GATHER_STEPS], _EDGE_PAIR, axis=1)  # (steps, k, u, 32, B)
-        for metric, choice in zip(metrics, choices[t0 : t0 + _GATHER_STEPS]):
-            np.add(pm_by_pred, metric, out=cand)
-            np.greater(cand1, cand0, out=choice)
-            np.maximum(cand0, cand1, out=pm_next)
+        # The indices are in range, so "clip" changes none; it lets take write into out
+        # directly, where the default mode would buffer it.
+        cand = np.take(chunk, _EDGE_PAIR, axis=1, out=gathered[: len(chunk)], mode="clip")
+        for metric in cand:
+            np.add(pm_by_pred, metric, out=metric)
+            np.maximum(metric[0], metric[1], out=pm_next)
+        np.greater(cand[:, 1], cand[:, 0], out=choices[t0 : t0 + _GATHER_STEPS])
 
     # choices is (T, 64, B) in C order: row b's decision at step t in state s
     # is byte t*64*B + s*B + b.  The predecessor of state s is

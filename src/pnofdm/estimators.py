@@ -60,6 +60,7 @@ __all__ = [
     "EstimatorOutput",
     "ErrorDecomposition",
     "LsSystem",
+    "NEXT_SYMBOL_IDS",
     "build_ls_system",
     "cis",
     "cpe_only",
@@ -405,10 +406,13 @@ def error_decomposition(delta_hat, theta) -> ErrorDecomposition:
 
 
 ESTIMATOR_IDS = ("uls", "nls", "gls", "cpe", "cis", "genie")
+# The estimators that read the next symbol as well as the current one.
+NEXT_SYMBOL_IDS = ("cis",)
 
 
 def estimate_frame(name: str, frame, next_frame, model: DimRedModel) -> EstimatorOutput:
-    """Run the estimator ``name`` on one frame (``cis`` also uses the next).
+    """Run the estimator ``name`` on one frame (those in ``NEXT_SYMBOL_IDS``
+    also read the next, and raise :class:`EstimationError` without it).
 
     ``genie`` returns the true spectral vector and exists for reference
     curves and tests.
@@ -419,9 +423,9 @@ def estimate_frame(name: str, frame, next_frame, model: DimRedModel) -> Estimato
         return fn(sys, model)
     if name == "cpe":
         return cpe_only(frame.r, frame.H, frame.pilot_idx, frame.pilot_values)
+    if name in NEXT_SYMBOL_IDS and next_frame is None:
+        raise EstimationError(f"{name} requires the next symbol")
     if name == "cis":
-        if next_frame is None:
-            raise EstimationError("cis requires the next symbol")
         return cis(frame, next_frame)
     if name == "genie":
         return _output(None, spectral_vector(frame.theta))

@@ -6,10 +6,12 @@ multipath channel -> phase-noise rotation plus AWGN -> compensation with an
 estimated spectral vector -> per-subcarrier max-log LLRs -> soft Viterbi.
 The 16-QAM table (per axis ``00 -> +1, 01 -> +3, 10 -> -3, 11 -> -1``) is
 not Gray; see :mod:`pnofdm.qam`.  Arrays carry a leading batch axis:
-:func:`make_frame_pair` draws each pair from its own seed, then encodes,
-maps and sends a whole block of pairs in one pass over ``(B, 2, n_c)``
-arrays, and :func:`decode_frame` compensates, demaps and decodes a whole
-block of frames in one stacked pass, one call per layer.
+:func:`make_frame_pair` makes only each pair's random draws from its own
+seed, then builds the channels, phase paths and symbols of a whole block of
+pairs in one pass over ``(B, 2, n_c)`` arrays (``(B, 1, n_c)`` when no
+estimator reads the second symbol), and :func:`decode_frame` compensates,
+demaps and decodes a whole block of frames in one stacked pass, one call
+per layer.
 
 Model and conventions:
 
@@ -53,17 +55,19 @@ import numpy as np
 
 from .coding import conv_encode, viterbi_decode_soft
 from .dimred import DimRedModel, lft, pc_ppt
-from .estimators import ESTIMATOR_IDS, EstimationError, cpe_only, estimate_frame
+from .estimators import ESTIMATOR_IDS, NEXT_SYMBOL_IDS, EstimationError, cpe_only, estimate_frame
 from .phasenoise import WIENER_VARIANCE_FACTOR, _wiener_path
 from .qam import qam16_llr, qam16_map
 
 __all__ = [
     "BerRecord",
+    "DECODE_BLOCK",
     "LinkConfig",
     "OfdmFrame",
     "apply_phase_noise",
     "ber_records",
     "compensate",
+    "decode_frame",
     "make_frame_pair",
     "make_model",
     "pilot_indices",
@@ -102,6 +106,8 @@ class LinkConfig:
             out.append("f_sub must be positive and finite")
         if self.taps < 1:
             out.append("taps must be >= 1")
+        if self.taps > self.n_c:
+            out.append(f"taps = {self.taps} must not exceed n_c = {self.n_c}")
         if not 0 < self.coherence_bw < np.inf:
             out.append("coherence_bw must be positive and finite")
         if not out:  # the channel's inputs are valid: its tap profile must solve
@@ -221,28 +227,35 @@ def _tap_profile(taps: int, coherence_ratio: float) -> tuple:
     return tuple(p / p.sum())
 
 
-def rayleigh_channel(cfg: LinkConfig, rng) -> np.ndarray:
-    """Draw taps ``h`` (exponential profile, unit total power); return their DFT ``H``.
+def rayleigh_channel(cfg: LinkConfig, draws) -> np.ndarray:
+    """Channel responses ``H`` of a block from standard normal tap draws.
 
-    The decay constant is solved from the coherence bandwidth
-    (:func:`_tap_profile`).
-    ``H_k = sum_n h[n] exp(-2j*pi*k*n/n_c)`` (plain unnormalized DFT), so
-    ``sum_k |H_k|^2 = n_c * sum_n |h[n]|^2``.
+    ``draws`` is ``(B, 2, taps)``: per channel, the real parts' draws, then
+    the imaginary parts'.  The taps ``h`` are scaled to the exponential
+    profile whose decay constant is solved from the coherence bandwidth
+    (:func:`_tap_profile`), unit total power on average.  Returns their DFTs,
+    ``(B, n_c)``: ``H_k = sum_n h[n] exp(-2j*pi*k*n/n_c)`` (plain
+    unnormalized DFT), so ``sum_k |H_k|^2 = n_c * sum_n |h[n]|^2``.
     """
-    rng = np.random.default_rng(rng)
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 3 or draws.shape[1:] != (2, cfg.taps):
+        raise ValueError(f"draws must be a block (B, 2, {cfg.taps})")
     p = np.asarray(_tap_profile(cfg.taps, cfg.coherence_bw / (cfg.n_c * cfg.f_sub)))
-    h = np.sqrt(p / 2) * (rng.standard_normal(cfg.taps) + 1j * rng.standard_normal(cfg.taps))
+    h = np.sqrt(p / 2) * (draws[:, 0] + 1j * draws[:, 1])
     return np.fft.fft(h, cfg.n_c)
 
 
 def apply_phase_noise(x, theta) -> np.ndarray:
     """Apply the unitary rotation ``V = F diag(exp(1j*theta)) F^H`` via FFTs.
 
-    ``x`` and ``theta`` are ``(..., n)``: leading axes are a batch, each row
-    rotated by its own phases, exactly as a 1-D call on that row.
+    ``x`` and ``theta`` are blocks of one shape, ``(B, n)``: each row of
+    ``x`` is rotated by the same row of ``theta``.
     """
     x = np.asarray(x, dtype=complex)
-    return np.fft.fft(np.exp(1j * np.asarray(theta, dtype=float)) * np.fft.ifft(x))
+    theta = np.asarray(theta, dtype=float)
+    if x.ndim != 2 or theta.shape != x.shape:
+        raise ValueError("x and theta must share one block shape (B, n)")
+    return np.fft.fft(np.exp(1j * theta) * np.fft.ifft(x))
 
 
 def compensate(r, delta_hat) -> np.ndarray:
@@ -283,55 +296,66 @@ class OfdmFrame:
     sigma2: float
 
 
-def make_frame_pair(cfg: LinkConfig, seeds) -> list[tuple[OfdmFrame, OfdmFrame]]:
+def make_frame_pair(cfg: LinkConfig, seeds, next_symbol: bool = True) -> list[tuple]:
     """Simulate one pair of consecutive symbols per seed, sharing one channel.
 
     Within a pair the phase trajectory is continuous across the two symbols
     and they share one channel realization; noise and data are independent
     per symbol.  The per-sample step variance is referenced to one symbol
     length.  Each seed drives its own generator, with draws in a fixed
-    order for reproducibility: channel taps, initial phase, the
-    ``2*n_c - 1`` phase increments, then for symbol 0 and then symbol 1 the
-    bits, the real noise and the imaginary noise.  The ``B`` pairs are then
-    encoded, mapped and sent as ``(B, 2, n_c)`` arrays, one row per symbol,
-    ``r = V (H s + n0)``, each row exactly as if built on its own; every
-    frame's arrays are views of its row.  Returns one ``(frame0, frame1)``
-    per seed, in order; one pair is ``make_frame_pair(cfg, [seed])[0]``.
+    order for reproducibility: the channel taps (real parts, then imaginary
+    parts), the initial phase, the ``2*n_c - 1`` phase increments, then for
+    symbol 0 and then symbol 1 the bits, the real noise and the imaginary
+    noise.  Only these draws are made seed by seed.  Everything after them
+    runs once over the block of ``B`` seeds: the tap scaling and channel DFT
+    (:func:`rayleigh_channel`; ``H`` is the plain DFT of taps with unit
+    total power on average), the Wiener paths over ``(B, 2*n_c - 1)``
+    increments, and the encoding, mapping and sending of every symbol as
+    ``(B, 2, n_c)`` arrays, ``r = V (H s + n0)``, each row exactly as if
+    built on its own; every frame's arrays are views of its row.
+
+    Symbol 1 is built only when ``next_symbol`` is true, for the estimators
+    that read it (:data:`pnofdm.estimators.NEXT_SYMBOL_IDS`).  Its bits and
+    noise are each seed's last draws, so symbol 0 is the same either way.
+    Returns one ``(frame0, frame1)`` per seed, in order, with ``frame1`` None
+    when symbol 1 is not built; one pair is ``make_frame_pair(cfg, [seed])[0]``.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("make_frame_pair takes at least one seed")
     cfg.validate()
-    n_c, n_pairs = cfg.n_c, len(seeds)
+    n_c, n_pairs, n_sym = cfg.n_c, len(seeds), 2 if next_symbol else 1
     pilot_idx, pilot_values, data_idx = _layout(n_c, cfg.pilot_fraction)
     n_info = 2 * data_idx.size - 6
-    step_var = WIENER_VARIANCE_FACTOR * cfg.rho / n_c
-    H = np.empty((n_pairs, n_c), dtype=complex)
-    theta = np.empty((n_pairs, 2, n_c))
-    info_bits = np.empty((n_pairs, 2, n_info), dtype=int)
-    noise = np.empty((n_pairs, 2, 2, n_c))  # [pair, symbol, real or imaginary part, subcarrier]
+    step_sd = np.sqrt(WIENER_VARIANCE_FACTOR * cfg.rho / n_c)
+    tap_draws = np.empty((n_pairs, 2, cfg.taps))
+    theta0 = np.empty(n_pairs)
+    steps = np.empty((n_pairs, 2 * n_c - 1))
+    info_bits = np.empty((n_pairs, n_sym, n_info), dtype=int)
+    noise = np.empty((n_pairs, n_sym, 2, n_c))  # [pair, symbol, real or imaginary part, subcarrier]
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        H[i] = rayleigh_channel(cfg, rng)
-        theta[i] = _wiener_path(rng, 2 * n_c, step_var, rng.uniform(-np.pi, np.pi)).reshape(2, n_c)
-        for k in range(2):
+        tap_draws[i] = rng.standard_normal((2, cfg.taps))
+        theta0[i] = rng.uniform(-np.pi, np.pi)
+        steps[i] = rng.normal(0.0, step_sd, 2 * n_c - 1)
+        for k in range(n_sym):
             info_bits[i, k] = rng.integers(0, 2, n_info)
-            noise[i, k] = rng.standard_normal((2, n_c))  # the real part's draws, then the imaginary part's
-    s = np.empty((n_pairs, 2, n_c), dtype=complex)
+            noise[i, k] = rng.standard_normal((2, n_c))
+    H = rayleigh_channel(cfg, tap_draws)
+    theta = _wiener_path(theta0, steps[:, : n_sym * n_c - 1]).reshape(n_pairs, n_sym, n_c)
+    s = np.empty((n_pairs, n_sym, n_c), dtype=complex)
     s[..., pilot_idx] = pilot_values
-    # Each row's 4 * n_data coded bits fill whole symbols, so the rows map as one sequence.
-    s[..., data_idx] = qam16_map(conv_encode(info_bits.reshape(2 * n_pairs, n_info))).reshape(n_pairs, 2, -1)
+    s[..., data_idx] = qam16_map(conv_encode(info_bits.reshape(-1, n_info))).reshape(n_pairs, n_sym, -1)
     w = H[:, None] * s
     sigma2 = np.mean(np.abs(w) ** 2, axis=-1) / 10 ** (cfg.snr_db / 10)
     n0 = np.sqrt(sigma2 / 2)[..., None] * (noise[:, :, 0] + 1j * noise[:, :, 1])
-    r = apply_phase_noise(w + n0, theta)
-    return [
-        tuple(
-            OfdmFrame(bits[k], pilot_idx, pilot_values, data_idx, H_i, theta_i[k], r_i[k], float(sigma2_i[k]))
-            for k in range(2)
-        )
-        for bits, H_i, theta_i, r_i, sigma2_i in zip(info_bits, H, theta, r, sigma2)
-    ]
+    r = apply_phase_noise((w + n0).reshape(-1, n_c), theta.reshape(-1, n_c)).reshape(n_pairs, n_sym, n_c)
+
+    def frame(i, k):
+        return OfdmFrame(info_bits[i, k], pilot_idx, pilot_values, data_idx, H[i], theta[i, k], r[i, k],
+                         float(sigma2[i, k]))
+
+    return [(frame(i, 0), frame(i, 1) if next_symbol else None) for i in range(n_pairs)]
 
 
 @dataclass(frozen=True)
@@ -398,12 +422,15 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed):
     ``np.random.SeedSequence(seed).spawn(trials)``, with the draws in the
     order :func:`make_frame_pair` documents.  Each block of up to
     ``DECODE_BLOCK`` trials is built in one :func:`make_frame_pair` call,
-    estimated frame by frame (every estimator on a frame before the next) and
-    yielded once as ``(frames, results)``: the first symbol of each pair, in
-    trial order, and ``results[est]`` with one ``(output, flagged)`` per frame.
-    An estimator that raises :class:`EstimationError` on a frame gets the
-    common-phase-only fit instead, flagged.  ``estimators`` holds distinct ids
-    from :data:`pnofdm.estimators.ESTIMATOR_IDS`, at least one; any other list
+    with each pair's second symbol only when an estimator in
+    :data:`pnofdm.estimators.NEXT_SYMBOL_IDS` is requested (symbol 0 is the
+    same either way), estimated frame by frame (every estimator on a frame
+    before the next) and yielded once as ``(frames, results)``: the first
+    symbol of each pair, in trial order, and ``results[est]`` with one
+    ``(output, flagged)`` per frame.  An estimator that raises
+    :class:`EstimationError` on a frame gets the common-phase-only fit
+    instead, flagged.  ``estimators`` holds distinct ids from
+    :data:`pnofdm.estimators.ESTIMATOR_IDS`, at least one; any other list
     raises ``ValueError``.  The ids and the config are checked and the model
     built once, when iteration starts and before any frame is built.
     """
@@ -418,9 +445,10 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed):
         raise ValueError("trials must be positive")
     model = make_model(cfg)
     children = np.random.SeedSequence(seed).spawn(trials)
+    next_symbol = any(est in NEXT_SYMBOL_IDS for est in estimators)
     for start in range(0, trials, DECODE_BLOCK):
         frames, results = [], {est: [] for est in estimators}
-        for f0, f1 in make_frame_pair(cfg, children[start : start + DECODE_BLOCK]):
+        for f0, f1 in make_frame_pair(cfg, children[start : start + DECODE_BLOCK], next_symbol=next_symbol):
             frames.append(f0)
             for est in estimators:
                 try:

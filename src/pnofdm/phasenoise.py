@@ -50,13 +50,21 @@ def wiener_realization(n: int, rho: float, seed) -> np.ndarray:
         raise ValueError("rho must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     theta0 = rng.uniform(-np.pi, np.pi)
-    return _wiener_path(rng, int(n), WIENER_VARIANCE_FACTOR * rho / n, theta0)
+    steps = rng.normal(0.0, np.sqrt(WIENER_VARIANCE_FACTOR * rho / n), int(n) - 1)
+    return _wiener_path([theta0], steps[None])[0]
 
 
-def _wiener_path(rng, n, step_variance, theta0):
-    """Random-walk path helper shared with the frame simulator."""
-    steps = rng.normal(0.0, np.sqrt(step_variance), n - 1) if n > 1 else np.empty(0)
-    return theta0 + np.concatenate(([0.0], np.cumsum(steps)))
+def _wiener_path(theta0, steps):
+    """Random-walk paths of a block, shared with the frame simulator.
+
+    ``theta0`` holds ``B`` initial phases and ``steps`` their ``(B, n - 1)``
+    increments; row ``i`` of the ``(B, n)`` result is
+    ``theta0[i] + [0, cumsum(steps[i])]``.
+    """
+    path = np.zeros((steps.shape[0], steps.shape[1] + 1))
+    np.cumsum(steps, axis=1, out=path[:, 1:])
+    path += np.asarray(theta0, dtype=float)[:, None]
+    return path
 
 
 def spectral_vector(theta) -> np.ndarray:

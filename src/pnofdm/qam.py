@@ -25,15 +25,21 @@ _LEVELS = np.array([1.0, 3.0, -3.0, -1.0]) / np.sqrt(10.0)
 
 
 def qam16_map(bits) -> np.ndarray:
-    """Map 0/1 bits (length divisible by 4) to unit-energy 16-QAM symbols."""
-    bits = np.asarray(bits).ravel()
-    if bits.size % 4 != 0:
-        raise ValueError("bit count must be divisible by 4")
+    """Map a block of 0/1 bit rows to unit-energy 16-QAM symbols.
+
+    ``bits`` is ``(B, 4m)``, one row per symbol sequence; returns the ``m``
+    symbols of each row, shape ``(B, m)``.
+    """
+    bits = np.asarray(bits)
+    if bits.ndim != 2:
+        raise ValueError("bits must be a block (B, 4m)")
+    if bits.shape[1] % 4 != 0:
+        raise ValueError("bit count per row must be divisible by 4")
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0/1")
-    b = bits.astype(int, copy=False).reshape(-1, 4)
-    i_idx = 2 * b[:, 0] + b[:, 1]
-    q_idx = 2 * b[:, 2] + b[:, 3]
+    b = bits.astype(int, copy=False).reshape(len(bits), -1, 4)
+    i_idx = 2 * b[..., 0] + b[..., 1]
+    q_idx = 2 * b[..., 2] + b[..., 3]
     return _LEVELS[i_idx] + 1j * _LEVELS[q_idx]
 
 

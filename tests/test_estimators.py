@@ -22,8 +22,8 @@ from pnofdm.estimators import (
     project_constant_modulus,
     uls,
 )
-from pnofdm.link import LinkConfig, OfdmFrame, apply_phase_noise, make_frame_pair, make_model, pilot_sequence, rayleigh_channel, run_link
-from test_link import sent_symbol
+from pnofdm.link import LinkConfig, OfdmFrame, make_frame_pair, make_model, pilot_sequence, run_link
+from test_link import channel_one, rotate_one, sent_symbol
 from pnofdm.phasenoise import phase_trajectory, spectral_vector
 from pnofdm.spectral import GEOMETRY_TOL, dft_matrix, geometry_residual
 from pnofdm.sdp import certify_local
@@ -36,10 +36,10 @@ def noise_free_system(n_c, seed, model=None, theta=None):
     rng = np.random.default_rng(seed)
     model = model or pc_ppt(n_c, n_c)
     cfg = LinkConfig(n_c=n_c)
-    H = rayleigh_channel(cfg, rng)
+    H = channel_one(cfg, rng)
     s = pilot_sequence(n_c)
     theta = rng.uniform(-np.pi, np.pi, n_c) if theta is None else theta
-    r = apply_phase_noise(H * s, theta)
+    r = rotate_one(H * s, theta)
     sys = build_ls_system(r, H, np.arange(n_c), s, model)
     return sys, model, theta
 
@@ -322,9 +322,9 @@ class TestCpeOnly:
         n_c = 16
         phi = 0.9
         rng = np.random.default_rng(5)
-        H = rayleigh_channel(LinkConfig(n_c=n_c), rng)
+        H = channel_one(LinkConfig(n_c=n_c), rng)
         s = pilot_sequence(n_c)
-        r = apply_phase_noise(H * s, np.full(n_c, phi))
+        r = rotate_one(H * s, np.full(n_c, phi))
         out = cpe_only(r, H, np.arange(4), s[:4])
         # estimate equals the true spectral vector exp(-1j*phi) * e_0
         assert abs(out.delta_hat[0] - np.exp(-1j * phi)) < 1e-12
@@ -335,7 +335,7 @@ class TestCpeOnly:
     def test_zero_phase(self):
         n_c = 16
         rng = np.random.default_rng(6)
-        H = rayleigh_channel(LinkConfig(n_c=n_c), rng)
+        H = channel_one(LinkConfig(n_c=n_c), rng)
         s = pilot_sequence(n_c)
         out = cpe_only(H * s, H, np.arange(4), s[:4])
         assert np.linalg.norm(out.delta_hat - np.eye(16)[:, 0]) < 1e-12
@@ -373,7 +373,7 @@ def _single_carrier_frame(theta, n_c):
         data_idx=np.arange(1, n_c),
         H=H,
         theta=np.asarray(theta, dtype=float),
-        r=apply_phase_noise(H * s, theta),
+        r=rotate_one(H * s, theta),
         sigma2=1e-12,
     )
 
@@ -487,10 +487,10 @@ class TestCMatrix:
         n_c = 16
         rng = np.random.default_rng(11)
         model = pc_ppt(n_c, n_c)
-        H = rayleigh_channel(LinkConfig(n_c=n_c), rng)
+        H = channel_one(LinkConfig(n_c=n_c), rng)
         s = pilot_sequence(n_c)
         theta = rng.uniform(-np.pi, np.pi, n_c)
-        C = c_matrix(model, np.arange(n_c), theta, H, s, apply_phase_noise(H * s, theta))
+        C = c_matrix(model, np.arange(n_c), theta, H, s, rotate_one(H * s, theta))
         assert np.max(np.abs(C - np.eye(n_c))) < 1e-10
 
     def test_rank_equals_model_dimension(self, desk_frame):

@@ -131,6 +131,8 @@ class TestParseConfig:
             ("coherence_bw = inf", "coherence_bw must be positive and finite"),
             ("coherence_bw = 1000", "coherence target unreachable"),
             ("n_c = 512", "increase taps"),
+            # A 128-point DFT of 400 taps would drop those beyond it, 0.8% of this profile's power.
+            ("taps = 400\ncoherence_bw = 20e3", "taps = 400 must not exceed n_c = 128"),
             ("seed = -1", "seed must be non-negative"),
         ],
     )
@@ -205,9 +207,9 @@ class TestScenarios:
         # three trials is built once per SNR, not once per estimator.
         built = []
 
-        def counting(cfg, seeds):
+        def counting(cfg, seeds, **kwargs):
             built.append(cfg.snr_db)
-            return make_frame_pair(cfg, seeds)
+            return make_frame_pair(cfg, seeds, **kwargs)
 
         monkeypatch.setattr(link, "make_frame_pair", counting)
         cfg = parse_config(

@@ -25,7 +25,8 @@ from pnofdm.link import (
     _tap_profile,
 )
 from pnofdm.coding import conv_encode
-from pnofdm.phasenoise import WIENER_VARIANCE_FACTOR, _wiener_path, spectral_vector
+from pnofdm.estimators import NEXT_SYMBOL_IDS
+from pnofdm.phasenoise import WIENER_VARIANCE_FACTOR, spectral_vector
 from pnofdm.qam import qam16_map
 from pnofdm.spectral import dft_matrix
 
@@ -34,7 +35,7 @@ def sent_symbol(frame):
     """The symbol ``s`` a frame was sent with: its pilots plus its coded, mapped bits."""
     s = np.empty(frame.r.size, dtype=complex)
     s[frame.pilot_idx] = frame.pilot_values
-    s[frame.data_idx] = qam16_map(conv_encode([frame.info_bits]))
+    s[frame.data_idx] = qam16_map(conv_encode([frame.info_bits]))[0]
     return s
 
 
@@ -43,12 +44,17 @@ def compensate_one(r, delta_hat):
     return compensate([r], [delta_hat])[0]
 
 
+def rotate_one(x, theta):
+    """One vector through the phase-noise rotation, as a one-row block."""
+    return apply_phase_noise([x], [theta])[0]
+
+
 def _transmit(s, H, theta, snr_db, rng):
     """Reference: one symbol through the channel, ``r = V (H s + n0)``."""
     w = H * s
     sigma2 = float(np.mean(np.abs(w) ** 2)) / 10 ** (snr_db / 10)
     n0 = np.sqrt(sigma2 / 2) * (rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
-    return apply_phase_noise(w + n0, theta), sigma2
+    return rotate_one(w + n0, theta), sigma2
 
 
 def _build_symbol(cfg, H, theta, rng):
@@ -57,18 +63,32 @@ def _build_symbol(cfg, H, theta, rng):
     info_bits = rng.integers(0, 2, 2 * data_idx.size - 6)
     s = np.empty(cfg.n_c, dtype=complex)
     s[pilot_idx] = pilot_values
-    s[data_idx] = qam16_map(conv_encode([info_bits]))
+    s[data_idx] = qam16_map(conv_encode([info_bits]))[0]
     r, sigma2 = _transmit(s, H, theta, cfg.snr_db, rng)
     return {"info_bits": info_bits, "s": s, "H": H, "theta": theta, "r": r, "sigma2": sigma2}
 
 
 def reference_pair(cfg, seed):
-    """The frame pair built one symbol at a time, in the documented draw order."""
+    """The frame pair built one seed and one symbol at a time, in the
+    documented draw order, with its own channel and Wiener path code."""
     rng = np.random.default_rng(seed)
-    H = rayleigh_channel(cfg, rng)
-    step_var = WIENER_VARIANCE_FACTOR * cfg.rho / cfg.n_c
-    theta = _wiener_path(rng, 2 * cfg.n_c, step_var, rng.uniform(-np.pi, np.pi))
+    p = np.asarray(_tap_profile(cfg.taps, cfg.coherence_bw / (cfg.n_c * cfg.f_sub)))
+    h = np.sqrt(p / 2) * (rng.standard_normal(cfg.taps) + 1j * rng.standard_normal(cfg.taps))
+    H = np.fft.fft(h, cfg.n_c)
+    theta0 = rng.uniform(-np.pi, np.pi)
+    steps = rng.normal(0.0, np.sqrt(WIENER_VARIANCE_FACTOR * cfg.rho / cfg.n_c), 2 * cfg.n_c - 1)
+    theta = theta0 + np.concatenate(([0.0], np.cumsum(steps)))
     return [_build_symbol(cfg, H, th, rng) for th in (theta[: cfg.n_c], theta[cfg.n_c :])]
+
+
+def channel_draws(cfg, rng, n):
+    """Standard normal tap draws of ``n`` channels, as the frame builder lays them out."""
+    return rng.standard_normal((n, 2, cfg.taps))
+
+
+def channel_one(cfg, rng):
+    """One channel response from ``rng``'s next tap draws, as a one-row block."""
+    return rayleigh_channel(cfg, channel_draws(cfg, rng, 1))[0]
 
 
 class TestPilots:
@@ -87,28 +107,37 @@ class TestPilots:
 class TestChannel:
     def test_single_tap_flat(self):
         cfg = LinkConfig(taps=1)
-        H = rayleigh_channel(cfg, 0)
+        (H,) = rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(0), 1))
         assert np.max(np.abs(np.abs(H) - np.abs(H[0]))) < 1e-12
 
     def test_unit_average_power(self):
         # mean_k |H_k|^2 is the total tap power (Parseval), 1 on average.
         cfg = LinkConfig()
-        rng = np.random.default_rng(2)
-        powers = [np.mean(np.abs(rayleigh_channel(cfg, rng)) ** 2) for _ in range(4000)]
-        assert np.mean(powers) == pytest.approx(1.0, rel=0.05)
+        H = rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(2), 4000))
+        assert np.mean(np.abs(H) ** 2) == pytest.approx(1.0, rel=0.05)
 
     def test_coherence_bandwidth_correlation(self):
         # Monte-Carlo frequency correlation at the configured coherence
         # bandwidth is 0.5 (the decay constant is solved for exactly).
         cfg = LinkConfig()
-        rng = np.random.default_rng(3)
         dk = round(cfg.coherence_bw / cfg.f_sub)
-        acc, norm = 0.0, 0.0
-        for _ in range(3000):
-            H = rayleigh_channel(cfg, rng)
-            acc += np.mean(H * np.conj(np.roll(H, -dk)))
-            norm += np.mean(np.abs(H) ** 2)
-        assert abs(acc / norm) == pytest.approx(0.5, rel=0.10)
+        H = rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(3), 3000))
+        corr = np.mean(H * np.conj(np.roll(H, -dk, axis=1))) / np.mean(np.abs(H) ** 2)
+        assert abs(corr) == pytest.approx(0.5, rel=0.10)
+
+    def test_block_rows_match_single_channels(self):
+        cfg = LinkConfig(taps=8)
+        draws = channel_draws(cfg, np.random.default_rng(4), 5)
+        H = rayleigh_channel(cfg, draws)
+        assert H.shape == (5, cfg.n_c)
+        for row, d in zip(H, draws):
+            assert np.array_equal(row, rayleigh_channel(cfg, [d])[0])
+
+    def test_rejects_draws_of_another_shape(self):
+        cfg = LinkConfig()
+        for shape in ((2, cfg.taps), (1, 2, cfg.taps + 1), (1, 1, cfg.taps)):
+            with pytest.raises(ValueError, match="block"):
+                rayleigh_channel(cfg, np.zeros(shape))
 
     def test_unreachable_coherence_raises(self):
         # Sample-spaced taps bound how decorrelated the channel can get.
@@ -121,7 +150,8 @@ class TestChannel:
         # taps reach it.
         with pytest.raises(ValueError, match="increase taps"):
             LinkConfig(n_c=512).validate()
-        assert rayleigh_channel(LinkConfig(n_c=512, taps=6).validate(), 0).size == 512
+        cfg = LinkConfig(n_c=512, taps=6).validate()
+        assert rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(0), 1)).shape == (1, 512)
 
 
 class TestTransmit:
@@ -146,7 +176,7 @@ class TestTransmit:
             for frame in pair:
                 w = frame.H * sent_symbol(frame)
                 assert frame.sigma2 == pytest.approx(np.mean(np.abs(w) ** 2) * 1e-3, rel=1e-12)
-                noise = frame.r - apply_phase_noise(w, frame.theta)
+                noise = frame.r - rotate_one(w, frame.theta)
                 ratio.append(np.sum(np.abs(noise) ** 2) / np.sum(np.abs(w) ** 2))
         assert np.mean(ratio) == pytest.approx(1e-3, rel=0.05)
 
@@ -156,7 +186,7 @@ class TestTransmit:
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         F = dft_matrix(32)
         V = F @ np.diag(np.exp(1j * theta)) @ F.conj().T
-        assert np.max(np.abs(apply_phase_noise(x, theta) - V @ x)) < 1e-12
+        assert np.max(np.abs(rotate_one(x, theta) - V @ x)) < 1e-12
 
     def test_batch_rows_match_single_rotations(self):
         rng = np.random.default_rng(8)
@@ -165,7 +195,15 @@ class TestTransmit:
         rotated = apply_phase_noise(x, theta)
         assert rotated.shape == (3, 32)
         for row, xi, ti in zip(rotated, x, theta):
-            assert np.array_equal(row, apply_phase_noise(xi, ti))
+            assert np.array_equal(row, rotate_one(xi, ti))
+
+    def test_rotation_rejects_non_block_shapes(self):
+        with pytest.raises(ValueError, match="block"):
+            apply_phase_noise(np.ones(4), np.zeros(4))  # one vector is a one-row block
+        with pytest.raises(ValueError, match="block"):
+            apply_phase_noise(np.ones((2, 2, 4)), np.zeros((2, 2, 4)))
+        with pytest.raises(ValueError, match="block"):
+            apply_phase_noise(np.ones((2, 4)), np.zeros(4))  # no broadcast of one trajectory
 
 
 class TestCompensate:
@@ -174,7 +212,7 @@ class TestCompensate:
         theta = rng.uniform(-np.pi, np.pi, 32)
         H = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         s = pilot_sequence(32)
-        r = apply_phase_noise(H * s, theta)
+        r = rotate_one(H * s, theta)
         y = compensate_one(r, spectral_vector(theta))
         assert np.max(np.abs(y - H * s)) < 1e-12
 
@@ -242,29 +280,35 @@ class TestFramePair:
     @pytest.mark.parametrize(
         "cfg, seeds",
         [
-            (LinkConfig(snr_db=10.0), np.random.SeedSequence(10).spawn(32)),
-            (LinkConfig(snr_db=30.0), range(100, 132)),
-            (LinkConfig(n_c=64, taps=1, n_est=4), range(32)),
-            (LinkConfig(rho=0.0), range(200, 232)),
-            (LinkConfig(taps=8, snr_db=-3.0), range(300, 332)),
+            (LinkConfig(snr_db=10.0), np.random.SeedSequence(10).spawn(33)),
+            (LinkConfig(snr_db=30.0), range(100, 133)),
+            (LinkConfig(n_c=64, taps=1, n_est=4), range(33)),
+            (LinkConfig(rho=0.0), range(200, 233)),
+            (LinkConfig(taps=8, snr_db=-3.0), range(300, 333)),
         ],
     )
     def test_pair_matches_per_symbol_reference(self, cfg, seeds):
         # A block's pairs are built as (B, 2, n_c) arrays in one pass; each
         # symbol must equal the symbol built on its own from its seed's
-        # draws, whatever the block size and the pair's place in the block.
+        # draws, whatever the block size, the pair's place in the block
+        # (33 seeds end every block size in a partial block) and whether
+        # the second symbol is built at all.
         want = [reference_pair(cfg, seed) for seed in seeds]
         for block in (1, 4, 6, 32):
-            pairs = []
-            for start in range(0, len(seeds), block):
-                pairs += make_frame_pair(cfg, seeds[start : start + block])
-            for i, (pair, ref) in enumerate(zip(pairs, want, strict=True)):
-                for frame, sym in zip(pair, ref, strict=True):
-                    for name in ("info_bits", "theta", "r", "H"):
-                        assert np.array_equal(getattr(frame, name), sym[name]), (block, i, name)
-                    assert np.array_equal(sent_symbol(frame), sym["s"]), (block, i, "s")
-                    assert frame.sigma2 == sym["sigma2"]
-                    assert type(frame.sigma2) is float
+            for next_symbol in (True, False):
+                pairs = []
+                for start in range(0, len(seeds), block):
+                    pairs += make_frame_pair(cfg, seeds[start : start + block], next_symbol=next_symbol)
+                for i, (pair, ref) in enumerate(zip(pairs, want, strict=True)):
+                    if not next_symbol:
+                        assert pair[1] is None
+                        pair, ref = pair[:1], ref[:1]
+                    for frame, sym in zip(pair, ref, strict=True):
+                        for name in ("info_bits", "theta", "r", "H"):
+                            assert np.array_equal(getattr(frame, name), sym[name]), (block, i, name)
+                        assert np.array_equal(sent_symbol(frame), sym["s"]), (block, i, "s")
+                        assert frame.sigma2 == sym["sigma2"]
+                        assert type(frame.sigma2) is float
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError, match="at least one seed"):
@@ -284,7 +328,7 @@ class TestFramePair:
         f0, _ = make_frame_pair(cfg, [13])[0]
         y = compensate_one(f0.r, spectral_vector(f0.theta))
         w = f0.H * sent_symbol(f0)
-        noise = f0.r - apply_phase_noise(w, f0.theta)
+        noise = f0.r - rotate_one(w, f0.theta)
         clean = w + compensate_one(noise, spectral_vector(f0.theta))
         assert np.max(np.abs(y - clean)) < 1e-12
         d1 = decode_frame([f0], [spectral_vector(f0.theta)])
@@ -330,6 +374,25 @@ class TestSimulate:
             expected, _ = make_frame_pair(cfg, [child])[0]
             for name in ("info_bits", "theta", "H", "r"):
                 assert np.array_equal(getattr(frame, name), getattr(expected, name))
+
+    @pytest.mark.parametrize("ids, built", [(("cis", "uls"), True), (("uls",), False)])
+    def test_second_symbol_built_only_for_its_readers(self, monkeypatch, ids, built):
+        # Only the estimators in NEXT_SYMBOL_IDS read a pair's second symbol,
+        # so simulate builds it for them and for no one else.
+        assert NEXT_SYMBOL_IDS == ("cis",)
+        seen = []
+
+        def record(name, frame, next_frame, model):
+            seen.append(next_frame is not None)
+            return estimate_frame(name, frame, next_frame, model)
+
+        monkeypatch.setattr(link, "estimate_frame", record)
+        n_trials = link.DECODE_BLOCK + 1
+        blocks = list(simulate(LinkConfig(), ids, n_trials, 9))
+        assert seen == [built] * (n_trials * len(ids))
+        assert not any(flagged for _, results in blocks for _, flagged in results["uls"])
+        if built:
+            assert not any(flagged for _, results in blocks for _, flagged in results["cis"])
 
     def test_common_frames_reproduce_run_link(self, monkeypatch):
         # One pass over every estimator sees the same frames as separate

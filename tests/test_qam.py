@@ -12,13 +12,18 @@ WORDS = np.array([[b >> 3 & 1, b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(16)
 def neighbour_bit_flips():
     """``(a, b, bits that differ)`` for every pair of ``qam16_map`` symbols
     one level apart on one axis, in units of ``1/sqrt(10)``."""
-    s = qam16_map(WORDS.ravel()) * np.sqrt(10)
+    s = map_one(WORDS.ravel()) * np.sqrt(10)
     return [
         (s[i], s[j], int(np.count_nonzero(WORDS[i] != WORDS[j])))
         for i in range(16)
         for j in range(i + 1, 16)
         if np.isclose(abs(s[i] - s[j]), 2.0)
     ]
+
+
+def map_one(bits):
+    """One row of bits through the mapper, as a one-row block."""
+    return qam16_map([bits])[0]
 
 
 def llr_one(y, gain, noise_var):
@@ -30,10 +35,10 @@ def llr_one(y, gain, noise_var):
 
 class TestMapper:
     def test_anchor_symbol(self):
-        assert qam16_map([0, 0, 0, 0])[0] == pytest.approx((1 + 1j) / np.sqrt(10))
+        assert map_one([0, 0, 0, 0])[0] == pytest.approx((1 + 1j) / np.sqrt(10))
 
     def test_unit_average_energy(self):
-        s = qam16_map(WORDS.ravel())  # all 16 symbols once
+        s = map_one(WORDS.ravel())  # all 16 symbols once
         assert np.mean(np.abs(s) ** 2) == pytest.approx(1.0)
 
     def test_gray_adjacency(self):
@@ -48,22 +53,35 @@ class TestMapper:
         assert all(flips == 1 for _, _, flips in neighbour_bit_flips())
 
     def test_length_check(self):
-        with pytest.raises(ValueError):
-            qam16_map([0, 1, 0])
+        with pytest.raises(ValueError, match="divisible by 4"):
+            qam16_map([[0, 1, 0]])
+
+    def test_block_rows_match_single_rows(self):
+        bits = np.random.default_rng(3).integers(0, 2, (3, 40))
+        s = qam16_map(bits)
+        assert s.shape == (3, 10)
+        for row, b in zip(s, bits):
+            assert np.array_equal(row, map_one(b))
+
+    def test_rejects_non_block_shapes(self):
+        with pytest.raises(ValueError, match="block"):
+            qam16_map([0, 1, 0, 0])  # one row of bits is a one-row block
+        with pytest.raises(ValueError, match="block"):
+            qam16_map(np.zeros((2, 2, 4), dtype=int))
 
     @pytest.mark.parametrize("bits", [[0, 2, 0, 0], [0, -1, 0, 0], [0.7, 1, 0, 0]],
                              ids=["two", "minus_one", "fraction"])
     def test_rejects_non_bits(self, bits):
         # Unchecked, 2 would index the -3 level and -1 would wrap to -1.
         with pytest.raises(ValueError, match="0/1"):
-            qam16_map(bits)
+            map_one(bits)
 
 
 class TestDemapper:
     def test_round_trip_no_noise(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 4 * 200)
-        s = qam16_map(bits)
+        s = map_one(bits)
         decided = (llr_one(s, 1.0, 0.1) < 0).astype(int)
         assert np.array_equal(decided, bits)
 
@@ -71,7 +89,7 @@ class TestDemapper:
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, 4 * 100)
         gain = 0.3 * np.exp(1j * 0.9)
-        decided = (llr_one(gain * qam16_map(bits), gain, 0.01) < 0).astype(int)
+        decided = (llr_one(gain * map_one(bits), gain, 0.01) < 0).astype(int)
         assert np.array_equal(decided, bits)
 
     def test_llr_scales_with_inverse_noise_var(self):
@@ -83,7 +101,7 @@ class TestDemapper:
 
     def test_sign_convention_positive_for_zero(self):
         # transmit all-zero bits, llrs must favor bit 0 (positive)
-        s = qam16_map([0, 0, 0, 0])
+        s = map_one([0, 0, 0, 0])
         assert np.all(llr_one(s, 1.0, 0.1) > 0)
 
     def test_rejects_bad_noise_var(self):
@@ -131,7 +149,7 @@ class TestDemapper:
     def test_matches_brute_force_max_log(self):
         # Max-log over all 16 points: llr_i = (min over s with bit i = 1 of
         # |y - g s|^2 - min over s with bit i = 0) / noise_var.
-        points = qam16_map(WORDS.ravel())
+        points = map_one(WORDS.ravel())
         rng = np.random.default_rng(3)
         y = rng.standard_normal(50) + 1j * rng.standard_normal(50)
         gain = rng.standard_normal(50) + 1j * rng.standard_normal(50)
