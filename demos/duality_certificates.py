@@ -75,7 +75,7 @@ for snr_db in (10.0, 30.0):
     model = make_model(cfg)
     certified, gap, rel_gap = 0, 0.0, 0.0
     for frame, _ in make_frame_pair(cfg, np.random.SeedSequence([2024, int(snr_db)]).spawn(20)):
-        sys = build_ls_system(frame.r, frame.H, frame.pilot_idx, frame.pilot_values, model)
+        sys = build_ls_system(frame, model)
         diag = gls(sys, model).diagnostics
         certified += diag.certified
         gap = max(gap, diag.gap)

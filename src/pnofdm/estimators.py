@@ -2,6 +2,8 @@
 
 All estimators target the spectral vector ``delta`` of the receiver phase
 noise from one OFDM symbol, using only the pilot subcarriers and the channel.
+They read the symbol as the frame the link builds
+(:class:`pnofdm.link.OfdmFrame`), which checks its pilot layout when built.
 Writing ``w = H s`` for the noiseless frequency-domain symbol and ``R`` for
 the column-circulant matrix built from the received vector ``r``, the pilot
 fit is ``K R T g ~ w_p`` and the quadratic cost is
@@ -61,6 +63,7 @@ __all__ = [
     "ErrorDecomposition",
     "LsSystem",
     "NEXT_SYMBOL_IDS",
+    "PPT_ONLY_IDS",
     "build_ls_system",
     "cis",
     "cpe_only",
@@ -112,30 +115,21 @@ class LsSystem:
         return float(np.real(resid.conj() @ resid))
 
 
-def build_ls_system(r, H, pilot_idx, pilot_values, model: DimRedModel) -> LsSystem:
+def build_ls_system(frame, model: DimRedModel) -> LsSystem:
     """Assemble ``M``, ``b`` and the pilot products for one symbol.
 
-    ``pilot_idx`` are the pilot subcarriers (strictly increasing) and
-    ``pilot_values`` the transmitted pilot symbols; ``w_p = H[p] * value[p]``.
-    Raises :class:`EstimationError` when there are fewer pilots than model
+    Reads the frame's received vector ``r``, its channel ``H`` and its pilot
+    layout: the pilot subcarriers ``pilot_idx`` (strictly increasing) and the
+    transmitted ``pilot_values``; ``w_p = H[p] * value[p]``.  Raises
+    :class:`EstimationError` when there are fewer pilots than model
     dimensions (underdetermined fit).
     """
-    r = np.asarray(r, dtype=complex).ravel()
-    H = np.asarray(H, dtype=complex).ravel()
-    pilot_idx = np.asarray(pilot_idx, dtype=int).ravel()
-    pilot_values = np.asarray(pilot_values, dtype=complex).ravel()
-    n_c = r.size
-    if H.size != n_c:
-        raise ValueError("H must match the symbol length")
-    if pilot_idx.size != pilot_values.size:
-        raise ValueError("pilot index/value length mismatch")
+    r, pilot_idx = frame.r, frame.pilot_idx
     if pilot_idx.size < model.n:
-        raise EstimationError(
-            f"{pilot_idx.size} pilots cannot determine {model.n} components"
-        )
-    w_p = H[pilot_idx] * pilot_values
+        raise EstimationError(f"{pilot_idx.size} pilots cannot determine {model.n} components")
+    w_p = frame.H[pilot_idx] * frame.pilot_values
     # Pilot rows of K R, where R is column-circulant with first column r.
-    rows = r[_circulant_gather(n_c, tuple(pilot_idx.tolist()))]
+    rows = r[_circulant_gather(r.size, tuple(pilot_idx.tolist()))]
     A = rows @ model.T
     M = A.conj().T @ A
     M = (M + M.conj().T) / 2
@@ -245,7 +239,7 @@ def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
         gamma, n_zero = project_constant_modulus(gamma_ls)
         delta = lift(model, gamma)
     else:
-        delta, n_zero = project_constant_modulus(model.T @ gamma_ls)
+        delta, n_zero = project_constant_modulus(lift(model, gamma_ls))
         gamma = model.T.conj().T @ delta  # reduced coefficients of the projection
     if n_zero:
         flags = flags + (f"zero_time_samples:{n_zero}",)
@@ -304,35 +298,26 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     )
 
 
-def pilot_scalar(r, H, pilot_idx, pilot_values) -> complex:
-    """Least-squares scalar ``c`` fitting ``r[p] ~ c * w_p[p]`` on the pilots.
+def pilot_scalar(frame) -> complex:
+    """Least-squares scalar ``c`` fitting ``r[p] ~ c * w_p[p]`` on the frame's pilots.
 
     For slow phase noise ``c`` approximates ``conj(delta_0)``, i.e.
-    ``angle(c)`` estimates the mean phase over the symbol.  ``pilot_idx`` and
-    ``pilot_values`` must have one length, as for :func:`build_ls_system`.
+    ``angle(c)`` estimates the mean phase over the symbol.  Zero pilot
+    power, as in a frame with no pilots, raises :class:`EstimationError`.
     """
-    r = np.asarray(r, dtype=complex).ravel()
-    H = np.asarray(H, dtype=complex).ravel()
-    pilot_idx = np.asarray(pilot_idx, dtype=int).ravel()
-    pilot_values = np.asarray(pilot_values, dtype=complex).ravel()
-    if pilot_idx.size != pilot_values.size:
-        raise ValueError("pilot index/value length mismatch")
-    if pilot_idx.size == 0:
-        raise EstimationError("at least one pilot is required")
-    w_p = H[pilot_idx] * pilot_values
+    w_p = frame.H[frame.pilot_idx] * frame.pilot_values
     denom = float(np.real(w_p.conj() @ w_p))
     if denom == 0.0:
         raise EstimationError("all pilot powers are zero")
-    return complex(np.vdot(w_p, r[pilot_idx]) / denom)
+    return complex(np.vdot(w_p, frame.r[frame.pilot_idx]) / denom)
 
 
-def cpe_only(r, H, pilot_idx, pilot_values) -> EstimatorOutput:
+def cpe_only(frame) -> EstimatorOutput:
     """Common-phase-only estimate: ``delta = conj(c)/|c| * e_0``."""
-    c = pilot_scalar(r, H, pilot_idx, pilot_values)
+    c = pilot_scalar(frame)
     if c == 0:
         raise EstimationError("pilot fit returned zero")
-    n_c = np.asarray(r).size
-    delta = np.zeros(n_c, dtype=complex)
+    delta = np.zeros(frame.r.size, dtype=complex)
     delta[0] = np.conj(c) / abs(c)
     return _output(None, delta)
 
@@ -351,13 +336,13 @@ def cis(frame_t, frame_t1) -> EstimatorOutput:
     :func:`pnofdm.phasenoise.phase_trajectory` reads the line back, wrapped
     to ``(-pi, pi]``.
     """
-    c0 = pilot_scalar(frame_t.r, frame_t.H, frame_t.pilot_idx, frame_t.pilot_values)
-    c1 = pilot_scalar(frame_t1.r, frame_t1.H, frame_t1.pilot_idx, frame_t1.pilot_values)
+    c0 = pilot_scalar(frame_t)
+    c1 = pilot_scalar(frame_t1)
     a0 = float(np.angle(c0))
     raw = float(np.angle(c1)) - a0
     diff = (raw + np.pi) % (2 * np.pi) - np.pi
     flags = ("unwrapped",) if abs(raw) > np.pi else ()
-    n_c = np.asarray(frame_t.r).size
+    n_c = frame_t.r.size
     mid = (n_c - 1) / 2.0
     theta_hat = a0 + (diff / n_c) * (np.arange(n_c) - mid)
     return _output(None, spectral_vector(theta_hat), flags=flags)
@@ -408,6 +393,8 @@ def error_decomposition(delta_hat, theta) -> ErrorDecomposition:
 ESTIMATOR_IDS = ("uls", "nls", "gls", "cpe", "cis", "genie")
 # The estimators that read the next symbol as well as the current one.
 NEXT_SYMBOL_IDS = ("cis",)
+# The estimators that need a geometry-preserving (``ppt``) model.
+PPT_ONLY_IDS = ("gls",)
 
 
 def estimate_frame(name: str, frame, next_frame, model: DimRedModel) -> EstimatorOutput:
@@ -418,11 +405,11 @@ def estimate_frame(name: str, frame, next_frame, model: DimRedModel) -> Estimato
     curves and tests.
     """
     if name in ("uls", "nls", "gls"):
-        sys = build_ls_system(frame.r, frame.H, frame.pilot_idx, frame.pilot_values, model)
+        sys = build_ls_system(frame, model)
         fn = {"uls": uls, "nls": nls, "gls": gls}[name]
         return fn(sys, model)
     if name == "cpe":
-        return cpe_only(frame.r, frame.H, frame.pilot_idx, frame.pilot_values)
+        return cpe_only(frame)
     if name in NEXT_SYMBOL_IDS and next_frame is None:
         raise EstimationError(f"{name} requires the next symbol")
     if name == "cis":

@@ -20,12 +20,12 @@ profile, so no scenario then reads ``f_sub`` or ``coherence_bw``.  A
 coherence bandwidth the taps cannot reach, more taps than ``n_c`` and a
 negative ``seed`` are config errors too, caught before anything runs.
 
-``gls`` needs the geometry-preserving model, so every scenario leaves it out
-of the runs under ``t_kind = lft`` (:func:`_runnable`): no ``gls`` row or
-column is written for that model.  ``estimators`` must hold at least one
-id, each once, and one that runs under each model the scenario runs.  Each
-operating point, and each model of ``trajectory-traces``, is one
-:func:`pnofdm.link.simulate` pass over all of them.
+``gls`` needs the geometry-preserving model (``PPT_ONLY_IDS``), so every
+scenario leaves it out of the runs under ``t_kind = lft`` (:func:`_runnable`):
+no ``gls`` row or column is written for that model.  ``estimators`` must
+hold at least one id, each once, and one that runs under each model the
+scenario runs.  Each operating point, and each model of ``trajectory-traces``,
+is one :func:`pnofdm.link.simulate` pass over all of them.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimred import pc_ppt, validate_ppt
-from .estimators import ESTIMATOR_IDS, error_decomposition
+from .dimred import lift, pc_ppt, validate_ppt
+from .estimators import ESTIMATOR_IDS, PPT_ONLY_IDS, error_decomposition
 from .link import LinkConfig, ber_records, make_model, simulate
 from .phasenoise import phase_trajectory, spectral_vector, wiener_realization
-from .spectral import geometry_residual
+from .spectral import GEOMETRY_TOL, geometry_residual
 from .sproc import GAP_KINDS, duality_gap, qmatnew_nullspace, random_gram_instance, regularity_matrix
 
 __all__ = [
@@ -236,8 +236,8 @@ def _meta(cfg: ExperimentConfig) -> dict:
 
 
 def _runnable(estimators, t_kind: str) -> tuple:
-    """``estimators`` that can run under ``t_kind``: ``gls`` requires ``ppt``."""
-    return tuple(est for est in estimators if est != "gls" or t_kind == "ppt")
+    """``estimators`` that can run under ``t_kind``: those in ``PPT_ONLY_IDS`` require ``ppt``."""
+    return tuple(est for est in estimators if est not in PPT_ONLY_IDS or t_kind == "ppt")
 
 
 def _run_ber(cfg: ExperimentConfig, out_dir: Path, *, t_kind=None, filename="ber_vs_snr.csv"):
@@ -472,8 +472,8 @@ def _check_ppt(seed: int, count: int) -> tuple:
         rng = np.random.default_rng(seed + n_c)
         for _ in range(count):
             gamma = spectral_vector(rng.uniform(-np.pi, np.pi, n))
-            worst_lift = max(worst_lift, geometry_residual(model.T @ gamma))
-    passed = bool(passed) and worst_lift < 1e-10
+            worst_lift = max(worst_lift, geometry_residual(lift(model, gamma)))
+    passed = bool(passed) and worst_lift < GEOMETRY_TOL
     return passed, f"worst core condition {worst_cond:.2e}, worst lifted residual {worst_lift:.2e}"
 
 

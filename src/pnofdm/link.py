@@ -55,7 +55,7 @@ import numpy as np
 
 from .coding import conv_encode, viterbi_decode_soft
 from .dimred import DimRedModel, lft, pc_ppt
-from .estimators import ESTIMATOR_IDS, NEXT_SYMBOL_IDS, EstimationError, cpe_only, estimate_frame
+from .estimators import ESTIMATOR_IDS, NEXT_SYMBOL_IDS, PPT_ONLY_IDS, EstimationError, cpe_only, estimate_frame
 from .phasenoise import WIENER_VARIANCE_FACTOR, _wiener_path
 from .qam import qam16_llr, qam16_map
 
@@ -283,7 +283,9 @@ class OfdmFrame:
     """One simulated OFDM symbol: what the receiver sees plus the truth.
 
     ``pilot_idx``, ``pilot_values`` and ``data_idx`` are the config's shared,
-    read-only pilot layout.
+    read-only pilot layout.  The estimators read only frames, so the layout
+    is checked once, here: a pilot value per pilot index and ``H`` as long
+    as ``r``, or ``ValueError``.
     """
 
     info_bits: np.ndarray
@@ -294,6 +296,12 @@ class OfdmFrame:
     theta: np.ndarray
     r: np.ndarray
     sigma2: float
+
+    def __post_init__(self):
+        if self.pilot_idx.size != self.pilot_values.size:
+            raise ValueError("pilot index/value length mismatch")
+        if self.H.size != self.r.size:
+            raise ValueError("H must match the symbol length")
 
 
 def make_frame_pair(cfg: LinkConfig, seeds, next_symbol: bool = True) -> list[tuple]:
@@ -430,9 +438,10 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed):
     ``(output, flagged)`` per frame.  An estimator that raises
     :class:`EstimationError` on a frame gets the common-phase-only fit
     instead, flagged.  ``estimators`` holds distinct ids from
-    :data:`pnofdm.estimators.ESTIMATOR_IDS`, at least one; any other list
-    raises ``ValueError``.  The ids and the config are checked and the model
-    built once, when iteration starts and before any frame is built.
+    :data:`pnofdm.estimators.ESTIMATOR_IDS`, at least one, and none of
+    ``PPT_ONLY_IDS`` under ``lft``; any other list raises ``ValueError``.
+    The ids and the config are checked and the model built once, when
+    iteration starts and before any frame is built.
     """
     estimators = tuple(estimators)
     unknown = [est for est in estimators if est not in ESTIMATOR_IDS]
@@ -441,6 +450,9 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed):
     if not estimators or len(set(estimators)) < len(estimators):
         raise ValueError(f"estimators must be at least one distinct id, got {estimators!r}")
     cfg.validate()
+    needs_ppt = [est for est in estimators if est in PPT_ONLY_IDS]
+    if needs_ppt and cfg.t_kind != "ppt":
+        raise ValueError(f"{needs_ppt[0]} requires a geometry-preserving model")
     if trials < 1:
         raise ValueError("trials must be positive")
     model = make_model(cfg)
@@ -454,7 +466,7 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed):
                 try:
                     out = (estimate_frame(est, f0, f1, model), False)
                 except EstimationError:
-                    out = (cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values), True)
+                    out = (cpe_only(f0), True)
                 results[est].append(out)
         yield frames, results
 

@@ -31,6 +31,26 @@ from pnofdm.sproc import primal_oracle, random_gram_instance
 from pnofdm.estimators import LsSystem, _circulant_gather
 
 
+def pilot_frame(r, H, pilot_idx, pilot_values, theta=None):
+    """A frame of synthetic arrays, the estimators' one input form.
+
+    The subcarriers that are not pilots are its data subcarriers; it carries
+    no bits, and its phase path is ``theta`` (zero when not given).
+    """
+    n_c = len(r)
+    pilot_idx = np.asarray(pilot_idx, dtype=int)
+    return OfdmFrame(
+        info_bits=np.empty(0, dtype=int),
+        pilot_idx=pilot_idx,
+        pilot_values=np.asarray(pilot_values, dtype=complex),
+        data_idx=np.setdiff1d(np.arange(n_c), pilot_idx),
+        H=np.asarray(H, dtype=complex),
+        theta=np.zeros(n_c) if theta is None else np.asarray(theta, dtype=float),
+        r=np.asarray(r, dtype=complex),
+        sigma2=1e-12,
+    )
+
+
 def noise_free_system(n_c, seed, model=None, theta=None):
     """All-pilot, noise-free symbol with known channel."""
     rng = np.random.default_rng(seed)
@@ -40,7 +60,7 @@ def noise_free_system(n_c, seed, model=None, theta=None):
     s = pilot_sequence(n_c)
     theta = rng.uniform(-np.pi, np.pi, n_c) if theta is None else theta
     r = rotate_one(H * s, theta)
-    sys = build_ls_system(r, H, np.arange(n_c), s, model)
+    sys = build_ls_system(pilot_frame(r, H, np.arange(n_c), s, theta), model)
     return sys, model, theta
 
 
@@ -131,7 +151,7 @@ class TestResidualOnRead:
 class TestBuildLsSystem:
     def test_hermitian_psd(self, desk_frame):
         _, model, f0, _ = desk_frame
-        sys = build_ls_system(f0.r, f0.H, f0.pilot_idx, f0.pilot_values, model)
+        sys = build_ls_system(f0, model)
         assert np.max(np.abs(sys.M - sys.M.conj().T)) < 1e-12 * (1 + np.max(np.abs(sys.M)))
         assert np.linalg.eigvalsh(sys.M).min() > -1e-10
 
@@ -148,19 +168,19 @@ class TestBuildLsSystem:
         assert _circulant_gather(cfg.n_c, tuple(f1.pilot_idx.tolist())) is index
         assert not index.flags.writeable
         for p in (f0.pilot_idx, f0.pilot_idx + 1):
-            sys = build_ls_system(f0.r, f0.H, p, f0.pilot_values, model)
+            sys = build_ls_system(replace(f0, pilot_idx=p), model)
             assert np.array_equal(sys.pilot_rows, f0.r[(p[:, None] - np.arange(cfg.n_c)) % cfg.n_c])
 
     def test_underdetermined_rejected(self, desk_frame):
         _, model, f0, _ = desk_frame
         with pytest.raises(EstimationError):
-            build_ls_system(f0.r, f0.H, f0.pilot_idx[:4], f0.pilot_values[:4], model)
+            build_ls_system(replace(f0, pilot_idx=f0.pilot_idx[:4], pilot_values=f0.pilot_values[:4]), model)
 
     @pytest.mark.parametrize("entry", ["M", "b"])
     def test_non_finite_rejected(self, desk_frame, entry):
         # A NaN passes the Hermitian test, so finiteness is checked first.
         _, model, f0, _ = desk_frame
-        sys = build_ls_system(f0.r, f0.H, f0.pilot_idx, f0.pilot_values, model)
+        sys = build_ls_system(f0, model)
         bad = getattr(sys, entry).copy()
         bad.flat[0] = np.nan if entry == "M" else np.inf
         with pytest.raises(ValueError, match="finite"):
@@ -194,9 +214,7 @@ class TestUls:
     def test_singular_beyond_regularization_raises(self):
         model = pc_ppt(16, 4)
         with pytest.raises(EstimationError, match="singular"):
-            sys = build_ls_system(
-                np.zeros(16), np.ones(16), np.arange(8), np.ones(8), model
-            )
+            sys = build_ls_system(pilot_frame(np.zeros(16), np.ones(16), np.arange(8), np.ones(8)), model)
             uls(sys, model)
 
 
@@ -298,7 +316,7 @@ class TestGls:
         cfg, model, _, _ = desk_frame
         seen = set()
         for frame, _ in make_frame_pair(cfg, (41, 42)):
-            sys = build_ls_system(frame.r, frame.H, frame.pilot_idx, frame.pilot_values, model)
+            sys = build_ls_system(frame, model)
             diag = gls(sys, model).diagnostics
             seen.add(diag.certified)
             if diag.certified:
@@ -325,19 +343,20 @@ class TestCpeOnly:
         H = channel_one(LinkConfig(n_c=n_c), rng)
         s = pilot_sequence(n_c)
         r = rotate_one(H * s, np.full(n_c, phi))
-        out = cpe_only(r, H, np.arange(4), s[:4])
+        frame = pilot_frame(r, H, np.arange(4), s[:4])
+        out = cpe_only(frame)
         # estimate equals the true spectral vector exp(-1j*phi) * e_0
         assert abs(out.delta_hat[0] - np.exp(-1j * phi)) < 1e-12
         assert np.max(np.abs(out.delta_hat[1:])) == 0
         # the raw pilot scalar carries the opposite (mean-phase) rotation
-        assert abs(pilot_scalar(r, H, np.arange(4), s[:4]) - np.exp(1j * phi)) < 1e-12
+        assert abs(pilot_scalar(frame) - np.exp(1j * phi)) < 1e-12
 
     def test_zero_phase(self):
         n_c = 16
         rng = np.random.default_rng(6)
         H = channel_one(LinkConfig(n_c=n_c), rng)
         s = pilot_sequence(n_c)
-        out = cpe_only(H * s, H, np.arange(4), s[:4])
+        out = cpe_only(pilot_frame(H * s, H, np.arange(4), s[:4]))
         assert np.linalg.norm(out.delta_hat - np.eye(16)[:, 0]) < 1e-12
 
     def test_tracks_true_cpe_at_30db(self):
@@ -345,19 +364,27 @@ class TestCpeOnly:
         errs = []
         for f0, f1 in make_frame_pair(cfg, np.random.SeedSequence(7).spawn(50)):
             delta = spectral_vector(f0.theta)
-            out = cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values)
+            out = cpe_only(f0)
             errs.append(abs(np.angle(out.delta_hat[0] / delta[0])))
         assert np.median(errs) < 0.05
 
     def test_zero_pilot_power_rejected(self):
-        with pytest.raises(EstimationError):
-            cpe_only(np.ones(8), np.zeros(8), np.arange(2), np.ones(2))
+        # A zero channel on every pilot, and a frame with no pilots at all.
+        for pilots, H in ((np.arange(2), np.zeros(8)), ([], np.ones(8))):
+            frame = pilot_frame(np.ones(8), H, pilots, np.ones(len(pilots)))
+            with pytest.raises(EstimationError, match="pilot powers are zero"):
+                cpe_only(frame)
 
     @pytest.mark.parametrize("n_values", [1, 2, 4])
     def test_pilot_length_mismatch_rejected(self, n_values):
-        # One value must not broadcast over three pilots.
+        # One value must not broadcast over three pilots: the frame, the
+        # estimators' one input, refuses the layout when it is built.
         with pytest.raises(ValueError, match="pilot index/value length mismatch"):
-            pilot_scalar(np.arange(16), np.ones(16), np.array([0, 5, 10]), np.ones(n_values))
+            pilot_frame(np.arange(16), np.ones(16), np.array([0, 5, 10]), np.ones(n_values))
+
+    def test_channel_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="H must match the symbol length"):
+            pilot_frame(np.arange(16), np.ones(15), np.array([0, 5, 10]), np.ones(3))
 
 
 def _single_carrier_frame(theta, n_c):
@@ -366,16 +393,7 @@ def _single_carrier_frame(theta, n_c):
     s = np.zeros(n_c, dtype=complex)
     s[0] = np.sqrt(n_c)
     H = np.ones(n_c, dtype=complex)
-    return OfdmFrame(
-        info_bits=np.empty(0, dtype=int),
-        pilot_idx=np.array([0]),
-        pilot_values=s[:1],
-        data_idx=np.arange(1, n_c),
-        H=H,
-        theta=np.asarray(theta, dtype=float),
-        r=rotate_one(H * s, theta),
-        sigma2=1e-12,
-    )
+    return pilot_frame(rotate_one(H * s, theta), H, [0], s[:1], theta)
 
 
 class TestCis:
@@ -475,7 +493,7 @@ def c_matrix(model, pilot_idx, theta, H, s, r):
 
     # Consistency: the map applied to the true delta must reproduce the
     # unconstrained estimate computed from the received vector.
-    delta_uls = uls(build_ls_system(r, H, pilot_idx, s[pilot_idx], model), model).delta_hat
+    delta_uls = uls(build_ls_system(pilot_frame(r, H, pilot_idx, s[pilot_idx], theta), model), model).delta_hat
     delta_via_C = F @ (C @ (Fh @ spectral_vector(theta)))
     err = np.linalg.norm(delta_via_C - delta_uls) / np.linalg.norm(delta_uls)
     assert err <= 1e-8, f"C-matrix consistency check failed: relative error {err:.3e}"

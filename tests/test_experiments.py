@@ -180,7 +180,7 @@ class TestScenarios:
         (path,) = run_scenario(cfg, tmp_path)
         header, *rows = [l.split(",") for l in path.read_text().splitlines() if not l.startswith("#")]
         f0, _ = make_frame_pair(cfg.link_config(), np.random.SeedSequence(cfg.seed).spawn(1))[0]
-        cpe = phase_trajectory(cpe_only(f0.r, f0.H, f0.pilot_idx, f0.pilot_values).delta_hat)
+        cpe = phase_trajectory(cpe_only(f0).delta_hat)
         for t_kind in ("lft", "ppt"):
             column = header.index(f"theta_hat_uls_{t_kind}")
             assert np.array_equal([float(row[column]) for row in rows], cpe)

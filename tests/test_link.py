@@ -431,7 +431,7 @@ class TestSimulate:
                 own = estimate_frame("uls", f, None, make_model(cfg))
                 assert not flagged and np.array_equal(out.delta_hat, own.delta_hat)
             for f, (out, flagged) in zip(frames, results["nls"]):
-                fallback = cpe_only(f.r, f.H, f.pilot_idx, f.pilot_values)
+                fallback = cpe_only(f)
                 assert flagged and np.array_equal(out.delta_hat, fallback.delta_hat)
 
     def test_model_built_once_and_read_only(self, monkeypatch):
@@ -515,18 +515,22 @@ class TestSimulate:
             (("uls", "nope"), "unknown estimator 'nope'"),
             (("uls", "cpe", "uls"), "distinct"),
             ((), "at least one"),
+            (("uls", "gls"), "gls requires a geometry-preserving model"),
         ],
     )
     def test_rejects_bad_ids_before_building_frames(self, monkeypatch, ids, message):
-        # A repeated id would count twice in a reduction keyed by id.
-        def refuse(*args):
+        # A repeated id would count twice in a reduction keyed by id.  The
+        # config takes the lft model, under which gls cannot run; the other
+        # rules hold under either model.
+        def refuse(*args, **kwargs):
             raise AssertionError("a frame was built before the ids were checked")
 
+        cfg = LinkConfig(t_kind="lft")
         monkeypatch.setattr(link, "make_frame_pair", refuse)
         with pytest.raises(ValueError, match=message):
-            next(simulate(LinkConfig(), ids, 40, 0))
+            next(simulate(cfg, ids, 40, 0))
         with pytest.raises(ValueError, match=message):
-            ber_records(LinkConfig(), ids, 40, 0)
+            ber_records(cfg, ids, 40, 0)
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError, match="trials must be positive"):

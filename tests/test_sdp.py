@@ -251,7 +251,7 @@ class TestLinkInstances:
         model = make_model(cfg)
         assert (model.n, model.kind) == (8, "ppt")
         for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([2024, int(snr_db)]).spawn(4)):
-            sys = build_ls_system(f0.r, f0.H, f0.pilot_idx, f0.pilot_values, model)
+            sys = build_ls_system(f0, model)
             out = gls(sys, model)
             sol = out.diagnostics.solver
             assert sol.status == "optimal"
@@ -429,7 +429,7 @@ def link_pairs():
         cfg = LinkConfig(snr_db=snr_db)
         model = make_model(cfg)
         for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([4242, int(snr_db)]).spawn(40)):
-            sys = build_ls_system(f0.r, f0.H, f0.pilot_idx, f0.pilot_values, model)
+            sys = build_ls_system(f0, model)
             pairs.append((sys.M, sys.b))
     return pairs
 
@@ -498,7 +498,7 @@ def helper_inputs():
             cfg = LinkConfig(snr_db=snr_db)
             model = make_model(cfg)
             for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([4343, int(snr_db)]).spawn(12)):
-                sys = build_ls_system(f0.r, f0.H, f0.pilot_idx, f0.pilot_values, model)
+                sys = build_ls_system(f0, model)
                 if certify_local(sys.M, sys.b) is None:
                     solve_dual(sys.M, sys.b)
     return seen
