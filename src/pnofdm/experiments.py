@@ -43,7 +43,7 @@ from .estimators import ESTIMATOR_IDS, PPT_ONLY_IDS, error_decomposition
 from .link import LinkConfig, ber_records, make_model, simulate
 from .phasenoise import phase_trajectory, spectral_vector, wiener_realization
 from .spectral import GEOMETRY_TOL, geometry_residual
-from .sproc import GAP_KINDS, duality_gap, qmatnew_nullspace, random_gram_instance, regularity_matrix
+from .sproc import GAP_KINDS, duality_gap, random_gram_instance, regularity_matrix
 
 __all__ = [
     "ConfigError",
@@ -478,14 +478,14 @@ def _check_ppt(seed: int, count: int) -> tuple:
 
 
 def _check_regularity(sizes) -> tuple:
-    """Rank ``n`` and zero column sums of each regularity matrix, and its nullspace report."""
+    """Rank ``n`` and zero row sums of each regularity matrix."""
     passed = True
     details = []
     for n in sizes:
         Q = regularity_matrix(n)
         rank = int(np.linalg.matrix_rank(Q, tol=1e-10))
         colsum = float(np.max(np.abs(Q @ np.ones(n + 1))))
-        passed &= rank == n and colsum < 1e-13 and qmatnew_nullspace(n).ok
+        passed &= rank == n and colsum < 1e-13
         details.append(f"n={n}: rank {rank}, |Q1|={colsum:.1e}")
     return bool(passed), "; ".join(details)
 
@@ -538,7 +538,7 @@ def verify(*, quick: bool = False) -> VerifyReport:
     rows = (
         ("geometry-construction", *_check_geometry(9000, 100)),
         ("ppt-validation", *_check_ppt(77, 20 if quick else 100)),
-        ("regularity", *_check_regularity((3, 5, 7, 9))),
+        ("regularity", *_check_regularity((3, 4, 5, 7, 8, 9))),
         ("duality-gap", *_check_duality(instances)[:2]),
         ("error-identity", *_check_error_identity(4242, 100 if quick else 1000)),
     )

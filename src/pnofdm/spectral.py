@@ -13,9 +13,10 @@ Conventions fixed for the whole package:
   i.e. when ``v`` is the spectrum of a pure phase signal.
 * The real constraint forms of the geometry (unit norm plus the Hermitian
   split parts of the shifts) are all diagonal in the Fourier columns; their
-  eigenvalues are :func:`shift_form_table`, which the regularity checks of
-  :mod:`pnofdm.sproc` read.  The dual solver needs no table: in the time
-  basis the same constraints are the diagonal entries ``|x_m|^2 = 1/n``.
+  eigenvalues are :func:`shift_form_table`, which the regularity
+  construction of :mod:`pnofdm.sproc` reads.  The dual solver needs no
+  table: in the time basis the same constraints are the diagonal entries
+  ``|x_m|^2 = 1/n``.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.

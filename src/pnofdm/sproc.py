@@ -9,7 +9,9 @@ forms involved (unit norm plus the split shift forms):
    unit weights.  This rules out a separating hyperplane through the origin
    with all evaluation points on one side.  The DFT columns diagonalize
    every form, so the first ``n`` columns are those of
-   :func:`~pnofdm.spectral.shift_form_table`.
+   :func:`~pnofdm.spectral.shift_form_table`.  The construction holds for
+   every ``n``: for even ``n`` the ``n/2`` shift is Hermitian, so it has a
+   cosine row and no sine row, and there are still ``n`` forms.
 2. *Zero duality gap*, measured per instance: a branch-and-bound oracle
    brackets the minimum of the cost over the constant-modulus set from
    both sides to 1e-9 relative (n <= 5), independently of the solver, and
@@ -44,11 +46,9 @@ from .spectral import geometry_residual, shift_form_table
 
 __all__ = [
     "GapResult",
-    "NullspaceReport",
     "OracleResult",
     "duality_gap",
     "primal_oracle",
-    "qmatnew_nullspace",
     "random_gram_instance",
     "regularity_matrix",
 ]
@@ -61,55 +61,26 @@ CLOSE_TOL = 1e-9  # relative bracket width at which a box is pruned
 DESCENT_TOL = 1e-10  # relative stationarity that ends the coordinate descent
 MAX_SWEEPS = 500  # coordinate-descent sweeps of one descent
 GAP_TOL = 1e-6  # relative gap that separates tight from gapped instances
-NULLSPACE_TOL = 1e-12  # residual of (1/n) * ones under the cosine/sine system
 GAP_KINDS = ("tight", "proven_gap", "unresolved")
 
 
 def regularity_matrix(n: int) -> np.ndarray:
     """Constraint forms evaluated at the canonical regularity points.
 
-    For odd ``n``, evaluates the ``n`` constraint forms (norm plus split
-    shifts) at ``x_i = [f_i; 0]`` for the ``n`` DFT columns ``f_i`` and at
+    Evaluates the ``n`` constraint forms (norm plus split shifts) at
+    ``x_i = [f_i; 0]`` for the ``n`` DFT columns ``f_i`` and at
     ``x_{n+1} = [0; sqrt(n)]``.  The result is an ``n x (n+1)`` real matrix
     of rank ``n`` whose rows each sum to zero: the first row is
     ``(1, ..., 1, -n)`` and the others sample the cosine/sine eigenvalue
-    patterns of the shifts.
+    patterns of the shifts.  For even ``n`` the ``n/2`` shift is Hermitian,
+    so it gives a cosine row and no sine row, and there are still ``n``
+    forms.  Only the first row has a nonzero last entry, so rank ``n`` and
+    zero row sums also show that the cosine/sine block has rank ``n - 1``
+    with null space spanned by ``ones / n``.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("the construction requires odd n >= 3")
-    Q = np.zeros((n, n + 1))
-    Q[:, :n] = shift_form_table(n)
+    Q = np.column_stack([shift_form_table(n), np.zeros(n)])
     Q[0, n] = -float(n)
     return Q
-
-
-@dataclass(frozen=True)
-class NullspaceReport:
-    null_residual: float
-    ok: bool
-
-
-def qmatnew_nullspace(n: int) -> NullspaceReport:
-    """Null space of the cosine/sine system behind the zero-set argument.
-
-    Builds the ``(n-1) x n`` matrix with rows ``cos(2*pi*i*l/n)`` and
-    ``sin(2*pi*i*l/n)`` for ``l = 1..(n-1)/2`` and verifies it has rank
-    ``n - 1`` with nonnegative null space spanned by ``(1/n) * ones``, whose
-    residual must stay below ``NULLSPACE_TOL``; ``ok`` holds all three.
-    """
-    if n < 3 or n % 2 == 0 or n > 11:
-        raise ValueError("supported for odd n in [3, 11]")
-    Q = shift_form_table(n)[1:]  # odd n: the cosine rows, then the sine rows
-    v = np.ones(n) / n
-    residual = float(np.linalg.norm(Q @ v))
-    u, s, vh = np.linalg.svd(Q)
-    rank = int(np.count_nonzero(s > 1e-10 * s[0]))
-    null_vec = vh[-1]
-    null_vec = null_vec * np.sign(null_vec[np.argmax(np.abs(null_vec))])
-    ones_dir = np.ones(n) / np.sqrt(n)
-    aligned = float(np.linalg.norm(null_vec - ones_dir)) < 1e-10
-    ok = rank == n - 1 and residual < NULLSPACE_TOL and aligned and np.all(null_vec > 0)
-    return NullspaceReport(residual, ok)
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ def test_criterion_7_strong_duality():
 
 
 def test_criterion_8_regularity_condition():
-    report(8, *_check_regularity((3, 5, 7, 9)))
+    report(8, *_check_regularity((3, 4, 5, 7, 8, 9)))
 
 
 def test_criterion_9_ber_ordering_at_30db(mc30):

@@ -1,6 +1,7 @@
 """Tests for config parsing, scenarios, the verify suite, and the CLI."""
 
 import dataclasses
+import os
 import re
 import subprocess
 import sys
@@ -311,6 +312,31 @@ class TestVerify:
         failed = [suite for suite, ok, _ in report.rows if not ok]
         assert failed == ["ppt-validation"]
 
+    # One fault per row: the module attribute to replace and a wrapper of the
+    # real function.  ppt-validation draws its cores through
+    # ``spectral_vector`` too, at n <= 8, so that fault hits only the
+    # trajectories of length 16 and 64.
+    FAULTS = {
+        "geometry-construction": (
+            "spectral_vector",
+            lambda real: lambda theta: real(theta) * (1.001 if len(theta) > 8 else 1),
+        ),
+        "regularity": ("regularity_matrix", lambda real: lambda n: real(n) + 1e-3 * np.eye(n, n + 1)),
+        "error-identity": (
+            "error_decomposition",
+            lambda real: lambda d, t: dataclasses.replace(real(d, t), total=real(d, t).total + 1e-9),
+        ),
+    }
+
+    @pytest.mark.parametrize("suite", list(FAULTS))
+    def test_injected_fault_fails_only_its_row(self, monkeypatch, suite):
+        name, wrap = self.FAULTS[suite]
+        monkeypatch.setattr(experiments, name, wrap(getattr(experiments, name)))
+        report = verify(quick=True)
+        assert not report.passed
+        failed = [s for s, ok, _ in report.rows if not ok]
+        assert failed == [suite]
+
     @pytest.mark.parametrize("fault", ["unresolved", "negative_gap", "not_optimal"])
     def test_unsound_duality_instance_fails_only_its_row(self, monkeypatch, fault):
         real = experiments.duality_gap
@@ -331,8 +357,12 @@ class TestVerify:
 
 
 def run_cli(*args):
+    # The child imports the package these tests import, with or without PYTHONPATH.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-m", "pnofdm.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "pnofdm.cli", *args], capture_output=True, text=True, env=env
     )
 
 

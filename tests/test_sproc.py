@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from pnofdm import sproc
-from pnofdm.spectral import dft_matrix, geometry_residual, shift_form_table
+from pnofdm.spectral import dft_matrix, geometry_residual
 from pnofdm.sproc import (
     duality_gap,
     primal_oracle,
-    qmatnew_nullspace,
     random_gram_instance,
     regularity_matrix,
 )
@@ -23,11 +22,12 @@ class TestRegularityMatrix:
     def test_first_row_n5(self):
         assert np.allclose(regularity_matrix(5)[0], [1, 1, 1, 1, 1, -5], atol=1e-12)
 
-    def test_rows_sum_to_zero_all_odd_n(self):
-        for n in (3, 5, 7, 9, 11):
-            Q = regularity_matrix(n)
-            assert np.max(np.abs(Q @ np.ones(n + 1))) < 1e-13
-            assert np.linalg.matrix_rank(Q, tol=1e-10) == n
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_regular_for_every_n(self, n):
+        Q = regularity_matrix(n)
+        assert np.linalg.matrix_rank(Q, tol=1e-10) == n
+        assert np.max(np.abs(Q @ np.ones(n + 1))) < 1e-13
+        assert np.array_equal(Q[0], [1.0] * n + [-n])
 
     def test_cosine_row_pattern(self):
         Q = regularity_matrix(5)
@@ -35,31 +35,9 @@ class TestRegularityMatrix:
         assert np.allclose(Q[1, :5], expected, atol=1e-12)
         assert Q[1, 5] == 0
 
-    def test_even_n_unsupported(self):
+    def test_non_positive_n_rejected(self):
         with pytest.raises(ValueError):
-            regularity_matrix(4)
-
-
-class TestQmatnewNullspace:
-    def test_n3(self):
-        assert qmatnew_nullspace(3).ok
-        Q = shift_form_table(3)[1:]  # the cosine row, then the sine row
-        assert np.linalg.matrix_rank(Q) == 2
-        assert np.allclose(Q @ (np.ones(3) / np.sqrt(3)), 0.0, atol=1e-12)
-
-    def test_n7_residual(self):
-        rep = qmatnew_nullspace(7)
-        assert rep.ok
-        assert rep.null_residual < 1e-12
-
-    def test_all_supported_n(self):
-        for n in (3, 5, 7, 9, 11):
-            assert qmatnew_nullspace(n).ok
-
-    def test_perturbed_matrix_fails(self):
-        Q = shift_form_table(5)[1:]
-        Q[0, 0] += 0.1
-        assert np.linalg.norm(Q @ (np.ones(5) / 5)) > 1e-3
+            regularity_matrix(0)
 
 
 def _costs(M, b, phases):
