@@ -179,7 +179,9 @@ def pilot_sequence(k: int) -> np.ndarray:
 def _layout(n_c: int, pilot_fraction: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only ``(pilot_idx, pilot_values, data_idx)`` shared by all frames."""
     pilot_idx = pilot_indices(n_c, pilot_fraction)
-    data_idx = np.setdiff1d(np.arange(n_c), pilot_idx)
+    is_data = np.ones(n_c, bool)
+    is_data[pilot_idx] = False
+    data_idx = np.flatnonzero(is_data)  # np.setdiff1d would import numpy.ma
     layout = (pilot_idx, pilot_sequence(pilot_idx.size), data_idx)
     for arr in layout:
         arr.flags.writeable = False
@@ -219,10 +221,10 @@ def _tap_profile(taps: int, coherence_ratio: float) -> tuple:
     lo, hi = 1e-6, 1e9  # corr(lo) ~ 1 > 0.5 > corr(hi)
     for _ in range(200):
         mid = np.sqrt(lo * hi)
-        if corr(mid) > 0.5:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if corr(mid) > 0.5 else (lo, mid)
+        if bracket == (lo, hi):  # a fixed point: every later step repeats this one
+            break
+        lo, hi = bracket
     p = np.exp(-ell / np.sqrt(lo * hi))
     return tuple(p / p.sum())
 

@@ -27,6 +27,13 @@ forms involved (unit norm plus the split shift forms):
    have proven gaps of 4.7e-3 to 0.18 relative.  So the relaxation is
    tight on most, not all, instances of this constraint family.
 
+The oracle evaluates its boxes in chunks: a level is the previous level's
+survivors times the ``2^n`` half-width turns, its box centres are built and
+scored ``CHUNK`` at a time, and only the survivors are kept as arrays.
+``BLOCK`` sets how often the search descends and prunes, so it shapes the
+bracket; ``CHUNK`` sets only the working memory, and the bracket is bit for
+bit the same for any ``CHUNK``.
+
 Weak duality needs no sampling: every dual solution carries the minimum
 eigenvalue of its LMI matrix, and ``min_eig >= 0`` certifies that the cost
 minus ``tau`` is nonnegative on the whole constraint set.  The
@@ -38,6 +45,7 @@ instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -55,7 +63,8 @@ __all__ = [
 
 MAX_N = 5  # largest dimension the oracle accepts
 SEED_GRID = 4  # seed boxes per torus axis
-BLOCK = 1 << 15  # boxes evaluated per vectorized block
+BLOCK = 1 << 15  # boxes per descent-and-prune block
+CHUNK = 1 << 12  # boxes built and scored per vectorized call
 BOX_BUDGET = 1 << 23  # boxes evaluated before the search stops unresolved
 CLOSE_TOL = 1e-9  # relative bracket width at which a box is pruned
 DESCENT_TOL = 1e-10  # relative stationarity that ends the coordinate descent
@@ -125,11 +134,43 @@ def _hessian_bound(A, c):
     return L
 
 
-def _box_bounds(A, c, x, h):
+def _box_bounds(A, c, x, h, curvature):
     """Cost at each box centre (rows of ``x``) and the lower bound of
-    :func:`primal_oracle` over the box of half-width ``h`` around it."""
+    :func:`primal_oracle` over the box of half-width ``h`` around it;
+    ``curvature`` is ``_hessian_bound(A, c).sum()``."""
     cost, slope = _box_values(A, c, x)
-    return cost, cost - h * (slope @ np.ones(c.size)) - h * h * _hessian_bound(A, c).sum() / 2
+    return cost, cost - h * (slope @ np.ones(c.size)) - h * h * curvature / 2
+
+
+def _children(parents, turn, index):
+    """Centres of the boxes numbered ``index`` in the level ``parents x turn``."""
+    kids = len(turn)
+    return parents[index // kids] * turn[index % kids]
+
+
+def _level_blocks(A, c, parents, turn, h, curvature):
+    """Score the boxes ``parents x turn`` of one level, one ``BLOCK`` at a time.
+
+    Box ``i`` of the level has the centre ``parents[i // kids] * turn[i % kids]``
+    (parent-major order).  Centres are built ``CHUNK`` boxes at a time into
+    one reused buffer and scored into the block's ``cost``/``bound`` arrays.
+    Yields ``(first, cost, bound)`` per block, ``first`` being the level
+    index of its first box; the arrays are overwritten by the next block.
+    """
+    kids, n = turn.shape
+    per_block, per_chunk = max(1, BLOCK // kids), max(1, CHUNK // kids)
+    rows = min(per_block, len(parents)) * kids
+    cost, bound = np.empty(rows), np.empty(rows)
+    buffer = np.empty((min(per_chunk, len(parents)), kids, n), complex)
+    for start in range(0, len(parents), per_block):
+        stop = min(start + per_block, len(parents))
+        for lo in range(start, stop, per_chunk):
+            hi = min(lo + per_chunk, stop)
+            x = np.multiply(parents[lo:hi, None, :], turn, out=buffer[:hi - lo]).reshape(-1, n)
+            part = slice((lo - start) * kids, (hi - start) * kids)
+            cost[part], bound[part] = _box_bounds(A, c, x, h, curvature)
+        size = (stop - start) * kids
+        yield start * kids, cost[:size], bound[:size]
 
 
 def _descend(A, c, x):
@@ -174,53 +215,64 @@ def primal_oracle(M, b) -> OracleResult:
     rest split in ``2^n`` halves; after ``BOX_BUDGET`` boxes the search stops
     and the unpruned boxes' bounds still give a valid ``lower``.  ``M`` must
     be ``n x n`` Hermitian with ``n = len(b)``, as for the dual solve.
+
+    Each level is searched ``BLOCK`` boxes at a time: the descent starts from
+    a block's best centre when it beats the upper bound, the block's boxes
+    are pruned against the upper bound as it then stands, and at the level's
+    end the kept boxes are pruned again against the final one.  Within a
+    block, centres are built and scored ``CHUNK`` boxes at a time, and the
+    kept boxes are carried as indices until the level ends, so the working
+    memory is a few ``CHUNK``-sized arrays plus the survivors.  Every box
+    centre is the same product of parent and turn whatever the chunking,
+    so the result is bit for bit independent of ``CHUNK``.
     """
     A, c, F = _time_pair(*_cost_pair(M, b))
     n = c.size
     if n > MAX_N:
         raise ValueError(f"exhaustive oracle is sized for n <= {MAX_N}")
     offsets = np.stack(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    curvature = _hessian_bound(A, c).sum()
 
     # Boxes are carried as the time samples of their centres, so a child's
-    # centre is its parent's times a fixed rotation per axis.
+    # centre is its parent's times a fixed rotation per axis.  ``centres``
+    # maps a level's box numbers to centres, so the kept boxes are carried
+    # as numbers until the level ends.
     h = np.pi / SEED_GRID
     axis = np.exp(2j * h * np.arange(SEED_GRID))
-    blocks = [np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n) / np.sqrt(n)]
+    seeds = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n) / np.sqrt(n)
+    blocks = [(0, *_box_bounds(A, c, seeds, h, curvature))]
+    centres = seeds.__getitem__  # level index -> box centres
     upper, phases, sweeps = np.inf, None, 0
     lower = np.inf  # smallest bound of a pruned box
     evaluated = 0
     while True:
         kept, kept_bounds = [], []
-        for centres in blocks:
-            cost, bound = _box_bounds(A, c, centres, h)
-            evaluated += len(centres)
+        for first, cost, bound in blocks:
+            evaluated += len(cost)
             k = int(np.argmin(cost))
             if cost[k] < upper:
-                found, value, used = _descend(A, c, centres[k])
+                found, value, used = _descend(A, c, centres(first + k))
                 sweeps += used
                 if value < upper:
                     upper, phases = value, found
             keep = bound <= upper - CLOSE_TOL * (1 + abs(upper))
             lower = min(lower, bound[~keep].min(initial=np.inf))
-            kept.append(centres[keep])
+            kept.append(first + np.flatnonzero(keep))
             kept_bounds.append(bound[keep])
         # Blocks evaluated early were pruned against a higher upper bound.
         bound = np.concatenate(kept_bounds)
         keep = bound <= upper - CLOSE_TOL * (1 + abs(upper))
         lower = min(lower, bound[~keep].min(initial=np.inf))
-        survivors = np.concatenate(kept)[keep]
+        survivors = centres(np.concatenate(kept)[keep])
         if not len(survivors):
             break
         if evaluated + (len(survivors) << n) > BOX_BUDGET:
             lower = min(lower, bound[keep].min())
             break
         h /= 2
-        step = max(1, BLOCK >> n)
         turn = np.exp(1j * h * offsets)
-        blocks = (
-            (survivors[i:i + step, None, :] * turn).reshape(-1, n)
-            for i in range(0, len(survivors), step)
-        )
+        centres = partial(_children, survivors, turn)
+        blocks = _level_blocks(A, c, survivors, turn, h, curvature)
 
     gamma = F @ (np.exp(1j * phases) / np.sqrt(n))
     if not geometry_residual(gamma) < 1e-12:

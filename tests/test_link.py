@@ -1,6 +1,10 @@
 """Tests for the channel, transmission, compensation, and the BER loop."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +85,29 @@ def reference_pair(cfg, seed):
     return [_build_symbol(cfg, H, th, rng) for th in (theta[: cfg.n_c], theta[cfg.n_c :])]
 
 
+def reference_tap_profile(taps, ratio):
+    """The tap powers from all 200 bisection steps, without the early stop."""
+    ell = np.arange(taps)
+    phase = np.exp(-2j * np.pi * ratio * ell)
+
+    def corr(decay):
+        p = np.exp(-ell / decay)
+        p = p / p.sum()
+        return float(np.abs(np.sum(p * phase)))
+
+    if corr(1e9) >= 0.5:
+        raise ValueError("unreachable")
+    lo, hi = 1e-6, 1e9
+    for _ in range(200):
+        mid = np.sqrt(lo * hi)
+        if corr(mid) > 0.5:
+            lo = mid
+        else:
+            hi = mid
+    p = np.exp(-ell / np.sqrt(lo * hi))
+    return tuple(p / p.sum())
+
+
 def channel_draws(cfg, rng, n):
     """Standard normal tap draws of ``n`` channels, as the frame builder lays them out."""
     return rng.standard_normal((n, 2, cfg.taps))
@@ -143,6 +170,18 @@ class TestChannel:
         # Sample-spaced taps bound how decorrelated the channel can get.
         with pytest.raises(ValueError):
             _tap_profile(4, 800e3 / 7.68e6)
+
+    @pytest.mark.parametrize("taps", [2, 3, 4, 6, 8, 16])
+    def test_profile_equals_the_full_bisection(self, taps):
+        # Stopping at the bracket's fixed point gives the 200-step profile,
+        # at the default config's ratio and around it.
+        cfg = LinkConfig()
+        for ratio in (0.05, 0.1, 0.2, cfg.coherence_bw / (cfg.n_c * cfg.f_sub), 0.6, 0.9):
+            try:
+                want = reference_tap_profile(taps, ratio)
+            except ValueError:
+                continue
+            assert _tap_profile(taps, ratio) == want
 
     def test_full_scale_needs_more_taps(self):
         # At 512 subcarriers four taps cannot reach the default coherence
@@ -352,7 +391,7 @@ class TestFramePair:
         }
         for name, want in expected.items():
             arr = getattr(a0, name)
-            assert np.array_equal(arr, want)
+            assert np.array_equal(arr, want) and arr.dtype == want.dtype
             assert getattr(a1, name) is arr and getattr(b0, name) is arr
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
@@ -640,3 +679,22 @@ class TestRunLink:
             recs = [run_link(LinkConfig(snr_db=s), est, 100, 1234) for s in (15.0, 22.0, 30.0)]
             for lo, hi in zip(recs[:-1], recs[1:]):
                 assert hi.ber <= lo.ber + (lo.ci95_high - lo.ber)
+
+
+COLD_START = """
+import sys
+from pnofdm.link import LinkConfig, run_link
+from pnofdm.sproc import duality_gap, random_gram_instance
+run_link(LinkConfig(snr_db=10.0), "gls", 1, 0)
+duality_gap(*random_gram_instance(3, 6, 0))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cold_start_does_not_import_numpy_ma():
+    # A fresh interpreter that runs one link frame and one duality check
+    # never pays for importing numpy.ma.
+    src = str(Path(link.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pnofdm import sproc
+from pnofdm.sdp import _cost_pair, _time_pair
 from pnofdm.spectral import dft_matrix, geometry_residual
 from pnofdm.sproc import (
     duality_gap,
@@ -14,17 +15,10 @@ from pnofdm.sproc import (
 
 
 class TestRegularityMatrix:
-    def test_shape_and_rank_n3(self):
-        Q = regularity_matrix(3)
-        assert Q.shape == (3, 4)
-        assert np.linalg.matrix_rank(Q, tol=1e-10) == 3
-
-    def test_first_row_n5(self):
-        assert np.allclose(regularity_matrix(5)[0], [1, 1, 1, 1, 1, -5], atol=1e-12)
-
     @pytest.mark.parametrize("n", range(1, 17))
     def test_regular_for_every_n(self, n):
         Q = regularity_matrix(n)
+        assert Q.shape == (n, n + 1)
         assert np.linalg.matrix_rank(Q, tol=1e-10) == n
         assert np.max(np.abs(Q @ np.ones(n + 1))) < 1e-13
         assert np.array_equal(Q[0], [1.0] * n + [-n])
@@ -77,6 +71,103 @@ def _reference_oracle(M, b, grid_points=64, max_sweeps=500, refine_tol=1e-10):
         if np.max(np.abs(grad)) <= refine_tol * (1 + abs(val)):
             break
     return val
+
+
+def reference_primal_oracle(M, b):
+    """The oracle's level loop before chunking: every child box of a level
+    is built as a complex block of ``BLOCK`` centres and scored at once."""
+    A, c, F = _time_pair(*_cost_pair(M, b))
+    n = c.size
+    offsets = np.stack(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    h = np.pi / sproc.SEED_GRID
+    axis = np.exp(2j * h * np.arange(sproc.SEED_GRID))
+    blocks = [np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n) / np.sqrt(n)]
+    upper, phases, sweeps = np.inf, None, 0
+    lower = np.inf
+    evaluated = 0
+    while True:
+        kept, kept_bounds = [], []
+        for centres in blocks:
+            cost, slope = sproc._box_values(A, c, centres)
+            bound = cost - h * (slope @ np.ones(n)) - h * h * sproc._hessian_bound(A, c).sum() / 2
+            evaluated += len(centres)
+            k = int(np.argmin(cost))
+            if cost[k] < upper:
+                found, value, used = sproc._descend(A, c, centres[k])
+                sweeps += used
+                if value < upper:
+                    upper, phases = value, found
+            keep = bound <= upper - sproc.CLOSE_TOL * (1 + abs(upper))
+            lower = min(lower, bound[~keep].min(initial=np.inf))
+            kept.append(centres[keep])
+            kept_bounds.append(bound[keep])
+        bound = np.concatenate(kept_bounds)
+        keep = bound <= upper - sproc.CLOSE_TOL * (1 + abs(upper))
+        lower = min(lower, bound[~keep].min(initial=np.inf))
+        survivors = np.concatenate(kept)[keep]
+        if not len(survivors):
+            break
+        if evaluated + (len(survivors) << n) > sproc.BOX_BUDGET:
+            lower = min(lower, bound[keep].min())
+            break
+        h /= 2
+        step = max(1, sproc.BLOCK >> n)
+        turn = np.exp(1j * h * offsets)
+        blocks = (
+            (survivors[i:i + step, None, :] * turn).reshape(-1, n)
+            for i in range(0, len(survivors), step)
+        )
+    gamma = F @ (np.exp(1j * phases) / np.sqrt(n))
+    return sproc.OracleResult(upper, float(min(lower, upper)), gamma, sproc.SEED_GRID, sweeps)
+
+
+# Instances the oracle's answers are published on: the duality-check
+# benchmark's draws (seeds 1-8, rounds 0-3, its three cells), the full
+# `verify` run and acceptance criterion 7.
+ORACLE_SETS = {
+    "benchmark": [
+        (n, k, [seed, rnd, j])
+        for seed in range(1, 9)
+        for rnd in range(4)
+        for j, (n, k) in enumerate(((3, 6), (3, 6), (5, 10)))
+    ],
+    "verify": [(3, 6, s) for s in range(100, 120)] + [(5, 10, s) for s in range(200, 210)],
+    "criterion-7": [(3, 6, s) for s in range(71_000, 71_020)] + [(5, 10, s) for s in range(72_000, 72_010)],
+}
+
+
+def assert_oracles_equal(instances):
+    for n, k, seed in instances:
+        M, b = random_gram_instance(n, k, seed)
+        got, want = primal_oracle(M, b), reference_primal_oracle(M, b)
+        assert (got.p_star, got.lower, got.grid_points, got.sweeps) == (
+            want.p_star, want.lower, want.grid_points, want.sweeps), seed
+        assert np.array_equal(got.gamma, want.gamma), seed
+
+
+class TestChunkedOracle:
+    """The chunked level loop gives the reference loop's bracket bit for bit."""
+
+    @pytest.mark.parametrize("name", ORACLE_SETS)
+    def test_bitwise_equal_to_reference(self, name):
+        assert_oracles_equal(ORACLE_SETS[name])
+
+    def test_bitwise_equal_under_exhausted_budget(self, monkeypatch):
+        monkeypatch.setattr(sproc, "BOX_BUDGET", 50_000)
+        instances = [(n, 2 * n, 80 + n) for n in range(1, 6)] + [(5, 10, 72_000), (5, 10, 203)]
+        assert_oracles_equal(instances)
+        M, b = random_gram_instance(5, 10, 72_000)
+        res = primal_oracle(M, b)
+        assert res.p_star - res.lower > 1e-3  # the budget did run out
+
+    @pytest.mark.parametrize("chunk", [1, 100, 1 << 15])
+    def test_chunk_size_does_not_change_the_answer(self, monkeypatch, chunk):
+        M, b = random_gram_instance(5, 10, 72_009)
+        want = reference_primal_oracle(M, b)
+        monkeypatch.setattr(sproc, "CHUNK", chunk)
+        got = primal_oracle(M, b)
+        assert (got.p_star, got.lower, got.sweeps) == (want.p_star, want.lower, want.sweeps)
+        assert np.array_equal(got.gamma, want.gamma)
 
 
 class TestPrimalOracle:
@@ -146,7 +237,8 @@ class TestPrimalOracle:
         A, c = F.conj().T @ M @ F, F.conj().T @ b
         rng = np.random.default_rng(13)
         centres = rng.uniform(0, 2 * np.pi, (20, n))
-        _, bound = sproc._box_bounds(A, c, np.exp(1j * centres) / np.sqrt(n), h)
+        curvature = sproc._hessian_bound(A, c).sum()
+        _, bound = sproc._box_bounds(A, c, np.exp(1j * centres) / np.sqrt(n), h, curvature)
         for psi, lb in zip(centres, bound):
             # Corners and random interior points of the box.
             pts = psi + h * np.vstack([rng.choice([-1.0, 1.0], (2000, n)), rng.uniform(-1, 1, (2000, n))])
