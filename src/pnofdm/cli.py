@@ -4,11 +4,11 @@ Subcommands:
 
 * ``run --config FILE --out DIR``: run a scenario described by a flat
   key-value config file and write its CSV artifacts.
-* ``verify [--quick]``: run the numerical verification suites.
+* ``verify [--out DIR]``: run the numerical verification suites.
 * ``list-scenarios``: print the built-in scenario ids.
 
-Exit codes: 0 success, 1 config validation error, 2 runtime error,
-3 verification failure.
+Exit codes: 0 success, 1 config validation error, 2 runtime error or
+command-line usage error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output directory for CSV artifacts")
 
     verify_p = sub.add_parser("verify", help="run the numerical verification suites")
-    verify_p.add_argument("--quick", action="store_true", help="smaller sample sizes")
     verify_p.add_argument("--out", help="also write verify_summary.csv to this directory")
 
     sub.add_parser("list-scenarios", help="print built-in scenario ids")
@@ -45,7 +44,7 @@ def main(argv=None) -> int:
             print("\nminimal config: a file containing 'scenario = <id>'")
             return 0
         if args.command == "verify":
-            report = verify(quick=args.quick)
+            report = verify()
             for line in report.lines():
                 print(line)
             if args.out:

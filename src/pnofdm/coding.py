@@ -69,32 +69,20 @@ def _parity(x):
     return out
 
 
-def _build_trellis():
-    s = np.arange(_NSTATES)
-    u = np.array([[0], [1]])
-    reg = (u << _MEM) | s  # shape (2, 64): newest bit at the top of the register
-    out1 = _parity(reg & GENERATORS_OCTAL[0]).T  # (64, 2)
-    out2 = _parity(reg & GENERATORS_OCTAL[1]).T
-    # Predecessors of state sp: the input bit on any edge into sp is its MSB,
-    # and the two predecessors differ in their oldest bit.
-    sp = np.arange(_NSTATES)
-    pred0 = (sp & (_HALF - 1)) << 1
-    pred1 = pred0 + 1
-    ubit = sp >> (_MEM - 1)
-    return out1, out2, pred0, pred1, ubit
-
-
-_OUT1, _OUT2, _PRED0, _PRED1, _UBIT = _build_trellis()
-
 # The four coded pairs (c1, c2), indexed 2*c1 + c2.
 _PAIR_C1 = np.array([0, 0, 1, 1])
 _PAIR_C2 = np.array([0, 1, 0, 1])
 # _EDGE_PAIR[k, u, j]: pair emitted on the edge from predecessor 2j + k with
-# input bit u, which enters state u*32 + j.
-_EDGE_PAIR = (2 * _OUT1 + _OUT2)[
-    np.stack([_PRED0, _PRED1]).reshape(2, 2, _HALF),
-    _UBIT.reshape(2, _HALF),
-]
+# input bit u, which enters state u*32 + j.  The register on that edge holds
+# u above the predecessor's six bits, (u << 6) | (2j + k), and each coded bit
+# is the parity of the register masked by its generator.
+_EDGE_PAIR = np.fromfunction(
+    lambda k, u, j: sum(
+        weight * _parity(((u << _MEM) | (2 * j + k)) & g) for weight, g in zip((2, 1), GENERATORS_OCTAL)
+    ),
+    (2, 2, _HALF),
+    dtype=int,
+)
 
 
 def conv_encode(bits) -> np.ndarray:

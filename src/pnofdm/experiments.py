@@ -526,20 +526,18 @@ def _check_error_identity(seed: int, count: int) -> tuple:
     return worst < 1e-12, f"worst closed-form vs direct-sum defect over {count} pairs: {worst:.2e}"
 
 
-def verify(*, quick: bool = False) -> VerifyReport:
+def verify() -> VerifyReport:
     """Run the five numerical verification suites.
 
     Acceptance criteria 1, 2, 5, 7 and 8 run the same checks on other seeds.
-    ``quick`` shrinks three of them: the lifts per ppt model from 100 to 20,
-    the error-identity pairs from 1000 to 100, and the duality-gap instances
-    from 20 at n = 3 and 10 at n = 5 to 5 and 2.
+    The sizes are fixed: 100 lifts per ppt model, 30 duality-gap instances
+    (20 at n = 3 and 10 at n = 5) and 1000 error-identity pairs.
     """
-    instances = ((3, 6, 5 if quick else 20, 100), (5, 10, 2 if quick else 10, 200))
     rows = (
         ("geometry-construction", *_check_geometry(9000, 100)),
-        ("ppt-validation", *_check_ppt(77, 20 if quick else 100)),
+        ("ppt-validation", *_check_ppt(77, 100)),
         ("regularity", *_check_regularity((3, 4, 5, 7, 8, 9))),
-        ("duality-gap", *_check_duality(instances)[:2]),
-        ("error-identity", *_check_error_identity(4242, 100 if quick else 1000)),
+        ("duality-gap", *_check_duality(((3, 6, 20, 100), (5, 10, 10, 200)))[:2]),
+        ("error-identity", *_check_error_identity(4242, 1000)),
     )
     return VerifyReport(rows, all(ok for _, ok, _ in rows))

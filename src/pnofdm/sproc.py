@@ -39,9 +39,11 @@ below the Taylor bound ``J(psi) - h sum_i |g_i| - (h^2/2) sum L``; near a
 minimizer the diagonal is positive and the slope small, so it is far above
 it: at n = 5 about 5x fewer boxes are scored.
 
-The oracle evaluates its boxes in chunks: a level is the previous level's
-survivors times the ``2^n`` half-width turns, its box centres are built and
-scored ``CHUNK`` at a time, and only the survivors are kept as arrays.
+The oracle evaluates its boxes in chunks: a level is its parents times its
+turns, its box centres are built and scored ``CHUNK`` at a time, and only
+the survivors are kept as arrays.  The first level is the seed grid, one
+all-ones parent whose turns are the ``SEED_GRID^n`` grid centres; each later
+level is the previous level's survivors times the ``2^n`` half-width turns.
 ``BLOCK`` sets how often the search descends and prunes, so it shapes the
 bracket; ``CHUNK`` sets only the working memory, and the bracket is bit for
 bit the same for any ``CHUNK``.
@@ -57,7 +59,6 @@ instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -247,9 +248,9 @@ def primal_oracle(M, b) -> OracleResult:
     The feasible set is parametrized exactly by time phases: ``g = F x`` with
     ``x = exp(1j*phi)/sqrt(n)``, and in the time basis ``A = F^H M F``,
     ``c = F^H b`` the cost is ``J(phi) = x^H A x - 2 Re(c^H x)``.  A
-    breadth-first branch-and-bound covers the phase torus with boxes, seeded
-    by a ``SEED_GRID``-per-axis grid.  ``L`` bounds the phase Hessian
-    entrywise over the torus: ``2|A_ij|/n`` off the diagonal and
+    breadth-first branch-and-bound covers the phase torus with boxes, its
+    first level a ``SEED_GRID``-per-axis grid.  ``L`` bounds the phase
+    Hessian entrywise over the torus: ``2|A_ij|/n`` off the diagonal and
     ``(2/n) sum_{j != i} |A_ij| + 2|c_i|/sqrt(n)`` on it.  A box of centre
     ``psi`` and half-width ``h``, with gradient ``g`` and Hessian diagonal
     ``H_ii(psi)`` at its centre and ``a_i = max(H_ii(psi) - 2 h L_ii, -L_ii)``,
@@ -263,15 +264,17 @@ def primal_oracle(M, b) -> OracleResult:
     and the unpruned boxes' bounds still give a valid ``lower``.  ``M`` must
     be ``n x n`` Hermitian with ``n = len(b)``, as for the dual solve.
 
-    Each level is searched ``BLOCK`` boxes at a time: the descent starts from
-    a block's best centre when it beats the upper bound, the block's boxes
-    are pruned against the upper bound as it then stands, and at the level's
-    end the kept boxes are pruned again against the final one.  Within a
-    block, centres are built and scored ``CHUNK`` boxes at a time, and the
-    kept boxes are carried as indices until the level ends, so the working
-    memory is a few ``CHUNK``-sized arrays plus the survivors.  Every box
-    centre is the same product of parent and turn whatever the chunking,
-    so the result is bit for bit independent of ``CHUNK``.
+    Every level is its parents times its turns (the seed grid: one all-ones
+    parent times the grid centres) and is searched ``BLOCK`` boxes at a
+    time: the descent starts from a block's best centre when it beats the
+    upper bound, the block's boxes are pruned against the upper bound as it
+    then stands, and at the level's end the kept boxes are pruned again
+    against the final one.  Within a block, centres are built and scored
+    ``CHUNK`` boxes at a time, and the kept boxes are carried as indices
+    until the level ends, so the working memory is a few ``CHUNK``-sized
+    arrays plus the survivors.  Every box centre is the same product of
+    parent and turn whatever the chunking, so the result is bit for bit
+    independent of ``CHUNK``.
     """
     A, c, F = _time_pair(*_cost_pair(M, b))
     n = c.size
@@ -281,24 +284,22 @@ def primal_oracle(M, b) -> OracleResult:
     curvature = _curvature(A, c)
 
     # Boxes are carried as the time samples of their centres, so a child's
-    # centre is its parent's times a fixed rotation per axis.  ``centres``
-    # maps a level's box numbers to centres, so the kept boxes are carried
-    # as numbers until the level ends.
+    # centre is its parent's times a fixed rotation per axis.  The seed
+    # grid's parent is all ones, and ``(1+0j) * v`` is exactly ``v``.
     h = np.pi / SEED_GRID
     axis = np.exp(2j * h * np.arange(SEED_GRID))
-    seeds = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n) / np.sqrt(n)
-    blocks = [(0, *_box_bounds(A, c, seeds, h, curvature))]
-    centres = seeds.__getitem__  # level index -> box centres
+    parents = np.ones((1, n), complex)
+    turn = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n) / np.sqrt(n)
     upper, phases, sweeps = np.inf, None, 0
     lower = np.inf  # smallest bound of a pruned box
     evaluated = 0
     while True:
         kept, kept_bounds = [], []
-        for first, cost, bound in blocks:
+        for first, cost, bound in _level_blocks(A, c, parents, turn, h, curvature):
             evaluated += len(cost)
             k = int(np.argmin(cost))
             if cost[k] < upper:
-                found, value, used = _descend(A, c, centres(first + k))
+                found, value, used = _descend(A, c, _children(parents, turn, first + k))
                 sweeps += used
                 if value < upper:
                     upper, phases = value, found
@@ -310,16 +311,14 @@ def primal_oracle(M, b) -> OracleResult:
         bound = np.concatenate(kept_bounds)
         keep = bound <= upper - CLOSE_TOL * (1 + abs(upper))
         lower = min(lower, bound[~keep].min(initial=np.inf))
-        survivors = centres(np.concatenate(kept)[keep])
-        if not len(survivors):
+        parents = _children(parents, turn, np.concatenate(kept)[keep])
+        if not len(parents):
             break
-        if evaluated + (len(survivors) << n) > BOX_BUDGET:
+        if evaluated + (len(parents) << n) > BOX_BUDGET:
             lower = min(lower, bound[keep].min())
             break
         h /= 2
         turn = np.exp(1j * h * offsets)
-        centres = partial(_children, survivors, turn)
-        blocks = _level_blocks(A, c, survivors, turn, h, curvature)
 
     gamma = F @ (np.exp(1j * phases) / np.sqrt(n))
     if not geometry_residual(gamma) < 1e-12:

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pnofdm.coding import _OUT1, _OUT2, _PRED0, _PRED1, _UBIT, conv_encode, viterbi_decode_soft
+from pnofdm.coding import conv_encode, viterbi_decode_soft
 
 # Information bits per frame on the default link: 118 data subcarriers carry
 # 472 coded bits, i.e. 236 trellis steps of which 6 are the flush tail.
@@ -16,26 +16,47 @@ def to_llrs(coded, magnitude=10.0):
     return magnitude * (1.0 - 2.0 * np.asarray(coded, dtype=float))
 
 
+def reference_trellis():
+    """The 64-state trellis, walked forward from each state.
+
+    State ``s`` holds the six newest input bits, newest on top; input ``u``
+    makes the register ``(u << 6) | s``, emits the parity of the register
+    masked by each generator, and moves to ``register >> 1``.  Returns the
+    coded bits of edge ``(s, u)``, shape ``(64, 2, 2)``, and for each state
+    its two incoming edges in increasing source order: their source states
+    and input bits, each shape ``(64, 2)``.
+    """
+    registers = np.array([[(u << 6) | s for u in (0, 1)] for s in range(64)])
+    bits = np.array([[[bin(r & g).count("1") % 2 for g in (0o133, 0o171)] for r in row] for row in registers])
+    # Edge e = 2s + u; a stable sort by destination lists each state's edges
+    # in increasing source order.
+    edges = np.argsort((registers >> 1).ravel(), kind="stable").reshape(64, 2)
+    return bits, edges // 2, edges % 2
+
+
+REF_BITS, REF_SOURCE, REF_INPUT = reference_trellis()
+
+
 def reference_decode(llrs):
-    """Reference oracle: a plain per-step add-compare-select over all 64 states."""
+    """Reference oracle: a plain per-step add-compare-select over all 64
+    states on :func:`reference_trellis`, ties to the lower source state."""
     llrs = np.asarray(llrs, dtype=float).ravel()
     n_steps = llrs.size // 2
+    edge_bits = REF_BITS[REF_SOURCE, REF_INPUT]  # (64 states, 2 edges, 2 coded bits)
     pm = np.full(64, -np.inf)
     pm[0] = 0.0
-    choices = np.empty((n_steps, 64), dtype=bool)
+    choices = np.empty((n_steps, 64), dtype=int)
     for t in range(n_steps):
         l1, l2 = llrs[2 * t], llrs[2 * t + 1]
-        bscore = -(_OUT1 * l1 + _OUT2 * l2)  # (64, 2)
-        cand0 = pm[_PRED0] + bscore[_PRED0, _UBIT]
-        cand1 = pm[_PRED1] + bscore[_PRED1, _UBIT]
-        take1 = cand1 > cand0
-        choices[t] = take1
-        pm = np.where(take1, cand1, cand0)
+        cand = pm[REF_SOURCE] - (edge_bits[..., 0] * l1 + edge_bits[..., 1] * l2)
+        choices[t] = cand[:, 1] > cand[:, 0]
+        pm = cand.max(axis=1)
     state = 0
     decoded = np.empty(n_steps, dtype=int)
     for t in range(n_steps - 1, -1, -1):
-        decoded[t] = state >> 5
-        state = _PRED1[state] if choices[t, state] else _PRED0[state]
+        k = choices[t, state]
+        decoded[t] = REF_INPUT[state, k]
+        state = REF_SOURCE[state, k]
     return decoded[: n_steps - 6]
 
 

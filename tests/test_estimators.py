@@ -217,6 +217,16 @@ class TestUls:
             sys = build_ls_system(pilot_frame(np.zeros(16), np.ones(16), np.arange(8), np.ones(8)), model)
             uls(sys, model)
 
+    def test_ridge_rescues_ill_conditioned_system(self):
+        # cond(M) = 1e13 is past ULS_COND_LIMIT, and the ridge brings it back.
+        rows = np.diag([1.0, np.sqrt(1e-13)]).astype(complex)
+        w = np.array([1.0, 1e-7], dtype=complex)
+        sys = LsSystem(np.diag([1.0, 1e-13]).astype(complex), rows.conj().T @ w, 1.0, rows, w)
+        assert np.linalg.cond(sys.M) > estimators.ULS_COND_LIMIT
+        out = uls(sys, pc_ppt(2, 2))
+        assert out.diagnostics.flags == ("regularized",)
+        assert np.isfinite(out.gamma_hat).all() and np.isfinite(out.delta_hat).all()
+
 
 class TestNls:
     def test_idempotent_on_feasible_input(self):

@@ -295,8 +295,24 @@ class TestScenarios:
 
 
 class TestVerify:
-    def test_quick_passes(self):
-        report = verify(quick=True)
+    @pytest.fixture(autouse=True, scope="class")
+    def memoised_duality_gap(self):
+        # Every verify run solves the same 30 duality instances: solve each
+        # once for the class.  The duality-fault tests wrap this function.
+        real, solved = experiments.duality_gap, {}
+
+        def memoised(M, b):
+            key = (M.tobytes(), b.tobytes())
+            if key not in solved:
+                solved[key] = real(M, b)
+            return solved[key]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "duality_gap", memoised)
+            yield
+
+    def test_passes(self):
+        report = verify()
         assert report.passed
         assert all(ok for _, ok, _ in report.rows)
 
@@ -307,7 +323,7 @@ class TestVerify:
             return dataclasses.replace(real(Ttilde), unitarity=0.05, passed=False)
 
         monkeypatch.setattr(experiments, "validate_ppt", corrupted)
-        report = verify(quick=True)
+        report = verify()
         assert not report.passed
         failed = [suite for suite, ok, _ in report.rows if not ok]
         assert failed == ["ppt-validation"]
@@ -332,7 +348,7 @@ class TestVerify:
     def test_injected_fault_fails_only_its_row(self, monkeypatch, suite):
         name, wrap = self.FAULTS[suite]
         monkeypatch.setattr(experiments, name, wrap(getattr(experiments, name)))
-        report = verify(quick=True)
+        report = verify()
         assert not report.passed
         failed = [s for s, ok, _ in report.rows if not ok]
         assert failed == [suite]
@@ -350,7 +366,7 @@ class TestVerify:
             return dataclasses.replace(g, solution=dataclasses.replace(g.solution, status="max_iter"))
 
         monkeypatch.setattr(experiments, "duality_gap", faulty)
-        report = verify(quick=True)
+        report = verify()
         assert not report.passed
         failed = [suite for suite, ok, _ in report.rows if not ok]
         assert failed == ["duality-gap"]
@@ -390,11 +406,6 @@ class TestCli:
         proc = run_cli("run", "--config", str(tmp_path / "nope.txt"), "--out", str(tmp_path))
         assert proc.returncode == 1
 
-    def test_verify_quick_exit_0(self):
-        proc = run_cli("verify", "--quick")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "verification passed" in proc.stdout
-
     def test_verify_full_exit_0(self):
         # The full run draws a proven-gap instance; that is reported, not failed.
         proc = run_cli("verify")
@@ -403,6 +414,9 @@ class TestCli:
 
     def test_verify_fault_injection_exit_3(self, monkeypatch, capsys):
         failing = VerifyReport((("ppt-validation", False, "injected fault"),), False)
-        monkeypatch.setattr(cli, "verify", lambda quick: failing)
-        assert cli.main(["verify", "--quick"]) == 3
+        monkeypatch.setattr(cli, "verify", lambda: failing)
+        assert cli.main(["verify"]) == 3
         assert "FAIL" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--quick"])
+        assert exc.value.code == 2
