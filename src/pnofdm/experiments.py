@@ -17,8 +17,9 @@ read may only repeat its default, the value the CSV metadata echoes:
 ``t_kind``, and ``trajectory-traces`` (one frame, both models) any other
 ``trials`` or ``t_kind``.  One tap (``taps = 1``) has a flat channel
 profile, so no scenario then reads ``f_sub`` or ``coherence_bw``.  A
-coherence bandwidth the taps cannot reach, more taps than ``n_c`` and a
-negative ``seed`` are config errors too, caught before anything runs.
+coherence bandwidth the taps cannot reach, more taps than ``n_c``, an
+``snr_db`` outside ``[-1000, 1000]`` dB, a ``rho`` whose ``4*pi*rho``
+overflows and a negative ``seed`` are config errors, caught before anything runs.
 
 ``gls`` needs the geometry-preserving model (``PPT_ONLY_IDS``), so every
 scenario leaves it out of the runs under ``t_kind = lft`` (:func:`_runnable`):

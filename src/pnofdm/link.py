@@ -64,6 +64,7 @@ __all__ = [
     "DECODE_BLOCK",
     "LinkConfig",
     "OfdmFrame",
+    "SNR_DB_LIMIT",
     "apply_phase_noise",
     "ber_records",
     "compensate",
@@ -77,6 +78,8 @@ __all__ = [
     "simulate",
 ]
 
+# Largest |snr_db| a config may set; near 3000 dB the noise scale overflows.
+SNR_DB_LIMIT = 1000.0
 # Seed of the fixed pseudo-random QPSK pilot sequence (same for every frame).
 PILOT_SEQUENCE_SEED = 20140821
 # Trials whose frames simulate builds and yields in one block, and that
@@ -118,10 +121,10 @@ class LinkConfig:
         pilots_valid = 0 < self.pilot_fraction <= 0.5
         if not pilots_valid:
             out.append("pilot_fraction must lie in (0, 0.5]")
-        if not np.isfinite(self.snr_db):
-            out.append("snr_db must be finite")
-        if not 0 <= self.rho < np.inf:
-            out.append("rho must be finite and nonnegative")
+        if not -SNR_DB_LIMIT <= self.snr_db <= SNR_DB_LIMIT:
+            out.append(f"snr_db must be finite and lie in [-{SNR_DB_LIMIT:g}, {SNR_DB_LIMIT:g}] dB")
+        if not 0 <= WIENER_VARIANCE_FACTOR * self.rho < np.inf:
+            out.append("rho must be finite and nonnegative, with 4*pi*rho finite")
         if self.n_est < 1:
             out.append("n_est must be >= 1")
         if self.t_kind not in ("ppt", "lft"):

@@ -40,14 +40,14 @@ def wiener_realization(n: int, rho: float, seed) -> np.ndarray:
 
     ``theta[0]`` is uniform on ``[-pi, pi)`` (an unknown initial phase is
     physically present).  Increments are i.i.d. zero-mean Gaussian with
-    variance ``WIENER_VARIANCE_FACTOR * rho / n``; ``rho`` must be finite
-    and nonnegative.  Deterministic given ``seed``: the initial phase is
-    drawn first, then the ``n - 1`` increments.
+    variance ``WIENER_VARIANCE_FACTOR * rho / n``; ``rho`` must be
+    nonnegative with ``4*pi*rho`` finite.  Deterministic given ``seed``:
+    the initial phase is drawn first, then the ``n - 1`` increments.
     """
     if n < 1 or int(n) != n:
         raise ValueError("n must be a positive integer")
-    if not 0 <= rho < np.inf:
-        raise ValueError("rho must be finite and nonnegative")
+    if not 0 <= WIENER_VARIANCE_FACTOR * rho < np.inf:
+        raise ValueError("rho must be finite and nonnegative, with 4*pi*rho finite")
     rng = np.random.default_rng(seed)
     theta0 = rng.uniform(-np.pi, np.pi)
     steps = rng.normal(0.0, np.sqrt(WIENER_VARIANCE_FACTOR * rho / n), int(n) - 1)

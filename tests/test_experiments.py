@@ -123,7 +123,12 @@ class TestParseConfig:
         "line, message",
         [
             ("snr_db = nan", "snr_db must be finite"),
+            # Past about 3000 dB the noise scale overflows; the range stops at 1000 dB.
+            ("snr_db = 4000", "snr_db must be finite"),
+            ("snr_db = -4000", "snr_db must be finite"),
             ("rho = nan", "rho must be finite and nonnegative"),
+            # 4*pi*rho overflows, so every phase step would be inf or nan.
+            ("rho = 1e308", "rho must be finite and nonnegative"),
             ("pilot_fraction = nan", "pilot_fraction must lie in (0, 0.5]"),
             ("pilot_fraction = inf", "pilot_fraction must lie in (0, 0.5]"),
             ("f_sub = 0", "f_sub must be positive"),
@@ -137,12 +142,15 @@ class TestParseConfig:
             ("seed = -1", "seed must be non-negative"),
         ],
     )
-    def test_bad_link_value_rejected(self, tmp_path, capsys, line, message):
+    def test_bad_link_value_rejected(self, tmp_path, capsys, monkeypatch, line, message):
+        built, real = [], link.make_frame_pair
+        monkeypatch.setattr(link, "make_frame_pair", lambda *a, **k: built.append(1) or real(*a, **k))
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text(f"scenario = estimate-error-pdf\ntrials = 2\n{line}\n")
         assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert built == []  # rejected before any frame is built
 
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse value for 'snr_db'"):

@@ -13,6 +13,7 @@ import pnofdm.estimators as estimators
 import pnofdm.link as link
 from pnofdm.estimators import EstimationError, cpe_only, estimate_frame
 from pnofdm.link import (
+    SNR_DB_LIMIT,
     LinkConfig,
     apply_phase_noise,
     ber_records,
@@ -29,7 +30,7 @@ from pnofdm.link import (
     _tap_profile,
 )
 from pnofdm.coding import conv_encode
-from pnofdm.estimators import NEXT_SYMBOL_IDS
+from pnofdm.estimators import ESTIMATOR_IDS, NEXT_SYMBOL_IDS
 from pnofdm.phasenoise import WIENER_VARIANCE_FACTOR, spectral_vector
 from pnofdm.qam import qam16_map
 from pnofdm.spectral import dft_matrix
@@ -663,6 +664,27 @@ class TestRunLink:
     def test_validates_config(self):
         with pytest.raises(ValueError):
             run_link(LinkConfig(n_est=100), "uls", 2, 0)
+
+    @pytest.mark.parametrize("key, value", [("snr_db", 4000.0), ("snr_db", -4000.0), ("rho", 1e308)])
+    def test_non_finite_frames_rejected_before_building(self, monkeypatch, key, value):
+        # Each of these would build frames with inf or nan entries.
+        built, real = [], link.make_frame_pair
+        monkeypatch.setattr(link, "make_frame_pair", lambda *a, **k: built.append(1) or real(*a, **k))
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            ber_records(LinkConfig(**{key: value}), ESTIMATOR_IDS, 2, 0)
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "snr_db, rho",
+        # Both ends of the SNR range, and a rho next to the largest with 4*pi*rho finite.
+        [(-SNR_DB_LIMIT, 0.02), (SNR_DB_LIMIT, 0.02), (30.0, np.nextafter(np.finfo(float).max / 4 / np.pi, 0))],
+    )
+    def test_every_estimator_finite_at_the_config_limits(self, snr_db, rho):
+        recs = ber_records(LinkConfig(snr_db=snr_db, rho=rho), ESTIMATOR_IDS, 3, 11)
+        assert sorted(recs) == sorted(ESTIMATOR_IDS)
+        for rec in recs.values():
+            assert np.isfinite([rec.ber, rec.ci95_low, rec.ci95_high]).all()
+            assert rec.flagged_frames == 0
 
     def test_failing_estimator_falls_back_flagged(self, monkeypatch):
         def broken(name, frame, next_frame, model):

@@ -36,7 +36,8 @@ class TestWienerRealization:
         with pytest.raises(ValueError):
             wiener_realization(8, -0.1, 0)
 
-    @pytest.mark.parametrize("rho", [np.nan, np.inf])
+    # At 1e308 the variance 4*pi*rho overflows; the draws would hold inf and nan.
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, 1e308])
     def test_non_finite_rho_rejected(self, rho):
         with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
             wiener_realization(8, rho, 0)
