@@ -39,6 +39,15 @@ Every estimator returns an :class:`EstimatorOutput` of plain arrays, built
 by one constructor; its geometry residual is evaluated on ``delta``, at most
 once, when first read.
 
+An estimator that cannot estimate a frame raises :class:`EstimationError`,
+and :func:`pnofdm.link.simulate` then flags the frame and uses ``cpe``.  No
+numpy ``LinAlgError`` leaves an estimator: ``uls`` and both ``nls`` paths turn
+one from the condition number or the normal-equation solve into an
+``EstimationError`` that names it, and ``gls`` turns the local solve's into a
+dual solve and the dual's or the recovery's into an ``EstimationError``.  The
+other estimators call no linear-algebra routine: ``cpe`` and ``cis`` divide
+by a pilot power they check, and ``genie`` transforms the true trajectory.
+
 ``error_decomposition`` splits any estimate into per-sample amplitude errors
 ``eps``, phase errors ``omega``, and the closed-form total error they
 induce.
@@ -195,20 +204,27 @@ def project_constant_modulus(gamma):
 
 
 def _uls_gamma(sys: LsSystem):
-    """Solve the normal equations, ridge-regularizing near-singular systems."""
-    cond = float(np.linalg.cond(sys.M))
-    flags = ()
-    M = sys.M
-    if not np.isfinite(cond) or cond > ULS_COND_LIMIT:
-        ridge = 1e-10 * float(np.trace(M).real) / sys.n
-        M = M + ridge * np.eye(sys.n)
-        flags = ("regularized",)
-        cond_r = float(np.linalg.cond(M))
-        if not np.isfinite(cond_r) or cond_r > 1e16:
-            raise EstimationError(
-                f"normal matrix is singular beyond regularization (cond {cond:.3e})"
-            )
-    return np.linalg.solve(M, sys.b), flags
+    """Solve the normal equations, ridge-regularizing near-singular systems.
+
+    A numpy ``LinAlgError`` from the condition number or the solve becomes an
+    :class:`EstimationError` naming it.
+    """
+    try:
+        cond = float(np.linalg.cond(sys.M))
+        flags = ()
+        M = sys.M
+        if not np.isfinite(cond) or cond > ULS_COND_LIMIT:
+            ridge = 1e-10 * float(np.trace(M).real) / sys.n
+            M = M + ridge * np.eye(sys.n)
+            flags = ("regularized",)
+            cond_r = float(np.linalg.cond(M))
+            if not np.isfinite(cond_r) or cond_r > 1e16:
+                raise EstimationError(
+                    f"normal matrix is singular beyond regularization (cond {cond:.3e})"
+                )
+        return np.linalg.solve(M, sys.b), flags
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(f"normal-equation solve failed: LinAlgError: {exc}") from exc
 
 
 def uls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:

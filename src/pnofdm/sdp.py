@@ -53,15 +53,18 @@ stage ends at a step whose decrement shows ``d`` centered, without moving
 the new ``t``.  Every iterate is strictly feasible, which makes the returned
 certificate unconditional.
 
-Both Newton loops call LAPACK through numpy's gufuncs directly: the local
+Every LAPACK call but the SVDs goes through numpy's gufuncs directly, one
+helper per routine: the start points' solves and ``eigvalsh``, the local
 solve's phase-Hessian ``eigh`` and the certificate's ``eigvalsh``, and the
 barrier's Cholesky factorizations, inverse, Newton solve and final
 ``eigvalsh``.  On these 9 x 9 matrices ``numpy.linalg``'s per-call argument
 handling cost more than LAPACK did, and about a third of a barrier step.
-Each solve enters one floating-point error state (:func:`_lapack`) around
-its loop, so a LAPACK failure still raises ``np.linalg.LinAlgError``.  The
-set-up calls, ``norm(M, 2)`` and :func:`kkt_recover`'s SVD stay on
-``numpy.linalg``.
+Each solver enters one floating-point error state (:func:`_lapack`) around
+all its calls, so a LAPACK failure still raises ``np.linalg.LinAlgError``.
+The SVDs stay on public ``numpy.linalg``: the 2-norm, taken as
+``svd(M, compute_uv=False)[0]`` (bit for bit ``norm(M, 2)``, without its
+axis handling), and :func:`kkt_recover`'s.  The SVD gufuncs are named
+differently in numpy 1.x and 2.x, and the package supports both.
 """
 
 from __future__ import annotations
@@ -110,8 +113,8 @@ def _raise_lapack_error(err, flag):
 def _lapack():
     """The floating-point error state under which the LAPACK helpers raise as ``numpy.linalg`` does.
 
-    :func:`_cholesky`, :func:`_inv`, :func:`_solve`, :func:`_eigh` and
-    :func:`_eigvalsh` call numpy's private LAPACK gufuncs
+    :func:`_cholesky`, :func:`_inv`, :func:`_solve`, :func:`_solve_complex`,
+    :func:`_eigh` and :func:`_eigvalsh` call numpy's private LAPACK gufuncs
     (``numpy.linalg._umath_linalg``, tested on numpy 2.4) with fixed
     signatures.  They skip ``numpy.linalg``'s per-call argument handling,
     which on these 9 x 9 matrices costs more than the routine itself, and
@@ -119,8 +122,8 @@ def _lapack():
     the same.  A gufunc reports a failed factorization or a non-convergence
     as an invalid floating-point operation; this state, with the settings
     ``numpy.linalg`` uses, turns it into ``np.linalg.LinAlgError``.  A solver
-    enters it once around its Newton loop, not once per call, so inside the
-    loop any NaN result raises ``LinAlgError`` too.
+    enters it once around its set-up and Newton loop, not once per call, so
+    inside it any NaN result raises ``LinAlgError`` too.
     """
     return np.errstate(call=_raise_lapack_error, invalid="call", over="ignore", divide="ignore", under="ignore")
 
@@ -138,6 +141,11 @@ def _inv(L):
 def _solve(H, rhs):
     """Solution of the real system ``H x = rhs`` for a vector ``rhs``, as ``np.linalg.solve``."""
     return _umath_linalg.solve1(H, rhs, signature="dd->d")
+
+
+def _solve_complex(A, rhs):
+    """Solution of the complex system ``A x = rhs`` for a vector ``rhs``, as ``np.linalg.solve``."""
+    return _umath_linalg.solve1(A, rhs, signature="DD->D")
 
 
 def _eigh(H):
@@ -162,7 +170,7 @@ def _cost_pair(M, b):
         raise ValueError("M must be n x n with n = len(b)")
     if not (np.isfinite(M).all() and np.isfinite(b).all()):
         raise ValueError("M and b must be finite")
-    if np.max(np.abs(M - M.conj().T)) > 1e-10 * (1 + np.max(np.abs(M))):
+    if abs(M - M.conj().T).max() > 1e-10 * (1 + abs(M).max()):
         raise ValueError("M must be Hermitian")
     return M, b
 
@@ -180,7 +188,7 @@ def _lmi(A, c, tau: float, mu) -> np.ndarray:
     n = c.size
     G = np.empty((n + 1, n + 1), dtype=complex)
     G[:n, :n] = A
-    G[np.diag_indices(n)] += mu
+    G.reshape(-1)[: n * (n + 2) : n + 2] += mu  # the top block's diagonal, in place
     G[:n, n] = c
     G[n, :n] = c.conj()
     G[n, n] = -tau - np.sum(mu) / n
@@ -228,42 +236,44 @@ def certify_local(M, b):
     M, b = _cost_pair(M, b)  # the start point reads the frequency-basis pair
     A, c, F = _time_pair(M, b)
     n = b.size
-    scale = 1.0 + float(np.linalg.norm(M, 2))
+    scale = 1.0 + float(np.linalg.svd(M, compute_uv=False)[0])  # 1 + ||M||_2
     grad_tol, eig_floor = LOCAL_GRAD_TOL * scale, LOCAL_EIG_FLOOR * scale
     c_conj, a_diag = c.conj(), 2.0 * A.diagonal().real / n
-    diag, root_n = np.diag_indices(n), np.sqrt(n)
+    H, root_n = np.empty((n, n)), np.sqrt(n)
+    H_diag = H.reshape(-1)[:: n + 1]  # a writable view of the phase Hessian's diagonal
 
     def cost(x):  # the cost at x, and A @ x for the gradient there
         Ax = A @ x
-        return float(np.real(x.conj() @ Ax) - 2.0 * np.real(c_conj @ x)), Ax
+        return float((x.conj() @ Ax).real - 2.0 * (c_conj @ x).real), Ax
 
-    phi = np.angle(np.fft.ifft(np.linalg.solve(M, b)))
-    x = np.exp(1j * phi) / root_n
-    J, Ax = cost(x)
     with _lapack():
+        phi = np.angle(np.fft.ifft(_solve_complex(M, b)))
+        x = np.exp(1j * phi) / root_n
+        J, Ax = cost(x)
         for _ in range(LOCAL_MAX_NEWTON):
-            x_conj = np.conj(x)
+            x_conj = x.conj()
             resid = x_conj * (Ax - c)
             grad = 2.0 * resid.imag
-            if np.max(np.abs(grad)) <= grad_tol:
+            if abs(grad).max() <= grad_tol:
                 break
-            H = 2.0 * np.real(x_conj[:, None] * A * x[None, :])
-            H[diag] = a_diag - 2.0 * resid.real
+            np.multiply((x_conj[:, None] * A * x).real, 2.0, out=H)
+            np.subtract(a_diag, 2.0 * resid.real, out=H_diag)
             lam, V = _eigh(H)
-            lam = np.maximum(np.abs(lam), eig_floor)
+            lam = np.maximum(abs(lam), eig_floor)
             step = -V @ ((V.T @ grad) / lam)
-            step *= min(1.0, LOCAL_STEP_CAP / np.max(np.abs(step)))
+            step *= min(1.0, LOCAL_STEP_CAP / abs(step).max())
             slope = float(grad @ step)
             alpha = 1.0
             for _ in range(LOCAL_MAX_BACKTRACK):
-                x_trial = np.exp(1j * (phi + alpha * step)) / root_n
+                phi_trial = phi + alpha * step
+                x_trial = np.exp(1j * phi_trial) / root_n
                 J_trial, Ax_trial = cost(x_trial)
                 if J_trial <= J + ARMIJO * alpha * slope + LOCAL_COST_SLACK * (1.0 + abs(J)):
                     break
                 alpha *= 0.5
             else:
                 return None
-            phi, x, J, Ax = phi + alpha * step, x_trial, J_trial, Ax_trial
+            phi, x, J, Ax = phi_trial, x_trial, J_trial, Ax_trial
         else:
             return None
         mu = np.real((c - Ax) / x)
@@ -295,8 +305,8 @@ def solve_dual(M, b) -> SdpSolution:
     m = n + 1
 
     M, b = _cost_pair(M, b)
-    norm_M = float(np.linalg.norm(M, 2))
-    scale = max(1.0, norm_M, float(np.max(np.abs(b))) if n else 0.0)
+    norm_M = float(np.linalg.svd(M, compute_uv=False)[0])  # ||M||_2
+    scale = max(1.0, norm_M, float(abs(b).max()) if n else 0.0)
 
     # Scaled time-basis LMI G0 + Diag(d) and the objective tau = w.d.
     A, c, _ = _time_pair(M, b, scale)
@@ -304,30 +314,33 @@ def solve_dual(M, b) -> SdpSolution:
     w = np.full(m, -1.0 / n)
     w[n] = -1.0
 
-    # Strictly feasible start: lift mu until the top block is PD, then push
-    # tau below the Schur complement.
-    mu0 = max(0.0, -float(np.linalg.eigvalsh(A)[0])) + 1.0
-    schur = float(np.real(c.conj() @ np.linalg.solve(A + mu0 * np.eye(n), c)))
-    d = np.full(m, mu0)
-    d[n] = schur + 1.0
-
-    # The LMI at d; line-search trials rewrite only its diagonal.
-    G, g0, diag = G0 + np.diag(d), G0.diagonal(), np.diag_indices(m)
     t = 1.0
     tau_path = []
     status = "max_iter"
     tau_prev = None
     steps = 0
     with _lapack():
+        # Strictly feasible start: lift mu until the top block is PD, then
+        # push tau below the Schur complement.
+        mu0 = max(0.0, -float(_eigvalsh(A)[0])) + 1.0
+        schur = float((c.conj() @ _solve_complex(A + mu0 * np.eye(n), c)).real)
+        d = np.full(m, mu0)
+        d[n] = schur + 1.0
+
+        # The LMI at d.  Line-search trials write d_trial and G's diagonal in
+        # place (G_diag is a writable view); acceptance swaps d and d_trial.
+        G, g0, d_trial, H = G0 + np.diag(d), G0.diagonal(), np.empty(m), np.empty((m, m))
+        G_diag = G.reshape(-1)[:: m + 1]
+        tw = t * w
         L = _cholesky(G)  # the factor at a new d, until its inverse is taken
         while steps < MAX_NEWTON:
             steps += 1
             if L is not None:
                 Linv = _inv(L)
                 S = Linv.conj().T @ Linv
-                H = np.abs(S) ** 2
+                np.square(np.abs(S, out=H), out=H)  # |S|^2
                 S_diag, L = S.diagonal().real, None
-            rhs = S_diag + t * w
+            rhs = S_diag + tw
             try:
                 step = _solve(H, rhs)
             except np.linalg.LinAlgError:
@@ -341,11 +354,12 @@ def solve_dual(M, b) -> SdpSolution:
                     break
                 tau_prev = tau_s
                 t *= BARRIER_GROWTH
+                tw = t * w
                 continue
             alpha_ls = 1.0
             for _ in range(60):
-                d_trial = d + alpha_ls * step
-                G[diag] = g0 + d_trial
+                np.add(d, np.multiply(step, alpha_ls, out=d_trial), out=d_trial)
+                np.add(g0, d_trial, out=G_diag)
                 try:
                     L = _cholesky(G)
                     break
@@ -353,8 +367,8 @@ def solve_dual(M, b) -> SdpSolution:
                     alpha_ls *= 0.5
             else:
                 break
-            d = d_trial
-        G[diag] = g0 + d
+            d, d_trial = d_trial, d
+        np.add(g0, d, out=G_diag)
         min_eig = scale * float(_eigvalsh(G)[0])  # the unscaled LMI at (tau, mu)
 
     tau = float(w @ d) * scale

@@ -76,7 +76,7 @@ def mc30():
 
 
 def test_criterion_1_geometry_construction():
-    report(1, *_check_geometry(51_000, 100))
+    report(1, *_check_geometry(51_000, 32))
 
 
 def test_criterion_2_ppt_validity_and_preservation():

@@ -22,7 +22,7 @@ from pnofdm.estimators import (
     project_constant_modulus,
     uls,
 )
-from pnofdm.link import LinkConfig, OfdmFrame, make_frame_pair, make_model, pilot_sequence, run_link
+from pnofdm.link import LinkConfig, OfdmFrame, ber_records, make_frame_pair, make_model, pilot_sequence, run_link
 from test_link import channel_one, rotate_one, sent_symbol
 from pnofdm.phasenoise import phase_trajectory, spectral_vector
 from pnofdm.spectral import GEOMETRY_TOL, dft_matrix, geometry_residual
@@ -183,12 +183,13 @@ class TestBuildLsSystem:
 
     @pytest.mark.parametrize(
         "name, error, match",
-        [("uls", np.linalg.LinAlgError, "SVD"), ("nls", np.linalg.LinAlgError, "SVD"), ("gls", ValueError, "finite")],
+        [("uls", EstimationError, "SVD"), ("nls", EstimationError, "SVD"), ("gls", ValueError, "finite")],
     )
     def test_non_finite_frame_raises(self, desk_frame, name, error, match):
         # A valid link config makes only finite frames; a hand-built NaN
-        # frame still fails loudly, never with an estimate: uls and nls in
-        # the condition number's SVD, gls in the sdp pair check.
+        # frame still fails loudly, never with an estimate: uls and nls with
+        # an EstimationError naming the condition number's failed SVD, gls in
+        # the sdp pair check.
         _, model, f0, f1 = desk_frame
         r = f0.r.copy()
         r[3] = np.nan
@@ -225,6 +226,38 @@ class TestUls:
         with pytest.raises(EstimationError, match="singular"):
             sys = build_ls_system(pilot_frame(np.zeros(16), np.ones(16), np.arange(8), np.ones(8)), model)
             uls(sys, model)
+
+    @pytest.mark.parametrize("routine", ["cond", "solve"])
+    def test_linalg_error_becomes_estimation_error(self, routine, monkeypatch):
+        sys, model, _ = noise_free_system(16, 0)
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(np.linalg, routine, broken)
+        for fn in (uls, nls):
+            with pytest.raises(EstimationError, match="LinAlgError: injected"):
+                fn(sys, model)
+
+    @pytest.mark.parametrize("name", ["uls", "nls"])
+    def test_linalg_error_flags_one_frame(self, name, monkeypatch):
+        # A LinAlgError in the fifth solve flags that frame alone; the run
+        # completes and every other frame decodes as in a run without it.
+        cfg = LinkConfig(snr_db=20.0)
+        clean = ber_records(cfg, (name,), 10, 3)[name]
+        real, calls = np.linalg.solve, []
+
+        def fail_fifth(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise np.linalg.LinAlgError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", fail_fifth)
+        rec = ber_records(cfg, (name,), 10, 3)[name]
+        assert (len(calls), rec.frames, rec.flagged_frames) == (10, 10, 1)
+        others = np.arange(10) != 4
+        assert np.array_equal(rec.frame_errors[others], clean.frame_errors[others])
 
     def test_ridge_rescues_ill_conditioned_system(self):
         # cond(M) = 1e13 is past ULS_COND_LIMIT, and the ridge brings it back.

@@ -302,6 +302,16 @@ class TestScenarios:
         }
 
 
+def unnormalized_projection(real):
+    """``project_constant_modulus`` skipping its last normalization, the final ``1/n``."""
+
+    def project(gamma):
+        projected, n_zero = real(gamma)
+        return projected * np.size(gamma), n_zero
+
+    return project
+
+
 class TestVerify:
     @pytest.fixture(autouse=True, scope="class")
     def memoised_duality_gap(self):
@@ -324,6 +334,26 @@ class TestVerify:
         assert report.passed
         assert all(ok for _, ok, _ in report.rows)
 
+    # The check behind each row.  A fault test replaces every other check
+    # with a pass, so ``verify`` runs only the check the fault breaks;
+    # ``test_each_fault_reaches_only_its_row`` shows no other row reads it.
+    CHECKS = {
+        "geometry-construction": "_check_geometry",
+        "ppt-validation": "_check_ppt",
+        "regularity": "_check_regularity",
+        "duality-gap": "_check_duality",
+        "error-identity": "_check_error_identity",
+    }
+
+    def verify_only(self, monkeypatch, suite):
+        for row, name in self.CHECKS.items():
+            if row != suite:
+                stub = (True, "not run", 0.0) if row == "duality-gap" else (True, "not run")
+                monkeypatch.setattr(experiments, name, lambda *args, _stub=stub: _stub)
+        report = verify()
+        assert not report.passed
+        assert [s for s, ok, _ in report.rows if not ok] == [suite]
+
     def test_fault_injection_fails(self, monkeypatch):
         real = experiments.validate_ppt
 
@@ -331,22 +361,15 @@ class TestVerify:
             return dataclasses.replace(real(Ttilde), unitarity=0.05, passed=False)
 
         monkeypatch.setattr(experiments, "validate_ppt", corrupted)
-        report = verify()
-        assert not report.passed
-        failed = [suite for suite, ok, _ in report.rows if not ok]
-        assert failed == ["ppt-validation"]
+        self.verify_only(monkeypatch, "ppt-validation")
 
-    # One fault per row: the module attribute to replace and a wrapper of the
-    # real function.  ppt-validation draws its cores through
-    # ``spectral_vector`` too, at n <= 8, so that fault hits only the
-    # trajectories of length 16 and 64.
+    # One fault per row: the module, the attribute to replace and a wrapper
+    # of the real function.
     FAULTS = {
-        "geometry-construction": (
-            "spectral_vector",
-            lambda real: lambda theta: real(theta) * (1.001 if len(theta) > 8 else 1),
-        ),
-        "regularity": ("regularity_matrix", lambda real: lambda n: real(n) + 1e-3 * np.eye(n, n + 1)),
+        "geometry-construction": (estimators, "project_constant_modulus", unnormalized_projection),
+        "regularity": (experiments, "regularity_matrix", lambda real: lambda n: real(n) + 1e-3 * np.eye(n, n + 1)),
         "error-identity": (
+            experiments,
             "error_decomposition",
             lambda real: lambda d, t: dataclasses.replace(real(d, t), total=real(d, t).total + 1e-9),
         ),
@@ -354,12 +377,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", list(FAULTS))
     def test_injected_fault_fails_only_its_row(self, monkeypatch, suite):
-        name, wrap = self.FAULTS[suite]
-        monkeypatch.setattr(experiments, name, wrap(getattr(experiments, name)))
-        report = verify()
-        assert not report.passed
-        failed = [s for s, ok, _ in report.rows if not ok]
-        assert failed == [suite]
+        module, name, wrap = self.FAULTS[suite]
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+        self.verify_only(monkeypatch, suite)
 
     @pytest.mark.parametrize("fault", ["unresolved", "negative_gap", "not_optimal"])
     def test_unsound_duality_instance_fails_only_its_row(self, monkeypatch, fault):
@@ -374,10 +394,40 @@ class TestVerify:
             return dataclasses.replace(g, solution=dataclasses.replace(g.solution, status="max_iter"))
 
         monkeypatch.setattr(experiments, "duality_gap", faulty)
-        report = verify()
-        assert not report.passed
-        failed = [suite for suite, ok, _ in report.rows if not ok]
-        assert failed == ["duality-gap"]
+        self.verify_only(monkeypatch, "duality-gap")
+
+    def test_each_fault_reaches_only_its_row(self, monkeypatch):
+        # A fault moves a row only through the function it replaces.  One
+        # verify run records which rows call each of the faulted functions.
+        row, readers = [None], {}
+
+        def enter(suite, check):
+            def run(*args):
+                row[0] = suite
+                return check(*args)
+
+            return run
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                readers.setdefault(name, set()).add(row[0])
+                return real(*args, **kwargs)
+
+            return call
+
+        for suite, name in self.CHECKS.items():
+            monkeypatch.setattr(experiments, name, enter(suite, getattr(experiments, name)))
+        faulted = [(experiments, "validate_ppt"), (experiments, "duality_gap")]
+        for module, name in faulted + [(module, name) for module, name, _ in self.FAULTS.values()]:
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        assert verify().passed
+        assert readers == {
+            "project_constant_modulus": {"geometry-construction"},
+            "validate_ppt": {"ppt-validation"},
+            "regularity_matrix": {"regularity"},
+            "duality_gap": {"duality-gap"},
+            "error_decomposition": {"error-identity"},
+        }
 
 
 def run_cli(*args):

@@ -6,9 +6,20 @@ import numpy as np
 import pytest
 
 from pnofdm import sdp
+from pnofdm.dimred import lift
 from pnofdm.estimators import build_ls_system, gls, project_constant_modulus
 from pnofdm.link import LinkConfig, make_frame_pair, make_model
-from pnofdm.sdp import SdpSolution, SolverError, _cost_pair, _lmi, _time_pair, certify_local, kkt_recover, solve_dual
+from pnofdm.sdp import (
+    SdpSolution,
+    SolverError,
+    _cost_pair,
+    _lmi,
+    _symmetrize,
+    _time_pair,
+    certify_local,
+    kkt_recover,
+    solve_dual,
+)
 from pnofdm.spectral import dft_matrix
 from pnofdm.sproc import duality_gap, primal_oracle, random_gram_instance
 
@@ -293,6 +304,18 @@ class TestClosedFormCertificate:
         assert self.certificate_min_eig(5, 10, 72000) < -0.1
 
 
+def reference_time_lmi(A, c, tau, mu):
+    """The time-basis LMI written with a fancy-indexed diagonal, the reference for :func:`pnofdm.sdp._lmi`."""
+    n = c.size
+    G = np.empty((n + 1, n + 1), dtype=complex)
+    G[:n, :n] = A
+    G[np.diag_indices(n)] += mu
+    G[:n, n] = c
+    G[n, :n] = c.conj()
+    G[n, n] = -tau - np.sum(mu) / n
+    return G
+
+
 def reference_certify_local(M, b):
     """Loop reference for :func:`certify_local`, recomputing ``A @ x`` and every loop invariant per step."""
     M, b = _cost_pair(M, b)
@@ -331,7 +354,7 @@ def reference_certify_local(M, b):
     else:
         return None
     mu = np.real((c - A @ x) / x)
-    G = _lmi(A, c, J, mu)
+    G = reference_time_lmi(A, c, J, mu)
     if float(np.linalg.eigvalsh(G[:n, :n])[0]) < -sdp.CERT_EIG_TOL * scale:
         return None
     min_eig = float(np.linalg.eigvalsh(G)[0])
@@ -386,7 +409,7 @@ def reference_solve_dual(M, b):
     norm_M = float(np.linalg.norm(M, 2))
     scale = max(1.0, norm_M, float(np.max(np.abs(b))))
     A, c, _ = _time_pair(*_cost_pair(M, b), scale)
-    G0 = _lmi(A, c, 0.0, np.zeros(n))
+    G0 = reference_time_lmi(A, c, 0.0, np.zeros(n))
     w = np.full(m, -1.0 / n)
     w[n] = -1.0
     mu0 = max(0.0, -float(np.linalg.eigvalsh(A)[0])) + 1.0
@@ -415,6 +438,40 @@ def reference_solve_dual(M, b):
     return sol, stage_ends
 
 
+def reference_kkt_recover(M, b, sol):
+    """Reference for :func:`kkt_recover`: the pseudo-inverse solve written out.  Returns ``(g, rank)``."""
+    M, b = _cost_pair(M, b)
+    F = dft_matrix(b.size)
+    U, s, Vh = np.linalg.svd(_symmetrize(M + (F * sol.mu) @ F.conj().T))
+    keep = s > sdp.KKT_RCOND * s[0]
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    return Vh.conj().T @ (inv_s * (U.conj().T @ b)), int(np.count_nonzero(keep))
+
+
+def reference_gls(sys, model):
+    """Reference for :func:`pnofdm.estimators.gls` on the reference solvers.
+
+    Returns ``(gamma_hat, cost, gap, flags, certified)``.
+    """
+    local = reference_certify_local(sys.M, sys.b)
+    flags = ()
+    if local is not None:
+        gamma, sol = local
+    else:
+        sol = reference_solve_dual(sys.M, sys.b)[0]
+        assert sol.status == "optimal"
+        gamma_raw, rank = reference_kkt_recover(sys.M, sys.b, sol)
+        if rank < sys.n:
+            flags = (f"kkt_rank_deficient:{rank}",)
+        gamma, n_zero = project_constant_modulus(gamma_raw)
+        if n_zero:
+            flags = flags + (f"zero_time_samples:{n_zero}",)
+    cost = sys.cost_delta(lift(model, gamma))
+    gap = 0.0 if local is not None else cost - sys.const_term - sol.tau
+    return gamma, cost, gap, flags, local is not None
+
+
 def assert_same_solution(got, ref):
     assert (got.tau, got.min_eig, got.iterations, got.status) == (ref.tau, ref.min_eig, ref.iterations, ref.status)
     assert np.array_equal(got.mu, ref.mu)
@@ -422,16 +479,21 @@ def assert_same_solution(got, ref):
 
 
 @pytest.fixture(scope="module")
-def link_pairs():
-    """``(M, b)`` of 40 link frames at each of 10, 20 and 30 dB."""
-    pairs = []
+def link_systems():
+    """``(LsSystem, model)`` of 40 link frames at each of 10, 20 and 30 dB."""
+    systems = []
     for snr_db in (10.0, 20.0, 30.0):
         cfg = LinkConfig(snr_db=snr_db)
         model = make_model(cfg)
         for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([4242, int(snr_db)]).spawn(40)):
-            sys = build_ls_system(f0, model)
-            pairs.append((sys.M, sys.b))
-    return pairs
+            systems.append((build_ls_system(f0, model), model))
+    return systems
+
+
+@pytest.fixture(scope="module")
+def link_pairs(link_systems):
+    """``(M, b)`` of the 120 link frames."""
+    return [(sys.M, sys.b) for sys, _ in link_systems]
 
 
 GRAM_PAIRS = [random_gram_instance(n, k, 300 + seed) for n, k in ((3, 6), (5, 10), (8, 12)) for seed in range(10)]
@@ -447,7 +509,13 @@ class TestMatchesReference:
         if got is not None:
             assert np.array_equal(got[0], ref[0])
             assert_same_solution(got[1], ref[1])
-        assert_same_solution(solve_dual(M, b), reference_solve_dual(M, b)[0])
+        sol, ref_sol = solve_dual(M, b), reference_solve_dual(M, b)[0]
+        assert_same_solution(sol, ref_sol)
+        if sol.status == "optimal":
+            gamma, info = kkt_recover(M, b, sol)
+            ref_gamma, ref_rank = reference_kkt_recover(M, b, ref_sol)
+            assert np.array_equal(gamma, ref_gamma)
+            assert (info.rank, info.full_rank) == (ref_rank, ref_rank == np.size(b))
         return got is None
 
     def test_link_frames(self, link_pairs):
@@ -457,6 +525,16 @@ class TestMatchesReference:
     def test_gram_instances(self):
         for M, b in GRAM_PAIRS:
             self.check(M, b)
+
+    def test_gls_on_link_frames(self, link_systems):
+        kinds = set()
+        for sys, model in link_systems:
+            out, ref = gls(sys, model), reference_gls(sys, model)
+            d = out.diagnostics
+            assert np.array_equal(out.gamma_hat, ref[0])
+            assert (d.cost, d.gap, d.flags, d.certified) == ref[1:]
+            kinds.add(d.certified)
+        assert kinds == {True, False}
 
     @pytest.mark.parametrize("budget", ["one_step", "mid_stage", "stage_end"])
     def test_step_budget_exhaustion(self, budget, link_pairs, monkeypatch):
@@ -477,6 +555,7 @@ LAPACK_HELPERS = {
     "_cholesky": np.linalg.cholesky,
     "_inv": np.linalg.inv,
     "_solve": np.linalg.solve,
+    "_solve_complex": np.linalg.solve,
     "_eigh": np.linalg.eigh,
     "_eigvalsh": np.linalg.eigvalsh,
 }
@@ -538,8 +617,9 @@ class TestLapackHelpers:
             ("_cholesky", (-np.eye(3, dtype=complex),)),
             ("_inv", (np.zeros((3, 3), dtype=complex),)),
             ("_solve", (np.ones((3, 3)), np.ones(3))),
+            ("_solve_complex", (np.ones((3, 3), dtype=complex), np.ones(3, dtype=complex))),
         ],
-        ids=["non_pd_cholesky", "singular_inv", "singular_solve"],
+        ids=["non_pd_cholesky", "singular_inv", "singular_solve", "singular_solve_complex"],
     )
     def test_raise_where_numpy_linalg_raises(self, name, args):
         before = np.geterr()
