@@ -11,7 +11,7 @@ import numpy as np
 
 from pnofdm.estimators import error_decomposition, estimate_frame
 from pnofdm.link import LinkConfig, decode_frame, make_frame_pair, make_model
-from pnofdm.phasenoise import spectral_vector
+from pnofdm.spectral import spectral_vector
 
 cfg = LinkConfig(snr_db=30.0, rho=0.02)
 model = make_model(cfg)

@@ -13,14 +13,14 @@ selection does not.
 import numpy as np
 
 from pnofdm.dimred import lft, pc_ppt, validate_ppt
-from pnofdm.phasenoise import spectral_vector, wiener_realization
-from pnofdm.spectral import geometry_residual
+from pnofdm.link import LinkConfig, make_frame_pair
+from pnofdm.spectral import geometry_residual, spectral_vector
 
 rng = np.random.default_rng(1)
 
 print("=== 1. Every phase trajectory lands on the geometry ===")
 for rho in (0.0, 0.02, 0.5):
-    theta = wiener_realization(64, rho, rng.integers(1 << 31))
+    theta = make_frame_pair(LinkConfig(rho=rho), [rng.integers(1 << 31)], next_symbol=False)[0][0].theta
     delta = spectral_vector(theta)
     print(f"rho={rho:4}: ||delta||={np.linalg.norm(delta):.12f}  "
           f"worst residual={geometry_residual(delta):.2e}")

@@ -12,7 +12,7 @@ import numpy as np
 
 from pnofdm.estimators import estimate_frame
 from pnofdm.link import LinkConfig, make_frame_pair, make_model
-from pnofdm.phasenoise import phase_trajectory
+from pnofdm.spectral import phase_trajectory
 
 cfg = LinkConfig(snr_db=30.0, rho=0.02)
 frame, lookahead = make_frame_pair(cfg, [88])[0]

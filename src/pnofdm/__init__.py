@@ -8,13 +8,12 @@ estimate and the coded error rate.
 
 Layout:
 
-* :mod:`pnofdm.spectral`: the unitary DFT, the shift-form table and the geometry residual.
-* :mod:`pnofdm.phasenoise`: Wiener trajectories and spectral vectors, both plain arrays.
+* :mod:`pnofdm.spectral`: the unitary DFT, the shift-form table, the geometry residual and the spectral vector of a phase trajectory.
 * :mod:`pnofdm.dimred`: low-frequency and geometry-preserving reduction models.
 * :mod:`pnofdm.estimators`: the five pilot-based estimators and diagnostics.
 * :mod:`pnofdm.sdp`: the local certificate and the dual semidefinite program behind the constrained fit.
 * :mod:`pnofdm.sproc`: certified primal oracle and duality verification.
-* :mod:`pnofdm.coding`, :mod:`pnofdm.qam`, :mod:`pnofdm.link`: the coded link.
+* :mod:`pnofdm.coding`, :mod:`pnofdm.qam`, :mod:`pnofdm.link`: the coded link, its Rayleigh channel and Wiener phase noise.
 * :mod:`pnofdm.experiments`, :mod:`pnofdm.cli`: scenario harness and CLI.
 
 Apart from ``__version__`` the package binds no names of its own: import

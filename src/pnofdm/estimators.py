@@ -61,9 +61,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dimred import DimRedModel, lift
-from .phasenoise import spectral_vector
 from .sdp import SolverError, certify_local, kkt_recover, solve_dual
-from .spectral import geometry_residual
+from .spectral import geometry_residual, spectral_vector
 
 __all__ = [
     "ESTIMATOR_IDS",
@@ -341,7 +340,7 @@ def cis(frame_t, frame_t1) -> EstimatorOutput:
     trajectory to be continuous across the two symbols.
 
     ``delta_hat`` is the spectral vector of the interpolated trajectory;
-    :func:`pnofdm.phasenoise.phase_trajectory` reads the line back, wrapped
+    :func:`pnofdm.spectral.phase_trajectory` reads the line back, wrapped
     to ``(-pi, pi]``.
     """
     c0 = pilot_scalar(frame_t)

@@ -42,8 +42,7 @@ from . import __version__
 from .dimred import lift, pc_ppt, validate_ppt
 from .estimators import ESTIMATOR_IDS, PPT_ONLY_IDS, error_decomposition
 from .link import LinkConfig, ber_records, make_model, simulate
-from .phasenoise import phase_trajectory, spectral_vector
-from .spectral import GEOMETRY_TOL, geometry_residual
+from .spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
 from .sproc import GAP_KINDS, duality_gap, random_gram_instance, regularity_matrix
 
 __all__ = [
@@ -56,7 +55,8 @@ __all__ = [
     "verify",
 ]
 
-SEED_RULE = "numpy SeedSequence(master_seed).spawn(trial_index)"
+# Trial i seeds from child i of SeedSequence(master_seed).spawn(n), for any n > i.
+SEED_RULE = "numpy SeedSequence(master_seed, spawn_key=(trial_index,))"
 
 
 class ConfigError(ValueError):

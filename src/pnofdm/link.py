@@ -22,6 +22,12 @@ Model and conventions:
 * The noise is drawn in the pre-rotation frame (``r = V (H s + n0)``), which
   is distributionally identical and makes genie compensation reproduce the
   zero-phase-noise link sample for sample.
+* The phase noise is a Wiener process (random walk): its increments are
+  i.i.d. zero-mean Gaussian with variance
+  ``WIENER_VARIANCE_FACTOR * rho / n_c`` per sample, the initial phase is
+  uniform on ``[-pi, pi)``, and the trajectory is continuous across the two
+  symbols of a pair.  Trajectories are plain arrays of radians; their
+  spectral vectors are :func:`pnofdm.spectral.spectral_vector`.
 * No cyclic prefix is modeled; the model is already post-FFT.
 * Channel knowledge is genie: frames carry the true channel response.
 
@@ -56,7 +62,6 @@ import numpy as np
 from .coding import conv_encode, viterbi_decode_soft
 from .dimred import DimRedModel, lft, pc_ppt
 from .estimators import ESTIMATOR_IDS, NEXT_SYMBOL_IDS, PPT_ONLY_IDS, EstimationError, cpe_only, estimate_frame
-from .phasenoise import WIENER_VARIANCE_FACTOR, _wiener_path
 from .qam import qam16_llr, qam16_map
 
 __all__ = [
@@ -65,21 +70,22 @@ __all__ = [
     "LinkConfig",
     "OfdmFrame",
     "SNR_DB_LIMIT",
-    "apply_phase_noise",
+    "WIENER_VARIANCE_FACTOR",
     "ber_records",
     "compensate",
     "decode_frame",
     "make_frame_pair",
     "make_model",
-    "pilot_indices",
-    "pilot_sequence",
-    "rayleigh_channel",
     "run_link",
     "simulate",
 ]
 
 # Largest |snr_db| a config may set; near 3000 dB the noise scale overflows.
 SNR_DB_LIMIT = 1000.0
+# Wiener increment variance is WIENER_VARIANCE_FACTOR * rho / n_c per sample,
+# the Lorentzian-linewidth convention for a free-running oscillator whose
+# 3-dB bandwidth is rho subcarrier spacings.
+WIENER_VARIANCE_FACTOR = 4.0 * np.pi
 # Seed of the fixed pseudo-random QPSK pilot sequence (same for every frame).
 PILOT_SEQUENCE_SEED = 20140821
 # Trials whose frames simulate builds and yields in one block, and that
@@ -164,28 +170,21 @@ def _model(t_kind: str, n_c: int, n_est: int) -> DimRedModel:
     return model
 
 
-def pilot_indices(n_c: int, pilot_fraction: float) -> np.ndarray:
-    """Evenly spaced pilot subcarriers starting at 0: ``floor(i * n_c / K)``."""
-    k = int(round(pilot_fraction * n_c))
-    if k < 1:
-        raise ValueError("pilot fraction yields no pilots")
-    return np.floor(np.arange(k) * n_c / k).astype(int)
-
-
-def pilot_sequence(k: int) -> np.ndarray:
-    """Fixed unit-modulus QPSK pilot values (seeded once, shared by all frames)."""
-    rng = np.random.default_rng(PILOT_SEQUENCE_SEED)
-    return np.exp(1j * (np.pi / 4 + rng.integers(0, 4, k) * np.pi / 2))
-
-
 @lru_cache(maxsize=16)
 def _layout(n_c: int, pilot_fraction: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(pilot_idx, pilot_values, data_idx)`` shared by all frames."""
-    pilot_idx = pilot_indices(n_c, pilot_fraction)
+    """Read-only ``(pilot_idx, pilot_values, data_idx)`` shared by all frames.
+
+    The ``K = round(pilot_fraction * n_c)`` pilots sit on the evenly spaced
+    subcarriers ``floor(i * n_c / K)``, starting at 0, and carry fixed
+    unit-modulus QPSK values from a generator seeded once.
+    """
+    k = int(round(pilot_fraction * n_c))
+    pilot_idx = np.floor(np.arange(k) * n_c / k).astype(int)
+    pilot_values = np.exp(1j * (np.pi / 4 + np.random.default_rng(PILOT_SEQUENCE_SEED).integers(0, 4, k) * np.pi / 2))
     is_data = np.ones(n_c, bool)
     is_data[pilot_idx] = False
     data_idx = np.flatnonzero(is_data)  # np.setdiff1d would import numpy.ma
-    layout = (pilot_idx, pilot_sequence(pilot_idx.size), data_idx)
+    layout = (pilot_idx, pilot_values, data_idx)
     for arr in layout:
         arr.flags.writeable = False
     return layout
@@ -232,7 +231,7 @@ def _tap_profile(taps: int, coherence_ratio: float) -> tuple:
     return tuple(p / p.sum())
 
 
-def rayleigh_channel(cfg: LinkConfig, draws) -> np.ndarray:
+def _rayleigh_channel(cfg: LinkConfig, draws: np.ndarray) -> np.ndarray:
     """Channel responses ``H`` of a block from standard normal tap draws.
 
     ``draws`` is ``(B, 2, taps)``: per channel, the real parts' draws, then
@@ -242,24 +241,17 @@ def rayleigh_channel(cfg: LinkConfig, draws) -> np.ndarray:
     ``(B, n_c)``: ``H_k = sum_n h[n] exp(-2j*pi*k*n/n_c)`` (plain
     unnormalized DFT), so ``sum_k |H_k|^2 = n_c * sum_n |h[n]|^2``.
     """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 3 or draws.shape[1:] != (2, cfg.taps):
-        raise ValueError(f"draws must be a block (B, 2, {cfg.taps})")
     p = np.asarray(_tap_profile(cfg.taps, cfg.coherence_bw / (cfg.n_c * cfg.f_sub)))
     h = np.sqrt(p / 2) * (draws[:, 0] + 1j * draws[:, 1])
     return np.fft.fft(h, cfg.n_c)
 
 
-def apply_phase_noise(x, theta) -> np.ndarray:
+def _apply_phase_noise(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Apply the unitary rotation ``V = F diag(exp(1j*theta)) F^H`` via FFTs.
 
     ``x`` and ``theta`` are blocks of one shape, ``(B, n)``: each row of
     ``x`` is rotated by the same row of ``theta``.
     """
-    x = np.asarray(x, dtype=complex)
-    theta = np.asarray(theta, dtype=float)
-    if x.ndim != 2 or theta.shape != x.shape:
-        raise ValueError("x and theta must share one block shape (B, n)")
     return np.fft.fft(np.exp(1j * theta) * np.fft.ifft(x))
 
 
@@ -321,7 +313,7 @@ def make_frame_pair(cfg: LinkConfig, seeds, next_symbol: bool = True) -> list[tu
     symbol 0 and then symbol 1 the bits, the real noise and the imaginary
     noise.  Only these draws are made seed by seed.  Everything after them
     runs once over the block of ``B`` seeds: the tap scaling and channel DFT
-    (:func:`rayleigh_channel`; ``H`` is the plain DFT of taps with unit
+    (:func:`_rayleigh_channel`; ``H`` is the plain DFT of taps with unit
     total power on average), the Wiener paths over ``(B, 2*n_c - 1)``
     increments, and the encoding, mapping and sending of every symbol as
     ``(B, 2, n_c)`` arrays, ``r = V (H s + n0)``, each row exactly as if
@@ -354,15 +346,17 @@ def make_frame_pair(cfg: LinkConfig, seeds, next_symbol: bool = True) -> list[tu
         for k in range(n_sym):
             info_bits[i, k] = rng.integers(0, 2, n_info)
             noise[i, k] = rng.standard_normal((2, n_c))
-    H = rayleigh_channel(cfg, tap_draws)
-    theta = _wiener_path(theta0, steps[:, : n_sym * n_c - 1]).reshape(n_pairs, n_sym, n_c)
+    H = _rayleigh_channel(cfg, tap_draws)
+    theta = np.zeros((n_pairs, n_sym * n_c))  # Wiener paths: theta0 + [0, cumsum(steps)]
+    np.cumsum(steps[:, : n_sym * n_c - 1], axis=1, out=theta[:, 1:])
+    theta = (theta + theta0[:, None]).reshape(n_pairs, n_sym, n_c)
     s = np.empty((n_pairs, n_sym, n_c), dtype=complex)
     s[..., pilot_idx] = pilot_values
     s[..., data_idx] = qam16_map(conv_encode(info_bits.reshape(-1, n_info))).reshape(n_pairs, n_sym, -1)
     w = H[:, None] * s
     sigma2 = np.mean(np.abs(w) ** 2, axis=-1) / 10 ** (cfg.snr_db / 10)
     n0 = np.sqrt(sigma2 / 2)[..., None] * (noise[:, :, 0] + 1j * noise[:, :, 1])
-    r = apply_phase_noise((w + n0).reshape(-1, n_c), theta.reshape(-1, n_c)).reshape(n_pairs, n_sym, n_c)
+    r = _apply_phase_noise((w + n0).reshape(-1, n_c), theta.reshape(-1, n_c)).reshape(n_pairs, n_sym, n_c)
 
     def frame(i, k):
         return OfdmFrame(info_bits[i, k], pilot_idx, pilot_values, data_idx, H[i], theta[i, k], r[i, k],

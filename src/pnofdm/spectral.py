@@ -17,6 +17,14 @@ Conventions fixed for the whole package:
   construction of :mod:`pnofdm.sproc` reads.  The dual solver needs no
   table: in the time basis the same constraints are the diagonal entries
   ``|x_m|^2 = 1/n``.
+* A phase trajectory ``theta`` (the receiver oscillator multiplies the
+  time-domain signal by ``exp(1j*theta[n])``) acts on the subcarriers as the
+  unitary row-circulant matrix built from its *spectral vector*
+  ``delta = fft(exp(-1j*theta)) / n`` (:func:`spectral_vector`), which
+  always lies on the geometry.  Its zeroth component is the common phase
+  error (CPE), the rotation shared by all subcarriers.
+  :func:`phase_trajectory` maps a spectral vector back to ``theta``.
+  Trajectories and spectra are plain arrays.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -32,7 +40,9 @@ __all__ = [
     "GEOMETRY_TOL",
     "dft_matrix",
     "geometry_residual",
+    "phase_trajectory",
     "shift_form_table",
+    "spectral_vector",
 ]
 
 # Residual threshold below which a vector is treated as lying on the geometry.
@@ -112,3 +122,26 @@ def geometry_residual(v) -> float:
     residuals = n * n * np.fft.ifft(power)
     residuals[0] -= 1.0
     return float(np.max(np.abs(residuals)))
+
+
+def spectral_vector(theta) -> np.ndarray:
+    """Map a phase trajectory to its spectral vector ``fft(exp(-1j*theta))/n``.
+
+    ``theta`` is an array of radians.  The result has unit norm and
+    vanishing geometry residuals for every ``theta`` (constant-modulus time
+    samples).
+    """
+    th = np.asarray(theta, float)
+    if th.ndim != 1 or th.size == 0:
+        raise ValueError("theta must be a non-empty 1-D vector")
+    return np.fft.fft(np.exp(-1j * th)) / th.size
+
+
+def phase_trajectory(delta) -> np.ndarray:
+    """Phase trajectory read off a spectral vector: ``-angle(ifft(delta))``.
+
+    For ``delta = spectral_vector(theta)`` the inverse transform is
+    ``exp(-1j*theta) / n``, so this recovers ``theta`` wrapped to
+    ``(-pi, pi]``.
+    """
+    return -np.angle(np.fft.ifft(delta))

@@ -13,7 +13,7 @@ import pytest
 
 from pnofdm.estimators import error_decomposition, uls
 from pnofdm.link import LinkConfig, decode_frame, simulate
-from pnofdm.phasenoise import spectral_vector
+from pnofdm.spectral import spectral_vector
 from pnofdm.experiments import (
     _check_duality,
     _check_error_identity,

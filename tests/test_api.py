@@ -1,7 +1,8 @@
 """The public surface: the package binds only its submodules, every
 ``__all__`` entry resolves and star-imports work, every public function has a
 caller outside the tests, every public default is one some caller changes,
-and every result field is one some caller reads."""
+every result field is one some caller reads, and both layout lists name
+exactly the package's modules."""
 
 import ast
 import dataclasses
@@ -9,6 +10,7 @@ import functools
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,16 @@ import pnofdm
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pnofdm.__path__) if m.name != "cli")
 # Code outside the tests: the package, the demos and the benchmark.
 CALLER_DIRS = ("src", "demos", "perfbench")
+
+
+def test_layout_lists_name_every_module():
+    # README's Layout block and the package docstring each list the modules,
+    # so adding or removing one must update both.
+    modules = sorted(m.name for m in pkgutil.iter_modules(pnofdm.__path__))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    layout = re.search(r"^## Layout\n\n```\n(.*?)^```", readme, re.S | re.M).group(1)
+    assert sorted(re.findall(r"^  (\w+)\.py ", layout, re.M)) == modules
+    assert sorted(re.findall(r":mod:`pnofdm\.(\w+)`", pnofdm.__doc__)) == modules
 
 
 def test_package_binds_only_its_submodules():

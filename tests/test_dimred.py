@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pnofdm.dimred import lft, lift, pc_ppt, validate_ppt
-from pnofdm.phasenoise import spectral_vector
-from pnofdm.spectral import geometry_residual
+from pnofdm.spectral import geometry_residual, spectral_vector
 
 
 def feasible_gamma(n, seed):

@@ -22,10 +22,9 @@ from pnofdm.estimators import (
     project_constant_modulus,
     uls,
 )
-from pnofdm.link import LinkConfig, OfdmFrame, ber_records, make_frame_pair, make_model, pilot_sequence, run_link
-from test_link import channel_one, rotate_one, sent_symbol
-from pnofdm.phasenoise import phase_trajectory, spectral_vector
-from pnofdm.spectral import GEOMETRY_TOL, dft_matrix, geometry_residual
+from pnofdm.link import LinkConfig, OfdmFrame, ber_records, make_frame_pair, make_model, run_link, simulate
+from test_link import all_pilot_values, channel_one, rotate_one, sent_symbol
+from pnofdm.spectral import GEOMETRY_TOL, dft_matrix, geometry_residual, phase_trajectory, spectral_vector
 from pnofdm.sdp import certify_local
 from pnofdm.sproc import primal_oracle, random_gram_instance
 from pnofdm.estimators import LsSystem, _circulant_gather
@@ -57,7 +56,7 @@ def noise_free_system(n_c, seed, model=None, theta=None):
     model = model or pc_ppt(n_c, n_c)
     cfg = LinkConfig(n_c=n_c)
     H = channel_one(cfg, rng)
-    s = pilot_sequence(n_c)
+    s = all_pilot_values(n_c)
     theta = rng.uniform(-np.pi, np.pi, n_c) if theta is None else theta
     r = rotate_one(H * s, theta)
     sys = build_ls_system(pilot_frame(r, H, np.arange(n_c), s, theta), model)
@@ -269,6 +268,19 @@ class TestUls:
         assert out.diagnostics.flags == ("regularized",)
         assert np.isfinite(out.gamma_hat).all() and np.isfinite(out.delta_hat).all()
 
+    @pytest.mark.parametrize("t_kind", ["ppt", "lft"])
+    def test_ridge_on_link_frames_at_the_config_limits(self, t_kind):
+        # The ridge is live on link frames only at the config limits: no
+        # noise, one tap, no phase noise and as many unknowns as pilots.
+        # There it regularizes some frames, flags none, and the run decodes
+        # every frame.
+        cfg = LinkConfig(n_c=16, n_est=8, pilot_fraction=0.5, snr_db=1000.0, taps=1, rho=0.0, t_kind=t_kind)
+        outputs = [out for _, results in simulate(cfg, ("uls",), 64, 1) for out in results["uls"]]
+        assert any(out.diagnostics.flags == ("regularized",) for out, _ in outputs)
+        assert not any(flagged for _, flagged in outputs)
+        rec = ber_records(cfg, ("uls",), 64, 1)["uls"]
+        assert rec.frames == 64 and rec.flagged_frames == 0
+
 
 class TestNls:
     def test_idempotent_on_feasible_input(self):
@@ -393,7 +405,7 @@ class TestCpeOnly:
         phi = 0.9
         rng = np.random.default_rng(5)
         H = channel_one(LinkConfig(n_c=n_c), rng)
-        s = pilot_sequence(n_c)
+        s = all_pilot_values(n_c)
         r = rotate_one(H * s, np.full(n_c, phi))
         frame = pilot_frame(r, H, np.arange(4), s[:4])
         out = cpe_only(frame)
@@ -407,7 +419,7 @@ class TestCpeOnly:
         n_c = 16
         rng = np.random.default_rng(6)
         H = channel_one(LinkConfig(n_c=n_c), rng)
-        s = pilot_sequence(n_c)
+        s = all_pilot_values(n_c)
         out = cpe_only(pilot_frame(H * s, H, np.arange(4), s[:4]))
         assert np.linalg.norm(out.delta_hat - np.eye(16)[:, 0]) < 1e-12
 
@@ -558,7 +570,7 @@ class TestCMatrix:
         rng = np.random.default_rng(11)
         model = pc_ppt(n_c, n_c)
         H = channel_one(LinkConfig(n_c=n_c), rng)
-        s = pilot_sequence(n_c)
+        s = all_pilot_values(n_c)
         theta = rng.uniform(-np.pi, np.pi, n_c)
         C = c_matrix(model, np.arange(n_c), theta, H, s, rotate_one(H * s, theta))
         assert np.max(np.abs(C - np.eye(n_c))) < 1e-10

@@ -25,7 +25,7 @@ from pnofdm.experiments import (
     verify,
 )
 from pnofdm.link import make_frame_pair
-from pnofdm.phasenoise import phase_trajectory
+from pnofdm.spectral import phase_trajectory
 
 
 TINY = "scenario = trajectory-traces\nn_c = 64\nn = 4\nseed = 5\n"
@@ -129,6 +129,7 @@ class TestParseConfig:
             ("rho = nan", "rho must be finite and nonnegative"),
             # 4*pi*rho overflows, so every phase step would be inf or nan.
             ("rho = 1e308", "rho must be finite and nonnegative"),
+            ("rho = -0.1", "rho must be finite and nonnegative"),
             ("pilot_fraction = nan", "pilot_fraction must lie in (0, 0.5]"),
             ("pilot_fraction = inf", "pilot_fraction must lie in (0, 0.5]"),
             ("f_sub = 0", "f_sub must be positive"),
@@ -174,9 +175,21 @@ class TestScenarios:
         text = path.read_text()
         assert f"# config_hash = {cfg.config_hash()}" in text
         assert "# seed = 5" in text
-        assert "# seed_rule" in text
+        assert f"# seed_rule = {experiments.SEED_RULE}" in text
         header = [l for l in text.splitlines() if not l.startswith("#")][0]
         assert header.startswith("index,theta,theta_hat_")
+
+    def test_seed_rule_names_the_engine_rule(self):
+        # The seed_rule metadata, evaluated, seeds each trial's frame pair as
+        # simulate does, on both sides of a block boundary.
+        cfg, master, trials = link.LinkConfig(snr_db=20.0), 8, link.DECODE_BLOCK + 8
+        frames = [frame for block, _ in link.simulate(cfg, ("cpe",), trials, master) for frame in block]
+        rule = experiments.SEED_RULE.removeprefix("numpy ")
+        for i in (0, 1, link.DECODE_BLOCK - 1, link.DECODE_BLOCK, trials - 1):
+            seed = eval(rule, {"SeedSequence": np.random.SeedSequence, "master_seed": master, "trial_index": i})
+            expected, _ = make_frame_pair(cfg, [seed])[0]
+            for name in ("info_bits", "theta", "H", "r"):
+                assert np.array_equal(getattr(frames[i], name), getattr(expected, name)), (i, name)
 
     def test_realization_falls_back_to_cpe_on_a_failing_estimator(self, tmp_path, monkeypatch):
         # trajectory-traces runs through simulate like every other scenario:

@@ -14,26 +14,24 @@ import pnofdm.link as link
 from pnofdm.estimators import EstimationError, cpe_only, estimate_frame
 from pnofdm.link import (
     SNR_DB_LIMIT,
+    WIENER_VARIANCE_FACTOR,
     LinkConfig,
-    apply_phase_noise,
     ber_records,
     compensate,
     decode_frame,
     make_frame_pair,
     make_model,
-    pilot_indices,
-    pilot_sequence,
-    rayleigh_channel,
     run_link,
     simulate,
+    _apply_phase_noise,
     _layout,
+    _rayleigh_channel,
     _tap_profile,
 )
 from pnofdm.coding import conv_encode
 from pnofdm.estimators import ESTIMATOR_IDS, NEXT_SYMBOL_IDS
-from pnofdm.phasenoise import WIENER_VARIANCE_FACTOR, spectral_vector
 from pnofdm.qam import qam16_map
-from pnofdm.spectral import dft_matrix
+from pnofdm.spectral import dft_matrix, spectral_vector
 
 
 def sent_symbol(frame):
@@ -51,7 +49,12 @@ def compensate_one(r, delta_hat):
 
 def rotate_one(x, theta):
     """One vector through the phase-noise rotation, as a one-row block."""
-    return apply_phase_noise([x], [theta])[0]
+    return _apply_phase_noise(x[None], theta[None])[0]
+
+
+def all_pilot_values(n_c):
+    """The fixed pilot values of a symbol whose ``n_c`` subcarriers are all pilots."""
+    return _layout(n_c, 1.0)[1]
 
 
 def _transmit(s, H, theta, snr_db, rng):
@@ -116,32 +119,33 @@ def channel_draws(cfg, rng, n):
 
 def channel_one(cfg, rng):
     """One channel response from ``rng``'s next tap draws, as a one-row block."""
-    return rayleigh_channel(cfg, channel_draws(cfg, rng, 1))[0]
+    return _rayleigh_channel(cfg, channel_draws(cfg, rng, 1))[0]
 
 
 class TestPilots:
     def test_count_and_spacing(self):
-        idx = pilot_indices(128, 0.08)
+        idx = _layout(128, 0.08)[0]
         assert idx.size == 10
         assert idx[0] == 0
         assert np.all(np.diff(idx) > 0)
 
     def test_values_unit_modulus_and_fixed(self):
-        v1, v2 = pilot_sequence(10), pilot_sequence(10)
-        assert np.array_equal(v1, v2)
+        # Layouts with the same pilot count carry the same values.
+        v1, v2 = _layout(128, 0.08)[1], _layout(125, 0.08)[1]
+        assert v1.size == 10 and np.array_equal(v1, v2)
         assert np.max(np.abs(np.abs(v1) - 1)) < 1e-15
 
 
 class TestChannel:
     def test_single_tap_flat(self):
         cfg = LinkConfig(taps=1)
-        (H,) = rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(0), 1))
+        (H,) = _rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(0), 1))
         assert np.max(np.abs(np.abs(H) - np.abs(H[0]))) < 1e-12
 
     def test_unit_average_power(self):
         # mean_k |H_k|^2 is the total tap power (Parseval), 1 on average.
         cfg = LinkConfig()
-        H = rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(2), 4000))
+        H = _rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(2), 4000))
         assert np.mean(np.abs(H) ** 2) == pytest.approx(1.0, rel=0.05)
 
     def test_coherence_bandwidth_correlation(self):
@@ -149,23 +153,17 @@ class TestChannel:
         # bandwidth is 0.5 (the decay constant is solved for exactly).
         cfg = LinkConfig()
         dk = round(cfg.coherence_bw / cfg.f_sub)
-        H = rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(3), 3000))
+        H = _rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(3), 3000))
         corr = np.mean(H * np.conj(np.roll(H, -dk, axis=1))) / np.mean(np.abs(H) ** 2)
         assert abs(corr) == pytest.approx(0.5, rel=0.10)
 
     def test_block_rows_match_single_channels(self):
         cfg = LinkConfig(taps=8)
         draws = channel_draws(cfg, np.random.default_rng(4), 5)
-        H = rayleigh_channel(cfg, draws)
+        H = _rayleigh_channel(cfg, draws)
         assert H.shape == (5, cfg.n_c)
         for row, d in zip(H, draws):
-            assert np.array_equal(row, rayleigh_channel(cfg, [d])[0])
-
-    def test_rejects_draws_of_another_shape(self):
-        cfg = LinkConfig()
-        for shape in ((2, cfg.taps), (1, 2, cfg.taps + 1), (1, 1, cfg.taps)):
-            with pytest.raises(ValueError, match="block"):
-                rayleigh_channel(cfg, np.zeros(shape))
+            assert np.array_equal(row, _rayleigh_channel(cfg, d[None])[0])
 
     def test_unreachable_coherence_raises(self):
         # Sample-spaced taps bound how decorrelated the channel can get.
@@ -191,7 +189,7 @@ class TestChannel:
         with pytest.raises(ValueError, match="increase taps"):
             LinkConfig(n_c=512).validate()
         cfg = LinkConfig(n_c=512, taps=6).validate()
-        assert rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(0), 1)).shape == (1, 512)
+        assert _rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(0), 1)).shape == (1, 512)
 
 
 class TestTransmit:
@@ -232,18 +230,10 @@ class TestTransmit:
         rng = np.random.default_rng(8)
         theta = rng.uniform(-np.pi, np.pi, (3, 32))
         x = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
-        rotated = apply_phase_noise(x, theta)
+        rotated = _apply_phase_noise(x, theta)
         assert rotated.shape == (3, 32)
         for row, xi, ti in zip(rotated, x, theta):
             assert np.array_equal(row, rotate_one(xi, ti))
-
-    def test_rotation_rejects_non_block_shapes(self):
-        with pytest.raises(ValueError, match="block"):
-            apply_phase_noise(np.ones(4), np.zeros(4))  # one vector is a one-row block
-        with pytest.raises(ValueError, match="block"):
-            apply_phase_noise(np.ones((2, 2, 4)), np.zeros((2, 2, 4)))
-        with pytest.raises(ValueError, match="block"):
-            apply_phase_noise(np.ones((2, 4)), np.zeros(4))  # no broadcast of one trajectory
 
 
 class TestCompensate:
@@ -251,7 +241,7 @@ class TestCompensate:
         rng = np.random.default_rng(8)
         theta = rng.uniform(-np.pi, np.pi, 32)
         H = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        s = pilot_sequence(32)
+        s = all_pilot_values(32)
         r = rotate_one(H * s, theta)
         y = compensate_one(r, spectral_vector(theta))
         assert np.max(np.abs(y - H * s)) < 1e-12
@@ -384,10 +374,10 @@ class TestFramePair:
         cfg = LinkConfig()
         a0, a1 = make_frame_pair(cfg, [15])[0]
         b0, _ = make_frame_pair(LinkConfig(snr_db=10.0), [16])[0]
-        pilot_idx = pilot_indices(cfg.n_c, cfg.pilot_fraction)
+        pilot_idx = np.floor(np.arange(10) * cfg.n_c / 10).astype(int)
         expected = {
             "pilot_idx": pilot_idx,
-            "pilot_values": pilot_sequence(pilot_idx.size),
+            "pilot_values": all_pilot_values(10),
             "data_idx": np.setdiff1d(np.arange(cfg.n_c), pilot_idx),
         }
         for name, want in expected.items():

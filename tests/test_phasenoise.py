@@ -1,46 +1,45 @@
-"""Tests for Wiener trajectories and spectral vectors."""
+"""Tests for the phase-noise model: the rule on ``rho``, the Wiener paths the
+link draws, and the spectral vectors of phase trajectories."""
 
 import numpy as np
 import pytest
 
-from pnofdm.phasenoise import (
-    phase_trajectory,
-    spectral_vector,
-    wiener_realization,
-)
-from pnofdm.spectral import GEOMETRY_TOL, geometry_residual
+from pnofdm.link import LinkConfig, make_frame_pair
+from pnofdm.spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
+
+
+def thetas(rho, seeds):
+    """The phase path of each seed's first symbol, one row per seed."""
+    return np.array([f0.theta for f0, _ in make_frame_pair(LinkConfig(rho=rho), seeds, next_symbol=False)])
 
 
 class TestWienerRealization:
     def test_zero_rho_constant(self):
-        th = wiener_realization(64, 0.0, 1)
-        assert np.allclose(th, th[0])
+        for f0, f1 in make_frame_pair(LinkConfig(rho=0.0), range(50)):
+            for frame in (f0, f1):
+                assert np.all(frame.theta == frame.theta[0])
 
     def test_deterministic(self):
-        a = wiener_realization(128, 0.05, 99)
-        b = wiener_realization(128, 0.05, 99)
-        assert np.array_equal(a, b)
+        assert np.array_equal(thetas(0.05, [99]), thetas(0.05, [99]))
 
     def test_programmed_diffusion(self):
-        # Sample variance of theta[-1] - theta[0] over many seeds matches the
-        # configured band: 4*pi*rho * (n-1)/n.
-        rho, n = 0.02, 512
-        drifts = np.array(
-            [wiener_realization(n, rho, 10_000 + s) for s in range(10_000)]
-        )
+        # Sample variance of theta[-1] - theta[0] over many frames matches the
+        # configured band: 4*pi*rho * (n_c-1)/n_c.
+        rho, n_c = 0.02, LinkConfig().n_c
+        drifts = thetas(rho, range(10_000, 20_000))
         var = np.var(drifts[:, -1] - drifts[:, 0])
-        target = 4 * np.pi * rho * (n - 1) / n
+        target = 4 * np.pi * rho * (n_c - 1) / n_c
         assert abs(var - target) / target < 0.05
 
     def test_negative_rho_rejected(self):
-        with pytest.raises(ValueError):
-            wiener_realization(8, -0.1, 0)
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            LinkConfig(rho=-0.1).validate()
 
     # At 1e308 the variance 4*pi*rho overflows; the draws would hold inf and nan.
     @pytest.mark.parametrize("rho", [np.nan, np.inf, 1e308])
     def test_non_finite_rho_rejected(self, rho):
         with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
-            wiener_realization(8, rho, 0)
+            LinkConfig(rho=rho).validate()
 
 
 class TestSpectralVector:
@@ -86,7 +85,7 @@ class TestCpe:
 
     def test_slow_noise_small_angle(self):
         # In the slow limit the common phase approaches the mean of -theta.
-        theta = wiener_realization(256, 1e-6, 7)
+        (theta,) = thetas(1e-6, [7])
         c = spectral_vector(theta)[0]
         err = np.angle(c * np.exp(1j * np.mean(theta)))
         assert abs(err) < 1e-2

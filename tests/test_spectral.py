@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from pnofdm.spectral import dft_matrix, geometry_residual, shift_form_table
-from pnofdm.phasenoise import spectral_vector
+from pnofdm.spectral import dft_matrix, geometry_residual, shift_form_table, spectral_vector
 
 
 def _shift(n, l):
