@@ -267,9 +267,9 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     infeasibility left by the finite solver tolerance; such frames carry
     ``certified=False`` and the measured ``gap = cost - tau``.  On dual-solve
     failure, including a numpy ``LinAlgError`` in the solve or the recovery,
-    an :class:`EstimationError` is raised, carrying the iteration trace when
-    the solve ran out of steps; :func:`pnofdm.link.simulate` then uses the
-    common-phase-only fit (``cpe``) for that frame and flags it.
+    an :class:`EstimationError` is raised, carrying the solve's status and
+    Newton step count when it ran out of steps; :func:`pnofdm.link.simulate`
+    then uses the common-phase-only fit (``cpe``) for that frame and flags it.
     """
     if model.kind != "ppt":
         raise ValueError("gls requires a geometry-preserving model")
@@ -285,10 +285,7 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
         try:
             sol = solve_dual(sys.M, sys.b)
             if sol.status != "optimal":
-                raise EstimationError(
-                    f"dual solve ended with status {sol.status!r} after "
-                    f"{sol.iterations} Newton steps (tau path {sol.tau_path})"
-                )
+                raise EstimationError(f"dual solve ended with status {sol.status!r} after {sol.iterations} Newton steps")
             gamma_raw, info = kkt_recover(sys.M, sys.b, sol)
         except (SolverError, np.linalg.LinAlgError) as exc:
             raise EstimationError(f"dual solve failed: {exc}") from exc

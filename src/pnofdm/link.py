@@ -340,12 +340,12 @@ def make_frame_pair(cfg: LinkConfig, seeds, next_symbol: bool = True) -> list[tu
     noise = np.empty((n_pairs, n_sym, 2, n_c))  # [pair, symbol, real or imaginary part, subcarrier]
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        tap_draws[i] = rng.standard_normal((2, cfg.taps))
+        rng.standard_normal(out=tap_draws[i])
         theta0[i] = rng.uniform(-np.pi, np.pi)
         steps[i] = rng.normal(0.0, step_sd, 2 * n_c - 1)
         for k in range(n_sym):
             info_bits[i, k] = rng.integers(0, 2, n_info)
-            noise[i, k] = rng.standard_normal((2, n_c))
+            rng.standard_normal(out=noise[i, k])
     H = _rayleigh_channel(cfg, tap_draws)
     theta = np.zeros((n_pairs, n_sym * n_c))  # Wiener paths: theta0 + [0, cumsum(steps)]
     np.cumsum(steps[:, : n_sym * n_c - 1], axis=1, out=theta[:, 1:])

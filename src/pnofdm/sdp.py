@@ -69,7 +69,7 @@ differently in numpy 1.x and 2.x, and the package supports both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -163,9 +163,11 @@ def _symmetrize(G):
 
 
 def _cost_pair(M, b):
-    """``(M, b)`` as complex arrays; ``M`` must be ``n x n`` Hermitian with ``n = len(b)``."""
+    """``(M, b)`` as complex arrays; ``M`` must be ``n x n`` Hermitian with ``n = len(b) >= 1``."""
     M = np.asarray(M, dtype=complex)
     b = np.asarray(b, dtype=complex).ravel()
+    if b.size == 0:
+        raise ValueError("the pair must have n >= 1")
     if M.shape != (b.size, b.size):
         raise ValueError("M must be n x n with n = len(b)")
     if not (np.isfinite(M).all() and np.isfinite(b).all()):
@@ -200,10 +202,8 @@ class SdpSolution:
     """Certified dual solution.
 
     ``mu`` holds the time-basis multipliers; ``min_eig`` is the smallest
-    eigenvalue of the unscaled LMI at ``(tau, mu)``.  ``tau_path``
-    records the objective at the end of each centering stage (nondecreasing
-    along the schedule).  A solution from :func:`certify_local` has
-    ``iterations = 0``, an empty ``tau_path`` and ``tau`` equal to the
+    eigenvalue of the unscaled LMI at ``(tau, mu)``.  A solution from
+    :func:`certify_local` has ``iterations = 0`` and ``tau`` equal to the
     certified point's cost.
     """
 
@@ -212,7 +212,6 @@ class SdpSolution:
     min_eig: float
     iterations: int
     status: str  # "optimal" | "max_iter"
-    tau_path: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def certify_local(M, b):
@@ -293,11 +292,13 @@ def solve_dual(M, b) -> SdpSolution:
     decrement is at most ``DECREMENT_TOL`` ends its stage without moving
     ``d``, and the next stage's first step reuses its ``S`` and ``|S|^2``;
     it counts as a step, and ``MAX_NEWTON`` bounds the steps of all stages.
-    Stops when the barrier suboptimality bound drops below
-    ``TOL * (1 + |tau|)`` (absolute plus relative) and the objective has
-    stabilized across stages.  Every iterate keeps the LMI strictly positive
-    definite, so the returned point is feasible and certifies weak duality
-    on its own.  Deterministic given the inputs.
+    Stops at the first centered stage whose barrier suboptimality bound
+    ``m/t`` is at most ``TOL * (1 + |tau|)`` (absolute plus relative).  At a
+    centered point that bound is the duality gap, so consecutive stage
+    objectives already agree to ``BARRIER_GROWTH * m/t``.  Every iterate
+    keeps the LMI strictly positive definite, so the returned point is
+    feasible and certifies weak duality on its own.  Deterministic given the
+    inputs.
     """
     n = np.size(b)
     if n > 64:
@@ -306,7 +307,7 @@ def solve_dual(M, b) -> SdpSolution:
 
     M, b = _cost_pair(M, b)
     norm_M = float(np.linalg.svd(M, compute_uv=False)[0])  # ||M||_2
-    scale = max(1.0, norm_M, float(abs(b).max()) if n else 0.0)
+    scale = max(1.0, norm_M, float(abs(b).max()))
 
     # Scaled time-basis LMI G0 + Diag(d) and the objective tau = w.d.
     A, c, _ = _time_pair(M, b, scale)
@@ -315,9 +316,7 @@ def solve_dual(M, b) -> SdpSolution:
     w[n] = -1.0
 
     t = 1.0
-    tau_path = []
     status = "max_iter"
-    tau_prev = None
     steps = 0
     with _lapack():
         # Strictly feasible start: lift mu until the top block is PD, then
@@ -346,13 +345,9 @@ def solve_dual(M, b) -> SdpSolution:
             except np.linalg.LinAlgError:
                 break
             if float(step @ rhs) <= DECREMENT_TOL:  # centered: the stage ends here
-                tau_s = float(w @ d)
-                tau_path.append(tau_s * scale)
-                stabilized = tau_prev is not None and abs(tau_s - tau_prev) <= np.sqrt(TOL) * (1.0 + abs(tau_s))
-                if m / t <= TOL * (1.0 + abs(tau_s)) and stabilized:
+                if m / t <= TOL * (1.0 + abs(float(w @ d))):
                     status = "optimal"
                     break
-                tau_prev = tau_s
                 t *= BARRIER_GROWTH
                 tw = t * w
                 continue
@@ -375,14 +370,7 @@ def solve_dual(M, b) -> SdpSolution:
     mu = d[:n] * scale
     if status == "optimal" and min_eig < -MIN_EIG_TOL * (1.0 + norm_M):
         status = "max_iter"  # certificate failed; do not report optimal
-    return SdpSolution(
-        tau=tau,
-        mu=mu,
-        min_eig=min_eig,
-        iterations=steps,
-        status=status,
-        tau_path=np.asarray(tau_path),
-    )
+    return SdpSolution(tau=tau, mu=mu, min_eig=min_eig, iterations=steps, status=status)
 
 
 @dataclass(frozen=True)

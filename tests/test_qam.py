@@ -160,3 +160,23 @@ class TestDemapper:
             axis=1,
         ).ravel()
         assert np.allclose(llr_one(y, gain, 0.3), expected, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("B", [1, 6, 32])
+    def test_arithmetic_pinned_on_link_blocks(self, B):
+        # The max-log expression written out per axis, on blocks of the link's
+        # shape (118 data subcarriers); equal bit for bit, so a faster form of
+        # the demapper cannot move an LLR unseen.
+        rng = np.random.default_rng(100 + B)
+        y = rng.standard_normal((B, 118)) + 1j * rng.standard_normal((B, 118))
+        gain = rng.standard_normal((B, 118)) + 1j * rng.standard_normal((B, 118))
+        noise_var = 10.0 ** rng.uniform(-4, 0, B)
+        levels = np.array([1.0, 3.0, -3.0, -1.0]) / np.sqrt(10.0)  # bits 00, 01, 10, 11
+        squared = levels**2
+        g2 = np.abs(gain) ** 2
+        z = np.conj(gain) * y
+        expected = np.empty((B, 4 * 118))
+        for axis, part in enumerate((z.real, z.imag)):
+            m00, m01, m10, m11 = (g2 * squared[i] - 2 * part * levels[i] for i in range(4))
+            expected[:, 2 * axis :: 4] = (np.minimum(m10, m11) - np.minimum(m00, m01)) / noise_var[:, None]
+            expected[:, 2 * axis + 1 :: 4] = (np.minimum(m01, m11) - np.minimum(m00, m10)) / noise_var[:, None]
+        assert np.array_equal(qam16_llr(y, gain, noise_var), expected)

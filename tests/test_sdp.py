@@ -124,10 +124,11 @@ ENTRY_POINTS = {
 }
 
 
-BAD_PAIRS = [  # (id suffix, M, b, error): a non-Hermitian M, and NaN or inf in a Hermitian pair
+BAD_PAIRS = [  # (id suffix, M, b, error): a non-Hermitian M, NaN or inf in a Hermitian pair, an empty pair
     ("", np.triu(np.ones((3, 3), dtype=complex)), np.zeros(3), "Hermitian"),
     ("-nan_M", np.diag([1.0, np.nan, 1.0]).astype(complex), np.zeros(3), "finite"),
     ("-inf_b", np.eye(3, dtype=complex), np.array([0.0, 0.0, np.inf]), "finite"),
+    ("-empty", np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=complex), "n >= 1"),
 ]
 
 
@@ -141,6 +142,7 @@ BAD_PAIRS = [  # (id suffix, M, b, error): a non-Hermitian M, and NaN or inf in 
 )
 def test_every_entry_point_rejects_non_hermitian(solve, M, b, error):
     # Non-finite data is rejected before any LAPACK call; NaN would pass the Hermitian test.
+    # An empty pair is rejected by the pair check, not by a numpy reduction of a zero-size array.
     with pytest.raises(ValueError, match=error):
         solve(M, b)
 
@@ -184,11 +186,6 @@ class TestSolveDual:
         for sol in (solve_dual(M, b), local):
             ref = assert_min_eig_matches_reference(M, b, sol)
             assert ref >= -1e-8 * (1 + np.linalg.norm(M, 2))
-
-    def test_tau_path_monotone(self):
-        M, b = random_gram_instance(5, 9, 6)
-        sol = solve_dual(M, b)
-        assert np.all(np.diff(sol.tau_path) >= -1e-9 * (1 + np.abs(sol.tau_path[1:])))
 
     def test_deterministic(self):
         M, b = random_gram_instance(4, 7, 7)
@@ -402,7 +399,10 @@ def reference_solve_dual(M, b):
     """Stage-by-stage reference for :func:`solve_dual`, one :func:`reference_center` call per stage.
 
     Returns ``(SdpSolution, stage_ends)``, ``stage_ends`` the step count at
-    the end of each completed stage.
+    the end of each completed stage.  It stops only once the stage objective
+    has also stabilized to ``sqrt(TOL)`` relative, a test the certified bound
+    ``m/t <= TOL * (1 + |tau|)`` already implies: equal solutions show that
+    the test never decides a stop.
     """
     n = np.size(b)
     m = n + 1
@@ -416,7 +416,7 @@ def reference_solve_dual(M, b):
     schur = float(np.real(c.conj() @ np.linalg.solve(A + mu0 * np.eye(n), c)))
     d = np.full(m, mu0)
     d[n] = schur + 1.0
-    t, tau_path, stage_ends, status, tau_prev, steps = 1.0, [], [], "optimal", None, 0
+    t, stage_ends, status, tau_prev, steps = 1.0, [], "optimal", None, 0
     while True:
         d, used, ok = reference_center(d, t, G0, w, sdp.MAX_NEWTON - steps)
         steps += used
@@ -425,7 +425,6 @@ def reference_solve_dual(M, b):
             break
         stage_ends.append(steps)
         tau_s = float(w @ d)
-        tau_path.append(tau_s * scale)
         stabilized = tau_prev is not None and abs(tau_s - tau_prev) <= np.sqrt(sdp.TOL) * (1.0 + abs(tau_s))
         if m / t <= sdp.TOL * (1.0 + abs(tau_s)) and stabilized:
             break
@@ -434,7 +433,7 @@ def reference_solve_dual(M, b):
     min_eig = scale * float(np.linalg.eigvalsh(G0 + np.diag(d))[0])
     if status == "optimal" and min_eig < -sdp.MIN_EIG_TOL * (1.0 + norm_M):
         status = "max_iter"
-    sol = SdpSolution(float(w @ d) * scale, d[:n] * scale, min_eig, steps, status, np.asarray(tau_path))
+    sol = SdpSolution(float(w @ d) * scale, d[:n] * scale, min_eig, steps, status)
     return sol, stage_ends
 
 
@@ -475,7 +474,6 @@ def reference_gls(sys, model):
 def assert_same_solution(got, ref):
     assert (got.tau, got.min_eig, got.iterations, got.status) == (ref.tau, ref.min_eig, ref.iterations, ref.status)
     assert np.array_equal(got.mu, ref.mu)
-    assert np.array_equal(got.tau_path, ref.tau_path)
 
 
 @pytest.fixture(scope="module")
@@ -547,8 +545,6 @@ class TestMatchesReference:
             got, ref = solve_dual(M, b), reference_solve_dual(M, b)[0]
             assert_same_solution(got, ref)
             assert (got.iterations, got.status) == (k, "max_iter")
-            if budget == "stage_end":
-                assert got.tau_path.size == j + 1
 
 
 LAPACK_HELPERS = {
