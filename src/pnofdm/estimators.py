@@ -205,23 +205,20 @@ def project_constant_modulus(gamma):
 def _uls_gamma(sys: LsSystem):
     """Solve the normal equations, ridge-regularizing near-singular systems.
 
-    A numpy ``LinAlgError`` from the condition number or the solve becomes an
-    :class:`EstimationError` naming it.
+    ``M`` is positive semidefinite, so the ridge ``1e-10 * trace(M) / n``, when
+    positive and finite, bounds the ridged condition number by ``1 + n * 1e10``;
+    any other ridge raises :class:`EstimationError`.  A numpy ``LinAlgError``
+    from the condition number or the solve becomes an :class:`EstimationError`
+    naming it.
     """
     try:
         cond = float(np.linalg.cond(sys.M))
-        flags = ()
-        M = sys.M
-        if not np.isfinite(cond) or cond > ULS_COND_LIMIT:
-            ridge = 1e-10 * float(np.trace(M).real) / sys.n
-            M = M + ridge * np.eye(sys.n)
-            flags = ("regularized",)
-            cond_r = float(np.linalg.cond(M))
-            if not np.isfinite(cond_r) or cond_r > 1e16:
-                raise EstimationError(
-                    f"normal matrix is singular beyond regularization (cond {cond:.3e})"
-                )
-        return np.linalg.solve(M, sys.b), flags
+        if np.isfinite(cond) and cond <= ULS_COND_LIMIT:
+            return np.linalg.solve(sys.M, sys.b), ()
+        ridge = 1e-10 * float(np.trace(sys.M).real) / sys.n
+        if not 0 < ridge < np.inf:
+            raise EstimationError(f"normal matrix is singular beyond regularization (cond {cond:.3e})")
+        return np.linalg.solve(sys.M + ridge * np.eye(sys.n), sys.b), ("regularized",)
     except np.linalg.LinAlgError as exc:
         raise EstimationError(f"normal-equation solve failed: LinAlgError: {exc}") from exc
 

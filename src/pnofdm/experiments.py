@@ -16,10 +16,10 @@ read may only repeat its default, the value the CSV metadata echoes:
 ``estimators`` or ``t_kind``, ``ber-model-compare`` (both models) any other
 ``t_kind``, and ``trajectory-traces`` (one frame, both models) any other
 ``trials`` or ``t_kind``.  One tap (``taps = 1``) has a flat channel
-profile, so no scenario then reads ``f_sub`` or ``coherence_bw``.  A
-coherence bandwidth the taps cannot reach, more taps than ``n_c``, an
-``snr_db`` outside ``[-1000, 1000]`` dB, a ``rho`` whose ``4*pi*rho``
-overflows and a negative ``seed`` are config errors, caught before anything runs.
+profile, so no scenario then reads ``coherence_bw``.  A coherence bandwidth
+the taps cannot reach, more taps than ``n_c``, an ``snr_db`` outside
+``[-1000, 1000]`` dB, a ``rho`` whose ``4*pi*rho`` overflows and a negative
+``seed`` are config errors, caught before anything runs.
 
 ``gls`` needs the geometry-preserving model (``PPT_ONLY_IDS``), so every
 scenario leaves it out of the runs under ``t_kind = lft`` (:func:`_runnable`):
@@ -77,7 +77,6 @@ _KEY_PARSERS = {
     "n": int,
     "t_kind": str,
     "pilot_fraction": float,
-    "f_sub": float,
     "taps": int,
     "coherence_bw": float,
     "rho": _parse_float_list,
@@ -95,7 +94,6 @@ class ExperimentConfig:
     n: int = LinkConfig.n_est
     t_kind: str = LinkConfig.t_kind
     pilot_fraction: float = LinkConfig.pilot_fraction
-    f_sub: float = LinkConfig.f_sub
     taps: int = LinkConfig.taps
     coherence_bw: float = LinkConfig.coherence_bw
     rho: tuple = (LinkConfig.rho,)
@@ -110,7 +108,6 @@ class ExperimentConfig:
         (rho,) = self.rho if rho is None else (rho,)
         return LinkConfig(
             n_c=self.n_c,
-            f_sub=self.f_sub,
             pilot_fraction=self.pilot_fraction,
             snr_db=snr_db,
             taps=self.taps,
@@ -145,17 +142,14 @@ class ExperimentConfig:
         out.extend(dict.fromkeys(v for link in links for v in link.violations()))
         return out
 
-    def echo_lines(self) -> list[str]:
-        items = []
-        for key in _KEY_PARSERS:
-            value = getattr(self, key)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            items.append(f"{key} = {value}")
-        return items
+    def echo(self) -> dict:
+        """Every key's value as the config file writes it (lists comma-separated)."""
+        values = {key: getattr(self, key) for key in _KEY_PARSERS}
+        return {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in values.items()}
 
     def config_hash(self) -> str:
-        return hashlib.sha256("\n".join(self.echo_lines()).encode()).hexdigest()[:16]
+        text = "\n".join(f"{key} = {value}" for key, value in self.echo().items())
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -192,7 +186,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if base:
         unread = base.unread
         if cfg.taps == 1:
-            unread += ("f_sub", "coherence_bw")  # one tap: the channel profile is flat
+            unread += ("coherence_bw",)  # one tap: the channel profile is flat
         ignored = [k for k in unread if getattr(cfg, k) != getattr(base.defaults, k)]
         problems = [f"scenario {scenario!r} does not read key {k!r}" for k in ignored]
     problems += cfg.violations()
@@ -223,17 +217,14 @@ def write_csv(path: Path, meta: dict, columns, rows) -> Path:
 
 
 def _meta(cfg: ExperimentConfig) -> dict:
-    meta = {
+    return {
         "generator": f"pnofdm {__version__}",
         "scenario": cfg.scenario,
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "seed_rule": SEED_RULE,
+        **{f"cfg.{key}": value for key, value in cfg.echo().items()},
     }
-    for line in cfg.echo_lines():
-        key, _, value = line.partition(" = ")
-        meta[f"cfg.{key}"] = value
-    return meta
 
 
 def _runnable(estimators, t_kind: str) -> tuple:

@@ -70,6 +70,7 @@ __all__ = [
     "LinkConfig",
     "OfdmFrame",
     "SNR_DB_LIMIT",
+    "SUBCARRIER_SPACING",
     "WIENER_VARIANCE_FACTOR",
     "ber_records",
     "compensate",
@@ -80,6 +81,9 @@ __all__ = [
     "simulate",
 ]
 
+# Subcarrier spacing in Hz.  The link is post-FFT and normalized to it, so it
+# is a constant: the channel reads coherence_bw only through _channel_profile.
+SUBCARRIER_SPACING = 15e3
 # Largest |snr_db| a config may set; near 3000 dB the noise scale overflows.
 SNR_DB_LIMIT = 1000.0
 # Wiener increment variance is WIENER_VARIANCE_FACTOR * rho / n_c per sample,
@@ -95,10 +99,13 @@ DECODE_BLOCK = 32
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Static parameters of the simulated link."""
+    """Static parameters of the simulated link.  Units: ``coherence_bw`` in Hz
+    at :data:`SUBCARRIER_SPACING`, ``rho`` (3-dB phase-noise linewidth) in
+    subcarrier spacings, ``snr_db`` in dB per subcarrier, ``pilot_fraction``
+    a share of the ``n_c`` subcarriers, ``taps`` sample-spaced channel taps,
+    ``n_est`` reduced coefficients, ``t_kind`` ``"ppt"`` or ``"lft"``."""
 
     n_c: int = 128
-    f_sub: float = 15e3
     pilot_fraction: float = 0.08
     snr_db: float = 30.0
     taps: int = 4
@@ -111,8 +118,6 @@ class LinkConfig:
         out = []
         if self.n_c < 8:
             out.append("n_c must be at least 8")
-        if not 0 < self.f_sub < np.inf:
-            out.append("f_sub must be positive and finite")
         if self.taps < 1:
             out.append("taps must be >= 1")
         if self.taps > self.n_c:
@@ -121,7 +126,7 @@ class LinkConfig:
             out.append("coherence_bw must be positive and finite")
         if not out:  # the channel's inputs are valid: its tap profile must solve
             try:
-                _tap_profile(self.taps, self.coherence_bw / (self.n_c * self.f_sub))
+                _channel_profile(self)
             except ValueError as exc:
                 out.append(str(exc))
         pilots_valid = 0 < self.pilot_fraction <= 0.5
@@ -196,12 +201,13 @@ def _tap_profile(taps: int, coherence_ratio: float) -> tuple:
     coherence bandwidth.
 
     ``coherence_ratio`` is the coherence bandwidth over the sample rate
-    ``n_c * f_sub``; taps are sample spaced, so the correlation at offset
-    ``coherence_ratio`` is ``|sum_l p_l exp(-2j*pi*coherence_ratio*l)|``.
-    The decay constant solving ``corr = 0.5`` is found by bisection; the
-    target is unreachable when even equal-power taps stay above 0.5, in
-    which case a ValueError states the achievable range;
-    :meth:`LinkConfig.violations` reports it as a config violation.
+    ``n_c * SUBCARRIER_SPACING`` (:func:`_channel_profile`); taps are sample
+    spaced, so the correlation at offset ``coherence_ratio`` is
+    ``|sum_l p_l exp(-2j*pi*coherence_ratio*l)|``.  The decay constant
+    solving ``corr = 0.5`` is found by bisection; the target is unreachable
+    when even equal-power taps stay above 0.5, in which case a ValueError
+    states the achievable range; :meth:`LinkConfig.violations` reports it as
+    a config violation.
     """
     if taps == 1:
         return (1.0,)
@@ -231,17 +237,22 @@ def _tap_profile(taps: int, coherence_ratio: float) -> tuple:
     return tuple(p / p.sum())
 
 
+def _channel_profile(cfg: LinkConfig) -> tuple:
+    """The config's tap powers, at its coherence bandwidth over the sample rate."""
+    return _tap_profile(cfg.taps, cfg.coherence_bw / (cfg.n_c * SUBCARRIER_SPACING))
+
+
 def _rayleigh_channel(cfg: LinkConfig, draws: np.ndarray) -> np.ndarray:
     """Channel responses ``H`` of a block from standard normal tap draws.
 
     ``draws`` is ``(B, 2, taps)``: per channel, the real parts' draws, then
     the imaginary parts'.  The taps ``h`` are scaled to the exponential
     profile whose decay constant is solved from the coherence bandwidth
-    (:func:`_tap_profile`), unit total power on average.  Returns their DFTs,
-    ``(B, n_c)``: ``H_k = sum_n h[n] exp(-2j*pi*k*n/n_c)`` (plain
+    (:func:`_channel_profile`), unit total power on average.  Returns their
+    DFTs, ``(B, n_c)``: ``H_k = sum_n h[n] exp(-2j*pi*k*n/n_c)`` (plain
     unnormalized DFT), so ``sum_k |H_k|^2 = n_c * sum_n |h[n]|^2``.
     """
-    p = np.asarray(_tap_profile(cfg.taps, cfg.coherence_bw / (cfg.n_c * cfg.f_sub)))
+    p = np.asarray(_channel_profile(cfg))
     h = np.sqrt(p / 2) * (draws[:, 0] + 1j * draws[:, 1])
     return np.fft.fft(h, cfg.n_c)
 

@@ -2,7 +2,8 @@
 ``__all__`` entry resolves and star-imports work, every public function has a
 caller outside the tests, every public default is one some caller changes,
 every result field is one some caller reads, and both layout lists name
-exactly the package's modules."""
+exactly the package's modules, and README's config table names exactly the
+config keys."""
 
 import ast
 import dataclasses
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import pnofdm
+from pnofdm.experiments import _KEY_PARSERS
 
 # Every submodule but the command-line entry point, which exports nothing.
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pnofdm.__path__) if m.name != "cli")
@@ -31,6 +33,14 @@ def test_layout_lists_name_every_module():
     layout = re.search(r"^## Layout\n\n```\n(.*?)^```", readme, re.S | re.M).group(1)
     assert sorted(re.findall(r"^  (\w+)\.py ", layout, re.M)) == modules
     assert sorted(re.findall(r":mod:`pnofdm\.(\w+)`", pnofdm.__doc__)) == modules
+
+
+def test_config_table_names_every_key():
+    # README's config table and the parser each list the keys, so adding or
+    # removing one must update both.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"^\| Key \| Unit \| Default \|\n(.*?)^$", readme, re.S | re.M).group(1)
+    assert sorted(re.findall(r"^\| `(\w+)` \|", table, re.M)) == sorted(_KEY_PARSERS)
 
 
 def test_package_binds_only_its_submodules():

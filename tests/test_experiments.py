@@ -101,7 +101,7 @@ class TestParseConfig:
             ("phase-error-pdf", "snr_db = 10,30", "takes one value of key 'snr_db'"),
             ("estimate-error-pdf", "taps = 1\ncoherence_bw = 400000",
              "does not read key 'coherence_bw'"),
-            ("estimate-error-pdf", "taps = 1\nf_sub = 30000", "does not read key 'f_sub'"),
+            ("estimate-error-pdf", "f_sub = 15000", "unknown key 'f_sub'"),
             ("mse-vs-bandwidth", "rho = 0.02,-0.1", "rho must be finite and nonnegative"),
             ("ber-vs-snr", "estimators =", "estimators must be at least one distinct id"),
             ("ber-vs-snr", "estimators = uls, uls", "estimators must be at least one distinct id"),
@@ -132,8 +132,6 @@ class TestParseConfig:
             ("rho = -0.1", "rho must be finite and nonnegative"),
             ("pilot_fraction = nan", "pilot_fraction must lie in (0, 0.5]"),
             ("pilot_fraction = inf", "pilot_fraction must lie in (0, 0.5]"),
-            ("f_sub = 0", "f_sub must be positive"),
-            ("f_sub = inf", "f_sub must be positive and finite"),
             ("coherence_bw = -1", "coherence_bw must be positive"),
             ("coherence_bw = inf", "coherence_bw must be positive and finite"),
             ("coherence_bw = 1000", "coherence target unreachable"),

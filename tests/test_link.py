@@ -14,6 +14,7 @@ import pnofdm.link as link
 from pnofdm.estimators import EstimationError, cpe_only, estimate_frame
 from pnofdm.link import (
     SNR_DB_LIMIT,
+    SUBCARRIER_SPACING,
     WIENER_VARIANCE_FACTOR,
     LinkConfig,
     ber_records,
@@ -80,7 +81,7 @@ def reference_pair(cfg, seed):
     """The frame pair built one seed and one symbol at a time, in the
     documented draw order, with its own channel and Wiener path code."""
     rng = np.random.default_rng(seed)
-    p = np.asarray(_tap_profile(cfg.taps, cfg.coherence_bw / (cfg.n_c * cfg.f_sub)))
+    p = np.asarray(_tap_profile(cfg.taps, cfg.coherence_bw / (cfg.n_c * SUBCARRIER_SPACING)))
     h = np.sqrt(p / 2) * (rng.standard_normal(cfg.taps) + 1j * rng.standard_normal(cfg.taps))
     H = np.fft.fft(h, cfg.n_c)
     theta0 = rng.uniform(-np.pi, np.pi)
@@ -152,7 +153,7 @@ class TestChannel:
         # Monte-Carlo frequency correlation at the configured coherence
         # bandwidth is 0.5 (the decay constant is solved for exactly).
         cfg = LinkConfig()
-        dk = round(cfg.coherence_bw / cfg.f_sub)
+        dk = round(cfg.coherence_bw / SUBCARRIER_SPACING)
         H = _rayleigh_channel(cfg, channel_draws(cfg, np.random.default_rng(3), 3000))
         corr = np.mean(H * np.conj(np.roll(H, -dk, axis=1))) / np.mean(np.abs(H) ** 2)
         assert abs(corr) == pytest.approx(0.5, rel=0.10)
@@ -174,8 +175,7 @@ class TestChannel:
     def test_profile_equals_the_full_bisection(self, taps):
         # Stopping at the bracket's fixed point gives the 200-step profile,
         # at the default config's ratio and around it.
-        cfg = LinkConfig()
-        for ratio in (0.05, 0.1, 0.2, cfg.coherence_bw / (cfg.n_c * cfg.f_sub), 0.6, 0.9):
+        for ratio in (0.05, 0.1, 0.2, 800e3 / (128 * 15e3), 0.6, 0.9):
             try:
                 want = reference_tap_profile(taps, ratio)
             except ValueError:
