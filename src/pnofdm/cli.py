@@ -39,8 +39,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "list-scenarios":
+            width = max(map(len, SCENARIOS))
             for name, sc in SCENARIOS.items():
-                print(f"{name:18s} {sc.description}")
+                print(f"{name:{width}s} {sc.description}")
             print("\nminimal config: a file containing 'scenario = <id>'")
             return 0
         if args.command == "verify":

@@ -35,18 +35,19 @@ Five estimators are provided:
     Linear interpolation between the common-phase angles of two consecutive
     symbols, anchored at the symbol midpoints.
 
-Every estimator returns an :class:`EstimatorOutput` of plain arrays, built
-by one constructor; its geometry residual is evaluated on ``delta``, at most
-once, when first read.
+Every estimator returns an :class:`EstimatorOutput` holding one full-length
+spectrum ``delta_hat`` and its diagnostics, built by one constructor; its
+geometry residual is evaluated on ``delta``, at most once, when first read.
 
 An estimator that cannot estimate a frame raises :class:`EstimationError`,
 and :func:`pnofdm.link.simulate` then flags the frame and uses ``cpe``.  No
 numpy ``LinAlgError`` leaves an estimator: ``uls`` and both ``nls`` paths turn
 one from the condition number or the normal-equation solve into an
 ``EstimationError`` that names it, and ``gls`` turns the local solve's into a
-dual solve and the dual's or the recovery's into an ``EstimationError``.  The
-other estimators call no linear-algebra routine: ``cpe`` and ``cis`` divide
-by a pilot power they check, and ``genie`` transforms the true trajectory.
+dual solve and the dual's or the recovery's into an ``EstimationError``; so
+does a dual solve that ends without a certified optimum.  The other
+estimators call no linear-algebra routine: ``cpe`` and ``cis`` divide by a
+pilot power they check, and ``genie`` transforms the true trajectory.
 
 ``error_decomposition`` splits any estimate into per-sample amplitude errors
 ``eps``, phase errors ``omega``, and the closed-form total error they
@@ -61,7 +62,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dimred import DimRedModel, lift
-from .sdp import SolverError, certify_local, kkt_recover, solve_dual
+from .sdp import certify_local, kkt_recover, solve_dual
 from .spectral import geometry_residual, spectral_vector
 
 __all__ = [
@@ -165,22 +166,21 @@ class EstimatorDiagnostics:
 
 @dataclass(frozen=True)
 class EstimatorOutput:
-    """Reduced and full-length estimates plus solver metadata.
+    """One full-length estimate plus solver metadata.
 
-    ``delta_hat`` is the full-length complex spectrum and ``gamma_hat`` the
-    reduced one (``None`` for ``cpe``, ``cis`` and ``genie``, which have no
-    reduced form); both are plain arrays.  ``diagnostics.geometry_residual``
-    is ``geometry_residual(delta_hat)``, computed when first read.
+    ``delta_hat`` is the full-length complex spectrum, a plain array; a
+    reduced spectrum is ``T^H delta_hat`` for the model's ``T``.
+    ``diagnostics.geometry_residual`` is ``geometry_residual(delta_hat)``,
+    computed when first read.
     """
 
-    gamma_hat: np.ndarray | None
     delta_hat: np.ndarray
     diagnostics: EstimatorDiagnostics
 
 
-def _output(gamma, delta, cost=None, **diagnostics) -> EstimatorOutput:
+def _output(delta, cost=None, **diagnostics) -> EstimatorOutput:
     """Build an estimator's output; its geometry residual waits for a reader."""
-    return EstimatorOutput(gamma, delta, EstimatorDiagnostics(cost, delta, **diagnostics))
+    return EstimatorOutput(delta, EstimatorDiagnostics(cost, delta, **diagnostics))
 
 
 def project_constant_modulus(gamma):
@@ -227,7 +227,7 @@ def uls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     """Unconstrained least-squares estimate ``g = M^{-1} b``, ``delta = T g``."""
     gamma, flags = _uls_gamma(sys)
     delta = lift(model, gamma)
-    return _output(gamma, delta, sys.cost_delta(delta), flags=flags)
+    return _output(delta, sys.cost_delta(delta), flags=flags)
 
 
 def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
@@ -244,10 +244,9 @@ def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
         delta = lift(model, gamma)
     else:
         delta, n_zero = project_constant_modulus(lift(model, gamma_ls))
-        gamma = model.T.conj().T @ delta  # reduced coefficients of the projection
     if n_zero:
         flags = flags + (f"zero_time_samples:{n_zero}",)
-    return _output(gamma, delta, sys.cost_delta(delta), flags=flags)
+    return _output(delta, sys.cost_delta(delta), flags=flags)
 
 
 def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
@@ -284,7 +283,7 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
             if sol.status != "optimal":
                 raise EstimationError(f"dual solve ended with status {sol.status!r} after {sol.iterations} Newton steps")
             gamma_raw, info = kkt_recover(sys.M, sys.b, sol)
-        except (SolverError, np.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:
             raise EstimationError(f"dual solve failed: {exc}") from exc
         if not info.full_rank:
             flags = (f"kkt_rank_deficient:{info.rank}",)
@@ -294,7 +293,7 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     delta = lift(model, gamma)
     cost = sys.cost_delta(delta)
     return _output(
-        gamma, delta, cost, flags=flags, solver=sol,
+        delta, cost, flags=flags, solver=sol,
         certified=certified, gap=0.0 if certified else cost - sys.const_term - sol.tau,
     )
 
@@ -320,7 +319,7 @@ def cpe_only(frame) -> EstimatorOutput:
         raise EstimationError("pilot fit returned zero")
     delta = np.zeros(frame.r.size, dtype=complex)
     delta[0] = np.conj(c) / abs(c)
-    return _output(None, delta)
+    return _output(delta)
 
 
 def cis(frame_t, frame_t1) -> EstimatorOutput:
@@ -346,7 +345,7 @@ def cis(frame_t, frame_t1) -> EstimatorOutput:
     n_c = frame_t.r.size
     mid = (n_c - 1) / 2.0
     theta_hat = a0 + (diff / n_c) * (np.arange(n_c) - mid)
-    return _output(None, spectral_vector(theta_hat), flags=flags)
+    return _output(spectral_vector(theta_hat), flags=flags)
 
 
 @dataclass(frozen=True)
@@ -416,5 +415,5 @@ def estimate_frame(name: str, frame, next_frame, model: DimRedModel) -> Estimato
     if name == "cis":
         return cis(frame, next_frame)
     if name == "genie":
-        return _output(None, spectral_vector(frame.theta))
+        return _output(spectral_vector(frame.theta))
     raise ValueError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_IDS}")

@@ -264,8 +264,7 @@ def _mse_trials(cfg: ExperimentConfig, rho: float):
     Th = make_model(link).T.conj().T
 
     def squared_error(res, frame):
-        gamma_hat = res.gamma_hat if res.gamma_hat is not None else Th @ res.delta_hat
-        return float(np.sum(np.abs(gamma_hat - Th @ spectral_vector(frame.theta)) ** 2))
+        return float(np.sum(np.abs(Th @ res.delta_hat - Th @ spectral_vector(frame.theta)) ** 2))
 
     return _scores(cfg, link, _runnable(cfg.estimators, link.t_kind), squared_error)
 
@@ -336,7 +335,7 @@ class Scenario:
 SCENARIOS = {
     "ber-vs-snr": Scenario(
         _run_ber,
-        "Coded BER vs SNR for cpe/uls/nls/gls with the geometry-preserving model",
+        "Coded BER vs SNR for cpe/uls/nls/gls/cis/genie with the geometry-preserving model",
         ExperimentConfig(
             scenario="ber-vs-snr",
             snr_db=(10.0, 15.0, 20.0, 25.0, 30.0),

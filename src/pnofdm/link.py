@@ -388,7 +388,7 @@ class BerRecord:
     ci95_low: float
     ci95_high: float
     flagged_frames: int
-    frame_errors: np.ndarray = field(repr=False, default=None)
+    frame_errors: np.ndarray = field(repr=False)
 
 
 def _ber_record(cfg: LinkConfig, estimator: str, frame_errors, bits_per_frame: int, flagged: int) -> BerRecord:

@@ -51,7 +51,10 @@ factorization and its inverse.  One Newton loop runs all the stages: a
 stage ends at a step whose decrement shows ``d`` centered, without moving
 ``d``, so the next stage's first step reuses its ``S`` and ``|S|^2`` with
 the new ``t``.  Every iterate is strictly feasible, which makes the returned
-certificate unconditional.
+certificate unconditional.  ``n`` has no cap: ``MAX_NEWTON`` bounds a solve,
+which then reports ``status = "max_iter"`` (on random Gram instances, ``k =
+2n``, for half of them at n = 96 and all at n = 128).  Bad input raises
+``ValueError`` and a LAPACK failure ``np.linalg.LinAlgError``.
 
 Every LAPACK call but the SVDs goes through numpy's gufuncs directly, one
 helper per routine: the start points' solves and ``eigvalsh``, the local
@@ -78,7 +81,6 @@ from .spectral import dft_matrix
 
 __all__ = [
     "SdpSolution",
-    "SolverError",
     "certify_local",
     "kkt_recover",
     "solve_dual",
@@ -100,10 +102,6 @@ LOCAL_EIG_FLOOR = 1e-8  # smallest eigenvalue of the modified phase Hessian
 LOCAL_COST_SLACK = 1e-14  # relative cost rounding the Armijo test forgives
 ARMIJO = 1e-4  # sufficient-decrease fraction of the Armijo test
 CERT_EIG_TOL = 1e-9  # A + Diag(mu) >= -this certifies the global optimum
-
-
-class SolverError(RuntimeError):
-    """Raised when the dual solve cannot produce a certified solution."""
 
 
 def _raise_lapack_error(err, flag):
@@ -291,7 +289,9 @@ def solve_dual(M, b) -> SdpSolution:
     One Newton loop runs all the barrier stages.  A step whose squared
     decrement is at most ``DECREMENT_TOL`` ends its stage without moving
     ``d``, and the next stage's first step reuses its ``S`` and ``|S|^2``;
-    it counts as a step, and ``MAX_NEWTON`` bounds the steps of all stages.
+    it counts as a step, and ``MAX_NEWTON`` bounds the steps of all stages;
+    a solve that uses them up, or whose line search finds no feasible
+    trial, returns ``status = "max_iter"``.
     Stops at the first centered stage whose barrier suboptimality bound
     ``m/t`` is at most ``TOL * (1 + |tau|)`` (absolute plus relative).  At a
     centered point that bound is the duality gap, so consecutive stage
@@ -300,12 +300,9 @@ def solve_dual(M, b) -> SdpSolution:
     feasible and certifies weak duality on its own.  Deterministic given the
     inputs.
     """
-    n = np.size(b)
-    if n > 64:
-        raise SolverError("dense solver is sized for n <= 64")
-    m = n + 1
-
     M, b = _cost_pair(M, b)
+    n = b.size
+    m = n + 1
     norm_M = float(np.linalg.svd(M, compute_uv=False)[0])  # ||M||_2
     scale = max(1.0, norm_M, float(abs(b).max()))
 
@@ -385,10 +382,11 @@ def kkt_recover(M, b, sol: SdpSolution):
     Solves ``(M + F Diag(mu) F^H) g = b`` by pseudo-inverse; singular values
     below ``KKT_RCOND`` times the largest are treated as zero, in which case
     the minimum-norm solution is returned.  Returns ``(g, KktInfo)``, whose
-    ``rank`` and ``full_rank`` flag that case.
+    ``rank`` and ``full_rank`` flag that case.  A ``sol`` whose status is not
+    ``"optimal"`` raises ``ValueError``.
     """
     if sol.status != "optimal":
-        raise SolverError(f"dual solution status is {sol.status!r}, not optimal")
+        raise ValueError(f"dual solution status is {sol.status!r}, not optimal")
     M, b = _cost_pair(M, b)
     n = b.size
     F = dft_matrix(n)

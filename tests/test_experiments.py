@@ -455,7 +455,12 @@ class TestCli:
     def test_list_scenarios(self):
         proc = run_cli("list-scenarios")
         assert proc.returncode == 0
-        assert "ber-vs-snr" in proc.stdout
+        lines = proc.stdout.splitlines()[: len(SCENARIOS)]
+        assert [line.split()[0] for line in lines] == list(SCENARIOS)
+        # Every description starts in one column, after the longest id and a space.
+        column = max(map(len, SCENARIOS)) + 1
+        for line, sc in zip(lines, SCENARIOS.values()):
+            assert line.index(sc.description) == column
 
     def test_run_tiny_scenario(self, tmp_path):
         cfg_file = tmp_path / "cfg.txt"
@@ -475,11 +480,16 @@ class TestCli:
         proc = run_cli("run", "--config", str(tmp_path / "nope.txt"), "--out", str(tmp_path))
         assert proc.returncode == 1
 
-    def test_verify_full_exit_0(self):
+    def test_verify_full_exit_0(self, tmp_path):
         # The full run draws a proven-gap instance; that is reported, not failed.
-        proc = run_cli("verify")
+        proc = run_cli("verify", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "verification passed" in proc.stdout
+        lines = (tmp_path / "verify_summary.csv").read_text().splitlines()
+        assert "# passed = True" in lines
+        rows = [line.split(",", 2) for line in lines[lines.index("suite,result,detail") + 1 :]]
+        suites = ("geometry-construction", "ppt-validation", "regularity", "duality-gap", "error-identity")
+        assert [row[:2] for row in rows] == [[suite, "pass"] for suite in suites]
 
     def test_verify_fault_injection_exit_3(self, monkeypatch, capsys):
         failing = VerifyReport((("ppt-validation", False, "injected fault"),), False)
