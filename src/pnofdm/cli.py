@@ -5,7 +5,8 @@ Subcommands:
 * ``run --config FILE --out DIR``: run a scenario described by a flat
   key-value config file and write its CSV artifacts.
 * ``verify [--out DIR]``: run the numerical verification suites.
-* ``list-scenarios``: print the built-in scenario ids.
+* ``list-scenarios``: print the built-in scenario ids, each with its
+  description and the list keys it sweeps.
 
 Exit codes: 0 success, 1 config validation error, 2 runtime error or
 command-line usage error, 3 verification failure.
@@ -41,7 +42,7 @@ def main(argv=None) -> int:
         if args.command == "list-scenarios":
             width = max(map(len, SCENARIOS))
             for name, sc in SCENARIOS.items():
-                print(f"{name:{width}s} {sc.description}")
+                print(f"{name:{width}s} {sc.description} (sweeps {', '.join(sc.sweep)})")
             print("\nminimal config: a file containing 'scenario = <id>'")
             return 0
         if args.command == "verify":

@@ -7,31 +7,32 @@ reproducible byte for byte from its own metadata.
 
 Config format: flat ``key = value`` lines, ``#`` comments, unknown keys are
 errors.  The only required key is ``scenario``; every other key overrides the
-scenario's defaults.  ``snr_db`` and ``rho`` take one or more comma-separated
-values; only the key a scenario sweeps (:attr:`Scenario.sweep`: ``snr_db`` for
-the BER scenarios, ``rho`` for ``mse-vs-bandwidth``) may hold more than one,
-and every value is checked as a link config.  A key the scenario does not
-read may only repeat its default, the value the CSV metadata echoes:
-``phase-error-pdf`` (``uls`` under both models) rejects any other
-``estimators`` or ``t_kind``, ``ber-model-compare`` (both models) any other
-``t_kind``, and ``trajectory-traces`` (one frame, both models) any other
-``trials`` or ``t_kind``.  One tap (``taps = 1``) has a flat channel
-profile, so no scenario then reads ``coherence_bw``.  A coherence bandwidth
+scenario's defaults.  ``snr_db``, ``rho`` and ``t_kind`` take one or more
+comma-separated values; only the keys a scenario sweeps
+(:attr:`Scenario.sweep`) may hold more than one, each is a column of its
+CSV, and every value is checked as a link config.  A key the scenario does
+not read may only repeat its default, the value the CSV metadata echoes:
+``phase-error-pdf`` (``uls`` only) rejects any other ``estimators``, and
+``trajectory-traces`` (one frame) any other ``trials``.  One tap
+(``taps = 1``) has a flat channel profile, so no scenario then reads
+``coherence_bw``.  A coherence bandwidth
 the taps cannot reach, more taps than ``n_c``, an ``snr_db`` outside
 ``[-1000, 1000]`` dB, a ``rho`` whose ``4*pi*rho`` overflows and a negative
 ``seed`` are config errors, caught before anything runs.
 
-``gls`` needs the geometry-preserving model (``PPT_ONLY_IDS``), so every
-scenario leaves it out of the runs under ``t_kind = lft`` (:func:`_runnable`):
-no ``gls`` row or column is written for that model.  ``estimators`` must
-hold at least one id, each once, and one that runs under each model the
-scenario runs.  Each operating point, and each model of ``trajectory-traces``,
-is one :func:`pnofdm.link.simulate` pass over all of them.
+``gls`` needs the geometry-preserving model (``PPT_ONLY_IDS``), so
+:func:`pnofdm.link.simulate` leaves it out of the runs under ``t_kind = lft``:
+no ``gls`` row or column is written for that model.  ``estimators`` and
+``t_kind`` must each hold at least one value, each once, and an estimator
+must run under each model.  Each operating point is one
+:func:`pnofdm.link.simulate` pass over every estimator and model, so its
+frames are built once.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -75,7 +76,7 @@ _KEY_PARSERS = {
     "scenario": str,
     "n_c": int,
     "n": int,
-    "t_kind": str,
+    "t_kind": _parse_str_list,
     "pilot_fraction": float,
     "taps": int,
     "coherence_bw": float,
@@ -92,7 +93,7 @@ class ExperimentConfig:
     scenario: str
     n_c: int = LinkConfig.n_c
     n: int = LinkConfig.n_est
-    t_kind: str = LinkConfig.t_kind
+    t_kind: tuple = (LinkConfig.t_kind,)
     pilot_fraction: float = LinkConfig.pilot_fraction
     taps: int = LinkConfig.taps
     coherence_bw: float = LinkConfig.coherence_bw
@@ -103,7 +104,9 @@ class ExperimentConfig:
     seed: int = 20240801
 
     def link_config(self, *, snr_db=None, rho=None, t_kind=None) -> LinkConfig:
-        """The link at one value of each list key; a key not passed must hold one value."""
+        """The link at one value of ``snr_db`` and ``rho`` (a key not passed must
+        hold one value) under one model, by default the first listed:
+        :func:`simulate` takes them all through ``t_kinds``."""
         (snr_db,) = self.snr_db if snr_db is None else (snr_db,)
         (rho,) = self.rho if rho is None else (rho,)
         return LinkConfig(
@@ -114,7 +117,7 @@ class ExperimentConfig:
             coherence_bw=self.coherence_bw,
             rho=rho,
             n_est=self.n,
-            t_kind=self.t_kind if t_kind is None else t_kind,
+            t_kind=self.t_kind[0] if t_kind is None else t_kind,
         )
 
     def violations(self) -> list[str]:
@@ -129,16 +132,18 @@ class ExperimentConfig:
         bad = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if bad:
             out.append(f"unknown estimators {bad}; valid ids are {sorted(ESTIMATOR_IDS)}")
-        if len(set(self.estimators)) < len(self.estimators) or not self.estimators:
-            out.append(f"estimators must be at least one distinct id, got {list(self.estimators)}")
-        elif scenario is not None:  # a scenario that does not read t_kind runs both models
-            for t_kind in ("ppt", "lft") if "t_kind" in scenario.unread else (self.t_kind,):
-                if not _runnable(self.estimators, t_kind):
-                    out.append(f"estimators {list(self.estimators)} run nothing under t_kind = {t_kind!r}")
-        for key in ("snr_db", "rho"):
-            if len(getattr(self, key)) > 1 and scenario is not None and key != scenario.sweep:
+        for key in ("estimators", "t_kind"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values) or not values:
+                out.append(f"{key} must be at least one distinct id, got {list(values)}")
+        if self.estimators and all(est in PPT_ONLY_IDS for est in self.estimators):
+            out.extend(f"estimators {list(self.estimators)} run nothing under t_kind = {t_kind!r}"
+                       for t_kind in dict.fromkeys(self.t_kind) if t_kind != "ppt")
+        for key in ("snr_db", "rho", "t_kind"):
+            if len(getattr(self, key)) > 1 and scenario is not None and key not in scenario.sweep:
                 out.append(f"scenario {self.scenario!r} takes one value of key {key!r}")
-        links = [self.link_config(snr_db=s, rho=r) for s in self.snr_db for r in self.rho]
+        links = [self.link_config(snr_db=s, rho=r, t_kind=t)
+                 for s in self.snr_db for r in self.rho for t in self.t_kind]
         out.extend(dict.fromkeys(v for link in links for v in link.violations()))
         return out
 
@@ -227,46 +232,35 @@ def _meta(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _runnable(estimators, t_kind: str) -> tuple:
-    """``estimators`` that can run under ``t_kind``: those in ``PPT_ONLY_IDS`` require ``ppt``."""
-    return tuple(est for est in estimators if est not in PPT_ONLY_IDS or t_kind == "ppt")
-
-
-def _run_ber(cfg: ExperimentConfig, out_dir: Path, *, t_kind=None, filename="ber_vs_snr.csv"):
+def _run_ber(cfg: ExperimentConfig, out_dir: Path):
     rows = []
     for snr in cfg.snr_db:
-        link = cfg.link_config(snr_db=snr, t_kind=t_kind)
-        for r in ber_records(link, _runnable(cfg.estimators, link.t_kind), cfg.trials, cfg.seed).values():
-            rows.append((r.snr_db, r.estimator, r.frames, r.bit_errors, r.ber, r.ci95_low, r.ci95_high))
-    columns = ("snr_db", "estimator", "frames", "bit_errors", "ber", "ci95_low", "ci95_high")
-    return [write_csv(out_dir / filename, _meta(cfg), columns, rows)]
-
-
-def _run_ber_compare(cfg: ExperimentConfig, out_dir: Path):
-    return (
-        _run_ber(cfg, out_dir, t_kind="ppt", filename="ber_vs_snr_ppt.csv")
-        + _run_ber(cfg, out_dir, t_kind="lft", filename="ber_vs_snr_lft.csv")
-    )
+        records = ber_records(cfg.link_config(snr_db=snr), cfg.estimators, cfg.trials, cfg.seed, t_kinds=cfg.t_kind)
+        rows += [(r.snr_db, t_kind, est, r.frames, r.bit_errors, r.ber, r.ci95_low, r.ci95_high)
+                 for (est, t_kind), r in records.items()]
+    columns = ("snr_db", "t_kind", "estimator", "frames", "bit_errors", "ber", "ci95_low", "ci95_high")
+    return [write_csv(out_dir / "ber_vs_snr.csv", _meta(cfg), columns, rows)]
 
 
 def _scores(cfg: ExperimentConfig, link: LinkConfig, estimators, score) -> dict:
-    """``score(output, frame)`` on every trial of one :func:`simulate` pass, one array per estimator."""
-    scores = {est: [] for est in estimators}
-    for frames, results in simulate(link, estimators, cfg.trials, cfg.seed):
-        for est, outputs in results.items():
-            scores[est] += [score(res, frame) for (res, _), frame in zip(outputs, frames)]
-    return {est: np.array(vals) for est, vals in scores.items()}
+    """``score(output, frame)`` on every trial of one :func:`simulate` pass under
+    every model of ``cfg``, one array per ``(estimator, t_kind)``."""
+    scores = defaultdict(list)
+    for frames, results in simulate(link, estimators, cfg.trials, cfg.seed, t_kinds=cfg.t_kind):
+        for run, outputs in results.items():
+            scores[run] += [score(res, frame) for (res, _), frame in zip(outputs, frames)]
+    return {run: np.array(vals) for run, vals in scores.items()}
 
 
 def _mse_trials(cfg: ExperimentConfig, rho: float):
-    """Per-trial squared reduced-spectrum errors for each estimator."""
+    """Per-trial squared reduced-spectrum errors for each estimator (one model)."""
     link = cfg.link_config(rho=rho)
     Th = make_model(link).T.conj().T
 
     def squared_error(res, frame):
         return float(np.sum(np.abs(Th @ res.delta_hat - Th @ spectral_vector(frame.theta)) ** 2))
 
-    return _scores(cfg, link, _runnable(cfg.estimators, link.t_kind), squared_error)
+    return {est: vals for (est, _), vals in _scores(cfg, link, cfg.estimators, squared_error).items()}
 
 
 def _run_mse(cfg: ExperimentConfig, out_dir: Path):
@@ -288,36 +282,36 @@ def _fd_histogram(label, samples: np.ndarray) -> list:
     return [(label, edges[i], edges[i + 1], int(counts[i]), density[i]) for i in range(counts.size)]
 
 
-def _omega_samples(cfg: ExperimentConfig, t_kind: str) -> np.ndarray:
-    """Per-sample ``uls`` phase errors of every trial, concatenated."""
-    omega = _scores(cfg, cfg.link_config(t_kind=t_kind), ("uls",),
+def _omega_samples(cfg: ExperimentConfig) -> dict:
+    """Per-sample ``uls`` phase errors of every trial, concatenated, one array per model of ``cfg``."""
+    omega = _scores(cfg, cfg.link_config(), ("uls",),
                     lambda res, frame: error_decomposition(res.delta_hat, frame.theta).omega)
-    return omega["uls"].ravel()
+    return {t_kind: vals.ravel() for (_, t_kind), vals in omega.items()}
 
 
 def _run_omega(cfg: ExperimentConfig, out_dir: Path):
-    rows = [row for t in ("ppt", "lft") for row in _fd_histogram(t, _omega_samples(cfg, t))]
+    rows = [row for t_kind, samples in _omega_samples(cfg).items() for row in _fd_histogram(t_kind, samples)]
     columns = ("t_kind", "bin_left", "bin_right", "count", "density")
     return [write_csv(out_dir / "omega_pdf.csv", _meta(cfg), columns, rows)]
 
 
 def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
-    samples = _scores(cfg, cfg.link_config(), _runnable(cfg.estimators, cfg.t_kind),
-                      lambda res, frame: float(np.sum(np.abs(res.delta_hat - spectral_vector(frame.theta)) ** 2)))
-    rows = [row for est, vals in samples.items() for row in _fd_histogram(est, vals)]
-    columns = ("estimator", "bin_left", "bin_right", "count", "density")
+    def squared_error(res, frame):
+        return float(np.sum(np.abs(res.delta_hat - spectral_vector(frame.theta)) ** 2))
+
+    rows = []
+    for snr in cfg.snr_db:
+        samples = _scores(cfg, cfg.link_config(snr_db=snr), cfg.estimators, squared_error)
+        rows += [(snr, *row) for (est, _), vals in samples.items() for row in _fd_histogram(est, vals)]
+    columns = ("snr_db", "estimator", "bin_left", "bin_right", "count", "density")
     return [write_csv(out_dir / "error_pdf.csv", _meta(cfg), columns, rows)]
 
 
 def _run_realization(cfg: ExperimentConfig, out_dir: Path):
-    """Trial 0's true trajectory and each estimator's under each model, from
-    one :func:`simulate` pass per model (the model does not enter the frame)."""
-    traces = {}
-    for t_kind in ("lft", "ppt"):
-        link = cfg.link_config(t_kind=t_kind)
-        ((frames, results),) = simulate(link, _runnable(cfg.estimators, t_kind), 1, cfg.seed)
-        for est, ((res, _),) in results.items():
-            traces[f"theta_hat_{est}_{t_kind}"] = phase_trajectory(res.delta_hat)
+    """Trial 0's true trajectory and each estimator's under each model, from one :func:`simulate` pass."""
+    ((frames, results),) = simulate(cfg.link_config(), cfg.estimators, 1, cfg.seed, t_kinds=cfg.t_kind)
+    traces = {f"theta_hat_{est}_{t_kind}": phase_trajectory(res.delta_hat)
+              for (est, t_kind), ((res, _),) in results.items()}
     columns = ["index", "theta", *traces]
     rows = list(zip(np.arange(cfg.n_c), frames[0].theta, *traces.values()))
     return [write_csv(out_dir / "realization.csv", _meta(cfg), columns, rows)]
@@ -328,33 +322,21 @@ class Scenario:
     run: Callable[[ExperimentConfig, Path], list[Path]]
     description: str
     defaults: ExperimentConfig
-    sweep: str | None = None  # the one list key the runner iterates over
+    sweep: tuple  # the list keys the runner iterates over, each a column of its CSV
     unread: tuple = ()  # keys the runner ignores; a config may only repeat their default
 
 
 SCENARIOS = {
     "ber-vs-snr": Scenario(
         _run_ber,
-        "Coded BER vs SNR for cpe/uls/nls/gls/cis/genie with the geometry-preserving model",
+        "Coded BER vs SNR for cpe/uls/nls/gls/cis/genie, by default with the geometry-preserving model",
         ExperimentConfig(
             scenario="ber-vs-snr",
             snr_db=(10.0, 15.0, 20.0, 25.0, 30.0),
             estimators=("cpe", "uls", "nls", "gls", "cis", "genie"),
             trials=500,
         ),
-        sweep="snr_db",
-    ),
-    "ber-model-compare": Scenario(
-        _run_ber_compare,
-        "Coded BER vs SNR for uls/nls under the geometry-preserving vs low-frequency model",
-        ExperimentConfig(
-            scenario="ber-model-compare",
-            snr_db=(10.0, 20.0, 30.0),
-            estimators=("uls", "nls"),
-            trials=400,
-        ),
-        sweep="snr_db",
-        unread=("t_kind",),  # runs both models
+        sweep=("snr_db", "t_kind"),
     ),
     "mse-vs-bandwidth": Scenario(
         _run_mse,
@@ -365,42 +347,37 @@ SCENARIOS = {
             estimators=("uls", "nls", "gls", "cis"),
             trials=300,
         ),
-        sweep="rho",
+        sweep=("rho",),
     ),
     "phase-error-pdf": Scenario(
         _run_omega,
-        "Empirical density of the per-sample phase estimation error at 30 dB",
-        ExperimentConfig(scenario="phase-error-pdf", estimators=("uls",), trials=300),
-        unread=("estimators", "t_kind"),  # runs uls under both models
+        "Empirical density of the per-sample uls phase error at 30 dB under each model",
+        ExperimentConfig(scenario="phase-error-pdf", t_kind=("ppt", "lft"), estimators=("uls",), trials=300),
+        sweep=("t_kind",),
+        unread=("estimators",),  # runs uls
     ),
     "estimate-error-pdf": Scenario(
         _run_errpdf,
-        "Empirical density of the squared estimate error at 30 dB",
+        "Empirical density of the squared estimate error at 10 and 30 dB",
         ExperimentConfig(
             scenario="estimate-error-pdf",
+            snr_db=(10.0, 30.0),
             estimators=("cpe", "uls", "nls", "gls", "cis"),
             trials=400,
         ),
-    ),
-    "estimate-error-pdf-10db": Scenario(
-        _run_errpdf,
-        "Empirical density of the squared estimate error at 10 dB",
-        ExperimentConfig(
-            scenario="estimate-error-pdf-10db",
-            snr_db=(10.0,),
-            estimators=("cpe", "uls", "nls", "gls", "cis"),
-            trials=400,
-        ),
+        sweep=("snr_db",),
     ),
     "trajectory-traces": Scenario(
         _run_realization,
-        "True vs estimated phase trajectory for one frame (both model kinds)",
+        "True vs estimated phase trajectory for one frame under each model",
         ExperimentConfig(
             scenario="trajectory-traces",
+            t_kind=("ppt", "lft"),
             estimators=("uls", "cis"),
             trials=1,
         ),
-        unread=("trials", "t_kind"),  # one frame under both models
+        sweep=("t_kind",),
+        unread=("trials",),  # one frame
     ),
 }
 
@@ -455,7 +432,7 @@ def _check_geometry(seed: int, count: int) -> tuple:
     for snr_db in (10.0, 30.0):
         for t_kind, names in (("ppt", ("uls", "nls", "gls")), ("lft", ("nls",))):
             for _, results in simulate(LinkConfig(snr_db=snr_db, t_kind=t_kind), names, count, seed):
-                for name, outputs in results.items():
+                for (name, _), outputs in results.items():
                     residuals = [out.diagnostics.geometry_residual for out, _ in outputs]
                     if name == "uls":
                         uls_off += [res > GEOMETRY_TOL for res in residuals]

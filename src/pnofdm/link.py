@@ -41,11 +41,12 @@ every frame as read-only arrays.
 Every Monte-Carlo study runs through one engine, :func:`simulate`: trial
 ``i`` draws its frame pair from child ``i`` of
 ``np.random.SeedSequence(master).spawn(n)``, whatever block it is built in,
-and runs every requested estimator on it, so estimators compared in one run
-see common random frames, built once.  It yields blocks of up to
+and runs every requested estimator under every requested reduction model on
+it, so the runs compared in one study see common random frames, built once:
+the model enters only the estimate.  It yields blocks of up to
 ``DECODE_BLOCK`` trials.  An estimator that fails on a frame falls back to
 the common-phase-only fit and is flagged; no frame is dropped.
-:func:`ber_records` (decoding each block once per estimator, with
+:func:`ber_records` (decoding each block once per run, with
 :func:`run_link` its one-estimator case) and the scenario runners are
 reductions over the blocks, using sums and counts only, so they are
 order-independent.
@@ -54,7 +55,7 @@ order-independent.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -378,9 +379,9 @@ def make_frame_pair(cfg: LinkConfig, seeds, next_symbol: bool = True) -> list[tu
 
 @dataclass(frozen=True)
 class BerRecord:
-    """Aggregated coded-BER result for one (estimator, SNR) point."""
+    """Aggregated coded-BER result of one estimator under one model at one SNR;
+    :func:`ber_records` keys it by ``(estimator, t_kind)``."""
 
-    estimator: str
     snr_db: float
     frames: int
     bit_errors: int
@@ -391,8 +392,8 @@ class BerRecord:
     frame_errors: np.ndarray = field(repr=False)
 
 
-def _ber_record(cfg: LinkConfig, estimator: str, frame_errors, bits_per_frame: int, flagged: int) -> BerRecord:
-    """One estimator's record of its per-frame bit errors, in trial order.
+def _ber_record(cfg: LinkConfig, frame_errors, bits_per_frame: int, flagged: int) -> BerRecord:
+    """One run's record of its per-frame bit errors, in trial order.
 
     The interval is the 95% normal approximation of the mean of the per-frame
     BERs: the mean plus or minus 1.96 standard errors, clipped to ``[0, 1]``.
@@ -403,7 +404,7 @@ def _ber_record(cfg: LinkConfig, estimator: str, frame_errors, bits_per_frame: i
     mean = float(np.mean(frame_ber))
     se = float(np.std(frame_ber, ddof=1) / np.sqrt(frame_ber.size)) if frame_ber.size > 1 else 0.0
     return BerRecord(
-        estimator=estimator, snr_db=cfg.snr_db, frames=frame_errors.size, bit_errors=int(frame_errors.sum()),
+        snr_db=cfg.snr_db, frames=frame_errors.size, bit_errors=int(frame_errors.sum()),
         ber=float(frame_errors.sum() / (bits_per_frame * frame_errors.size)),
         ci95_low=max(0.0, mean - 1.96 * se), ci95_high=min(1.0, mean + 1.96 * se),
         flagged_frames=flagged, frame_errors=frame_errors,
@@ -433,76 +434,84 @@ def decode_frame(frames, delta_hats) -> np.ndarray:
     return viterbi_decode_soft(llrs)
 
 
-def simulate(cfg: LinkConfig, estimators, trials: int, seed):
-    """Run every estimator on ``trials`` common random frame pairs, yielded a block at a time.
+def simulate(cfg: LinkConfig, estimators, trials: int, seed, t_kinds=None):
+    """Run every estimator under every model on ``trials`` common random frame pairs, yielded a block at a time.
 
-    Trial ``i`` draws its frame pair from child ``i`` of
-    ``np.random.SeedSequence(seed).spawn(trials)``, with the draws in the
-    order :func:`make_frame_pair` documents.  Each block of up to
-    ``DECODE_BLOCK`` trials is built in one :func:`make_frame_pair` call,
-    with each pair's second symbol only when an estimator in
+    ``t_kinds`` names the reduction models, ``(cfg.t_kind,)`` by default;
+    the frames do not depend on the model, which enters only
+    :func:`pnofdm.estimators.estimate_frame`.  Trial ``i`` draws its frame
+    pair from child ``i`` of ``np.random.SeedSequence(seed).spawn(trials)``,
+    with the draws in the order :func:`make_frame_pair` documents.  Each
+    block of up to ``DECODE_BLOCK`` trials is built in one
+    :func:`make_frame_pair` call, whatever the number of estimators and
+    models, with each pair's second symbol only when an estimator in
     :data:`pnofdm.estimators.NEXT_SYMBOL_IDS` is requested (symbol 0 is the
-    same either way), estimated frame by frame (every estimator on a frame
-    before the next) and yielded once as ``(frames, results)``: the first
-    symbol of each pair, in trial order, and ``results[est]`` with one
-    ``(output, flagged)`` per frame.  An estimator that raises
-    :class:`EstimationError` on a frame gets the common-phase-only fit
-    instead, flagged.  ``estimators`` holds distinct ids from
-    :data:`pnofdm.estimators.ESTIMATOR_IDS`, at least one, and none of
-    ``PPT_ONLY_IDS`` under ``lft``; any other list raises ``ValueError``.
-    The ids and the config are checked and the model built once, when
-    iteration starts and before any frame is built.
+    same either way), estimated frame by frame (every run on a frame before
+    the next) and yielded once as ``(frames, results)``: the first symbol
+    of each pair, in trial order, and ``results[est, t_kind]`` with one
+    ``(output, flagged)`` per frame, keyed model by model and, within a
+    model, in the order of ``estimators``.  An id in ``PPT_ONLY_IDS`` runs
+    under the ``ppt`` model only and is left out under the others.  An
+    estimator that raises :class:`EstimationError` on a frame gets the
+    common-phase-only fit instead, flagged.  ``estimators`` holds distinct
+    ids from :data:`pnofdm.estimators.ESTIMATOR_IDS` and ``t_kinds``
+    distinct models, at least one of each, and some estimator runs under
+    each model; any other list raises ``ValueError``.  The ids and each
+    model's config are checked and the models built once, when iteration
+    starts and before any frame is built.
     """
     estimators = tuple(estimators)
     unknown = [est for est in estimators if est not in ESTIMATOR_IDS]
     if unknown:
         raise ValueError(f"unknown estimator {unknown[0]!r}; expected one of {ESTIMATOR_IDS}")
-    if not estimators or len(set(estimators)) < len(estimators):
-        raise ValueError(f"estimators must be at least one distinct id, got {estimators!r}")
-    cfg.validate()
-    needs_ppt = [est for est in estimators if est in PPT_ONLY_IDS]
-    if needs_ppt and cfg.t_kind != "ppt":
-        raise ValueError(f"{needs_ppt[0]} requires a geometry-preserving model")
+    t_kinds = (cfg.t_kind,) if t_kinds is None else tuple(t_kinds)
+    for name, ids in (("estimators", estimators), ("t_kinds", t_kinds)):
+        if not ids or len(set(ids)) < len(ids):
+            raise ValueError(f"{name} must be at least one distinct id, got {ids!r}")
+    links = [replace(cfg, t_kind=t_kind).validate() for t_kind in t_kinds]
+    idle = [t_kind for t_kind in t_kinds if t_kind != "ppt"]
+    if idle and all(est in PPT_ONLY_IDS for est in estimators):
+        raise ValueError(f"{estimators[0]} requires a geometry-preserving model: nothing runs under {idle[0]}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    model = make_model(cfg)
+    runs = [(est, link.t_kind, make_model(link)) for link in links
+            for est in estimators if est not in PPT_ONLY_IDS or link.t_kind == "ppt"]
     children = np.random.SeedSequence(seed).spawn(trials)
     next_symbol = any(est in NEXT_SYMBOL_IDS for est in estimators)
     for start in range(0, trials, DECODE_BLOCK):
-        frames, results = [], {est: [] for est in estimators}
-        for f0, f1 in make_frame_pair(cfg, children[start : start + DECODE_BLOCK], next_symbol=next_symbol):
+        frames, results = [], {(est, t_kind): [] for est, t_kind, _ in runs}
+        for f0, f1 in make_frame_pair(links[0], children[start : start + DECODE_BLOCK], next_symbol=next_symbol):
             frames.append(f0)
-            for est in estimators:
+            for est, t_kind, model in runs:
                 try:
                     out = (estimate_frame(est, f0, f1, model), False)
                 except EstimationError:
                     out = (cpe_only(f0), True)
-                results[est].append(out)
+                results[est, t_kind].append(out)
         yield frames, results
 
 
-def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed) -> dict[str, BerRecord]:
-    """Coded BER of each estimator over the same ``n_frames`` trials of :func:`simulate`.
+def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed, t_kinds=None) -> dict[tuple, BerRecord]:
+    """Coded BER of each estimator under each model over the same ``n_frames`` trials of :func:`simulate`.
 
-    One pass: each block's frames are built once, and each estimator's block
-    is decoded in one :func:`decode_frame` call.  A frame on which an
-    estimator fails is decoded with the common-phase-only fallback and
-    counted in its ``flagged_frames``, never dropped.  Returns one record per
-    id, in the order given; ``frame_errors`` keeps trial order.
+    One pass: each block's frames are built once, and each run's block is
+    decoded in one :func:`decode_frame` call.  A frame on which an estimator
+    fails is decoded with the common-phase-only fallback and counted in its
+    ``flagged_frames``, never dropped.  Returns one record per
+    ``(estimator, t_kind)`` run, keyed and ordered as :func:`simulate`'s
+    results; ``frame_errors`` keeps trial order.
     """
     errors, flagged = defaultdict(list), Counter()
-    for frames, results in simulate(cfg, estimators, n_frames, seed):
+    for frames, results in simulate(cfg, estimators, n_frames, seed, t_kinds=t_kinds):
         sent = np.stack([frame.info_bits for frame in frames])
-        for est, outputs in results.items():
+        for run, outputs in results.items():
             decoded = decode_frame(frames, [out.delta_hat for out, _ in outputs])
-            errors[est].append(np.count_nonzero(decoded != sent, axis=1))
-            flagged[est] += sum(bad for _, bad in outputs)
-    return {
-        est: _ber_record(cfg, est, np.concatenate(blocks), sent.shape[1], flagged[est])
-        for est, blocks in errors.items()
-    }
+            errors[run].append(np.count_nonzero(decoded != sent, axis=1))
+            flagged[run] += sum(bad for _, bad in outputs)
+    return {run: _ber_record(cfg, np.concatenate(blocks), sent.shape[1], flagged[run])
+            for run, blocks in errors.items()}
 
 
 def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
-    """Coded BER of one estimator: the record :func:`ber_records` gives its id alone."""
-    return ber_records(cfg, (estimator,), n_frames, seed)[estimator]
+    """Coded BER of one estimator under the config's model: the record :func:`ber_records` gives it alone."""
+    return ber_records(cfg, (estimator,), n_frames, seed)[estimator, cfg.t_kind]

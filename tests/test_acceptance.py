@@ -62,7 +62,7 @@ def mc30():
         trials = slice(start, start + len(block))
         start = trials.stop
         sent = np.stack([f.info_bits for f in block])
-        for name, outputs in results.items():
+        for (name, _), outputs in results.items():
             # One decoder call per estimator and block.
             assert not any(flagged for _, flagged in outputs), f"{name} fell back to cpe in trials {trials}"
             decoded = decode_frame(block, [out.delta_hat for out, _ in outputs])
@@ -180,10 +180,9 @@ def test_criterion_10_mse_trend_and_cis_worst():
 def test_criterion_11_omega_concentration():
     from pnofdm.experiments import ExperimentConfig, _omega_samples
 
-    cfg = ExperimentConfig(scenario="phase-error-pdf", trials=300, seed=111_000)
+    cfg = ExperimentConfig(scenario="phase-error-pdf", t_kind=("ppt", "lft"), trials=300, seed=111_000)
     results = []
-    for t_kind in ("ppt", "lft"):
-        omega = _omega_samples(cfg, t_kind)
+    for t_kind, omega in _omega_samples(cfg).items():
         counts, edges = np.histogram(omega, bins=41, range=(-1.0, 1.0))
         peak = np.argmax(counts)
         mode_center = (edges[peak] + edges[peak + 1]) / 2

@@ -239,7 +239,7 @@ class TestUls:
         # A LinAlgError in the fifth solve flags that frame alone; the run
         # completes and every other frame decodes as in a run without it.
         cfg = LinkConfig(snr_db=20.0)
-        clean = ber_records(cfg, (name,), 10, 3)[name]
+        clean = ber_records(cfg, (name,), 10, 3)[name, "ppt"]
         real, calls = np.linalg.solve, []
 
         def fail_fifth(*args, **kwargs):
@@ -249,7 +249,7 @@ class TestUls:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "solve", fail_fifth)
-        rec = ber_records(cfg, (name,), 10, 3)[name]
+        rec = ber_records(cfg, (name,), 10, 3)[name, "ppt"]
         assert (len(calls), rec.frames, rec.flagged_frames) == (10, 10, 1)
         others = np.arange(10) != 4
         assert np.array_equal(rec.frame_errors[others], clean.frame_errors[others])
@@ -271,10 +271,10 @@ class TestUls:
         # There it regularizes some frames, flags none, and the run decodes
         # every frame.
         cfg = LinkConfig(n_c=16, n_est=8, pilot_fraction=0.5, snr_db=1000.0, taps=1, rho=0.0, t_kind=t_kind)
-        outputs = [out for _, results in simulate(cfg, ("uls",), 64, 1) for out in results["uls"]]
+        outputs = [out for _, results in simulate(cfg, ("uls",), 64, 1) for out in results["uls", t_kind]]
         assert any(out.diagnostics.flags == ("regularized",) for out, _ in outputs)
         assert not any(flagged for _, flagged in outputs)
-        rec = ber_records(cfg, ("uls",), 64, 1)["uls"]
+        rec = ber_records(cfg, ("uls",), 64, 1)["uls", t_kind]
         assert rec.frames == 64 and rec.flagged_frames == 0
 
 

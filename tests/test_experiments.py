@@ -67,8 +67,9 @@ class TestParseConfig:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_config_echo_replays(self, name):
         # The ``cfg.*`` lines of the CSV metadata parse back to the config that
-        # wrote them, including the list keys ``snr_db`` and ``rho`` and the
-        # keys a scenario does not read, echoed at their defaults.
+        # wrote them, including the list keys ``snr_db``, ``rho`` and
+        # ``t_kind`` and the keys a scenario does not read, echoed at their
+        # defaults.
         cfg = SCENARIOS[name].defaults
         meta = experiments._meta(cfg)
         lines = [f"{key[4:]} = {value}" for key, value in meta.items() if key.startswith("cfg.")]
@@ -78,8 +79,6 @@ class TestParseConfig:
         "scenario, line",
         [
             ("phase-error-pdf", "estimators = uls,nls"),
-            ("phase-error-pdf", "t_kind = lft"),
-            ("ber-model-compare", "t_kind = lft"),
         ],
     )
     def test_unread_key_rejected(self, tmp_path, capsys, scenario, line):
@@ -95,8 +94,8 @@ class TestParseConfig:
         "scenario, lines, message",
         [
             ("trajectory-traces", "trials = 9", "does not read key 'trials'"),
-            ("trajectory-traces", "t_kind = lft", "does not read key 't_kind'"),
-            ("estimate-error-pdf", "snr_db = 10,30", "takes one value of key 'snr_db'"),
+            ("mse-vs-bandwidth", "t_kind = ppt,lft", "takes one value of key 't_kind'"),
+            ("estimate-error-pdf", "t_kind = ppt,lft", "takes one value of key 't_kind'"),
             ("estimate-error-pdf", "rho = 0.1,0.2", "takes one value of key 'rho'"),
             ("phase-error-pdf", "snr_db = 10,30", "takes one value of key 'snr_db'"),
             ("estimate-error-pdf", "taps = 1\ncoherence_bw = 400000",
@@ -106,7 +105,9 @@ class TestParseConfig:
             ("ber-vs-snr", "estimators =", "estimators must be at least one distinct id"),
             ("ber-vs-snr", "estimators = uls, uls", "estimators must be at least one distinct id"),
             ("ber-vs-snr", "estimators = gls\nt_kind = lft", "run nothing under t_kind = 'lft'"),
-            ("ber-model-compare", "estimators = gls", "run nothing under t_kind = 'lft'"),
+            ("ber-vs-snr", "t_kind = ppt,lft\nestimators = gls", "run nothing under t_kind = 'lft'"),
+            ("ber-vs-snr", "t_kind = ppt,ppt", "t_kind must be at least one distinct id"),
+            ("ber-vs-snr", "t_kind = ppt,bogus", "t_kind must be 'ppt' or 'lft', got 'bogus'"),
         ],
     )
     def test_no_key_silently_ignored(self, tmp_path, capsys, scenario, lines, message):
@@ -211,7 +212,7 @@ class TestScenarios:
         )
         (path,) = run_scenario(cfg, tmp_path)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        assert lines[0] == "snr_db,estimator,frames,bit_errors,ber,ci95_low,ci95_high"
+        assert lines[0] == "snr_db,t_kind,estimator,frames,bit_errors,ber,ci95_low,ci95_high"
         assert len(lines) == 1 + 2  # one row per estimator
 
     def test_ber_sweeps_every_snr(self, tmp_path):
@@ -220,7 +221,7 @@ class TestScenarios:
         )
         (path,) = run_scenario(cfg, tmp_path)
         rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
-        assert [row.split(",")[:2] for row in rows] == [["10.0", "cpe"], ["30.0", "cpe"]]
+        assert [row.split(",")[:3] for row in rows] == [["10.0", "ppt", "cpe"], ["30.0", "ppt", "cpe"]]
 
     def test_ber_builds_each_snr_frames_once(self, tmp_path, monkeypatch):
         # Every estimator at one SNR reads the same frames: one block of
@@ -240,6 +241,34 @@ class TestScenarios:
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == 1 + 6  # one row per (SNR, estimator)
 
+    def test_two_model_runs_build_each_block_once(self, tmp_path, monkeypatch):
+        # The model enters only the estimate: a run under both models builds
+        # each block of frames once per operating point, not once per model,
+        # and writes one file whose t_kind column tells the models apart.
+        built = []
+
+        def counting(cfg, seeds, **kwargs):
+            built.append(cfg.snr_db)
+            return make_frame_pair(cfg, seeds, **kwargs)
+
+        monkeypatch.setattr(link, "make_frame_pair", counting)
+        cfg = parse_config(
+            "scenario = ber-vs-snr\ntrials = 3\nsnr_db = 10,30\nt_kind = ppt,lft\n"
+            "estimators = cpe,nls,gls\nn_c = 64\nn = 4\n"
+        )
+        (path,) = run_scenario(cfg, tmp_path / "ber")
+        assert built == [10.0, 30.0] and path.name == "ber_vs_snr.csv"
+        rows = [l.split(",")[:3] for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+        assert rows == [[snr, t_kind, est] for snr in ("10.0", "30.0") for t_kind, ests in
+                        (("ppt", ("cpe", "nls", "gls")), ("lft", ("cpe", "nls"))) for est in ests]
+        built.clear()
+        cfg = parse_config("scenario = phase-error-pdf\ntrials = 3\nn_c = 64\nn = 4\n")
+        assert cfg.t_kind == ("ppt", "lft")
+        (path,) = run_scenario(cfg, tmp_path / "omega")
+        assert built == [30.0]
+        labels = [l.split(",")[0] for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+        assert set(labels) == {"ppt", "lft"}
+
     def test_mse_scenario(self, tmp_path):
         cfg = parse_config(
             "scenario = mse-vs-bandwidth\ntrials = 3\nrho = 0.02,0.1\nestimators = cpe,nls\nn_c = 64\nn = 4\n"
@@ -255,19 +284,13 @@ class TestScenarios:
         )
         (path,) = run_scenario(cfg, tmp_path)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        assert lines[0] == "estimator,bin_left,bin_right,count,density"
+        assert lines[0] == "snr_db,estimator,bin_left,bin_right,count,density"
         counts = {}
         for line in lines[1:]:
-            est, _, _, count, _ = line.split(",")
-            counts[est] = counts.get(est, 0) + int(count)
-        assert counts == {"cpe": 20, "nls": 20}  # every trial lands in a bin
-
-    def test_tcompare_writes_two_files(self, tmp_path):
-        cfg = parse_config(
-            "scenario = ber-model-compare\ntrials = 3\nsnr_db = 30\nestimators = nls\nn_c = 64\nn = 4\n"
-        )
-        paths = run_scenario(cfg, tmp_path)
-        assert sorted(p.name for p in paths) == ["ber_vs_snr_lft.csv", "ber_vs_snr_ppt.csv"]
+            snr, est, _, _, count, _ = line.split(",")
+            counts[snr, est] = counts.get((snr, est), 0) + int(count)
+        # The default sweeps 10 and 30 dB; every trial lands in a bin.
+        assert counts == {(snr, est): 20 for snr in ("10.0", "30.0") for est in ("cpe", "nls")}
 
     def test_reproducible_byte_identical(self, tmp_path):
         cfg = parse_config(
@@ -283,7 +306,7 @@ class TestScenarios:
     def test_gls_left_out_under_lft(self, tmp_path, capsys, scenario):
         # gls needs the geometry-preserving model: under lft every runner
         # skips it instead of failing the whole run.  trajectory-traces runs
-        # one frame under both models whatever the config says.
+        # one frame under both models by default.
         if scenario == "trajectory-traces":
             extra = "estimators = uls,gls,cis\n"
         else:
@@ -302,14 +325,14 @@ class TestScenarios:
             assert "theta_hat_gls_ppt" in fields[0]  # the ppt model still runs it
 
     def test_all_scenarios_registered(self):
-        assert set(SCENARIOS) == {
-            "ber-vs-snr",
-            "ber-model-compare",
-            "mse-vs-bandwidth",
-            "phase-error-pdf",
-            "estimate-error-pdf",
-            "estimate-error-pdf-10db",
-            "trajectory-traces",
+        # The model comparison and the 10 dB error density are configs of
+        # ber-vs-snr and estimate-error-pdf (README), not scenarios.
+        assert {name: sc.sweep for name, sc in SCENARIOS.items()} == {
+            "ber-vs-snr": ("snr_db", "t_kind"),
+            "mse-vs-bandwidth": ("rho",),
+            "phase-error-pdf": ("t_kind",),
+            "estimate-error-pdf": ("snr_db",),
+            "trajectory-traces": ("t_kind",),
         }
 
 
@@ -457,10 +480,13 @@ class TestCli:
         assert proc.returncode == 0
         lines = proc.stdout.splitlines()[: len(SCENARIOS)]
         assert [line.split()[0] for line in lines] == list(SCENARIOS)
-        # Every description starts in one column, after the longest id and a space.
+        # Every description starts in one column, after the longest id and a
+        # space, and is followed by the list keys the scenario sweeps.
         column = max(map(len, SCENARIOS)) + 1
         for line, sc in zip(lines, SCENARIOS.values()):
             assert line.index(sc.description) == column
+            assert line.endswith(f"{sc.description} (sweeps {', '.join(sc.sweep)})")
+        assert lines[0].endswith("(sweeps snr_db, t_kind)")
 
     def test_run_tiny_scenario(self, tmp_path):
         cfg_file = tmp_path / "cfg.txt"

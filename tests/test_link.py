@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -398,7 +399,7 @@ class TestSimulate:
         blocks = list(simulate(cfg, ("cpe",), n_trials, 5))
         assert [len(frames) for frames, _ in blocks] == [link.DECODE_BLOCK, 2]
         for frames, results in blocks:
-            assert list(results) == ["cpe"] and len(results["cpe"]) == len(frames)
+            assert list(results) == [("cpe", "ppt")] and len(results["cpe", "ppt"]) == len(frames)
         frames = [frame for block, _ in blocks for frame in block]
         for child, frame in zip(children, frames, strict=True):
             expected, _ = make_frame_pair(cfg, [child])[0]
@@ -420,9 +421,9 @@ class TestSimulate:
         n_trials = link.DECODE_BLOCK + 1
         blocks = list(simulate(LinkConfig(), ids, n_trials, 9))
         assert seen == [built] * (n_trials * len(ids))
-        assert not any(flagged for _, results in blocks for _, flagged in results["uls"])
+        assert not any(flagged for _, results in blocks for _, flagged in results["uls", "ppt"])
         if built:
-            assert not any(flagged for _, results in blocks for _, flagged in results["cis"])
+            assert not any(flagged for _, results in blocks for _, flagged in results["cis", "ppt"])
 
     def test_common_frames_reproduce_run_link(self, monkeypatch):
         # One pass over every estimator sees the same frames as separate
@@ -438,10 +439,10 @@ class TestSimulate:
         names = ("cpe", "cis", "uls", "nls", "gls")
         n_frames = link.DECODE_BLOCK + 3
         records = ber_records(cfg, names, n_frames, 77)
-        assert list(records) == list(names)
-        assert records["cpe"].bit_errors > 0
-        assert 0 < records["nls"].flagged_frames < n_frames
-        for name, rec in records.items():
+        assert list(records) == [(name, "ppt") for name in names]
+        assert records["cpe", "ppt"].bit_errors > 0
+        assert 0 < records["nls", "ppt"].flagged_frames < n_frames
+        for (name, _), rec in records.items():
             alone = run_link(cfg, name, n_frames, 77)
             for field in dataclasses.fields(rec):
                 a, b = getattr(rec, field.name), getattr(alone, field.name)
@@ -456,11 +457,11 @@ class TestSimulate:
         monkeypatch.setattr(link, "estimate_frame", nls_broken)
         cfg = LinkConfig()
         for frames, results in simulate(cfg, ("uls", "nls"), 2, 3):
-            assert len(frames) == len(results["uls"]) == len(results["nls"]) == 2
-            for f, (out, flagged) in zip(frames, results["uls"]):
+            assert len(frames) == len(results["uls", "ppt"]) == len(results["nls", "ppt"]) == 2
+            for f, (out, flagged) in zip(frames, results["uls", "ppt"]):
                 own = estimate_frame("uls", f, None, make_model(cfg))
                 assert not flagged and np.array_equal(out.delta_hat, own.delta_hat)
-            for f, (out, flagged) in zip(frames, results["nls"]):
+            for f, (out, flagged) in zip(frames, results["nls", "ppt"]):
                 fallback = cpe_only(f)
                 assert flagged and np.array_equal(out.delta_hat, fallback.delta_hat)
 
@@ -488,7 +489,7 @@ class TestSimulate:
         n_frames = link.DECODE_BLOCK + 3
         expected = []
         for frames, results in simulate(cfg, ("uls",), n_frames, 31):
-            for frame, (out, _) in zip(frames, results["uls"], strict=True):
+            for frame, (out, _) in zip(frames, results["uls", "ppt"], strict=True):
                 decoded = decode_frame([frame], [out.delta_hat])[0]
                 expected.append(int(np.count_nonzero(decoded != frame.info_bits)))
         assert len(expected) == n_frames and sum(expected) > 0
@@ -545,13 +546,13 @@ class TestSimulate:
             (("uls", "nope"), "unknown estimator 'nope'"),
             (("uls", "cpe", "uls"), "distinct"),
             ((), "at least one"),
-            (("uls", "gls"), "gls requires a geometry-preserving model"),
+            (("gls",), "gls requires a geometry-preserving model"),
         ],
     )
     def test_rejects_bad_ids_before_building_frames(self, monkeypatch, ids, message):
         # A repeated id would count twice in a reduction keyed by id.  The
-        # config takes the lft model, under which gls cannot run; the other
-        # rules hold under either model.
+        # config takes the lft model, under which gls cannot run, so gls
+        # alone runs nothing; the other rules hold under either model.
         def refuse(*args, **kwargs):
             raise AssertionError("a frame was built before the ids were checked")
 
@@ -561,6 +562,44 @@ class TestSimulate:
             next(simulate(cfg, ids, 40, 0))
         with pytest.raises(ValueError, match=message):
             ber_records(cfg, ids, 40, 0)
+
+    def test_models_share_each_block_of_frames(self, monkeypatch):
+        # The model enters only the estimate: one pass under both models
+        # builds each block once, leaves gls out under lft, and gives every
+        # run the outputs of a pass under its model alone, across a block
+        # boundary (blocks of two trials keep the test short).
+        built, real = [], link.make_frame_pair
+        monkeypatch.setattr(link, "make_frame_pair", lambda *a, **k: built.append(1) or real(*a, **k))
+        monkeypatch.setattr(link, "DECODE_BLOCK", 2)
+        cfg, names, n_trials = LinkConfig(snr_db=20.0), ("uls", "nls", "gls"), 3
+        blocks = list(simulate(cfg, names, n_trials, 4, t_kinds=("ppt", "lft")))
+        assert len(built) == len(blocks) == 2
+        assert list(blocks[0][1]) == [(name, "ppt") for name in names] + [("uls", "lft"), ("nls", "lft")]
+        for t_kind in ("ppt", "lft"):
+            alone = list(simulate(dataclasses.replace(cfg, t_kind=t_kind), names if t_kind == "ppt" else names[:2],
+                                  n_trials, 4))
+            for (_, results), (_, own) in zip(blocks, alone, strict=True):
+                for (name, model), outputs in own.items():
+                    got = results[name, model]
+                    assert [flagged for _, flagged in got] == [flagged for _, flagged in outputs]
+                    assert all(np.array_equal(a.delta_hat, b.delta_hat) for (a, _), (b, _) in zip(got, outputs))
+
+    @pytest.mark.parametrize(
+        "ids, t_kinds, message",
+        [
+            (("uls",), ("ppt", "ppt"), "t_kinds must be at least one distinct id"),
+            (("uls",), (), "t_kinds must be at least one distinct id"),
+            (("uls",), ("ppt", "bogus"), "t_kind must be 'ppt' or 'lft', got 'bogus'"),
+            (("gls",), ("ppt", "lft"), "gls requires a geometry-preserving model: nothing runs under lft"),
+        ],
+    )
+    def test_rejects_bad_models_before_building_frames(self, monkeypatch, ids, t_kinds, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frame was built before the models were checked")
+
+        monkeypatch.setattr(link, "make_frame_pair", refuse)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(simulate(LinkConfig(), ids, 1, 0, t_kinds=t_kinds))
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError, match="trials must be positive"):
@@ -671,7 +710,7 @@ class TestRunLink:
     )
     def test_every_estimator_finite_at_the_config_limits(self, snr_db, rho):
         recs = ber_records(LinkConfig(snr_db=snr_db, rho=rho), ESTIMATOR_IDS, 3, 11)
-        assert sorted(recs) == sorted(ESTIMATOR_IDS)
+        assert sorted(recs) == sorted((est, "ppt") for est in ESTIMATOR_IDS)
         for rec in recs.values():
             assert np.isfinite([rec.ber, rec.ci95_low, rec.ci95_high]).all()
             assert rec.flagged_frames == 0
@@ -682,7 +721,7 @@ class TestRunLink:
 
         monkeypatch.setattr(link, "estimate_frame", broken)
         rec = run_link(LinkConfig(), "uls", 5, 7)
-        assert rec.estimator == "uls" and rec.flagged_frames == 5
+        assert rec.flagged_frames == 5
         assert rec.frames == 5  # frames are decoded with the fallback, not dropped
 
     def test_ber_monotone_in_snr(self):
