@@ -71,7 +71,7 @@ for n in (3, 4, 8, 9):
 print("\n=== 5. Local certificate on link frames ===")
 for snr_db in (10.0, 30.0):
     cfg = LinkConfig(snr_db=snr_db)
-    model = make_model(cfg)
+    model = make_model("ppt", cfg.n_c, cfg.n_est)
     certified, gap, rel_gap = 0, 0.0, 0.0
     for frame, _ in make_frame_pair(cfg, np.random.SeedSequence([2024, int(snr_db)]).spawn(20)):
         sys = build_ls_system(frame, model)

@@ -14,7 +14,7 @@ from pnofdm.link import LinkConfig, decode_frame, make_frame_pair, make_model
 from pnofdm.spectral import spectral_vector
 
 cfg = LinkConfig(snr_db=30.0, rho=0.02)
-model = make_model(cfg)
+model = make_model("ppt", cfg.n_c, cfg.n_est)
 frame, lookahead = make_frame_pair(cfg, [2024])[0]
 delta_true = spectral_vector(frame.theta)
 

@@ -19,7 +19,7 @@ frame, lookahead = make_frame_pair(cfg, [88])[0]
 
 traces = {"true": np.unwrap(frame.theta)}
 for t_kind, name in (("lft", "uls"), ("ppt", "uls"), ("ppt", "gls")):
-    model = make_model(LinkConfig(snr_db=30.0, rho=0.02, t_kind=t_kind))
+    model = make_model(t_kind, cfg.n_c, cfg.n_est)
     out = estimate_frame(name, frame, lookahead, model)
     traces[f"{name}/{t_kind}"] = np.unwrap(phase_trajectory(out.delta_hat))
 out = estimate_frame("cis", frame, lookahead, None)

@@ -82,7 +82,7 @@ def pc_ppt(n_c: int, n: int) -> DimRedModel:
     if n < 1 or n_c < 1:
         raise ValueError("dimensions must be positive")
     if n_c % n != 0:
-        raise ValueError(f"n = {n} must divide n_c = {n_c}")
+        raise ValueError(f"n = {n} must divide n_c = {n_c} for a ppt model")
     rep = n_c // n
     Ttilde = np.zeros((n_c, n), dtype=complex)
     scale = np.sqrt(n / n_c)

@@ -8,7 +8,7 @@ reproducible byte for byte from its own metadata.
 Config format: flat ``key = value`` lines, ``#`` comments, unknown keys are
 errors.  The only required key is ``scenario``; every other key overrides the
 scenario's defaults.  ``snr_db``, ``rho`` and ``t_kind`` take one or more
-comma-separated values; only the keys a scenario sweeps
+comma-separated values, each once; only the keys a scenario sweeps
 (:attr:`Scenario.sweep`) may hold more than one, each is a column of its
 CSV, and every value is checked as a link config.  A key the scenario does
 not read may only repeat its default, the value the CSV metadata echoes:
@@ -22,9 +22,8 @@ the taps cannot reach, more taps than ``n_c``, an ``snr_db`` outside
 
 ``gls`` needs the geometry-preserving model (``PPT_ONLY_IDS``), so
 :func:`pnofdm.link.simulate` leaves it out of the runs under ``t_kind = lft``:
-no ``gls`` row or column is written for that model.  ``estimators`` and
-``t_kind`` must each hold at least one value, each once, and an estimator
-must run under each model.  Each operating point is one
+no ``gls`` row or column is written for that model.  Every operating point
+must pass :func:`pnofdm.link.run_violations`.  Each operating point is one
 :func:`pnofdm.link.simulate` pass over every estimator and model, so its
 frames are built once.
 """
@@ -41,8 +40,8 @@ import numpy as np
 
 from . import __version__
 from .dimred import lift, pc_ppt, validate_ppt
-from .estimators import ESTIMATOR_IDS, PPT_ONLY_IDS, error_decomposition
-from .link import LinkConfig, ber_records, make_model, simulate
+from .estimators import error_decomposition
+from .link import LinkConfig, _distinct, ber_records, make_model, run_violations, simulate
 from .spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
 from .sproc import GAP_KINDS, duality_gap, random_gram_instance, regularity_matrix
 
@@ -93,7 +92,7 @@ class ExperimentConfig:
     scenario: str
     n_c: int = LinkConfig.n_c
     n: int = LinkConfig.n_est
-    t_kind: tuple = (LinkConfig.t_kind,)
+    t_kind: tuple = ("ppt",)
     pilot_fraction: float = LinkConfig.pilot_fraction
     taps: int = LinkConfig.taps
     coherence_bw: float = LinkConfig.coherence_bw
@@ -103,10 +102,9 @@ class ExperimentConfig:
     trials: int = 500
     seed: int = 20240801
 
-    def link_config(self, *, snr_db=None, rho=None, t_kind=None) -> LinkConfig:
+    def link_config(self, *, snr_db=None, rho=None) -> LinkConfig:
         """The link at one value of ``snr_db`` and ``rho`` (a key not passed must
-        hold one value) under one model, by default the first listed:
-        :func:`simulate` takes them all through ``t_kinds``."""
+        hold one value); :func:`simulate` takes the models through ``t_kinds``."""
         (snr_db,) = self.snr_db if snr_db is None else (snr_db,)
         (rho,) = self.rho if rho is None else (rho,)
         return LinkConfig(
@@ -117,7 +115,6 @@ class ExperimentConfig:
             coherence_bw=self.coherence_bw,
             rho=rho,
             n_est=self.n,
-            t_kind=self.t_kind[0] if t_kind is None else t_kind,
         )
 
     def violations(self) -> list[str]:
@@ -129,22 +126,12 @@ class ExperimentConfig:
             out.append("trials must be positive")
         if self.seed < 0:
             out.append("seed must be non-negative")
-        bad = [e for e in self.estimators if e not in ESTIMATOR_IDS]
-        if bad:
-            out.append(f"unknown estimators {bad}; valid ids are {sorted(ESTIMATOR_IDS)}")
-        for key in ("estimators", "t_kind"):
-            values = getattr(self, key)
-            if len(set(values)) < len(values) or not values:
-                out.append(f"{key} must be at least one distinct id, got {list(values)}")
-        if self.estimators and all(est in PPT_ONLY_IDS for est in self.estimators):
-            out.extend(f"estimators {list(self.estimators)} run nothing under t_kind = {t_kind!r}"
-                       for t_kind in dict.fromkeys(self.t_kind) if t_kind != "ppt")
         for key in ("snr_db", "rho", "t_kind"):
             if len(getattr(self, key)) > 1 and scenario is not None and key not in scenario.sweep:
                 out.append(f"scenario {self.scenario!r} takes one value of key {key!r}")
-        links = [self.link_config(snr_db=s, rho=r, t_kind=t)
-                 for s in self.snr_db for r in self.rho for t in self.t_kind]
-        out.extend(dict.fromkeys(v for link in links for v in link.violations()))
+        out += _distinct("snr_db", self.snr_db) + _distinct("rho", self.rho)
+        links = [self.link_config(snr_db=s, rho=r) for s in self.snr_db for r in self.rho]
+        out.extend(dict.fromkeys(v for link in links for v in run_violations(link, self.estimators, self.t_kind)))
         return out
 
     def echo(self) -> dict:
@@ -255,7 +242,7 @@ def _scores(cfg: ExperimentConfig, link: LinkConfig, estimators, score) -> dict:
 def _mse_trials(cfg: ExperimentConfig, rho: float):
     """Per-trial squared reduced-spectrum errors for each estimator (one model)."""
     link = cfg.link_config(rho=rho)
-    Th = make_model(link).T.conj().T
+    Th = make_model(cfg.t_kind[0], cfg.n_c, cfg.n).T.conj().T
 
     def squared_error(res, frame):
         return float(np.sum(np.abs(Th @ res.delta_hat - Th @ spectral_vector(frame.theta)) ** 2))
@@ -270,7 +257,7 @@ def _run_mse(cfg: ExperimentConfig, out_dir: Path):
         for est, vals in per_est.items():
             se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
             mean = float(np.mean(vals))
-            rows.append((rho, est, vals.size, mean, mean - 1.96 * se, mean + 1.96 * se))
+            rows.append((rho, est, vals.size, mean, max(0.0, mean - 1.96 * se), mean + 1.96 * se))
     columns = ("rho", "estimator", "trials", "mse", "ci95_low", "ci95_high")
     return [write_csv(out_dir / "mse_vs_rho.csv", _meta(cfg), columns, rows)]
 
@@ -421,24 +408,24 @@ def _check_geometry(seed: int, count: int) -> tuple:
     """Constant-modulus geometry of the estimates that claim it, on ``count`` link frames at each of 10 and 30 dB.
 
     ``nls`` and ``gls`` run under the geometry-preserving model and ``nls``
-    also under the low-frequency one, on the same frames.  Every estimate
-    must be the estimator's own (no ``cpe`` fallback), and the worst
-    geometry residual must stay below ``GEOMETRY_TOL``.  ``uls``, run on the
-    ppt frames too, is the negative control: the detail reports the share of
-    its estimates above the tolerance, so that a reader sees the check can
-    fail.
+    also under the low-frequency one, in one :func:`simulate` pass per SNR.
+    Every estimate must be the estimator's own (no ``cpe`` fallback), and the
+    worst geometry residual must stay below ``GEOMETRY_TOL``.  ``uls`` under
+    the geometry-preserving model is the negative control: the detail reports
+    the share of its estimates above the tolerance, so that a reader sees the
+    check can fail.
     """
     worst, fallbacks, uls_off = 0.0, 0, []
     for snr_db in (10.0, 30.0):
-        for t_kind, names in (("ppt", ("uls", "nls", "gls")), ("lft", ("nls",))):
-            for _, results in simulate(LinkConfig(snr_db=snr_db, t_kind=t_kind), names, count, seed):
-                for (name, _), outputs in results.items():
-                    residuals = [out.diagnostics.geometry_residual for out, _ in outputs]
-                    if name == "uls":
-                        uls_off += [res > GEOMETRY_TOL for res in residuals]
-                    else:
-                        worst = max(worst, *residuals)
-                        fallbacks += sum(flagged for _, flagged in outputs)
+        for _, results in simulate(LinkConfig(snr_db=snr_db), ("uls", "nls", "gls"), count, seed,
+                                   t_kinds=("ppt", "lft")):
+            for (name, t_kind), outputs in results.items():
+                residuals = [out.diagnostics.geometry_residual for out, _ in outputs]
+                if name != "uls":
+                    worst = max(worst, *residuals)
+                    fallbacks += sum(flagged for _, flagged in outputs)
+                elif t_kind == "ppt":
+                    uls_off += [res > GEOMETRY_TOL for res in residuals]
     passed = worst < GEOMETRY_TOL and fallbacks == 0
     return passed, (
         f"max geometry residual of nls/gls (ppt) and nls (lft) over {6 * count} estimates: {worst:.2e}"

@@ -41,12 +41,14 @@ every frame as read-only arrays.
 Every Monte-Carlo study runs through one engine, :func:`simulate`: trial
 ``i`` draws its frame pair from child ``i`` of
 ``np.random.SeedSequence(master).spawn(n)``, whatever block it is built in,
-and runs every requested estimator under every requested reduction model on
+and runs every requested estimator under every requested reduction model
+(``t_kinds``, ``ppt`` by default: the receiver's choice, not the link's) on
 it, so the runs compared in one study see common random frames, built once:
-the model enters only the estimate.  It yields blocks of up to
-``DECODE_BLOCK`` trials.  An estimator that fails on a frame falls back to
-the common-phase-only fit and is flagged; no frame is dropped.
-:func:`ber_records` (decoding each block once per run, with
+the model enters only the estimate.  Every rule a run must meet is in
+:func:`run_violations`, checked before any frame is built.  It yields
+blocks of up to ``DECODE_BLOCK`` trials.  An estimator that fails on a
+frame falls back to the common-phase-only fit and is flagged; no frame is
+dropped.  :func:`ber_records` (decoding each block once per run, with
 :func:`run_link` its one-estimator case) and the scenario runners are
 reductions over the blocks, using sums and counts only, so they are
 order-independent.
@@ -55,7 +57,7 @@ order-independent.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -79,6 +81,7 @@ __all__ = [
     "make_frame_pair",
     "make_model",
     "run_link",
+    "run_violations",
     "simulate",
 ]
 
@@ -104,7 +107,7 @@ class LinkConfig:
     at :data:`SUBCARRIER_SPACING`, ``rho`` (3-dB phase-noise linewidth) in
     subcarrier spacings, ``snr_db`` in dB per subcarrier, ``pilot_fraction``
     a share of the ``n_c`` subcarriers, ``taps`` sample-spaced channel taps,
-    ``n_est`` reduced coefficients, ``t_kind`` ``"ppt"`` or ``"lft"``."""
+    ``n_est`` reduced coefficients."""
 
     n_c: int = 128
     pilot_fraction: float = 0.08
@@ -113,7 +116,6 @@ class LinkConfig:
     coherence_bw: float = 800e3
     rho: float = 0.02
     n_est: int = 8
-    t_kind: str = "ppt"
 
     def violations(self) -> list[str]:
         out = []
@@ -139,10 +141,6 @@ class LinkConfig:
             out.append("rho must be finite and nonnegative, with 4*pi*rho finite")
         if self.n_est < 1:
             out.append("n_est must be >= 1")
-        if self.t_kind not in ("ppt", "lft"):
-            out.append(f"t_kind must be 'ppt' or 'lft', got {self.t_kind!r}")
-        if self.t_kind == "ppt" and self.n_c % max(self.n_est, 1) != 0:
-            out.append(f"n_est = {self.n_est} must divide n_c = {self.n_c} for a ppt model")
         if pilots_valid:  # a NaN or inf fraction has no pilot count
             k = int(round(self.pilot_fraction * self.n_c))
             if k < self.n_est:
@@ -158,18 +156,14 @@ class LinkConfig:
         return self
 
 
-def make_model(cfg: LinkConfig) -> DimRedModel:
-    """Reduction model selected by the config (``ppt`` or ``lft``).
-
-    Built once per ``(t_kind, n_c, n_est)`` and shared: its arrays are
-    read-only.
-    """
-    return _model(cfg.t_kind, cfg.n_c, cfg.n_est)
-
-
 @lru_cache(maxsize=16)
-def _model(t_kind: str, n_c: int, n_est: int) -> DimRedModel:
-    model = pc_ppt(n_c, n_est) if t_kind == "ppt" else lft(n_c, n_est)
+def make_model(t_kind: str, n_c: int, n_est: int) -> DimRedModel:
+    """Reduction model ``t_kind`` (``ppt`` or ``lft``, else ``ValueError``) of
+    ``n_est`` coefficients on ``n_c`` subcarriers, built once and shared: its
+    arrays are read-only."""
+    if t_kind not in ("ppt", "lft"):
+        raise ValueError(f"t_kind must be 'ppt' or 'lft', got {t_kind!r}")
+    model = (pc_ppt if t_kind == "ppt" else lft)(n_c, n_est)
     for arr in (model.T, model.Ttilde):
         if arr is not None:
             arr.flags.writeable = False
@@ -434,53 +428,70 @@ def decode_frame(frames, delta_hats) -> np.ndarray:
     return viterbi_decode_soft(llrs)
 
 
-def simulate(cfg: LinkConfig, estimators, trials: int, seed, t_kinds=None):
+def _distinct(key: str, values) -> list[str]:
+    """The violation of a list key that is empty or holds a value twice."""
+    repeats = not values or len(set(values)) < len(values)
+    return [f"{key} must be at least one distinct value, got {list(values)}"] if repeats else []
+
+
+def _runs_under(t_kind: str, estimators) -> list:
+    """The estimators that run under model ``t_kind``: those in ``PPT_ONLY_IDS`` under ``ppt`` alone."""
+    return [est for est in estimators if t_kind == "ppt" or est not in PPT_ONLY_IDS]
+
+
+def run_violations(cfg: LinkConfig, estimators, t_kinds) -> list[str]:
+    """Every reason :func:`simulate` refuses a run, or ``[]``: the link's own
+    violations, an unknown id, an empty or repeating list of ids or models, a
+    model that :func:`make_model` cannot build on a valid link, and a model
+    under which no requested estimator runs."""
+    out = cfg.violations()
+    if not out:  # the link's dimensions are valid: each model must build
+        for t_kind in dict.fromkeys(t_kinds):
+            try:
+                make_model(t_kind, cfg.n_c, cfg.n_est)
+            except ValueError as exc:
+                out.append(str(exc))
+    out += [f"unknown estimator {est!r}; expected one of {ESTIMATOR_IDS}"
+            for est in dict.fromkeys(estimators) if est not in ESTIMATOR_IDS]
+    out += _distinct("estimators", estimators) + _distinct("t_kind", t_kinds)
+    out += [f"{'/'.join(estimators)} requires a geometry-preserving model: nothing runs under t_kind = {t_kind!r}"
+            for t_kind in dict.fromkeys(t_kinds) if estimators and not _runs_under(t_kind, estimators)]
+    return out
+
+
+def simulate(cfg: LinkConfig, estimators, trials: int, seed, t_kinds=("ppt",)):
     """Run every estimator under every model on ``trials`` common random frame pairs, yielded a block at a time.
 
-    ``t_kinds`` names the reduction models, ``(cfg.t_kind,)`` by default;
-    the frames do not depend on the model, which enters only
-    :func:`pnofdm.estimators.estimate_frame`.  Trial ``i`` draws its frame
-    pair from child ``i`` of ``np.random.SeedSequence(seed).spawn(trials)``,
-    with the draws in the order :func:`make_frame_pair` documents.  Each
-    block of up to ``DECODE_BLOCK`` trials is built in one
-    :func:`make_frame_pair` call, whatever the number of estimators and
-    models, with each pair's second symbol only when an estimator in
+    Trial ``i`` draws its frame pair from child ``i`` of
+    ``np.random.SeedSequence(seed).spawn(trials)``, with the draws in the
+    order :func:`make_frame_pair` documents.  Each block of up to
+    ``DECODE_BLOCK`` trials is built in one :func:`make_frame_pair` call,
+    whatever the number of estimators and models ``t_kinds``, with each
+    pair's second symbol only when an estimator in
     :data:`pnofdm.estimators.NEXT_SYMBOL_IDS` is requested (symbol 0 is the
-    same either way), estimated frame by frame (every run on a frame before
-    the next) and yielded once as ``(frames, results)``: the first symbol
-    of each pair, in trial order, and ``results[est, t_kind]`` with one
-    ``(output, flagged)`` per frame, keyed model by model and, within a
-    model, in the order of ``estimators``.  An id in ``PPT_ONLY_IDS`` runs
-    under the ``ppt`` model only and is left out under the others.  An
+    same either way), estimated frame by frame and yielded once as
+    ``(frames, results)``: the first symbol of each pair, in trial order,
+    and ``results[est, t_kind]`` with one ``(output, flagged)`` per frame,
+    keyed model by model and, within a model, in the order of
+    ``estimators``; an id in ``PPT_ONLY_IDS`` runs under ``ppt`` only.  An
     estimator that raises :class:`EstimationError` on a frame gets the
-    common-phase-only fit instead, flagged.  ``estimators`` holds distinct
-    ids from :data:`pnofdm.estimators.ESTIMATOR_IDS` and ``t_kinds``
-    distinct models, at least one of each, and some estimator runs under
-    each model; any other list raises ``ValueError``.  The ids and each
-    model's config are checked and the models built once, when iteration
-    starts and before any frame is built.
+    common-phase-only fit instead, flagged.  A run that
+    :func:`run_violations` refuses raises ``ValueError`` when iteration
+    starts, before any frame is built.
     """
-    estimators = tuple(estimators)
-    unknown = [est for est in estimators if est not in ESTIMATOR_IDS]
-    if unknown:
-        raise ValueError(f"unknown estimator {unknown[0]!r}; expected one of {ESTIMATOR_IDS}")
-    t_kinds = (cfg.t_kind,) if t_kinds is None else tuple(t_kinds)
-    for name, ids in (("estimators", estimators), ("t_kinds", t_kinds)):
-        if not ids or len(set(ids)) < len(ids):
-            raise ValueError(f"{name} must be at least one distinct id, got {ids!r}")
-    links = [replace(cfg, t_kind=t_kind).validate() for t_kind in t_kinds]
-    idle = [t_kind for t_kind in t_kinds if t_kind != "ppt"]
-    if idle and all(est in PPT_ONLY_IDS for est in estimators):
-        raise ValueError(f"{estimators[0]} requires a geometry-preserving model: nothing runs under {idle[0]}")
+    estimators, t_kinds = tuple(estimators), tuple(t_kinds)
+    problems = run_violations(cfg, estimators, t_kinds)
+    if problems:
+        raise ValueError("invalid run: " + "; ".join(problems))
     if trials < 1:
         raise ValueError("trials must be positive")
-    runs = [(est, link.t_kind, make_model(link)) for link in links
-            for est in estimators if est not in PPT_ONLY_IDS or link.t_kind == "ppt"]
+    runs = [(est, t_kind, make_model(t_kind, cfg.n_c, cfg.n_est))
+            for t_kind in t_kinds for est in _runs_under(t_kind, estimators)]
     children = np.random.SeedSequence(seed).spawn(trials)
     next_symbol = any(est in NEXT_SYMBOL_IDS for est in estimators)
     for start in range(0, trials, DECODE_BLOCK):
         frames, results = [], {(est, t_kind): [] for est, t_kind, _ in runs}
-        for f0, f1 in make_frame_pair(links[0], children[start : start + DECODE_BLOCK], next_symbol=next_symbol):
+        for f0, f1 in make_frame_pair(cfg, children[start : start + DECODE_BLOCK], next_symbol=next_symbol):
             frames.append(f0)
             for est, t_kind, model in runs:
                 try:
@@ -491,7 +502,7 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed, t_kinds=None):
         yield frames, results
 
 
-def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed, t_kinds=None) -> dict[tuple, BerRecord]:
+def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed, t_kinds=("ppt",)) -> dict[tuple, BerRecord]:
     """Coded BER of each estimator under each model over the same ``n_frames`` trials of :func:`simulate`.
 
     One pass: each block's frames are built once, and each run's block is
@@ -513,5 +524,5 @@ def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed, t_kinds=None) 
 
 
 def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
-    """Coded BER of one estimator under the config's model: the record :func:`ber_records` gives it alone."""
-    return ber_records(cfg, (estimator,), n_frames, seed)[estimator, cfg.t_kind]
+    """Coded BER of one estimator under the ``ppt`` model: the record :func:`ber_records` gives it alone."""
+    return ber_records(cfg, (estimator,), n_frames, seed)[estimator, "ppt"]

@@ -87,7 +87,7 @@ def _count_residuals(monkeypatch):
 @pytest.fixture(scope="module")
 def desk_frame():
     cfg = LinkConfig()
-    model = make_model(cfg)
+    model = make_model("ppt", cfg.n_c, cfg.n_est)
     f0, f1 = make_frame_pair(cfg, [42])[0]
     return cfg, model, f0, f1
 
@@ -149,7 +149,7 @@ class TestBuildLsSystem:
         # Hermitian, and a Gram matrix is PSD.
         for snr_db in (10.0, 30.0):
             cfg = LinkConfig(snr_db=snr_db)
-            model = make_model(cfg)
+            model = make_model("ppt", cfg.n_c, cfg.n_est)
             for f0, _ in make_frame_pair(cfg, np.random.SeedSequence(7).spawn(64), next_symbol=False):
                 M = build_ls_system(f0, model).M
                 assert np.array_equal(M, M.conj().T)
@@ -210,7 +210,7 @@ class TestUls:
         # The unconstrained estimate leaves the geometry set; this is the
         # motivation for the constrained variants.
         cfg = LinkConfig()
-        model = make_model(cfg)
+        model = make_model("ppt", cfg.n_c, cfg.n_est)
         residuals = []
         for f0, f1 in make_frame_pair(cfg, np.random.SeedSequence(2024).spawn(20)):
             residuals.append(estimate_frame("uls", f0, f1, model).diagnostics.geometry_residual)
@@ -270,11 +270,12 @@ class TestUls:
         # noise, one tap, no phase noise and as many unknowns as pilots.
         # There it regularizes some frames, flags none, and the run decodes
         # every frame.
-        cfg = LinkConfig(n_c=16, n_est=8, pilot_fraction=0.5, snr_db=1000.0, taps=1, rho=0.0, t_kind=t_kind)
-        outputs = [out for _, results in simulate(cfg, ("uls",), 64, 1) for out in results["uls", t_kind]]
+        cfg = LinkConfig(n_c=16, n_est=8, pilot_fraction=0.5, snr_db=1000.0, taps=1, rho=0.0)
+        blocks = simulate(cfg, ("uls",), 64, 1, t_kinds=(t_kind,))
+        outputs = [out for _, results in blocks for out in results["uls", t_kind]]
         assert any(out.diagnostics.flags == ("regularized",) for out, _ in outputs)
         assert not any(flagged for _, flagged in outputs)
-        rec = ber_records(cfg, ("uls",), 64, 1)["uls", t_kind]
+        rec = ber_records(cfg, ("uls",), 64, 1, t_kinds=(t_kind,))["uls", t_kind]
         assert rec.frames == 64 and rec.flagged_frames == 0
 
 

@@ -102,11 +102,13 @@ class TestParseConfig:
              "does not read key 'coherence_bw'"),
             ("estimate-error-pdf", "f_sub = 15000", "unknown key 'f_sub'"),
             ("mse-vs-bandwidth", "rho = 0.02,-0.1", "rho must be finite and nonnegative"),
-            ("ber-vs-snr", "estimators =", "estimators must be at least one distinct id"),
-            ("ber-vs-snr", "estimators = uls, uls", "estimators must be at least one distinct id"),
-            ("ber-vs-snr", "estimators = gls\nt_kind = lft", "run nothing under t_kind = 'lft'"),
-            ("ber-vs-snr", "t_kind = ppt,lft\nestimators = gls", "run nothing under t_kind = 'lft'"),
-            ("ber-vs-snr", "t_kind = ppt,ppt", "t_kind must be at least one distinct id"),
+            ("ber-vs-snr", "estimators =", "estimators must be at least one distinct value"),
+            ("ber-vs-snr", "estimators = uls, uls", "estimators must be at least one distinct value"),
+            ("ber-vs-snr", "estimators = gls\nt_kind = lft", "nothing runs under t_kind = 'lft'"),
+            ("ber-vs-snr", "t_kind = ppt,lft\nestimators = gls", "nothing runs under t_kind = 'lft'"),
+            ("ber-vs-snr", "t_kind = ppt,ppt", "t_kind must be at least one distinct value"),
+            ("ber-vs-snr", "snr_db = 10,10", "snr_db must be at least one distinct value, got [10.0, 10.0]"),
+            ("mse-vs-bandwidth", "rho = 0.02,0.02", "rho must be at least one distinct value, got [0.02, 0.02]"),
             ("ber-vs-snr", "t_kind = ppt,bogus", "t_kind must be 'ppt' or 'lft', got 'bogus'"),
         ],
     )
@@ -151,6 +153,13 @@ class TestParseConfig:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert built == []  # rejected before any frame is built
+
+    def test_ppt_divisibility_binds_ppt_runs_only(self):
+        # The frames do not depend on the model, so n = 7 on 128 subcarriers
+        # is a link that only the ppt model cannot reduce.
+        with pytest.raises(ConfigError, match="n = 7 must divide n_c = 128 for a ppt model"):
+            parse_config("scenario = ber-vs-snr\nn = 7\nt_kind = lft,ppt\n")
+        assert parse_config("scenario = ber-vs-snr\nn = 7\nt_kind = lft\n").t_kind == ("lft",)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse value for 'snr_db'"):
@@ -277,6 +286,17 @@ class TestScenarios:
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert lines[0].startswith("rho,estimator,trials,mse")
         assert len(lines) == 1 + 4
+
+    def test_mse_interval_clipped_at_zero(self, tmp_path):
+        # A mean of squares is nonnegative, and so is its interval: with no
+        # phase noise and two trials, the normal interval of uls, nls and
+        # cis would reach below zero.
+        cfg = parse_config("scenario = mse-vs-bandwidth\nrho = 0\ntrials = 2\n")
+        (path,) = run_scenario(cfg, tmp_path)
+        rows = [l.split(",") for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+        lows = {est: float(low) for _, est, _, _, low, _ in rows}
+        assert lows["uls"] == lows["nls"] == lows["cis"] == 0.0
+        assert lows["gls"] > 0.0
 
     def test_error_pdf_scenario(self, tmp_path):
         cfg = parse_config(

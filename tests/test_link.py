@@ -260,7 +260,7 @@ class TestCompensate:
 
     def test_nls_reduces_residual_interference(self):
         cfg = LinkConfig()
-        model = make_model(cfg)
+        model = make_model("ppt", cfg.n_c, cfg.n_est)
         gains = []
         for f0, f1 in make_frame_pair(cfg, np.random.SeedSequence(11).spawn(40)):
             out = estimate_frame("nls", f0, f1, model)
@@ -296,7 +296,7 @@ class TestCompensate:
 
     def test_block_rows_match_single_compensations(self):
         cfg = LinkConfig(snr_db=10.0)
-        model = make_model(cfg)
+        model = make_model("ppt", cfg.n_c, cfg.n_est)
         pairs = make_frame_pair(cfg, range(6))
         r = np.stack([f0.r for f0, _ in pairs])
         d = np.stack([estimate_frame("uls", f0, f1, model).delta_hat for f0, f1 in pairs])
@@ -459,7 +459,7 @@ class TestSimulate:
         for frames, results in simulate(cfg, ("uls", "nls"), 2, 3):
             assert len(frames) == len(results["uls", "ppt"]) == len(results["nls", "ppt"]) == 2
             for f, (out, flagged) in zip(frames, results["uls", "ppt"]):
-                own = estimate_frame("uls", f, None, make_model(cfg))
+                own = estimate_frame("uls", f, None, make_model("ppt", cfg.n_c, cfg.n_est))
                 assert not flagged and np.array_equal(out.delta_hat, own.delta_hat)
             for f, (out, flagged) in zip(frames, results["nls", "ppt"]):
                 fallback = cpe_only(f)
@@ -476,12 +476,33 @@ class TestSimulate:
         for _ in range(2):
             list(simulate(LinkConfig(), ("uls",), 1, 8))
         assert models[0] is models[1]
-        assert models[0] is make_model(LinkConfig(snr_db=10.0))
-        assert make_model(LinkConfig(t_kind="lft")) is not models[0]
+        assert models[0] is make_model("ppt", 128, 8)
+        assert make_model("lft", 128, 8) is not models[0]
         with pytest.raises(ValueError, match="read-only"):
             models[0].T[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             models[0].Ttilde[0, 0] = 0.0
+
+    def test_make_model_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="t_kind must be 'ppt' or 'lft', got 'bogus'"):
+            make_model("bogus", 128, 8)
+
+    def test_ppt_divisibility_binds_the_model_not_the_frames(self, monkeypatch):
+        # n_est = 7 does not divide n_c = 128: the frames are those of any
+        # n_est, the lft model runs on them, and a ppt run is refused before
+        # it builds a frame.
+        (f7, _), = make_frame_pair(LinkConfig(n_est=7), [1])
+        (f8, _), = make_frame_pair(LinkConfig(), [1])
+        assert np.array_equal(f7.r, f8.r)
+        ((_, results),) = simulate(LinkConfig(n_est=7), ("uls",), 1, 0, t_kinds=("lft",))
+        assert results["uls", "lft"][0][0].delta_hat.size == 128
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frame was built before the model was checked")
+
+        monkeypatch.setattr(link, "make_frame_pair", refuse)
+        with pytest.raises(ValueError, match="n = 7 must divide n_c = 128 for a ppt model"):
+            next(simulate(LinkConfig(n_est=7), ("uls",), 1, 0))
 
     def test_block_boundaries_match_frame_by_frame_decode(self):
         # Two full blocks would hide a lost or reordered final partial block.
@@ -503,7 +524,7 @@ class TestSimulate:
 
     def test_decode_frame_rows_match_single_frame_decodes(self):
         cfg = LinkConfig(snr_db=10.0)
-        model = make_model(cfg)
+        model = make_model("ppt", cfg.n_c, cfg.n_est)
         frames, estimates = [], []
         for f0, f1 in make_frame_pair(cfg, range(6)):
             frames.append(f0)
@@ -546,22 +567,21 @@ class TestSimulate:
             (("uls", "nope"), "unknown estimator 'nope'"),
             (("uls", "cpe", "uls"), "distinct"),
             ((), "at least one"),
-            (("gls",), "gls requires a geometry-preserving model"),
+            (("gls",), "gls requires a geometry-preserving model: nothing runs under t_kind = 'lft'"),
         ],
     )
     def test_rejects_bad_ids_before_building_frames(self, monkeypatch, ids, message):
         # A repeated id would count twice in a reduction keyed by id.  The
-        # config takes the lft model, under which gls cannot run, so gls
-        # alone runs nothing; the other rules hold under either model.
+        # run takes the lft model, under which gls cannot run, so gls alone
+        # runs nothing; the other rules hold under either model.
         def refuse(*args, **kwargs):
             raise AssertionError("a frame was built before the ids were checked")
 
-        cfg = LinkConfig(t_kind="lft")
         monkeypatch.setattr(link, "make_frame_pair", refuse)
-        with pytest.raises(ValueError, match=message):
-            next(simulate(cfg, ids, 40, 0))
-        with pytest.raises(ValueError, match=message):
-            ber_records(cfg, ids, 40, 0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(simulate(LinkConfig(), ids, 40, 0, t_kinds=("lft",)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ber_records(LinkConfig(), ids, 40, 0, t_kinds=("lft",))
 
     def test_models_share_each_block_of_frames(self, monkeypatch):
         # The model enters only the estimate: one pass under both models
@@ -576,8 +596,7 @@ class TestSimulate:
         assert len(built) == len(blocks) == 2
         assert list(blocks[0][1]) == [(name, "ppt") for name in names] + [("uls", "lft"), ("nls", "lft")]
         for t_kind in ("ppt", "lft"):
-            alone = list(simulate(dataclasses.replace(cfg, t_kind=t_kind), names if t_kind == "ppt" else names[:2],
-                                  n_trials, 4))
+            alone = list(simulate(cfg, names if t_kind == "ppt" else names[:2], n_trials, 4, t_kinds=(t_kind,)))
             for (_, results), (_, own) in zip(blocks, alone, strict=True):
                 for (name, model), outputs in own.items():
                     got = results[name, model]
@@ -587,10 +606,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "ids, t_kinds, message",
         [
-            (("uls",), ("ppt", "ppt"), "t_kinds must be at least one distinct id"),
-            (("uls",), (), "t_kinds must be at least one distinct id"),
+            (("uls",), ("ppt", "ppt"), "t_kind must be at least one distinct value, got ['ppt', 'ppt']"),
+            (("uls",), (), "t_kind must be at least one distinct value, got []"),
             (("uls",), ("ppt", "bogus"), "t_kind must be 'ppt' or 'lft', got 'bogus'"),
-            (("gls",), ("ppt", "lft"), "gls requires a geometry-preserving model: nothing runs under lft"),
+            (("gls",), ("ppt", "lft"), "gls requires a geometry-preserving model: nothing runs under t_kind = 'lft'"),
         ],
     )
     def test_rejects_bad_models_before_building_frames(self, monkeypatch, ids, t_kinds, message):
