@@ -18,9 +18,8 @@ Five estimators are provided:
     amplitude errors (``eps != 0``) from noise, limited pilots, and the
     reduction model.
 ``nls``
-    The unconstrained estimate projected onto the constant-modulus set by
-    normalizing time-domain sample magnitudes: in the reduced domain when the
-    model preserves the geometry, otherwise in the full domain.
+    ``uls`` followed by an exact constant-modulus projection of the time
+    samples.
 ``gls``
     The geometry-constrained minimizer.  A Newton solve on the time phases
     runs first, and its point is returned when the closed-form Lagrangian
@@ -41,7 +40,7 @@ geometry residual is evaluated on ``delta``, at most once, when first read.
 
 An estimator that cannot estimate a frame raises :class:`EstimationError`,
 and :func:`pnofdm.link.simulate` then flags the frame and uses ``cpe``.  No
-numpy ``LinAlgError`` leaves an estimator: ``uls`` and both ``nls`` paths turn
+numpy ``LinAlgError`` leaves an estimator: ``uls`` and ``nls`` turn
 one from the condition number or the normal-equation solve into an
 ``EstimationError`` that names it, and ``gls`` turns the local solve's into a
 dual solve and the dual's or the recovery's into an ``EstimationError``; so
@@ -231,19 +230,14 @@ def uls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
 
 
 def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
-    """Normalization-projected least squares.
+    """``uls`` followed by an exact constant-modulus projection of the time samples.
 
-    With a geometry-preserving model the constant-modulus projection is done
-    in the reduced domain and lifted; otherwise the unconstrained estimate is
-    lifted first and projected in the full domain (costing two full-length
-    transforms but guaranteeing the output geometry either way).
+    The ``zero_time_samples:k`` flag counts full-length samples, so under
+    ``ppt`` each zero reduced sample counts ``n_c/n`` times; no caller reads
+    flags yet (ROADMAP item 4).
     """
-    gamma_ls, flags = _uls_gamma(sys)
-    if model.kind == "ppt":
-        gamma, n_zero = project_constant_modulus(gamma_ls)
-        delta = lift(model, gamma)
-    else:
-        delta, n_zero = project_constant_modulus(lift(model, gamma_ls))
+    gamma, flags = _uls_gamma(sys)
+    delta, n_zero = project_constant_modulus(lift(model, gamma))
     if n_zero:
         flags = flags + (f"zero_time_samples:{n_zero}",)
     return _output(delta, sys.cost_delta(delta), flags=flags)

@@ -292,11 +292,17 @@ class TestNls:
         x = np.fft.ifft(model.T.conj().T @ out.delta_hat) * np.sqrt(model.n)  # the reduced spectrum
         assert np.max(np.abs(np.abs(x) - 1 / np.sqrt(model.n))) < 1e-13
 
-    def test_lft_branch_full_domain_projection(self, desk_frame):
-        cfg, _, f0, f1 = desk_frame
-        model = lft(cfg.n_c, cfg.n_est)
-        out = estimate_frame("nls", f0, f1, model)
-        assert out.diagnostics.geometry_residual < 1e-10
+    @pytest.mark.parametrize("kind", ["ppt", "lft"])
+    def test_projects_lifted_uls(self, kind):
+        # Under every model nls is the lifted uls estimate with its
+        # full-length time samples projected to constant modulus.
+        cfg = LinkConfig(snr_db=10.0)
+        model = make_model(kind, cfg.n_c, cfg.n_est)
+        for f0, _ in make_frame_pair(cfg, range(8), next_symbol=False):
+            sys = build_ls_system(f0, model)
+            out = nls(sys, model)
+            assert np.array_equal(out.delta_hat, project_constant_modulus(uls(sys, model).delta_hat)[0])
+            assert out.diagnostics.geometry_residual < GEOMETRY_TOL
 
     def test_projection_zero_sample_flagged(self):
         gamma = np.fft.fft(np.array([0.0, 1.0, 1.0, 1.0], dtype=complex)) / 4

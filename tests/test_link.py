@@ -1,4 +1,5 @@
-"""Tests for the channel, transmission, compensation, and the BER loop."""
+"""Tests for the channel, the Wiener phase-noise draws, transmission,
+compensation, and the BER loop."""
 
 import dataclasses
 import os
@@ -122,6 +123,11 @@ def channel_draws(cfg, rng, n):
 def channel_one(cfg, rng):
     """One channel response from ``rng``'s next tap draws, as a one-row block."""
     return _rayleigh_channel(cfg, channel_draws(cfg, rng, 1))[0]
+
+
+def thetas(rho, seeds):
+    """The phase path of each seed's first symbol, one row per seed."""
+    return np.array([f0.theta for f0, _ in make_frame_pair(LinkConfig(rho=rho), seeds, next_symbol=False)])
 
 
 class TestPilots:
@@ -387,6 +393,35 @@ class TestFramePair:
             assert getattr(a1, name) is arr and getattr(b0, name) is arr
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
+
+
+class TestWienerRealization:
+    def test_zero_rho_constant(self):
+        for f0, f1 in make_frame_pair(LinkConfig(rho=0.0), range(50)):
+            for frame in (f0, f1):
+                assert np.all(frame.theta == frame.theta[0])
+
+    def test_deterministic(self):
+        assert np.array_equal(thetas(0.05, [99]), thetas(0.05, [99]))
+
+    def test_programmed_diffusion(self):
+        # Sample variance of theta[-1] - theta[0] over many frames matches the
+        # configured band: 4*pi*rho * (n_c-1)/n_c.
+        rho, n_c = 0.02, LinkConfig().n_c
+        drifts = thetas(rho, range(10_000, 20_000))
+        var = np.var(drifts[:, -1] - drifts[:, 0])
+        target = 4 * np.pi * rho * (n_c - 1) / n_c
+        assert abs(var - target) / target < 0.05
+
+    def test_negative_rho_rejected(self):
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            LinkConfig(rho=-0.1).validate()
+
+    # At 1e308 the variance 4*pi*rho overflows; the draws would hold inf and nan.
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, 1e308])
+    def test_non_finite_rho_rejected(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            LinkConfig(rho=rho).validate()
 
 
 class TestSimulate:

@@ -1,9 +1,18 @@
-"""Tests for the unitary DFT, the shift-form table and the geometry residual."""
+"""Tests for the unitary DFT, the shift-form table, the geometry residual and
+the spectral vectors of phase trajectories."""
 
 import numpy as np
 import pytest
 
-from pnofdm.spectral import dft_matrix, geometry_residual, shift_form_table, spectral_vector
+from pnofdm.spectral import (
+    GEOMETRY_TOL,
+    dft_matrix,
+    geometry_residual,
+    phase_trajectory,
+    shift_form_table,
+    spectral_vector,
+)
+from test_link import thetas
 
 
 def _shift(n, l):
@@ -91,3 +100,52 @@ class TestGeometryResidual:
         dense = np.array([v.conj() @ _shift(16, l) @ v for l in range(16)])
         dense[0] -= 1.0
         assert abs(geometry_residual(v) - np.max(np.abs(dense))) < 1e-12
+
+
+class TestSpectralVector:
+    def test_zero_phase(self):
+        sv = spectral_vector(np.zeros(8))
+        assert np.allclose(sv, np.eye(8)[:, 0], atol=1e-15)
+        assert geometry_residual(sv) < GEOMETRY_TOL
+
+    def test_constant_phase(self):
+        phi = 1.1
+        sv = spectral_vector(np.full(8, phi))
+        expected = np.exp(-1j * phi) * np.eye(8)[:, 0]
+        assert np.allclose(sv, expected, atol=1e-14)
+
+    def test_unit_norm(self):
+        rng = np.random.default_rng(0)
+        sv = spectral_vector(rng.uniform(-np.pi, np.pi, 64))
+        assert abs(np.linalg.norm(sv) - 1.0) < 1e-13
+
+    def test_geometry_for_any_theta(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            sv = spectral_vector(rng.uniform(-10, 10, 32))
+            assert geometry_residual(sv) < 1e-12
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(2)
+        theta = rng.uniform(-np.pi, np.pi, 48)
+        sv = spectral_vector(theta)
+        assert np.max(np.abs(np.fft.ifft(sv) - np.exp(-1j * theta) / 48)) < 1e-12
+        wrapped = np.angle(np.exp(1j * (phase_trajectory(sv) - theta)))
+        assert np.max(np.abs(wrapped)) < 1e-12
+
+
+class TestCpe:
+    # The common phase error is the zeroth component of the spectral vector.
+    def test_zero_phase(self):
+        assert spectral_vector(np.zeros(4))[0] == pytest.approx(1.0)
+
+    def test_constant_phase(self):
+        phi = 0.4
+        assert spectral_vector(np.full(4, phi))[0] == pytest.approx(np.exp(-1j * phi))
+
+    def test_slow_noise_small_angle(self):
+        # In the slow limit the common phase approaches the mean of -theta.
+        (theta,) = thetas(1e-6, [7])
+        c = spectral_vector(theta)[0]
+        err = np.angle(c * np.exp(1j * np.mean(theta)))
+        assert abs(err) < 1e-2
