@@ -31,8 +31,10 @@ v /= np.linalg.norm(v)
 print(f"random unit vector: worst residual={geometry_residual(v):.3f}")
 
 print("\n=== 3. The piecewise-constant core passes all three conditions ===")
+# validate_ppt reads the core F^H T F_n of the lift matrix T that every
+# estimate is lifted with.
 model = pc_ppt(128, 8)
-rep = validate_ppt(model.Ttilde)
+rep = validate_ppt(model.T)
 print(f"unitarity        {rep.unitarity:.2e}")
 print(f"off-diagonal     {rep.off_diagonal:.2e}")
 print(f"trace sums       {rep.trace_sum:.2e}")

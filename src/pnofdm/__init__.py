@@ -8,8 +8,8 @@ estimate and the coded error rate.
 
 Layout:
 
-* :mod:`pnofdm.spectral`: the unitary DFT, the shift-form table, the geometry residual and the spectral vector of a phase trajectory.
-* :mod:`pnofdm.dimred`: low-frequency and geometry-preserving reduction models.
+* :mod:`pnofdm.spectral`: the unitary DFT, the geometry residual and the spectral vector of a phase trajectory.
+* :mod:`pnofdm.dimred`: low-frequency and geometry-preserving reduction models, each its lift matrix.
 * :mod:`pnofdm.estimators`: the five pilot-based estimators and diagnostics.
 * :mod:`pnofdm.sdp`: the local certificate and the dual semidefinite program behind the constrained fit.
 * :mod:`pnofdm.sproc`: certified primal oracle and duality verification.

@@ -1,5 +1,6 @@
 """Dimensionality-reduction models mapping a short spectrum ``gamma`` (length
-``n``) to a full one ``delta`` (length ``n_c``).
+``n``) to a full one ``delta`` (length ``n_c``).  A model is its lift matrix
+``T``: ``delta = T @ gamma``.
 
 Two families are provided:
 
@@ -12,8 +13,9 @@ Two families are provided:
   columns are orthonormal.  When ``gamma`` lies on the ``n``-dimensional
   geometry, ``T @ gamma`` lies on the ``n_c``-dimensional one.
 
-``validate_ppt`` checks the three geometry-preservation conditions on a
-candidate core ``Ttilde``, for every shift ``l = 1..n_c-1``, to ``PPT_TOL``:
+``validate_ppt`` checks the three geometry-preservation conditions on the
+time-domain core ``Ttilde = F^H T Ftilde`` of a lift matrix ``T``, for every
+shift ``l = 1..n_c-1``, to ``PPT_TOL``:
 
     (a) ``Ttilde^H Ttilde = I``
     (b) ``t_i^H D_l t_j = 0`` for ``i != j``
@@ -48,7 +50,6 @@ class DimRedModel:
 
     kind: str  # "lft" | "ppt"
     T: np.ndarray  # n_c x n, orthonormal columns
-    Ttilde: np.ndarray | None  # time-domain core (ppt only)
     n: int
 
 
@@ -68,7 +69,7 @@ def lft(n_c: int, n: int) -> DimRedModel:
     T[:m, :m] = np.eye(m)
     if k:
         T[n_c - k:, m:] = np.eye(k)
-    return DimRedModel("lft", T, None, n)
+    return DimRedModel("lft", T, n)
 
 
 def pc_ppt(n_c: int, n: int) -> DimRedModel:
@@ -88,10 +89,8 @@ def pc_ppt(n_c: int, n: int) -> DimRedModel:
     scale = np.sqrt(n / n_c)
     for i in range(n):
         Ttilde[i * rep:(i + 1) * rep, i] = scale
-    F = dft_matrix(n_c)
-    Ft = dft_matrix(n)
-    T = F @ Ttilde @ Ft.conj().T
-    return DimRedModel("ppt", T, Ttilde, n)
+    T = dft_matrix(n_c) @ Ttilde @ dft_matrix(n).conj().T
+    return DimRedModel("ppt", T, n)
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,9 @@ class PptValidation:
     passed: bool
 
 
-def validate_ppt(Ttilde) -> PptValidation:
-    """Check the three core conditions for all shifts ``l = 1..n_c-1``.
+def validate_ppt(T) -> PptValidation:
+    """Check the three conditions on the core ``F^H T Ftilde`` of the lift
+    matrix ``T`` for all shifts ``l = 1..n_c-1``.
 
     ``passed`` is true when every worst violation is below ``PPT_TOL``.
 
@@ -113,10 +113,11 @@ def validate_ppt(Ttilde) -> PptValidation:
     ``l`` at once via FFTs of the columnwise products, which is exact up to
     roundoff and O(n^2 * n_c log n_c).
     """
-    Tt = np.asarray(Ttilde, dtype=complex)
-    if Tt.ndim != 2:
-        raise ValueError("Ttilde must be a matrix")
-    n_c, n = Tt.shape
+    T = np.asarray(T, dtype=complex)
+    if T.ndim != 2:
+        raise ValueError("T must be a matrix")
+    n_c, n = T.shape
+    Tt = dft_matrix(n_c).conj().T @ T @ dft_matrix(n)
     # forms[l, i, j] = t_i^H D_l t_j = sum_m conj(Tt[m,i]) Tt[m,j] e^{2j pi m l / n_c}
     prods = np.conj(Tt)[:, :, None] * Tt[:, None, :]
     forms = n_c * np.fft.ifft(prods, axis=0)

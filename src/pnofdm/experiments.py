@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimred import lift, pc_ppt, validate_ppt
+from .dimred import lift, validate_ppt
 from .estimators import error_decomposition
 from .link import LinkConfig, _distinct, ber_records, make_model, run_violations, simulate
 from .spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
@@ -434,13 +434,13 @@ def _check_geometry(seed: int, count: int) -> tuple:
 
 
 def _check_ppt(seed: int, count: int) -> tuple:
-    """Validity of three ``pc_ppt`` models, and ``count`` geometry-preserving lifts
-    of each, drawn from seed ``seed + n_c``."""
+    """Validity of three ``ppt`` models, the ones the link lifts with, and
+    ``count`` geometry-preserving lifts of each, drawn from seed ``seed + n_c``."""
     passed = True
     worst_cond = worst_lift = 0.0
     for n_c, n in ((16, 4), (64, 8), (128, 8)):
-        model = pc_ppt(n_c, n)
-        rep = validate_ppt(model.Ttilde)
+        model = make_model("ppt", n_c, n)
+        rep = validate_ppt(model.T)
         passed &= rep.passed
         worst_cond = max(worst_cond, rep.unitarity, rep.off_diagonal, rep.trace_sum)
         rng = np.random.default_rng(seed + n_c)

@@ -119,6 +119,8 @@ class LinkConfig:
 
     def violations(self) -> list[str]:
         out = []
+        # With pilot_fraction <= 0.5 this leaves 4 or more data subcarriers:
+        # 16 coded bits, 2 information bits past the 6-bit tail.
         if self.n_c < 8:
             out.append("n_c must be at least 8")
         if self.taps < 1:
@@ -145,8 +147,6 @@ class LinkConfig:
             k = int(round(self.pilot_fraction * self.n_c))
             if k < self.n_est:
                 out.append(f"pilot count {k} is below the estimator dimension {self.n_est}")
-            if self.n_c >= 8 and 2 * (self.n_c - k) - 6 < 8:
-                out.append("too few data subcarriers for a codeword")
         return out
 
     def validate(self) -> "LinkConfig":
@@ -164,9 +164,7 @@ def make_model(t_kind: str, n_c: int, n_est: int) -> DimRedModel:
     if t_kind not in ("ppt", "lft"):
         raise ValueError(f"t_kind must be 'ppt' or 'lft', got {t_kind!r}")
     model = (pc_ppt if t_kind == "ppt" else lft)(n_c, n_est)
-    for arr in (model.T, model.Ttilde):
-        if arr is not None:
-            arr.flags.writeable = False
+    model.T.flags.writeable = False
     return model
 
 

@@ -12,11 +12,11 @@ Conventions fixed for the whole package:
   when the unitary inverse DFT of ``v`` has constant modulus ``1/sqrt(n)``,
   i.e. when ``v`` is the spectrum of a pure phase signal.
 * The real constraint forms of the geometry (unit norm plus the Hermitian
-  split parts of the shifts) are all diagonal in the Fourier columns; their
-  eigenvalues are :func:`shift_form_table`, which the regularity
-  construction of :mod:`pnofdm.sproc` reads.  The dual solver needs no
-  table: in the time basis the same constraints are the diagonal entries
-  ``|x_m|^2 = 1/n``.
+  split parts of the shifts) are all diagonal in the Fourier columns; the
+  regularity construction of :mod:`pnofdm.sproc` evaluates their
+  eigenvalues there.  In the time basis the same constraints are the
+  diagonal entries ``|x_m|^2 = 1/n``, which is how the dual solver reads
+  them.
 * A phase trajectory ``theta`` (the receiver oscillator multiplies the
   time-domain signal by ``exp(1j*theta[n])``) acts on the subcarriers as the
   unitary row-circulant matrix built from its *spectral vector*
@@ -41,7 +41,6 @@ __all__ = [
     "dft_matrix",
     "geometry_residual",
     "phase_trajectory",
-    "shift_form_table",
     "spectral_vector",
 ]
 
@@ -83,29 +82,6 @@ def _dft(n: int) -> np.ndarray:
     F = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
     F.flags.writeable = False
     return F
-
-
-def shift_form_table(n: int) -> np.ndarray:
-    """Eigenvalues of the geometry's real constraint forms on the Fourier columns.
-
-    Returns the ``n x n`` real table whose column ``m`` belongs to the
-    ``m``-th Fourier column.  Row 0 is the norm form (all ones), the next
-    ``n//2`` rows are ``cos(2*pi*l*m/n)`` for ``l = 1..n//2`` (the real
-    parts ``(P_l + P_l^H)/2``) and the last ``(n-1)//2`` rows are
-    ``sin(2*pi*l*m/n)`` for ``l = 1..(n-1)//2`` (the imaginary parts
-    ``j(P_l^H - P_l)/2``).  Each form equals ``F @ diag(row) @ F^H``.
-    For even ``n`` the ``l = n/2`` shift is Hermitian and has a cosine row
-    only.  The rows are orthogonal, so they span the real diagonals.
-    """
-    if n < 1 or int(n) != n:
-        raise ValueError("n must be a positive integer")
-    n = int(n)
-    m = np.arange(n)
-
-    def phases(count):
-        return 2 * np.pi * (np.outer(np.arange(1, count + 1), m) % n) / n
-
-    return np.vstack([np.ones((1, n)), np.cos(phases(n // 2)), np.sin(phases((n - 1) // 2))])
 
 
 def geometry_residual(v) -> float:

@@ -8,10 +8,10 @@ forms involved (unit norm plus the split shift forms):
    an ``n x (n+1)`` matrix of full rank ``n`` whose columns sum to zero with
    unit weights.  This rules out a separating hyperplane through the origin
    with all evaluation points on one side.  The DFT columns diagonalize
-   every form, so the first ``n`` columns are those of
-   :func:`~pnofdm.spectral.shift_form_table`.  The construction holds for
-   every ``n``: for even ``n`` the ``n/2`` shift is Hermitian, so it has a
-   cosine row and no sine row, and there are still ``n`` forms.
+   every form, so the first ``n`` columns are the forms' eigenvalues on
+   them.  The construction holds for every ``n``: for even ``n`` the
+   ``n/2`` shift is Hermitian, so it has a cosine row and no sine row, and
+   there are still ``n`` forms.
 2. *Zero duality gap*, measured per instance: a branch-and-bound oracle
    brackets the minimum of the cost over the constant-modulus set from
    both sides to 1e-9 relative (n <= 5), independently of the solver, and
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sdp import _cost_pair, _time_pair, solve_dual
-from .spectral import geometry_residual, shift_form_table
+from .spectral import geometry_residual
 
 __all__ = [
     "GapResult",
@@ -92,16 +92,26 @@ def regularity_matrix(n: int) -> np.ndarray:
     Evaluates the ``n`` constraint forms (norm plus split shifts) at
     ``x_i = [f_i; 0]`` for the ``n`` DFT columns ``f_i`` and at
     ``x_{n+1} = [0; sqrt(n)]``.  The result is an ``n x (n+1)`` real matrix
-    of rank ``n`` whose rows each sum to zero: the first row is
-    ``(1, ..., 1, -n)`` and the others sample the cosine/sine eigenvalue
-    patterns of the shifts.  For even ``n`` the ``n/2`` shift is Hermitian,
-    so it gives a cosine row and no sine row, and there are still ``n``
-    forms.  Only the first row has a nonzero last entry, so rank ``n`` and
-    zero row sums also show that the cosine/sine block has rank ``n - 1``
-    with null space spanned by ``ones / n``.
+    of rank ``n`` whose rows each sum to zero.  Every form is diagonal in
+    the Fourier columns, so column ``m < n`` holds its eigenvalues on
+    ``f_m``: row 0 is the norm form, ``(1, ..., 1, -n)``, the next ``n//2``
+    rows are ``cos(2*pi*l*m/n)`` for ``l = 1..n//2`` (the real parts
+    ``(P_l + P_l^H)/2``) and the last ``(n-1)//2`` are ``sin(2*pi*l*m/n)``
+    (the imaginary parts ``j(P_l^H - P_l)/2``), so for even ``n`` the
+    Hermitian ``n/2`` shift gives a cosine row only.  Only the first row
+    has a nonzero last entry, so rank ``n`` and zero row sums also show
+    that the cosine/sine block has rank ``n - 1`` with null space spanned
+    by ``ones / n``.  Raises ``ValueError`` unless ``n`` is a positive
+    integer.
     """
-    Q = np.column_stack([shift_form_table(n), np.zeros(n)])
-    Q[0, n] = -float(n)
+    if n < 1 or int(n) != n:
+        raise ValueError("n must be a positive integer")
+    n = int(n)
+    phases = 2 * np.pi * (np.outer(np.arange(1, n // 2 + 1), np.arange(n)) % n) / n
+    Q = np.zeros((n, n + 1))
+    Q[0, :n], Q[0, n] = 1.0, -float(n)
+    Q[1:n // 2 + 1, :n] = np.cos(phases)
+    Q[n // 2 + 1:, :n] = np.sin(phases[:(n - 1) // 2])
     return Q
 
 

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from pnofdm.dimred import lft, lift, pc_ppt, validate_ppt
-from pnofdm.spectral import geometry_residual, spectral_vector
+from pnofdm.spectral import dft_matrix, geometry_residual, spectral_vector
 
 
 def feasible_gamma(n, seed):
     return spectral_vector(np.random.default_rng(seed).uniform(-np.pi, np.pi, n))
+
+
+def lift_matrix(core):
+    """Lift matrix ``F @ core @ F_n^H`` of a time-domain core."""
+    n_c, n = core.shape
+    return dft_matrix(n_c) @ core @ dft_matrix(n).conj().T
 
 
 class TestLft:
@@ -42,18 +48,18 @@ class TestPcPpt:
     def test_full_dimension_is_identity(self):
         model = pc_ppt(8, 8)
         assert np.max(np.abs(model.T - np.eye(8))) < 1e-12
-        assert validate_ppt(model.Ttilde).passed
+        assert validate_ppt(model.T).passed
 
     def test_core_blocks(self):
         # Orthonormal columns force block scaling sqrt(n/n_c).
-        Tt = pc_ppt(8, 4).Ttilde
+        Tt = dft_matrix(8).conj().T @ pc_ppt(8, 4).T @ dft_matrix(4)
         expected = np.zeros((8, 4))
         for i in range(4):
             expected[2 * i:2 * i + 2, i] = 1 / np.sqrt(2)
         assert np.allclose(Tt, expected)
 
     def test_validates(self):
-        rep = validate_ppt(pc_ppt(64, 8).Ttilde)
+        rep = validate_ppt(pc_ppt(64, 8).T)
         assert rep.passed
         assert max(rep.unitarity, rep.off_diagonal, rep.trace_sum) < 1e-12
 
@@ -64,7 +70,7 @@ class TestPcPpt:
     def test_odd_repetition_factor(self):
         # Only divisibility is required; odd n_c/n works too.
         model = pc_ppt(12, 4)
-        assert validate_ppt(model.Ttilde).passed
+        assert validate_ppt(model.T).passed
 
     def test_divisibility_required(self):
         with pytest.raises(ValueError):
@@ -73,13 +79,13 @@ class TestPcPpt:
 
 class TestValidatePpt:
     def test_identity_core_passes(self):
-        rep = validate_ppt(np.eye(6, dtype=complex))
+        rep = validate_ppt(lift_matrix(np.eye(6, dtype=complex)))
         assert rep.passed  # trace of every nontrivial shift is zero
 
     def test_lft_time_analogue_fails_trace_condition(self):
         bad = np.zeros((8, 4), dtype=complex)
         bad[:4, :4] = np.eye(4)
-        rep = validate_ppt(bad)
+        rep = validate_ppt(lift_matrix(bad))
         assert not rep.passed
         assert rep.unitarity < 1e-12
         assert rep.trace_sum > 0.1

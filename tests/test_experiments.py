@@ -421,6 +421,14 @@ class TestVerify:
     # of the real function.
     FAULTS = {
         "geometry-construction": (estimators, "project_constant_modulus", unnormalized_projection),
+        # The row validates the lift matrices the link uses: 1e-11 on every
+        # T breaks unitarity past PPT_TOL while each lifted residual stays
+        # below GEOMETRY_TOL.
+        "ppt-validation": (
+            experiments,
+            "make_model",
+            lambda real: lambda *args: dataclasses.replace(real(*args), T=real(*args).T * (1 + 1e-11)),
+        ),
         "regularity": (experiments, "regularity_matrix", lambda real: lambda n: real(n) + 1e-3 * np.eye(n, n + 1)),
         "error-identity": (
             experiments,
@@ -478,6 +486,7 @@ class TestVerify:
         assert readers == {
             "project_constant_modulus": {"geometry-construction"},
             "validate_ppt": {"ppt-validation"},
+            "make_model": {"ppt-validation"},
             "regularity_matrix": {"regularity"},
             "duality_gap": {"duality-gap"},
             "error_decomposition": {"error-identity"},

@@ -1,5 +1,5 @@
-"""Tests for the unitary DFT, the shift-form table, the geometry residual and
-the spectral vectors of phase trajectories."""
+"""Tests for the unitary DFT, the geometry residual and the spectral vectors
+of phase trajectories."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from pnofdm.spectral import (
     dft_matrix,
     geometry_residual,
     phase_trajectory,
-    shift_form_table,
     spectral_vector,
 )
 from test_link import thetas
@@ -20,12 +19,6 @@ def _shift(n, l):
     P = np.zeros((n, n), dtype=complex)
     P[(np.arange(n) + l) % n, np.arange(n)] = 1.0
     return P
-
-
-def _hermitian_split(P):
-    """Dense Hermitian pair ``((P + P^H)/2, j(P^H - P)/2)``, so ``P = P_R + j P_I``."""
-    Ph = P.conj().T
-    return (P + Ph) / 2, 1j * (Ph - P) / 2
 
 
 class TestDftMatrix:
@@ -52,28 +45,6 @@ class TestDftMatrix:
         assert np.array_equal(F, np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n))
         with pytest.raises(ValueError, match="read-only"):
             F[0, 0] = 0.0
-
-
-class TestShiftFormTable:
-    @pytest.mark.parametrize("n", [3, 4, 5, 8])
-    def test_rows_diagonalize_the_dense_split_shifts(self, n):
-        # Reference forms in table order: norm, real parts l = 1..n//2, then
-        # imaginary parts l = 1..(n-1)//2 (for even n the l = n/2 shift is
-        # Hermitian, so it has a real part only).
-        splits = [_hermitian_split(_shift(n, l)) for l in range(1, n // 2 + 1)]
-        forms = [np.eye(n)] + [PR for PR, _ in splits] + [PI for _, PI in splits[: (n - 1) // 2]]
-        F = dft_matrix(n)
-        table = shift_form_table(n)
-        assert table.shape == (n, n) and len(forms) == n
-        for row, W in zip(table, forms):
-            D = F.conj().T @ W @ F
-            assert np.max(np.abs(D - np.diag(row))) < 1e-13
-
-    def test_rows_orthogonal(self):
-        table = shift_form_table(8)
-        gram = table @ table.T
-        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-12
-        assert np.linalg.matrix_rank(table) == 8
 
 
 class TestGeometryResidual:

@@ -12,6 +12,13 @@ from pnofdm.sproc import (
     random_gram_instance,
     regularity_matrix,
 )
+from test_spectral import _shift
+
+
+def _hermitian_split(P):
+    """Dense Hermitian pair ``((P + P^H)/2, j(P^H - P)/2)``, so ``P = P_R + j P_I``."""
+    Ph = P.conj().T
+    return (P + Ph) / 2, 1j * (Ph - P) / 2
 
 
 class TestRegularityMatrix:
@@ -32,6 +39,26 @@ class TestRegularityMatrix:
     def test_non_positive_n_rejected(self):
         with pytest.raises(ValueError):
             regularity_matrix(0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_rows_diagonalize_the_dense_split_shifts(self, n):
+        # Reference forms in row order: norm, real parts l = 1..n//2, then
+        # imaginary parts l = 1..(n-1)//2 (for even n the l = n/2 shift is
+        # Hermitian, so it has a real part only).
+        splits = [_hermitian_split(_shift(n, l)) for l in range(1, n // 2 + 1)]
+        forms = [np.eye(n)] + [real for real, _ in splits] + [imag for _, imag in splits[: (n - 1) // 2]]
+        F = dft_matrix(n)
+        table = regularity_matrix(n)[:, :n]
+        assert table.shape == (n, n) and len(forms) == n
+        for row, W in zip(table, forms):
+            D = F.conj().T @ W @ F
+            assert np.max(np.abs(D - np.diag(row))) < 1e-13
+
+    def test_rows_orthogonal(self):
+        table = regularity_matrix(8)[:, :8]
+        gram = table @ table.T
+        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-12
+        assert np.linalg.matrix_rank(table) == 8
 
 
 def _costs(M, b, phases):
