@@ -23,7 +23,7 @@ The script has five sections:
 import numpy as np
 
 from pnofdm.estimators import build_ls_system, gls
-from pnofdm.link import LinkConfig, make_frame_pair, make_model
+from pnofdm.link import DEFAULT_MODEL, LinkConfig, make_frame_pair, make_model
 from pnofdm.sdp import kkt_recover, solve_dual
 from pnofdm.sproc import (
     GAP_KINDS,
@@ -71,7 +71,7 @@ for n in (3, 4, 8, 9):
 print("\n=== 5. Local certificate on link frames ===")
 for snr_db in (10.0, 30.0):
     cfg = LinkConfig(snr_db=snr_db)
-    model = make_model("ppt", cfg.n_c, cfg.n_est)
+    model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
     certified, gap, rel_gap = 0, 0.0, 0.0
     for frame, _ in make_frame_pair(cfg, np.random.SeedSequence([2024, int(snr_db)]).spawn(20)):
         sys = build_ls_system(frame, model)

@@ -10,11 +10,12 @@ amplitude/phase error split of the inverse-transform samples.
 import numpy as np
 
 from pnofdm.estimators import error_decomposition, estimate_frame
-from pnofdm.link import LinkConfig, decode_frame, make_frame_pair, make_model
+from pnofdm.link import DEFAULT_MODEL, LinkConfig, decode_frame, make_frame_pair, make_model
 from pnofdm.spectral import spectral_vector
 
 cfg = LinkConfig(snr_db=30.0, rho=0.02)
-model = make_model("ppt", cfg.n_c, cfg.n_est)
+t_kind, n = DEFAULT_MODEL  # the receiver's reduction model
+model = make_model(t_kind, cfg.n_c, n)
 frame, lookahead = make_frame_pair(cfg, [2024])[0]
 delta_true = spectral_vector(frame.theta)
 

@@ -11,7 +11,7 @@ dimensionality reduction at work.
 import numpy as np
 
 from pnofdm.estimators import estimate_frame
-from pnofdm.link import LinkConfig, make_frame_pair, make_model
+from pnofdm.link import DEFAULT_MODEL, LinkConfig, make_frame_pair, make_model
 from pnofdm.spectral import phase_trajectory
 
 cfg = LinkConfig(snr_db=30.0, rho=0.02)
@@ -19,7 +19,7 @@ frame, lookahead = make_frame_pair(cfg, [88])[0]
 
 traces = {"true": np.unwrap(frame.theta)}
 for t_kind, name in (("lft", "uls"), ("ppt", "uls"), ("ppt", "gls")):
-    model = make_model(t_kind, cfg.n_c, cfg.n_est)
+    model = make_model(t_kind, cfg.n_c, DEFAULT_MODEL[1])
     out = estimate_frame(name, frame, lookahead, model)
     traces[f"{name}/{t_kind}"] = np.unwrap(phase_trajectory(out.delta_hat))
 out = estimate_frame("cis", frame, lookahead, None)

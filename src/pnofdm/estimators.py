@@ -70,6 +70,7 @@ __all__ = [
     "EstimatorOutput",
     "ErrorDecomposition",
     "LsSystem",
+    "MODEL_FREE_IDS",
     "NEXT_SYMBOL_IDS",
     "PPT_ONLY_IDS",
     "build_ls_system",
@@ -389,9 +390,11 @@ ESTIMATOR_IDS = ("uls", "nls", "gls", "cpe", "cis", "genie")
 NEXT_SYMBOL_IDS = ("cis",)
 # The estimators that need a geometry-preserving (``ppt``) model.
 PPT_ONLY_IDS = ("gls",)
+# The estimators that read no reduction model: one estimate serves every model.
+MODEL_FREE_IDS = ("cpe", "cis", "genie")
 
 
-def estimate_frame(name: str, frame, next_frame, model: DimRedModel) -> EstimatorOutput:
+def estimate_frame(name: str, frame, next_frame, model: DimRedModel | None) -> EstimatorOutput:
     """Run the estimator ``name`` on one frame (those in ``NEXT_SYMBOL_IDS``
     also read the next, and raise :class:`EstimationError` without it).
 

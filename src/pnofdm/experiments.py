@@ -7,8 +7,8 @@ reproducible byte for byte from its own metadata.
 
 Config format: flat ``key = value`` lines, ``#`` comments, unknown keys are
 errors.  The only required key is ``scenario``; every other key overrides the
-scenario's defaults.  ``snr_db``, ``rho`` and ``t_kind`` take one or more
-comma-separated values, each once; only the keys a scenario sweeps
+scenario's defaults.  ``snr_db``, ``rho``, ``t_kind`` and ``n`` take one or
+more comma-separated values, each once; only the keys a scenario sweeps
 (:attr:`Scenario.sweep`) may hold more than one, each is a column of its
 CSV, and every value is checked as a link config.  A key the scenario does
 not read may only repeat its default, the value the CSV metadata echoes:
@@ -20,11 +20,12 @@ the taps cannot reach, more taps than ``n_c``, an ``snr_db`` outside
 ``[-1000, 1000]`` dB, a ``rho`` whose ``4*pi*rho`` overflows and a negative
 ``seed`` are config errors, caught before anything runs.
 
-``gls`` needs the geometry-preserving model (``PPT_ONLY_IDS``), so
-:func:`pnofdm.link.simulate` leaves it out of the runs under ``t_kind = lft``:
-no ``gls`` row or column is written for that model.  Every operating point
-must pass :func:`pnofdm.link.run_violations`.  Each operating point is one
-:func:`pnofdm.link.simulate` pass over every estimator and model, so its
+The receiver's reduction models are every ``(t_kind, n)`` pair of the two
+list keys.  :func:`pnofdm.link.simulate` leaves ``gls`` (``PPT_ONLY_IDS``)
+out of the runs under ``t_kind = lft``, and runs each id that reads no model
+(``MODEL_FREE_IDS``) once, so each writes one row or column with no model.
+Every operating point must pass :func:`pnofdm.link.run_violations`, and is
+one :func:`pnofdm.link.simulate` pass over every estimator and model, so its
 frames are built once.
 """
 
@@ -34,6 +35,7 @@ import hashlib
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,7 @@ import numpy as np
 from . import __version__
 from .dimred import lift, validate_ppt
 from .estimators import error_decomposition
-from .link import LinkConfig, _distinct, ber_records, make_model, run_violations, simulate
+from .link import DEFAULT_MODEL, LinkConfig, _distinct, ber_records, make_model, run_violations, simulate
 from .spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
 from .sproc import GAP_KINDS, duality_gap, random_gram_instance, regularity_matrix
 
@@ -63,8 +65,8 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message lists every violation."""
 
 
-def _parse_float_list(text: str):
-    return tuple(float(v) for v in text.split(","))
+def _parse_number_list(kind):
+    return lambda text: tuple(kind(v) for v in text.split(","))
 
 
 def _parse_str_list(text: str):
@@ -74,13 +76,13 @@ def _parse_str_list(text: str):
 _KEY_PARSERS = {
     "scenario": str,
     "n_c": int,
-    "n": int,
+    "n": _parse_number_list(int),
     "t_kind": _parse_str_list,
     "pilot_fraction": float,
     "taps": int,
     "coherence_bw": float,
-    "rho": _parse_float_list,
-    "snr_db": _parse_float_list,
+    "rho": _parse_number_list(float),
+    "snr_db": _parse_number_list(float),
     "estimators": _parse_str_list,
     "trials": int,
     "seed": int,
@@ -91,8 +93,8 @@ _KEY_PARSERS = {
 class ExperimentConfig:
     scenario: str
     n_c: int = LinkConfig.n_c
-    n: int = LinkConfig.n_est
-    t_kind: tuple = ("ppt",)
+    n: tuple = (DEFAULT_MODEL[1],)
+    t_kind: tuple = (DEFAULT_MODEL[0],)
     pilot_fraction: float = LinkConfig.pilot_fraction
     taps: int = LinkConfig.taps
     coherence_bw: float = LinkConfig.coherence_bw
@@ -104,7 +106,7 @@ class ExperimentConfig:
 
     def link_config(self, *, snr_db=None, rho=None) -> LinkConfig:
         """The link at one value of ``snr_db`` and ``rho`` (a key not passed must
-        hold one value); :func:`simulate` takes the models through ``t_kinds``."""
+        hold one value); :func:`simulate` takes the receiver's :attr:`models`."""
         (snr_db,) = self.snr_db if snr_db is None else (snr_db,)
         (rho,) = self.rho if rho is None else (rho,)
         return LinkConfig(
@@ -114,8 +116,12 @@ class ExperimentConfig:
             taps=self.taps,
             coherence_bw=self.coherence_bw,
             rho=rho,
-            n_est=self.n,
         )
+
+    @property
+    def models(self) -> tuple:
+        """The receiver's reduction models, every ``(t_kind, n)`` pair, ``t_kind`` by ``t_kind``."""
+        return tuple(product(self.t_kind, self.n))
 
     def violations(self) -> list[str]:
         out = []
@@ -126,12 +132,12 @@ class ExperimentConfig:
             out.append("trials must be positive")
         if self.seed < 0:
             out.append("seed must be non-negative")
-        for key in ("snr_db", "rho", "t_kind"):
+        for key in ("snr_db", "rho", "t_kind", "n"):
             if len(getattr(self, key)) > 1 and scenario is not None and key not in scenario.sweep:
                 out.append(f"scenario {self.scenario!r} takes one value of key {key!r}")
-        out += _distinct("snr_db", self.snr_db) + _distinct("rho", self.rho)
+            out += _distinct(key, getattr(self, key))
         links = [self.link_config(snr_db=s, rho=r) for s in self.snr_db for r in self.rho]
-        out.extend(dict.fromkeys(v for link in links for v in run_violations(link, self.estimators, self.t_kind)))
+        out.extend(dict.fromkeys(v for link in links for v in run_violations(link, self.estimators, self.models)))
         return out
 
     def echo(self) -> dict:
@@ -222,18 +228,19 @@ def _meta(cfg: ExperimentConfig) -> dict:
 def _run_ber(cfg: ExperimentConfig, out_dir: Path):
     rows = []
     for snr in cfg.snr_db:
-        records = ber_records(cfg.link_config(snr_db=snr), cfg.estimators, cfg.trials, cfg.seed, t_kinds=cfg.t_kind)
-        rows += [(r.snr_db, t_kind, est, r.frames, r.bit_errors, r.ber, r.ci95_low, r.ci95_high)
-                 for (est, t_kind), r in records.items()]
-    columns = ("snr_db", "t_kind", "estimator", "frames", "bit_errors", "ber", "ci95_low", "ci95_high")
+        records = ber_records(cfg.link_config(snr_db=snr), cfg.estimators, cfg.trials, cfg.seed, models=cfg.models)
+        rows += [(r.snr_db, *(model or ("", "")), est, r.frames, r.bit_errors, r.ber, r.ci95_low, r.ci95_high,
+                  r.flagged_frames) for (est, model), r in records.items()]
+    columns = ("snr_db", "t_kind", "n", "estimator", "frames", "bit_errors", "ber", "ci95_low", "ci95_high",
+               "flagged_frames")
     return [write_csv(out_dir / "ber_vs_snr.csv", _meta(cfg), columns, rows)]
 
 
 def _scores(cfg: ExperimentConfig, link: LinkConfig, estimators, score) -> dict:
     """``score(output, frame)`` on every trial of one :func:`simulate` pass under
-    every model of ``cfg``, one array per ``(estimator, t_kind)``."""
+    every model of ``cfg``, one array per run, keyed as :func:`simulate` keys it."""
     scores = defaultdict(list)
-    for frames, results in simulate(link, estimators, cfg.trials, cfg.seed, t_kinds=cfg.t_kind):
+    for frames, results in simulate(link, estimators, cfg.trials, cfg.seed, models=cfg.models):
         for run, outputs in results.items():
             scores[run] += [score(res, frame) for (res, _), frame in zip(outputs, frames)]
     return {run: np.array(vals) for run, vals in scores.items()}
@@ -242,7 +249,8 @@ def _scores(cfg: ExperimentConfig, link: LinkConfig, estimators, score) -> dict:
 def _mse_trials(cfg: ExperimentConfig, rho: float):
     """Per-trial squared reduced-spectrum errors for each estimator (one model)."""
     link = cfg.link_config(rho=rho)
-    Th = make_model(cfg.t_kind[0], cfg.n_c, cfg.n).T.conj().T
+    ((t_kind, n),) = cfg.models
+    Th = make_model(t_kind, cfg.n_c, n).T.conj().T
 
     def squared_error(res, frame):
         return float(np.sum(np.abs(Th @ res.delta_hat - Th @ spectral_vector(frame.theta)) ** 2))
@@ -273,7 +281,7 @@ def _omega_samples(cfg: ExperimentConfig) -> dict:
     """Per-sample ``uls`` phase errors of every trial, concatenated, one array per model of ``cfg``."""
     omega = _scores(cfg, cfg.link_config(), ("uls",),
                     lambda res, frame: error_decomposition(res.delta_hat, frame.theta).omega)
-    return {t_kind: vals.ravel() for (_, t_kind), vals in omega.items()}
+    return {t_kind: vals.ravel() for (_, (t_kind, _)), vals in omega.items()}
 
 
 def _run_omega(cfg: ExperimentConfig, out_dir: Path):
@@ -295,10 +303,10 @@ def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _run_realization(cfg: ExperimentConfig, out_dir: Path):
-    """Trial 0's true trajectory and each estimator's under each model, from one :func:`simulate` pass."""
-    ((frames, results),) = simulate(cfg.link_config(), cfg.estimators, 1, cfg.seed, t_kinds=cfg.t_kind)
-    traces = {f"theta_hat_{est}_{t_kind}": phase_trajectory(res.delta_hat)
-              for (est, t_kind), ((res, _),) in results.items()}
+    """Trial 0's true trajectory and each run's (:func:`simulate`'s keys), from one :func:`simulate` pass."""
+    ((frames, results),) = simulate(cfg.link_config(), cfg.estimators, 1, cfg.seed, models=cfg.models)
+    traces = {f"theta_hat_{est}" + (f"_{model[0]}" if model else ""): phase_trajectory(res.delta_hat)
+              for (est, model), ((res, _),) in results.items()}
     columns = ["index", "theta", *traces]
     rows = list(zip(np.arange(cfg.n_c), frames[0].theta, *traces.values()))
     return [write_csv(out_dir / "realization.csv", _meta(cfg), columns, rows)]
@@ -323,7 +331,7 @@ SCENARIOS = {
             estimators=("cpe", "uls", "nls", "gls", "cis", "genie"),
             trials=500,
         ),
-        sweep=("snr_db", "t_kind"),
+        sweep=("snr_db", "t_kind", "n"),
     ),
     "mse-vs-bandwidth": Scenario(
         _run_mse,
@@ -418,8 +426,8 @@ def _check_geometry(seed: int, count: int) -> tuple:
     worst, fallbacks, uls_off = 0.0, 0, []
     for snr_db in (10.0, 30.0):
         for _, results in simulate(LinkConfig(snr_db=snr_db), ("uls", "nls", "gls"), count, seed,
-                                   t_kinds=("ppt", "lft")):
-            for (name, t_kind), outputs in results.items():
+                                   models=(DEFAULT_MODEL, ("lft", DEFAULT_MODEL[1]))):
+            for (name, (t_kind, _)), outputs in results.items():
                 residuals = [out.diagnostics.geometry_residual for out, _ in outputs]
                 if name != "uls":
                     worst = max(worst, *residuals)

@@ -42,9 +42,11 @@ Every Monte-Carlo study runs through one engine, :func:`simulate`: trial
 ``i`` draws its frame pair from child ``i`` of
 ``np.random.SeedSequence(master).spawn(n)``, whatever block it is built in,
 and runs every requested estimator under every requested reduction model
-(``t_kinds``, ``ppt`` by default: the receiver's choice, not the link's) on
-it, so the runs compared in one study see common random frames, built once:
-the model enters only the estimate.  Every rule a run must meet is in
+(``models``, ``(t_kind, n)`` pairs, :data:`DEFAULT_MODEL` by default: the
+receiver's choice, not the link's) on it, so the runs compared in one study
+see common random frames, built once: the model enters only the estimate,
+and an id that reads no model (``MODEL_FREE_IDS``) runs once per frame,
+whatever the number of models.  Every rule a run must meet is in
 :func:`run_violations`, checked before any frame is built.  It yields
 blocks of up to ``DECODE_BLOCK`` trials.  An estimator that fails on a
 frame falls back to the common-phase-only fit and is flagged; no frame is
@@ -64,12 +66,14 @@ import numpy as np
 
 from .coding import conv_encode, viterbi_decode_soft
 from .dimred import DimRedModel, lft, pc_ppt
-from .estimators import ESTIMATOR_IDS, NEXT_SYMBOL_IDS, PPT_ONLY_IDS, EstimationError, cpe_only, estimate_frame
+from .estimators import (ESTIMATOR_IDS, MODEL_FREE_IDS, NEXT_SYMBOL_IDS, PPT_ONLY_IDS, EstimationError, cpe_only,
+                         estimate_frame)
 from .qam import qam16_llr, qam16_map
 
 __all__ = [
     "BerRecord",
     "DECODE_BLOCK",
+    "DEFAULT_MODEL",
     "LinkConfig",
     "OfdmFrame",
     "SNR_DB_LIMIT",
@@ -99,6 +103,8 @@ PILOT_SEQUENCE_SEED = 20140821
 # Trials whose frames simulate builds and yields in one block, and that
 # ber_records decodes in one Viterbi call per estimator.
 DECODE_BLOCK = 32
+# The receiver's reduction model (t_kind, n) when a run names none.
+DEFAULT_MODEL = ("ppt", 8)
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,9 @@ class LinkConfig:
     """Static parameters of the simulated link.  Units: ``coherence_bw`` in Hz
     at :data:`SUBCARRIER_SPACING`, ``rho`` (3-dB phase-noise linewidth) in
     subcarrier spacings, ``snr_db`` in dB per subcarrier, ``pilot_fraction``
-    a share of the ``n_c`` subcarriers, ``taps`` sample-spaced channel taps,
-    ``n_est`` reduced coefficients."""
+    a share of the ``n_c`` subcarriers, at least one, and ``taps``
+    sample-spaced channel taps.  The reduction model is the receiver's
+    choice, not the link's: a run names it (:func:`run_violations`)."""
 
     n_c: int = 128
     pilot_fraction: float = 0.08
@@ -115,7 +122,6 @@ class LinkConfig:
     taps: int = 4
     coherence_bw: float = 800e3
     rho: float = 0.02
-    n_est: int = 8
 
     def violations(self) -> list[str]:
         out = []
@@ -134,19 +140,14 @@ class LinkConfig:
                 _channel_profile(self)
             except ValueError as exc:
                 out.append(str(exc))
-        pilots_valid = 0 < self.pilot_fraction <= 0.5
-        if not pilots_valid:
+        if not 0 < self.pilot_fraction <= 0.5:
             out.append("pilot_fraction must lie in (0, 0.5]")
+        elif round(self.pilot_fraction * self.n_c) < 1:  # every estimator reads pilots
+            out.append(f"pilot_fraction = {self.pilot_fraction:g} leaves no pilot on n_c = {self.n_c} subcarriers")
         if not -SNR_DB_LIMIT <= self.snr_db <= SNR_DB_LIMIT:
             out.append(f"snr_db must be finite and lie in [-{SNR_DB_LIMIT:g}, {SNR_DB_LIMIT:g}] dB")
         if not 0 <= WIENER_VARIANCE_FACTOR * self.rho < np.inf:
             out.append("rho must be finite and nonnegative, with 4*pi*rho finite")
-        if self.n_est < 1:
-            out.append("n_est must be >= 1")
-        if pilots_valid:  # a NaN or inf fraction has no pilot count
-            k = int(round(self.pilot_fraction * self.n_c))
-            if k < self.n_est:
-                out.append(f"pilot count {k} is below the estimator dimension {self.n_est}")
         return out
 
     def validate(self) -> "LinkConfig":
@@ -157,13 +158,13 @@ class LinkConfig:
 
 
 @lru_cache(maxsize=16)
-def make_model(t_kind: str, n_c: int, n_est: int) -> DimRedModel:
+def make_model(t_kind: str, n_c: int, n: int) -> DimRedModel:
     """Reduction model ``t_kind`` (``ppt`` or ``lft``, else ``ValueError``) of
-    ``n_est`` coefficients on ``n_c`` subcarriers, built once and shared: its
+    ``n`` coefficients on ``n_c`` subcarriers, built once and shared: its
     arrays are read-only."""
     if t_kind not in ("ppt", "lft"):
         raise ValueError(f"t_kind must be 'ppt' or 'lft', got {t_kind!r}")
-    model = (pc_ppt if t_kind == "ppt" else lft)(n_c, n_est)
+    model = (pc_ppt if t_kind == "ppt" else lft)(n_c, n)
     model.T.flags.writeable = False
     return model
 
@@ -372,7 +373,8 @@ def make_frame_pair(cfg: LinkConfig, seeds, next_symbol: bool = True) -> list[tu
 @dataclass(frozen=True)
 class BerRecord:
     """Aggregated coded-BER result of one estimator under one model at one SNR;
-    :func:`ber_records` keys it by ``(estimator, t_kind)``."""
+    :func:`ber_records` keys it by ``(estimator, (t_kind, n))``, or
+    ``(estimator, None)`` for an id that reads no model."""
 
     snr_db: float
     frames: int
@@ -437,81 +439,90 @@ def _runs_under(t_kind: str, estimators) -> list:
     return [est for est in estimators if t_kind == "ppt" or est not in PPT_ONLY_IDS]
 
 
-def run_violations(cfg: LinkConfig, estimators, t_kinds) -> list[str]:
-    """Every reason :func:`simulate` refuses a run, or ``[]``: the link's own
-    violations, an unknown id, an empty or repeating list of ids or models, a
-    model that :func:`make_model` cannot build on a valid link, and a model
-    under which no requested estimator runs."""
+def run_violations(cfg: LinkConfig, estimators, models) -> list[str]:
+    """Every reason :func:`simulate` refuses a run, each once, or ``[]``: the
+    link's own violations, an unknown id, an empty or repeating list of ids or
+    models, a model ``(t_kind, n)`` with ``n < 1``, more coefficients than a
+    valid link has pilots or that :func:`make_model` cannot build, and a model
+    under which no requested estimator runs (``MODEL_FREE_IDS`` run under all)."""
     out = cfg.violations()
-    if not out:  # the link's dimensions are valid: each model must build
-        for t_kind in dict.fromkeys(t_kinds):
+    link_valid = not out
+    for t_kind, n in models:
+        if n < 1:
+            out.append(f"n must be >= 1, got {n}")
+        elif link_valid:  # the layout and the model can be built
+            pilots = _layout(cfg.n_c, cfg.pilot_fraction)[0].size
+            if pilots < n:
+                out.append(f"pilot count {pilots} is below the model size n = {n}")
             try:
-                make_model(t_kind, cfg.n_c, cfg.n_est)
+                make_model(t_kind, cfg.n_c, n)
             except ValueError as exc:
                 out.append(str(exc))
     out += [f"unknown estimator {est!r}; expected one of {ESTIMATOR_IDS}"
-            for est in dict.fromkeys(estimators) if est not in ESTIMATOR_IDS]
-    out += _distinct("estimators", estimators) + _distinct("t_kind", t_kinds)
+            for est in estimators if est not in ESTIMATOR_IDS]
+    out += _distinct("estimators", estimators) + _distinct("models", models)
     out += [f"{'/'.join(estimators)} requires a geometry-preserving model: nothing runs under t_kind = {t_kind!r}"
-            for t_kind in dict.fromkeys(t_kinds) if estimators and not _runs_under(t_kind, estimators)]
-    return out
+            for t_kind, _ in models if estimators and not _runs_under(t_kind, estimators)]
+    return list(dict.fromkeys(out))
 
 
-def simulate(cfg: LinkConfig, estimators, trials: int, seed, t_kinds=("ppt",)):
+def simulate(cfg: LinkConfig, estimators, trials: int, seed, models=(DEFAULT_MODEL,)):
     """Run every estimator under every model on ``trials`` common random frame pairs, yielded a block at a time.
 
     Trial ``i`` draws its frame pair from child ``i`` of
     ``np.random.SeedSequence(seed).spawn(trials)``, with the draws in the
     order :func:`make_frame_pair` documents.  Each block of up to
     ``DECODE_BLOCK`` trials is built in one :func:`make_frame_pair` call,
-    whatever the number of estimators and models ``t_kinds``, with each
+    whatever the number of estimators and ``(t_kind, n)`` models, with each
     pair's second symbol only when an estimator in
     :data:`pnofdm.estimators.NEXT_SYMBOL_IDS` is requested (symbol 0 is the
     same either way), estimated frame by frame and yielded once as
     ``(frames, results)``: the first symbol of each pair, in trial order,
-    and ``results[est, t_kind]`` with one ``(output, flagged)`` per frame,
+    and ``results[est, model]`` with one ``(output, flagged)`` per frame,
     keyed model by model and, within a model, in the order of
-    ``estimators``; an id in ``PPT_ONLY_IDS`` runs under ``ppt`` only.  An
-    estimator that raises :class:`EstimationError` on a frame gets the
-    common-phase-only fit instead, flagged.  A run that
+    ``estimators``.  An id in ``PPT_ONLY_IDS`` runs under ``ppt`` only, and
+    an id in ``MODEL_FREE_IDS`` once per frame, keyed ``(est, None)`` where
+    it first appears.  An estimator that raises :class:`EstimationError` on
+    a frame gets the common-phase-only fit instead, flagged.  A run that
     :func:`run_violations` refuses raises ``ValueError`` when iteration
     starts, before any frame is built.
     """
-    estimators, t_kinds = tuple(estimators), tuple(t_kinds)
-    problems = run_violations(cfg, estimators, t_kinds)
+    estimators, models = tuple(estimators), tuple(models)
+    problems = run_violations(cfg, estimators, models)
     if problems:
         raise ValueError("invalid run: " + "; ".join(problems))
     if trials < 1:
         raise ValueError("trials must be positive")
-    runs = [(est, t_kind, make_model(t_kind, cfg.n_c, cfg.n_est))
-            for t_kind in t_kinds for est in _runs_under(t_kind, estimators)]
+    runs = list(dict.fromkeys((est, None if est in MODEL_FREE_IDS else model)
+                              for model in models for est in _runs_under(model[0], estimators)))
+    lifts = {(t_kind, n): make_model(t_kind, cfg.n_c, n) for t_kind, n in models}  # a model-free run reads None
     children = np.random.SeedSequence(seed).spawn(trials)
     next_symbol = any(est in NEXT_SYMBOL_IDS for est in estimators)
     for start in range(0, trials, DECODE_BLOCK):
-        frames, results = [], {(est, t_kind): [] for est, t_kind, _ in runs}
+        frames, results = [], {run: [] for run in runs}
         for f0, f1 in make_frame_pair(cfg, children[start : start + DECODE_BLOCK], next_symbol=next_symbol):
             frames.append(f0)
-            for est, t_kind, model in runs:
+            for est, model in runs:
                 try:
-                    out = (estimate_frame(est, f0, f1, model), False)
+                    out = (estimate_frame(est, f0, f1, lifts.get(model)), False)
                 except EstimationError:
                     out = (cpe_only(f0), True)
-                results[est, t_kind].append(out)
+                results[est, model].append(out)
         yield frames, results
 
 
-def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed, t_kinds=("ppt",)) -> dict[tuple, BerRecord]:
+def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed, models=(DEFAULT_MODEL,)) -> dict[tuple, BerRecord]:
     """Coded BER of each estimator under each model over the same ``n_frames`` trials of :func:`simulate`.
 
     One pass: each block's frames are built once, and each run's block is
     decoded in one :func:`decode_frame` call.  A frame on which an estimator
     fails is decoded with the common-phase-only fallback and counted in its
-    ``flagged_frames``, never dropped.  Returns one record per
-    ``(estimator, t_kind)`` run, keyed and ordered as :func:`simulate`'s
-    results; ``frame_errors`` keeps trial order.
+    ``flagged_frames``, never dropped.  Returns one record per run, keyed
+    and ordered as :func:`simulate`'s results, so an id that reads no model
+    is decoded once; ``frame_errors`` keeps trial order.
     """
     errors, flagged = defaultdict(list), Counter()
-    for frames, results in simulate(cfg, estimators, n_frames, seed, t_kinds=t_kinds):
+    for frames, results in simulate(cfg, estimators, n_frames, seed, models=models):
         sent = np.stack([frame.info_bits for frame in frames])
         for run, outputs in results.items():
             decoded = decode_frame(frames, [out.delta_hat for out, _ in outputs])
@@ -522,5 +533,6 @@ def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed, t_kinds=("ppt"
 
 
 def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:
-    """Coded BER of one estimator under the ``ppt`` model: the record :func:`ber_records` gives it alone."""
-    return ber_records(cfg, (estimator,), n_frames, seed)[estimator, "ppt"]
+    """Coded BER of one estimator under :data:`DEFAULT_MODEL`: the record :func:`ber_records` gives it alone."""
+    (record,) = ber_records(cfg, (estimator,), n_frames, seed).values()
+    return record

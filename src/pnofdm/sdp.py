@@ -67,9 +67,9 @@ all its calls, so a LAPACK failure still raises ``np.linalg.LinAlgError``.
 The SVDs stay on public ``numpy.linalg``: the 2-norm, taken as
 ``svd(M, compute_uv=False)[0]`` (bit for bit ``norm(M, 2)``, without its
 axis handling), and :func:`kkt_recover`'s, since the SVD gufuncs are named
-differently in numpy 1.x and 2.x.  The private helpers are tested on numpy
-2.4 only; ``pyproject.toml`` admits numpy 1.24 and later, but no numpy 1.x
-has been tested.
+differently in numpy 1.x and 2.x.  The private helpers have run on numpy 2.4;
+the tier-1 workflow also runs the tests on Python 3.10 with numpy 1.24, the
+floor that ``pyproject.toml`` declares.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ from pnofdm.estimators import (
     project_constant_modulus,
     uls,
 )
-from pnofdm.link import LinkConfig, OfdmFrame, ber_records, make_frame_pair, make_model, run_link, simulate
+from pnofdm.link import (DEFAULT_MODEL, LinkConfig, OfdmFrame, ber_records, make_frame_pair, make_model, run_link,
+                         simulate)
 from test_link import all_pilot_values, channel_one, rotate_one, sent_symbol
 from pnofdm.spectral import GEOMETRY_TOL, dft_matrix, geometry_residual, phase_trajectory, spectral_vector
 from pnofdm.sdp import certify_local
@@ -87,7 +88,7 @@ def _count_residuals(monkeypatch):
 @pytest.fixture(scope="module")
 def desk_frame():
     cfg = LinkConfig()
-    model = make_model("ppt", cfg.n_c, cfg.n_est)
+    model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
     f0, f1 = make_frame_pair(cfg, [42])[0]
     return cfg, model, f0, f1
 
@@ -149,7 +150,7 @@ class TestBuildLsSystem:
         # Hermitian, and a Gram matrix is PSD.
         for snr_db in (10.0, 30.0):
             cfg = LinkConfig(snr_db=snr_db)
-            model = make_model("ppt", cfg.n_c, cfg.n_est)
+            model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
             for f0, _ in make_frame_pair(cfg, np.random.SeedSequence(7).spawn(64), next_symbol=False):
                 M = build_ls_system(f0, model).M
                 assert np.array_equal(M, M.conj().T)
@@ -210,7 +211,7 @@ class TestUls:
         # The unconstrained estimate leaves the geometry set; this is the
         # motivation for the constrained variants.
         cfg = LinkConfig()
-        model = make_model("ppt", cfg.n_c, cfg.n_est)
+        model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
         residuals = []
         for f0, f1 in make_frame_pair(cfg, np.random.SeedSequence(2024).spawn(20)):
             residuals.append(estimate_frame("uls", f0, f1, model).diagnostics.geometry_residual)
@@ -239,7 +240,7 @@ class TestUls:
         # A LinAlgError in the fifth solve flags that frame alone; the run
         # completes and every other frame decodes as in a run without it.
         cfg = LinkConfig(snr_db=20.0)
-        clean = ber_records(cfg, (name,), 10, 3)[name, "ppt"]
+        clean = run_link(cfg, name, 10, 3)
         real, calls = np.linalg.solve, []
 
         def fail_fifth(*args, **kwargs):
@@ -249,7 +250,7 @@ class TestUls:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "solve", fail_fifth)
-        rec = ber_records(cfg, (name,), 10, 3)[name, "ppt"]
+        rec = run_link(cfg, name, 10, 3)
         assert (len(calls), rec.frames, rec.flagged_frames) == (10, 10, 1)
         others = np.arange(10) != 4
         assert np.array_equal(rec.frame_errors[others], clean.frame_errors[others])
@@ -270,12 +271,12 @@ class TestUls:
         # noise, one tap, no phase noise and as many unknowns as pilots.
         # There it regularizes some frames, flags none, and the run decodes
         # every frame.
-        cfg = LinkConfig(n_c=16, n_est=8, pilot_fraction=0.5, snr_db=1000.0, taps=1, rho=0.0)
-        blocks = simulate(cfg, ("uls",), 64, 1, t_kinds=(t_kind,))
-        outputs = [out for _, results in blocks for out in results["uls", t_kind]]
+        cfg, model = LinkConfig(n_c=16, pilot_fraction=0.5, snr_db=1000.0, taps=1, rho=0.0), (t_kind, 8)
+        blocks = simulate(cfg, ("uls",), 64, 1, models=(model,))
+        outputs = [out for _, results in blocks for out in results["uls", model]]
         assert any(out.diagnostics.flags == ("regularized",) for out, _ in outputs)
         assert not any(flagged for _, flagged in outputs)
-        rec = ber_records(cfg, ("uls",), 64, 1, t_kinds=(t_kind,))["uls", t_kind]
+        rec = ber_records(cfg, ("uls",), 64, 1, models=(model,))["uls", model]
         assert rec.frames == 64 and rec.flagged_frames == 0
 
 
@@ -297,7 +298,7 @@ class TestNls:
         # Under every model nls is the lifted uls estimate with its
         # full-length time samples projected to constant modulus.
         cfg = LinkConfig(snr_db=10.0)
-        model = make_model(kind, cfg.n_c, cfg.n_est)
+        model = make_model(kind, cfg.n_c, DEFAULT_MODEL[1])
         for f0, _ in make_frame_pair(cfg, range(8), next_symbol=False):
             sys = build_ls_system(f0, model)
             out = nls(sys, model)
@@ -587,7 +588,7 @@ class TestCMatrix:
         # c_matrix asserts that its reconstruction agrees with the estimator;
         # returning means the check passed at 1e-8.
         cfg, _, f0, _ = desk_frame
-        model = lft(cfg.n_c, cfg.n_est)
+        model = lft(cfg.n_c, DEFAULT_MODEL[1])
         C = c_matrix(model, f0.pilot_idx, f0.theta, f0.H, sent_symbol(f0), f0.r)
         assert C.shape == (cfg.n_c, cfg.n_c)
 

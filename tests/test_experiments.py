@@ -161,6 +161,20 @@ class TestParseConfig:
             parse_config("scenario = ber-vs-snr\nn = 7\nt_kind = lft,ppt\n")
         assert parse_config("scenario = ber-vs-snr\nn = 7\nt_kind = lft\n").t_kind == ("lft",)
 
+    @pytest.mark.parametrize(
+        "scenario, value, message",
+        [
+            ("ber-vs-snr", "0", "n must be >= 1, got 0"),
+            ("ber-vs-snr", "4,4", "n must be at least one distinct value, got [4, 4]"),
+            ("ber-vs-snr", "2,100", "pilot count 10 is below the model size n = 100"),
+            # Its reduced-spectrum error T^H delta is one model's.
+            ("mse-vs-bandwidth", "2,4", "takes one value of key 'n'"),
+        ],
+    )
+    def test_model_size_rules_name_n(self, scenario, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(f"scenario = {scenario}\nn = {value}\n")
+
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse value for 'snr_db'"):
             parse_config("scenario = ber-vs-snr\nsnr_db =\n")
@@ -221,7 +235,7 @@ class TestScenarios:
         )
         (path,) = run_scenario(cfg, tmp_path)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        assert lines[0] == "snr_db,t_kind,estimator,frames,bit_errors,ber,ci95_low,ci95_high"
+        assert lines[0] == "snr_db,t_kind,n,estimator,frames,bit_errors,ber,ci95_low,ci95_high,flagged_frames"
         assert len(lines) == 1 + 2  # one row per estimator
 
     def test_ber_sweeps_every_snr(self, tmp_path):
@@ -230,7 +244,8 @@ class TestScenarios:
         )
         (path,) = run_scenario(cfg, tmp_path)
         rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
-        assert [row.split(",")[:3] for row in rows] == [["10.0", "ppt", "cpe"], ["30.0", "ppt", "cpe"]]
+        # cpe reads no model, so its rows name none.
+        assert [row.split(",")[:4] for row in rows] == [["10.0", "", "", "cpe"], ["30.0", "", "", "cpe"]]
 
     def test_ber_builds_each_snr_frames_once(self, tmp_path, monkeypatch):
         # Every estimator at one SNR reads the same frames: one block of
@@ -251,9 +266,10 @@ class TestScenarios:
         assert len(lines) == 1 + 6  # one row per (SNR, estimator)
 
     def test_two_model_runs_build_each_block_once(self, tmp_path, monkeypatch):
-        # The model enters only the estimate: a run under both models builds
-        # each block of frames once per operating point, not once per model,
-        # and writes one file whose t_kind column tells the models apart.
+        # The model enters only the estimate: a run under every (t_kind, n)
+        # model builds each block of frames once per operating point, not
+        # once per model, and writes one file whose t_kind and n columns tell
+        # the models apart; cpe reads no model and writes one row, with none.
         built = []
 
         def counting(cfg, seeds, **kwargs):
@@ -263,13 +279,14 @@ class TestScenarios:
         monkeypatch.setattr(link, "make_frame_pair", counting)
         cfg = parse_config(
             "scenario = ber-vs-snr\ntrials = 3\nsnr_db = 10,30\nt_kind = ppt,lft\n"
-            "estimators = cpe,nls,gls\nn_c = 64\nn = 4\n"
+            "estimators = cpe,nls,gls\nn_c = 64\nn = 2,4\n"
         )
         (path,) = run_scenario(cfg, tmp_path / "ber")
         assert built == [10.0, 30.0] and path.name == "ber_vs_snr.csv"
-        rows = [l.split(",")[:3] for l in path.read_text().splitlines() if not l.startswith("#")][1:]
-        assert rows == [[snr, t_kind, est] for snr in ("10.0", "30.0") for t_kind, ests in
-                        (("ppt", ("cpe", "nls", "gls")), ("lft", ("cpe", "nls"))) for est in ests]
+        rows = [l.split(",")[:4] for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+        runs = [["", "", "cpe"], *([t_kind, n, est] for t_kind, ests in (("ppt", ("nls", "gls")), ("lft", ("nls",)))
+                                   for n in ("2", "4") for est in ests)]
+        assert rows == [[snr, *run] for snr in ("10.0", "30.0") for run in runs]
         built.clear()
         cfg = parse_config("scenario = phase-error-pdf\ntrials = 3\nn_c = 64\nn = 4\n")
         assert cfg.t_kind == ("ppt", "lft")
@@ -277,6 +294,27 @@ class TestScenarios:
         assert built == [30.0]
         labels = [l.split(",")[0] for l in path.read_text().splitlines() if not l.startswith("#")][1:]
         assert set(labels) == {"ppt", "lft"}
+
+    def test_ber_csv_counts_flagged_frames(self, tmp_path, monkeypatch):
+        # A frame on which an estimator fails is decoded with the cpe fallback
+        # and counted in its row's flagged_frames.  One model and one id that
+        # reads it make nls call k estimate trial k - 1 of the first SNR, then
+        # trial k - 5 of the second.
+        calls = []
+
+        def fail_on_chosen(name, frame, next_frame, model):
+            calls.append(name)
+            if name == "nls" and calls.count("nls") in (2, 5, 6, 8):
+                raise EstimationError("injected failure")
+            return estimators.estimate_frame(name, frame, next_frame, model)
+
+        monkeypatch.setattr(link, "estimate_frame", fail_on_chosen)
+        cfg = parse_config("scenario = ber-vs-snr\ntrials = 4\nsnr_db = 10,30\nestimators = cpe,nls\n")
+        (path,) = run_scenario(cfg, tmp_path)
+        header, *rows = [l.split(",") for l in path.read_text().splitlines() if not l.startswith("#")]
+        flagged = header.index("flagged_frames")
+        assert [(row[0], row[3], row[flagged]) for row in rows] == [
+            ("10.0", "cpe", "0"), ("10.0", "nls", "1"), ("30.0", "cpe", "0"), ("30.0", "nls", "3")]
 
     def test_mse_scenario(self, tmp_path):
         cfg = parse_config(
@@ -348,7 +386,7 @@ class TestScenarios:
         # The model comparison and the 10 dB error density are configs of
         # ber-vs-snr and estimate-error-pdf (README), not scenarios.
         assert {name: sc.sweep for name, sc in SCENARIOS.items()} == {
-            "ber-vs-snr": ("snr_db", "t_kind"),
+            "ber-vs-snr": ("snr_db", "t_kind", "n"),
             "mse-vs-bandwidth": ("rho",),
             "phase-error-pdf": ("t_kind",),
             "estimate-error-pdf": ("snr_db",),
@@ -515,7 +553,7 @@ class TestCli:
         for line, sc in zip(lines, SCENARIOS.values()):
             assert line.index(sc.description) == column
             assert line.endswith(f"{sc.description} (sweeps {', '.join(sc.sweep)})")
-        assert lines[0].endswith("(sweeps snr_db, t_kind)")
+        assert lines[0].endswith("(sweeps snr_db, t_kind, n)")
 
     def test_run_tiny_scenario(self, tmp_path):
         cfg_file = tmp_path / "cfg.txt"

@@ -15,6 +15,7 @@ import pnofdm.estimators as estimators
 import pnofdm.link as link
 from pnofdm.estimators import EstimationError, cpe_only, estimate_frame
 from pnofdm.link import (
+    DEFAULT_MODEL,
     SNR_DB_LIMIT,
     SUBCARRIER_SPACING,
     WIENER_VARIANCE_FACTOR,
@@ -32,7 +33,7 @@ from pnofdm.link import (
     _tap_profile,
 )
 from pnofdm.coding import conv_encode
-from pnofdm.estimators import ESTIMATOR_IDS, NEXT_SYMBOL_IDS
+from pnofdm.estimators import ESTIMATOR_IDS, MODEL_FREE_IDS, NEXT_SYMBOL_IDS
 from pnofdm.qam import qam16_map
 from pnofdm.spectral import dft_matrix, spectral_vector
 
@@ -147,14 +148,15 @@ class TestPilots:
 class TestSmallestLink:
     # n_c = 8 with half the subcarriers pilots leaves 4 data subcarriers:
     # 16 coded bits, a 6-bit tail and 2 information bits.
-    CFG = LinkConfig(n_c=8, pilot_fraction=0.5, taps=1, n_est=4)
+    # Its 4 pilots take a model of at most 4 coefficients.
+    CFG = LinkConfig(n_c=8, pilot_fraction=0.5, taps=1)
 
     def test_runs_every_estimator(self):
         cfg = self.CFG.validate()
         (frame, _), = make_frame_pair(cfg, [1])
         assert frame.data_idx.size == 4 and frame.info_bits.size == 2
         for est in ESTIMATOR_IDS:
-            rec = run_link(cfg, est, 16, 3)
+            (rec,) = ber_records(cfg, (est,), 16, 3, models=(("ppt", 4),)).values()
             assert np.isfinite(rec.ber) and rec.flagged_frames == 0, est
 
     def test_fewer_than_8_subcarriers_rejected(self):
@@ -286,7 +288,7 @@ class TestCompensate:
 
     def test_nls_reduces_residual_interference(self):
         cfg = LinkConfig()
-        model = make_model("ppt", cfg.n_c, cfg.n_est)
+        model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
         gains = []
         for f0, f1 in make_frame_pair(cfg, np.random.SeedSequence(11).spawn(40)):
             out = estimate_frame("nls", f0, f1, model)
@@ -322,7 +324,7 @@ class TestCompensate:
 
     def test_block_rows_match_single_compensations(self):
         cfg = LinkConfig(snr_db=10.0)
-        model = make_model("ppt", cfg.n_c, cfg.n_est)
+        model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
         pairs = make_frame_pair(cfg, range(6))
         r = np.stack([f0.r for f0, _ in pairs])
         d = np.stack([estimate_frame("uls", f0, f1, model).delta_hat for f0, f1 in pairs])
@@ -339,7 +341,7 @@ class TestFramePair:
         [
             (LinkConfig(snr_db=10.0), np.random.SeedSequence(10).spawn(33)),
             (LinkConfig(snr_db=30.0), range(100, 133)),
-            (LinkConfig(n_c=64, taps=1, n_est=4), range(33)),
+            (LinkConfig(n_c=64, taps=1), range(33)),
             (LinkConfig(rho=0.0), range(200, 233)),
             (LinkConfig(taps=8, snr_db=-3.0), range(300, 333)),
         ],
@@ -454,7 +456,7 @@ class TestSimulate:
         blocks = list(simulate(cfg, ("cpe",), n_trials, 5))
         assert [len(frames) for frames, _ in blocks] == [link.DECODE_BLOCK, 2]
         for frames, results in blocks:
-            assert list(results) == [("cpe", "ppt")] and len(results["cpe", "ppt"]) == len(frames)
+            assert list(results) == [("cpe", None)] and len(results["cpe", None]) == len(frames)
         frames = [frame for block, _ in blocks for frame in block]
         for child, frame in zip(children, frames, strict=True):
             expected, _ = make_frame_pair(cfg, [child])[0]
@@ -476,9 +478,9 @@ class TestSimulate:
         n_trials = link.DECODE_BLOCK + 1
         blocks = list(simulate(LinkConfig(), ids, n_trials, 9))
         assert seen == [built] * (n_trials * len(ids))
-        assert not any(flagged for _, results in blocks for _, flagged in results["uls", "ppt"])
+        assert not any(flagged for _, results in blocks for _, flagged in results["uls", DEFAULT_MODEL])
         if built:
-            assert not any(flagged for _, results in blocks for _, flagged in results["cis", "ppt"])
+            assert not any(flagged for _, results in blocks for _, flagged in results["cis", None])
 
     def test_common_frames_reproduce_run_link(self, monkeypatch):
         # One pass over every estimator sees the same frames as separate
@@ -494,9 +496,9 @@ class TestSimulate:
         names = ("cpe", "cis", "uls", "nls", "gls")
         n_frames = link.DECODE_BLOCK + 3
         records = ber_records(cfg, names, n_frames, 77)
-        assert list(records) == [(name, "ppt") for name in names]
-        assert records["cpe", "ppt"].bit_errors > 0
-        assert 0 < records["nls", "ppt"].flagged_frames < n_frames
+        assert list(records) == [(name, None if name in MODEL_FREE_IDS else DEFAULT_MODEL) for name in names]
+        assert records["cpe", None].bit_errors > 0
+        assert 0 < records["nls", DEFAULT_MODEL].flagged_frames < n_frames
         for (name, _), rec in records.items():
             alone = run_link(cfg, name, n_frames, 77)
             for field in dataclasses.fields(rec):
@@ -512,13 +514,30 @@ class TestSimulate:
         monkeypatch.setattr(link, "estimate_frame", nls_broken)
         cfg = LinkConfig()
         for frames, results in simulate(cfg, ("uls", "nls"), 2, 3):
-            assert len(frames) == len(results["uls", "ppt"]) == len(results["nls", "ppt"]) == 2
-            for f, (out, flagged) in zip(frames, results["uls", "ppt"]):
-                own = estimate_frame("uls", f, None, make_model("ppt", cfg.n_c, cfg.n_est))
+            assert len(frames) == len(results["uls", DEFAULT_MODEL]) == len(results["nls", DEFAULT_MODEL]) == 2
+            for f, (out, flagged) in zip(frames, results["uls", DEFAULT_MODEL]):
+                own = estimate_frame("uls", f, None, make_model("ppt", cfg.n_c, DEFAULT_MODEL[1]))
                 assert not flagged and np.array_equal(out.delta_hat, own.delta_hat)
-            for f, (out, flagged) in zip(frames, results["nls", "ppt"]):
+            for f, (out, flagged) in zip(frames, results["nls", DEFAULT_MODEL]):
                 fallback = cpe_only(f)
                 assert flagged and np.array_equal(out.delta_hat, fallback.delta_hat)
+
+    def test_model_free_ids_run_once_per_frame(self, monkeypatch):
+        # cpe, cis and genie read no model: under two models each is
+        # estimated and decoded once per frame, and gets the record of a run
+        # under one model, keyed by no model.
+        cpe_calls, decodes = [], []
+        real_cpe, real_decode = estimators.cpe_only, link.decode_frame
+        monkeypatch.setattr(estimators, "cpe_only", lambda frame: cpe_calls.append(1) or real_cpe(frame))
+        monkeypatch.setattr(link, "decode_frame", lambda *a: decodes.append(1) or real_decode(*a))
+        cfg, n_frames, ppt, lft = LinkConfig(snr_db=10.0), 8, ("ppt", 8), ("lft", 8)
+        records = ber_records(cfg, ("cpe", "cis", "genie", "uls"), n_frames, 3, models=(ppt, lft))
+        assert len(cpe_calls) == n_frames
+        assert len(decodes) == len(records) == 5
+        assert list(records) == [("cpe", None), ("cis", None), ("genie", None), ("uls", ppt), ("uls", lft)]
+        alone = run_link(cfg, "cpe", n_frames, 3)
+        for field in dataclasses.fields(alone):
+            assert np.array_equal(getattr(records["cpe", None], field.name), getattr(alone, field.name)), field.name
 
     def test_model_built_once_and_read_only(self, monkeypatch):
         models = []
@@ -541,21 +560,17 @@ class TestSimulate:
             make_model("bogus", 128, 8)
 
     def test_ppt_divisibility_binds_the_model_not_the_frames(self, monkeypatch):
-        # n_est = 7 does not divide n_c = 128: the frames are those of any
-        # n_est, the lft model runs on them, and a ppt run is refused before
-        # it builds a frame.
-        (f7, _), = make_frame_pair(LinkConfig(n_est=7), [1])
-        (f8, _), = make_frame_pair(LinkConfig(), [1])
-        assert np.array_equal(f7.r, f8.r)
-        ((_, results),) = simulate(LinkConfig(n_est=7), ("uls",), 1, 0, t_kinds=("lft",))
-        assert results["uls", "lft"][0][0].delta_hat.size == 128
+        # n = 7 does not divide n_c = 128: the lft model of that size runs on
+        # the link's frames, and a ppt run is refused before it builds a frame.
+        ((_, results),) = simulate(LinkConfig(), ("uls",), 1, 0, models=(("lft", 7),))
+        assert results["uls", ("lft", 7)][0][0].delta_hat.size == 128
 
         def refuse(*args, **kwargs):
             raise AssertionError("a frame was built before the model was checked")
 
         monkeypatch.setattr(link, "make_frame_pair", refuse)
         with pytest.raises(ValueError, match="n = 7 must divide n_c = 128 for a ppt model"):
-            next(simulate(LinkConfig(n_est=7), ("uls",), 1, 0))
+            next(simulate(LinkConfig(), ("uls",), 1, 0, models=(("ppt", 7),)))
 
     def test_block_boundaries_match_frame_by_frame_decode(self):
         # Two full blocks would hide a lost or reordered final partial block.
@@ -563,7 +578,7 @@ class TestSimulate:
         n_frames = link.DECODE_BLOCK + 3
         expected = []
         for frames, results in simulate(cfg, ("uls",), n_frames, 31):
-            for frame, (out, _) in zip(frames, results["uls", "ppt"], strict=True):
+            for frame, (out, _) in zip(frames, results["uls", DEFAULT_MODEL], strict=True):
                 decoded = decode_frame([frame], [out.delta_hat])[0]
                 expected.append(int(np.count_nonzero(decoded != frame.info_bits)))
         assert len(expected) == n_frames and sum(expected) > 0
@@ -577,7 +592,7 @@ class TestSimulate:
 
     def test_decode_frame_rows_match_single_frame_decodes(self):
         cfg = LinkConfig(snr_db=10.0)
-        model = make_model("ppt", cfg.n_c, cfg.n_est)
+        model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
         frames, estimates = [], []
         for f0, f1 in make_frame_pair(cfg, range(6)):
             frames.append(f0)
@@ -595,7 +610,7 @@ class TestSimulate:
         for name in ("compensate", "qam16_llr", "viterbi_decode_soft"):
             monkeypatch.setattr(link, name, refuse)
         f128, _ = make_frame_pair(LinkConfig(), [18])[0]
-        f64, _ = make_frame_pair(LinkConfig(n_c=64, taps=1, n_est=4), [18])[0]
+        f64, _ = make_frame_pair(LinkConfig(n_c=64, taps=1), [18])[0]
         d128, d64 = spectral_vector(f128.theta), spectral_vector(f64.theta)
         with pytest.raises(ValueError, match="pilot layout"):
             decode_frame([f128, f64], [d128, d64])
@@ -632,9 +647,9 @@ class TestSimulate:
 
         monkeypatch.setattr(link, "make_frame_pair", refuse)
         with pytest.raises(ValueError, match=re.escape(message)):
-            next(simulate(LinkConfig(), ids, 40, 0, t_kinds=("lft",)))
+            next(simulate(LinkConfig(), ids, 40, 0, models=(("lft", 8),)))
         with pytest.raises(ValueError, match=re.escape(message)):
-            ber_records(LinkConfig(), ids, 40, 0, t_kinds=("lft",))
+            ber_records(LinkConfig(), ids, 40, 0, models=(("lft", 8),))
 
     def test_models_share_each_block_of_frames(self, monkeypatch):
         # The model enters only the estimate: one pass under both models
@@ -645,11 +660,12 @@ class TestSimulate:
         monkeypatch.setattr(link, "make_frame_pair", lambda *a, **k: built.append(1) or real(*a, **k))
         monkeypatch.setattr(link, "DECODE_BLOCK", 2)
         cfg, names, n_trials = LinkConfig(snr_db=20.0), ("uls", "nls", "gls"), 3
-        blocks = list(simulate(cfg, names, n_trials, 4, t_kinds=("ppt", "lft")))
+        ppt, lft = ("ppt", 8), ("lft", 8)
+        blocks = list(simulate(cfg, names, n_trials, 4, models=(ppt, lft)))
         assert len(built) == len(blocks) == 2
-        assert list(blocks[0][1]) == [(name, "ppt") for name in names] + [("uls", "lft"), ("nls", "lft")]
-        for t_kind in ("ppt", "lft"):
-            alone = list(simulate(cfg, names if t_kind == "ppt" else names[:2], n_trials, 4, t_kinds=(t_kind,)))
+        assert list(blocks[0][1]) == [(name, ppt) for name in names] + [("uls", lft), ("nls", lft)]
+        for model in (ppt, lft):
+            alone = list(simulate(cfg, names if model == ppt else names[:2], n_trials, 4, models=(model,)))
             for (_, results), (_, own) in zip(blocks, alone, strict=True):
                 for (name, model), outputs in own.items():
                     got = results[name, model]
@@ -659,19 +675,37 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "ids, t_kinds, message",
         [
-            (("uls",), ("ppt", "ppt"), "t_kind must be at least one distinct value, got ['ppt', 'ppt']"),
-            (("uls",), (), "t_kind must be at least one distinct value, got []"),
+            (("uls",), ("ppt", "ppt"), "models must be at least one distinct value, got [('ppt', 8), ('ppt', 8)]"),
+            (("uls",), (), "models must be at least one distinct value, got []"),
             (("uls",), ("ppt", "bogus"), "t_kind must be 'ppt' or 'lft', got 'bogus'"),
             (("gls",), ("ppt", "lft"), "gls requires a geometry-preserving model: nothing runs under t_kind = 'lft'"),
         ],
     )
     def test_rejects_bad_models_before_building_frames(self, monkeypatch, ids, t_kinds, message):
+        # Each model here has 8 coefficients; the size rules are tested below.
         def refuse(*args, **kwargs):
             raise AssertionError("a frame was built before the models were checked")
 
         monkeypatch.setattr(link, "make_frame_pair", refuse)
         with pytest.raises(ValueError, match=re.escape(message)):
-            next(simulate(LinkConfig(), ids, 1, 0, t_kinds=t_kinds))
+            next(simulate(LinkConfig(), ids, 1, 0, models=[(t_kind, 8) for t_kind in t_kinds]))
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (("ppt", 0), "n must be >= 1, got 0"),
+            (("lft", 100), "pilot count 10 is below the model size n = 100"),
+        ],
+    )
+    def test_rejects_bad_sizes_before_building_frames(self, monkeypatch, model, message):
+        # The model size is the receiver's: the link's 10 pilots bound it, and
+        # a run under a model the pilots cannot determine builds no frame.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frame was built before the model size was checked")
+
+        monkeypatch.setattr(link, "make_frame_pair", refuse)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(simulate(LinkConfig(), ("uls", "cpe"), 1, 0, models=(model,)))
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError, match="trials must be positive"):
@@ -763,8 +797,11 @@ class TestRunLink:
         assert rec.ber < 1e-3
 
     def test_validates_config(self):
-        with pytest.raises(ValueError):
-            run_link(LinkConfig(n_est=100), "uls", 2, 0)
+        # Every estimator reads pilots, the cpe fallback too, so a link needs one.
+        cfg = LinkConfig(n_c=8, pilot_fraction=0.05)
+        assert cfg.violations() == ["pilot_fraction = 0.05 leaves no pilot on n_c = 8 subcarriers"]
+        with pytest.raises(ValueError, match="leaves no pilot"):
+            run_link(cfg, "cpe", 2, 0)
 
     @pytest.mark.parametrize("key, value", [("snr_db", 4000.0), ("snr_db", -4000.0), ("rho", 1e308)])
     def test_non_finite_frames_rejected_before_building(self, monkeypatch, key, value):
@@ -782,7 +819,7 @@ class TestRunLink:
     )
     def test_every_estimator_finite_at_the_config_limits(self, snr_db, rho):
         recs = ber_records(LinkConfig(snr_db=snr_db, rho=rho), ESTIMATOR_IDS, 3, 11)
-        assert sorted(recs) == sorted((est, "ppt") for est in ESTIMATOR_IDS)
+        assert set(recs) == {(est, None if est in MODEL_FREE_IDS else DEFAULT_MODEL) for est in ESTIMATOR_IDS}
         for rec in recs.values():
             assert np.isfinite([rec.ber, rec.ci95_low, rec.ci95_high]).all()
             assert rec.flagged_frames == 0

@@ -8,7 +8,7 @@ import pytest
 from pnofdm import sdp
 from pnofdm.dimred import lift
 from pnofdm.estimators import build_ls_system, gls, project_constant_modulus
-from pnofdm.link import LinkConfig, make_frame_pair, make_model
+from pnofdm.link import DEFAULT_MODEL, LinkConfig, make_frame_pair, make_model
 from pnofdm.sdp import (
     SdpSolution,
     _cost_pair,
@@ -258,7 +258,7 @@ class TestLinkInstances:
     def test_certificate_and_weak_duality(self, snr_db):
         # The instances the coded link produces: n = 8 (even) with a ppt model.
         cfg = LinkConfig(snr_db=snr_db)
-        model = make_model("ppt", cfg.n_c, cfg.n_est)
+        model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
         assert (model.n, model.kind) == (8, "ppt")
         for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([2024, int(snr_db)]).spawn(4)):
             sys = build_ls_system(f0, model)
@@ -484,7 +484,7 @@ def link_systems():
     systems = []
     for snr_db in (10.0, 20.0, 30.0):
         cfg = LinkConfig(snr_db=snr_db)
-        model = make_model("ppt", cfg.n_c, cfg.n_est)
+        model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
         for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([4242, int(snr_db)]).spawn(40)):
             systems.append((build_ls_system(f0, model), model))
     return systems
@@ -573,7 +573,7 @@ def helper_inputs():
             mp.setattr(sdp, name, record)
         for snr_db in (10.0, 30.0):
             cfg = LinkConfig(snr_db=snr_db)
-            model = make_model("ppt", cfg.n_c, cfg.n_est)
+            model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
             for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([4343, int(snr_db)]).spawn(12)):
                 sys = build_ls_system(f0, model)
                 if certify_local(sys.M, sys.b) is None:
