@@ -31,20 +31,19 @@ v /= np.linalg.norm(v)
 print(f"random unit vector: worst residual={geometry_residual(v):.3f}")
 
 print("\n=== 3. The piecewise-constant core passes all three conditions ===")
-# validate_ppt reads the core F^H T F_n of the lift matrix T that every
-# estimate is lifted with.
-model = pc_ppt(128, 8)
-rep = validate_ppt(model.T)
+# A model is its lift matrix T; validate_ppt reads its core F^H T F_n.
+T_ppt = pc_ppt(128, 8)
+rep = validate_ppt(T_ppt)
 print(f"unitarity        {rep.unitarity:.2e}")
 print(f"off-diagonal     {rep.off_diagonal:.2e}")
 print(f"trace sums       {rep.trace_sum:.2e}")
 
 print("\n=== 4. Lifting a reduced spectrum: geometry preserved vs broken ===")
-lft_model = lft(128, 8)
+T_lft = lft(128, 8)
 for _ in range(3):
     gamma = spectral_vector(rng.uniform(-np.pi, np.pi, 8))
-    r_ppt = geometry_residual(model.T @ gamma)
-    r_lft = geometry_residual(lft_model.T @ gamma)
+    r_ppt = geometry_residual(T_ppt @ gamma)
+    r_lft = geometry_residual(T_lft @ gamma)
     print(f"feasible gamma -> residual after lift: ppt {r_ppt:.2e}   lft {r_lft:.2e}")
 
 print("\nThe low-frequency model is a fine subspace approximation but its"

@@ -8,8 +8,9 @@ Subcommands:
 * ``list-scenarios``: print the built-in scenario ids, each with its
   description and the list keys it sweeps.
 
-Exit codes: 0 success, 1 config validation error, 2 runtime error or
-command-line usage error, 3 verification failure.
+Exit codes: 0 success, 1 config validation error or a config file that is
+missing or not UTF-8 text, 2 runtime error or command-line usage error, 3
+verification failure.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ def main(argv=None) -> int:
             return 0 if report.passed else 3
         if args.command == "run":
             try:
-                text = Path(args.config).read_text()
-            except OSError as exc:
+                text = Path(args.config).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"cannot read config: {exc}", file=sys.stderr)
                 return 1
             cfg = parse_config(text)

@@ -1,6 +1,6 @@
 """Dimensionality-reduction models mapping a short spectrum ``gamma`` (length
 ``n``) to a full one ``delta`` (length ``n_c``).  A model is its lift matrix
-``T``: ``delta = T @ gamma``.
+``T``, the plain ``n_c x n`` array ``lft`` and ``pc_ppt`` return: ``delta = T @ gamma``.
 
 Two families are provided:
 
@@ -33,10 +33,8 @@ import numpy as np
 from .spectral import dft_matrix
 
 __all__ = [
-    "DimRedModel",
     "PptValidation",
     "lft",
-    "lift",
     "pc_ppt",
     "validate_ppt",
 ]
@@ -44,16 +42,7 @@ __all__ = [
 PPT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DimRedModel:
-    """Immutable reduction model: ``delta = T @ gamma``."""
-
-    kind: str  # "lft" | "ppt"
-    T: np.ndarray  # n_c x n, orthonormal columns
-    n: int
-
-
-def lft(n_c: int, n: int) -> DimRedModel:
+def lft(n_c: int, n: int) -> np.ndarray:
     """Low-frequency selection model keeping ``m = (n + 2) // 2`` top and ``k = n - m`` bottom bins.
 
     Rows ``0..m-1`` of ``T`` map to ``gamma[0..m-1]`` and rows
@@ -69,10 +58,10 @@ def lft(n_c: int, n: int) -> DimRedModel:
     T[:m, :m] = np.eye(m)
     if k:
         T[n_c - k:, m:] = np.eye(k)
-    return DimRedModel("lft", T, n)
+    return T
 
 
-def pc_ppt(n_c: int, n: int) -> DimRedModel:
+def pc_ppt(n_c: int, n: int) -> np.ndarray:
     """Piecewise-constant geometry-preserving model.
 
     Requires ``n`` to divide ``n_c``.  The core ``Ttilde`` has blocks
@@ -89,8 +78,7 @@ def pc_ppt(n_c: int, n: int) -> DimRedModel:
     scale = np.sqrt(n / n_c)
     for i in range(n):
         Ttilde[i * rep:(i + 1) * rep, i] = scale
-    T = dft_matrix(n_c) @ Ttilde @ dft_matrix(n).conj().T
-    return DimRedModel("ppt", T, n)
+    return dft_matrix(n_c) @ Ttilde @ dft_matrix(n).conj().T
 
 
 @dataclass(frozen=True)
@@ -130,16 +118,3 @@ def validate_ppt(T) -> PptValidation:
     passed = max(unitarity, off_diagonal, trace_sum) < PPT_TOL
     return PptValidation(unitarity, off_diagonal, trace_sum, passed)
 
-
-def lift(model: DimRedModel, gamma) -> np.ndarray:
-    """Lift a reduced spectrum: ``delta = T @ gamma``, as a plain array.
-
-    For a valid geometry-preserving model and a ``gamma`` on the reduced
-    geometry, the output lies on the full geometry; for an LFT it generally
-    does not.  Raises ``ValueError`` when ``gamma`` does not have the
-    model's reduced length.
-    """
-    g = np.asarray(gamma, dtype=complex)
-    if g.size != model.n:
-        raise ValueError(f"gamma has length {g.size}, model expects {model.n}")
-    return model.T @ g

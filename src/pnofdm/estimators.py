@@ -6,7 +6,7 @@ They read the symbol as the frame the link builds
 (:class:`pnofdm.link.OfdmFrame`), which checks its pilot layout when built.
 Writing ``w = H s`` for the noiseless frequency-domain symbol and ``R`` for
 the column-circulant matrix built from the received vector ``r``, the pilot
-fit is ``K R T g ~ w_p`` and the quadratic cost is
+fit under a model's lift matrix ``T`` is ``K R T g ~ w_p`` and the cost is
 
     J(g) = ||K R T g - w_p||^2 = g^H M g - 2 Re(b^H g) + ||w_p||^2.
 
@@ -21,11 +21,12 @@ Five estimators are provided:
     ``uls`` followed by an exact constant-modulus projection of the time
     samples.
 ``gls``
-    The geometry-constrained minimizer.  A Newton solve on the time phases
-    runs first, and its point is returned when the closed-form Lagrangian
-    certificate proves it globally optimal.  Other frames go through the
-    convex dual program (:mod:`pnofdm.sdp`), are recovered through the
-    stationarity system and finished with one exact constant-modulus
+    The geometry-constrained minimizer, under a ``ppt`` model only, a run rule
+    that :func:`pnofdm.link.run_violations` checks.  A Newton solve on the
+    time phases runs first, and its point is returned when the closed-form
+    Lagrangian certificate proves it globally optimal.  Other frames go
+    through the convex dual program (:mod:`pnofdm.sdp`), are recovered through
+    the stationarity system and finished with one exact constant-modulus
     projection; they report the measured gap to the dual bound.
 ``cpe_only``
     Scalar common-phase fit on the pilots; corrects the average rotation and
@@ -60,7 +61,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dimred import DimRedModel, lift
 from .sdp import certify_local, kkt_recover, solve_dual
 from .spectral import geometry_residual, spectral_vector
 
@@ -112,26 +112,24 @@ class LsSystem:
         return float(np.real(resid.conj() @ resid))
 
 
-def build_ls_system(frame, model: DimRedModel) -> LsSystem:
-    """Assemble ``M``, ``b`` and the pilot products for one symbol.
+def build_ls_system(frame, T) -> LsSystem:
+    """Assemble ``M``, ``b`` and the pilot products for one symbol under the lift matrix ``T``.
 
     Reads the frame's received vector ``r``, its channel ``H`` and its pilot
     layout: the pilot subcarriers ``pilot_idx`` (strictly increasing) and the
-    transmitted ``pilot_values``; ``w_p = H[p] * value[p]``.  Raises
-    :class:`EstimationError` when there are fewer pilots than model
-    dimensions (underdetermined fit).
+    transmitted ``pilot_values``; ``w_p = H[p] * value[p]``.  That the
+    pilots determine the model's coefficients is a run rule
+    (:func:`pnofdm.link.run_violations`), not checked here.
 
     ``M = A^H A`` is PSD and ``(M + M^H)/2`` exactly Hermitian, so neither is
     checked again; a valid link config makes only finite frames, and
     :mod:`pnofdm.sdp` checks each pair it solves.
     """
     r, pilot_idx = frame.r, frame.pilot_idx
-    if pilot_idx.size < model.n:
-        raise EstimationError(f"{pilot_idx.size} pilots cannot determine {model.n} components")
     w_p = frame.H[pilot_idx] * frame.pilot_values
     # Pilot rows of K R, where R is column-circulant with first column r.
     rows = r[_circulant_gather(r.size, tuple(pilot_idx.tolist()))]
-    A = rows @ model.T
+    A = rows @ T
     M = A.conj().T @ A
     M = (M + M.conj().T) / 2
     b = A.conj().T @ w_p
@@ -223,14 +221,14 @@ def _uls_gamma(sys: LsSystem):
         raise EstimationError(f"normal-equation solve failed: LinAlgError: {exc}") from exc
 
 
-def uls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
+def uls(sys: LsSystem, T) -> EstimatorOutput:
     """Unconstrained least-squares estimate ``g = M^{-1} b``, ``delta = T g``."""
     gamma, flags = _uls_gamma(sys)
-    delta = lift(model, gamma)
+    delta = T @ gamma
     return _output(delta, sys.cost_delta(delta), flags=flags)
 
 
-def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
+def nls(sys: LsSystem, T) -> EstimatorOutput:
     """``uls`` followed by an exact constant-modulus projection of the time samples.
 
     The ``zero_time_samples:k`` flag counts full-length samples, so under
@@ -238,32 +236,31 @@ def nls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
     flags yet (ROADMAP item 4).
     """
     gamma, flags = _uls_gamma(sys)
-    delta, n_zero = project_constant_modulus(lift(model, gamma))
+    delta, n_zero = project_constant_modulus(T @ gamma)
     if n_zero:
         flags = flags + (f"zero_time_samples:{n_zero}",)
     return _output(delta, sys.cost_delta(delta), flags=flags)
 
 
-def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
+def gls(sys: LsSystem, T) -> EstimatorOutput:
     """Geometry-constrained least squares, certified locally or via the convex dual.
 
-    Requires a geometry-preserving model (the constraints are imposed in the
-    reduced domain and must survive the lift).  A Newton solve on the time
-    phases runs first; when the closed-form Lagrangian certificate proves its
-    point globally optimal (:func:`pnofdm.sdp.certify_local`) that point is
-    the estimate, with ``certified=True`` and ``gap = 0``.  Otherwise, or when
-    the local solve raises a numpy ``LinAlgError``, the dual is solved to a
-    certified optimum, the estimate recovered from the stationarity system,
-    and one exact constant-modulus projection removes the residual
-    infeasibility left by the finite solver tolerance; such frames carry
-    ``certified=False`` and the measured ``gap = cost - tau``.  On dual-solve
-    failure, including a numpy ``LinAlgError`` in the solve or the recovery,
-    an :class:`EstimationError` is raised, carrying the solve's status and
-    Newton step count when it ran out of steps; :func:`pnofdm.link.simulate`
-    then uses the common-phase-only fit (``cpe``) for that frame and flags it.
+    Requires a geometry-preserving ``T`` (the constraints are imposed in the
+    reduced domain and must survive the lift), a run rule (``PPT_ONLY_IDS``)
+    not checked here.  A Newton solve on the time phases runs first; when the
+    closed-form Lagrangian certificate proves its point globally optimal
+    (:func:`pnofdm.sdp.certify_local`) that point is the estimate, with
+    ``certified=True`` and ``gap = 0``.  Otherwise, or when the local solve
+    raises a numpy ``LinAlgError``, the dual is solved to a certified optimum,
+    the estimate recovered from the stationarity system, and one exact
+    constant-modulus projection removes the residual infeasibility left by the
+    finite solver tolerance; such frames carry ``certified=False`` and the
+    measured ``gap = cost - tau``.  On dual-solve failure, including a numpy
+    ``LinAlgError`` in the solve or the recovery, an :class:`EstimationError`
+    is raised, carrying the solve's status and Newton step count when it ran
+    out of steps; :func:`pnofdm.link.simulate` then uses the common-phase-only
+    fit (``cpe``) for that frame and flags it.
     """
-    if model.kind != "ppt":
-        raise ValueError("gls requires a geometry-preserving model")
     try:
         local = certify_local(sys.M, sys.b)
     except np.linalg.LinAlgError:
@@ -285,7 +282,7 @@ def gls(sys: LsSystem, model: DimRedModel) -> EstimatorOutput:
         gamma, n_zero = project_constant_modulus(gamma_raw)
         if n_zero:
             flags = flags + (f"zero_time_samples:{n_zero}",)
-    delta = lift(model, gamma)
+    delta = T @ gamma
     cost = sys.cost_delta(delta)
     return _output(
         delta, cost, flags=flags, solver=sol,
@@ -394,9 +391,10 @@ PPT_ONLY_IDS = ("gls",)
 MODEL_FREE_IDS = ("cpe", "cis", "genie")
 
 
-def estimate_frame(name: str, frame, next_frame, model: DimRedModel | None) -> EstimatorOutput:
-    """Run the estimator ``name`` on one frame (those in ``NEXT_SYMBOL_IDS``
-    also read the next, and raise :class:`EstimationError` without it).
+def estimate_frame(name: str, frame, next_frame, model) -> EstimatorOutput:
+    """Run the estimator ``name`` on one frame under the lift matrix ``model``
+    (``None`` for ``MODEL_FREE_IDS``); those in ``NEXT_SYMBOL_IDS`` also read
+    the next frame, and raise :class:`EstimationError` without it.
 
     ``genie`` returns the true spectral vector and exists for reference
     curves and tests.

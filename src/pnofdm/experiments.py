@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimred import lift, validate_ppt
+from .dimred import validate_ppt
 from .estimators import error_decomposition
 from .link import DEFAULT_MODEL, LinkConfig, _distinct, ber_records, make_model, run_violations, simulate
 from .spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
@@ -250,7 +250,7 @@ def _mse_trials(cfg: ExperimentConfig, rho: float):
     """Per-trial squared reduced-spectrum errors for each estimator (one model)."""
     link = cfg.link_config(rho=rho)
     ((t_kind, n),) = cfg.models
-    Th = make_model(t_kind, cfg.n_c, n).T.conj().T
+    Th = make_model(t_kind, cfg.n_c, n).conj().T
 
     def squared_error(res, frame):
         return float(np.sum(np.abs(Th @ res.delta_hat - Th @ spectral_vector(frame.theta)) ** 2))
@@ -447,14 +447,14 @@ def _check_ppt(seed: int, count: int) -> tuple:
     passed = True
     worst_cond = worst_lift = 0.0
     for n_c, n in ((16, 4), (64, 8), (128, 8)):
-        model = make_model("ppt", n_c, n)
-        rep = validate_ppt(model.T)
+        T = make_model("ppt", n_c, n)
+        rep = validate_ppt(T)
         passed &= rep.passed
         worst_cond = max(worst_cond, rep.unitarity, rep.off_diagonal, rep.trace_sum)
         rng = np.random.default_rng(seed + n_c)
         for _ in range(count):
             gamma = spectral_vector(rng.uniform(-np.pi, np.pi, n))
-            worst_lift = max(worst_lift, geometry_residual(lift(model, gamma)))
+            worst_lift = max(worst_lift, geometry_residual(T @ gamma))
     passed = bool(passed) and worst_lift < GEOMETRY_TOL
     return passed, f"worst core condition {worst_cond:.2e}, worst lifted residual {worst_lift:.2e}"
 

@@ -38,22 +38,21 @@ The pilot layout (``pilot_idx``, ``pilot_values``, ``data_idx``) is fixed
 by ``(n_c, pilot_fraction)``; it is built once per config and shared by
 every frame as read-only arrays.
 
-Every Monte-Carlo study runs through one engine, :func:`simulate`: trial
-``i`` draws its frame pair from child ``i`` of
+Every Monte-Carlo study runs through one engine, :func:`simulate`: trial ``i``
+draws its frame pair from child ``i`` of
 ``np.random.SeedSequence(master).spawn(n)``, whatever block it is built in,
 and runs every requested estimator under every requested reduction model
 (``models``, ``(t_kind, n)`` pairs, :data:`DEFAULT_MODEL` by default: the
 receiver's choice, not the link's) on it, so the runs compared in one study
-see common random frames, built once: the model enters only the estimate,
-and an id that reads no model (``MODEL_FREE_IDS``) runs once per frame,
-whatever the number of models.  Every rule a run must meet is in
-:func:`run_violations`, checked before any frame is built.  It yields
-blocks of up to ``DECODE_BLOCK`` trials.  An estimator that fails on a
-frame falls back to the common-phase-only fit and is flagged; no frame is
-dropped.  :func:`ber_records` (decoding each block once per run, with
-:func:`run_link` its one-estimator case) and the scenario runners are
-reductions over the blocks, using sums and counts only, so they are
-order-independent.
+see common random frames, built once: the model enters only the estimate, and
+an id that reads no model (``MODEL_FREE_IDS``) runs once per frame, whatever
+the number of models.  The rules a run must meet are checked before any frame
+is built (:func:`run_violations`), not again by the estimators.  It yields
+blocks of up to ``DECODE_BLOCK`` trials.  An estimator that fails on a frame
+falls back to the common-phase-only fit and is flagged; no frame is dropped.
+:func:`ber_records` (decoding each block once per run, with :func:`run_link`
+its one-estimator case) and the scenario runners are reductions over the
+blocks, using sums and counts only, so they are order-independent.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import conv_encode, viterbi_decode_soft
-from .dimred import DimRedModel, lft, pc_ppt
+from .dimred import lft, pc_ppt
 from .estimators import (ESTIMATOR_IDS, MODEL_FREE_IDS, NEXT_SYMBOL_IDS, PPT_ONLY_IDS, EstimationError, cpe_only,
                          estimate_frame)
 from .qam import qam16_llr, qam16_map
@@ -158,15 +157,15 @@ class LinkConfig:
 
 
 @lru_cache(maxsize=16)
-def make_model(t_kind: str, n_c: int, n: int) -> DimRedModel:
-    """Reduction model ``t_kind`` (``ppt`` or ``lft``, else ``ValueError``) of
-    ``n`` coefficients on ``n_c`` subcarriers, built once and shared: its
-    arrays are read-only."""
+def make_model(t_kind: str, n_c: int, n: int) -> np.ndarray:
+    """Lift matrix ``T`` (``n_c x n``) of the reduction model ``t_kind``
+    (``ppt`` or ``lft``, else ``ValueError``), built once per
+    ``(t_kind, n_c, n)`` and shared read-only."""
     if t_kind not in ("ppt", "lft"):
         raise ValueError(f"t_kind must be 'ppt' or 'lft', got {t_kind!r}")
-    model = (pc_ppt if t_kind == "ppt" else lft)(n_c, n)
-    model.T.flags.writeable = False
-    return model
+    T = (pc_ppt if t_kind == "ppt" else lft)(n_c, n)
+    T.flags.writeable = False
+    return T
 
 
 @lru_cache(maxsize=16)
@@ -440,11 +439,13 @@ def _runs_under(t_kind: str, estimators) -> list:
 
 
 def run_violations(cfg: LinkConfig, estimators, models) -> list[str]:
-    """Every reason :func:`simulate` refuses a run, each once, or ``[]``: the
-    link's own violations, an unknown id, an empty or repeating list of ids or
-    models, a model ``(t_kind, n)`` with ``n < 1``, more coefficients than a
-    valid link has pilots or that :func:`make_model` cannot build, and a model
-    under which no requested estimator runs (``MODEL_FREE_IDS`` run under all)."""
+    """Every rule a run must meet, each broken one once, or ``[]``: the link's
+    own violations, an unknown id, an empty or repeating list of ids, a model
+    ``(t_kind, n)`` with ``n < 1``, more coefficients than a valid link has
+    pilots or that :func:`make_model` cannot build, and a model under which no
+    requested estimator runs (``MODEL_FREE_IDS`` run under all).  No estimator
+    checks these again.  The list of models itself is the caller's:
+    :func:`simulate` checks it as ``models``, a config as ``t_kind`` and ``n``."""
     out = cfg.violations()
     link_valid = not out
     for t_kind, n in models:
@@ -460,7 +461,7 @@ def run_violations(cfg: LinkConfig, estimators, models) -> list[str]:
                 out.append(str(exc))
     out += [f"unknown estimator {est!r}; expected one of {ESTIMATOR_IDS}"
             for est in estimators if est not in ESTIMATOR_IDS]
-    out += _distinct("estimators", estimators) + _distinct("models", models)
+    out += _distinct("estimators", estimators)
     out += [f"{'/'.join(estimators)} requires a geometry-preserving model: nothing runs under t_kind = {t_kind!r}"
             for t_kind, _ in models if estimators and not _runs_under(t_kind, estimators)]
     return list(dict.fromkeys(out))
@@ -484,11 +485,11 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed, models=(DEFAULT_MOD
     an id in ``MODEL_FREE_IDS`` once per frame, keyed ``(est, None)`` where
     it first appears.  An estimator that raises :class:`EstimationError` on
     a frame gets the common-phase-only fit instead, flagged.  A run that
-    :func:`run_violations` refuses raises ``ValueError`` when iteration
-    starts, before any frame is built.
+    :func:`run_violations` refuses, or an empty or repeating list of models,
+    raises ``ValueError`` when iteration starts, before any frame is built.
     """
     estimators, models = tuple(estimators), tuple(models)
-    problems = run_violations(cfg, estimators, models)
+    problems = run_violations(cfg, estimators, models) + _distinct("models", models)
     if problems:
         raise ValueError("invalid run: " + "; ".join(problems))
     if trials < 1:

@@ -179,6 +179,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot parse value for 'snr_db'"):
             parse_config("scenario = ber-vs-snr\nsnr_db =\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("t_kind = ppt,ppt", "t_kind must be at least one distinct value, got ['ppt', 'ppt']"),
+            ("n = 4,4", "n must be at least one distinct value, got [4, 4]"),
+            ("t_kind =", "t_kind must be at least one distinct value, got []"),
+        ],
+    )
+    def test_model_list_error_named_once_under_its_key(self, line, message):
+        # The models are every (t_kind, n) pair: a repeated or empty value of
+        # either key is reported once, under that key, never as 'models'.
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"scenario = ber-vs-snr\n{line}\n")
+        assert str(err.value) == message
+
     def test_readme_config_blocks_parse(self):
         # Every fenced block of the README that names a scenario is a config
         # a reader may copy; it must parse against the current key set.
@@ -465,7 +480,7 @@ class TestVerify:
         "ppt-validation": (
             experiments,
             "make_model",
-            lambda real: lambda *args: dataclasses.replace(real(*args), T=real(*args).T * (1 + 1e-11)),
+            lambda real: lambda *args: real(*args) * (1 + 1e-11),
         ),
         "regularity": (experiments, "regularity_matrix", lambda real: lambda n: real(n) + 1e-3 * np.eye(n, n + 1)),
         "error-identity": (
@@ -572,6 +587,14 @@ class TestCli:
     def test_missing_config_exit_1(self, tmp_path):
         proc = run_cli("run", "--config", str(tmp_path / "nope.txt"), "--out", str(tmp_path))
         assert proc.returncode == 1
+
+    def test_config_not_utf8_exit_1(self, tmp_path, capsys):
+        # A file that is not UTF-8 text is a config the run cannot read, like a missing one.
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_bytes(b"\xff\xfescenario = ber-vs-snr\n")
+        assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("cannot read config: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "out").exists()
 
     def test_verify_full_exit_0(self, tmp_path):
         # The full run draws a proven-gap instance; that is reported, not failed.

@@ -551,9 +551,10 @@ class TestSimulate:
             list(simulate(LinkConfig(), ("uls",), 1, 8))
         assert models[0] is models[1]
         assert models[0] is make_model("ppt", 128, 8)
+        assert type(models[0]) is np.ndarray and models[0].shape == (128, 8)  # the model is its lift matrix T
         assert make_model("lft", 128, 8) is not models[0]
         with pytest.raises(ValueError, match="read-only"):
-            models[0].T[0, 0] = 0.0
+            models[0][0, 0] = 0.0
 
     def test_make_model_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="t_kind must be 'ppt' or 'lft', got 'bogus'"):

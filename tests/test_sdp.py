@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pnofdm import sdp
-from pnofdm.dimred import lift
 from pnofdm.estimators import build_ls_system, gls, project_constant_modulus
 from pnofdm.link import DEFAULT_MODEL, LinkConfig, make_frame_pair, make_model
 from pnofdm.sdp import (
@@ -259,7 +258,7 @@ class TestLinkInstances:
         # The instances the coded link produces: n = 8 (even) with a ppt model.
         cfg = LinkConfig(snr_db=snr_db)
         model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
-        assert (model.n, model.kind) == (8, "ppt")
+        assert model.shape == (cfg.n_c, 8)
         for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([2024, int(snr_db)]).spawn(4)):
             sys = build_ls_system(f0, model)
             out = gls(sys, model)
@@ -273,7 +272,7 @@ class TestLinkInstances:
                 assert sol.min_eig >= bound
                 dual = solve_dual(sys.M, sys.b)
                 ref, _ = project_constant_modulus(kkt_recover(sys.M, sys.b, dual)[0])
-                assert np.max(np.abs(out.delta_hat - lift(model, ref))) < 1e-6
+                assert np.max(np.abs(out.delta_hat - model @ ref)) < 1e-6
                 # The certified cost is the dual optimum.
                 assert abs(sol.tau - dual.tau) <= 1e-7 * (1 + abs(dual.tau))
 
@@ -453,7 +452,7 @@ def reference_kkt_recover(M, b, sol):
 def reference_gls(sys, model):
     """Reference for :func:`pnofdm.estimators.gls` on the reference solvers.
 
-    Returns ``(gamma, cost, gap, flags, certified)``; the estimate is ``lift(model, gamma)``.
+    Returns ``(gamma, cost, gap, flags, certified)``; the estimate is ``model @ gamma``.
     """
     local = reference_certify_local(sys.M, sys.b)
     flags = ()
@@ -468,7 +467,7 @@ def reference_gls(sys, model):
         gamma, n_zero = project_constant_modulus(gamma_raw)
         if n_zero:
             flags = flags + (f"zero_time_samples:{n_zero}",)
-    cost = sys.cost_delta(lift(model, gamma))
+    cost = sys.cost_delta(model @ gamma)
     gap = 0.0 if local is not None else cost - sys.const_term - sol.tau
     return gamma, cost, gap, flags, local is not None
 
@@ -531,7 +530,7 @@ class TestMatchesReference:
         for sys, model in link_systems:
             out, ref = gls(sys, model), reference_gls(sys, model)
             d = out.diagnostics
-            assert np.array_equal(out.delta_hat, lift(model, ref[0]))
+            assert np.array_equal(out.delta_hat, model @ ref[0])
             assert (d.cost, d.gap, d.flags, d.certified) == ref[1:]
             kinds.add(d.certified)
         assert kinds == {True, False}
