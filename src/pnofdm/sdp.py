@@ -39,7 +39,8 @@ Most instances the coded link produces need no dual solve at all.
 proves ``x`` globally optimal: with ``tau`` the cost at ``x`` the LMI above
 holds with a zero Schur complement (Boumal, "Nonconvex phase
 synchronization", SIAM J. Optim. 2016).  The barrier solver runs only where
-that certificate fails.
+that certificate fails.  The primal oracle of :mod:`pnofdm.sproc` descends
+with the same Newton loop, :func:`_local_newton`.
 
 The solver is a log-det barrier interior-point method: Newton centering steps
 on ``-t*w.d - logdet(G0 + Diag(d))`` along an increasing barrier schedule.
@@ -214,28 +215,17 @@ class SdpSolution:
     status: str  # "optimal" | "max_iter"
 
 
-def certify_local(M, b):
-    """Solve the constrained fit locally and certify the point as its global optimum.
+def _local_newton(A, c, phi, scale: float):
+    """Damped Newton on the time phases of ``x^H A x - 2 Re(c^H x)``, ``x = exp(1j*phi)/sqrt(n)``.
 
-    Damped Newton on the time phases ``phi`` of ``x = exp(1j*phi)/sqrt(n)``,
-    started from the phases of the unconstrained solution ``ifft(M^-1 b)``.
     The phase Hessian is eigenvalue-modified where it is not positive
-    definite, steps are capped at ``LOCAL_STEP_CAP`` radians per phase, and an
-    Armijo backtracking search accepts them.  At the stationary point the
-    multipliers ``mu_i = Re((c - A x)_i / x_i)`` are closed-form, and
-    ``A + Diag(mu) >= 0`` proves ``x`` globally optimal (Boumal, SIAM J.
-    Optim. 2016).  With ``tau`` the cost at ``x`` the LMI's Schur corner is
-    zero, so the returned :class:`SdpSolution` certifies weak duality at
-    equality.
-
-    Returns ``(gamma, SdpSolution)`` with ``gamma = F x``, or ``None`` when
-    the Newton solve does not converge or the certificate fails.  A numpy
-    ``LinAlgError`` propagates.
+    definite, steps are capped at ``LOCAL_STEP_CAP`` radians per phase, an
+    Armijo backtracking search accepts them, and the tolerances are relative
+    to ``scale``.  Returns ``(x, cost, A @ x, steps, converged)`` at the last
+    accepted iterate, which is feasible whether it converged or not.  The
+    caller enters :func:`_lapack`.
     """
-    M, b = _cost_pair(M, b)  # the start point reads the frequency-basis pair
-    A, c, F = _time_pair(M, b)
-    n = b.size
-    scale = 1.0 + float(np.linalg.svd(M, compute_uv=False)[0])  # 1 + ||M||_2
+    n = c.size
     grad_tol, eig_floor = LOCAL_GRAD_TOL * scale, LOCAL_EIG_FLOOR * scale
     c_conj, a_diag = c.conj(), 2.0 * A.diagonal().real / n
     H, root_n = np.empty((n, n)), np.sqrt(n)
@@ -245,35 +235,58 @@ def certify_local(M, b):
         Ax = A @ x
         return float((x.conj() @ Ax).real - 2.0 * (c_conj @ x).real), Ax
 
+    x = np.exp(1j * phi) / root_n
+    J, Ax = cost(x)
+    for steps in range(LOCAL_MAX_NEWTON):
+        x_conj = x.conj()
+        resid = x_conj * (Ax - c)
+        grad = 2.0 * resid.imag
+        if abs(grad).max() <= grad_tol:
+            return x, J, Ax, steps, True
+        np.multiply((x_conj[:, None] * A * x).real, 2.0, out=H)
+        np.subtract(a_diag, 2.0 * resid.real, out=H_diag)
+        lam, V = _eigh(H)
+        lam = np.maximum(abs(lam), eig_floor)
+        step = -V @ ((V.T @ grad) / lam)
+        step *= min(1.0, LOCAL_STEP_CAP / abs(step).max())
+        slope = float(grad @ step)
+        alpha = 1.0
+        for _ in range(LOCAL_MAX_BACKTRACK):
+            phi_trial = phi + alpha * step
+            x_trial = np.exp(1j * phi_trial) / root_n
+            J_trial, Ax_trial = cost(x_trial)
+            if J_trial <= J + ARMIJO * alpha * slope + LOCAL_COST_SLACK * (1.0 + abs(J)):
+                break
+            alpha *= 0.5
+        else:
+            return x, J, Ax, steps, False
+        phi, x, J, Ax = phi_trial, x_trial, J_trial, Ax_trial
+    return x, J, Ax, LOCAL_MAX_NEWTON, False
+
+
+def certify_local(M, b):
+    """Solve the constrained fit locally and certify the point as its global optimum.
+
+    Damped Newton on the time phases (:func:`_local_newton`), started from
+    the phases of the unconstrained solution ``ifft(M^-1 b)``.  At the
+    stationary point the multipliers ``mu_i = Re((c - A x)_i / x_i)`` are
+    closed-form, and ``A + Diag(mu) >= 0`` proves ``x`` globally optimal
+    (Boumal, SIAM J. Optim. 2016).  With ``tau`` the cost at ``x`` the LMI's
+    Schur corner is zero, so the returned :class:`SdpSolution` certifies weak
+    duality at equality.
+
+    Returns ``(gamma, SdpSolution)`` with ``gamma = F x``, or ``None`` when
+    the Newton solve does not converge or the certificate fails.  A numpy
+    ``LinAlgError`` propagates.
+    """
+    M, b = _cost_pair(M, b)  # the start point reads the frequency-basis pair
+    A, c, F = _time_pair(M, b)
+    n = b.size
+    scale = 1.0 + float(np.linalg.svd(M, compute_uv=False)[0])  # 1 + ||M||_2
     with _lapack():
         phi = np.angle(np.fft.ifft(_solve_complex(M, b)))
-        x = np.exp(1j * phi) / root_n
-        J, Ax = cost(x)
-        for _ in range(LOCAL_MAX_NEWTON):
-            x_conj = x.conj()
-            resid = x_conj * (Ax - c)
-            grad = 2.0 * resid.imag
-            if abs(grad).max() <= grad_tol:
-                break
-            np.multiply((x_conj[:, None] * A * x).real, 2.0, out=H)
-            np.subtract(a_diag, 2.0 * resid.real, out=H_diag)
-            lam, V = _eigh(H)
-            lam = np.maximum(abs(lam), eig_floor)
-            step = -V @ ((V.T @ grad) / lam)
-            step *= min(1.0, LOCAL_STEP_CAP / abs(step).max())
-            slope = float(grad @ step)
-            alpha = 1.0
-            for _ in range(LOCAL_MAX_BACKTRACK):
-                phi_trial = phi + alpha * step
-                x_trial = np.exp(1j * phi_trial) / root_n
-                J_trial, Ax_trial = cost(x_trial)
-                if J_trial <= J + ARMIJO * alpha * slope + LOCAL_COST_SLACK * (1.0 + abs(J)):
-                    break
-                alpha *= 0.5
-            else:
-                return None
-            phi, x, J, Ax = phi_trial, x_trial, J_trial, Ax_trial
-        else:
+        x, J, Ax, _, converged = _local_newton(A, c, phi, scale)
+        if not converged:
             return None
         mu = np.real((c - Ax) / x)
         G = _lmi(A, c, J, mu)

@@ -39,6 +39,12 @@ below the Taylor bound ``J(psi) - h sum_i |g_i| - (h^2/2) sum L``; near a
 minimizer the diagonal is positive and the slope small, so it is far above
 it: at n = 5 about 5x fewer boxes are scored.
 
+The oracle's upper bound is the cost where the Newton solve on the time
+phases that :func:`pnofdm.sdp.certify_local` runs ends, started from a
+block's best box centre.  Its iterates stay feasible, so even an unconverged
+solve gives an upper bound, and the lower end is the branch-and-bound's own:
+a poorer solve can widen the bracket, never make an instance ``tight``.
+
 The oracle evaluates its boxes in chunks: a level is its parents times its
 turns, its box centres are built and scored ``CHUNK`` at a time, and only
 the survivors are kept as arrays.  The first level is the seed grid, one
@@ -62,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sdp import _cost_pair, _time_pair, solve_dual
+from .sdp import _cost_pair, _lapack, _local_newton, _time_pair, solve_dual
 from .spectral import geometry_residual
 
 __all__ = [
@@ -80,8 +86,6 @@ BLOCK = 1 << 15  # boxes per descent-and-prune block
 CHUNK = 1 << 12  # boxes built and scored per vectorized call
 BOX_BUDGET = 1 << 23  # boxes evaluated before the search stops unresolved
 CLOSE_TOL = 1e-9  # relative bracket width at which a box is pruned
-DESCENT_TOL = 1e-10  # relative stationarity that ends the coordinate descent
-MAX_SWEEPS = 500  # coordinate-descent sweeps of one descent
 GAP_TOL = 1e-6  # relative gap that separates tight from gapped instances
 GAP_KINDS = ("tight", "proven_gap", "unresolved")
 
@@ -124,7 +128,8 @@ class OracleResult:
     cost has no constant term.  The two agree to
     ``CLOSE_TOL`` relative unless the box budget ran out.
     ``grid_points`` is the per-axis size of the seed grid and ``sweeps`` the
-    number of coordinate-descent sweeps.
+    number of Newton steps of all its local solves (the benchmark reads it by
+    this name).
     """
 
     p_star: float
@@ -227,31 +232,6 @@ def _level_blocks(A, c, parents, turn, h, curvature):
         yield start * kids, cost[:size], bound[:size]
 
 
-def _descend(A, c, x):
-    """Exact per-phase coordinate descent from ``x``; returns ``(phases, cost, sweeps)``.
-
-    With the other phases fixed the cost is ``const + 2 Re(conj(x_i) (s_i - c_i))``
-    with ``s_i = sum_{j != i} A_ij x_j``, minimized at ``x_i`` along
-    ``c_i - s_i``.  Keeping ``y = A x`` makes one update cost O(n).
-    """
-    root = np.sqrt(c.size)
-    x = np.exp(1j * np.angle(x)) / root
-    diag = np.diag(A)
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        y = A @ x
-        for i in range(c.size):
-            z = c[i] - y[i] + diag[i] * x[i]
-            if z != 0:
-                xi = z / (abs(z) * root)
-                y += A[:, i] * (xi - x[i])
-                x[i] = xi
-        cost, slope, _ = _box_values(A, c, x[None])
-        if slope.max() <= DESCENT_TOL * (1 + abs(cost[0])):
-            break
-    phases = np.mod(np.angle(x), 2 * np.pi)
-    return phases, float(_box_values(A, c, np.exp(1j * phases)[None] / root)[0][0]), sweeps
-
-
 def primal_oracle(M, b) -> OracleResult:
     """Certified global minimum of ``g^H M g - 2 Re(b^H g)`` over the geometry.
 
@@ -267,12 +247,13 @@ def primal_oracle(M, b) -> OracleResult:
     has the lower bound ``J(psi) + sum_i [-h|g_i| + a_i h^2/2
     - max(a_i h - |g_i|, 0)^2/(2 a_i)] - (h^2/2) sum_{i != j} L_ij``, never
     below the Taylor bound ``J(psi) - h ||g||_1 - (h^2/2) sum L`` (see
-    ``_box_bounds`` for the derivation).  The upper bound is
-    exact coordinate descent from the best box centre.  Boxes whose bound
-    lies within ``CLOSE_TOL`` (relative) of the upper bound are pruned and the
-    rest split in ``2^n`` halves; after ``BOX_BUDGET`` boxes the search stops
-    and the unpruned boxes' bounds still give a valid ``lower``.  ``M`` must
-    be ``n x n`` Hermitian with ``n = len(b)``, as for the dual solve.
+    ``_box_bounds`` for the derivation).  The upper bound comes from the
+    Newton solve of :func:`pnofdm.sdp.certify_local` (see the module
+    docstring).  Boxes whose bound lies within ``CLOSE_TOL`` (relative) of
+    the upper bound are pruned and the rest split in ``2^n`` halves; after
+    ``BOX_BUDGET`` boxes the search stops and the unpruned boxes' bounds
+    still give a valid ``lower``.  ``M`` must be ``n x n`` Hermitian with
+    ``n = len(b)``, as for the dual solve.
 
     Every level is its parents times its turns (the seed grid: one all-ones
     parent times the grid centres) and is searched ``BLOCK`` boxes at a
@@ -286,10 +267,12 @@ def primal_oracle(M, b) -> OracleResult:
     parent and turn whatever the chunking, so the result is bit for bit
     independent of ``CHUNK``.
     """
-    A, c, F = _time_pair(*_cost_pair(M, b))
+    M, b = _cost_pair(M, b)
+    A, c, F = _time_pair(M, b)
     n = c.size
     if n > MAX_N:
         raise ValueError(f"exhaustive oracle is sized for n <= {MAX_N}")
+    scale = 1.0 + float(np.linalg.svd(M, compute_uv=False)[0])  # 1 + ||M||_2, as certify_local's
     offsets = np.stack(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij"), axis=-1).reshape(-1, n)
     curvature = _curvature(A, c)
 
@@ -300,7 +283,7 @@ def primal_oracle(M, b) -> OracleResult:
     axis = np.exp(2j * h * np.arange(SEED_GRID))
     parents = np.ones((1, n), complex)
     turn = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n) / np.sqrt(n)
-    upper, phases, sweeps = np.inf, None, 0
+    upper, best, steps = np.inf, None, 0
     lower = np.inf  # smallest bound of a pruned box
     evaluated = 0
     while True:
@@ -309,10 +292,12 @@ def primal_oracle(M, b) -> OracleResult:
             evaluated += len(cost)
             k = int(np.argmin(cost))
             if cost[k] < upper:
-                found, value, used = _descend(A, c, _children(parents, turn, first + k))
-                sweeps += used
+                with _lapack():
+                    x, _, _, used, _ = _local_newton(A, c, np.angle(_children(parents, turn, first + k)), scale)
+                steps += used
+                value = float(_box_values(A, c, x[None])[0][0])
                 if value < upper:
-                    upper, phases = value, found
+                    upper, best = value, x
             keep = bound <= upper - CLOSE_TOL * (1 + abs(upper))
             lower = min(lower, bound[~keep].min(initial=np.inf))
             kept.append(first + np.flatnonzero(keep))
@@ -330,10 +315,10 @@ def primal_oracle(M, b) -> OracleResult:
         h /= 2
         turn = np.exp(1j * h * offsets)
 
-    gamma = F @ (np.exp(1j * phases) / np.sqrt(n))
+    gamma = F @ best
     if not geometry_residual(gamma) < 1e-12:
         raise RuntimeError("oracle minimizer left the constant-modulus set")
-    return OracleResult(upper, float(min(lower, upper)), gamma, SEED_GRID, sweeps)
+    return OracleResult(upper, float(min(lower, upper)), gamma, SEED_GRID, steps)
 
 
 @dataclass(frozen=True)

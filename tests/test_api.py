@@ -1,7 +1,8 @@
 """The public surface: the package binds only its submodules, every
 ``__all__`` entry resolves and star-imports work, every public function has a
 caller outside the tests, every public default is one some caller changes,
-every result field is one some caller reads or a named exemption, both
+every result field is one some caller reads or a named exemption, every
+module-level constant is one some caller reads, both
 layout lists name exactly the package's modules, README's config table
 names exactly the config keys, and the console script runs the CLI."""
 
@@ -74,8 +75,8 @@ def test_module_star_import(mod):
 def _caller_uses() -> tuple:
     """From one walk of the code outside the tests: ``(callee, keyword)`` for every
     ``callee(..., keyword=...)``, every name read as a name or an attribute
-    (``def`` and import lines read none), and every attribute loaded but
-    numpy's ``arr.flags``."""
+    (``def`` and import lines and assignments to a name read none), and
+    every attribute loaded but numpy's ``arr.flags``."""
     root = Path(__file__).resolve().parents[1]
     calls, names, attrs = set(), set(), set()
     for path in (p for d in CALLER_DIRS for p in (root / d).rglob("*.py")):
@@ -85,7 +86,7 @@ def _caller_uses() -> tuple:
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 calls.update((name, kw.arg) for kw in node.keywords if kw.arg)
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -149,6 +150,31 @@ def test_every_result_field_is_read_by_a_caller():
         if f.name not in attrs
     ]
     assert unread == list(UNREAD_FIELDS)
+
+
+def _module_constants() -> list:
+    """``module.NAME`` for every upper-case name, with or without a leading
+    underscore, that a module of the package binds at its top level."""
+    constants = []
+    for info in pkgutil.iter_modules(pnofdm.__path__):
+        path = Path(pnofdm.__path__[0]) / f"{info.name}.py"
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            constants += [
+                f"{info.name}.{target.id}"
+                for target in targets
+                if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+            ]
+    return constants
+
+
+def test_every_constant_is_read_by_a_caller():
+    # A module-level constant that no code outside the tests reads is left
+    # over from code that has gone, or tunes nothing but the tests.
+    _, names, _ = _caller_uses()
+    constants = _module_constants()
+    assert constants
+    assert [name for name in constants if name.split(".")[1] not in names] == []
 
 
 def test_console_script_is_cli_main():

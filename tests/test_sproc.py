@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from pnofdm import sproc
-from pnofdm.sdp import _cost_pair, _time_pair
+from pnofdm import sdp, sproc
+from pnofdm.sdp import _cost_pair, _time_pair, certify_local
 from pnofdm.spectral import dft_matrix, geometry_residual
 from pnofdm.sproc import (
     duality_gap,
@@ -103,14 +103,16 @@ def _reference_oracle(M, b, grid_points=64, max_sweeps=500, refine_tol=1e-10):
 def reference_primal_oracle(M, b):
     """The oracle's level loop before chunking: every child box of a level
     is built as a complex block of ``BLOCK`` centres and scored at once."""
-    A, c, F = _time_pair(*_cost_pair(M, b))
+    M, b = _cost_pair(M, b)
+    A, c, F = _time_pair(M, b)
     n = c.size
+    scale = 1.0 + float(np.linalg.norm(M, 2))
     offsets = np.stack(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij"), axis=-1).reshape(-1, n)
     h = np.pi / sproc.SEED_GRID
     axis = np.exp(2j * h * np.arange(sproc.SEED_GRID))
     blocks = [np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n) / np.sqrt(n)]
     curvature = sproc._curvature(A, c)
-    upper, phases, sweeps = np.inf, None, 0
+    upper, best, steps = np.inf, None, 0
     lower = np.inf
     evaluated = 0
     while True:
@@ -120,10 +122,12 @@ def reference_primal_oracle(M, b):
             evaluated += len(centres)
             k = int(np.argmin(cost))
             if cost[k] < upper:
-                found, value, used = sproc._descend(A, c, centres[k])
-                sweeps += used
+                with sdp._lapack():
+                    x, _, _, used, _ = sdp._local_newton(A, c, np.angle(centres[k]), scale)
+                steps += used
+                value = float(sproc._box_values(A, c, x[None])[0][0])
                 if value < upper:
-                    upper, phases = value, found
+                    upper, best = value, x
             keep = bound <= upper - sproc.CLOSE_TOL * (1 + abs(upper))
             lower = min(lower, bound[~keep].min(initial=np.inf))
             kept.append(centres[keep])
@@ -144,8 +148,7 @@ def reference_primal_oracle(M, b):
             (survivors[i:i + step, None, :] * turn).reshape(-1, n)
             for i in range(0, len(survivors), step)
         )
-    gamma = F @ (np.exp(1j * phases) / np.sqrt(n))
-    return sproc.OracleResult(upper, float(min(lower, upper)), gamma, sproc.SEED_GRID, sweeps)
+    return sproc.OracleResult(upper, float(min(lower, upper)), F @ best, sproc.SEED_GRID, steps)
 
 
 def benchmark_draws(seeds):
@@ -353,6 +356,24 @@ class TestPrimalOracle:
         for seed in (3, 5, 71_002):
             M, b = random_gram_instance(3, 6, seed)
             assert primal_oracle(M, b).p_star <= _reference_oracle(M, b) + 1e-9
+
+    @pytest.mark.parametrize("name, certified", [("verify", 29), ("criterion-7", 28)])
+    def test_matches_the_certified_local_optimum(self, name, certified):
+        # Where certify_local proves its Newton point globally optimal, the
+        # oracle's descent, the same Newton solve from its best box centre,
+        # lands on that point.
+        seen = 0
+        for n, k, seed in ORACLE_SETS[name]:
+            M, b = random_gram_instance(n, k, seed)
+            local = certify_local(M, b)
+            if local is None:
+                continue
+            seen += 1
+            gamma, sol = local
+            res = primal_oracle(M, b)
+            assert res.p_star == pytest.approx(sol.tau, rel=1e-12, abs=0), seed
+            assert np.linalg.norm(res.gamma - gamma) <= 1e-8, seed
+        assert seen == certified
 
     def test_argmin_feasible(self):
         M, b = random_gram_instance(3, 6, 5)
