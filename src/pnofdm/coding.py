@@ -36,7 +36,10 @@ The encoder is the shift register written out over the block: each row is
 padded with six zeros in front (the all-zero start state) and six behind
 (the flush tail), and each generator's output is the XOR of the padded
 block's columns shifted by that generator's tap delays, ``(B, n + 6)`` at a
-time.
+time.  The decoder's trellis is read off the encoder: each edge's pair is
+the seventh output pair of the encoder fed the edge's seven register bits,
+oldest first, so the generators enter the code only through their tap
+delays.
 """
 
 from __future__ import annotations
@@ -59,30 +62,9 @@ _GATHER_STEPS = 32
 # Per generator, the delays (0 = the newest bit .. 6) of its nonzero taps.
 _TAP_DELAYS = tuple(tuple(d for d in range(CONSTRAINT_LENGTH) if g >> (_MEM - d) & 1) for g in GENERATORS_OCTAL)
 
-
-def _parity(x):
-    x = np.asarray(x)
-    out = np.zeros_like(x)
-    while np.any(x):
-        out ^= x & 1
-        x = x >> 1
-    return out
-
-
 # The four coded pairs (c1, c2), indexed 2*c1 + c2.
 _PAIR_C1 = np.array([0, 0, 1, 1])
 _PAIR_C2 = np.array([0, 1, 0, 1])
-# _EDGE_PAIR[k, u, j]: pair emitted on the edge from predecessor 2j + k with
-# input bit u, which enters state u*32 + j.  The register on that edge holds
-# u above the predecessor's six bits, (u << 6) | (2j + k), and each coded bit
-# is the parity of the register masked by its generator.
-_EDGE_PAIR = np.fromfunction(
-    lambda k, u, j: sum(
-        weight * _parity(((u << _MEM) | (2 * j + k)) & g) for weight, g in zip((2, 1), GENERATORS_OCTAL)
-    ),
-    (2, 2, _HALF),
-    dtype=int,
-)
 
 
 def conv_encode(bits) -> np.ndarray:
@@ -109,6 +91,23 @@ def conv_encode(bits) -> np.ndarray:
         # Input bit t sits in column t + 6, so the bit d steps older is column t + 6 - d.
         coded[:, :, j] = functools.reduce(np.bitwise_xor, [u[:, _MEM - d : n_out + _MEM - d] for d in delays])
     return coded.reshape(n_rows, -1)
+
+
+def _edge_pairs():
+    """``[k, u, j]``: the pair index ``2*c1 + c2`` emitted on the edge from
+    predecessor ``2j + k`` with input bit ``u``, which enters state ``u*32 + j``.
+
+    The register on that edge holds ``u`` above the predecessor's six bits,
+    ``(u << 6) | (2j + k)``; fed to the encoder oldest bit first, those seven
+    bits leave the edge's pair as the encoder's seventh output pair.
+    """
+    k, u, j = np.indices((2, 2, _HALF))
+    register = ((u << _MEM) | (2 * j + k)).reshape(-1)
+    coded = conv_encode(register[:, None] >> np.arange(CONSTRAINT_LENGTH) & 1)
+    return (2 * coded[:, 2 * _MEM] + coded[:, 2 * _MEM + 1]).reshape(2, 2, _HALF)
+
+
+_EDGE_PAIR = _edge_pairs()
 
 
 def viterbi_decode_soft(llrs) -> np.ndarray:

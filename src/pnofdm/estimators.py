@@ -21,13 +21,17 @@ Five estimators are provided:
     ``uls`` followed by an exact constant-modulus projection of the time
     samples.
 ``gls``
-    The geometry-constrained minimizer, under a ``ppt`` model only, a run rule
-    that :func:`pnofdm.link.run_violations` checks.  A Newton solve on the
-    time phases runs first, and its point is returned when the closed-form
-    Lagrangian certificate proves it globally optimal.  Other frames go
-    through the convex dual program (:mod:`pnofdm.sdp`), are recovered through
-    the stationarity system and finished with one exact constant-modulus
-    projection; they report the measured gap to the dual bound.
+    Least squares constrained to the geometry, under a ``ppt`` model only, a
+    run rule that :func:`pnofdm.link.run_violations` checks.  A Newton solve
+    on the time phases runs first, and its point is returned when the
+    closed-form Lagrangian certificate proves it globally optimal.  Other
+    frames go through the convex dual program (:mod:`pnofdm.sdp`), are
+    recovered through the stationarity system and finished with one exact
+    constant-modulus projection; they report the measured gap to the dual
+    bound.  That point is a rounding of the relaxation, not a proven
+    minimizer: at 10 dB its cost was above the discarded Newton point's on
+    1112 of 1155 uncertified frames, and above ``nls``'s on 30 (ROADMAP
+    item 12).
 ``cpe_only``
     Scalar common-phase fit on the pilots; corrects the average rotation and
     leaves all inter-carrier leakage.
@@ -243,7 +247,7 @@ def nls(sys: LsSystem, T) -> EstimatorOutput:
 
 
 def gls(sys: LsSystem, T) -> EstimatorOutput:
-    """Geometry-constrained least squares, certified locally or via the convex dual.
+    """Geometry-constrained least squares: a certified minimizer, or a rounding of the dual.
 
     Requires a geometry-preserving ``T`` (the constraints are imposed in the
     reduced domain and must survive the lift), a run rule (``PPT_ONLY_IDS``)
@@ -255,11 +259,14 @@ def gls(sys: LsSystem, T) -> EstimatorOutput:
     the estimate recovered from the stationarity system, and one exact
     constant-modulus projection removes the residual infeasibility left by the
     finite solver tolerance; such frames carry ``certified=False`` and the
-    measured ``gap = cost - tau``.  On dual-solve failure, including a numpy
-    ``LinAlgError`` in the solve or the recovery, an :class:`EstimationError`
-    is raised, carrying the solve's status and Newton step count when it ran
-    out of steps; :func:`pnofdm.link.simulate` then uses the common-phase-only
-    fit (``cpe``) for that frame and flags it.
+    measured ``gap = cost - tau``.  Their point is not a proven minimizer: at
+    10 dB its cost was above the discarded Newton point's on 1112 of 1155
+    uncertified frames, and above ``nls``'s on 30 (ROADMAP item 12).  On
+    dual-solve failure, including a numpy ``LinAlgError`` in the solve or the
+    recovery, an :class:`EstimationError` is raised, carrying the solve's
+    status and Newton step count when it ran out of steps;
+    :func:`pnofdm.link.simulate` then uses the common-phase-only fit
+    (``cpe``) for that frame and flags it.
     """
     try:
         local = certify_local(sys.M, sys.b)

@@ -41,7 +41,7 @@ it: at n = 5 about 5x fewer boxes are scored.
 
 The oracle's upper bound is the cost where the Newton solve on the time
 phases that :func:`pnofdm.sdp.certify_local` runs ends, started from a
-block's best box centre.  Its iterates stay feasible, so even an unconverged
+level's best box centre.  Its iterates stay feasible, so even an unconverged
 solve gives an upper bound, and the lower end is the branch-and-bound's own:
 a poorer solve can widen the bracket, never make an instance ``tight``.
 
@@ -50,9 +50,8 @@ turns, its box centres are built and scored ``CHUNK`` at a time, and only
 the survivors are kept as arrays.  The first level is the seed grid, one
 all-ones parent whose turns are the ``SEED_GRID^n`` grid centres; each later
 level is the previous level's survivors times the ``2^n`` half-width turns.
-``BLOCK`` sets how often the search descends and prunes, so it shapes the
-bracket; ``CHUNK`` sets only the working memory, and the bracket is bit for
-bit the same for any ``CHUNK``.
+Each level descends once, from its best centre, so ``CHUNK`` sets only the
+working memory, and the bracket is bit for bit the same for any ``CHUNK``.
 
 Weak duality needs no sampling: every dual solution carries the minimum
 eigenvalue of its LMI matrix, and ``min_eig >= 0`` certifies that the cost
@@ -82,7 +81,6 @@ __all__ = [
 
 MAX_N = 5  # largest dimension the oracle accepts
 SEED_GRID = 4  # seed boxes per torus axis
-BLOCK = 1 << 15  # boxes per descent-and-prune block
 CHUNK = 1 << 12  # boxes built and scored per vectorized call
 BOX_BUDGET = 1 << 23  # boxes evaluated before the search stops unresolved
 CLOSE_TOL = 1e-9  # relative bracket width at which a box is pruned
@@ -207,31 +205,6 @@ def _children(parents, turn, index):
     return parents[index // kids] * turn[index % kids]
 
 
-def _level_blocks(A, c, parents, turn, h, curvature):
-    """Score the boxes ``parents x turn`` of one level, one ``BLOCK`` at a time.
-
-    Box ``i`` of the level has the centre ``parents[i // kids] * turn[i % kids]``
-    (parent-major order).  Centres are built ``CHUNK`` boxes at a time into
-    one reused buffer and scored into the block's ``cost``/``bound`` arrays.
-    Yields ``(first, cost, bound)`` per block, ``first`` being the level
-    index of its first box; the arrays are overwritten by the next block.
-    """
-    kids, n = turn.shape
-    per_block, per_chunk = max(1, BLOCK // kids), max(1, CHUNK // kids)
-    rows = min(per_block, len(parents)) * kids
-    cost, bound = np.empty(rows), np.empty(rows)
-    buffer = np.empty((min(per_chunk, len(parents)), kids, n), complex)
-    for start in range(0, len(parents), per_block):
-        stop = min(start + per_block, len(parents))
-        for lo in range(start, stop, per_chunk):
-            hi = min(lo + per_chunk, stop)
-            x = np.multiply(parents[lo:hi, None, :], turn, out=buffer[:hi - lo]).reshape(-1, n)
-            part = slice((lo - start) * kids, (hi - start) * kids)
-            cost[part], bound[part] = _box_bounds(A, c, x, h, curvature)
-        size = (stop - start) * kids
-        yield start * kids, cost[:size], bound[:size]
-
-
 def primal_oracle(M, b) -> OracleResult:
     """Certified global minimum of ``g^H M g - 2 Re(b^H g)`` over the geometry.
 
@@ -256,15 +229,16 @@ def primal_oracle(M, b) -> OracleResult:
     ``n = len(b)``, as for the dual solve.
 
     Every level is its parents times its turns (the seed grid: one all-ones
-    parent times the grid centres) and is searched ``BLOCK`` boxes at a
-    time: the descent starts from a block's best centre when it beats the
-    upper bound, the block's boxes are pruned against the upper bound as it
-    then stands, and at the level's end the kept boxes are pruned again
-    against the final one.  Within a block, centres are built and scored
-    ``CHUNK`` boxes at a time, and the kept boxes are carried as indices
-    until the level ends, so the working memory is a few ``CHUNK``-sized
-    arrays plus the survivors.  Every box centre is the same product of
-    parent and turn whatever the chunking, so the result is bit for bit
+    parent times the grid centres) and is searched in one pass, ``CHUNK``
+    boxes at a time: each chunk's centres are built and scored, the level's
+    lowest-cost centre is remembered, and the chunk's boxes are pruned
+    against the upper bound as it stands and the kept ones carried as
+    indices (the seed level, with no upper bound yet, keeps them all).
+    After the pass the descent starts from the level's best centre when it
+    beats the upper bound, and the kept boxes are pruned again against the
+    bound it leaves.  The working memory is a few ``CHUNK``-sized arrays
+    plus the survivors, and every box centre is the same product of parent
+    and turn whatever the chunking, so the result is bit for bit
     independent of ``CHUNK``.
     """
     M, b = _cost_pair(M, b)
@@ -287,22 +261,33 @@ def primal_oracle(M, b) -> OracleResult:
     lower = np.inf  # smallest bound of a pruned box
     evaluated = 0
     while True:
+        kids = len(turn)
+        per_chunk = max(1, CHUNK // kids)
+        buffer = np.empty((min(per_chunk, len(parents)), kids, n), complex)
+        # The seed level has no upper bound yet, so it keeps every box.
+        cut = upper - CLOSE_TOL * (1 + abs(upper)) if upper < np.inf else np.inf
+        least, start = np.inf, 0  # the level's lowest centre cost and its box
         kept, kept_bounds = [], []
-        for first, cost, bound in _level_blocks(A, c, parents, turn, h, curvature):
-            evaluated += len(cost)
+        for lo in range(0, len(parents), per_chunk):
+            hi = min(lo + per_chunk, len(parents))
+            x = np.multiply(parents[lo:hi, None, :], turn, out=buffer[:hi - lo]).reshape(-1, n)
+            cost, bound = _box_bounds(A, c, x, h, curvature)
             k = int(np.argmin(cost))
-            if cost[k] < upper:
-                with _lapack():
-                    x, _, _, used, _ = _local_newton(A, c, np.angle(_children(parents, turn, first + k)), scale)
-                steps += used
-                value = float(_box_values(A, c, x[None])[0][0])
-                if value < upper:
-                    upper, best = value, x
-            keep = bound <= upper - CLOSE_TOL * (1 + abs(upper))
+            if cost[k] < least:
+                least, start = cost[k], lo * kids + k
+            keep = bound <= cut
             lower = min(lower, bound[~keep].min(initial=np.inf))
-            kept.append(first + np.flatnonzero(keep))
+            kept.append(lo * kids + np.flatnonzero(keep))
             kept_bounds.append(bound[keep])
-        # Blocks evaluated early were pruned against a higher upper bound.
+        evaluated += len(parents) * kids
+        if least < upper:
+            with _lapack():
+                x, _, _, used, _ = _local_newton(A, c, np.angle(_children(parents, turn, start)), scale)
+            steps += used
+            value = float(_box_values(A, c, x[None])[0][0])
+            if value < upper:
+                upper, best = value, x
+        # The chunks were pruned against the upper bound before the descent.
         bound = np.concatenate(kept_bounds)
         keep = bound <= upper - CLOSE_TOL * (1 + abs(upper))
         lower = min(lower, bound[~keep].min(initial=np.inf))

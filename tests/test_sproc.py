@@ -101,8 +101,9 @@ def _reference_oracle(M, b, grid_points=64, max_sweeps=500, refine_tol=1e-10):
 
 
 def reference_primal_oracle(M, b):
-    """The oracle's level loop before chunking: every child box of a level
-    is built as a complex block of ``BLOCK`` centres and scored at once."""
+    """The oracle's level loop before chunking: every level is built as one
+    complex block of centres and scored at once, the descent starts from its
+    best centre and the block is pruned once, against the bound it leaves."""
     M, b = _cost_pair(M, b)
     A, c, F = _time_pair(M, b)
     n = c.size
@@ -110,44 +111,32 @@ def reference_primal_oracle(M, b):
     offsets = np.stack(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij"), axis=-1).reshape(-1, n)
     h = np.pi / sproc.SEED_GRID
     axis = np.exp(2j * h * np.arange(sproc.SEED_GRID))
-    blocks = [np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n) / np.sqrt(n)]
+    centres = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n) / np.sqrt(n)
     curvature = sproc._curvature(A, c)
     upper, best, steps = np.inf, None, 0
     lower = np.inf
     evaluated = 0
     while True:
-        kept, kept_bounds = [], []
-        for centres in blocks:
-            cost, bound = sproc._box_bounds(A, c, centres, h, curvature)
-            evaluated += len(centres)
-            k = int(np.argmin(cost))
-            if cost[k] < upper:
-                with sdp._lapack():
-                    x, _, _, used, _ = sdp._local_newton(A, c, np.angle(centres[k]), scale)
-                steps += used
-                value = float(sproc._box_values(A, c, x[None])[0][0])
-                if value < upper:
-                    upper, best = value, x
-            keep = bound <= upper - sproc.CLOSE_TOL * (1 + abs(upper))
-            lower = min(lower, bound[~keep].min(initial=np.inf))
-            kept.append(centres[keep])
-            kept_bounds.append(bound[keep])
-        bound = np.concatenate(kept_bounds)
+        cost, bound = sproc._box_bounds(A, c, centres, h, curvature)
+        evaluated += len(centres)
+        k = int(np.argmin(cost))
+        if cost[k] < upper:
+            with sdp._lapack():
+                x, _, _, used, _ = sdp._local_newton(A, c, np.angle(centres[k]), scale)
+            steps += used
+            value = float(sproc._box_values(A, c, x[None])[0][0])
+            if value < upper:
+                upper, best = value, x
         keep = bound <= upper - sproc.CLOSE_TOL * (1 + abs(upper))
         lower = min(lower, bound[~keep].min(initial=np.inf))
-        survivors = np.concatenate(kept)[keep]
+        survivors = centres[keep]
         if not len(survivors):
             break
         if evaluated + (len(survivors) << n) > sproc.BOX_BUDGET:
             lower = min(lower, bound[keep].min())
             break
         h /= 2
-        step = max(1, sproc.BLOCK >> n)
-        turn = np.exp(1j * h * offsets)
-        blocks = (
-            (survivors[i:i + step, None, :] * turn).reshape(-1, n)
-            for i in range(0, len(survivors), step)
-        )
+        centres = (survivors[:, None, :] * np.exp(1j * h * offsets)).reshape(-1, n)
     return sproc.OracleResult(upper, float(min(lower, upper)), F @ best, sproc.SEED_GRID, steps)
 
 
