@@ -13,8 +13,8 @@ fit under a model's lift matrix ``T`` is ``K R T g ~ w_p`` and the cost is
 Five estimators are provided:
 
 ``uls``
-    Unconstrained minimizer ``g = M^{-1} b`` (with a trace-scaled ridge when
-    ``M`` is numerically singular).  Its inverse-transform samples suffer
+    Unconstrained minimizer ``g = M^{-1} b``; a numerically singular ``M``
+    raises :class:`EstimationError`.  Its inverse-transform samples suffer
     amplitude errors (``eps != 0``) from noise, limited pilots, and the
     reduction model.
 ``nls``
@@ -44,14 +44,16 @@ spectrum ``delta_hat`` and its diagnostics, built by one constructor; its
 geometry residual is evaluated on ``delta``, at most once, when first read.
 
 An estimator that cannot estimate a frame raises :class:`EstimationError`,
-and :func:`pnofdm.link.simulate` then flags the frame and uses ``cpe``.  No
-numpy ``LinAlgError`` leaves an estimator: ``uls`` and ``nls`` turn
-one from the condition number or the normal-equation solve into an
-``EstimationError`` that names it, and ``gls`` turns the local solve's into a
-dual solve and the dual's or the recovery's into an ``EstimationError``; so
-does a dual solve that ends without a certified optimum.  The other
-estimators call no linear-algebra routine: ``cpe`` and ``cis`` divide by a
-pilot power they check, and ``genie`` transforms the true trajectory.
+and :func:`pnofdm.link.simulate` then flags the frame and uses ``cpe``.
+``uls`` and ``nls`` raise one naming the condition number of ``M`` when it
+is above ``ULS_COND_LIMIT`` or NaN.  No numpy ``LinAlgError`` leaves an
+estimator: ``uls`` and ``nls`` turn one from the condition number or the
+normal-equation solve into an ``EstimationError`` that names it, and
+``gls`` turns the local solve's into a dual solve and the dual's or the
+recovery's into an ``EstimationError``; so does a dual solve that ends
+without a certified optimum.  The other estimators call no linear-algebra
+routine: ``cpe`` and ``cis`` divide by a pilot power they check, and
+``genie`` transforms the true trajectory.
 
 ``error_decomposition`` splits any estimate into per-sample amplitude errors
 ``eps``, phase errors ``omega``, and the closed-form total error they
@@ -105,10 +107,6 @@ class LsSystem:
     const_term: float  # ||w_p||^2
     pilot_rows: np.ndarray  # K x n_c rows of K R, kept for cost evaluation
     w_p: np.ndarray  # K pilot products
-
-    @property
-    def n(self) -> int:
-        return self.b.size
 
     def cost_delta(self, delta) -> float:
         """Full cost ``||K R delta - w_p||^2`` at a full-length estimate."""
@@ -205,31 +203,26 @@ def project_constant_modulus(gamma):
 
 
 def _uls_gamma(sys: LsSystem):
-    """Solve the normal equations, ridge-regularizing near-singular systems.
+    """Solve the normal equations ``M g = b``.
 
-    ``M`` is positive semidefinite, so the ridge ``1e-10 * trace(M) / n``, when
-    positive and finite, bounds the ridged condition number by ``1 + n * 1e10``;
-    any other ridge raises :class:`EstimationError`.  A numpy ``LinAlgError``
-    from the condition number or the solve becomes an :class:`EstimationError`
-    naming it.
+    A condition number above ``ULS_COND_LIMIT``, or NaN, raises
+    :class:`EstimationError` naming it, and so does a numpy ``LinAlgError``
+    from the condition number or the solve; :func:`pnofdm.link.simulate`
+    then flags the frame and decodes it with ``cpe``.
     """
     try:
         cond = float(np.linalg.cond(sys.M))
-        if np.isfinite(cond) and cond <= ULS_COND_LIMIT:
-            return np.linalg.solve(sys.M, sys.b), ()
-        ridge = 1e-10 * float(np.trace(sys.M).real) / sys.n
-        if not 0 < ridge < np.inf:
-            raise EstimationError(f"normal matrix is singular beyond regularization (cond {cond:.3e})")
-        return np.linalg.solve(sys.M + ridge * np.eye(sys.n), sys.b), ("regularized",)
+        if not cond <= ULS_COND_LIMIT:
+            raise EstimationError(f"normal matrix is numerically singular (cond {cond:.3e})")
+        return np.linalg.solve(sys.M, sys.b)
     except np.linalg.LinAlgError as exc:
         raise EstimationError(f"normal-equation solve failed: LinAlgError: {exc}") from exc
 
 
 def uls(sys: LsSystem, T) -> EstimatorOutput:
     """Unconstrained least-squares estimate ``g = M^{-1} b``, ``delta = T g``."""
-    gamma, flags = _uls_gamma(sys)
-    delta = T @ gamma
-    return _output(delta, sys.cost_delta(delta), flags=flags)
+    delta = T @ _uls_gamma(sys)
+    return _output(delta, sys.cost_delta(delta))
 
 
 def nls(sys: LsSystem, T) -> EstimatorOutput:
@@ -239,10 +232,8 @@ def nls(sys: LsSystem, T) -> EstimatorOutput:
     ``ppt`` each zero reduced sample counts ``n_c/n`` times; no caller reads
     flags yet (ROADMAP item 4).
     """
-    gamma, flags = _uls_gamma(sys)
-    delta, n_zero = project_constant_modulus(T @ gamma)
-    if n_zero:
-        flags = flags + (f"zero_time_samples:{n_zero}",)
+    delta, n_zero = project_constant_modulus(T @ _uls_gamma(sys))
+    flags = (f"zero_time_samples:{n_zero}",) if n_zero else ()
     return _output(delta, sys.cost_delta(delta), flags=flags)
 
 

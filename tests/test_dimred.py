@@ -115,6 +115,19 @@ class TestLift:
         for T in (pc_ppt(64, 8), lft(64, 8)):
             assert abs(np.linalg.norm(T @ g) - np.linalg.norm(g)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (lft, (4, 0), "need n >= 1"),
+            (pc_ppt, (8, 0), "dimensions must be positive"),
+            (pc_ppt, (0, 4), "dimensions must be positive"),
+            (validate_ppt, (np.ones(4),), "T must be a matrix"),
+        ],
+    )
+    def test_bad_dimensions_rejected(self, build, args, message):
+        with pytest.raises(ValueError, match=message):
+            build(*args)
+
     def test_dimension_mismatch(self):
         for T in (pc_ppt(16, 4), lft(16, 4)):
             with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnofdm import estimators
+from pnofdm import estimators, sdp
 from pnofdm.dimred import lft, pc_ppt
 from pnofdm.estimators import (
     ESTIMATOR_IDS,
@@ -107,6 +107,15 @@ class TestOutputContract:
         assert out.diagnostics.geometry_residual == geometry_residual(out.delta_hat)
         assert out.diagnostics.geometry_residual == geometry_residual(out.delta_hat)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "name, error, match",
+        [("cis", EstimationError, "cis requires the next symbol"), ("sls", ValueError, "unknown estimator 'sls'")],
+    )
+    def test_refused_without_an_estimate(self, desk_frame, name, error, match):
+        _, _, f0, _ = desk_frame
+        with pytest.raises(error, match=match):
+            estimate_frame(name, f0, None, None)
 
 
 class TestResidualOnRead:
@@ -212,7 +221,7 @@ class TestUls:
             residuals.append(estimate_frame("uls", f0, f1, model).diagnostics.geometry_residual)
         assert np.median(residuals) > 1e-3
 
-    def test_singular_beyond_regularization_raises(self):
+    def test_singular_system_raises(self):
         model = pc_ppt(16, 4)
         with pytest.raises(EstimationError, match="singular"):
             sys = build_ls_system(pilot_frame(np.zeros(16), np.ones(16), np.arange(8), np.ones(8)), model)
@@ -250,29 +259,44 @@ class TestUls:
         others = np.arange(10) != 4
         assert np.array_equal(rec.frame_errors[others], clean.frame_errors[others])
 
-    def test_ridge_rescues_ill_conditioned_system(self):
-        # cond(M) = 1e13 is past ULS_COND_LIMIT, and the ridge brings it back.
+    @pytest.mark.parametrize(
+        "cond, match",
+        [(None, r"singular \(cond 1\.000e\+13\)"), (np.nan, r"\(cond nan\)")],
+        ids=["cond-1e13", "cond-nan"],
+    )
+    def test_ill_conditioned_system_raises(self, cond, match, monkeypatch):
+        # cond(M) = 1e13 is past ULS_COND_LIMIT, and a NaN condition number
+        # is not within it: both raise, naming the condition number.
         rows = np.diag([1.0, np.sqrt(1e-13)]).astype(complex)
         w = np.array([1.0, 1e-7], dtype=complex)
         sys = LsSystem(np.diag([1.0, 1e-13]).astype(complex), rows.conj().T @ w, 1.0, rows, w)
         assert np.linalg.cond(sys.M) > estimators.ULS_COND_LIMIT
-        out = uls(sys, pc_ppt(2, 2))
-        assert out.diagnostics.flags == ("regularized",)
-        assert np.isfinite(out.delta_hat).all()
+        if cond is not None:
+            monkeypatch.setattr(np.linalg, "cond", lambda M: cond)
+        for fn in (uls, nls):
+            with pytest.raises(EstimationError, match=match):
+                fn(sys, pc_ppt(2, 2))
 
     @pytest.mark.parametrize("t_kind", ["ppt", "lft"])
-    def test_ridge_on_link_frames_at_the_config_limits(self, t_kind):
-        # The ridge is live on link frames only at the config limits: no
-        # noise, one tap, no phase noise and as many unknowns as pilots.
-        # There it regularizes some frames, flags none, and the run decodes
-        # every frame.
+    def test_singular_link_frames_flagged_at_the_config_limits(self, t_kind):
+        # Link frames reach a numerically singular normal matrix only at the
+        # config limits: no noise, one tap, no phase noise and as many
+        # unknowns as pilots.  There uls and nls flag exactly the frames
+        # past ULS_COND_LIMIT, 2 of 64 at seed 1, and decode them as cpe.
         cfg, model = LinkConfig(n_c=16, pilot_fraction=0.5, snr_db=1000.0, taps=1, rho=0.0), (t_kind, 8)
-        blocks = simulate(cfg, ("uls",), 64, 1, models=(model,))
-        outputs = [out for _, results in blocks for out in results["uls", model]]
-        assert any(out.diagnostics.flags == ("regularized",) for out, _ in outputs)
-        assert not any(flagged for _, flagged in outputs)
-        rec = ber_records(cfg, ("uls",), 64, 1, models=(model,))["uls", model]
-        assert rec.frames == 64 and rec.flagged_frames == 0
+        T = make_model(t_kind, cfg.n_c, 8)
+        blocks = list(simulate(cfg, ("uls", "nls", "cpe"), 64, 1, models=(model,)))
+        past = [np.linalg.cond(build_ls_system(f, T).M) > estimators.ULS_COND_LIMIT
+                for frames, _ in blocks for f in frames]
+        assert sum(past) == 2
+        fallback = [out for _, results in blocks for out, _ in results["cpe", None]]
+        for name in ("uls", "nls"):
+            outputs = [out for _, results in blocks for out in results[name, model]]
+            assert [flagged for _, flagged in outputs] == past
+            for (out, flagged), cpe in zip(outputs, fallback):
+                assert not flagged or np.array_equal(out.delta_hat, cpe.delta_hat)
+        for rec in ber_records(cfg, ("uls", "nls"), 64, 1, models=(model,)).values():
+            assert (rec.frames, rec.flagged_frames) == (64, 2)
 
 
 class TestNls:
@@ -357,6 +381,23 @@ class TestGls:
             gls(synthetic_system(3, 6, 0), pc_ppt(3, 3))
         assert run_link(LinkConfig(), "gls", 2, 1).flagged_frames == 2
 
+    def test_dual_solve_out_of_steps_is_flagged(self, monkeypatch):
+        # A dual solve that uses up MAX_NEWTON raises, naming its status and
+        # steps, on each frame the local certificate leaves uncertified
+        # (9 of 12 at 10 dB, seed 3), and each such frame is flagged.
+        monkeypatch.setattr(sdp, "MAX_NEWTON", 5)
+        cfg = LinkConfig(snr_db=10.0)
+        model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
+        message, uncertified = r"^dual solve ended with status 'max_iter' after 5 Newton steps$", 0
+        for frame, _ in make_frame_pair(cfg, np.random.SeedSequence(3).spawn(12), next_symbol=False):
+            sys = build_ls_system(frame, model)
+            if certify_local(sys.M, sys.b) is None:
+                uncertified += 1
+                with pytest.raises(EstimationError, match=message):
+                    gls(sys, model)
+        assert uncertified == 9
+        assert run_link(cfg, "gls", 12, 3).flagged_frames == 9
+
     def test_linalg_error_in_local_solve_takes_dual_path(self):
         # A singular M makes the local solve's start M^-1 b raise; the frame
         # goes to the dual solve instead of failing.
@@ -434,6 +475,12 @@ class TestCpeOnly:
             with pytest.raises(EstimationError, match="pilot powers are zero"):
                 cpe_only(frame)
 
+    def test_zero_pilot_fit_rejected(self):
+        # The pilots carry power but were received as zeros: the fit has no phase.
+        frame = pilot_frame(np.zeros(8), np.ones(8), np.arange(2), np.ones(2))
+        with pytest.raises(EstimationError, match="pilot fit returned zero"):
+            cpe_only(frame)
+
     @pytest.mark.parametrize("n_values", [1, 2, 4])
     def test_pilot_length_mismatch_rejected(self, n_values):
         # One value must not broadcast over three pilots: the frame, the
@@ -510,6 +557,11 @@ class TestErrorDecomposition:
             error_decomposition(delta, theta[:, None])
         with pytest.raises(ValueError, match="1-D"):
             error_decomposition(delta[:, None], theta)
+
+    def test_rejects_length_mismatch(self):
+        theta = np.random.default_rng(11).uniform(-np.pi, np.pi, 4)
+        with pytest.raises(ValueError, match="theta must match the estimate length"):
+            error_decomposition(spectral_vector(theta), theta[:3])
 
     def test_identity_on_random_estimates(self):
         rng = np.random.default_rng(10)

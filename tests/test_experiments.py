@@ -50,6 +50,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("scenario = ber-vs-snr\ntrials = 1\ntrials = 2\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("scenario = ber-vs-snr\ntrials 7\n", "line 2: expected 'key = value', got 'trials 7'"),
+            ("trials = 7\n", "missing required key 'scenario'"),
+        ],
+    )
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ConfigError, match="trials"):
             parse_config("scenario = ber-vs-snr\ntrials = 0\n")
@@ -142,6 +153,7 @@ class TestParseConfig:
             # A 128-point DFT of 400 taps would drop those beyond it, 0.8% of this profile's power.
             ("taps = 400\ncoherence_bw = 20e3", "taps = 400 must not exceed n_c = 128"),
             ("seed = -1", "seed must be non-negative"),
+            ("taps = 0", "taps must be >= 1"),
         ],
     )
     def test_bad_link_value_rejected(self, tmp_path, capsys, monkeypatch, line, message):

@@ -462,7 +462,7 @@ def reference_gls(sys, model):
         sol = reference_solve_dual(sys.M, sys.b)[0]
         assert sol.status == "optimal"
         gamma_raw, rank = reference_kkt_recover(sys.M, sys.b, sol)
-        if rank < sys.n:
+        if rank < sys.b.size:
             flags = (f"kkt_rank_deficient:{rank}",)
         gamma, n_zero = project_constant_modulus(gamma_raw)
         if n_zero:

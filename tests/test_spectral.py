@@ -56,6 +56,14 @@ class TestGeometryResidual:
         v = spectral_vector(rng.uniform(-np.pi, np.pi, 16))
         assert geometry_residual(v) < 1e-12
 
+    @pytest.mark.parametrize(
+        "v, message",
+        [(np.zeros(0), "non-empty 1-D"), (np.eye(2), "non-empty 1-D"), (np.array([1.0, np.nan]), "finite entries")],
+    )
+    def test_rejects_bad_vectors(self, v, message):
+        with pytest.raises(ValueError, match=message):
+            geometry_residual(v)
+
     def test_scaled_unit_vector(self):
         # The shifts vanish on e_0; only the unit-norm defect 4 - 1 remains.
         assert abs(geometry_residual(2 * np.eye(4)[:, 0]) - 3.0) < 1e-14
@@ -95,6 +103,11 @@ class TestSpectralVector:
         for _ in range(20):
             sv = spectral_vector(rng.uniform(-10, 10, 32))
             assert geometry_residual(sv) < 1e-12
+
+    @pytest.mark.parametrize("theta", [np.zeros(0), np.zeros((2, 2))])
+    def test_rejects_non_vector(self, theta):
+        with pytest.raises(ValueError, match="theta must be a non-empty 1-D vector"):
+            spectral_vector(theta)
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
