@@ -49,16 +49,16 @@ M, b = random_gram_instance(5, 10, 7)
 sol = solve_dual(M, b)
 print(f"status={sol.status}, Newton steps={sol.iterations}, "
       f"LMI min eigenvalue={sol.min_eig:.2e} (certified feasible)")
-gamma, _ = kkt_recover(M, b, sol)
-print(f"recovered estimate norm={np.linalg.norm(gamma):.9f} (feasible is 1)")
+x, _ = kkt_recover(M, b, sol)
+print(f"recovered estimate norm={np.linalg.norm(x):.9f} (feasible is 1)")
 oracle = primal_oracle(M, b)
-print(f"distance to oracle argmin: {np.linalg.norm(gamma - oracle.gamma):.2e}")
+print(f"distance to oracle argmin: {np.linalg.norm(x - oracle.x):.2e}")
 
 print("\n=== 3. The dual bound is a hard floor for feasible points ===")
 rng = np.random.default_rng(0)
 phases = rng.uniform(0, 2 * np.pi, (100_000, 5))
-g5 = np.fft.fft(np.exp(1j * phases) / np.sqrt(5), axis=1) / np.sqrt(5)
-J = np.einsum("bi,ij,bj->b", g5.conj(), M, g5).real - 2 * np.real(g5 @ b.conj())
+x5 = np.exp(1j * phases) / np.sqrt(5)  # feasible time samples
+J = np.einsum("bi,ij,bj->b", x5.conj(), M, x5).real - 2 * np.real(x5 @ b.conj())
 print(f"min cost over 1e5 random feasible points: {J.min():+.6f} >= tau = {sol.tau:+.6f}")
 
 print("\n=== 4. Regularity construction ===")

@@ -4,10 +4,10 @@ model must preserve it.
 A receiver phase trajectory theta maps to the spectral vector
 delta = fft(exp(-1j*theta))/n.  Because its time samples all have the same
 modulus, delta satisfies a family of quadratic identities (unit norm plus
-vanishing cyclic-shift forms).  Estimators work in a reduced dimension; this
-script shows that the piecewise-constant geometry-preserving model keeps a
-reduced spectrum on the full geometry while the classical low-frequency
-selection does not.
+vanishing cyclic-shift forms).  Estimators work on a few reduced time samples
+and lift them to the full spectrum; this script shows that the
+piecewise-constant geometry-preserving model lifts constant-modulus samples
+onto the full geometry while the classical low-frequency selection does not.
 """
 
 import numpy as np
@@ -31,7 +31,7 @@ v /= np.linalg.norm(v)
 print(f"random unit vector: worst residual={geometry_residual(v):.3f}")
 
 print("\n=== 3. The piecewise-constant core passes all three conditions ===")
-# A model is its lift matrix T; validate_ppt reads its core F^H T F_n.
+# A model is its lift matrix T from reduced time samples; validate_ppt reads its core F^H T.
 T_ppt = pc_ppt(128, 8)
 rep = validate_ppt(T_ppt)
 print(f"unitarity        {rep.unitarity:.2e}")
@@ -41,10 +41,10 @@ print(f"trace sums       {rep.trace_sum:.2e}")
 print("\n=== 4. Lifting a reduced spectrum: geometry preserved vs broken ===")
 T_lft = lft(128, 8)
 for _ in range(3):
-    gamma = spectral_vector(rng.uniform(-np.pi, np.pi, 8))
-    r_ppt = geometry_residual(T_ppt @ gamma)
-    r_lft = geometry_residual(T_lft @ gamma)
-    print(f"feasible gamma -> residual after lift: ppt {r_ppt:.2e}   lft {r_lft:.2e}")
+    x = np.exp(-1j * rng.uniform(-np.pi, np.pi, 8)) / np.sqrt(8)  # constant modulus 1/sqrt(8)
+    r_ppt = geometry_residual(T_ppt @ x)
+    r_lft = geometry_residual(T_lft @ x)
+    print(f"feasible time samples -> residual after lift: ppt {r_ppt:.2e}   lft {r_lft:.2e}")
 
 print("\nThe low-frequency model is a fine subspace approximation but its"
       "\nlifted estimates leave the geometry; the preserving model never does.")

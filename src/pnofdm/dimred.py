@@ -1,20 +1,21 @@
-"""Dimensionality-reduction models mapping a short spectrum ``gamma`` (length
-``n``) to a full one ``delta`` (length ``n_c``).  A model is its lift matrix
-``T``, the plain ``n_c x n`` array ``lft`` and ``pc_ppt`` return: ``delta = T @ gamma``.
+"""Dimensionality-reduction models mapping ``n`` reduced time samples ``x``
+(spectrum ``gamma = F_n x``, unitary DFT ``F_n``) to a full spectrum ``delta``
+(length ``n_c``).  A model is its lift matrix ``T``, the plain ``n_c x n``
+array ``lft`` and ``pc_ppt`` return: ``delta = T @ x``.
 
 Two families are provided:
 
 * ``lft``: the conventional low-frequency selection matrix that keeps the top
-  ``m = (n + 2) // 2`` and bottom ``k = n - m`` subcarriers and zeroes the
-  rest.  It does *not* preserve the spectral geometry.
+  ``m = (n + 2) // 2`` and bottom ``k = n - m`` subcarriers of ``gamma``,
+  ``T = S @ F_n``.  It does *not* preserve the spectral geometry.
 * ``pc_ppt``: the piecewise-constant geometry-preserving transformation
-  ``T = F @ Ttilde @ Ftilde^H`` whose time-domain core ``Ttilde`` repeats each
-  of the ``n`` time samples ``n_c/n`` times, scaled by ``sqrt(n/n_c)`` so its
-  columns are orthonormal.  When ``gamma`` lies on the ``n``-dimensional
-  geometry, ``T @ gamma`` lies on the ``n_c``-dimensional one.
+  ``T = F @ Ttilde`` whose time-domain core ``Ttilde`` repeats each of the
+  ``n`` time samples ``n_c/n`` times, scaled by ``sqrt(n/n_c)`` so its
+  columns are orthonormal.  When ``x`` has constant modulus ``1/sqrt(n)``,
+  ``T @ x`` lies on the ``n_c``-dimensional geometry.
 
 ``validate_ppt`` checks the three geometry-preservation conditions on the
-time-domain core ``Ttilde = F^H T Ftilde`` of a lift matrix ``T``, for every
+time-domain core ``Ttilde = F^H T`` of a lift matrix ``T``, for every
 shift ``l = 1..n_c-1``, to ``PPT_TOL``:
 
     (a) ``Ttilde^H Ttilde = I``
@@ -45,8 +46,9 @@ PPT_TOL = 1e-12
 def lft(n_c: int, n: int) -> np.ndarray:
     """Low-frequency selection model keeping ``m = (n + 2) // 2`` top and ``k = n - m`` bottom bins.
 
-    Rows ``0..m-1`` of ``T`` map to ``gamma[0..m-1]`` and rows
-    ``n_c-k..n_c-1`` to ``gamma[m..n-1]``; all other rows are zero.
+    ``T = S @ F_n``: rows ``0..m-1`` of the selection ``S`` map to
+    ``gamma[0..m-1]`` and rows ``n_c-k..n_c-1`` to ``gamma[m..n-1]`` of the
+    reduced spectrum ``gamma = F_n x``; all other rows are zero.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -54,11 +56,11 @@ def lft(n_c: int, n: int) -> np.ndarray:
         raise ValueError(f"n = {n} exceeds n_c = {n_c}")
     m = (n + 2) // 2
     k = n - m
-    T = np.zeros((n_c, n), dtype=complex)
-    T[:m, :m] = np.eye(m)
+    S = np.zeros((n_c, n), dtype=complex)
+    S[:m, :m] = np.eye(m)
     if k:
-        T[n_c - k:, m:] = np.eye(k)
-    return T
+        S[n_c - k:, m:] = np.eye(k)
+    return S @ dft_matrix(n)
 
 
 def pc_ppt(n_c: int, n: int) -> np.ndarray:
@@ -78,7 +80,7 @@ def pc_ppt(n_c: int, n: int) -> np.ndarray:
     scale = np.sqrt(n / n_c)
     for i in range(n):
         Ttilde[i * rep:(i + 1) * rep, i] = scale
-    return dft_matrix(n_c) @ Ttilde @ dft_matrix(n).conj().T
+    return dft_matrix(n_c) @ Ttilde
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,8 @@ class PptValidation:
 
 
 def validate_ppt(T) -> PptValidation:
-    """Check the three conditions on the core ``F^H T Ftilde`` of the lift
-    matrix ``T`` for all shifts ``l = 1..n_c-1``.
+    """Check the three conditions on the core ``F^H T`` of the lift matrix
+    ``T`` for all shifts ``l = 1..n_c-1``.
 
     ``passed`` is true when every worst violation is below ``PPT_TOL``.
 
@@ -105,7 +107,7 @@ def validate_ppt(T) -> PptValidation:
     if T.ndim != 2:
         raise ValueError("T must be a matrix")
     n_c, n = T.shape
-    Tt = dft_matrix(n_c).conj().T @ T @ dft_matrix(n)
+    Tt = dft_matrix(n_c).conj().T @ T
     # forms[l, i, j] = t_i^H D_l t_j = sum_m conj(Tt[m,i]) Tt[m,j] e^{2j pi m l / n_c}
     prods = np.conj(Tt)[:, :, None] * Tt[:, None, :]
     forms = n_c * np.fft.ifft(prods, axis=0)

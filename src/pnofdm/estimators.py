@@ -6,20 +6,21 @@ They read the symbol as the frame the link builds
 (:class:`pnofdm.link.OfdmFrame`), which checks its pilot layout when built.
 Writing ``w = H s`` for the noiseless frequency-domain symbol and ``R`` for
 the column-circulant matrix built from the received vector ``r``, the pilot
-fit under a model's lift matrix ``T`` is ``K R T g ~ w_p`` and the cost is
+fit under a model's lift matrix ``T`` is ``K R T x ~ w_p`` on its ``n``
+reduced time samples ``x``, which the geometry holds at ``|x_i|^2 = 1/n``:
 
-    J(g) = ||K R T g - w_p||^2 = g^H M g - 2 Re(b^H g) + ||w_p||^2.
+    J(x) = ||K R T x - w_p||^2 = x^H M x - 2 Re(b^H x) + ||w_p||^2.
 
 Five estimators are provided:
 
 ``uls``
-    Unconstrained minimizer ``g = M^{-1} b``; a numerically singular ``M``
-    raises :class:`EstimationError`.  Its inverse-transform samples suffer
-    amplitude errors (``eps != 0``) from noise, limited pilots, and the
-    reduction model.
+    Unconstrained minimizer ``x = M^{-1} b``; a numerically singular ``M``
+    raises :class:`EstimationError`.  Its time samples suffer amplitude
+    errors (``eps != 0``) from noise, limited pilots, and the reduction
+    model.
 ``nls``
-    ``uls`` followed by an exact constant-modulus projection of the time
-    samples.
+    ``uls`` followed by an exact constant-modulus projection of the lifted
+    time samples.
 ``gls``
     Least squares constrained to the geometry, under a ``ppt`` model only, a
     run rule that :func:`pnofdm.link.run_violations` checks.  A Newton solve
@@ -102,7 +103,7 @@ class EstimationError(RuntimeError):
 class LsSystem:
     """Normal-equation data of the pilot least-squares fit, as :func:`build_ls_system` makes it."""
 
-    M: np.ndarray  # n x n Hermitian PSD
+    M: np.ndarray  # n x n Hermitian PSD, on the reduced time samples
     b: np.ndarray  # n
     const_term: float  # ||w_p||^2
     pilot_rows: np.ndarray  # K x n_c rows of K R, kept for cost evaluation
@@ -168,8 +169,8 @@ class EstimatorDiagnostics:
 class EstimatorOutput:
     """One full-length estimate plus solver metadata.
 
-    ``delta_hat`` is the full-length complex spectrum, a plain array; a
-    reduced spectrum is ``T^H delta_hat`` for the model's ``T``.
+    ``delta_hat`` is the full-length complex spectrum, a plain array; its
+    reduced time samples are ``T^H delta_hat`` for the model's ``T``.
     ``diagnostics.geometry_residual`` is ``geometry_residual(delta_hat)``,
     computed when first read.
     """
@@ -202,8 +203,8 @@ def project_constant_modulus(gamma):
     return np.fft.fft(unit) / g.size, n_zero
 
 
-def _uls_gamma(sys: LsSystem):
-    """Solve the normal equations ``M g = b``.
+def _uls_x(sys: LsSystem):
+    """Solve the normal equations ``M x = b``.
 
     A condition number above ``ULS_COND_LIMIT``, or NaN, raises
     :class:`EstimationError` naming it, and so does a numpy ``LinAlgError``
@@ -220,8 +221,8 @@ def _uls_gamma(sys: LsSystem):
 
 
 def uls(sys: LsSystem, T) -> EstimatorOutput:
-    """Unconstrained least-squares estimate ``g = M^{-1} b``, ``delta = T g``."""
-    delta = T @ _uls_gamma(sys)
+    """Unconstrained least-squares estimate ``x = M^{-1} b``, ``delta = T x``."""
+    delta = T @ _uls_x(sys)
     return _output(delta, sys.cost_delta(delta))
 
 
@@ -232,7 +233,7 @@ def nls(sys: LsSystem, T) -> EstimatorOutput:
     ``ppt`` each zero reduced sample counts ``n_c/n`` times; no caller reads
     flags yet (ROADMAP item 4).
     """
-    delta, n_zero = project_constant_modulus(T @ _uls_gamma(sys))
+    delta, n_zero = project_constant_modulus(T @ _uls_x(sys))
     flags = (f"zero_time_samples:{n_zero}",) if n_zero else ()
     return _output(delta, sys.cost_delta(delta), flags=flags)
 
@@ -244,12 +245,13 @@ def gls(sys: LsSystem, T) -> EstimatorOutput:
     reduced domain and must survive the lift), a run rule (``PPT_ONLY_IDS``)
     not checked here.  A Newton solve on the time phases runs first; when the
     closed-form Lagrangian certificate proves its point globally optimal
-    (:func:`pnofdm.sdp.certify_local`) that point is the estimate, with
-    ``certified=True`` and ``gap = 0``.  Otherwise, or when the local solve
-    raises a numpy ``LinAlgError``, the dual is solved to a certified optimum,
-    the estimate recovered from the stationarity system, and one exact
-    constant-modulus projection removes the residual infeasibility left by the
-    finite solver tolerance; such frames carry ``certified=False`` and the
+    (:func:`pnofdm.sdp.certify_local`) that point, lifted, is the estimate,
+    with ``certified=True`` and ``gap = 0``.  Otherwise, or when the local
+    solve raises a numpy ``LinAlgError``, the dual is solved to a certified
+    optimum, the time samples recovered from the stationarity system, and
+    their lift gets ``nls``'s exact projection (its zero-sample flag counts
+    full-length samples), which removes the infeasibility the solver
+    tolerance leaves; such frames carry ``certified=False`` and the
     measured ``gap = cost - tau``.  Their point is not a proven minimizer: at
     10 dB its cost was above the discarded Newton point's on 1112 of 1155
     uncertified frames, and above ``nls``'s on 30 (ROADMAP item 12).  On
@@ -266,21 +268,21 @@ def gls(sys: LsSystem, T) -> EstimatorOutput:
     certified = local is not None
     flags = ()
     if certified:
-        gamma, sol = local
+        x, sol = local
+        delta = T @ x
     else:
         try:
             sol = solve_dual(sys.M, sys.b)
             if sol.status != "optimal":
                 raise EstimationError(f"dual solve ended with status {sol.status!r} after {sol.iterations} Newton steps")
-            gamma_raw, info = kkt_recover(sys.M, sys.b, sol)
+            x, info = kkt_recover(sys.M, sys.b, sol)
         except np.linalg.LinAlgError as exc:
             raise EstimationError(f"dual solve failed: {exc}") from exc
         if not info.full_rank:
             flags = (f"kkt_rank_deficient:{info.rank}",)
-        gamma, n_zero = project_constant_modulus(gamma_raw)
+        delta, n_zero = project_constant_modulus(T @ x)
         if n_zero:
             flags = flags + (f"zero_time_samples:{n_zero}",)
-    delta = T @ gamma
     cost = sys.cost_delta(delta)
     return _output(
         delta, cost, flags=flags, solver=sol,

@@ -158,7 +158,7 @@ class LinkConfig:
 
 @lru_cache(maxsize=16)
 def make_model(t_kind: str, n_c: int, n: int) -> np.ndarray:
-    """Lift matrix ``T`` (``n_c x n``) of the reduction model ``t_kind``
+    """Lift matrix ``T`` (``n_c x n``, from the reduced time samples) of the reduction model ``t_kind``
     (``ppt`` or ``lft``, else ``ValueError``), built once per
     ``(t_kind, n_c, n)`` and shared read-only."""
     if t_kind not in ("ppt", "lft"):

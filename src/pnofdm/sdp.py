@@ -1,41 +1,40 @@
 """Local certificate and dense dual semidefinite program for geometry-constrained least squares.
 
-The constrained problem minimizes ``J(g) = g^H M g - 2 Re(b^H g)`` over the
-spectral geometry: ``g = F x`` with the unitary DFT ``F`` and a time vector
-of constant modulus, ``|x_i|^2 = 1/n``.  In the time basis the cost is
-``x^H A x - 2 Re(c^H x)`` with ``A = F^H M F`` and ``c = F^H b``, and each
-constraint is one diagonal entry.  One real multiplier ``mu_i`` per equality
-(the S-procedure) gives the convex dual: maximize ``tau`` subject to the
-``(n+1) x (n+1)`` linear matrix inequality
+The constrained problem minimizes ``J(x) = x^H M x - 2 Re(b^H x)`` over the
+reduced time samples ``x`` of constant modulus, ``|x_i|^2 = 1/n``: the pair
+``(M, b)`` is the pilot fit's normal equations on the time samples that a
+model lifts (:mod:`pnofdm.dimred`), so each constraint is one diagonal
+entry.  One real multiplier ``mu_i`` per equality (the S-procedure) gives
+the convex dual: maximize ``tau`` subject to the ``(n+1) x (n+1)`` linear
+matrix inequality
 
-    G = [[ A + Diag(mu) , c                ]
-         [ c^H          , -tau - sum(mu)/n ]]  >= 0.
+    G = [[ M + Diag(mu) , b                ]
+         [ b^H          , -tau - sum(mu)/n ]]  >= 0.
 
 Its variable is the LMI's own diagonal ``d = (mu, -tau - sum(mu)/n)``:
-``G = G0 + Diag(d)`` with ``G0 = [[A, c], [c^H, 0]]``, and the objective is
-``tau = w.d`` with ``w = -(1/n, ..., 1/n, 1)``.  In the frequency basis the
-top block is ``M + F Diag(mu) F^H``, the circulant the paper expands in the
-cyclic shift forms.  ``_cost_pair`` validates ``(M, b)``, ``_time_pair``
-returns the checked pair's ``(A, c)``, and ``_lmi`` builds the LMI, in the
-time basis only.
+``G = G0 + Diag(d)`` with ``G0 = [[M, b], [b^H, 0]]``, and the objective is
+``tau = w.d`` with ``w = -(1/n, ..., 1/n, 1)``.  On the reduced spectrum
+``gamma = F x`` (unitary DFT ``F``) the pair is ``(F M F^H, F b)`` and the
+top block the circulant ``F (M + Diag(mu)) F^H``, which the paper expands in
+the cyclic shift forms.  ``_cost_pair`` validates ``(M, b)`` and ``_lmi``
+builds the LMI; no solver changes basis.
 
-Any dual-feasible point certifies ``tau <= J(g)`` for every feasible ``g``
+Any dual-feasible point certifies ``tau <= J(x)`` for every feasible ``x``
 (weak duality), and ``min_eig >= 0`` checks that certificate on every solve.
 Equality of the two optima is not proven here, and it does not always hold:
 the certified branch-and-bound oracle of :mod:`pnofdm.sproc` brackets the
 primal minimum to 1e-9 relative and finds the dual tight on most small random
 Gram instances, but proves a gap on some (3.6e-4 relative on the worst
 instance of the acceptance suite).  The primal point is recovered from the
-stationarity system ``(M + F Diag(mu) F^H) g = b``, kept in the frequency
-basis: it is ill-conditioned where the local certificate fails, and the time
-basis moves those estimates (by up to 5.5e-7 on link frames).  Weak duality also bounds
-the dual, so it has no ascent ray: the solver scales the data to
-``||M||_2 <= 1`` and ``max|b_i| <= 1``, and then ``tau <= 1 + 2*sqrt(n)``.
+stationarity system ``(M + Diag(mu)) x = b``, which is ill-conditioned where
+the local certificate fails (ROADMAP item 12).  Weak duality also bounds the
+dual, so it has no ascent ray: the solver scales the data to ``||M||_2 <= 1``
+and ``max|b_i| <= 1``, and then ``tau <= 1 + 2*sqrt(n)``.
 
 Most instances the coded link produces need no dual solve at all.
 :func:`certify_local` runs damped Newton on the time phases ``phi`` of
 ``x = exp(1j*phi)/sqrt(n)``.  At its stationary point the multipliers
-``mu_i = Re((c - A x)_i / x_i)`` are closed-form, and ``A + Diag(mu) >= 0``
+``mu_i = Re((b - M x)_i / x_i)`` are closed-form, and ``M + Diag(mu) >= 0``
 proves ``x`` globally optimal: with ``tau`` the cost at ``x`` the LMI above
 holds with a zero Schur complement (Boumal, "Nonconvex phase
 synchronization", SIAM J. Optim. 2016).  The barrier solver runs only where
@@ -79,8 +78,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-
-from .spectral import dft_matrix
 
 __all__ = [
     "SdpSolution",
@@ -159,12 +156,9 @@ def _eigvalsh(G):
     return _umath_linalg.eigvalsh_lo(G, signature="D->d")
 
 
-def _symmetrize(G):
-    return (G + G.conj().T) / 2
-
-
 def _cost_pair(M, b):
-    """``(M, b)`` as complex arrays; ``M`` must be ``n x n`` Hermitian with ``n = len(b) >= 1``."""
+    """``(M, b)`` as complex arrays, ``M`` made exactly Hermitian; ``M`` must be
+    ``n x n`` Hermitian (to rounding) with ``n = len(b) >= 1``."""
     M = np.asarray(M, dtype=complex)
     b = np.asarray(b, dtype=complex).ravel()
     if b.size == 0:
@@ -175,25 +169,17 @@ def _cost_pair(M, b):
         raise ValueError("M and b must be finite")
     if abs(M - M.conj().T).max() > 1e-10 * (1 + abs(M).max()):
         raise ValueError("M must be Hermitian")
-    return M, b
+    return (M + M.conj().T) / 2, b
 
 
-def _time_pair(M, b, scale: float = 1.0):
-    """``F^H (M/scale) F``, ``F^H (b/scale)`` and ``F`` of a pair checked by :func:`_cost_pair`.
-
-    ``F`` is the unitary DFT; the scaled pair is transformed, not the transformed pair scaled."""
-    F = dft_matrix(b.size)
-    return _symmetrize(F.conj().T @ (M / scale) @ F), F.conj().T @ (b / scale), F
-
-
-def _lmi(A, c, tau: float, mu) -> np.ndarray:
-    """The ``(n+1) x (n+1)`` time-basis LMI ``[[A + Diag(mu), c], [c^H, -tau - sum(mu)/n]]``."""
-    n = c.size
+def _lmi(M, b, tau: float, mu) -> np.ndarray:
+    """The ``(n+1) x (n+1)`` LMI ``[[M + Diag(mu), b], [b^H, -tau - sum(mu)/n]]``."""
+    n = b.size
     G = np.empty((n + 1, n + 1), dtype=complex)
-    G[:n, :n] = A
+    G[:n, :n] = M
     G.reshape(-1)[: n * (n + 2) : n + 2] += mu  # the top block's diagonal, in place
-    G[:n, n] = c
-    G[n, :n] = c.conj()
+    G[:n, n] = b
+    G[n, :n] = b.conj()
     G[n, n] = -tau - np.sum(mu) / n
     return G
 
@@ -202,7 +188,7 @@ def _lmi(A, c, tau: float, mu) -> np.ndarray:
 class SdpSolution:
     """Certified dual solution.
 
-    ``mu`` holds the time-basis multipliers; ``min_eig`` is the smallest
+    ``mu`` holds the multipliers, one per time sample; ``min_eig`` is the smallest
     eigenvalue of the unscaled LMI at ``(tau, mu)``.  A solution from
     :func:`certify_local` has ``iterations = 0`` and ``tau`` equal to the
     certified point's cost.
@@ -268,34 +254,33 @@ def certify_local(M, b):
     """Solve the constrained fit locally and certify the point as its global optimum.
 
     Damped Newton on the time phases (:func:`_local_newton`), started from
-    the phases of the unconstrained solution ``ifft(M^-1 b)``.  At the
-    stationary point the multipliers ``mu_i = Re((c - A x)_i / x_i)`` are
-    closed-form, and ``A + Diag(mu) >= 0`` proves ``x`` globally optimal
-    (Boumal, SIAM J. Optim. 2016).  With ``tau`` the cost at ``x`` the LMI's
-    Schur corner is zero, so the returned :class:`SdpSolution` certifies weak
-    duality at equality.
+    the phases of the unconstrained solution ``M^-1 b``.  At the stationary
+    point the multipliers ``mu_i = Re((b - M x)_i / x_i)`` are closed-form,
+    and ``M + Diag(mu) >= 0`` proves ``x`` globally optimal (Boumal, SIAM J.
+    Optim. 2016).  With ``tau`` the cost at ``x`` the LMI's Schur corner is
+    zero, so the returned :class:`SdpSolution` certifies weak duality at
+    equality.
 
-    Returns ``(gamma, SdpSolution)`` with ``gamma = F x``, or ``None`` when
-    the Newton solve does not converge or the certificate fails.  A numpy
-    ``LinAlgError`` propagates.
+    Returns ``(x, SdpSolution)`` with the time samples ``x``, or ``None``
+    when the Newton solve does not converge or the certificate fails.  A
+    numpy ``LinAlgError`` propagates.
     """
-    M, b = _cost_pair(M, b)  # the start point reads the frequency-basis pair
-    A, c, F = _time_pair(M, b)
+    M, b = _cost_pair(M, b)
     n = b.size
     scale = 1.0 + float(np.linalg.svd(M, compute_uv=False)[0])  # 1 + ||M||_2
     with _lapack():
-        phi = np.angle(np.fft.ifft(_solve_complex(M, b)))
-        x, J, Ax, _, converged = _local_newton(A, c, phi, scale)
+        phi = np.angle(_solve_complex(M, b))
+        x, J, Mx, _, converged = _local_newton(M, b, phi, scale)
         if not converged:
             return None
-        mu = np.real((c - Ax) / x)
-        G = _lmi(A, c, J, mu)
+        mu = np.real((b - Mx) / x)
+        G = _lmi(M, b, J, mu)
         if float(_eigvalsh(G[:n, :n])[0]) < -CERT_EIG_TOL * scale:
             return None
         min_eig = float(_eigvalsh(G)[0])
     if min_eig < -MIN_EIG_TOL * scale:
         return None
-    return F @ x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")
+    return x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")
 
 
 def solve_dual(M, b) -> SdpSolution:
@@ -321,8 +306,8 @@ def solve_dual(M, b) -> SdpSolution:
     norm_M = float(np.linalg.svd(M, compute_uv=False)[0])  # ||M||_2
     scale = max(1.0, norm_M, float(abs(b).max()))
 
-    # Scaled time-basis LMI G0 + Diag(d) and the objective tau = w.d.
-    A, c, _ = _time_pair(M, b, scale)
+    # Scaled LMI G0 + Diag(d) and the objective tau = w.d.
+    A, c = M / scale, b / scale
     G0 = _lmi(A, c, 0.0, np.zeros(n))
     w = np.full(m, -1.0 / n)
     w[n] = -1.0
@@ -392,25 +377,21 @@ class KktInfo:
 
 
 def kkt_recover(M, b, sol: SdpSolution):
-    """Recover the primal estimate from the dual stationarity system.
+    """Recover the primal time samples from the dual stationarity system.
 
-    Solves ``(M + F Diag(mu) F^H) g = b`` by pseudo-inverse; singular values
-    below ``KKT_RCOND`` times the largest are treated as zero, in which case
-    the minimum-norm solution is returned.  Returns ``(g, KktInfo)``, whose
+    Solves ``(M + Diag(mu)) x = b`` by pseudo-inverse; singular values below
+    ``KKT_RCOND`` times the largest are treated as zero, in which case the
+    minimum-norm solution is returned.  Returns ``(x, KktInfo)``, whose
     ``rank`` and ``full_rank`` flag that case.  A ``sol`` whose status is not
     ``"optimal"`` raises ``ValueError``.
     """
     if sol.status != "optimal":
         raise ValueError(f"dual solution status is {sol.status!r}, not optimal")
     M, b = _cost_pair(M, b)
-    n = b.size
-    F = dft_matrix(n)
-    # Frequency basis on purpose: the system is ill-conditioned on uncertified
-    # frames, and solving it in the time basis would move their estimates.
-    U, s, Vh = np.linalg.svd(_symmetrize(M + (F * sol.mu) @ F.conj().T))
+    U, s, Vh = np.linalg.svd(M + np.diag(sol.mu))
     keep = s > KKT_RCOND * s[0]
     rank = int(np.count_nonzero(keep))
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
-    gamma = Vh.conj().T @ (inv_s * (U.conj().T @ b))
-    return gamma, KktInfo(rank, rank == n)
+    x = Vh.conj().T @ (inv_s * (U.conj().T @ b))
+    return x, KktInfo(rank, rank == b.size)

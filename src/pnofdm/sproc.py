@@ -35,7 +35,8 @@ at ``-L_ii``, ``a_i = max(H_ii(psi) - 2 h L_ii, -L_ii)``.  Each
 ``g_i d + a_i d^2 / 2`` is minimized exactly over ``|d| <= h``, which gives
 ``-h |g_i| + a_i h^2 / 2 - max(a_i h - |g_i|, 0)^2 / (2 a_i)``, and the cross
 terms add ``-(h^2/2) sum_{i != j} L_ij``.  With the floor this is never
-below the Taylor bound ``J(psi) - h sum_i |g_i| - (h^2/2) sum L``; near a
+below the Taylor bound ``J(psi) - h sum_i |g_i| - (h^2/2) sum L`` up to
+rounding (it equals it where every coordinate is floored); near a
 minimizer the diagonal is positive and the slope small, so it is far above
 it: at n = 5 about 5x fewer boxes are scored.
 
@@ -67,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sdp import _cost_pair, _lapack, _local_newton, _time_pair, solve_dual
-from .spectral import geometry_residual
+from .sdp import _cost_pair, _lapack, _local_newton, solve_dual
+from .spectral import dft_matrix
 
 __all__ = [
     "GapResult",
@@ -121,9 +122,9 @@ def regularity_matrix(n: int) -> np.ndarray:
 class OracleResult:
     """Certified bracket ``lower <= p* <= p_star`` of the constrained minimum.
 
-    ``p_star`` is the cost at ``gamma``, which is exactly feasible, so it is
-    an upper bound; ``lower`` is the branch-and-bound lower bound.  The
-    cost has no constant term.  The two agree to
+    ``p_star`` is the cost at the time samples ``x``, which are exactly
+    feasible, so it is an upper bound; ``lower`` is the branch-and-bound
+    lower bound.  The cost has no constant term.  The two agree to
     ``CLOSE_TOL`` relative unless the box budget ran out.
     ``grid_points`` is the per-axis size of the seed grid and ``sweeps`` the
     number of Newton steps of all its local solves (the benchmark reads it by
@@ -132,7 +133,7 @@ class OracleResult:
 
     p_star: float
     lower: float
-    gamma: np.ndarray
+    x: np.ndarray
     grid_points: int
     sweeps: int
 
@@ -186,7 +187,8 @@ def _box_bounds(A, c, x, h, curvature):
     ``min_{|d| <= h} g d + a d^2/2 = -h|g| + a h^2/2 - max(a h - |g|, 0)^2/(2a)``
     (the last term is the interior minimum ``-g^2/(2a)`` when ``|g| < a h``).
     That minimum is at least ``-h|g| - L_ii h^2/2``, so the bound is never
-    below the Taylor bound ``J(psi) - h sum|g_i| - (h^2/2) sum L``.
+    below the Taylor bound ``J(psi) - h sum|g_i| - (h^2/2) sum L`` up to
+    rounding; where every coordinate is floored the two are equal.
     """
     diagonal, off_diagonal = curvature
     cost, slope, a = _box_values(A, c, x)
@@ -206,11 +208,12 @@ def _children(parents, turn, index):
 
 
 def primal_oracle(M, b) -> OracleResult:
-    """Certified global minimum of ``g^H M g - 2 Re(b^H g)`` over the geometry.
+    """Certified global minimum of ``x^H M x - 2 Re(b^H x)`` over the time
+    samples ``x`` of constant modulus.
 
-    The feasible set is parametrized exactly by time phases: ``g = F x`` with
-    ``x = exp(1j*phi)/sqrt(n)``, and in the time basis ``A = F^H M F``,
-    ``c = F^H b`` the cost is ``J(phi) = x^H A x - 2 Re(c^H x)``.  A
+    The feasible set is parametrized exactly by time phases,
+    ``x = exp(1j*phi)/sqrt(n)``, and with the pair written ``(A, c) = (M, b)``
+    the cost is ``J(phi) = x^H A x - 2 Re(c^H x)``.  A
     breadth-first branch-and-bound covers the phase torus with boxes, its
     first level a ``SEED_GRID``-per-axis grid.  ``L`` bounds the phase
     Hessian entrywise over the torus: ``2|A_ij|/n`` off the diagonal and
@@ -241,12 +244,11 @@ def primal_oracle(M, b) -> OracleResult:
     and turn whatever the chunking, so the result is bit for bit
     independent of ``CHUNK``.
     """
-    M, b = _cost_pair(M, b)
-    A, c, F = _time_pair(M, b)
+    A, c = _cost_pair(M, b)
     n = c.size
     if n > MAX_N:
         raise ValueError(f"exhaustive oracle is sized for n <= {MAX_N}")
-    scale = 1.0 + float(np.linalg.svd(M, compute_uv=False)[0])  # 1 + ||M||_2, as certify_local's
+    scale = 1.0 + float(np.linalg.svd(A, compute_uv=False)[0])  # 1 + ||M||_2, as certify_local's
     offsets = np.stack(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij"), axis=-1).reshape(-1, n)
     curvature = _curvature(A, c)
 
@@ -300,10 +302,9 @@ def primal_oracle(M, b) -> OracleResult:
         h /= 2
         turn = np.exp(1j * h * offsets)
 
-    gamma = F @ best
-    if not geometry_residual(gamma) < 1e-12:
+    if not np.abs(n * np.abs(best) ** 2 - 1).max() < 1e-12:
         raise RuntimeError("oracle minimizer left the constant-modulus set")
-    return OracleResult(upper, float(min(lower, upper)), gamma, SEED_GRID, steps)
+    return OracleResult(upper, float(min(lower, upper)), best, SEED_GRID, steps)
 
 
 @dataclass(frozen=True)
@@ -345,9 +346,12 @@ def duality_gap(M, b) -> GapResult:
 
 
 def random_gram_instance(n: int, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Random PSD normal-equation pair ``(M, b) = (A^H A, A^H w)``."""
+    """Random PSD time pair ``(F^H M F, F^H b)`` of the spectral pair
+    ``(M, b) = (A^H A, A^H w)`` of a complex Gaussian ``k x n`` ``A`` and ``w``."""
     rng = np.random.default_rng(seed)
     A = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
     w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     M = A.conj().T @ A
-    return (M + M.conj().T) / 2, A.conj().T @ w
+    F = dft_matrix(n)
+    M = F.conj().T @ ((M + M.conj().T) / 2) @ F
+    return (M + M.conj().T) / 2, F.conj().T @ (A.conj().T @ w)

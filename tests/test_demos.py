@@ -1,5 +1,6 @@
 """Smoke tests: the fast demos run end to end against the public API."""
 
+import re
 import runpy
 from pathlib import Path
 
@@ -19,6 +20,17 @@ def test_duality_certificates_demo_runs(monkeypatch, capsys):
     assert "status=optimal" in out
     assert "=== 4. Regularity construction ===" in out
     assert "frames certified locally" in out
+    # The dual bound is a floor under every sampled feasible cost.
+    floor = re.search(r"min cost over 1e5 random feasible points: (\S+) >= tau = (\S+)", out)
+    assert float(floor[1]) >= float(floor[2])
+
+
+def test_geometry_demo_lifts(monkeypatch, capsys):
+    # Every feasible lift stays on the geometry under ppt and leaves it under lft.
+    out = run_demo("geometry_and_models.py", monkeypatch, capsys)
+    lifts = re.findall(r"residual after lift: ppt (\S+)\s+lft (\S+)", out)
+    assert len(lifts) == 3
+    assert all(float(ppt) < 1e-12 and float(lft) > 1e-2 for ppt, lft in lifts)
 
 
 @pytest.mark.parametrize(

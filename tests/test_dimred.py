@@ -4,17 +4,26 @@ import numpy as np
 import pytest
 
 from pnofdm.dimred import lft, pc_ppt, validate_ppt
-from pnofdm.spectral import dft_matrix, geometry_residual, spectral_vector
+from pnofdm.spectral import dft_matrix, geometry_residual
 
 
-def feasible_gamma(n, seed):
-    return spectral_vector(np.random.default_rng(seed).uniform(-np.pi, np.pi, n))
+def feasible_x(n, seed):
+    """Reduced time samples of constant modulus ``1/sqrt(n)``."""
+    return np.exp(-1j * np.random.default_rng(seed).uniform(-np.pi, np.pi, n)) / np.sqrt(n)
 
 
 def lift_matrix(core):
-    """Lift matrix ``F @ core @ F_n^H`` of a time-domain core."""
-    n_c, n = core.shape
-    return dft_matrix(n_c) @ core @ dft_matrix(n).conj().T
+    """Lift matrix ``F @ core`` of a time-domain core."""
+    return dft_matrix(core.shape[0]) @ core
+
+
+def selection(n_c, n):
+    """The 0/1 selection ``S`` of ``lft(n_c, n) = S @ F_n``: the top ``(n + 2) // 2`` and the bottom rest."""
+    m = (n + 2) // 2
+    S = np.zeros((n_c, n))
+    S[:m, :m] = np.eye(m)
+    S[n_c - (n - m):, m:] = np.eye(n - m)
+    return S
 
 
 class TestLft:
@@ -22,20 +31,23 @@ class TestLft:
         assert np.array_equal(lft(4, 1), np.eye(4, dtype=complex)[:, :1])
 
     def test_block_structure(self):
-        T = lft(8, 5)  # 3 top bins, 2 bottom
-        assert np.allclose(T[:3, :3], np.eye(3))
-        assert np.allclose(T[6:, 3:], np.eye(2))
+        T, F = lft(8, 5), dft_matrix(5)  # 3 top bins, 2 bottom
+        assert np.array_equal(T[:3], F[:3])
+        assert np.array_equal(T[6:], F[3:])
         assert np.max(np.abs(T[3:6])) == 0
 
     def test_orthonormal_columns(self):
+        # The columns are the selected rows of the unitary F_n: the selection is
+        # exact, and their orthonormality is F_n's.
         T = lft(16, 9)
-        assert np.max(np.abs(T.conj().T @ T - np.eye(9))) == 0
+        assert np.array_equal(T, selection(16, 9) @ dft_matrix(9))
+        assert np.max(np.abs(T.conj().T @ T - np.eye(9))) < 1e-15
 
     def test_default_split(self):
-        T = lft(128, 8)
+        T, F = lft(128, 8), dft_matrix(8)
         # ceil((n+1)/2) top bins, the rest at the bottom
-        assert np.allclose(T[:5, :5], np.eye(5))
-        assert np.allclose(T[125:, 5:], np.eye(3))
+        assert np.array_equal(T[:5], F[:5])
+        assert np.array_equal(T[125:], F[5:])
 
     def test_dimension_overflow(self):
         with pytest.raises(ValueError):
@@ -44,13 +56,14 @@ class TestLft:
 
 class TestPcPpt:
     def test_full_dimension_is_identity(self):
+        # The full-dimension core is the identity, so the lift is F itself.
         T = pc_ppt(8, 8)
-        assert np.max(np.abs(T - np.eye(8))) < 1e-12
+        assert np.array_equal(T, dft_matrix(8))
         assert validate_ppt(T).passed
 
     def test_core_blocks(self):
         # Orthonormal columns force block scaling sqrt(n/n_c).
-        Tt = dft_matrix(8).conj().T @ pc_ppt(8, 4) @ dft_matrix(4)
+        Tt = dft_matrix(8).conj().T @ pc_ppt(8, 4)
         expected = np.zeros((8, 4))
         for i in range(4):
             expected[2 * i:2 * i + 2, i] = 1 / np.sqrt(2)
@@ -89,24 +102,26 @@ class TestValidatePpt:
 
 
 class TestLift:
-    # A model is its lift matrix: a reduced spectrum lifts as T @ gamma.
+    # A model is its lift matrix: reduced time samples lift as T @ x.
     def test_ppt_preserves_geometry(self):
         T = pc_ppt(64, 8)
         for seed in range(25):
-            assert geometry_residual(T @ feasible_gamma(8, seed)) < 1e-10
+            assert geometry_residual(T @ feasible_x(8, seed)) < 1e-10
 
     def test_ppt_unit_vector(self):
+        # Constant samples are the unit spectrum's, and lift to the full one.
         T = pc_ppt(16, 4)
-        out = T @ np.eye(4)[:, 0]
-        assert np.array_equal(out, T[:, 0])
+        out = T @ np.full(4, 0.5)
+        assert np.max(np.abs(out - np.eye(16)[:, 0])) < 1e-14
         assert geometry_residual(out) < 1e-10
 
     def test_lft_unit_vector_coincidence(self):
-        assert np.array_equal(lft(8, 4) @ np.eye(4)[:, 0], np.eye(8)[:, 0])
+        # The constant samples lift to the unit spectrum under lft too.
+        assert np.max(np.abs(lft(8, 4) @ np.full(4, 0.5) - np.eye(8)[:, 0])) < 1e-15
 
     def test_lft_breaks_geometry(self):
         T = lft(8, 4)
-        violations = [geometry_residual(T @ feasible_gamma(4, 100 + s)) for s in range(10)]
+        violations = [geometry_residual(T @ feasible_x(4, 100 + s)) for s in range(10)]
         assert np.median(violations) > 0.01
 
     def test_norm_preserved(self):

@@ -65,12 +65,19 @@ def noise_free_system(n_c, seed, model=None, theta=None):
 
 
 def synthetic_system(n, k, seed):
-    """Random Gram system wrapped as an LsSystem with a full-size model."""
+    """Random Gram system wrapped as an LsSystem for the full-size model ``pc_ppt(n, n) = F``.
+
+    ``A`` is a design on the spectrum ``F x``, so the pair is the time pair
+    ``(F^H A^H A F, F^H A^H w)``.
+    """
     rng = np.random.default_rng(seed)
     A = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
     w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    F = dft_matrix(n)
     M = A.conj().T @ A
-    return LsSystem((M + M.conj().T) / 2, A.conj().T @ w, float(np.real(w.conj() @ w)), A, w)
+    M = F.conj().T @ ((M + M.conj().T) / 2) @ F
+    b = F.conj().T @ (A.conj().T @ w)
+    return LsSystem((M + M.conj().T) / 2, b, float(np.real(w.conj() @ w)), A, w)
 
 
 def _count_residuals(monkeypatch):
@@ -180,6 +187,24 @@ class TestBuildLsSystem:
         for p in (f0.pilot_idx, f0.pilot_idx + 1):
             sys = build_ls_system(replace(f0, pilot_idx=p), model)
             assert np.array_equal(sys.pilot_rows, f0.r[(p[:, None] - np.arange(cfg.n_c)) % cfg.n_c])
+
+    @pytest.mark.parametrize("t_kind", ["ppt", "lft"])
+    @pytest.mark.parametrize("snr_db", [10.0, 30.0])
+    def test_time_pair_fit_is_the_spectral_fit(self, t_kind, snr_db):
+        # The paper fits the reduced spectrum gamma through the spectral lift
+        # T F_n^H.  Its pair, built and solved here with numpy alone, gives
+        # the uls and nls estimates that the time pair gives.
+        cfg = LinkConfig(snr_db=snr_db)
+        T = make_model(t_kind, cfg.n_c, DEFAULT_MODEL[1])
+        T_spectral = T @ dft_matrix(T.shape[1]).conj().T
+        for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([46, int(snr_db)]).spawn(16), next_symbol=False):
+            R = np.stack([np.roll(f0.r, m) for m in range(cfg.n_c)], axis=1)  # column-circulant, first column r
+            A = R[f0.pilot_idx] @ T_spectral
+            w_p = f0.H[f0.pilot_idx] * f0.pilot_values
+            delta = T_spectral @ np.linalg.solve(A.conj().T @ A, A.conj().T @ w_p)
+            sys = build_ls_system(f0, T)
+            for got, want in ((uls(sys, T), delta), (nls(sys, T), project_constant_modulus(delta)[0])):
+                assert np.linalg.norm(got.delta_hat - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize(
         "name, error, match",
@@ -310,7 +335,7 @@ class TestNls:
         _, model, f0, f1 = desk_frame
         out = estimate_frame("nls", f0, f1, model)
         n = model.shape[1]
-        x = np.fft.ifft(model.conj().T @ out.delta_hat) * np.sqrt(n)  # the reduced spectrum
+        x = model.conj().T @ out.delta_hat  # the reduced time samples
         assert np.max(np.abs(np.abs(x) - 1 / np.sqrt(n))) < 1e-13
 
     @pytest.mark.parametrize("kind", ["ppt", "lft"])
@@ -400,10 +425,12 @@ class TestGls:
 
     def test_linalg_error_in_local_solve_takes_dual_path(self):
         # A singular M makes the local solve's start M^-1 b raise; the frame
-        # goes to the dual solve instead of failing.
+        # goes to the dual solve instead of failing.  ``rows`` acts on the
+        # time samples, so the pilot rows on the spectrum are ``rows F^H``.
         rows = np.diag(np.sqrt([2.0, 1.0, 0.0])).astype(complex)
         w = np.array([1 / np.sqrt(2), 0.5, 0.0], dtype=complex)
-        sys = LsSystem(rows.conj().T @ rows, rows.conj().T @ w, float(np.real(w.conj() @ w)), rows, w)
+        sys = LsSystem(rows.conj().T @ rows, rows.conj().T @ w, float(np.real(w.conj() @ w)),
+                       rows @ dft_matrix(3).conj().T, w)
         with pytest.raises(np.linalg.LinAlgError):
             certify_local(sys.M, sys.b)
         out = gls(sys, pc_ppt(3, 3))
@@ -597,7 +624,7 @@ def c_matrix(model, pilot_idx, theta, H, s, r):
     KF = K_sel @ F
     P_r = (KF * E_theta[None, :]).conj().T @ (KF * E_theta[None, :])
     E_p = Fh @ (K_sel.T @ w[pilot_idx])
-    Ttilde = Fh @ model @ dft_matrix(model.shape[1])  # time-domain core, any model kind
+    Ttilde = Fh @ model  # time-domain core, any model kind
     B = (E_snr * E_w)[:, None] * Ttilde
     inner = B.conj().T @ P_r @ B
     C = Ttilde @ np.linalg.solve(inner, B.conj().T * E_p[None, :])

@@ -12,8 +12,6 @@ from pnofdm.sdp import (
     SdpSolution,
     _cost_pair,
     _lmi,
-    _symmetrize,
-    _time_pair,
     certify_local,
     kkt_recover,
     solve_dual,
@@ -27,17 +25,20 @@ def eye_pair(n):
 
 
 def reference_lmi(M, b, tau, mu):
-    """The paper's frequency-basis LMI ``[[M + F Diag(mu) F^H, b], [b^H, -tau - sum(mu)/n]]``.
+    """The paper's frequency-basis LMI ``[[Mf + F Diag(mu) F^H, bf], [bf^H, -tau - sum(mu)/n]]``
+    on the spectral pair ``(Mf, bf) = (F M F^H, F b)`` of the time pair ``(M, b)``.
 
-    Written independently of :mod:`pnofdm.sdp`, which builds the LMI in the
-    time basis, so that the certificates it reports can be checked.
+    Written independently of :mod:`pnofdm.sdp`, which builds the LMI on the
+    time pair as it is, so that the certificates it reports can be checked:
+    the two LMIs are similar under ``blkdiag(F, 1)``.
     """
     n = len(b)
     F = dft_matrix(n)
+    Mf, bf = F @ M @ F.conj().T, F @ b
     G = np.empty((n + 1, n + 1), dtype=complex)
-    G[:n, :n] = M + (F * mu) @ F.conj().T
-    G[:n, n] = b
-    G[n, :n] = np.conj(b)
+    G[:n, :n] = Mf + (F * mu) @ F.conj().T
+    G[:n, n] = bf
+    G[n, :n] = np.conj(bf)
     G[n, n] = -tau - np.sum(mu) / n
     return (G + G.conj().T) / 2
 
@@ -49,39 +50,36 @@ def assert_min_eig_matches_reference(M, b, sol):
 
 
 class TestAssemble:
-    """The time-basis builder against the paper's frequency-basis form."""
+    """The builder on the time pair against the paper's frequency-basis form."""
 
     def test_zero_variables(self):
         M, b = random_gram_instance(3, 5, 0)
-        A, c, F = _time_pair(M, b)
-        G = _lmi(A, c, 0.0, np.zeros(3))
-        assert np.allclose(G[:3, :3], F.conj().T @ M @ F)
-        assert np.allclose(G[:3, 3], F.conj().T @ b)
+        G = _lmi(M, b, 0.0, np.zeros(3))
+        assert np.array_equal(G[:3, :3], M)
+        assert np.array_equal(G[:3, 3], b)
         assert G[3, 3] == 0
 
     def test_block_diagonal_eigenvalues(self):
-        A, c, _ = _time_pair(*eye_pair(3))
-        eigs = np.sort(np.linalg.eigvalsh(_lmi(A, c, 0.5, np.full(3, -0.5))))
+        eigs = np.sort(np.linalg.eigvalsh(_lmi(*eye_pair(3), 0.5, np.full(3, -0.5))))
         assert np.allclose(eigs, [0.0, 0.5, 0.5, 0.5], atol=1e-13)
 
     def test_hermitian_on_random_inputs(self):
         rng = np.random.default_rng(1)
-        A, c, _ = _time_pair(*random_gram_instance(5, 8, 1))
-        G = _lmi(A, c, rng.standard_normal(), rng.standard_normal(5))
+        M, b = random_gram_instance(5, 8, 1)
+        G = _lmi(M, b, rng.standard_normal(), rng.standard_normal(5))
         assert np.max(np.abs(G - G.conj().T)) < 1e-13
 
     def test_multipliers_are_the_time_basis_diagonal(self):
         # Conjugated by blkdiag(F, 1) the paper's LMI is the builder's
-        # [[A + Diag(mu), c], [c^H, -tau - sum(mu)/n]], for scaled data too.
+        # [[M + Diag(mu), b], [b^H, -tau - sum(mu)/n]], for scaled data too.
         rng = np.random.default_rng(2)
         M, b = random_gram_instance(5, 8, 2)
         tau, mu = rng.standard_normal(), rng.standard_normal(5)
         T = np.eye(6, dtype=complex)
         T[:5, :5] = dft_matrix(5)
         Gt = T.conj().T @ reference_lmi(M, b, tau, mu) @ T
-        assert np.allclose(_lmi(*_time_pair(M, b)[:2], tau, mu), Gt, atol=1e-13)
-        A, c, _ = _time_pair(M, b, 4.0)
-        assert np.allclose(4.0 * _lmi(A, c, tau / 4.0, mu / 4.0), Gt, atol=1e-13)
+        assert np.allclose(_lmi(M, b, tau, mu), Gt, atol=1e-13)
+        assert np.allclose(4.0 * _lmi(M / 4.0, b / 4.0, tau / 4.0, mu / 4.0), Gt, atol=1e-13)
 
     def test_multiplier_counts(self):
         # One multiplier per time sample, for odd and even n alike.
@@ -164,8 +162,8 @@ class TestSolveDual:
         sol = solve_dual(M, b)
         rng = np.random.default_rng(0)
         phases = rng.uniform(0, 2 * np.pi, (1000, 3))
-        g = np.fft.fft(np.exp(1j * phases) / np.sqrt(3), axis=1) / np.sqrt(3)
-        J = np.einsum("bi,ij,bj->b", g.conj(), M, g).real - 2 * np.real(g @ b.conj())
+        x = np.exp(1j * phases) / np.sqrt(3)
+        J = np.einsum("bi,ij,bj->b", x.conj(), M, x).real - 2 * np.real(x @ b.conj())
         assert np.min(J - sol.tau) > -1e-6
 
     def test_matches_oracle_on_random_instances(self):
@@ -220,30 +218,31 @@ class TestKktRecover:
     def test_full_rank_equals_direct_solve(self):
         M, b = random_gram_instance(5, 10, 8)
         sol = solve_dual(M, b)
-        gamma, info = kkt_recover(M, b, sol)
-        A = reference_lmi(M, b, sol.tau, sol.mu)[:5, :5]
-        direct = np.linalg.solve(A, b)
+        x, info = kkt_recover(M, b, sol)
+        F = dft_matrix(5)
+        A = reference_lmi(M, b, sol.tau, sol.mu)[:5, :5]  # the paper's system on the spectrum
+        direct = F.conj().T @ np.linalg.solve(A, F @ b)
         assert info.full_rank
-        assert np.linalg.norm(gamma - direct) < 1e-10 * (1 + np.linalg.norm(direct))
+        assert np.linalg.norm(x - direct) < 1e-10 * (1 + np.linalg.norm(direct))
 
     def test_noise_free_instance_recovers_truth(self):
-        # Known feasible minimizer: w = A g0 makes the constrained optimum g0.
+        # Known feasible minimizer: w = A x0 makes the constrained optimum x0.
         rng = np.random.default_rng(9)
         n, k = 5, 10
-        g0 = np.fft.fft(np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n)) / np.sqrt(n)
+        x0 = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n)
         A = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
         M = A.conj().T @ A
-        b = A.conj().T @ (A @ g0)
+        b = A.conj().T @ (A @ x0)
         M = (M + M.conj().T) / 2
-        gamma, _ = kkt_recover(M, b, solve_dual(M, b))
-        assert np.linalg.norm(gamma - g0) < 1e-6
+        x, _ = kkt_recover(M, b, solve_dual(M, b))
+        assert np.linalg.norm(x - x0) < 1e-6
 
     def test_rank_deficient_flagged_minimum_norm(self):
         M, b = np.diag([1.0, 1.0, 0.0]).astype(complex), np.array([1.0, 0.0, 0.0], complex)
         fake = dataclasses.replace(solve_dual(M, b), mu=np.zeros(3), status="optimal")
-        gamma, info = kkt_recover(M, b, fake)
+        x, info = kkt_recover(M, b, fake)
         assert not info.full_rank and info.rank == 2
-        assert np.allclose(gamma, [1.0, 0.0, 0.0])  # minimum-norm solution
+        assert np.allclose(x, [1.0, 0.0, 0.0])  # minimum-norm solution
 
     def test_requires_optimal_status(self):
         M, b = random_gram_instance(3, 6, 10)
@@ -271,14 +270,14 @@ class TestLinkInstances:
                 assert sol.iterations == 0 and out.diagnostics.gap == 0
                 assert sol.min_eig >= bound
                 dual = solve_dual(sys.M, sys.b)
-                ref, _ = project_constant_modulus(kkt_recover(sys.M, sys.b, dual)[0])
-                assert np.max(np.abs(out.delta_hat - model @ ref)) < 1e-6
+                ref, _ = project_constant_modulus(model @ kkt_recover(sys.M, sys.b, dual)[0])
+                assert np.max(np.abs(out.delta_hat - ref)) < 1e-6
                 # The certified cost is the dual optimum.
                 assert abs(sol.tau - dual.tau) <= 1e-7 * (1 + abs(dual.tau))
 
 
 class TestClosedFormCertificate:
-    """Multipliers ``mu_i = Re((c - A x)_i / x_i)`` at the oracle's argmin ``x``.
+    """Multipliers ``mu_i = Re((b - M x)_i / x_i)`` at the oracle's argmin ``x``.
 
     The LMI at ``(p_star, mu)`` is PSD exactly when ``x`` is a global optimum
     of the relaxation: it certifies tight instances and fails on gapped ones.
@@ -288,10 +287,8 @@ class TestClosedFormCertificate:
     def certificate_min_eig(n, k, seed):
         M, b = random_gram_instance(n, k, seed)
         oracle = primal_oracle(M, b)
-        F = dft_matrix(n)
-        A, c = F.conj().T @ M @ F, F.conj().T @ b
-        x = F.conj().T @ oracle.gamma
-        mu = np.real((c - A @ x) / x)
+        x = oracle.x
+        mu = np.real((b - M @ x) / x)
         return np.linalg.eigvalsh(reference_lmi(M, b, oracle.p_star, mu)).min()
 
     @pytest.mark.parametrize("n, k, seed", [(3, 6, 71000), (5, 10, 72001)])
@@ -316,15 +313,14 @@ def reference_time_lmi(A, c, tau, mu):
 
 def reference_certify_local(M, b):
     """Loop reference for :func:`certify_local`, recomputing ``A @ x`` and every loop invariant per step."""
-    M, b = _cost_pair(M, b)
-    A, c, F = _time_pair(M, b)
-    n = b.size
-    scale = 1.0 + float(np.linalg.norm(M, 2))
+    A, c = _cost_pair(M, b)
+    n = c.size
+    scale = 1.0 + float(np.linalg.norm(A, 2))
 
     def cost(x):
         return float(np.real(x.conj() @ (A @ x)) - 2.0 * np.real(c.conj() @ x))
 
-    phi = np.angle(np.fft.ifft(np.linalg.solve(M, b)))
+    phi = np.angle(np.linalg.solve(A, c))
     x = np.exp(1j * phi) / np.sqrt(n)
     J = cost(x)
     for _ in range(sdp.LOCAL_MAX_NEWTON):
@@ -358,7 +354,7 @@ def reference_certify_local(M, b):
     min_eig = float(np.linalg.eigvalsh(G)[0])
     if min_eig < -sdp.MIN_EIG_TOL * scale:
         return None
-    return F @ x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")
+    return x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")
 
 
 def reference_center(d, t, G0, w, budget):
@@ -405,11 +401,12 @@ def reference_solve_dual(M, b):
     ``m/t <= TOL * (1 + |tau|)`` already implies: equal solutions show that
     the test never decides a stop.
     """
-    n = np.size(b)
+    M, b = _cost_pair(M, b)
+    n = b.size
     m = n + 1
     norm_M = float(np.linalg.norm(M, 2))
     scale = max(1.0, norm_M, float(np.max(np.abs(b))))
-    A, c, _ = _time_pair(*_cost_pair(M, b), scale)
+    A, c = M / scale, b / scale
     G0 = reference_time_lmi(A, c, 0.0, np.zeros(n))
     w = np.full(m, -1.0 / n)
     w[n] = -1.0
@@ -439,10 +436,9 @@ def reference_solve_dual(M, b):
 
 
 def reference_kkt_recover(M, b, sol):
-    """Reference for :func:`kkt_recover`: the pseudo-inverse solve written out.  Returns ``(g, rank)``."""
+    """Reference for :func:`kkt_recover`: the pseudo-inverse solve written out.  Returns ``(x, rank)``."""
     M, b = _cost_pair(M, b)
-    F = dft_matrix(b.size)
-    U, s, Vh = np.linalg.svd(_symmetrize(M + (F * sol.mu) @ F.conj().T))
+    U, s, Vh = np.linalg.svd(M + np.diag(sol.mu))
     keep = s > sdp.KKT_RCOND * s[0]
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
@@ -452,24 +448,25 @@ def reference_kkt_recover(M, b, sol):
 def reference_gls(sys, model):
     """Reference for :func:`pnofdm.estimators.gls` on the reference solvers.
 
-    Returns ``(gamma, cost, gap, flags, certified)``; the estimate is ``model @ gamma``.
+    Returns ``(delta, cost, gap, flags, certified)``.
     """
     local = reference_certify_local(sys.M, sys.b)
     flags = ()
     if local is not None:
-        gamma, sol = local
+        x, sol = local
+        delta = model @ x
     else:
         sol = reference_solve_dual(sys.M, sys.b)[0]
         assert sol.status == "optimal"
-        gamma_raw, rank = reference_kkt_recover(sys.M, sys.b, sol)
+        x, rank = reference_kkt_recover(sys.M, sys.b, sol)
         if rank < sys.b.size:
             flags = (f"kkt_rank_deficient:{rank}",)
-        gamma, n_zero = project_constant_modulus(gamma_raw)
+        delta, n_zero = project_constant_modulus(model @ x)
         if n_zero:
             flags = flags + (f"zero_time_samples:{n_zero}",)
-    cost = sys.cost_delta(model @ gamma)
+    cost = sys.cost_delta(delta)
     gap = 0.0 if local is not None else cost - sys.const_term - sol.tau
-    return gamma, cost, gap, flags, local is not None
+    return delta, cost, gap, flags, local is not None
 
 
 def assert_same_solution(got, ref):
@@ -511,9 +508,9 @@ class TestMatchesReference:
         sol, ref_sol = solve_dual(M, b), reference_solve_dual(M, b)[0]
         assert_same_solution(sol, ref_sol)
         if sol.status == "optimal":
-            gamma, info = kkt_recover(M, b, sol)
-            ref_gamma, ref_rank = reference_kkt_recover(M, b, ref_sol)
-            assert np.array_equal(gamma, ref_gamma)
+            x, info = kkt_recover(M, b, sol)
+            ref_x, ref_rank = reference_kkt_recover(M, b, ref_sol)
+            assert np.array_equal(x, ref_x)
             assert (info.rank, info.full_rank) == (ref_rank, ref_rank == np.size(b))
         return got is None
 
@@ -530,7 +527,7 @@ class TestMatchesReference:
         for sys, model in link_systems:
             out, ref = gls(sys, model), reference_gls(sys, model)
             d = out.diagnostics
-            assert np.array_equal(out.delta_hat, model @ ref[0])
+            assert np.array_equal(out.delta_hat, ref[0])
             assert (d.cost, d.gap, d.flags, d.certified) == ref[1:]
             kinds.add(d.certified)
         assert kinds == {True, False}

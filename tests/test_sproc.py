@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pnofdm import sdp, sproc
-from pnofdm.sdp import _cost_pair, _time_pair, certify_local
+from pnofdm.sdp import _cost_pair, certify_local
 from pnofdm.spectral import dft_matrix, geometry_residual
 from pnofdm.sproc import (
     duality_gap,
@@ -61,9 +61,16 @@ class TestRegularityMatrix:
         assert np.linalg.matrix_rank(table) == 8
 
 
+def _spectral_pair(M, b):
+    """The paper's pair ``(F M F^H, F b)`` on the spectrum ``gamma = F x`` of the time pair ``(M, b)``."""
+    F = dft_matrix(b.size)
+    return F @ M @ F.conj().T, F @ b
+
+
 def _costs(M, b, phases):
     """Cost at each row of time phases, evaluated in the spectral basis."""
     n = b.size
+    M, b = _spectral_pair(M, b)
     g = np.fft.fft(np.exp(1j * phases) / np.sqrt(n), axis=1) / np.sqrt(n)
     return np.einsum("bi,ij,bj->b", g.conj(), M, g).real - 2 * np.real(g @ b.conj())
 
@@ -77,6 +84,7 @@ def _reference_oracle(M, b, grid_points=64, max_sweeps=500, refine_tol=1e-10):
     each phase) until stationary.
     """
     n = b.size
+    M, b = _spectral_pair(M, b)
     colv = np.fft.fft(np.eye(n), axis=0).T / n  # gamma = sum_i exp(1j*phi_i) colv[i]
     axis = 2 * np.pi * np.arange(grid_points) / grid_points
     grid = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
@@ -104,10 +112,9 @@ def reference_primal_oracle(M, b):
     """The oracle's level loop before chunking: every level is built as one
     complex block of centres and scored at once, the descent starts from its
     best centre and the block is pruned once, against the bound it leaves."""
-    M, b = _cost_pair(M, b)
-    A, c, F = _time_pair(M, b)
+    A, c = _cost_pair(M, b)
     n = c.size
-    scale = 1.0 + float(np.linalg.norm(M, 2))
+    scale = 1.0 + float(np.linalg.norm(A, 2))
     offsets = np.stack(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij"), axis=-1).reshape(-1, n)
     h = np.pi / sproc.SEED_GRID
     axis = np.exp(2j * h * np.arange(sproc.SEED_GRID))
@@ -137,7 +144,7 @@ def reference_primal_oracle(M, b):
             break
         h /= 2
         centres = (survivors[:, None, :] * np.exp(1j * h * offsets)).reshape(-1, n)
-    return sproc.OracleResult(upper, float(min(lower, upper)), F @ best, sproc.SEED_GRID, steps)
+    return sproc.OracleResult(upper, float(min(lower, upper)), best, sproc.SEED_GRID, steps)
 
 
 def benchmark_draws(seeds):
@@ -166,7 +173,7 @@ def assert_oracles_equal(instances):
         got, want = primal_oracle(M, b), reference_primal_oracle(M, b)
         assert (got.p_star, got.lower, got.grid_points, got.sweeps) == (
             want.p_star, want.lower, want.grid_points, want.sweeps), seed
-        assert np.array_equal(got.gamma, want.gamma), seed
+        assert np.array_equal(got.x, want.x), seed
 
 
 class TestChunkedOracle:
@@ -191,7 +198,7 @@ class TestChunkedOracle:
         monkeypatch.setattr(sproc, "CHUNK", chunk)
         got = primal_oracle(M, b)
         assert (got.p_star, got.lower, got.sweeps) == (want.p_star, want.lower, want.sweeps)
-        assert np.array_equal(got.gamma, want.gamma)
+        assert np.array_equal(got.x, want.x)
 
 
 def _coordinate_minima(slope, a, h):
@@ -209,21 +216,25 @@ def _check_box_bounds(M, b, centres, h, rng):
     Returns the bounds, the Taylor bounds and where a coordinate's minimum
     is interior (``a_i > 0`` and ``|g_i| < a_i h``)."""
     n = b.size
-    F = dft_matrix(n)
-    A, c = F.conj().T @ M @ F, F.conj().T @ b
+    A, c = M, b
     x = np.exp(1j * centres) / np.sqrt(n)
     L = sproc._hessian_bound(A, c)
     cost, bound = sproc._box_bounds(A, c, x, h, sproc._curvature(A, c))
     _, slope, curve = sproc._box_values(A, c, x)
     taylor = cost - h * slope.sum(axis=1) - h * h * L.sum() / 2
-    assert np.all(bound >= taylor)
+    a = np.maximum(curve - 2 * h * np.diag(L), -np.diag(L))
+    floored = np.all(a == -np.diag(L), axis=1)
+    assert np.all(bound[~floored] >= taylor[~floored])
+    # Where every coordinate is floored the two are equal in exact arithmetic,
+    # so they must agree to rounding, either way.
+    scale = np.abs(cost) + h * slope.sum(axis=1) + h * h * L.sum()
+    assert np.all(np.abs(bound - taylor)[floored] <= 8 * np.finfo(float).eps * scale[floored])
     off_diagonal = L.sum() - np.trace(L)
     for psi, j, g, lb in zip(centres, cost, slope, bound):
         pts = psi + h * np.vstack([rng.choice([-1.0, 1.0], (2000, n)), rng.uniform(-1, 1, (2000, n))])
         assert _costs(M, b, pts).min() >= lb - 1e-12
         lowest = sproc._box_values(A, c, np.exp(1j * pts) / np.sqrt(n))[2].min(axis=0)
         assert lb <= j + _coordinate_minima(g, lowest, h).sum() - h * h * off_diagonal / 2 + 1e-12
-    a = np.maximum(curve - 2 * h * np.diag(L), -np.diag(L))
     return bound, taylor, (a > 0) & (slope < a * h)
 
 
@@ -236,17 +247,17 @@ class TestPrimalOracle:
     def test_zero_cost_instance(self):
         rng = np.random.default_rng(0)
         n = 3
-        g0 = np.fft.fft(np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n)) / np.sqrt(n)
+        x0 = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n)
         A = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
         M = A.conj().T @ A
         M = (M + M.conj().T) / 2
-        b = A.conj().T @ (A @ g0)
+        b = A.conj().T @ (A @ x0)
         res = primal_oracle(M, b)
-        shift = float(np.real((A @ g0).conj() @ (A @ g0)))  # the constant term ||A g0||^2
+        shift = float(np.real((A @ x0).conj() @ (A @ x0)))  # the constant term ||A x0||^2
         assert res.p_star + shift == pytest.approx(0.0, abs=1e-8)
         assert res.lower <= res.p_star
         assert res.lower + shift == pytest.approx(0.0, abs=1e-8)
-        assert np.linalg.norm(res.gamma - g0) < 1e-5
+        assert np.linalg.norm(res.x - x0) < 1e-5
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_bracket_closes(self, n):
@@ -264,9 +275,7 @@ class TestPrimalOracle:
 
     def test_hessian_bound_holds_and_is_attained(self):
         n = 5
-        M, b = random_gram_instance(n, 10, 12)
-        F = dft_matrix(n)
-        A, c = F.conj().T @ M @ F, F.conj().T @ b
+        A, c = M, b = random_gram_instance(n, 10, 12)
         L = sproc._hessian_bound(A, c)
         step = 1e-4
         E = step * np.eye(n)
@@ -298,7 +307,7 @@ class TestPrimalOracle:
         # Near the minimiser the Hessian diagonal is positive and the slope
         # small, so each coordinate's minimum lies inside the box.
         M, b = random_gram_instance(5, 10, 12)
-        phases = np.angle(dft_matrix(5).conj().T @ primal_oracle(M, b).gamma)
+        phases = np.angle(primal_oracle(M, b).x)
         rng = np.random.default_rng(15)
         centres = phases + rng.uniform(-h, h, (20, 5))
         bound, taylor, interior = _check_box_bounds(M, b, centres, h, rng)
@@ -324,9 +333,7 @@ class TestPrimalOracle:
         # The box's own bound rests on d^2J/dphi_i^2 = 2 A_ii / n - 2 Re(r_i)
         # and on that diagonal moving by at most 2 h L_ii over a box.
         n = 5
-        M, b = random_gram_instance(n, 10, 12)
-        F = dft_matrix(n)
-        A, c = F.conj().T @ M @ F, F.conj().T @ b
+        A, c = M, b = random_gram_instance(n, 10, 12)
         L = sproc._hessian_bound(A, c)
         rng = np.random.default_rng(17)
         phi = rng.uniform(0, 2 * np.pi, (20, n))
@@ -358,19 +365,26 @@ class TestPrimalOracle:
             if local is None:
                 continue
             seen += 1
-            gamma, sol = local
+            x, sol = local
             res = primal_oracle(M, b)
             assert res.p_star == pytest.approx(sol.tau, rel=1e-12, abs=0), seed
-            assert np.linalg.norm(res.gamma - gamma) <= 1e-8, seed
+            assert np.linalg.norm(res.x - x) <= 1e-8, seed
         assert seen == certified
 
     def test_argmin_feasible(self):
         M, b = random_gram_instance(3, 6, 5)
         res = primal_oracle(M, b)
-        assert geometry_residual(res.gamma) < 1e-12
+        assert geometry_residual(dft_matrix(3) @ res.x) < 1e-12
 
     def test_infeasible_argmin_raises(self, monkeypatch):
-        monkeypatch.setattr(sproc, "geometry_residual", lambda gamma: 1.0)
+        # A descent that left the constant-modulus set is caught.
+        newton = sproc._local_newton
+
+        def off_modulus(*args):
+            x, *rest = newton(*args)
+            return (2 * x, *rest)
+
+        monkeypatch.setattr(sproc, "_local_newton", off_modulus)
         M, b = random_gram_instance(3, 6, 5)
         with pytest.raises(RuntimeError):
             primal_oracle(M, b)
@@ -390,7 +404,7 @@ class TestPrimalOracle:
         M, b = random_gram_instance(5, 10, 9)
         first, second = primal_oracle(M, b), primal_oracle(M, b)
         assert (first.p_star, first.lower, first.sweeps) == (second.p_star, second.lower, second.sweeps)
-        assert np.array_equal(first.gamma, second.gamma)
+        assert np.array_equal(first.x, second.x)
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
@@ -401,10 +415,10 @@ class TestDualityGap:
     def test_zero_cost_instance(self):
         rng = np.random.default_rng(6)
         n = 3
-        g0 = np.fft.fft(np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n)) / np.sqrt(n)
+        x0 = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n)
         A = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
         M = A.conj().T @ A
-        b = A.conj().T @ (A @ g0)
+        b = A.conj().T @ (A @ x0)
         g = duality_gap((M + M.conj().T) / 2, b)
         assert abs(g.gap) < 1e-6
         assert g.kind == "tight"
