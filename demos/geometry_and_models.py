@@ -38,7 +38,7 @@ print(f"unitarity        {rep.unitarity:.2e}")
 print(f"off-diagonal     {rep.off_diagonal:.2e}")
 print(f"trace sums       {rep.trace_sum:.2e}")
 
-print("\n=== 4. Lifting a reduced spectrum: geometry preserved vs broken ===")
+print("\n=== 4. Lifting reduced time samples: geometry preserved vs broken ===")
 T_lft = lft(128, 8)
 for _ in range(3):
     x = np.exp(-1j * rng.uniform(-np.pi, np.pi, 8)) / np.sqrt(8)  # constant modulus 1/sqrt(8)

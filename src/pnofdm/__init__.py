@@ -8,7 +8,9 @@ estimate and the coded error rate.
 
 Layout:
 
-* :mod:`pnofdm.spectral`: the unitary DFT, the geometry residual and the spectral vector of a phase trajectory.
+* :mod:`pnofdm.spectral`: the unitary DFT convention (the package's one DFT is
+  ``np.fft.fft(x, norm="ortho")``), the geometry residual and the spectral
+  vector of a phase trajectory.
 * :mod:`pnofdm.dimred`: low-frequency and geometry-preserving reduction models, each its lift matrix.
 * :mod:`pnofdm.estimators`: the five pilot-based estimators and diagnostics.
 * :mod:`pnofdm.sdp`: the local certificate and the dual semidefinite program behind the constrained fit.

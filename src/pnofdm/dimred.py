@@ -1,13 +1,16 @@
 """Dimensionality-reduction models mapping ``n`` reduced time samples ``x``
 (spectrum ``gamma = F_n x``, unitary DFT ``F_n``) to a full spectrum ``delta``
 (length ``n_c``).  A model is its lift matrix ``T``, the plain ``n_c x n``
-array ``lft`` and ``pc_ppt`` return: ``delta = T @ x``.
+array ``lft`` and ``pc_ppt`` return: ``delta = T @ x``.  Every transform
+here is numpy's FFT at ``norm="ortho"``, which is ``F`` (``fft``) or
+``F^H`` (``ifft``).
 
 Two families are provided:
 
-* ``lft``: the conventional low-frequency selection matrix that keeps the top
-  ``m = (n + 2) // 2`` and bottom ``k = n - m`` subcarriers of ``gamma``,
-  ``T = S @ F_n``.  It does *not* preserve the spectral geometry.
+* ``lft``: the conventional low-frequency model that keeps the top
+  ``m = (n + 2) // 2`` and bottom ``k = n - m`` subcarriers of ``gamma``:
+  its rows there are the rows of ``F_n``, and all others are zero.  It does
+  *not* preserve the spectral geometry.
 * ``pc_ppt``: the piecewise-constant geometry-preserving transformation
   ``T = F @ Ttilde`` whose time-domain core ``Ttilde`` repeats each of the
   ``n`` time samples ``n_c/n`` times, scaled by ``sqrt(n/n_c)`` so its
@@ -31,8 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import dft_matrix
-
 __all__ = [
     "PptValidation",
     "lft",
@@ -46,21 +47,20 @@ PPT_TOL = 1e-12
 def lft(n_c: int, n: int) -> np.ndarray:
     """Low-frequency selection model keeping ``m = (n + 2) // 2`` top and ``k = n - m`` bottom bins.
 
-    ``T = S @ F_n``: rows ``0..m-1`` of the selection ``S`` map to
-    ``gamma[0..m-1]`` and rows ``n_c-k..n_c-1`` to ``gamma[m..n-1]`` of the
-    reduced spectrum ``gamma = F_n x``; all other rows are zero.
+    Rows ``0..m-1`` of ``T`` are rows ``0..m-1`` of ``F_n`` and rows
+    ``n_c-k..n_c-1`` its rows ``m..n-1``, so ``T @ x`` places the reduced
+    spectrum ``gamma = F_n x`` on those bins; all other rows are zero.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > n_c:
         raise ValueError(f"n = {n} exceeds n_c = {n_c}")
     m = (n + 2) // 2
-    k = n - m
-    S = np.zeros((n_c, n), dtype=complex)
-    S[:m, :m] = np.eye(m)
-    if k:
-        S[n_c - k:, m:] = np.eye(k)
-    return S @ dft_matrix(n)
+    F = np.fft.fft(np.eye(n), axis=0, norm="ortho")
+    T = np.zeros((n_c, n), dtype=complex)
+    T[:m] = F[:m]
+    T[n_c - (n - m):] = F[m:]
+    return T
 
 
 def pc_ppt(n_c: int, n: int) -> np.ndarray:
@@ -75,12 +75,8 @@ def pc_ppt(n_c: int, n: int) -> np.ndarray:
         raise ValueError("dimensions must be positive")
     if n_c % n != 0:
         raise ValueError(f"n = {n} must divide n_c = {n_c} for a ppt model")
-    rep = n_c // n
-    Ttilde = np.zeros((n_c, n), dtype=complex)
-    scale = np.sqrt(n / n_c)
-    for i in range(n):
-        Ttilde[i * rep:(i + 1) * rep, i] = scale
-    return dft_matrix(n_c) @ Ttilde
+    Ttilde = np.repeat(np.sqrt(n / n_c) * np.eye(n), n_c // n, axis=0)
+    return np.fft.fft(Ttilde, axis=0, norm="ortho")
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ def validate_ppt(T) -> PptValidation:
     if T.ndim != 2:
         raise ValueError("T must be a matrix")
     n_c, n = T.shape
-    Tt = dft_matrix(n_c).conj().T @ T
+    Tt = np.fft.ifft(T, axis=0, norm="ortho")
     # forms[l, i, j] = t_i^H D_l t_j = sum_m conj(Tt[m,i]) Tt[m,j] e^{2j pi m l / n_c}
     prods = np.conj(Tt)[:, :, None] * Tt[:, None, :]
     forms = n_c * np.fft.ifft(prods, axis=0)

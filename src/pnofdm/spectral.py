@@ -2,8 +2,10 @@
 
 Conventions fixed for the whole package:
 
-* DFT matrices are unitary: ``F[k, m] = exp(-2j*pi*k*m/n) / sqrt(n)``, so
-  ``F @ x == np.fft.fft(x) / sqrt(n)`` and ``F.conj().T @ F == I``.
+* The DFT is unitary: ``F[k, m] = exp(-2j*pi*k*m/n) / sqrt(n)``.  It is
+  applied as ``np.fft.fft(x, norm="ortho")`` and its inverse ``F^H`` as
+  ``np.fft.ifft(x, norm="ortho")``.  Every DFT in the package is numpy's
+  FFT, the entries of a lift matrix (:mod:`pnofdm.dimred`) included.
 * ``P1`` is the cyclic down-shift (its first column is ``e_1``), and
   ``P_l = P1 ** l``.  ``P_l`` is diagonalized by the DFT with eigenvalue
   ``exp(2j*pi*m*l/n)`` on the ``m``-th Fourier column.
@@ -32,13 +34,10 @@ concurrently.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 __all__ = [
     "GEOMETRY_TOL",
-    "dft_matrix",
     "geometry_residual",
     "phase_trajectory",
     "spectral_vector",
@@ -55,33 +54,6 @@ def _as_complex_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("v must have finite entries")
     return v
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary ``n x n`` DFT matrix, built once per ``n`` and shared read-only.
-
-    Parameters
-    ----------
-    n : int
-        Positive matrix dimension.
-
-    Returns
-    -------
-    ndarray
-        Read-only complex matrix with ``F[k, m] = exp(-2j*pi*k*m/n)/sqrt(n)``;
-        its Gram matrix is the identity to machine precision.
-    """
-    if n < 1 or int(n) != n:
-        raise ValueError("n must be a positive integer")
-    return _dft(int(n))
-
-
-@lru_cache(maxsize=16)
-def _dft(n: int) -> np.ndarray:
-    k = np.arange(n)
-    F = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-    F.flags.writeable = False
-    return F
 
 
 def geometry_residual(v) -> float:

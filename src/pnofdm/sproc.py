@@ -69,7 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sdp import _cost_pair, _lapack, _local_newton, solve_dual
-from .spectral import dft_matrix
 
 __all__ = [
     "GapResult",
@@ -346,12 +345,15 @@ def duality_gap(M, b) -> GapResult:
 
 
 def random_gram_instance(n: int, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Random PSD time pair ``(F^H M F, F^H b)`` of the spectral pair
-    ``(M, b) = (A^H A, A^H w)`` of a complex Gaussian ``k x n`` ``A`` and ``w``."""
+    """Random PSD time pair ``(B^H B, B^H w)`` of a complex Gaussian ``k x n``
+    design ``A`` on the spectrum and ``w``: ``B = A F``, the FFT of ``A``'s rows.
+
+    It is the time pair ``(F^H M F, F^H b)`` of the spectral pair
+    ``(M, b) = (A^H A, A^H w)``, made Hermitian once.
+    """
     rng = np.random.default_rng(seed)
     A = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
     w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    M = A.conj().T @ A
-    F = dft_matrix(n)
-    M = F.conj().T @ ((M + M.conj().T) / 2) @ F
-    return (M + M.conj().T) / 2, F.conj().T @ (A.conj().T @ w)
+    B = np.fft.fft(A, axis=1, norm="ortho")
+    M = B.conj().T @ B
+    return (M + M.conj().T) / 2, B.conj().T @ w

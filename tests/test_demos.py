@@ -20,9 +20,14 @@ def test_duality_certificates_demo_runs(monkeypatch, capsys):
     assert "status=optimal" in out
     assert "=== 4. Regularity construction ===" in out
     assert "frames certified locally" in out
-    # The dual bound is a floor under every sampled feasible cost.
-    floor = re.search(r"min cost over 1e5 random feasible points: (\S+) >= tau = (\S+)", out)
-    assert float(floor[1]) >= float(floor[2])
+    # The samples are feasible, and both the dual bound and the oracle's
+    # certified lower bound are floors under every sampled cost.
+    defect = re.search(r"worst feasibility defect max\|n\|x_i\|\^2 - 1\| of the samples: (\S+)", out)
+    assert float(defect[1]) < 1e-12
+    floor = re.search(r"min cost over 1e5 random feasible points: (\S+) >= tau = (\S+), oracle lower = (\S+)", out)
+    sampled, tau, lower = map(float, floor.groups())
+    for bound in (tau, lower):
+        assert sampled >= bound - 1e-9 * abs(bound)
 
 
 def test_geometry_demo_lifts(monkeypatch, capsys):
@@ -33,14 +38,14 @@ def test_geometry_demo_lifts(monkeypatch, capsys):
     assert all(float(ppt) < 1e-12 and float(lft) > 1e-2 for ppt, lft in lifts)
 
 
-@pytest.mark.parametrize(
-    "name, marker",
-    [
-        ("ber_study.py", "frames per point"),
-        ("estimator_walkthrough.py", "estimator"),
-        ("phase_tracking.py", "rms tracking error"),
-        ("geometry_and_models.py", "=== 4. Lifting a reduced spectrum"),
-    ],
-)
+DEMO_MARKERS = [
+    ("ber_study.py", "frames per point"),
+    ("estimator_walkthrough.py", "estimator"),
+    ("phase_tracking.py", "rms tracking error"),
+    ("geometry_and_models.py", "=== 4. Lifting reduced time samples"),
+]
+
+
+@pytest.mark.parametrize("name, marker", DEMO_MARKERS, ids=[name for name, _ in DEMO_MARKERS])
 def test_link_demo_runs(name, marker, monkeypatch, capsys):
     assert marker in run_demo(name, monkeypatch, capsys)

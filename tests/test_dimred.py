@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pnofdm.dimred import lft, pc_ppt, validate_ppt
-from pnofdm.spectral import dft_matrix, geometry_residual
+from pnofdm.link import make_model
+from pnofdm.spectral import geometry_residual
+from test_link import dft
 
 
 def feasible_x(n, seed):
@@ -14,7 +16,7 @@ def feasible_x(n, seed):
 
 def lift_matrix(core):
     """Lift matrix ``F @ core`` of a time-domain core."""
-    return dft_matrix(core.shape[0]) @ core
+    return dft(core.shape[0]) @ core
 
 
 def selection(n_c, n):
@@ -26,12 +28,24 @@ def selection(n_c, n):
     return S
 
 
+def exact_dft(n):
+    """Unitary DFT from its definition, the exponent ``k m`` reduced mod ``n``
+    so that every entry is correct to rounding at any ``n``."""
+    k = np.arange(n)
+    return np.exp(-2j * np.pi * (np.outer(k, k) % n) / n) / np.sqrt(n)
+
+
+def ppt_core(n_c, n):
+    """The time-domain core of ``pc_ppt(n_c, n)``: blocks ``sqrt(n/n_c) * ones(n_c/n)`` down the diagonal."""
+    return np.repeat(np.sqrt(n / n_c) * np.eye(n), n_c // n, axis=0)
+
+
 class TestLft:
     def test_single_column(self):
         assert np.array_equal(lft(4, 1), np.eye(4, dtype=complex)[:, :1])
 
     def test_block_structure(self):
-        T, F = lft(8, 5), dft_matrix(5)  # 3 top bins, 2 bottom
+        T, F = lft(8, 5), dft(5)  # 3 top bins, 2 bottom
         assert np.array_equal(T[:3], F[:3])
         assert np.array_equal(T[6:], F[3:])
         assert np.max(np.abs(T[3:6])) == 0
@@ -40,11 +54,11 @@ class TestLft:
         # The columns are the selected rows of the unitary F_n: the selection is
         # exact, and their orthonormality is F_n's.
         T = lft(16, 9)
-        assert np.array_equal(T, selection(16, 9) @ dft_matrix(9))
+        assert np.array_equal(T, selection(16, 9) @ dft(9))
         assert np.max(np.abs(T.conj().T @ T - np.eye(9))) < 1e-15
 
     def test_default_split(self):
-        T, F = lft(128, 8), dft_matrix(8)
+        T, F = lft(128, 8), dft(8)
         # ceil((n+1)/2) top bins, the rest at the bottom
         assert np.array_equal(T[:5], F[:5])
         assert np.array_equal(T[125:], F[5:])
@@ -58,12 +72,12 @@ class TestPcPpt:
     def test_full_dimension_is_identity(self):
         # The full-dimension core is the identity, so the lift is F itself.
         T = pc_ppt(8, 8)
-        assert np.array_equal(T, dft_matrix(8))
+        assert np.array_equal(T, dft(8))
         assert validate_ppt(T).passed
 
     def test_core_blocks(self):
         # Orthonormal columns force block scaling sqrt(n/n_c).
-        Tt = dft_matrix(8).conj().T @ pc_ppt(8, 4)
+        Tt = dft(8).conj().T @ pc_ppt(8, 4)
         expected = np.zeros((8, 4))
         for i in range(4):
             expected[2 * i:2 * i + 2, i] = 1 / np.sqrt(2)
@@ -85,6 +99,24 @@ class TestPcPpt:
     def test_divisibility_required(self):
         with pytest.raises(ValueError):
             pc_ppt(10, 4)
+
+
+class TestExactLifts:
+    # The lift matrices are exact to rounding: their error does not grow with n_c.
+    @pytest.mark.parametrize(
+        "t_kind, n_c, n",
+        [("ppt", 128, 8), ("ppt", 128, 2), ("ppt", 512, 16), ("lft", 128, 8), ("lft", 16, 9)],
+    )
+    def test_entries_match_exact_dft(self, t_kind, n_c, n):
+        if t_kind == "ppt":
+            exact = exact_dft(n_c) @ ppt_core(n_c, n)
+        else:
+            exact = selection(n_c, n) @ exact_dft(n)
+        assert np.max(np.abs(make_model(t_kind, n_c, n) - exact)) < 2e-15
+
+    def test_large_ppt_validates_to_rounding(self):
+        rep = validate_ppt(make_model("ppt", 2048, 8))
+        assert max(rep.unitarity, rep.off_diagonal, rep.trace_sum) < 1e-14
 
 
 class TestValidatePpt:

@@ -24,8 +24,8 @@ from pnofdm.estimators import (
 )
 from pnofdm.link import (DEFAULT_MODEL, LinkConfig, OfdmFrame, ber_records, make_frame_pair, make_model, run_link,
                          simulate)
-from test_link import all_pilot_values, channel_one, rotate_one, sent_symbol
-from pnofdm.spectral import GEOMETRY_TOL, dft_matrix, geometry_residual, phase_trajectory, spectral_vector
+from test_link import all_pilot_values, channel_one, dft, rotate_one, sent_symbol
+from pnofdm.spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
 from pnofdm.sdp import certify_local
 from pnofdm.sproc import primal_oracle, random_gram_instance
 from pnofdm.estimators import LsSystem, _circulant_gather
@@ -68,16 +68,14 @@ def synthetic_system(n, k, seed):
     """Random Gram system wrapped as an LsSystem for the full-size model ``pc_ppt(n, n) = F``.
 
     ``A`` is a design on the spectrum ``F x``, so the pair is the time pair
-    ``(F^H A^H A F, F^H A^H w)``.
+    ``(B^H B, B^H w)`` of ``B = A F``, the FFT of ``A``'s rows.
     """
     rng = np.random.default_rng(seed)
     A = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
     w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    F = dft_matrix(n)
-    M = A.conj().T @ A
-    M = F.conj().T @ ((M + M.conj().T) / 2) @ F
-    b = F.conj().T @ (A.conj().T @ w)
-    return LsSystem((M + M.conj().T) / 2, b, float(np.real(w.conj() @ w)), A, w)
+    B = np.fft.fft(A, axis=1, norm="ortho")
+    M = B.conj().T @ B
+    return LsSystem((M + M.conj().T) / 2, B.conj().T @ w, float(np.real(w.conj() @ w)), A, w)
 
 
 def _count_residuals(monkeypatch):
@@ -196,7 +194,7 @@ class TestBuildLsSystem:
         # the uls and nls estimates that the time pair gives.
         cfg = LinkConfig(snr_db=snr_db)
         T = make_model(t_kind, cfg.n_c, DEFAULT_MODEL[1])
-        T_spectral = T @ dft_matrix(T.shape[1]).conj().T
+        T_spectral = T @ dft(T.shape[1]).conj().T
         for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([46, int(snr_db)]).spawn(16), next_symbol=False):
             R = np.stack([np.roll(f0.r, m) for m in range(cfg.n_c)], axis=1)  # column-circulant, first column r
             A = R[f0.pilot_idx] @ T_spectral
@@ -430,7 +428,7 @@ class TestGls:
         rows = np.diag(np.sqrt([2.0, 1.0, 0.0])).astype(complex)
         w = np.array([1 / np.sqrt(2), 0.5, 0.0], dtype=complex)
         sys = LsSystem(rows.conj().T @ rows, rows.conj().T @ w, float(np.real(w.conj() @ w)),
-                       rows @ dft_matrix(3).conj().T, w)
+                       rows @ dft(3).conj().T, w)
         with pytest.raises(np.linalg.LinAlgError):
             certify_local(sys.M, sys.b)
         out = gls(sys, pc_ppt(3, 3))
@@ -610,7 +608,7 @@ def c_matrix(model, pilot_idx, theta, H, s, r):
     the model dimension.
     """
     n_c = H.size
-    F = dft_matrix(n_c)
+    F = dft(n_c)
     Fh = F.conj().T
     w = H * s
     E_w = Fh @ w

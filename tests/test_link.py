@@ -35,7 +35,12 @@ from pnofdm.link import (
 from pnofdm.coding import conv_encode
 from pnofdm.estimators import ESTIMATOR_IDS, MODEL_FREE_IDS, NEXT_SYMBOL_IDS
 from pnofdm.qam import qam16_map
-from pnofdm.spectral import dft_matrix, spectral_vector
+from pnofdm.spectral import spectral_vector
+
+
+def dft(n):
+    """The unitary ``n x n`` DFT ``F`` as a dense array, ``F @ I`` computed as the package applies ``F``."""
+    return np.fft.fft(np.eye(n), axis=0, norm="ortho")
 
 
 def sent_symbol(frame):
@@ -251,7 +256,7 @@ class TestTransmit:
         rng = np.random.default_rng(7)
         theta = rng.uniform(-np.pi, np.pi, 32)
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        F = dft_matrix(32)
+        F = dft(32)
         V = F @ np.diag(np.exp(1j * theta)) @ F.conj().T
         assert np.max(np.abs(rotate_one(x, theta) - V @ x)) < 1e-12
 

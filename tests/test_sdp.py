@@ -16,8 +16,8 @@ from pnofdm.sdp import (
     kkt_recover,
     solve_dual,
 )
-from pnofdm.spectral import dft_matrix
 from pnofdm.sproc import duality_gap, primal_oracle, random_gram_instance
+from test_link import dft
 
 
 def eye_pair(n):
@@ -33,7 +33,7 @@ def reference_lmi(M, b, tau, mu):
     the two LMIs are similar under ``blkdiag(F, 1)``.
     """
     n = len(b)
-    F = dft_matrix(n)
+    F = dft(n)
     Mf, bf = F @ M @ F.conj().T, F @ b
     G = np.empty((n + 1, n + 1), dtype=complex)
     G[:n, :n] = Mf + (F * mu) @ F.conj().T
@@ -76,7 +76,7 @@ class TestAssemble:
         M, b = random_gram_instance(5, 8, 2)
         tau, mu = rng.standard_normal(), rng.standard_normal(5)
         T = np.eye(6, dtype=complex)
-        T[:5, :5] = dft_matrix(5)
+        T[:5, :5] = dft(5)
         Gt = T.conj().T @ reference_lmi(M, b, tau, mu) @ T
         assert np.allclose(_lmi(M, b, tau, mu), Gt, atol=1e-13)
         assert np.allclose(4.0 * _lmi(M / 4.0, b / 4.0, tau / 4.0, mu / 4.0), Gt, atol=1e-13)
@@ -219,7 +219,7 @@ class TestKktRecover:
         M, b = random_gram_instance(5, 10, 8)
         sol = solve_dual(M, b)
         x, info = kkt_recover(M, b, sol)
-        F = dft_matrix(5)
+        F = dft(5)
         A = reference_lmi(M, b, sol.tau, sol.mu)[:5, :5]  # the paper's system on the spectrum
         direct = F.conj().T @ np.linalg.solve(A, F @ b)
         assert info.full_rank

@@ -4,9 +4,9 @@ of phase trajectories."""
 import numpy as np
 import pytest
 
+from pnofdm.dimred import lft, pc_ppt
 from pnofdm.spectral import (
     GEOMETRY_TOL,
-    dft_matrix,
     geometry_residual,
     phase_trajectory,
     spectral_vector,
@@ -22,29 +22,20 @@ def _shift(n, l):
 
 
 class TestDftMatrix:
+    # The unitary DFT convention, read off the package's transforms: at full
+    # dimension both lift matrices are F itself.
     def test_n1_identity(self):
-        assert np.allclose(dft_matrix(1), [[1.0]])
+        for T in (pc_ppt(1, 1), lft(1, 1)):
+            assert np.allclose(T, [[1.0]])
 
     def test_n2_exact(self):
         expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert np.allclose(dft_matrix(2), expected, atol=1e-15)
+        for T in (pc_ppt(2, 2), lft(2, 2)):
+            assert np.allclose(T, expected, atol=1e-15)
 
     def test_gram_is_identity(self):
-        F = dft_matrix(8)
-        assert np.max(np.abs(F.conj().T @ F - np.eye(8))) < 1e-13
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            dft_matrix(0)
-
-    @pytest.mark.parametrize("n", [1, 2, 8, 128])
-    def test_one_shared_read_only_matrix_per_size(self, n):
-        F = dft_matrix(n)
-        assert dft_matrix(n) is F
-        k = np.arange(n)
-        assert np.array_equal(F, np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n))
-        with pytest.raises(ValueError, match="read-only"):
-            F[0, 0] = 0.0
+        for F in (pc_ppt(8, 8), lft(8, 8)):
+            assert np.max(np.abs(F.conj().T @ F - np.eye(8))) < 1e-13
 
 
 class TestGeometryResidual:

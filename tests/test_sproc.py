@@ -5,13 +5,14 @@ import pytest
 
 from pnofdm import sdp, sproc
 from pnofdm.sdp import _cost_pair, certify_local
-from pnofdm.spectral import dft_matrix, geometry_residual
+from pnofdm.spectral import geometry_residual
 from pnofdm.sproc import (
     duality_gap,
     primal_oracle,
     random_gram_instance,
     regularity_matrix,
 )
+from test_link import dft
 from test_spectral import _shift
 
 
@@ -47,7 +48,7 @@ class TestRegularityMatrix:
         # Hermitian, so it has a real part only).
         splits = [_hermitian_split(_shift(n, l)) for l in range(1, n // 2 + 1)]
         forms = [np.eye(n)] + [real for real, _ in splits] + [imag for _, imag in splits[: (n - 1) // 2]]
-        F = dft_matrix(n)
+        F = dft(n)
         table = regularity_matrix(n)[:, :n]
         assert table.shape == (n, n) and len(forms) == n
         for row, W in zip(table, forms):
@@ -63,7 +64,7 @@ class TestRegularityMatrix:
 
 def _spectral_pair(M, b):
     """The paper's pair ``(F M F^H, F b)`` on the spectrum ``gamma = F x`` of the time pair ``(M, b)``."""
-    F = dft_matrix(b.size)
+    F = dft(b.size)
     return F @ M @ F.conj().T, F @ b
 
 
@@ -374,7 +375,7 @@ class TestPrimalOracle:
     def test_argmin_feasible(self):
         M, b = random_gram_instance(3, 6, 5)
         res = primal_oracle(M, b)
-        assert geometry_residual(dft_matrix(3) @ res.x) < 1e-12
+        assert geometry_residual(dft(3) @ res.x) < 1e-12
 
     def test_infeasible_argmin_raises(self, monkeypatch):
         # A descent that left the constant-modulus set is caught.

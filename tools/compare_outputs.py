@@ -111,7 +111,8 @@ def csv_moves(old: str, new: str):
             if fx is None or fy is None:
                 moves[name] = "non-numeric change"
             elif moves.get(name) != "non-numeric change":
-                moves[name] = max(moves.get(name, 0.0), abs(fx - fy) / max(abs(fx), abs(fy)))
+                move = abs(fx - fy) / max(abs(fx), abs(fy)) if fx != fy else 0.0  # "0" -> "-0.0" moves nothing
+                moves[name] = max(moves.get(name, 0.0), move)
     return moves
 
 
