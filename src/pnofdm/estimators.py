@@ -19,20 +19,20 @@ Five estimators are provided:
     errors (``eps != 0``) from noise, limited pilots, and the reduction
     model.
 ``nls``
-    ``uls`` followed by an exact constant-modulus projection of the lifted
-    time samples.
+    The spectral vector of the lifted ``uls`` estimate's phase trajectory:
+    the nearest point of the geometry to that estimate.
 ``gls``
     Least squares constrained to the geometry, under a ``ppt`` model only, a
     run rule that :func:`pnofdm.link.run_violations` checks.  A Newton solve
     on the time phases runs first, and its point is returned when the
     closed-form Lagrangian certificate proves it globally optimal.  Other
-    frames go through the convex dual program (:mod:`pnofdm.sdp`), are
-    recovered through the stationarity system and finished with one exact
-    constant-modulus projection; they report the measured gap to the dual
-    bound.  That point is a rounding of the relaxation, not a proven
-    minimizer: at 10 dB its cost was above the discarded Newton point's on
-    1112 of 1155 uncertified frames, and above ``nls``'s on 30 (ROADMAP
-    item 12).
+    frames go through the convex dual program (:mod:`pnofdm.sdp`) and are
+    recovered through the stationarity system; their estimate is the
+    spectral vector of the lifted estimate's phase trajectory, and they
+    report the measured gap to the dual bound.  That point is a rounding of
+    the relaxation, not a proven minimizer: at 10 dB its cost was above the
+    discarded Newton point's on 1112 of 1155 uncertified frames, and above
+    ``nls``'s on 30 (ROADMAP item 12).
 ``cpe_only``
     Scalar common-phase fit on the pilots; corrects the average rotation and
     leaves all inter-carrier leakage.
@@ -69,7 +69,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .sdp import certify_local, kkt_recover, solve_dual
-from .spectral import geometry_residual, spectral_vector
+from .spectral import geometry_residual, phase_trajectory, spectral_vector
 
 __all__ = [
     "ESTIMATOR_IDS",
@@ -88,7 +88,6 @@ __all__ = [
     "gls",
     "nls",
     "pilot_scalar",
-    "project_constant_modulus",
     "uls",
 ]
 
@@ -184,25 +183,6 @@ def _output(delta, cost=None, **diagnostics) -> EstimatorOutput:
     return EstimatorOutput(delta, EstimatorDiagnostics(cost, delta, **diagnostics))
 
 
-def project_constant_modulus(gamma):
-    """Project a spectrum onto the constant-modulus set, exactly.
-
-    Normalizes the inverse-transform samples to modulus ``1/n`` (keeping
-    their phases) and transforms back.  A zero sample has no phase; it is
-    replaced by ``1/n`` (phase zero) and reported.  Idempotent on
-    vectors already on the geometry.
-
-    Returns ``(projected, n_zero_samples)``.
-    """
-    g = np.asarray(gamma, dtype=complex)
-    u = np.fft.ifft(g)
-    mag = np.abs(u)
-    zero = mag == 0.0
-    n_zero = int(np.count_nonzero(zero))
-    unit = np.where(zero, 1.0, u / np.where(zero, 1.0, mag))
-    return np.fft.fft(unit) / g.size, n_zero
-
-
 def _uls_x(sys: LsSystem):
     """Solve the normal equations ``M x = b``.
 
@@ -227,15 +207,13 @@ def uls(sys: LsSystem, T) -> EstimatorOutput:
 
 
 def nls(sys: LsSystem, T) -> EstimatorOutput:
-    """``uls`` followed by an exact constant-modulus projection of the time samples.
+    """The spectral vector of the lifted ``uls`` estimate's phase trajectory.
 
-    The ``zero_time_samples:k`` flag counts full-length samples, so under
-    ``ppt`` each zero reduced sample counts ``n_c/n`` times; no caller reads
-    flags yet (ROADMAP item 4).
+    That is the nearest point of the geometry to ``T x``
+    (:func:`pnofdm.spectral.phase_trajectory`).
     """
-    delta, n_zero = project_constant_modulus(T @ _uls_x(sys))
-    flags = (f"zero_time_samples:{n_zero}",) if n_zero else ()
-    return _output(delta, sys.cost_delta(delta), flags=flags)
+    delta = spectral_vector(phase_trajectory(T @ _uls_x(sys)))
+    return _output(delta, sys.cost_delta(delta))
 
 
 def gls(sys: LsSystem, T) -> EstimatorOutput:
@@ -249,10 +227,10 @@ def gls(sys: LsSystem, T) -> EstimatorOutput:
     with ``certified=True`` and ``gap = 0``.  Otherwise, or when the local
     solve raises a numpy ``LinAlgError``, the dual is solved to a certified
     optimum, the time samples recovered from the stationarity system, and
-    their lift gets ``nls``'s exact projection (its zero-sample flag counts
-    full-length samples), which removes the infeasibility the solver
-    tolerance leaves; such frames carry ``certified=False`` and the
-    measured ``gap = cost - tau``.  Their point is not a proven minimizer: at
+    the estimate is the spectral vector of the lifted estimate's phase
+    trajectory, as in ``nls``, which removes the infeasibility the solver
+    tolerance leaves; such frames carry ``certified=False`` and the measured
+    ``gap = cost - tau``.  Their point is not a proven minimizer: at
     10 dB its cost was above the discarded Newton point's on 1112 of 1155
     uncertified frames, and above ``nls``'s on 30 (ROADMAP item 12).  On
     dual-solve failure, including a numpy ``LinAlgError`` in the solve or the
@@ -280,9 +258,7 @@ def gls(sys: LsSystem, T) -> EstimatorOutput:
             raise EstimationError(f"dual solve failed: {exc}") from exc
         if not info.full_rank:
             flags = (f"kkt_rank_deficient:{info.rank}",)
-        delta, n_zero = project_constant_modulus(T @ x)
-        if n_zero:
-            flags = flags + (f"zero_time_samples:{n_zero}",)
+        delta = spectral_vector(phase_trajectory(T @ x))
     cost = sys.cost_delta(delta)
     return _output(
         delta, cost, flags=flags, solver=sol,

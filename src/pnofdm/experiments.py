@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from .dimred import validate_ppt
 from .estimators import error_decomposition
-from .link import DEFAULT_MODEL, LinkConfig, _distinct, ber_records, make_model, run_violations, simulate
+from .link import DEFAULT_MODEL, LinkConfig, _ci95, _distinct, ber_records, make_model, run_violations, simulate
 from .spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
 from .sproc import GAP_KINDS, duality_gap, random_gram_instance, regularity_matrix
 
@@ -65,25 +65,30 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message lists every violation."""
 
 
-def _parse_number_list(kind):
-    return lambda text: tuple(kind(v) for v in text.split(","))
+def _parse_list(kind):
+    """Parser of a comma-separated list of ``kind`` items, each stripped; an
+    empty item raises ``ValueError``."""
 
+    def parse(text: str) -> tuple:
+        items = [v.strip() for v in text.split(",")]
+        if not all(items):
+            raise ValueError("empty list item")
+        return tuple(map(kind, items))
 
-def _parse_str_list(text: str):
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+    return parse
 
 
 _KEY_PARSERS = {
     "scenario": str,
     "n_c": int,
-    "n": _parse_number_list(int),
-    "t_kind": _parse_str_list,
+    "n": _parse_list(int),
+    "t_kind": _parse_list(str),
     "pilot_fraction": float,
     "taps": int,
     "coherence_bw": float,
-    "rho": _parse_number_list(float),
-    "snr_db": _parse_number_list(float),
-    "estimators": _parse_str_list,
+    "rho": _parse_list(float),
+    "snr_db": _parse_list(float),
+    "estimators": _parse_list(str),
     "trials": int,
     "seed": int,
 }
@@ -260,13 +265,7 @@ def _mse_trials(cfg: ExperimentConfig, rho: float):
 
 
 def _run_mse(cfg: ExperimentConfig, out_dir: Path):
-    rows = []
-    for rho in cfg.rho:
-        per_est = _mse_trials(cfg, rho)
-        for est, vals in per_est.items():
-            se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-            mean = float(np.mean(vals))
-            rows.append((rho, est, vals.size, mean, max(0.0, mean - 1.96 * se), mean + 1.96 * se))
+    rows = [(rho, est, vals.size, *_ci95(vals)) for rho in cfg.rho for est, vals in _mse_trials(cfg, rho).items()]
     columns = ("rho", "estimator", "trials", "mse", "ci95_low", "ci95_high")
     return [write_csv(out_dir / "mse_vs_rho.csv", _meta(cfg), columns, rows)]
 

@@ -385,22 +385,29 @@ class BerRecord:
     frame_errors: np.ndarray = field(repr=False)
 
 
+def _ci95(samples, high=np.inf) -> tuple:
+    """``(mean, low, high)``: the 95% normal interval of the mean of ``samples``.
+
+    The mean plus or minus 1.96 standard errors (``ddof=1``, and zero for a
+    single sample), clipped below at 0 and above at ``high``.
+    """
+    mean = float(np.mean(samples))
+    se = float(np.std(samples, ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else 0.0
+    return mean, max(0.0, mean - 1.96 * se), min(high, mean + 1.96 * se)
+
+
 def _ber_record(cfg: LinkConfig, frame_errors, bits_per_frame: int, flagged: int) -> BerRecord:
     """One run's record of its per-frame bit errors, in trial order.
 
-    The interval is the 95% normal approximation of the mean of the per-frame
-    BERs: the mean plus or minus 1.96 standard errors, clipped to ``[0, 1]``.
+    The interval is :func:`_ci95` of the per-frame BERs, clipped to ``[0, 1]``.
     It is not a binomial (Wilson) interval: with zero errors in every frame
     the standard error is zero and the interval collapses to ``[0, 0]``.
     """
-    frame_ber = frame_errors / bits_per_frame
-    mean = float(np.mean(frame_ber))
-    se = float(np.std(frame_ber, ddof=1) / np.sqrt(frame_ber.size)) if frame_ber.size > 1 else 0.0
+    _, low, high = _ci95(frame_errors / bits_per_frame, high=1.0)
     return BerRecord(
         snr_db=cfg.snr_db, frames=frame_errors.size, bit_errors=int(frame_errors.sum()),
         ber=float(frame_errors.sum() / (bits_per_frame * frame_errors.size)),
-        ci95_low=max(0.0, mean - 1.96 * se), ci95_high=min(1.0, mean + 1.96 * se),
-        flagged_frames=flagged, frame_errors=frame_errors,
+        ci95_low=low, ci95_high=high, flagged_frames=flagged, frame_errors=frame_errors,
     )
 
 

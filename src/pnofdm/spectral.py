@@ -91,5 +91,10 @@ def phase_trajectory(delta) -> np.ndarray:
     For ``delta = spectral_vector(theta)`` the inverse transform is
     ``exp(-1j*theta) / n``, so this recovers ``theta`` wrapped to
     ``(-pi, pi]``.
+
+    Composed with :func:`spectral_vector` it projects any spectrum onto the
+    nearest point of the geometry: each time sample keeps its phase and
+    takes modulus ``1/n``, and a zero sample takes phase 0, as
+    ``np.angle(0)`` gives.
     """
     return -np.angle(np.fft.ifft(delta))

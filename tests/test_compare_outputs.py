@@ -1,6 +1,6 @@
 """The output-comparison tool ``tools/compare_outputs.py``: its report on
-given artifact texts, and the README blocks it runs.  The tool is loaded by
-path, and nothing here starts a process."""
+given artifact texts, the README blocks it runs and the error of a failed
+command.  The tool is loaded by path, and nothing here starts a process."""
 
 import importlib.util
 from pathlib import Path
@@ -78,3 +78,19 @@ def test_readme_configs_keeps_only_scenario_blocks(tmp_path):
         "scenario = ber-vs-snr\nframes = 10\n",
         "estimators = gls\nscenario=mse-vs-rho\n",
     ]
+
+
+def test_failed_command_error_quotes_stdout_tail(monkeypatch, tmp_path):
+    # pytest reports a collection error on stdout and leaves stderr empty.
+    stdout = "".join(f"line {i}\n" for i in range(100)) + "ERROR collecting tests/test_x.py\n"
+
+    def failed(cmd, **kwargs):
+        return compare_outputs.subprocess.CompletedProcess(cmd, 2, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(compare_outputs.subprocess, "run", failed)
+    with pytest.raises(RuntimeError) as err:
+        compare_outputs._run(tmp_path, ["-m", "pytest"])
+    message = str(err.value)
+    assert "exited 2" in message and message.endswith("ERROR collecting tests/test_x.py")
+    first = 101 - compare_outputs.STDOUT_TAIL  # the first of the last STDOUT_TAIL lines
+    assert f"\nline {first}\n" in message and f"\nline {first - 1}\n" not in message

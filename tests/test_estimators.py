@@ -19,7 +19,6 @@ from pnofdm.estimators import (
     gls,
     nls,
     pilot_scalar,
-    project_constant_modulus,
     uls,
 )
 from pnofdm.link import (DEFAULT_MODEL, LinkConfig, OfdmFrame, ber_records, make_frame_pair, make_model, run_link,
@@ -201,7 +200,7 @@ class TestBuildLsSystem:
             w_p = f0.H[f0.pilot_idx] * f0.pilot_values
             delta = T_spectral @ np.linalg.solve(A.conj().T @ A, A.conj().T @ w_p)
             sys = build_ls_system(f0, T)
-            for got, want in ((uls(sys, T), delta), (nls(sys, T), project_constant_modulus(delta)[0])):
+            for got, want in ((uls(sys, T), delta), (nls(sys, T), spectral_vector(phase_trajectory(delta)))):
                 assert np.linalg.norm(got.delta_hat - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize(
@@ -338,21 +337,23 @@ class TestNls:
 
     @pytest.mark.parametrize("kind", ["ppt", "lft"])
     def test_projects_lifted_uls(self, kind):
-        # Under every model nls is the lifted uls estimate with its
-        # full-length time samples projected to constant modulus.
+        # Under every model nls is the spectral vector of the lifted uls
+        # estimate's phase trajectory, bit for bit.
         cfg = LinkConfig(snr_db=10.0)
         model = make_model(kind, cfg.n_c, DEFAULT_MODEL[1])
         for f0, _ in make_frame_pair(cfg, range(8), next_symbol=False):
             sys = build_ls_system(f0, model)
             out = nls(sys, model)
-            assert np.array_equal(out.delta_hat, project_constant_modulus(uls(sys, model).delta_hat)[0])
+            assert np.array_equal(out.delta_hat, spectral_vector(phase_trajectory(uls(sys, model).delta_hat)))
             assert out.diagnostics.geometry_residual < GEOMETRY_TOL
 
     def test_projection_zero_sample_flagged(self):
+        # A zero time sample has no phase: it takes modulus 1/n and phase 0.
         gamma = np.fft.fft(np.array([0.0, 1.0, 1.0, 1.0], dtype=complex)) / 4
-        projected, n_zero = project_constant_modulus(gamma)
-        assert n_zero == 1
-        assert np.max(np.abs(np.abs(np.fft.ifft(projected)) - 0.25)) < 1e-15
+        assert np.fft.ifft(gamma)[0] == 0
+        projected = np.fft.ifft(spectral_vector(phase_trajectory(gamma)))
+        assert np.max(np.abs(np.abs(projected) - 0.25)) < 1e-15
+        assert abs(projected[0] - 0.25) < 1e-15
 
 
 class TestGls:

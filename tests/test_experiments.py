@@ -113,7 +113,7 @@ class TestParseConfig:
              "does not read key 'coherence_bw'"),
             ("estimate-error-pdf", "f_sub = 15000", "unknown key 'f_sub'"),
             ("mse-vs-bandwidth", "rho = 0.02,-0.1", "rho must be finite and nonnegative"),
-            ("ber-vs-snr", "estimators =", "estimators must be at least one distinct value"),
+            ("ber-vs-snr", "estimators =", "cannot parse value for 'estimators'"),
             ("ber-vs-snr", "estimators = uls, uls", "estimators must be at least one distinct value"),
             ("ber-vs-snr", "estimators = gls\nt_kind = lft", "nothing runs under t_kind = 'lft'"),
             ("ber-vs-snr", "t_kind = ppt,lft\nestimators = gls", "nothing runs under t_kind = 'lft'"),
@@ -192,11 +192,22 @@ class TestParseConfig:
             parse_config("scenario = ber-vs-snr\nsnr_db =\n")
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("estimators", "cpe,,gls"), ("t_kind", "ppt,"), ("snr_db", "10,,20"), ("n", "8,"), ("rho", ", 1e-4")],
+    )
+    def test_empty_list_item_rejected(self, key, value):
+        # Every list key reads its items one way: an empty item is a parse
+        # error, never dropped.
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"scenario = ber-vs-snr\n{key} = {value}\n")
+        assert str(err.value) == f"line 2: cannot parse value for {key!r}: {value!r}"
+
+    @pytest.mark.parametrize(
         "line, message",
         [
             ("t_kind = ppt,ppt", "t_kind must be at least one distinct value, got ['ppt', 'ppt']"),
             ("n = 4,4", "n must be at least one distinct value, got [4, 4]"),
-            ("t_kind =", "t_kind must be at least one distinct value, got []"),
+            ("t_kind =", "line 2: cannot parse value for 't_kind': ''"),
         ],
     )
     def test_model_list_error_named_once_under_its_key(self, line, message):
@@ -421,14 +432,9 @@ class TestScenarios:
         }
 
 
-def unnormalized_projection(real):
-    """``project_constant_modulus`` skipping its last normalization, the final ``1/n``."""
-
-    def project(gamma):
-        projected, n_zero = real(gamma)
-        return projected * np.size(gamma), n_zero
-
-    return project
+def unnormalized_spectral_vector(real):
+    """``spectral_vector`` without its ``1/n``."""
+    return lambda theta: real(theta) * np.size(theta)
 
 
 class TestVerify:
@@ -485,7 +491,7 @@ class TestVerify:
     # One fault per row: the module, the attribute to replace and a wrapper
     # of the real function.
     FAULTS = {
-        "geometry-construction": (estimators, "project_constant_modulus", unnormalized_projection),
+        "geometry-construction": (estimators, "spectral_vector", unnormalized_spectral_vector),
         # The row validates the lift matrices the link uses: 1e-11 on every
         # T breaks unitarity past PPT_TOL while each lifted residual stays
         # below GEOMETRY_TOL.
@@ -549,7 +555,7 @@ class TestVerify:
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         assert verify().passed
         assert readers == {
-            "project_constant_modulus": {"geometry-construction"},
+            "spectral_vector": {"geometry-construction"},
             "validate_ppt": {"ppt-validation"},
             "make_model": {"ppt-validation"},
             "regularity_matrix": {"regularity"},

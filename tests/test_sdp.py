@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pnofdm import sdp
-from pnofdm.estimators import build_ls_system, gls, project_constant_modulus
+from pnofdm.estimators import build_ls_system, gls
 from pnofdm.link import DEFAULT_MODEL, LinkConfig, make_frame_pair, make_model
 from pnofdm.sdp import (
     SdpSolution,
@@ -16,6 +16,7 @@ from pnofdm.sdp import (
     kkt_recover,
     solve_dual,
 )
+from pnofdm.spectral import phase_trajectory, spectral_vector
 from pnofdm.sproc import duality_gap, primal_oracle, random_gram_instance
 from test_link import dft
 
@@ -270,7 +271,7 @@ class TestLinkInstances:
                 assert sol.iterations == 0 and out.diagnostics.gap == 0
                 assert sol.min_eig >= bound
                 dual = solve_dual(sys.M, sys.b)
-                ref, _ = project_constant_modulus(model @ kkt_recover(sys.M, sys.b, dual)[0])
+                ref = spectral_vector(phase_trajectory(model @ kkt_recover(sys.M, sys.b, dual)[0]))
                 assert np.max(np.abs(out.delta_hat - ref)) < 1e-6
                 # The certified cost is the dual optimum.
                 assert abs(sol.tau - dual.tau) <= 1e-7 * (1 + abs(dual.tau))
@@ -461,9 +462,7 @@ def reference_gls(sys, model):
         x, rank = reference_kkt_recover(sys.M, sys.b, sol)
         if rank < sys.b.size:
             flags = (f"kkt_rank_deficient:{rank}",)
-        delta, n_zero = project_constant_modulus(model @ x)
-        if n_zero:
-            flags = flags + (f"zero_time_samples:{n_zero}",)
+        delta = spectral_vector(phase_trajectory(model @ x))
     cost = sys.cost_delta(delta)
     gap = 0.0 if local is not None else cost - sys.const_term - sol.tau
     return delta, cost, gap, flags, local is not None

@@ -108,6 +108,28 @@ class TestSpectralVector:
         wrapped = np.angle(np.exp(1j * (phase_trajectory(sv) - theta)))
         assert np.max(np.abs(wrapped)) < 1e-12
 
+    @pytest.mark.parametrize("n", [8, 128])
+    @pytest.mark.parametrize("zero_sample", [False, True], ids=["random", "zero-sample"])
+    def test_composition_projects_onto_the_geometry(self, n, zero_sample):
+        # spectral_vector(phase_trajectory(g)) is the nearest geometry point to g.
+        rng = np.random.default_rng([n, zero_sample])
+        c = rng.standard_normal() + 1j * rng.standard_normal()
+        if zero_sample:
+            g = np.zeros(n, dtype=complex)
+            g[:2] = c  # time samples c (1 + exp(2j*pi*m/n)) / n, exactly zero at m = n/2
+            assert np.flatnonzero(np.fft.ifft(g) == 0).tolist() == [n // 2]
+        else:
+            g = c * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        theta = phase_trajectory(g)
+        projected = spectral_vector(theta)
+        assert geometry_residual(projected) < GEOMETRY_TOL
+        # A point of the geometry stays where it is.
+        for sv in (projected, spectral_vector(rng.uniform(-np.pi, np.pi, n))):
+            assert np.max(np.abs(spectral_vector(phase_trajectory(sv)) - sv)) < 1e-15
+        # No geometry point near it, its own phases perturbed by up to 1e-3 rad, is closer to g.
+        perturbed = np.array([spectral_vector(theta + rng.uniform(-1e-3, 1e-3, n)) for _ in range(200)])
+        assert np.all(np.linalg.norm(g - projected) <= np.linalg.norm(g - perturbed, axis=1))
+
 
 class TestCpe:
     # The common phase error is the zeroth component of the spectral vector.

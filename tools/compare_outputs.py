@@ -41,16 +41,21 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+STDOUT_TAIL = 40  # lines of a failed command's stdout that its error quotes
 
 
 def _run(tree: Path, args, ok=(0,)) -> str:
     """stdout of ``python ARGS`` in a fresh interpreter reading ``tree/src``
-    first; an exit code not in ``ok`` raises with the command's stderr."""
+    first; an exit code not in ``ok`` raises with the command's stderr and
+    the last ``STDOUT_TAIL`` lines of its stdout, where pytest reports a
+    collection error."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode not in ok:
-        raise RuntimeError(f"{' '.join(args)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+        tail = "\n".join(proc.stdout.splitlines()[-STDOUT_TAIL:])
+        raise RuntimeError(f"{' '.join(args)} in {tree} exited {proc.returncode}:\n"
+                           f"stderr:\n{proc.stderr}\nstdout, last lines:\n{tail}")
     return proc.stdout
 
 
