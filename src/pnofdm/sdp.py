@@ -35,11 +35,13 @@ Most instances the coded link produces need no dual solve at all.
 :func:`certify_local` runs damped Newton on the time phases ``phi`` of
 ``x = exp(1j*phi)/sqrt(n)``.  At its stationary point the multipliers
 ``mu_i = Re((b - M x)_i / x_i)`` are closed-form, and ``M + Diag(mu) >= 0``
-proves ``x`` globally optimal: with ``tau`` the cost at ``x`` the LMI above
-holds with a zero Schur complement (Boumal, "Nonconvex phase
-synchronization", SIAM J. Optim. 2016).  The barrier solver runs only where
-that certificate fails.  The primal oracle of :mod:`pnofdm.sproc` descends
-with the same Newton loop, :func:`_local_newton`.
+proves ``x`` globally optimal (Boumal, "Nonconvex phase synchronization",
+SIAM J. Optim. 2016).  With ``tau`` the cost at ``x`` the LMI above equals
+``C^H (M + Diag(mu)) C``, ``C = [I, x]``, and is PSD exactly when its top
+block is, so one test certifies the points of both solvers: the LMI's
+``min_eig`` against ``MIN_EIG_TOL``.  The barrier runs only where it fails.
+The primal oracle of :mod:`pnofdm.sproc` descends with the same Newton
+loop, :func:`_local_newton`.
 
 The solver is a log-det barrier interior-point method: Newton centering steps
 on ``-t*w.d - logdet(G0 + Diag(d))`` along an increasing barrier schedule.
@@ -58,12 +60,12 @@ which then reports ``status = "max_iter"`` (on random Gram instances, ``k =
 
 Every LAPACK call but the SVDs goes through numpy's gufuncs directly, one
 helper per routine: the start points' solves and ``eigvalsh``, the local
-solve's phase-Hessian ``eigh`` and the certificate's ``eigvalsh``, and the
-barrier's Cholesky factorizations, inverse, Newton solve and final
-``eigvalsh``.  On these 9 x 9 matrices ``numpy.linalg``'s per-call argument
-handling cost more than LAPACK did, and about a third of a barrier step.
-Each solver enters one floating-point error state (:func:`_lapack`) around
-all its calls, so a LAPACK failure still raises ``np.linalg.LinAlgError``.
+solve's phase-Hessian ``eigh`` and the certificate's one ``eigvalsh`` of the
+LMI, and the barrier's Cholesky factorizations, inverse, Newton solve and
+final ``eigvalsh``.  On these 9 x 9 matrices ``numpy.linalg``'s per-call
+argument handling cost more than LAPACK did, and about a third of a barrier
+step.  Each solver enters one floating-point error state (:func:`_lapack`)
+around all its calls, so a LAPACK failure still raises ``LinAlgError``.
 The SVDs stay on public ``numpy.linalg``: the 2-norm, taken as
 ``svd(M, compute_uv=False)[0]`` (bit for bit ``norm(M, 2)``, without its
 axis handling), and :func:`kkt_recover`'s, since the SVD gufuncs are named
@@ -93,7 +95,7 @@ DECREMENT_TOL = 2e-11  # squared Newton decrement of a centered point
 KKT_RCOND = 1e-10  # relative singular-value cutoff of the recovery solve
 MIN_EIG_TOL = 1e-8  # LMI min_eig >= -this * (1 + ||M||_2) reports a solution optimal
 
-# Local solve and closed-form certificate; tolerances are relative to 1 + ||M||_2.
+# Local solve; tolerances are relative to 1 + ||M||_2.
 LOCAL_MAX_NEWTON = 50  # Newton steps on the time phases
 LOCAL_MAX_BACKTRACK = 40  # Armijo halvings of one step
 LOCAL_STEP_CAP = 0.5  # largest phase change of one step, radians
@@ -101,7 +103,6 @@ LOCAL_GRAD_TOL = 1e-11  # phase-gradient norm (max) of a stationary point
 LOCAL_EIG_FLOOR = 1e-8  # smallest eigenvalue of the modified phase Hessian
 LOCAL_COST_SLACK = 1e-14  # relative cost rounding the Armijo test forgives
 ARMIJO = 1e-4  # sufficient-decrease fraction of the Armijo test
-CERT_EIG_TOL = 1e-9  # A + Diag(mu) >= -this certifies the global optimum
 
 
 def _raise_lapack_error(err, flag):
@@ -257,16 +258,15 @@ def certify_local(M, b):
     the phases of the unconstrained solution ``M^-1 b``.  At the stationary
     point the multipliers ``mu_i = Re((b - M x)_i / x_i)`` are closed-form,
     and ``M + Diag(mu) >= 0`` proves ``x`` globally optimal (Boumal, SIAM J.
-    Optim. 2016).  With ``tau`` the cost at ``x`` the LMI's Schur corner is
-    zero, so the returned :class:`SdpSolution` certifies weak duality at
-    equality.
+    Optim. 2016).  With ``tau`` the cost at ``x`` that is the reported LMI's
+    ``min_eig >= -MIN_EIG_TOL * (1 + ||M||_2)`` (see the module docstring),
+    and the :class:`SdpSolution` certifies weak duality at equality.
 
     Returns ``(x, SdpSolution)`` with the time samples ``x``, or ``None``
     when the Newton solve does not converge or the certificate fails.  A
     numpy ``LinAlgError`` propagates.
     """
     M, b = _cost_pair(M, b)
-    n = b.size
     scale = 1.0 + float(np.linalg.svd(M, compute_uv=False)[0])  # 1 + ||M||_2
     with _lapack():
         phi = np.angle(_solve_complex(M, b))
@@ -274,10 +274,7 @@ def certify_local(M, b):
         if not converged:
             return None
         mu = np.real((b - Mx) / x)
-        G = _lmi(M, b, J, mu)
-        if float(_eigvalsh(G[:n, :n])[0]) < -CERT_EIG_TOL * scale:
-            return None
-        min_eig = float(_eigvalsh(G)[0])
+        min_eig = float(_eigvalsh(_lmi(M, b, J, mu))[0])
     if min_eig < -MIN_EIG_TOL * scale:
         return None
     return x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")

@@ -1,6 +1,7 @@
 """The output-comparison tool ``tools/compare_outputs.py``: its report on
-given artifact texts, the README blocks it runs and the error of a failed
-command.  The tool is loaded by path, and nothing here starts a process."""
+given artifact texts, the README blocks it runs, the benchmark lines it keeps
+and the error of a failed command.  The tool is loaded by path, and nothing
+here starts a process."""
 
 import importlib.util
 from pathlib import Path
@@ -94,3 +95,41 @@ def test_failed_command_error_quotes_stdout_tail(monkeypatch, tmp_path):
     assert "exited 2" in message and message.endswith("ERROR collecting tests/test_x.py")
     first = 101 - compare_outputs.STDOUT_TAIL  # the first of the last STDOUT_TAIL lines
     assert f"\nline {first}\n" in message and f"\nline {first - 1}\n" not in message
+
+
+BENCH_STDOUT = (
+    'machine {"cpus": 2}\n'
+    "cell gls@10dB       ops=   236 failed=   0 bit_errors=    1803 rel_gap_max=0.000e+00\n"
+    "cell gls@30dB       ops=   236 failed=   1 bit_errors=       0 rel_gap_max=0.000e+00\n"
+    "digest 3f2a\n"
+    "frames_per_s 548.1000 at reference speed, 601.2 raw: 472 ops in 59 rounds\n"
+    "setup_s 0.1600 at reference speed, 0.1400 raw\n"
+    '{"correct": true, "attempted": 472, "failed": 1}\n'
+)
+
+
+def test_bench_lines_keep_cells_and_digest():
+    # Timings, machine facts and the JSON line vary from run to run and are dropped.
+    assert compare_outputs.bench_lines(BENCH_STDOUT, 0) == "".join(BENCH_STDOUT.splitlines(True)[1:4])
+
+
+def test_bench_lines_record_a_failed_run():
+    stdout = BENCH_STDOUT.replace('"correct": true', '"correct": false') + "CHECK FAILED: gap\n"
+    assert compare_outputs.bench_lines(stdout, 1) == compare_outputs.bench_lines(BENCH_STDOUT, 0) + "exit 1\n"
+    assert compare_outputs.bench_lines("", 2) == "exit 2\n"  # a benchmark error before any cell
+
+
+def test_bench_runs_cover_every_workload_without_raising(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text('{"workloads": [{"name": "a"}, {"name": "b"}]}', encoding="utf-8")
+    runs = []
+
+    def fake(cmd, **kwargs):
+        runs.append(cmd[1:])
+        code = 2 if "b" in cmd else 0
+        return compare_outputs.subprocess.CompletedProcess(cmd, code, stdout=BENCH_STDOUT, stderr="")
+
+    monkeypatch.setattr(compare_outputs.subprocess, "run", fake)
+    lines = compare_outputs.bench_lines(BENCH_STDOUT, 0)
+    assert compare_outputs.bench_runs(tmp_path) == {"bench/a": lines, "bench/b": lines + "exit 2\n"}
+    assert runs == [["perfbench/run.py", "--workload", w, *compare_outputs.BENCH_ARGS] for w in "ab"]
+    assert compare_outputs.bench_runs(tmp_path / "missing") == {}

@@ -349,10 +349,7 @@ def reference_certify_local(M, b):
     else:
         return None
     mu = np.real((c - A @ x) / x)
-    G = reference_time_lmi(A, c, J, mu)
-    if float(np.linalg.eigvalsh(G[:n, :n])[0]) < -sdp.CERT_EIG_TOL * scale:
-        return None
-    min_eig = float(np.linalg.eigvalsh(G)[0])
+    min_eig = float(np.linalg.eigvalsh(reference_time_lmi(A, c, J, mu))[0])
     if min_eig < -sdp.MIN_EIG_TOL * scale:
         return None
     return x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")
@@ -542,6 +539,42 @@ class TestMatchesReference:
             got, ref = solve_dual(M, b), reference_solve_dual(M, b)[0]
             assert_same_solution(got, ref)
             assert (got.iterations, got.status) == (k, "max_iter")
+
+
+class TestCertificateMargin:
+    """The local certificate's one rule, ``min_eig >= -MIN_EIG_TOL * (1 + ||M||_2)``,
+    decides with decades of margin on both sides.
+
+    At a certified point the LMI has the null vector ``[x; -1]``, so its
+    ``min_eig`` is zero to rounding; at every converged Newton point that
+    :func:`certify_local` rejects, the LMI is indefinite far below the
+    tolerance.  No decision rests on the tolerance's exact value.
+    """
+
+    @staticmethod
+    def check(pairs):
+        certified, rejected = [], []
+        for M, b in pairs:
+            A, c = _cost_pair(M, b)
+            scale = 1.0 + np.linalg.norm(A, 2)
+            local = certify_local(M, b)
+            if local is not None:
+                certified.append(local[1].min_eig / scale)
+                continue
+            with sdp._lapack():
+                x, J, Ax, _, converged = sdp._local_newton(A, c, np.angle(np.linalg.solve(A, c)), scale)
+            if converged:
+                mu = np.real((c - Ax) / x)
+                rejected.append(np.linalg.eigvalsh(reference_time_lmi(A, c, J, mu))[0] / scale)
+        assert certified and rejected
+        assert max(abs(e) for e in certified) <= 1e-12
+        assert max(rejected) < -1e-6
+
+    def test_link_frames(self, link_pairs):
+        self.check(link_pairs)
+
+    def test_gram_instances(self):
+        self.check(GRAM_PAIRS)
 
 
 LAPACK_HELPERS = {

@@ -17,7 +17,14 @@ and the tree as working directory, the script collects:
 * ``verify``: the stdout of ``pnofdm verify``;
 * ``acceptance``: the ``ACCEPTANCE n`` lines of ``pytest -rP
   tests/test_acceptance.py``;
-* ``demo/<name>``: the stdout of each script in ``demos/``.
+* ``demo/<name>``: the stdout of each script in ``demos/``;
+* ``bench/<workload>``: for each workload of the tree's ``BENCHMARK.json``,
+  the ``cell`` and ``digest`` lines of ``perfbench/run.py --workload W``
+  run with ``BENCH_ARGS`` (seed 1, 60 nominal seconds, untraced), then
+  ``exit N`` when the run exits with a status ``N`` other than 0.  The
+  cell lines hold each cell's operations and failures, so equal artifacts
+  mean equal digests, ``attempted`` and ``failed`` counts.  Each run also
+  leaves its record in the tree's ``perfbench/out/``.
 
 It prints each artifact as ``identical``, ``changed`` or ``missing`` on one
 side.  A changed artifact also gets the number of lines that differ, the
@@ -42,16 +49,22 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1]
 FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
 STDOUT_TAIL = 40  # lines of a failed command's stdout that its error quotes
+BENCH_ARGS = ("--seed", "1", "--seconds", "60", "--trace", "0")
+BENCH_LINE = re.compile(r"^(?:cell|digest) .*\n", re.M)
+
+
+def _proc(tree: Path, args) -> subprocess.CompletedProcess:
+    """``python ARGS`` run to its end in a fresh interpreter reading ``tree/src`` first."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True)
 
 
 def _run(tree: Path, args, ok=(0,)) -> str:
-    """stdout of ``python ARGS`` in a fresh interpreter reading ``tree/src``
-    first; an exit code not in ``ok`` raises with the command's stderr and
-    the last ``STDOUT_TAIL`` lines of its stdout, where pytest reports a
-    collection error."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True)
+    """stdout of ``python ARGS`` (:func:`_proc`); an exit code not in ``ok``
+    raises with the command's stderr and the last ``STDOUT_TAIL`` lines of
+    its stdout, where pytest reports a collection error."""
+    proc = _proc(tree, args)
     if proc.returncode not in ok:
         tail = "\n".join(proc.stdout.splitlines()[-STDOUT_TAIL:])
         raise RuntimeError(f"{' '.join(args)} in {tree} exited {proc.returncode}:\n"
@@ -63,6 +76,26 @@ def readme_configs(tree: Path) -> list:
     """The fenced blocks of the tree's README that configure a scenario, in order."""
     text = (tree / "README.md").read_text(encoding="utf-8")
     return [b for b in FENCE.findall(text) if re.search(r"^scenario\s*=", b, re.M)]
+
+
+def bench_lines(stdout: str, returncode: int) -> str:
+    """The ``cell`` and ``digest`` lines of a benchmark run's stdout, then
+    ``exit N`` when its exit status ``N`` is not 0."""
+    return "".join(BENCH_LINE.findall(stdout)) + (f"exit {returncode}\n" if returncode else "")
+
+
+def bench_runs(tree: Path) -> dict:
+    """``{"bench/<workload>": bench_lines(...)}`` for each workload of the
+    tree's ``BENCHMARK.json`` (none without one); a failed run is recorded,
+    not raised."""
+    spec = tree / "BENCHMARK.json"
+    if not spec.exists():
+        return {}
+    out = {}
+    for workload in json.loads(spec.read_text(encoding="utf-8"))["workloads"]:
+        proc = _proc(tree, ["perfbench/run.py", "--workload", workload["name"], *BENCH_ARGS])
+        out[f"bench/{workload['name']}"] = bench_lines(proc.stdout, proc.returncode)
+    return out
 
 
 def _run_config(tree: Path, config: str, work: Path, prefix: str, out: dict):
@@ -88,6 +121,7 @@ def collect(tree: Path, work: Path) -> dict:
                                        key=lambda line: int(line.split()[1].rstrip(":"))))
     for demo in sorted((tree / "demos").glob("*.py")):
         out[f"demo/{demo.name}"] = _run(tree, [str(demo)])
+    out.update(bench_runs(tree))
     return out
 
 
