@@ -20,6 +20,13 @@ the taps cannot reach, more taps than ``n_c``, an ``snr_db`` outside
 ``[-1000, 1000]`` dB, a ``rho`` whose ``4*pi*rho`` overflows and a negative
 ``seed`` are config errors, caught before anything runs.
 
+Each key is a field of :class:`ExperimentConfig` and parses as its default's
+type (a tuple default as a comma-separated list of its items' type).  Every
+rule above is :meth:`ExperimentConfig.violations`, which :func:`parse_config`
+and :func:`run_scenario` both apply, so a config built in code starts from
+``SCENARIOS[id].defaults``: a bare ``ExperimentConfig(scenario="phase-error-pdf")``
+carries the generic ``estimators`` and is refused.
+
 The receiver's reduction models are every ``(t_kind, n)`` pair of the two
 list keys.  :func:`pnofdm.link.simulate` leaves ``gls`` (``PPT_ONLY_IDS``)
 out of the runs under ``t_kind = lft``, and runs each id that reads no model
@@ -34,7 +41,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -65,35 +72,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message lists every violation."""
 
 
-def _parse_list(kind):
-    """Parser of a comma-separated list of ``kind`` items, each stripped; an
-    empty item raises ``ValueError``."""
-
-    def parse(text: str) -> tuple:
-        items = [v.strip() for v in text.split(",")]
-        if not all(items):
-            raise ValueError("empty list item")
-        return tuple(map(kind, items))
-
-    return parse
-
-
-_KEY_PARSERS = {
-    "scenario": str,
-    "n_c": int,
-    "n": _parse_list(int),
-    "t_kind": _parse_list(str),
-    "pilot_fraction": float,
-    "taps": int,
-    "coherence_bw": float,
-    "rho": _parse_list(float),
-    "snr_db": _parse_list(float),
-    "estimators": _parse_list(str),
-    "trials": int,
-    "seed": int,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
@@ -114,14 +92,8 @@ class ExperimentConfig:
         hold one value); :func:`simulate` takes the receiver's :attr:`models`."""
         (snr_db,) = self.snr_db if snr_db is None else (snr_db,)
         (rho,) = self.rho if rho is None else (rho,)
-        return LinkConfig(
-            n_c=self.n_c,
-            pilot_fraction=self.pilot_fraction,
-            snr_db=snr_db,
-            taps=self.taps,
-            coherence_bw=self.coherence_bw,
-            rho=rho,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(LinkConfig)}
+        return LinkConfig(**{**values, "snr_db": snr_db, "rho": rho})
 
     @property
     def models(self) -> tuple:
@@ -133,6 +105,10 @@ class ExperimentConfig:
         scenario = SCENARIOS.get(self.scenario)
         if scenario is None:
             out.append(f"unknown scenario {self.scenario!r}; see list-scenarios")
+        else:  # a key the runner ignores may only repeat the default the CSV echoes
+            unread = scenario.unread + (("coherence_bw",) if self.taps == 1 else ())  # one tap: a flat profile
+            out += [f"scenario {self.scenario!r} does not read key {k!r}" for k in unread
+                    if getattr(self, k) != getattr(scenario.defaults, k)]
         if self.trials < 1:
             out.append("trials must be positive")
         if self.seed < 0:
@@ -147,12 +123,33 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Every key's value as the config file writes it (lists comma-separated)."""
-        values = {key: getattr(self, key) for key in _KEY_PARSERS}
-        return {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in values.items()}
+        return {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     def config_hash(self) -> str:
         text = "\n".join(f"{key} = {value}" for key, value in self.echo().items())
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _key_parser(default):
+    """A key's parser, from its field's default: a tuple parses as a
+    comma-separated list of its items' type, each stripped (an empty item
+    raises ``ValueError``), a plain default as its own type, and no default
+    (``scenario``) as a string."""
+    if default is MISSING:
+        return str
+    if not isinstance(default, tuple):
+        return type(default)
+
+    def parse(text: str) -> tuple:
+        items = [v.strip() for v in text.split(",")]
+        if not all(items):
+            raise ValueError("empty list item")
+        return tuple(map(type(default[0]), items))
+
+    return parse
+
+
+_KEY_PARSERS = {f.name: _key_parser(f.default) for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -182,17 +179,9 @@ def parse_config(text: str) -> ExperimentConfig:
         problems.append("missing required key 'scenario'")
     if problems:
         raise ConfigError("; ".join(problems))
-    scenario = values.pop("scenario")
-    base = SCENARIOS.get(scenario)
-    cfg = (base.defaults if base else ExperimentConfig(scenario=scenario))
-    cfg = replace(cfg, scenario=scenario, **values)
-    if base:
-        unread = base.unread
-        if cfg.taps == 1:
-            unread += ("coherence_bw",)  # one tap: the channel profile is flat
-        ignored = [k for k in unread if getattr(cfg, k) != getattr(base.defaults, k)]
-        problems = [f"scenario {scenario!r} does not read key {k!r}" for k in ignored]
-    problems += cfg.violations()
+    base = SCENARIOS.get(values["scenario"])
+    cfg = replace(base.defaults, **values) if base else ExperimentConfig(**values)
+    problems = cfg.violations()
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg

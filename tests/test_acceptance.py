@@ -178,9 +178,11 @@ def test_criterion_10_mse_trend_and_cis_worst():
 
 
 def test_criterion_11_omega_concentration():
-    from pnofdm.experiments import ExperimentConfig, _omega_samples
+    from dataclasses import replace
 
-    cfg = ExperimentConfig(scenario="phase-error-pdf", t_kind=("ppt", "lft"), trials=300, seed=111_000)
+    from pnofdm.experiments import SCENARIOS, _omega_samples
+
+    cfg = replace(SCENARIOS["phase-error-pdf"].defaults, trials=300, seed=111_000)
     results = []
     for t_kind, omega in _omega_samples(cfg).items():
         counts, edges = np.histogram(omega, bins=41, range=(-1.0, 1.0))

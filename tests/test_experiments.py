@@ -87,6 +87,43 @@ class TestParseConfig:
         assert parse_config("\n".join(lines)) == cfg
 
     @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("ber-vs-snr", "77e1d0c65a67f612"),
+            ("mse-vs-bandwidth", "ff5633c4eb8d0847"),
+            ("phase-error-pdf", "f551e44c891d3d92"),
+            ("estimate-error-pdf", "eeb110ed21d002b3"),
+            ("trajectory-traces", "193f81e6d7def460"),
+        ],
+    )
+    def test_default_config_hash_pinned(self, name, digest):
+        # The hash every CSV of a scenario's minimal config records: a
+        # reordered, renamed or reformatted key moves it.
+        assert SCENARIOS[name].defaults.config_hash() == digest
+
+    @pytest.mark.parametrize(
+        "scenario, overrides",
+        [
+            ("phase-error-pdf", {"estimators": ("cpe", "nls")}),
+            ("trajectory-traces", {"trials": 7}),
+            ("estimate-error-pdf", {"taps": 1, "coherence_bw": 400e3}),
+        ],
+    )
+    def test_run_scenario_refuses_what_parse_config_refuses(self, tmp_path, scenario, overrides):
+        # One check binds both entry points: a config built in code from the
+        # scenario's defaults sets a key the runner would not read, and
+        # run_scenario refuses it with parse_config's message for the same
+        # config, before it writes anything.
+        cfg = dataclasses.replace(SCENARIOS[scenario].defaults, **overrides)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config("\n".join(f"{key} = {value}" for key, value in cfg.echo().items()))
+        with pytest.raises(ConfigError) as ran:
+            run_scenario(cfg, tmp_path / "out")
+        assert str(ran.value) == str(parsed.value)
+        assert str(ran.value) == f"scenario {scenario!r} does not read key {list(overrides)[-1]!r}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "scenario, line",
         [
             ("phase-error-pdf", "estimators = uls,nls"),
