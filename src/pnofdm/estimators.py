@@ -27,12 +27,11 @@ Five estimators are provided:
     on the time phases runs first, and its point is returned when the
     closed-form Lagrangian certificate proves it globally optimal.  Other
     frames go through the convex dual program (:mod:`pnofdm.sdp`) and are
-    recovered through the stationarity system; their estimate is the
+    recovered by the exact stationarity solve; their estimate is the
     spectral vector of the lifted estimate's phase trajectory, and they
     report the measured gap to the dual bound.  That point is a rounding of
-    the relaxation, not a proven minimizer: at 10 dB its cost was above the
-    discarded Newton point's on 1112 of 1155 uncertified frames, and above
-    ``nls``'s on 30 (ROADMAP item 12).
+    the relaxation, not a proven minimizer (README measures how often its
+    cost is above the discarded Newton point's and above ``nls``'s).
 ``cpe_only``
     Scalar common-phase fit on the pilots; corrects the average rotation and
     leaves all inter-carrier leakage.
@@ -226,16 +225,15 @@ def gls(sys: LsSystem, T) -> EstimatorOutput:
     (:func:`pnofdm.sdp.certify_local`) that point, lifted, is the estimate,
     with ``certified=True`` and ``gap = 0``.  Otherwise, or when the local
     solve raises a numpy ``LinAlgError``, the dual is solved to a certified
-    optimum, the time samples recovered from the stationarity system, and
-    the estimate is the spectral vector of the lifted estimate's phase
-    trajectory, as in ``nls``, which removes the infeasibility the solver
-    tolerance leaves; such frames carry ``certified=False`` and the measured
-    ``gap = cost - tau``.  Their point is not a proven minimizer: at
-    10 dB its cost was above the discarded Newton point's on 1112 of 1155
-    uncertified frames, and above ``nls``'s on 30 (ROADMAP item 12).  On
-    dual-solve failure, including a numpy ``LinAlgError`` in the solve or the
-    recovery, an :class:`EstimationError` is raised, carrying the solve's
-    status and Newton step count when it ran out of steps;
+    optimum, the time samples recovered by the exact stationarity solve
+    (:func:`pnofdm.sdp.kkt_recover`), and the estimate is the spectral
+    vector of the lifted estimate's phase trajectory, as in ``nls``, which
+    removes the infeasibility the solver tolerance leaves; such frames carry
+    ``certified=False`` and the measured ``gap = cost - tau``.  Their point
+    is not a proven minimizer (see README).  On dual-solve failure,
+    including a numpy ``LinAlgError`` in the solve or the recovery, an
+    :class:`EstimationError` is raised, carrying the solve's status and
+    Newton step count when it ran out of steps;
     :func:`pnofdm.link.simulate` then uses the common-phase-only fit
     (``cpe``) for that frame and flags it.
     """
@@ -244,7 +242,6 @@ def gls(sys: LsSystem, T) -> EstimatorOutput:
     except np.linalg.LinAlgError:
         local = None
     certified = local is not None
-    flags = ()
     if certified:
         x, sol = local
         delta = T @ x
@@ -253,17 +250,13 @@ def gls(sys: LsSystem, T) -> EstimatorOutput:
             sol = solve_dual(sys.M, sys.b)
             if sol.status != "optimal":
                 raise EstimationError(f"dual solve ended with status {sol.status!r} after {sol.iterations} Newton steps")
-            x, info = kkt_recover(sys.M, sys.b, sol)
+            x, _ = kkt_recover(sys.M, sys.b, sol)
         except np.linalg.LinAlgError as exc:
             raise EstimationError(f"dual solve failed: {exc}") from exc
-        if not info.full_rank:
-            flags = (f"kkt_rank_deficient:{info.rank}",)
         delta = spectral_vector(phase_trajectory(T @ x))
     cost = sys.cost_delta(delta)
-    return _output(
-        delta, cost, flags=flags, solver=sol,
-        certified=certified, gap=0.0 if certified else cost - sys.const_term - sol.tau,
-    )
+    gap = 0.0 if certified else cost - sys.const_term - sol.tau
+    return _output(delta, cost, solver=sol, certified=certified, gap=gap)
 
 
 def pilot_scalar(frame) -> complex:

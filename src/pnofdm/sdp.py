@@ -25,11 +25,18 @@ Equality of the two optima is not proven here, and it does not always hold:
 the certified branch-and-bound oracle of :mod:`pnofdm.sproc` brackets the
 primal minimum to 1e-9 relative and finds the dual tight on most small random
 Gram instances, but proves a gap on some (3.6e-4 relative on the worst
-instance of the acceptance suite).  The primal point is recovered from the
-stationarity system ``(M + Diag(mu)) x = b``, which is ill-conditioned where
-the local certificate fails (ROADMAP item 12).  Weak duality also bounds the
-dual, so it has no ascent ray: the solver scales the data to ``||M||_2 <= 1``
-and ``max|b_i| <= 1``, and then ``tau <= 1 + 2*sqrt(n)``.
+instance of the acceptance suite).  The primal point is the exact solve of
+the stationarity system ``(M + Diag(mu)) x = b`` at the barrier's returned
+iterate.  That iterate is strictly feasible, so its LMI is positive
+definite, and ``M + Diag(mu)`` is a principal block of it, so it is positive
+definite too and the solve needs no cutoff.  By the LMI's block inverse,
+``x = -S[:n, n] / S[n, n]`` with ``S = G^-1``: the rounding of the barrier's
+primal iterate, which along the central path converges to the analytic
+centre of the optimal face (Halicka, de Klerk and Roos, SIAM J. Optim.
+2002).  So ``x`` follows the dual optimum, not the barrier's schedule.
+Weak duality also bounds the dual, so it has no ascent ray: the solver
+scales the data to ``||M||_2 <= 1`` and ``max|b_i| <= 1``, and then
+``tau <= 1 + 2*sqrt(n)``.
 
 Most instances the coded link produces need no dual solve at all.
 :func:`certify_local` runs damped Newton on the time phases ``phi`` of
@@ -58,20 +65,20 @@ which then reports ``status = "max_iter"`` (on random Gram instances, ``k =
 2n``, for half of them at n = 96 and all at n = 128).  Bad input raises
 ``ValueError`` and a LAPACK failure ``np.linalg.LinAlgError``.
 
-Every LAPACK call but the SVDs goes through numpy's gufuncs directly, one
-helper per routine: the start points' solves and ``eigvalsh``, the local
-solve's phase-Hessian ``eigh`` and the certificate's one ``eigvalsh`` of the
-LMI, and the barrier's Cholesky factorizations, inverse, Newton solve and
-final ``eigvalsh``.  On these 9 x 9 matrices ``numpy.linalg``'s per-call
-argument handling cost more than LAPACK did, and about a third of a barrier
-step.  Each solver enters one floating-point error state (:func:`_lapack`)
-around all its calls, so a LAPACK failure still raises ``LinAlgError``.
-The SVDs stay on public ``numpy.linalg``: the 2-norm, taken as
-``svd(M, compute_uv=False)[0]`` (bit for bit ``norm(M, 2)``, without its
-axis handling), and :func:`kkt_recover`'s, since the SVD gufuncs are named
-differently in numpy 1.x and 2.x.  The private helpers have run on numpy 2.4;
-the tier-1 workflow also runs the tests on Python 3.10 with numpy 1.24, the
-floor that ``pyproject.toml`` declares.
+Every LAPACK call but the 2-norm's SVD goes through numpy's gufuncs
+directly, one helper per routine: the start points' solves and
+``eigvalsh``, the local solve's phase-Hessian ``eigh`` and the certificate's
+one ``eigvalsh`` of the LMI, the barrier's Cholesky factorizations, inverse,
+Newton solve and final ``eigvalsh``, and the recovery's solve.  On these
+9 x 9 matrices ``numpy.linalg``'s per-call argument handling cost more than
+LAPACK did, and about a third of a barrier step.  Each solver enters one
+floating-point error state (:func:`_lapack`) around all its calls, so a
+LAPACK failure still raises ``LinAlgError``.  The SVD stays on public
+``numpy.linalg``, since the SVD gufuncs are named differently in numpy 1.x
+and 2.x: the 2-norm is taken as ``svd(M, compute_uv=False)[0]``, bit for
+bit ``norm(M, 2)`` without its axis handling.  The private helpers have run
+on numpy 2.4; the tier-1 workflow also runs the tests on Python 3.10 with
+numpy 1.24, the floor that ``pyproject.toml`` declares.
 """
 
 from __future__ import annotations
@@ -92,7 +99,6 @@ TOL = 1e-9  # barrier suboptimality target, absolute plus relative in tau
 MAX_NEWTON = 200  # Newton steps over all centering stages of one solve
 BARRIER_GROWTH = 20.0  # factor on the barrier parameter between stages
 DECREMENT_TOL = 2e-11  # squared Newton decrement of a centered point
-KKT_RCOND = 1e-10  # relative singular-value cutoff of the recovery solve
 MIN_EIG_TOL = 1e-8  # LMI min_eig >= -this * (1 + ||M||_2) reports a solution optimal
 
 # Local solve; tolerances are relative to 1 + ||M||_2.
@@ -369,26 +375,23 @@ def solve_dual(M, b) -> SdpSolution:
 
 @dataclass(frozen=True)
 class KktInfo:
-    rank: int
     full_rank: bool
 
 
 def kkt_recover(M, b, sol: SdpSolution):
     """Recover the primal time samples from the dual stationarity system.
 
-    Solves ``(M + Diag(mu)) x = b`` by pseudo-inverse; singular values below
-    ``KKT_RCOND`` times the largest are treated as zero, in which case the
-    minimum-norm solution is returned.  Returns ``(x, KktInfo)``, whose
-    ``rank`` and ``full_rank`` flag that case.  A ``sol`` whose status is not
-    ``"optimal"`` raises ``ValueError``.
+    Solves ``(M + Diag(mu)) x = b`` exactly.  At a :func:`solve_dual`
+    iterate that matrix, a principal block of the positive definite LMI, is
+    positive definite, and ``x`` is the iterate's rounding
+    ``-S[:n, n] / S[n, n]``, ``S = G^-1`` (see the module docstring).
+    Returns ``(x, KktInfo)``; ``full_rank`` is true whenever the call
+    returns.  A ``sol`` whose status is not ``"optimal"`` raises
+    ``ValueError``, and a singular system ``np.linalg.LinAlgError``.
     """
     if sol.status != "optimal":
         raise ValueError(f"dual solution status is {sol.status!r}, not optimal")
     M, b = _cost_pair(M, b)
-    U, s, Vh = np.linalg.svd(M + np.diag(sol.mu))
-    keep = s > KKT_RCOND * s[0]
-    rank = int(np.count_nonzero(keep))
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    x = Vh.conj().T @ (inv_s * (U.conj().T @ b))
-    return x, KktInfo(rank, rank == b.size)
+    with _lapack():
+        x = _solve_complex(M + np.diag(sol.mu), b)
+    return x, KktInfo(True)

@@ -238,12 +238,13 @@ class TestKktRecover:
         x, _ = kkt_recover(M, b, solve_dual(M, b))
         assert np.linalg.norm(x - x0) < 1e-6
 
-    def test_rank_deficient_flagged_minimum_norm(self):
+    def test_singular_system_raises(self):
+        # No barrier iterate has a singular M + Diag(mu); a made-up mu = 0 on
+        # a singular M gives one, and the exact solve refuses it.
         M, b = np.diag([1.0, 1.0, 0.0]).astype(complex), np.array([1.0, 0.0, 0.0], complex)
         fake = dataclasses.replace(solve_dual(M, b), mu=np.zeros(3), status="optimal")
-        x, info = kkt_recover(M, b, fake)
-        assert not info.full_rank and info.rank == 2
-        assert np.allclose(x, [1.0, 0.0, 0.0])  # minimum-norm solution
+        with pytest.raises(np.linalg.LinAlgError):
+            kkt_recover(M, b, fake)
 
     def test_requires_optimal_status(self):
         M, b = random_gram_instance(3, 6, 10)
@@ -434,35 +435,27 @@ def reference_solve_dual(M, b):
 
 
 def reference_kkt_recover(M, b, sol):
-    """Reference for :func:`kkt_recover`: the pseudo-inverse solve written out.  Returns ``(x, rank)``."""
+    """Reference for :func:`kkt_recover`: the stationarity system ``(M + Diag(mu)) x = b``, solved."""
     M, b = _cost_pair(M, b)
-    U, s, Vh = np.linalg.svd(M + np.diag(sol.mu))
-    keep = s > sdp.KKT_RCOND * s[0]
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    return Vh.conj().T @ (inv_s * (U.conj().T @ b)), int(np.count_nonzero(keep))
+    return np.linalg.solve(M + np.diag(sol.mu), b)
 
 
 def reference_gls(sys, model):
     """Reference for :func:`pnofdm.estimators.gls` on the reference solvers.
 
-    Returns ``(delta, cost, gap, flags, certified)``.
+    Returns ``(delta, cost, gap, certified)``.
     """
     local = reference_certify_local(sys.M, sys.b)
-    flags = ()
     if local is not None:
         x, sol = local
         delta = model @ x
     else:
         sol = reference_solve_dual(sys.M, sys.b)[0]
         assert sol.status == "optimal"
-        x, rank = reference_kkt_recover(sys.M, sys.b, sol)
-        if rank < sys.b.size:
-            flags = (f"kkt_rank_deficient:{rank}",)
-        delta = spectral_vector(phase_trajectory(model @ x))
+        delta = spectral_vector(phase_trajectory(model @ reference_kkt_recover(sys.M, sys.b, sol)))
     cost = sys.cost_delta(delta)
     gap = 0.0 if local is not None else cost - sys.const_term - sol.tau
-    return delta, cost, gap, flags, local is not None
+    return delta, cost, gap, local is not None
 
 
 def assert_same_solution(got, ref):
@@ -505,9 +498,8 @@ class TestMatchesReference:
         assert_same_solution(sol, ref_sol)
         if sol.status == "optimal":
             x, info = kkt_recover(M, b, sol)
-            ref_x, ref_rank = reference_kkt_recover(M, b, ref_sol)
-            assert np.array_equal(x, ref_x)
-            assert (info.rank, info.full_rank) == (ref_rank, ref_rank == np.size(b))
+            assert np.array_equal(x, reference_kkt_recover(M, b, ref_sol))
+            assert info.full_rank
         return got is None
 
     def test_link_frames(self, link_pairs):
@@ -524,7 +516,8 @@ class TestMatchesReference:
             out, ref = gls(sys, model), reference_gls(sys, model)
             d = out.diagnostics
             assert np.array_equal(out.delta_hat, ref[0])
-            assert (d.cost, d.gap, d.flags, d.certified) == ref[1:]
+            assert (d.cost, d.gap, d.certified) == ref[1:]
+            assert d.flags == ()
             kinds.add(d.certified)
         assert kinds == {True, False}
 
@@ -539,6 +532,32 @@ class TestMatchesReference:
             got, ref = solve_dual(M, b), reference_solve_dual(M, b)[0]
             assert_same_solution(got, ref)
             assert (got.iterations, got.status) == (k, "max_iter")
+
+
+class TestExactRecovery:
+    """The uncertified point is the exact stationarity solve at a strictly feasible iterate."""
+
+    def test_block_positive_definite(self, link_pairs):
+        # The module docstring's claim on the instances the link produces:
+        # at every optimal barrier iterate M + Diag(mu) has a Cholesky factor.
+        optimal = 0
+        for M, b in link_pairs + GRAM_PAIRS:
+            sol = solve_dual(M, b)
+            if sol.status == "optimal":
+                np.linalg.cholesky(_cost_pair(M, b)[0] + np.diag(sol.mu))
+                optimal += 1
+        assert optimal == len(link_pairs) + len(GRAM_PAIRS)
+
+    def test_independent_of_barrier_schedule(self, link_systems, monkeypatch):
+        # A finer stop and a slower schedule end at another iterate; the
+        # projected gls point on the frames that reach the dual stays put.
+        dual = [(sys, model) for sys, model in link_systems if certify_local(sys.M, sys.b) is None]
+        default = [gls(sys, model).delta_hat for sys, model in dual]
+        monkeypatch.setattr(sdp, "BARRIER_GROWTH", 10.0)
+        monkeypatch.setattr(sdp, "TOL", 1e-10)
+        moves = [np.linalg.norm(gls(sys, model).delta_hat - delta) for (sys, model), delta in zip(dual, default)]
+        assert len(dual) == 36  # 18, 13 and 5 frames at 10, 20 and 30 dB
+        assert max(moves) <= 1e-5
 
 
 class TestCertificateMargin:
