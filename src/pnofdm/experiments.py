@@ -39,7 +39,6 @@ frames are built once.
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import product
@@ -50,7 +49,8 @@ import numpy as np
 from . import __version__
 from .dimred import validate_ppt
 from .estimators import error_decomposition
-from .link import DEFAULT_MODEL, LinkConfig, _ci95, _distinct, ber_records, make_model, run_violations, simulate
+from .link import (DEFAULT_MODEL, LinkConfig, _ci95, _columns, _distinct, ber_records, make_model, run_violations,
+                   simulate)
 from .spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
 from .sproc import GAP_KINDS, duality_gap, random_gram_instance, regularity_matrix
 
@@ -230,16 +230,6 @@ def _run_ber(cfg: ExperimentConfig, out_dir: Path):
     return [write_csv(out_dir / "ber_vs_snr.csv", _meta(cfg), columns, rows)]
 
 
-def _scores(cfg: ExperimentConfig, link: LinkConfig, estimators, score) -> dict:
-    """``score(output, frame)`` on every trial of one :func:`simulate` pass under
-    every model of ``cfg``, one array per run, keyed as :func:`simulate` keys it."""
-    scores = defaultdict(list)
-    for frames, results in simulate(link, estimators, cfg.trials, cfg.seed, models=cfg.models):
-        for run, outputs in results.items():
-            scores[run] += [score(res, frame) for (res, _), frame in zip(outputs, frames)]
-    return {run: np.array(vals) for run, vals in scores.items()}
-
-
 def _mse_trials(cfg: ExperimentConfig, rho: float):
     """Per-trial squared reduced errors for each estimator (one model): on the
     time samples ``T^H delta``, and by Parseval on the reduced spectrum."""
@@ -250,7 +240,8 @@ def _mse_trials(cfg: ExperimentConfig, rho: float):
     def squared_error(res, frame):
         return float(np.sum(np.abs(Th @ res.delta_hat - Th @ spectral_vector(frame.theta)) ** 2))
 
-    return {est: vals for (est, _), vals in _scores(cfg, link, cfg.estimators, squared_error).items()}
+    columns = _columns(link, cfg.estimators, cfg.trials, cfg.seed, models=cfg.models, error=squared_error)
+    return {est: col["error"] for (est, _), col in columns.items()}
 
 
 def _run_mse(cfg: ExperimentConfig, out_dir: Path):
@@ -268,9 +259,9 @@ def _fd_histogram(label, samples: np.ndarray) -> list:
 
 def _omega_samples(cfg: ExperimentConfig) -> dict:
     """Per-sample ``uls`` phase errors of every trial, concatenated, one array per model of ``cfg``."""
-    omega = _scores(cfg, cfg.link_config(), ("uls",),
-                    lambda res, frame: error_decomposition(res.delta_hat, frame.theta).omega)
-    return {t_kind: vals.ravel() for (_, (t_kind, _)), vals in omega.items()}
+    columns = _columns(cfg.link_config(), ("uls",), cfg.trials, cfg.seed, models=cfg.models,
+                       omega=lambda res, frame: error_decomposition(res.delta_hat, frame.theta).omega)
+    return {t_kind: col["omega"].ravel() for (_, (t_kind, _)), col in columns.items()}
 
 
 def _run_omega(cfg: ExperimentConfig, out_dir: Path):
@@ -285,8 +276,9 @@ def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
 
     rows = []
     for snr in cfg.snr_db:
-        samples = _scores(cfg, cfg.link_config(snr_db=snr), cfg.estimators, squared_error)
-        rows += [(snr, *row) for (est, _), vals in samples.items() for row in _fd_histogram(est, vals)]
+        for (est, _), col in _columns(cfg.link_config(snr_db=snr), cfg.estimators, cfg.trials, cfg.seed,
+                                      models=cfg.models, error=squared_error).items():
+            rows += [(snr, *row) for row in _fd_histogram(est, col["error"])]
     columns = ("snr_db", "estimator", "bin_left", "bin_right", "count", "density")
     return [write_csv(out_dir / "error_pdf.csv", _meta(cfg), columns, rows)]
 
@@ -405,7 +397,7 @@ def _check_geometry(seed: int, count: int) -> tuple:
     """Constant-modulus geometry of the estimates that claim it, on ``count`` link frames at each of 10 and 30 dB.
 
     ``nls`` and ``gls`` run under the geometry-preserving model and ``nls``
-    also under the low-frequency one, in one :func:`simulate` pass per SNR.
+    also under the low-frequency one, in one :func:`_columns` pass per SNR.
     Every estimate must be the estimator's own (no ``cpe`` fallback), and the
     worst geometry residual must stay below ``GEOMETRY_TOL``.  ``uls`` under
     the geometry-preserving model is the negative control: the detail reports
@@ -414,15 +406,15 @@ def _check_geometry(seed: int, count: int) -> tuple:
     """
     worst, fallbacks, uls_off = 0.0, 0, []
     for snr_db in (10.0, 30.0):
-        for _, results in simulate(LinkConfig(snr_db=snr_db), ("uls", "nls", "gls"), count, seed,
-                                   models=(DEFAULT_MODEL, ("lft", DEFAULT_MODEL[1]))):
-            for (name, (t_kind, _)), outputs in results.items():
-                residuals = [out.diagnostics.geometry_residual for out, _ in outputs]
-                if name != "uls":
-                    worst = max(worst, *residuals)
-                    fallbacks += sum(flagged for _, flagged in outputs)
-                elif t_kind == "ppt":
-                    uls_off += [res > GEOMETRY_TOL for res in residuals]
+        columns = _columns(LinkConfig(snr_db=snr_db), ("uls", "nls", "gls"), count, seed,
+                           models=(DEFAULT_MODEL, ("lft", DEFAULT_MODEL[1])),
+                           residual=lambda out, _: out.diagnostics.geometry_residual)
+        for (name, (t_kind, _)), col in columns.items():
+            if name != "uls":
+                worst = max(worst, float(col["residual"].max()))
+                fallbacks += int(col["flagged"].sum())
+            elif t_kind == "ppt":
+                uls_off += list(col["residual"] > GEOMETRY_TOL)
     passed = worst < GEOMETRY_TOL and fallbacks == 0
     return passed, (
         f"max geometry residual of nls/gls (ppt) and nls (lft) over {6 * count} estimates: {worst:.2e}"

@@ -50,20 +50,21 @@ the number of models.  The rules a run must meet are checked before any frame
 is built (:func:`run_violations`), not again by the estimators.  It yields
 blocks of up to ``DECODE_BLOCK`` trials.  An estimator that fails on a frame
 falls back to the common-phase-only fit and is flagged; no frame is dropped.
-:func:`ber_records` (decoding each block once per run, with :func:`run_link`
-its one-estimator case) and the scenario runners are reductions over the
-blocks, using sums and counts only, so they are order-independent.
+Every study over many frames reduces one pass, :func:`_columns`: per run,
+one array per column in trial order (the flagged bit, the bit errors when the
+caller decodes, and the scores it names); :func:`ber_records`, with
+:func:`run_link` its one-estimator case, sums its columns.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .coding import conv_encode, viterbi_decode_soft
+from .coding import CONSTRAINT_LENGTH, conv_encode, viterbi_decode_soft
 from .dimred import lft, pc_ppt
 from .estimators import (ESTIMATOR_IDS, MODEL_FREE_IDS, NEXT_SYMBOL_IDS, PPT_ONLY_IDS, EstimationError, cpe_only,
                          estimate_frame)
@@ -100,7 +101,7 @@ WIENER_VARIANCE_FACTOR = 4.0 * np.pi
 # Seed of the fixed pseudo-random QPSK pilot sequence (same for every frame).
 PILOT_SEQUENCE_SEED = 20140821
 # Trials whose frames simulate builds and yields in one block, and that
-# ber_records decodes in one Viterbi call per estimator.
+# _columns decodes in one Viterbi call per run.
 DECODE_BLOCK = 32
 # The receiver's reduction model (t_kind, n) when a run names none.
 DEFAULT_MODEL = ("ppt", 8)
@@ -124,8 +125,8 @@ class LinkConfig:
 
     def violations(self) -> list[str]:
         out = []
-        # With pilot_fraction <= 0.5 this leaves 4 or more data subcarriers:
-        # 16 coded bits, 2 information bits past the 6-bit tail.
+        # With pilot_fraction <= 0.5 this leaves 4 or more data subcarriers,
+        # so _info_bits is at least 2.
         if self.n_c < 8:
             out.append("n_c must be at least 8")
         if self.taps < 1:
@@ -235,6 +236,11 @@ def _channel_profile(cfg: LinkConfig) -> tuple:
     return _tap_profile(cfg.taps, cfg.coherence_bw / (cfg.n_c * SUBCARRIER_SPACING))
 
 
+def _info_bits(cfg: LinkConfig) -> int:
+    """Information bits per symbol: two per data subcarrier (16-QAM, rate 1/2) less the encoder's flush tail."""
+    return 2 * _layout(cfg.n_c, cfg.pilot_fraction)[2].size - (CONSTRAINT_LENGTH - 1)
+
+
 def _rayleigh_channel(cfg: LinkConfig, draws: np.ndarray) -> np.ndarray:
     """Channel responses ``H`` of a block from standard normal tap draws.
 
@@ -335,7 +341,7 @@ def make_frame_pair(cfg: LinkConfig, seeds, next_symbol: bool = True) -> list[tu
     cfg.validate()
     n_c, n_pairs, n_sym = cfg.n_c, len(seeds), 2 if next_symbol else 1
     pilot_idx, pilot_values, data_idx = _layout(n_c, cfg.pilot_fraction)
-    n_info = 2 * data_idx.size - 6
+    n_info = _info_bits(cfg)
     step_sd = np.sqrt(WIENER_VARIANCE_FACTOR * cfg.rho / n_c)
     tap_draws = np.empty((n_pairs, 2, cfg.taps))
     theta0 = np.empty(n_pairs)
@@ -394,21 +400,6 @@ def _ci95(samples, high=np.inf) -> tuple:
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else 0.0
     return mean, max(0.0, mean - 1.96 * se), min(high, mean + 1.96 * se)
-
-
-def _ber_record(cfg: LinkConfig, frame_errors, bits_per_frame: int, flagged: int) -> BerRecord:
-    """One run's record of its per-frame bit errors, in trial order.
-
-    The interval is :func:`_ci95` of the per-frame BERs, clipped to ``[0, 1]``.
-    It is not a binomial (Wilson) interval: with zero errors in every frame
-    the standard error is zero and the interval collapses to ``[0, 0]``.
-    """
-    _, low, high = _ci95(frame_errors / bits_per_frame, high=1.0)
-    return BerRecord(
-        snr_db=cfg.snr_db, frames=frame_errors.size, bit_errors=int(frame_errors.sum()),
-        ber=float(frame_errors.sum() / (bits_per_frame * frame_errors.size)),
-        ci95_low=low, ci95_high=high, flagged_frames=flagged, frame_errors=frame_errors,
-    )
 
 
 def decode_frame(frames, delta_hats) -> np.ndarray:
@@ -519,25 +510,52 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed, models=(DEFAULT_MOD
         yield frames, results
 
 
+def _columns(cfg: LinkConfig, estimators, trials: int, seed, models=(DEFAULT_MODEL,), decode=False, **scores) -> dict:
+    """One :func:`simulate` pass as columns: per run, keyed and ordered as
+    :func:`simulate`'s results, one array per column in trial order.
+
+    ``flagged`` marks the frames that got the common-phase-only fallback.
+    With ``decode``, ``bit_errors`` counts each frame's wrongly decoded
+    information bits, each run's block decoded in one :func:`decode_frame`
+    call; without it nothing is decoded.  Each keyword names a score, a
+    callable of ``(output, frame)``, and its column.
+    """
+    columns = {}
+    for frames, results in simulate(cfg, estimators, trials, seed, models=models):
+        sent = np.stack([frame.info_bits for frame in frames])
+        for run, outputs in results.items():
+            col = columns.setdefault(run, defaultdict(list))
+            col["flagged"] += [flagged for _, flagged in outputs]
+            if decode:
+                decoded = decode_frame(frames, [out.delta_hat for out, _ in outputs])
+                col["bit_errors"] += list(np.count_nonzero(decoded != sent, axis=1))
+            for name, score in scores.items():
+                col[name] += [score(out, frame) for (out, _), frame in zip(outputs, frames)]
+    return {run: {name: np.array(values) for name, values in col.items()} for run, col in columns.items()}
+
+
 def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed, models=(DEFAULT_MODEL,)) -> dict[tuple, BerRecord]:
     """Coded BER of each estimator under each model over the same ``n_frames`` trials of :func:`simulate`.
 
-    One pass: each block's frames are built once, and each run's block is
-    decoded in one :func:`decode_frame` call.  A frame on which an estimator
-    fails is decoded with the common-phase-only fallback and counted in its
-    ``flagged_frames``, never dropped.  Returns one record per run, keyed
-    and ordered as :func:`simulate`'s results, so an id that reads no model
-    is decoded once; ``frame_errors`` keeps trial order.
+    Sums of the ``bit_errors`` and ``flagged`` columns of one decoding
+    :func:`_columns` pass, one record per run, keyed and ordered as
+    :func:`simulate`'s results, so an id that reads no model is decoded once;
+    ``frame_errors`` keeps trial order.  A frame on which an estimator fails
+    is decoded with the common-phase-only fallback and counted in its
+    ``flagged_frames``, never dropped.  The interval is :func:`_ci95` of the
+    per-frame BERs, clipped to ``[0, 1]``, not a binomial (Wilson) interval:
+    with zero errors in every frame it collapses to ``[0, 0]``.
     """
-    errors, flagged = defaultdict(list), Counter()
-    for frames, results in simulate(cfg, estimators, n_frames, seed, models=models):
-        sent = np.stack([frame.info_bits for frame in frames])
-        for run, outputs in results.items():
-            decoded = decode_frame(frames, [out.delta_hat for out, _ in outputs])
-            errors[run].append(np.count_nonzero(decoded != sent, axis=1))
-            flagged[run] += sum(bad for _, bad in outputs)
-    return {run: _ber_record(cfg, np.concatenate(blocks), sent.shape[1], flagged[run])
-            for run, blocks in errors.items()}
+    bits, records = _info_bits(cfg), {}
+    for run, col in _columns(cfg, estimators, n_frames, seed, models=models, decode=True).items():
+        errors = col["bit_errors"]
+        _, low, high = _ci95(errors / bits, high=1.0)
+        records[run] = BerRecord(
+            snr_db=cfg.snr_db, frames=errors.size, bit_errors=int(errors.sum()),
+            ber=float(errors.sum() / (bits * errors.size)), ci95_low=low, ci95_high=high,
+            flagged_frames=int(col["flagged"].sum()), frame_errors=errors,
+        )
+    return records
 
 
 def run_link(cfg: LinkConfig, estimator, n_frames: int, seed) -> BerRecord:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pnofdm.estimators import error_decomposition, uls
-from pnofdm.link import LinkConfig, decode_frame, simulate
+from pnofdm.link import LinkConfig, _columns, _info_bits
 from pnofdm.spectral import spectral_vector
 from pnofdm.experiments import (
     _check_duality,
@@ -44,7 +44,7 @@ def paired_greater(worse, better):
 
 @pytest.fixture(scope="module")
 def mc30():
-    """Shared 2500-frame study at 30 dB: per-frame errors, costs, residuals.
+    """Shared 2500-frame study at 30 dB: each estimator's columns of one decoding pass, with costs and residuals.
 
     The unconstrained-vs-common-phase BER comparison is heavy-tailed (rare
     estimator blowups carry most of the difference), so the paired test
@@ -52,27 +52,12 @@ def mc30():
     whole criterion within its runtime budget.  No estimator may fall back
     on any frame: a flagged output fails the fixture.
     """
-    names = ("cpe", "uls", "nls", "gls", "genie")
-    frames = 2500
-    errors = {n: np.zeros(frames, dtype=int) for n in names}
-    costs = {n: np.zeros(frames) for n in ("uls", "nls", "gls")}
-    residuals = {n: np.zeros(frames) for n in ("nls", "gls")}
-    start = 0
-    for block, results in simulate(LinkConfig(snr_db=30.0), names, frames, 190230):
-        trials = slice(start, start + len(block))
-        start = trials.stop
-        sent = np.stack([f.info_bits for f in block])
-        for (name, _), outputs in results.items():
-            # One decoder call per estimator and block.
-            assert not any(flagged for _, flagged in outputs), f"{name} fell back to cpe in trials {trials}"
-            decoded = decode_frame(block, [out.delta_hat for out, _ in outputs])
-            errors[name][trials] = np.count_nonzero(decoded != sent, axis=1)
-            if name in costs:
-                costs[name][trials] = [out.diagnostics.cost for out, _ in outputs]
-            if name in residuals:
-                residuals[name][trials] = [out.diagnostics.geometry_residual for out, _ in outputs]
-    bits = frames * sent.shape[1]
-    return {"errors": errors, "costs": costs, "residuals": residuals, "bits": bits, "frames": frames}
+    columns = _columns(LinkConfig(snr_db=30.0), ("cpe", "uls", "nls", "gls", "genie"), 2500, 190230, decode=True,
+                       cost=lambda out, _: out.diagnostics.cost,
+                       residual=lambda out, _: out.diagnostics.geometry_residual)
+    for (name, _), col in columns.items():
+        assert not col["flagged"].any(), f"{name} fell back to cpe in trials {np.flatnonzero(col['flagged'])}"
+    return {name: col for (name, _), col in columns.items()}
 
 
 def test_criterion_1_geometry_construction():
@@ -109,8 +94,8 @@ def test_criterion_5_total_error_identity():
 
 
 def test_criterion_6_constrained_feasibility_and_cost_order(mc30):
-    worst_res = max(mc30["residuals"]["nls"].max(), mc30["residuals"]["gls"].max())
-    c = mc30["costs"]
+    worst_res = max(mc30["nls"]["residual"].max(), mc30["gls"]["residual"].max())
+    c = {name: mc30[name]["cost"] for name in ("uls", "nls", "gls")}
     tol = 1e-9
     lower_ok = np.mean(c["uls"] <= c["gls"] * (1 + tol) + tol)
     upper_ok = np.mean(c["gls"] <= c["nls"] * (1 + tol) + tol)
@@ -119,7 +104,7 @@ def test_criterion_6_constrained_feasibility_and_cost_order(mc30):
         6,
         passed,
         f"worst constrained residual {worst_res:.2e}; cost order uls<=gls on "
-        f"{lower_ok:.1%}, gls<=nls on {upper_ok:.1%} of {mc30['frames']} frames",
+        f"{lower_ok:.1%}, gls<=nls on {upper_ok:.1%} of {c['gls'].size} frames",
     )
 
 
@@ -135,8 +120,9 @@ def test_criterion_8_regularity_condition():
 
 
 def test_criterion_9_ber_ordering_at_30db(mc30):
-    e = mc30["errors"]
-    ber = {n: e[n].sum() / mc30["bits"] for n in e}
+    e = {n: col["bit_errors"] for n, col in mc30.items()}
+    bits = e["cpe"].size * _info_bits(LinkConfig(snr_db=30.0))
+    ber = {n: e[n].sum() / bits for n in e}
     z_cpe_uls = paired_greater(e["cpe"], e["uls"])
     z_uls_gls = paired_greater(e["uls"], e["gls"])
     z_uls_nls = paired_greater(e["uls"], e["nls"])

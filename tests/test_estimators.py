@@ -22,7 +22,7 @@ from pnofdm.estimators import (
     uls,
 )
 from pnofdm.link import (DEFAULT_MODEL, LinkConfig, OfdmFrame, ber_records, make_frame_pair, make_model, run_link,
-                         simulate)
+                         simulate, _columns)
 from test_link import all_pilot_values, channel_one, dft, rotate_one, sent_symbol
 from pnofdm.spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
 from pnofdm.sdp import certify_local
@@ -319,6 +319,8 @@ class TestUls:
                 assert not flagged or np.array_equal(out.delta_hat, cpe.delta_hat)
         for rec in ber_records(cfg, ("uls", "nls"), 64, 1, models=(model,)).values():
             assert (rec.frames, rec.flagged_frames) == (64, 2)
+        for col in _columns(cfg, ("uls", "nls"), 64, 1, models=(model,)).values():
+            assert col["flagged"].tolist() == past
 
 
 class TestNls:

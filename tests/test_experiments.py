@@ -31,6 +31,11 @@ from pnofdm.spectral import phase_trajectory
 TINY = "scenario = trajectory-traces\nn_c = 64\nn = 4\nseed = 5\n"
 
 
+def refuse_decode(monkeypatch):
+    """A scenario that scores estimates decodes no frame: any decode fails the test."""
+    monkeypatch.setattr(link, "decode_frame", lambda *a: pytest.fail("a scenario that does not decode decoded"))
+
+
 class TestParseConfig:
     def test_minimal(self):
         cfg = parse_config("scenario = ber-vs-snr\n")
@@ -391,7 +396,8 @@ class TestScenarios:
         assert [(row[0], row[3], row[flagged]) for row in rows] == [
             ("10.0", "cpe", "0"), ("10.0", "nls", "1"), ("30.0", "cpe", "0"), ("30.0", "nls", "3")]
 
-    def test_mse_scenario(self, tmp_path):
+    def test_mse_scenario(self, tmp_path, monkeypatch):
+        refuse_decode(monkeypatch)
         cfg = parse_config(
             "scenario = mse-vs-bandwidth\ntrials = 3\nrho = 0.02,0.1\nestimators = cpe,nls\nn_c = 64\nn = 4\n"
         )
@@ -411,7 +417,8 @@ class TestScenarios:
         assert lows["uls"] == lows["nls"] == lows["cis"] == 0.0
         assert lows["gls"] > 0.0
 
-    def test_error_pdf_scenario(self, tmp_path):
+    def test_error_pdf_scenario(self, tmp_path, monkeypatch):
+        refuse_decode(monkeypatch)
         cfg = parse_config(
             "scenario = estimate-error-pdf\ntrials = 20\nn_c = 64\nn = 4\nestimators = cpe,nls\n"
         )
@@ -425,7 +432,8 @@ class TestScenarios:
         # The default sweeps 10 and 30 dB; every trial lands in a bin.
         assert counts == {(snr, est): 20 for snr in ("10.0", "30.0") for est in ("cpe", "nls")}
 
-    def test_reproducible_byte_identical(self, tmp_path):
+    def test_reproducible_byte_identical(self, tmp_path, monkeypatch):
+        refuse_decode(monkeypatch)
         cfg = parse_config(
             "scenario = phase-error-pdf\ntrials = 5\nn_c = 64\nn = 4\nseed = 77\n"
         )

@@ -578,18 +578,41 @@ class TestSimulate:
         with pytest.raises(ValueError, match="n = 7 must divide n_c = 128 for a ppt model"):
             next(simulate(LinkConfig(), ("uls",), 1, 0, models=(("ppt", 7),)))
 
-    def test_block_boundaries_match_frame_by_frame_decode(self):
+    def test_block_boundaries_match_frame_by_frame_decode(self, monkeypatch):
         # Two full blocks would hide a lost or reordered final partial block.
-        cfg = LinkConfig(snr_db=12.0)
-        n_frames = link.DECODE_BLOCK + 3
-        expected = []
-        for frames, results in simulate(cfg, ("uls",), n_frames, 31):
-            for frame, (out, _) in zip(frames, results["uls", DEFAULT_MODEL], strict=True):
-                decoded = decode_frame([frame], [out.delta_hat])[0]
-                expected.append(int(np.count_nonzero(decoded != frame.info_bits)))
-        assert len(expected) == n_frames and sum(expected) > 0
+        # The pass's columns are those of a direct simulate loop that decodes
+        # frame by frame, run by run in simulate's order, under two models
+        # and for an id that reads none.
+        cfg, names, n_frames = LinkConfig(snr_db=12.0), ("cpe", "uls"), link.DECODE_BLOCK + 3
+        ppt, lft = ("ppt", 8), ("lft", 8)
+
+        def residual(out, frame):
+            return out.diagnostics.geometry_residual
+
+        expected = {}
+        for frames, results in simulate(cfg, names, n_frames, 31, models=(ppt, lft)):
+            for run, outputs in results.items():
+                col = expected.setdefault(run, {"flagged": [], "bit_errors": [], "residual": []})
+                for frame, (out, flagged) in zip(frames, outputs, strict=True):
+                    decoded = decode_frame([frame], [out.delta_hat])[0]
+                    col["flagged"].append(flagged)
+                    col["bit_errors"].append(int(np.count_nonzero(decoded != frame.info_bits)))
+                    col["residual"].append(residual(out, frame))
+        assert list(expected) == [("cpe", None), ("uls", ppt), ("uls", lft)]
+        assert [len(col["flagged"]) for col in expected.values()] == [n_frames] * 3
+        assert sum(expected["uls", ppt]["bit_errors"]) > 0
+        decoded = link._columns(cfg, names, n_frames, 31, models=(ppt, lft), decode=True, residual=residual)
         rec = run_link(cfg, "uls", n_frames, 31)
-        assert np.array_equal(rec.frame_errors, expected)
+        assert np.array_equal(rec.frame_errors, expected["uls", ppt]["bit_errors"])
+        # Without decode the pass makes no decode_frame call and has no bit_errors column.
+        monkeypatch.setattr(link, "decode_frame", lambda *a: pytest.fail("a pass that does not decode decoded"))
+        scored = link._columns(cfg, names, n_frames, 31, models=(ppt, lft), residual=residual)
+        for columns, keep in ((decoded, ["flagged", "bit_errors", "residual"]), (scored, ["flagged", "residual"])):
+            assert list(columns) == list(expected)
+            for run, col in columns.items():
+                assert list(col) == keep
+                for name, values in col.items():
+                    assert np.array_equal(values, expected[run][name]), (run, name)
 
     def test_decode_frame_rejects_unpaired_estimates(self):
         f0, _ = make_frame_pair(LinkConfig(), [17])[0]
