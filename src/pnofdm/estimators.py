@@ -223,11 +223,13 @@ def gls(sys: LsSystem, T) -> EstimatorOutput:
     not checked here.  A Newton solve on the time phases runs first; when the
     closed-form Lagrangian certificate proves its point globally optimal
     (:func:`pnofdm.sdp.certify_local`) that point, lifted, is the estimate,
-    with ``certified=True`` and ``gap = 0``.  Otherwise, or when the local
-    solve raises a numpy ``LinAlgError``, the dual is solved to a certified
-    optimum, the time samples recovered by the exact stationarity solve
-    (:func:`pnofdm.sdp.kkt_recover`), and the estimate is the spectral
-    vector of the lifted estimate's phase trajectory, as in ``nls``, which
+    with ``certified=True`` and ``gap = 0``.  Otherwise the dual is solved
+    to a certified optimum, warm-started from the local solve's last point
+    (:func:`pnofdm.sdp.solve_dual`'s ``start``; a cold start when the local
+    solve raises a numpy ``LinAlgError``), the time samples recovered by the
+    exact stationarity solve (:func:`pnofdm.sdp.kkt_recover`), and the
+    estimate is the spectral vector of the lifted estimate's phase
+    trajectory, as in ``nls``, which
     removes the infeasibility the solver tolerance leaves; such frames carry
     ``certified=False`` and the measured ``gap = cost - tau``.  Their point
     is not a proven minimizer (see README).  On dual-solve failure,
@@ -238,16 +240,15 @@ def gls(sys: LsSystem, T) -> EstimatorOutput:
     (``cpe``) for that frame and flags it.
     """
     try:
-        local = certify_local(sys.M, sys.b)
+        x, sol = certify_local(sys.M, sys.b)
     except np.linalg.LinAlgError:
-        local = None
-    certified = local is not None
+        x, sol = None, None
+    certified = sol is not None
     if certified:
-        x, sol = local
         delta = T @ x
     else:
         try:
-            sol = solve_dual(sys.M, sys.b)
+            sol = solve_dual(sys.M, sys.b, start=x)
             if sol.status != "optimal":
                 raise EstimationError(f"dual solve ended with status {sol.status!r} after {sol.iterations} Newton steps")
             x, _ = kkt_recover(sys.M, sys.b, sol)

@@ -398,10 +398,10 @@ class TestGls:
         from pnofdm import estimators
         from pnofdm.link import run_link
 
-        def failing_solve(M, b):
+        def failing_solve(M, b, start=None):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-        monkeypatch.setattr(estimators, "certify_local", lambda M, b: None)
+        monkeypatch.setattr(estimators, "certify_local", lambda M, b: (None, None))
         monkeypatch.setattr(estimators, "solve_dual", failing_solve)
         with pytest.raises(EstimationError, match="not positive definite"):
             gls(synthetic_system(3, 6, 0), pc_ppt(3, 3))
@@ -417,7 +417,7 @@ class TestGls:
         message, uncertified = r"^dual solve ended with status 'max_iter' after 5 Newton steps$", 0
         for frame, _ in make_frame_pair(cfg, np.random.SeedSequence(3).spawn(12), next_symbol=False):
             sys = build_ls_system(frame, model)
-            if certify_local(sys.M, sys.b) is None:
+            if certify_local(sys.M, sys.b)[1] is None:
                 uncertified += 1
                 with pytest.raises(EstimationError, match=message):
                     gls(sys, model)

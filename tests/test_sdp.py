@@ -100,10 +100,9 @@ class TestAssemble:
         assert (sol_col.tau, sol_col.min_eig) == (sol.tau, sol.min_eig)
         assert np.array_equal(sol_col.mu, sol.mu)
         assert np.array_equal(kkt_recover(M, col, sol)[0], kkt_recover(M, b, sol)[0])
-        local, local_col = certify_local(M, b), certify_local(M, col)
-        assert (local is None) == (local_col is None)
-        if local is not None:
-            assert np.array_equal(local[0], local_col[0])
+        (x, local), (x_col, local_col) = certify_local(M, b), certify_local(M, col)
+        assert np.array_equal(x, x_col) and (local is None) == (local_col is None)
+        assert solve_dual(M, col, start=x[:, None]).tau == solve_dual(M, b, start=x).tau
         assert primal_oracle(M, col).p_star == primal_oracle(M, b).p_star
 
     def test_non_hermitian_rejected(self):
@@ -208,7 +207,7 @@ class TestSolveDual:
         assert sol.status == "max_iter"
 
     def test_no_size_cap(self):
-        # The step budget, not a size, limits the solve: n = 65 certifies in 126 steps.
+        # The step budget, not a size, limits the solve: n = 65 certifies in 105 steps.
         M, b = random_gram_instance(65, 130, 2)
         sol = solve_dual(M, b)
         assert sol.status == "optimal" and sol.iterations < sdp.MAX_NEWTON
@@ -345,24 +344,27 @@ def reference_certify_local(M, b):
                 break
             alpha *= 0.5
         else:
-            return None
+            return x, None
         phi, x, J = phi + alpha * step, x_trial, J_trial
     else:
-        return None
+        return x, None
     mu = np.real((c - A @ x) / x)
     min_eig = float(np.linalg.eigvalsh(reference_time_lmi(A, c, J, mu))[0])
     if min_eig < -sdp.MIN_EIG_TOL * scale:
-        return None
+        return x, None
     return x, SdpSolution(tau=J, mu=mu, min_eig=min_eig, iterations=0, status="optimal")
 
 
 def reference_center(d, t, G0, w, budget):
     """One centering stage from its own Cholesky factor, allocating each trial's LMI.
 
-    Returns ``(d, steps, ok)``; ``ok`` is false when the stage needed more
-    than ``budget`` steps, the Newton system is singular, or the line search
-    finds no strictly feasible trial.
+    The stage ends at a squared Newton decrement of at most
+    ``STAGE_DECREMENT``, or of at most ``DECREMENT_TOL`` once ``m/t <= TOL *
+    (1 + |w.d|)``, the last stage.  Returns ``(d, steps, ok)``; ``ok`` is
+    false when the stage needed more than ``budget`` steps, the Newton
+    system is singular, or the line search finds no strictly feasible trial.
     """
+    m = d.size
     L = np.linalg.cholesky(G0 + np.diag(d))
     steps = 0
     while steps < budget:
@@ -375,7 +377,8 @@ def reference_center(d, t, G0, w, budget):
             step = np.linalg.solve(H, rhs)
         except np.linalg.LinAlgError:
             return d, steps, False
-        if float(step @ rhs) <= sdp.DECREMENT_TOL:
+        last = m / t <= sdp.TOL * (1.0 + abs(float(w @ d)))
+        if float(step @ rhs) <= (sdp.DECREMENT_TOL if last else sdp.STAGE_DECREMENT):
             return d, steps, True
         alpha = 1.0
         for _ in range(60):
@@ -391,14 +394,16 @@ def reference_center(d, t, G0, w, budget):
     return d, steps, False
 
 
-def reference_solve_dual(M, b):
+def reference_solve_dual(M, b, start=None):
     """Stage-by-stage reference for :func:`solve_dual`, one :func:`reference_center` call per stage.
 
     Returns ``(SdpSolution, stage_ends)``, ``stage_ends`` the step count at
     the end of each completed stage.  It stops only once the stage objective
     has also stabilized to ``sqrt(TOL)`` relative, a test the certified bound
     ``m/t <= TOL * (1 + |tau|)`` already implies: equal solutions show that
-    the test never decides a stop.
+    the test never decides a stop.  A warm ``start`` takes the stage
+    ``t = BARRIER_GROWTH**k`` with the largest ``k >= 0`` at which ``t <=
+    10 m / (J - tau0)``.
     """
     M, b = _cost_pair(M, b)
     n = b.size
@@ -409,11 +414,23 @@ def reference_solve_dual(M, b):
     G0 = reference_time_lmi(A, c, 0.0, np.zeros(n))
     w = np.full(m, -1.0 / n)
     w[n] = -1.0
-    mu0 = max(0.0, -float(np.linalg.eigvalsh(A)[0])) + 1.0
-    schur = float(np.real(c.conj() @ np.linalg.solve(A + mu0 * np.eye(n), c)))
-    d = np.full(m, mu0)
-    d[n] = schur + 1.0
-    t, stage_ends, status, tau_prev, steps = 1.0, [], "optimal", None, 0
+    if start is None:
+        mu0 = max(0.0, -float(np.linalg.eigvalsh(A)[0])) + 1.0
+        schur = float(np.real(c.conj() @ np.linalg.solve(A + mu0 * np.eye(n), c)))
+        d = np.full(m, mu0)
+        d[n] = schur + 1.0
+        k = 0
+    else:
+        x = np.asarray(start, dtype=complex).ravel()
+        J = float(np.real(x.conj() @ (A @ x)) - 2.0 * np.real(c.conj() @ x))
+        mu = np.real((c - A @ x) / x)
+        shift = 2.0 * max(0.0, -float(np.linalg.eigvalsh(A + np.diag(mu))[0])) + 1e-6 * (1.0 + abs(J))
+        schur = float(np.real(c.conj() @ np.linalg.solve(A + np.diag(mu + shift), c)))
+        d = np.append(mu + shift, schur + shift)
+        k = 0
+        while sdp.BARRIER_GROWTH ** (k + 1) <= 10.0 * m / (J - float(w @ d)):
+            k += 1
+    t, stage_ends, status, tau_prev, steps = sdp.BARRIER_GROWTH**k, [], "optimal", None, 0
     while True:
         d, used, ok = reference_center(d, t, G0, w, sdp.MAX_NEWTON - steps)
         steps += used
@@ -445,12 +462,12 @@ def reference_gls(sys, model):
 
     Returns ``(delta, cost, gap, certified)``.
     """
-    local = reference_certify_local(sys.M, sys.b)
+    x, local = reference_certify_local(sys.M, sys.b)
     if local is not None:
-        x, sol = local
+        sol = local
         delta = model @ x
     else:
-        sol = reference_solve_dual(sys.M, sys.b)[0]
+        sol = reference_solve_dual(sys.M, sys.b, start=x)[0]
         assert sol.status == "optimal"
         delta = spectral_vector(phase_trajectory(model @ reference_kkt_recover(sys.M, sys.b, sol)))
     cost = sys.cost_delta(delta)
@@ -485,21 +502,22 @@ GRAM_PAIRS = [random_gram_instance(n, k, 300 + seed) for n, k in ((3, 6), (5, 10
 
 
 class TestMatchesReference:
-    """The solvers match their loop references bit for bit."""
+    """The solvers match their loop references bit for bit, the dual from its cold and its warm start."""
 
     @staticmethod
     def check(M, b):
-        got, ref = certify_local(M, b), reference_certify_local(M, b)
+        (x, got), (x_ref, ref) = certify_local(M, b), reference_certify_local(M, b)
+        assert np.array_equal(x, x_ref)
         assert (got is None) == (ref is None)
         if got is not None:
-            assert np.array_equal(got[0], ref[0])
-            assert_same_solution(got[1], ref[1])
-        sol, ref_sol = solve_dual(M, b), reference_solve_dual(M, b)[0]
-        assert_same_solution(sol, ref_sol)
-        if sol.status == "optimal":
-            x, info = kkt_recover(M, b, sol)
-            assert np.array_equal(x, reference_kkt_recover(M, b, ref_sol))
-            assert info.full_rank
+            assert_same_solution(got, ref)
+        for start in (None, x):
+            sol, ref_sol = solve_dual(M, b, start=start), reference_solve_dual(M, b, start=start)[0]
+            assert_same_solution(sol, ref_sol)
+            if sol.status == "optimal":
+                x_kkt, info = kkt_recover(M, b, sol)
+                assert np.array_equal(x_kkt, reference_kkt_recover(M, b, ref_sol))
+                assert info.full_rank
         return got is None
 
     def test_link_frames(self, link_pairs):
@@ -523,13 +541,15 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("budget", ["one_step", "mid_stage", "stage_end"])
     def test_step_budget_exhaustion(self, budget, link_pairs, monkeypatch):
-        cases = [(M, b, reference_solve_dual(M, b)[1]) for M, b in GRAM_PAIRS[::7] + link_pairs[::30]]
-        for M, b, stage_ends in cases:
+        cases = [(M, b, start, reference_solve_dual(M, b, start=start)[1])
+                 for M, b in GRAM_PAIRS[::7] + link_pairs[::30]
+                 for start in (None, certify_local(M, b)[0])]
+        for M, b, start, stage_ends in cases:
             lengths = np.diff([0] + stage_ends)
             j = next(i for i in range(len(stage_ends) - 1) if lengths[i] >= 2)  # a long, non-final stage
             k = {"one_step": 1, "mid_stage": stage_ends[j] - 1, "stage_end": stage_ends[j]}[budget]
             monkeypatch.setattr(sdp, "MAX_NEWTON", k)
-            got, ref = solve_dual(M, b), reference_solve_dual(M, b)[0]
+            got, ref = solve_dual(M, b, start=start), reference_solve_dual(M, b, start=start)[0]
             assert_same_solution(got, ref)
             assert (got.iterations, got.status) == (k, "max_iter")
 
@@ -551,13 +571,65 @@ class TestExactRecovery:
     def test_independent_of_barrier_schedule(self, link_systems, monkeypatch):
         # A finer stop and a slower schedule end at another iterate; the
         # projected gls point on the frames that reach the dual stays put.
-        dual = [(sys, model) for sys, model in link_systems if certify_local(sys.M, sys.b) is None]
+        dual = [(sys, model) for sys, model in link_systems if certify_local(sys.M, sys.b)[1] is None]
         default = [gls(sys, model).delta_hat for sys, model in dual]
         monkeypatch.setattr(sdp, "BARRIER_GROWTH", 10.0)
         monkeypatch.setattr(sdp, "TOL", 1e-10)
         moves = [np.linalg.norm(gls(sys, model).delta_hat - delta) for (sys, model), delta in zip(dual, default)]
         assert len(dual) == 36  # 18, 13 and 5 frames at 10, 20 and 30 dB
         assert max(moves) <= 1e-5
+
+
+class TestWarmStart:
+    """``solve_dual`` started from ``certify_local``'s point ends where the cold solve ends, in fewer steps."""
+
+    @staticmethod
+    def check_same_optimum(M, b, start):
+        cold, warm = solve_dual(M, b), solve_dual(M, b, start=start)
+        assert cold.status == warm.status == "optimal"
+        assert warm.min_eig >= -sdp.MIN_EIG_TOL * (1 + np.linalg.norm(M, 2))
+        assert abs(warm.tau - cold.tau) <= 1e-12 * abs(cold.tau)
+        return cold, warm
+
+    def test_matches_cold_solve(self, link_pairs):
+        # Certified points start it too: the warm solve needs no failed certificate.
+        for M, b in link_pairs + GRAM_PAIRS:
+            cold, warm = self.check_same_optimum(M, b, certify_local(M, b)[0])
+            assert np.linalg.norm(kkt_recover(M, b, warm)[0] - kkt_recover(M, b, cold)[0]) <= 1e-5
+
+    def test_unconverged_start(self, link_pairs, monkeypatch):
+        # One local Newton step converges on no instance; its iterate is still
+        # on the geometry and still a start.
+        monkeypatch.setattr(sdp, "LOCAL_MAX_NEWTON", 1)
+        for M, b in link_pairs[::4] + GRAM_PAIRS[::3]:
+            x, local = certify_local(M, b)
+            assert local is None
+            self.check_same_optimum(M, b, x)
+
+    def test_half_the_steps_on_link_frames(self, link_pairs):
+        # On the 36 link frames that reach the dual: 33 steps p50 warm, 52.5 cold.
+        steps = []
+        for M, b in link_pairs:
+            x, local = certify_local(M, b)
+            if local is None:
+                steps.append((solve_dual(M, b, start=x).iterations, solve_dual(M, b).iterations))
+        warm, cold = np.median(steps, axis=0)
+        assert len(steps) == 36
+        assert warm <= 40 < cold
+
+    @pytest.mark.parametrize(
+        "start, error",
+        [
+            (np.full(4, 0.5, dtype=complex), "n = len"),  # on the geometry of n = 4, not 3
+            (np.full(3, 0.5, dtype=complex), "geometry"),
+            (np.array([1.0, 1.0, np.nan]) / np.sqrt(3), "geometry"),
+        ],
+        ids=["wrong_length", "off_geometry", "nan"],
+    )
+    def test_bad_start_rejected(self, start, error):
+        M, b = random_gram_instance(3, 6, 1)
+        with pytest.raises(ValueError, match=error):
+            solve_dual(M, b, start=start)
 
 
 class TestCertificateMargin:
@@ -576,9 +648,9 @@ class TestCertificateMargin:
         for M, b in pairs:
             A, c = _cost_pair(M, b)
             scale = 1.0 + np.linalg.norm(A, 2)
-            local = certify_local(M, b)
+            local = certify_local(M, b)[1]
             if local is not None:
-                certified.append(local[1].min_eig / scale)
+                certified.append(local.min_eig / scale)
                 continue
             with sdp._lapack():
                 x, J, Ax, _, converged = sdp._local_newton(A, c, np.angle(np.linalg.solve(A, c)), scale)
@@ -623,8 +695,9 @@ def helper_inputs():
             model = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
             for f0, _ in make_frame_pair(cfg, np.random.SeedSequence([4343, int(snr_db)]).spawn(12)):
                 sys = build_ls_system(f0, model)
-                if certify_local(sys.M, sys.b) is None:
-                    solve_dual(sys.M, sys.b)
+                x, local = certify_local(sys.M, sys.b)
+                if local is None:
+                    solve_dual(sys.M, sys.b, start=x)
     return seen
 
 

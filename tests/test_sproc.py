@@ -362,11 +362,10 @@ class TestPrimalOracle:
         seen = 0
         for n, k, seed in ORACLE_SETS[name]:
             M, b = random_gram_instance(n, k, seed)
-            local = certify_local(M, b)
-            if local is None:
+            x, sol = certify_local(M, b)
+            if sol is None:
                 continue
             seen += 1
-            x, sol = local
             res = primal_oracle(M, b)
             assert res.p_star == pytest.approx(sol.tau, rel=1e-12, abs=0), seed
             assert np.linalg.norm(res.x - x) <= 1e-8, seed
