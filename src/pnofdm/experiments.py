@@ -32,8 +32,8 @@ list keys.  :func:`pnofdm.link.simulate` leaves ``gls`` (``PPT_ONLY_IDS``)
 out of the runs under ``t_kind = lft``, and runs each id that reads no model
 (``MODEL_FREE_IDS``) once, so each writes one row or column with no model.
 Every operating point must pass :func:`pnofdm.link.run_violations`, and is
-one :func:`pnofdm.link.simulate` pass over every estimator and model, so its
-frames are built once.
+one :func:`pnofdm.link.simulate` call over every estimator and model, so its
+frames are built once; each scenario reduces the columns it returns.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ import numpy as np
 from . import __version__
 from .dimred import validate_ppt
 from .estimators import error_decomposition
-from .link import (DEFAULT_MODEL, LinkConfig, _ci95, _columns, _distinct, ber_records, make_model, run_violations,
-                   simulate)
+from .link import DEFAULT_MODEL, LinkConfig, _ci95, _distinct, ber_records, make_model, run_violations, simulate
 from .spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
 from .sproc import GAP_KINDS, duality_gap, random_gram_instance, regularity_matrix
 
@@ -240,7 +239,7 @@ def _mse_trials(cfg: ExperimentConfig, rho: float):
     def squared_error(res, frame):
         return float(np.sum(np.abs(Th @ res.delta_hat - Th @ spectral_vector(frame.theta)) ** 2))
 
-    columns = _columns(link, cfg.estimators, cfg.trials, cfg.seed, models=cfg.models, error=squared_error)
+    columns = simulate(link, cfg.estimators, cfg.trials, cfg.seed, models=cfg.models, error=squared_error)
     return {est: col["error"] for (est, _), col in columns.items()}
 
 
@@ -259,7 +258,7 @@ def _fd_histogram(label, samples: np.ndarray) -> list:
 
 def _omega_samples(cfg: ExperimentConfig) -> dict:
     """Per-sample ``uls`` phase errors of every trial, concatenated, one array per model of ``cfg``."""
-    columns = _columns(cfg.link_config(), ("uls",), cfg.trials, cfg.seed, models=cfg.models,
+    columns = simulate(cfg.link_config(), ("uls",), cfg.trials, cfg.seed, models=cfg.models,
                        omega=lambda res, frame: error_decomposition(res.delta_hat, frame.theta).omega)
     return {t_kind: col["omega"].ravel() for (_, (t_kind, _)), col in columns.items()}
 
@@ -276,7 +275,7 @@ def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
 
     rows = []
     for snr in cfg.snr_db:
-        for (est, _), col in _columns(cfg.link_config(snr_db=snr), cfg.estimators, cfg.trials, cfg.seed,
+        for (est, _), col in simulate(cfg.link_config(snr_db=snr), cfg.estimators, cfg.trials, cfg.seed,
                                       models=cfg.models, error=squared_error).items():
             rows += [(snr, *row) for row in _fd_histogram(est, col["error"])]
     columns = ("snr_db", "estimator", "bin_left", "bin_right", "count", "density")
@@ -284,12 +283,13 @@ def _run_errpdf(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _run_realization(cfg: ExperimentConfig, out_dir: Path):
-    """Trial 0's true trajectory and each run's (:func:`simulate`'s keys), from one :func:`simulate` pass."""
-    ((frames, results),) = simulate(cfg.link_config(), cfg.estimators, 1, cfg.seed, models=cfg.models)
-    traces = {f"theta_hat_{est}" + (f"_{model[0]}" if model else ""): phase_trajectory(res.delta_hat)
-              for (est, model), ((res, _),) in results.items()}
+    """Trial 0's true trajectory and each run's (:func:`simulate`'s keys), from one :func:`simulate` call."""
+    runs = simulate(cfg.link_config(), cfg.estimators, 1, cfg.seed, models=cfg.models,
+                    theta=lambda _, frame: frame.theta, theta_hat=lambda res, _: phase_trajectory(res.delta_hat))
+    traces = {f"theta_hat_{est}" + (f"_{model[0]}" if model else ""): col["theta_hat"][0]
+              for (est, model), col in runs.items()}
     columns = ["index", "theta", *traces]
-    rows = list(zip(np.arange(cfg.n_c), frames[0].theta, *traces.values()))
+    rows = list(zip(np.arange(cfg.n_c), next(iter(runs.values()))["theta"][0], *traces.values()))
     return [write_csv(out_dir / "realization.csv", _meta(cfg), columns, rows)]
 
 
@@ -397,7 +397,7 @@ def _check_geometry(seed: int, count: int) -> tuple:
     """Constant-modulus geometry of the estimates that claim it, on ``count`` link frames at each of 10 and 30 dB.
 
     ``nls`` and ``gls`` run under the geometry-preserving model and ``nls``
-    also under the low-frequency one, in one :func:`_columns` pass per SNR.
+    also under the low-frequency one, in one :func:`simulate` call per SNR.
     Every estimate must be the estimator's own (no ``cpe`` fallback), and the
     worst geometry residual must stay below ``GEOMETRY_TOL``.  ``uls`` under
     the geometry-preserving model is the negative control: the detail reports
@@ -406,7 +406,7 @@ def _check_geometry(seed: int, count: int) -> tuple:
     """
     worst, fallbacks, uls_off = 0.0, 0, []
     for snr_db in (10.0, 30.0):
-        columns = _columns(LinkConfig(snr_db=snr_db), ("uls", "nls", "gls"), count, seed,
+        columns = simulate(LinkConfig(snr_db=snr_db), ("uls", "nls", "gls"), count, seed,
                            models=(DEFAULT_MODEL, ("lft", DEFAULT_MODEL[1])),
                            residual=lambda out, _: out.diagnostics.geometry_residual)
         for (name, (t_kind, _)), col in columns.items():

@@ -47,13 +47,13 @@ receiver's choice, not the link's) on it, so the runs compared in one study
 see common random frames, built once: the model enters only the estimate, and
 an id that reads no model (``MODEL_FREE_IDS``) runs once per frame, whatever
 the number of models.  The rules a run must meet are checked before any frame
-is built (:func:`run_violations`), not again by the estimators.  It yields
-blocks of up to ``DECODE_BLOCK`` trials.  An estimator that fails on a frame
-falls back to the common-phase-only fit and is flagged; no frame is dropped.
-Every study over many frames reduces one pass, :func:`_columns`: per run,
-one array per column in trial order (the flagged bit, the bit errors when the
-caller decodes, and the scores it names); :func:`ber_records`, with
-:func:`run_link` its one-estimator case, sums its columns.
+is built (:func:`run_violations`), not again by the estimators.  It builds,
+and when asked decodes, blocks of up to ``DECODE_BLOCK`` trials.  An estimator
+that fails on a frame falls back to the common-phase-only fit and is flagged;
+no frame is dropped.  It returns, per run, one array per column in trial
+order: the flagged bit, the bit errors when the caller decodes, and the
+scores it names.  Every study reads these columns; :func:`ber_records`, with
+:func:`run_link` its one-estimator case, sums them.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ SNR_DB_LIMIT = 1000.0
 WIENER_VARIANCE_FACTOR = 4.0 * np.pi
 # Seed of the fixed pseudo-random QPSK pilot sequence (same for every frame).
 PILOT_SEQUENCE_SEED = 20140821
-# Trials whose frames simulate builds and yields in one block, and that
-# _columns decodes in one Viterbi call per run.
+# Trials whose frames simulate builds in one block and decodes in one Viterbi
+# call per run.
 DECODE_BLOCK = 32
 # The receiver's reduction model (t_kind, n) when a run names none.
 DEFAULT_MODEL = ("ppt", 8)
@@ -465,8 +465,9 @@ def run_violations(cfg: LinkConfig, estimators, models) -> list[str]:
     return list(dict.fromkeys(out))
 
 
-def simulate(cfg: LinkConfig, estimators, trials: int, seed, models=(DEFAULT_MODEL,)):
-    """Run every estimator under every model on ``trials`` common random frame pairs, yielded a block at a time.
+def simulate(cfg: LinkConfig, estimators, trials: int, seed, models=(DEFAULT_MODEL,), decode=False,
+             **scores) -> dict:
+    """Run every estimator under every model on ``trials`` common random frame pairs; per run, its columns.
 
     Trial ``i`` draws its frame pair from child ``i`` of
     ``np.random.SeedSequence(seed).spawn(trials)``, with the draws in the
@@ -475,16 +476,22 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed, models=(DEFAULT_MOD
     whatever the number of estimators and ``(t_kind, n)`` models, with each
     pair's second symbol only when an estimator in
     :data:`pnofdm.estimators.NEXT_SYMBOL_IDS` is requested (symbol 0 is the
-    same either way), estimated frame by frame and yielded once as
-    ``(frames, results)``: the first symbol of each pair, in trial order,
-    and ``results[est, model]`` with one ``(output, flagged)`` per frame,
-    keyed model by model and, within a model, in the order of
-    ``estimators``.  An id in ``PPT_ONLY_IDS`` runs under ``ppt`` only, and
-    an id in ``MODEL_FREE_IDS`` once per frame, keyed ``(est, None)`` where
-    it first appears.  An estimator that raises :class:`EstimationError` on
-    a frame gets the common-phase-only fit instead, flagged.  A run that
-    :func:`run_violations` refuses, or an empty or repeating list of models,
-    raises ``ValueError`` when iteration starts, before any frame is built.
+    same either way), and estimated frame by frame.  An estimator that raises
+    :class:`EstimationError` on a frame gets the common-phase-only fit
+    instead, flagged.  A run that :func:`run_violations` refuses, or an empty
+    or repeating list of models, raises ``ValueError`` before any frame is
+    built.
+
+    Returns ``{(est, model): {column: array}}``, keyed model by model and,
+    within a model, in the order of ``estimators``; an id in ``PPT_ONLY_IDS``
+    runs under ``ppt`` only, and an id in ``MODEL_FREE_IDS`` once per frame,
+    keyed ``(est, None)`` where it first appears.  Each column holds one
+    entry per trial, in trial order: ``flagged`` marks the fallbacks; with
+    ``decode``, ``bit_errors`` counts each frame's wrongly decoded
+    information bits, each run's block decoded in one :func:`decode_frame`
+    call (without it nothing is decoded); and each keyword names a score, a
+    callable of ``(output, frame)`` on the first symbol of the pair, and its
+    column.
     """
     estimators, models = tuple(estimators), tuple(models)
     problems = run_violations(cfg, estimators, models) + _distinct("models", models)
@@ -497,40 +504,25 @@ def simulate(cfg: LinkConfig, estimators, trials: int, seed, models=(DEFAULT_MOD
     lifts = {(t_kind, n): make_model(t_kind, cfg.n_c, n) for t_kind, n in models}  # a model-free run reads None
     children = np.random.SeedSequence(seed).spawn(trials)
     next_symbol = any(est in NEXT_SYMBOL_IDS for est in estimators)
+    columns = {run: defaultdict(list) for run in runs}
     for start in range(0, trials, DECODE_BLOCK):
-        frames, results = [], {run: [] for run in runs}
+        frames, outputs = [], {run: [] for run in runs}
         for f0, f1 in make_frame_pair(cfg, children[start : start + DECODE_BLOCK], next_symbol=next_symbol):
             frames.append(f0)
             for est, model in runs:
                 try:
-                    out = (estimate_frame(est, f0, f1, lifts.get(model)), False)
+                    out, flagged = estimate_frame(est, f0, f1, lifts.get(model)), False
                 except EstimationError:
-                    out = (cpe_only(f0), True)
-                results[est, model].append(out)
-        yield frames, results
-
-
-def _columns(cfg: LinkConfig, estimators, trials: int, seed, models=(DEFAULT_MODEL,), decode=False, **scores) -> dict:
-    """One :func:`simulate` pass as columns: per run, keyed and ordered as
-    :func:`simulate`'s results, one array per column in trial order.
-
-    ``flagged`` marks the frames that got the common-phase-only fallback.
-    With ``decode``, ``bit_errors`` counts each frame's wrongly decoded
-    information bits, each run's block decoded in one :func:`decode_frame`
-    call; without it nothing is decoded.  Each keyword names a score, a
-    callable of ``(output, frame)``, and its column.
-    """
-    columns = {}
-    for frames, results in simulate(cfg, estimators, trials, seed, models=models):
+                    out, flagged = cpe_only(f0), True
+                outputs[est, model].append(out)
+                columns[est, model]["flagged"].append(flagged)
         sent = np.stack([frame.info_bits for frame in frames])
-        for run, outputs in results.items():
-            col = columns.setdefault(run, defaultdict(list))
-            col["flagged"] += [flagged for _, flagged in outputs]
+        for run, outs in outputs.items():
             if decode:
-                decoded = decode_frame(frames, [out.delta_hat for out, _ in outputs])
-                col["bit_errors"] += list(np.count_nonzero(decoded != sent, axis=1))
+                decoded = decode_frame(frames, [out.delta_hat for out in outs])
+                columns[run]["bit_errors"] += list(np.count_nonzero(decoded != sent, axis=1))
             for name, score in scores.items():
-                col[name] += [score(out, frame) for (out, _), frame in zip(outputs, frames)]
+                columns[run][name] += [score(out, frame) for out, frame in zip(outs, frames)]
     return {run: {name: np.array(values) for name, values in col.items()} for run, col in columns.items()}
 
 
@@ -538,8 +530,8 @@ def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed, models=(DEFAUL
     """Coded BER of each estimator under each model over the same ``n_frames`` trials of :func:`simulate`.
 
     Sums of the ``bit_errors`` and ``flagged`` columns of one decoding
-    :func:`_columns` pass, one record per run, keyed and ordered as
-    :func:`simulate`'s results, so an id that reads no model is decoded once;
+    :func:`simulate` call, one record per run, keyed and ordered as its
+    columns, so an id that reads no model is decoded once;
     ``frame_errors`` keeps trial order.  A frame on which an estimator fails
     is decoded with the common-phase-only fallback and counted in its
     ``flagged_frames``, never dropped.  The interval is :func:`_ci95` of the
@@ -547,7 +539,7 @@ def ber_records(cfg: LinkConfig, estimators, n_frames: int, seed, models=(DEFAUL
     with zero errors in every frame it collapses to ``[0, 0]``.
     """
     bits, records = _info_bits(cfg), {}
-    for run, col in _columns(cfg, estimators, n_frames, seed, models=models, decode=True).items():
+    for run, col in simulate(cfg, estimators, n_frames, seed, models=models, decode=True).items():
         errors = col["bit_errors"]
         _, low, high = _ci95(errors / bits, high=1.0)
         records[run] = BerRecord(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pnofdm.estimators import error_decomposition, uls
-from pnofdm.link import LinkConfig, _columns, _info_bits
+from pnofdm.link import LinkConfig, _info_bits, simulate
 from pnofdm.spectral import spectral_vector
 from pnofdm.experiments import (
     _check_duality,
@@ -52,7 +52,7 @@ def mc30():
     whole criterion within its runtime budget.  No estimator may fall back
     on any frame: a flagged output fails the fixture.
     """
-    columns = _columns(LinkConfig(snr_db=30.0), ("cpe", "uls", "nls", "gls", "genie"), 2500, 190230, decode=True,
+    columns = simulate(LinkConfig(snr_db=30.0), ("cpe", "uls", "nls", "gls", "genie"), 2500, 190230, decode=True,
                        cost=lambda out, _: out.diagnostics.cost,
                        residual=lambda out, _: out.diagnostics.geometry_residual)
     for (name, _), col in columns.items():

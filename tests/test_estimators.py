@@ -22,7 +22,7 @@ from pnofdm.estimators import (
     uls,
 )
 from pnofdm.link import (DEFAULT_MODEL, LinkConfig, OfdmFrame, ber_records, make_frame_pair, make_model, run_link,
-                         simulate, _columns)
+                         simulate)
 from test_link import all_pilot_values, channel_one, dft, rotate_one, sent_symbol
 from pnofdm.spectral import GEOMETRY_TOL, geometry_residual, phase_trajectory, spectral_vector
 from pnofdm.sdp import certify_local
@@ -307,19 +307,20 @@ class TestUls:
         # past ULS_COND_LIMIT, 2 of 64 at seed 1, and decode them as cpe.
         cfg, model = LinkConfig(n_c=16, pilot_fraction=0.5, snr_db=1000.0, taps=1, rho=0.0), (t_kind, 8)
         T = make_model(t_kind, cfg.n_c, 8)
-        blocks = list(simulate(cfg, ("uls", "nls", "cpe"), 64, 1, models=(model,)))
-        past = [np.linalg.cond(build_ls_system(f, T).M) > estimators.ULS_COND_LIMIT
-                for frames, _ in blocks for f in frames]
+        columns = simulate(cfg, ("uls", "nls", "cpe"), 64, 1, models=(model,),
+                           past=lambda _, f: np.linalg.cond(build_ls_system(f, T).M) > estimators.ULS_COND_LIMIT,
+                           delta_hat=lambda out, _: out.delta_hat)
+        past = columns["cpe", None]["past"].tolist()
         assert sum(past) == 2
-        fallback = [out for _, results in blocks for out, _ in results["cpe", None]]
+        fallback = columns["cpe", None]["delta_hat"]
         for name in ("uls", "nls"):
-            outputs = [out for _, results in blocks for out in results[name, model]]
-            assert [flagged for _, flagged in outputs] == past
-            for (out, flagged), cpe in zip(outputs, fallback):
-                assert not flagged or np.array_equal(out.delta_hat, cpe.delta_hat)
+            col = columns[name, model]
+            assert col["flagged"].tolist() == col["past"].tolist() == past
+            for delta_hat, flagged, cpe in zip(col["delta_hat"], col["flagged"], fallback, strict=True):
+                assert not flagged or np.array_equal(delta_hat, cpe)
         for rec in ber_records(cfg, ("uls", "nls"), 64, 1, models=(model,)).values():
             assert (rec.frames, rec.flagged_frames) == (64, 2)
-        for col in _columns(cfg, ("uls", "nls"), 64, 1, models=(model,)).values():
+        for col in simulate(cfg, ("uls", "nls"), 64, 1, models=(model,)).values():
             assert col["flagged"].tolist() == past
 
 

@@ -26,6 +26,7 @@ from pnofdm.experiments import (
 )
 from pnofdm.link import make_frame_pair
 from pnofdm.spectral import phase_trajectory
+from test_link import FRAME_SCORES
 
 
 TINY = "scenario = trajectory-traces\nn_c = 64\nn = 4\nseed = 5\n"
@@ -271,7 +272,8 @@ class TestParseConfig:
 
 
 class TestScenarios:
-    def test_realization_writes_metadata_and_columns(self, tmp_path):
+    def test_realization_writes_metadata_and_columns(self, tmp_path, monkeypatch):
+        refuse_decode(monkeypatch)
         cfg = parse_config(TINY)
         (path,) = run_scenario(cfg, tmp_path)
         text = path.read_text()
@@ -285,13 +287,13 @@ class TestScenarios:
         # The seed_rule metadata, evaluated, seeds each trial's frame pair as
         # simulate does, on both sides of a block boundary.
         cfg, master, trials = link.LinkConfig(snr_db=20.0), 8, link.DECODE_BLOCK + 8
-        frames = [frame for block, _ in link.simulate(cfg, ("cpe",), trials, master) for frame in block]
+        col = link.simulate(cfg, ("cpe",), trials, master, **FRAME_SCORES)["cpe", None]
         rule = experiments.SEED_RULE.removeprefix("numpy ")
         for i in (0, 1, link.DECODE_BLOCK - 1, link.DECODE_BLOCK, trials - 1):
             seed = eval(rule, {"SeedSequence": np.random.SeedSequence, "master_seed": master, "trial_index": i})
             expected, _ = make_frame_pair(cfg, [seed])[0]
-            for name in ("info_bits", "theta", "H", "r"):
-                assert np.array_equal(getattr(frames[i], name), getattr(expected, name)), (i, name)
+            for name in FRAME_SCORES:
+                assert np.array_equal(col[name][i], getattr(expected, name)), (i, name)
 
     def test_realization_falls_back_to_cpe_on_a_failing_estimator(self, tmp_path, monkeypatch):
         # trajectory-traces runs through simulate like every other scenario:

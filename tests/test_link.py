@@ -451,22 +451,33 @@ class TestWienerRealization:
             LinkConfig(rho=rho).validate()
 
 
+# Scores that keep each trial's first-symbol arrays as columns of simulate.
+FRAME_SCORES = {name: lambda _, frame, name=name: getattr(frame, name) for name in ("info_bits", "theta", "H", "r")}
+
+
 class TestSimulate:
-    def test_trial_frames_follow_spawned_seeds(self):
-        # Frames are built and yielded a block at a time; a run crossing a
-        # block boundary must still give trial i the pair of child i.
+    def test_trial_frames_follow_spawned_seeds(self, monkeypatch):
+        # Frames are built a block at a time; a run crossing a block boundary
+        # must still give trial i the pair of child i.
+        blocks, real = [], link.make_frame_pair
+
+        def record(cfg, seeds, **kwargs):
+            blocks.append(len(seeds))
+            return real(cfg, seeds, **kwargs)
+
+        monkeypatch.setattr(link, "make_frame_pair", record)
         cfg = LinkConfig(snr_db=20.0)
         n_trials = link.DECODE_BLOCK + 2
         children = np.random.SeedSequence(5).spawn(n_trials)
-        blocks = list(simulate(cfg, ("cpe",), n_trials, 5))
-        assert [len(frames) for frames, _ in blocks] == [link.DECODE_BLOCK, 2]
-        for frames, results in blocks:
-            assert list(results) == [("cpe", None)] and len(results["cpe", None]) == len(frames)
-        frames = [frame for block, _ in blocks for frame in block]
-        for child, frame in zip(children, frames, strict=True):
-            expected, _ = make_frame_pair(cfg, [child])[0]
-            for name in ("info_bits", "theta", "H", "r"):
-                assert np.array_equal(getattr(frame, name), getattr(expected, name))
+        columns = simulate(cfg, ("cpe",), n_trials, 5, **FRAME_SCORES)
+        assert blocks == [link.DECODE_BLOCK, 2]
+        assert list(columns) == [("cpe", None)]
+        col = columns["cpe", None]
+        assert [len(values) for values in col.values()] == [n_trials] * 5
+        for i, child in enumerate(children):
+            expected, _ = real(cfg, [child])[0]
+            for name in FRAME_SCORES:
+                assert np.array_equal(col[name][i], getattr(expected, name))
 
     @pytest.mark.parametrize("ids, built", [(("cis", "uls"), True), (("uls",), False)])
     def test_second_symbol_built_only_for_its_readers(self, monkeypatch, ids, built):
@@ -481,11 +492,11 @@ class TestSimulate:
 
         monkeypatch.setattr(link, "estimate_frame", record)
         n_trials = link.DECODE_BLOCK + 1
-        blocks = list(simulate(LinkConfig(), ids, n_trials, 9))
+        columns = simulate(LinkConfig(), ids, n_trials, 9)
         assert seen == [built] * (n_trials * len(ids))
-        assert not any(flagged for _, results in blocks for _, flagged in results["uls", DEFAULT_MODEL])
+        assert not columns["uls", DEFAULT_MODEL]["flagged"].any()
         if built:
-            assert not any(flagged for _, results in blocks for _, flagged in results["cis", None])
+            assert not columns["cis", None]["flagged"].any()
 
     def test_common_frames_reproduce_run_link(self, monkeypatch):
         # One pass over every estimator sees the same frames as separate
@@ -518,14 +529,14 @@ class TestSimulate:
 
         monkeypatch.setattr(link, "estimate_frame", nls_broken)
         cfg = LinkConfig()
-        for frames, results in simulate(cfg, ("uls", "nls"), 2, 3):
-            assert len(frames) == len(results["uls", DEFAULT_MODEL]) == len(results["nls", DEFAULT_MODEL]) == 2
-            for f, (out, flagged) in zip(frames, results["uls", DEFAULT_MODEL]):
-                own = estimate_frame("uls", f, None, make_model("ppt", cfg.n_c, DEFAULT_MODEL[1]))
-                assert not flagged and np.array_equal(out.delta_hat, own.delta_hat)
-            for f, (out, flagged) in zip(frames, results["nls", DEFAULT_MODEL]):
-                fallback = cpe_only(f)
-                assert flagged and np.array_equal(out.delta_hat, fallback.delta_hat)
+        T = make_model("ppt", cfg.n_c, DEFAULT_MODEL[1])
+        columns = simulate(cfg, ("uls", "nls"), 2, 3, delta_hat=lambda out, _: out.delta_hat,
+                           own=lambda _, f: estimate_frame("uls", f, None, T).delta_hat,
+                           fallback=lambda _, f: cpe_only(f).delta_hat)
+        uls_col, nls_col = columns["uls", DEFAULT_MODEL], columns["nls", DEFAULT_MODEL]
+        assert len(uls_col["flagged"]) == len(nls_col["flagged"]) == len(uls_col["delta_hat"]) == 2
+        assert not uls_col["flagged"].any() and np.array_equal(uls_col["delta_hat"], uls_col["own"])
+        assert nls_col["flagged"].all() and np.array_equal(nls_col["delta_hat"], nls_col["fallback"])
 
     def test_model_free_ids_run_once_per_frame(self, monkeypatch):
         # cpe, cis and genie read no model: under two models each is
@@ -553,7 +564,7 @@ class TestSimulate:
 
         monkeypatch.setattr(link, "estimate_frame", record)
         for _ in range(2):
-            list(simulate(LinkConfig(), ("uls",), 1, 8))
+            simulate(LinkConfig(), ("uls",), 1, 8)
         assert models[0] is models[1]
         assert models[0] is make_model("ppt", 128, 8)
         assert type(models[0]) is np.ndarray and models[0].shape == (128, 8)  # the model is its lift matrix T
@@ -568,45 +579,49 @@ class TestSimulate:
     def test_ppt_divisibility_binds_the_model_not_the_frames(self, monkeypatch):
         # n = 7 does not divide n_c = 128: the lft model of that size runs on
         # the link's frames, and a ppt run is refused before it builds a frame.
-        ((_, results),) = simulate(LinkConfig(), ("uls",), 1, 0, models=(("lft", 7),))
-        assert results["uls", ("lft", 7)][0][0].delta_hat.size == 128
+        columns = simulate(LinkConfig(), ("uls",), 1, 0, models=(("lft", 7),), size=lambda out, _: out.delta_hat.size)
+        assert columns["uls", ("lft", 7)]["size"].tolist() == [128]
 
         def refuse(*args, **kwargs):
             raise AssertionError("a frame was built before the model was checked")
 
         monkeypatch.setattr(link, "make_frame_pair", refuse)
         with pytest.raises(ValueError, match="n = 7 must divide n_c = 128 for a ppt model"):
-            next(simulate(LinkConfig(), ("uls",), 1, 0, models=(("ppt", 7),)))
+            simulate(LinkConfig(), ("uls",), 1, 0, models=(("ppt", 7),))
 
     def test_block_boundaries_match_frame_by_frame_decode(self, monkeypatch):
         # Two full blocks would hide a lost or reordered final partial block.
-        # The pass's columns are those of a direct simulate loop that decodes
-        # frame by frame, run by run in simulate's order, under two models
-        # and for an id that reads none.
+        # The columns are those of a reference that uses no engine: each
+        # trial's pair built alone from its child seed, estimated with the
+        # cpe fallback and decoded one frame at a time, under two models and
+        # for an id that reads none.
         cfg, names, n_frames = LinkConfig(snr_db=12.0), ("cpe", "uls"), link.DECODE_BLOCK + 3
         ppt, lft = ("ppt", 8), ("lft", 8)
 
         def residual(out, frame):
             return out.diagnostics.geometry_residual
 
-        expected = {}
-        for frames, results in simulate(cfg, names, n_frames, 31, models=(ppt, lft)):
-            for run, outputs in results.items():
-                col = expected.setdefault(run, {"flagged": [], "bit_errors": [], "residual": []})
-                for frame, (out, flagged) in zip(frames, outputs, strict=True):
-                    decoded = decode_frame([frame], [out.delta_hat])[0]
-                    col["flagged"].append(flagged)
-                    col["bit_errors"].append(int(np.count_nonzero(decoded != frame.info_bits)))
-                    col["residual"].append(residual(out, frame))
-        assert list(expected) == [("cpe", None), ("uls", ppt), ("uls", lft)]
-        assert [len(col["flagged"]) for col in expected.values()] == [n_frames] * 3
+        expected = {run: {"flagged": [], "bit_errors": [], "residual": []}
+                    for run in (("cpe", None), ("uls", ppt), ("uls", lft))}
+        for child in np.random.SeedSequence(31).spawn(n_frames):
+            f0, f1 = make_frame_pair(cfg, [child])[0]
+            for (name, model), col in expected.items():
+                lift = make_model(model[0], cfg.n_c, model[1]) if model else None
+                try:
+                    out, flagged = estimate_frame(name, f0, f1, lift), False
+                except EstimationError:
+                    out, flagged = cpe_only(f0), True
+                decoded = decode_frame([f0], [out.delta_hat])[0]
+                col["flagged"].append(flagged)
+                col["bit_errors"].append(int(np.count_nonzero(decoded != f0.info_bits)))
+                col["residual"].append(residual(out, f0))
         assert sum(expected["uls", ppt]["bit_errors"]) > 0
-        decoded = link._columns(cfg, names, n_frames, 31, models=(ppt, lft), decode=True, residual=residual)
+        decoded = simulate(cfg, names, n_frames, 31, models=(ppt, lft), decode=True, residual=residual)
         rec = run_link(cfg, "uls", n_frames, 31)
         assert np.array_equal(rec.frame_errors, expected["uls", ppt]["bit_errors"])
-        # Without decode the pass makes no decode_frame call and has no bit_errors column.
-        monkeypatch.setattr(link, "decode_frame", lambda *a: pytest.fail("a pass that does not decode decoded"))
-        scored = link._columns(cfg, names, n_frames, 31, models=(ppt, lft), residual=residual)
+        # Without decode the engine makes no decode_frame call and has no bit_errors column.
+        monkeypatch.setattr(link, "decode_frame", lambda *a: pytest.fail("a run that does not decode decoded"))
+        scored = simulate(cfg, names, n_frames, 31, models=(ppt, lft), residual=residual)
         for columns, keep in ((decoded, ["flagged", "bit_errors", "residual"]), (scored, ["flagged", "residual"])):
             assert list(columns) == list(expected)
             for run, col in columns.items():
@@ -654,7 +669,7 @@ class TestSimulate:
             return estimate_frame("uls", frame, next_frame, model)
 
         with pytest.raises(ValueError, match="unknown estimator"):
-            list(simulate(LinkConfig(), (custom,), 1, 0))
+            simulate(LinkConfig(), (custom,), 1, 0)
         with pytest.raises(ValueError, match="unknown estimator"):
             run_link(LinkConfig(), custom, 1, 0)
 
@@ -676,7 +691,7 @@ class TestSimulate:
 
         monkeypatch.setattr(link, "make_frame_pair", refuse)
         with pytest.raises(ValueError, match=re.escape(message)):
-            next(simulate(LinkConfig(), ids, 40, 0, models=(("lft", 8),)))
+            simulate(LinkConfig(), ids, 40, 0, models=(("lft", 8),))
         with pytest.raises(ValueError, match=re.escape(message)):
             ber_records(LinkConfig(), ids, 40, 0, models=(("lft", 8),))
 
@@ -690,16 +705,19 @@ class TestSimulate:
         monkeypatch.setattr(link, "DECODE_BLOCK", 2)
         cfg, names, n_trials = LinkConfig(snr_db=20.0), ("uls", "nls", "gls"), 3
         ppt, lft = ("ppt", 8), ("lft", 8)
-        blocks = list(simulate(cfg, names, n_trials, 4, models=(ppt, lft)))
-        assert len(built) == len(blocks) == 2
-        assert list(blocks[0][1]) == [(name, ppt) for name in names] + [("uls", lft), ("nls", lft)]
+
+        def delta_hat(out, _):
+            return out.delta_hat
+
+        columns = simulate(cfg, names, n_trials, 4, models=(ppt, lft), delta_hat=delta_hat)
+        assert len(built) == 2
+        assert list(columns) == [(name, ppt) for name in names] + [("uls", lft), ("nls", lft)]
         for model in (ppt, lft):
-            alone = list(simulate(cfg, names if model == ppt else names[:2], n_trials, 4, models=(model,)))
-            for (_, results), (_, own) in zip(blocks, alone, strict=True):
-                for (name, model), outputs in own.items():
-                    got = results[name, model]
-                    assert [flagged for _, flagged in got] == [flagged for _, flagged in outputs]
-                    assert all(np.array_equal(a.delta_hat, b.delta_hat) for (a, _), (b, _) in zip(got, outputs))
+            ids = names if model == ppt else names[:2]
+            alone = simulate(cfg, ids, n_trials, 4, models=(model,), delta_hat=delta_hat)
+            for run, own in alone.items():
+                assert columns[run]["flagged"].tolist() == own["flagged"].tolist()
+                assert np.array_equal(columns[run]["delta_hat"], own["delta_hat"])
 
     @pytest.mark.parametrize(
         "ids, t_kinds, message",
@@ -717,7 +735,7 @@ class TestSimulate:
 
         monkeypatch.setattr(link, "make_frame_pair", refuse)
         with pytest.raises(ValueError, match=re.escape(message)):
-            next(simulate(LinkConfig(), ids, 1, 0, models=[(t_kind, 8) for t_kind in t_kinds]))
+            simulate(LinkConfig(), ids, 1, 0, models=[(t_kind, 8) for t_kind in t_kinds])
 
     @pytest.mark.parametrize(
         "model, message",
@@ -734,7 +752,7 @@ class TestSimulate:
 
         monkeypatch.setattr(link, "make_frame_pair", refuse)
         with pytest.raises(ValueError, match=re.escape(message)):
-            next(simulate(LinkConfig(), ("uls", "cpe"), 1, 0, models=(model,)))
+            simulate(LinkConfig(), ("uls", "cpe"), 1, 0, models=(model,))
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError, match="trials must be positive"):
